@@ -254,6 +254,12 @@ var (
 	_ SnapshotSource = (*SafeSketch)(nil)
 	_ SnapshotSource = (*Sharded)(nil)
 
+	// A coordinator is a read-side front end over its merged root.
+	_ BatchQuerier     = (*Coordinator)(nil)
+	_ DirectQuerier    = (*Coordinator)(nil)
+	_ Snapshotter      = (*Coordinator)(nil)
+	_ DeltaSnapshotter = (*Coordinator)(nil)
+
 	// The standing-query registry is the canonical Notifier.
 	_ Notifier = (*StandingRegistry)(nil)
 )

@@ -34,9 +34,16 @@ type Site = coord.Site
 // or a mix — into one sketch of the combined stream, with the paper's
 // balanced-binary-tree accounting. SetDeltaPulls(true) switches its pulls
 // to the cursor-based incremental protocol (per-site retained baselines,
-// transparent full-pull fallback on any cursor invalidation). See
-// cmd/ecmcoord for the deployable coordinator server built on it.
+// transparent full-pull fallback on any cursor invalidation). After a
+// Refresh it is also a read-side front end — BatchQuerier, DirectQuerier,
+// Snapshotter, DeltaSnapshotter over a frozen clone of its merged root —
+// which is how ecmserver serves one; see cmd/ecmcoord for the deployable
+// coordinator built that way.
 type Coordinator = coord.Coordinator
+
+// ErrNotReady is what a Coordinator's read side returns before its first
+// successful Refresh: there is no merged view to answer from yet.
+var ErrNotReady = coord.ErrNotReady
 
 // SnapshotSource is what an in-process coordinator site needs from its
 // engine: Sketch, SafeSketch, Sharded and ecmclient.Client all satisfy it
@@ -53,9 +60,8 @@ func NewCoordinator(sites ...Site) *Coordinator { return coord.New(sites...) }
 func NewLocalSite(name string, src SnapshotSource) Site { return coord.NewLocalSite(name, src) }
 
 // NewHTTPSite builds a coordinator site pulling GET /v1/snapshot from the
-// ecmserve deployment at baseURL (legacy /sketch deployments are supported
-// via fallback). A nil client uses http.DefaultClient; pass one with a
-// Timeout for production pulls.
+// ecmserve deployment at baseURL. A nil client uses the shared pull client
+// (see NewPullClient); pass one to change timeouts or trust private CAs.
 func NewHTTPSite(baseURL string, hc *http.Client) Site { return coord.NewHTTPSite(baseURL, hc) }
 
 // NewHTTPSiteWithAuth is NewHTTPSite carrying "Authorization: Bearer <token>"
@@ -85,14 +91,6 @@ type SiteStatus = coord.SiteStatus
 // the system roots.
 func NewPullClient(timeout time.Duration, rootCAs *x509.CertPool) *http.Client {
 	return coord.NewPullClient(timeout, rootCAs)
-}
-
-// PullStagger is the deterministic offset in [0, window) at which a
-// coordinator fetches the site named name within each pull round — a stable
-// hash of the name, so a fleet of sites spreads over the window instead of
-// being hit in one burst (see Coordinator.SetPullStagger).
-func PullStagger(name string, window time.Duration) time.Duration {
-	return coord.PullStagger(name, window)
 }
 
 // StreamEvent is one synthetic-workload arrival routed to a site (key,

@@ -7,22 +7,17 @@ import (
 	"strings"
 	"testing"
 
-	"ecmsketch/internal/wire"
+	"ecmsketch/ecmserver"
 )
 
 // TestCoordServerDirectQuery pins ?direct=1 and the GET form of /v1/query
 // on the coordinator surface: point answers come from the same published
 // view as the batched path (a coordinator has no stripes — direct is the
 // client-uniform spelling), aggregates are rejected with 400 under
-// direct=1, and the incremental stats carry the per-round merge_ns and
-// worker count.
+// direct=1, and the stats carry the per-round merge_ns and worker count.
 func TestCoordServerDirectQuery(t *testing.T) {
 	sites := newEcmserverSites(t, 2)
-	co := newCoordinator(http.DefaultClient, []string{sites[0].URL, sites[1].URL}, "")
-	co.SetDeltaPulls(true)
-	cs := newCoordServer(co, 0)
-	cs.incremental = true
-	defer cs.Close()
+	cs := newTestCoordServer(t, http.DefaultClient, []string{sites[0].URL, sites[1].URL})
 	if err := cs.refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +73,7 @@ func TestCoordServerDirectQuery(t *testing.T) {
 	}
 	get("/v1/query?ikey=0&total=1&direct=1", 400)
 
-	// Incremental stats surface the root patch's timing and parallelism.
+	// Stats surface the root patch's timing and parallelism.
 	stats := get("/v1/stats", 200)
 	lr, ok := stats["lastRefresh"].(map[string]any)
 	if !ok {
@@ -97,13 +92,11 @@ func TestCoordServerDirectQuery(t *testing.T) {
 }
 
 // TestCoordServerProfilingMount pins the opt-in pprof surface: absent by
-// default, mounted by mountProfiling, and behind the bearer wrapper when a
-// token is configured.
+// default, mounted by the shared server's EnableProfiling, and behind its
+// bearer check when a token is configured.
 func TestCoordServerProfilingMount(t *testing.T) {
 	sites := newEcmserverSites(t, 1)
-	co := newCoordinator(http.DefaultClient, []string{sites[0].URL}, "")
-	cs := newCoordServer(co, 0)
-	defer cs.Close()
+	cs := newTestCoordServer(t, http.DefaultClient, []string{sites[0].URL})
 	front := httptest.NewServer(cs)
 	defer front.Close()
 	resp, err := http.Get(front.URL + "/debug/pprof/cmdline")
@@ -112,13 +105,16 @@ func TestCoordServerProfilingMount(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
-		t.Fatalf("pprof reachable without mountProfiling: %s", resp.Status)
+		t.Fatalf("pprof reachable without -pprof: %s", resp.Status)
 	}
 
-	cs2 := newCoordServer(co, 0)
+	cs2, err := newCoordServer(newCoordinator(http.DefaultClient, []string{sites[0].URL}, ""), 0,
+		ecmserver.Config{AuthToken: "tok", EnableProfiling: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer cs2.Close()
-	cs2.mountProfiling()
-	authed := httptest.NewServer(wire.RequireBearer("tok", cs2))
+	authed := httptest.NewServer(cs2)
 	defer authed.Close()
 	resp, err = http.Get(authed.URL + "/debug/pprof/cmdline")
 	if err != nil {
@@ -137,5 +133,14 @@ func TestCoordServerProfilingMount(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("pprof with token: %s", resp.Status)
+	}
+	// The coordinator's own routes sit behind the same check.
+	resp, err = http.Get(authed.URL + "/v1/sites")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 401 {
+		t.Fatalf("/v1/sites reachable without token: %s", resp.Status)
 	}
 }

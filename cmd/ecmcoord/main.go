@@ -1,10 +1,9 @@
 // Command ecmcoord is the coordinator half of an ecmserve deployment: it
-// pulls every site's frozen snapshot (GET /v1/snapshot, with a fallback to
-// the legacy /sketch route), aggregates them over the shared coordinator
-// core — the same balanced-binary-tree merge path the in-process simulation
-// uses, so the merged summary is bit-identical to what a single-process
-// deployment of the same event log computes — and answers queries about the
-// global stream.
+// pulls every site's frozen snapshot (GET /v1/snapshot), aggregates them
+// over the shared coordinator core — the same balanced-binary-tree merge
+// path the in-process simulation uses, so the merged summary is
+// bit-identical to what a single-process deployment of the same event log
+// computes — and answers queries about the global stream.
 //
 // One-shot mode answers a single query and exits:
 //
@@ -13,19 +12,20 @@
 //	ecmcoord -sites ... -total               # ||a||_1 of the whole window
 //	ecmcoord -sites ... -out merged.sketch   # persist the merged summary
 //
-// Server mode re-pulls the sites on an interval and serves the /v1 query
-// API over the latest merged sketch, making the coordinator itself a
-// queryable — and pullable — site, so coordinators stack hierarchically:
+// Server mode re-pulls the sites on an interval and serves the read side of
+// the /v1 API (package ecmserver, the server a site runs) over the merged
+// sketch, making the coordinator itself a queryable — and pullable — site,
+// so coordinators stack hierarchically:
 //
 //	ecmcoord -sites http://a:8080,http://b:8080 -serve :9090 -interval 5s
 //
-// Server-mode re-pulls are incremental by default (-delta): the
-// coordinator presents each site the cursor from its previous pull and
-// receives only the stripes and cells that changed since, falling back to
-// a full pull transparently whenever a site restarts or invalidates the
-// cursor. On slow-moving streams this cuts steady-state coordinator
-// bandwidth by an order of magnitude or more; -delta=false restores
-// full-snapshot pulls.
+// Server-mode re-pulls are incremental: the coordinator presents each site
+// the cursor from its previous pull and receives only the stripes and cells
+// that changed since (falling back to a full pull transparently whenever a
+// site restarts or invalidates the cursor), patches exactly those cells of
+// one persistent merged root, and serves cursor deltas of that root upward.
+// Unreachable sites keep contributing their retained baseline and re-enter
+// through exponential-backoff probes.
 package main
 
 import (
@@ -38,33 +38,30 @@ import (
 	"time"
 
 	"ecmsketch"
+	"ecmsketch/ecmserver"
 )
 
 func main() {
 	var (
-		sites       = flag.String("sites", "", "comma-separated site base URLs")
-		key         = flag.String("key", "", "string key to point-query")
-		ikey        = flag.Uint64("ikey", 0, "integer key to point-query (when key is empty)")
-		useIKey     = flag.Bool("use-ikey", false, "query -ikey instead of -key")
-		rng         = flag.Uint64("range", 0, "query range in ticks (0 = whole window)")
-		selfjoin    = flag.Bool("selfjoin", false, "answer a self-join query")
-		total       = flag.Bool("total", false, "estimate total arrivals in range")
-		out         = flag.String("out", "", "write the merged sketch to this file")
-		timeout     = flag.Duration("timeout", 10*time.Second, "per-site HTTP timeout")
-		serve       = flag.String("serve", "", "serve the /v1 query API over the merged sketch on this address instead of exiting")
-		interval    = flag.Duration("interval", 10*time.Second, "site re-pull period in server mode")
-		delta       = flag.Bool("delta", true, "server mode: pull incremental deltas (GET /v1/snapshot?since=) instead of full snapshots every interval; sites predating the delta protocol transparently degrade to full pulls")
-		incremental = flag.Bool("incremental", true, "server mode: patch one persistent merged view from the changed cells each pull instead of re-merging from scratch, and serve cursor-based deltas upward on GET /v1/snapshot?since=")
-		resilient   = flag.Bool("resilient", true, "server mode: keep serving on site failures — unreachable sites contribute their retained baseline (or are excluded) and re-enter via exponential-backoff probes")
-		stagger     = flag.Duration("stagger", 0, "server mode: spread each pull round's site fetches deterministically over this window (0 = fetch all at once)")
-		token       = flag.String("token", "", "server mode: require this bearer token on the served API")
-		siteToken   = flag.String("site-token", "", "bearer token sent with every site pull (for sites started with -token)")
-		tlsCert     = flag.String("tls-cert", "", "server mode: serve TLS with this certificate file (requires -tls-key)")
-		tlsKey      = flag.String("tls-key", "", "server mode: private key file for -tls-cert")
-		siteCA      = flag.String("site-ca", "", "PEM file of root CAs to trust when pulling https:// sites (default: system roots)")
-		pprofOn     = flag.Bool("pprof", false, "server mode: mount net/http/pprof under /debug/pprof/ (behind -token auth when set)")
-		dataDir     = flag.String("data-dir", "", "server mode: persist the merged root (with its delta-serving epoch) and dynamic membership under this directory; a restart keeps serving deltas to parents holding pre-restart cursors")
-		snapIvl     = flag.Duration("snapshot-interval", time.Minute, "server mode: minimum period between merged-root persists (requires -data-dir)")
+		sites     = flag.String("sites", "", "comma-separated site base URLs")
+		key       = flag.String("key", "", "string key to point-query")
+		ikey      = flag.Uint64("ikey", 0, "integer key to point-query (when key is empty)")
+		useIKey   = flag.Bool("use-ikey", false, "query -ikey instead of -key")
+		rng       = flag.Uint64("range", 0, "query range in ticks (0 = whole window)")
+		selfjoin  = flag.Bool("selfjoin", false, "answer a self-join query")
+		total     = flag.Bool("total", false, "estimate total arrivals in range")
+		out       = flag.String("out", "", "write the merged sketch to this file")
+		timeout   = flag.Duration("timeout", 10*time.Second, "per-site HTTP timeout")
+		serve     = flag.String("serve", "", "serve the /v1 query API over the merged sketch on this address instead of exiting")
+		interval  = flag.Duration("interval", 10*time.Second, "site re-pull period in server mode")
+		token     = flag.String("token", "", "server mode: require this bearer token on the served API")
+		siteToken = flag.String("site-token", "", "bearer token sent with every site pull (for sites started with -token)")
+		tlsCert   = flag.String("tls-cert", "", "server mode: serve TLS with this certificate file (requires -tls-key)")
+		tlsKey    = flag.String("tls-key", "", "server mode: private key file for -tls-cert")
+		siteCA    = flag.String("site-ca", "", "PEM file of root CAs to trust when pulling https:// sites (default: system roots)")
+		pprofOn   = flag.Bool("pprof", false, "server mode: mount net/http/pprof under /debug/pprof/ (behind -token auth when set)")
+		dataDir   = flag.String("data-dir", "", "server mode: persist the merged root (with its delta-serving epoch) and dynamic membership under this directory; a restart keeps serving deltas to parents holding pre-restart cursors")
+		snapIvl   = flag.Duration("snapshot-interval", time.Minute, "server mode: minimum period between merged-root persists (requires -data-dir)")
 	)
 	flag.Parse()
 	urls := splitSites(*sites)
@@ -79,24 +76,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ecmcoord: -interval must be positive in server mode")
 			os.Exit(2)
 		}
-		if (*tlsCert == "") != (*tlsKey == "") {
-			fmt.Fprintln(os.Stderr, "ecmcoord: -tls-cert and -tls-key must be set together")
-			os.Exit(2)
+		cs, err := newCoordServer(co, *interval, ecmserver.Config{AuthToken: *token, EnableProfiling: *pprofOn})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ecmcoord:", err)
+			os.Exit(1)
 		}
-		// One-shot pulls are full by construction; only the re-pull loop has
-		// a previous cursor to delta against.
-		co.SetDeltaPulls(*delta)
-		co.SetResilient(*resilient)
-		co.SetPullStagger(*stagger)
-		cs := newCoordServer(co, *interval)
-		// Incremental patching needs cell-granular change feeds, which only
-		// delta pulls produce; without -delta it degrades to tree re-merge.
-		cs.incremental = *incremental && *delta
 		cs.siteClient = client
 		cs.siteToken = *siteToken
-		if *pprofOn {
-			cs.mountProfiling()
-		}
 		if *dataDir != "" {
 			store, err := ecmsketch.NewFileStore(*dataDir)
 			if err != nil {
@@ -105,7 +91,7 @@ func main() {
 			}
 			cs.enableDurability(store, *snapIvl)
 		}
-		runServe(cs, *serve, *token, *tlsCert, *tlsKey)
+		runServe(cs, *serve, *tlsCert, *tlsKey)
 		return
 	}
 	merged, height, err := co.AggregateTree()

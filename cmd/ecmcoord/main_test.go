@@ -25,7 +25,7 @@ func fakeSite(t *testing.T, seed uint64, feed func(*ecmsketch.Sketch)) *httptest
 	feed(sk)
 	enc := sk.Marshal()
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/sketch" {
+		if r.URL.Path != "/v1/snapshot" {
 			http.NotFound(w, r)
 			return
 		}
@@ -157,9 +157,7 @@ func TestEcmcoordMergesBitIdenticallyToInProcess(t *testing.T) {
 // itself a site), and the 503 surface before any successful pull.
 func TestCoordServer(t *testing.T) {
 	sites := newEcmserverSites(t, 2)
-	co := newCoordinator(http.DefaultClient, []string{sites[0].URL, sites[1].URL}, "")
-	cs := newCoordServer(co, 0) // loop not started; refreshes are explicit
-	defer cs.Close()
+	cs := newTestCoordServer(t, http.DefaultClient, []string{sites[0].URL, sites[1].URL})
 	if err := cs.refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +244,7 @@ func TestCoordServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(repulled.Marshal(), cs.merged.Load().sk.Marshal()) {
+	if !bytes.Equal(repulled.Marshal(), viewOf(t, cs).Marshal()) {
 		t.Error("re-pulled coordinator snapshot differs from its merged view")
 	}
 
@@ -257,7 +255,7 @@ func TestCoordServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rr.Body.Close()
-	if got := cs.merged.Load().sk.Count(); got != 6001 {
+	if got := viewOf(t, cs).Count(); got != 6001 {
 		t.Errorf("post-refresh count = %d, want 6001", got)
 	}
 }
@@ -265,9 +263,7 @@ func TestCoordServer(t *testing.T) {
 // TestCoordServerNotReady pins the 503 surface of a coordinator that has
 // never pulled successfully.
 func TestCoordServerNotReady(t *testing.T) {
-	co := newCoordinator(http.DefaultClient, []string{"http://127.0.0.1:1"}, "")
-	cs := newCoordServer(co, 0)
-	defer cs.Close()
+	cs := newTestCoordServer(t, http.DefaultClient, []string{"http://127.0.0.1:1"})
 	front := httptest.NewServer(cs)
 	defer front.Close()
 	resp, err := http.Get(front.URL + "/v1/total")

@@ -60,12 +60,8 @@ func (cs *coordServer) restoreRoot() {
 		log.Printf("ecmcoord: discarding persisted root: %v", err)
 		return
 	}
-	// Publish the restored root for queries (and its provenance for stats)
-	// so the surface is live before the first pull round completes; the
-	// delta route serves from the coordinator's own root either way.
-	if sk, err := cs.co.Snapshot(); err == nil {
-		cs.merged.Store(&mergedView{sk: sk, height: 1, pulledAt: time.Now()})
-	}
+	// The surface is live from here, before the first pull round completes:
+	// the coordinator answers queries and deltas from the restored root.
 	log.Printf("ecmcoord: restored persisted merged root (resuming deltas from the same epoch)")
 }
 

@@ -15,10 +15,10 @@ import (
 	"ecmsketch"
 )
 
-// newDurableCoordServer is newIncrementalCoordServer plus a store.
+// newDurableCoordServer is newTestCoordServer plus a store.
 func newDurableCoordServer(t *testing.T, siteURLs []string, store ecmsketch.DurableStore) *coordServer {
 	t.Helper()
-	cs := newIncrementalCoordServer(t, http.DefaultClient, siteURLs)
+	cs := newTestCoordServer(t, http.DefaultClient, siteURLs)
 	cs.enableDurability(store, time.Minute)
 	return cs
 }

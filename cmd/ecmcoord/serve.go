@@ -2,47 +2,34 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"net/url"
 	"os"
 	"os/signal"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"ecmsketch"
-	"ecmsketch/internal/standing"
+	"ecmsketch/ecmserver"
 	"ecmsketch/internal/wire"
 )
 
-// coordServer is the server mode of ecmcoord: it re-pulls and re-merges the
-// sites on an interval and serves a read-only /v1 query surface over the
-// latest merged sketch. The merged sketch is frozen at merge time (its
-// clock was advanced by the final ⊕ and never moves again), so any number
-// of concurrent queries on it are pure reads — the same immutable-view
-// discipline the Sharded engine's query path uses, applied one level up.
-//
-// Because the surface includes GET /v1/snapshot and /v1/sketch, a running
-// coordinator is itself a valid pull target: coordinators compose into the
-// multi-level hierarchies of Section 5.1, each level re-summarizing the one
-// below.
+// coordServer is the server mode of ecmcoord: an ecmserver over the
+// coordinator's merged view — the same read-only /v1 surface a site serves,
+// snapshot and delta routes included, so a running coordinator is itself a
+// valid pull target and coordinators compose into the multi-level
+// hierarchies of Section 5.1 — plus what only a coordinator has: the
+// refresh loop that re-pulls the sites and patches the root, the membership
+// routes, its block of /v1/stats, and root/membership persistence.
 type coordServer struct {
 	co       *ecmsketch.Coordinator
+	srv      *ecmserver.Server
 	interval time.Duration
-	mux      *http.ServeMux
-
-	// incremental switches the refresh loop from wholesale re-merge
-	// (AggregateTree every interval) to change-driven patching of one
-	// persistent root (Coordinator.Refresh), and the snapshot route from
-	// full-only to cursor-based delta serving — the coordinator then speaks
-	// upward exactly the protocol it speaks downward, so stacked
-	// coordinators pull deltas from it.
-	incremental bool
 
 	// siteClient and siteToken build the HTTP sites behind dynamic
 	// registrations (POST /v1/sites), matching the statically configured
@@ -59,96 +46,50 @@ type coordServer struct {
 	lastPersist time.Time
 
 	// refreshMu serializes refresh calls (the ticker loop and POST
-	// /v1/refresh): without it, a slow periodic pull finishing after a
-	// forced refresh would publish the older view over the newer one.
+	// /v1/refresh), so the standing-query registry sees views in pull order.
 	refreshMu sync.Mutex
 
-	merged   atomic.Pointer[mergedView]
 	pulls    atomic.Uint64
 	pullErrs atomic.Uint64
 	lastErr  atomic.Pointer[string]
-
-	// standing evaluates continuous queries over the merged view: each
-	// refresh hands the registry the fresh root plus the union of cells the
-	// delta pulls replaced since the previous refresh, so only predicates
-	// reading a changed cell are re-checked. Subscriptions here require
-	// explicit key lists on top-k queries — a coordinator only ever sees
-	// cell replacements, never raw keys to learn candidates from.
-	standing *ecmsketch.StandingRegistry
+	pulledAt atomic.Int64 // unix ms of the last successful round; 0 = none
 
 	stop     chan struct{}
 	stopOnce sync.Once
 }
 
-// mergedView is one published coordinator state: an immutable merged sketch
-// plus its provenance.
-type mergedView struct {
-	sk       *ecmsketch.Sketch
-	height   int
-	pulledAt time.Time
-}
-
-func newCoordServer(co *ecmsketch.Coordinator, interval time.Duration) *coordServer {
-	cs := &coordServer{
-		co:       co,
-		interval: interval,
-		mux:      http.NewServeMux(),
-		stop:     make(chan struct{}),
+// newCoordServer wraps co in the shared serving surface, configured by cfg
+// (AuthToken, EnableProfiling). The coordinator always pulls deltas and
+// tracks site health: there is one serve mode.
+func newCoordServer(co *ecmsketch.Coordinator, interval time.Duration, cfg ecmserver.Config) (*coordServer, error) {
+	co.SetDeltaPulls(true)
+	co.SetResilient(true)
+	cs := &coordServer{co: co, interval: interval, stop: make(chan struct{})}
+	srv, err := ecmserver.NewOver(cfg, co, cs.stats)
+	if err != nil {
+		return nil, err
 	}
-	cs.mux.HandleFunc("GET /v1/estimate", cs.handleEstimate)
-	cs.mux.HandleFunc("GET /v1/selfjoin", cs.handleSelfJoin)
-	cs.mux.HandleFunc("GET /v1/total", cs.handleTotal)
-	cs.mux.HandleFunc("POST /v1/query", cs.handleQuery)
-	cs.mux.HandleFunc("GET /v1/query", cs.handleQueryGet)
-	cs.mux.HandleFunc("GET /v1/stats", cs.handleStats)
-	cs.mux.HandleFunc("GET /v1/sketch", cs.handleSnapshot)
-	cs.mux.HandleFunc("GET /v1/snapshot", cs.handleSnapshot)
-	cs.mux.HandleFunc("POST /v1/refresh", cs.handleRefresh)
-	cs.mux.HandleFunc("GET /v1/sites", cs.handleSitesGet)
-	cs.mux.HandleFunc("POST /v1/sites", cs.handleSitesAdd)
-	cs.mux.HandleFunc("DELETE /v1/sites", cs.handleSitesRemove)
-	cs.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{RequireKeys: true})
-	svc := &standing.Service{Reg: cs.standing}
-	cs.mux.HandleFunc("POST /v1/subscribe", svc.HandleSubscribe)
-	cs.mux.HandleFunc("DELETE /v1/subscribe", svc.HandleUnsubscribe)
-	cs.mux.HandleFunc("GET /v1/watch", svc.HandleWatch)
-	return cs
+	cs.srv = srv
+	srv.Handle("POST /v1/refresh", cs.handleRefresh)
+	srv.Handle("GET /v1/sites", cs.handleSitesGet)
+	srv.Handle("POST /v1/sites", cs.handleSitesAdd)
+	srv.Handle("DELETE /v1/sites", cs.handleSitesRemove)
+	return cs, nil
 }
 
-func (cs *coordServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { cs.mux.ServeHTTP(w, r) }
+func (cs *coordServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { cs.srv.ServeHTTP(w, r) }
 
-// mountProfiling registers net/http/pprof under /debug/pprof/ on the
-// coordinator mux. runServe wraps the whole mux with the bearer check, so
-// with -token set the profiling surface requires the token like every API
-// route — it is never exposed unauthenticated on an authenticated server.
-func (cs *coordServer) mountProfiling() {
-	cs.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	cs.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	cs.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	cs.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	cs.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// refresh pulls and re-merges the sites once, publishing the new view on
-// success and keeping the previous one (recording the error) on failure —
-// a flaky site degrades freshness, never availability. Refreshes are
-// serialized so views publish in pull order.
+// refresh pulls the sites once and patches the merged root from the cells
+// the delta pulls replaced; on failure the previous view keeps serving (the
+// error is recorded) — a flaky site degrades freshness, never availability.
 func (cs *coordServer) refresh() error {
 	cs.refreshMu.Lock()
 	defer cs.refreshMu.Unlock()
+	err := cs.co.Refresh()
 	var root *ecmsketch.Sketch
-	var height int
-	var err error
-	if cs.incremental {
-		// Change-driven: patch the coordinator's persistent root from the
-		// cells the delta pulls replaced, then publish one clone of it for
-		// lock-free queries. The root itself stays live for delta serving.
-		if err = cs.co.Refresh(); err == nil {
-			root, err = cs.co.Snapshot()
-			height = 1
-		}
-	} else {
-		root, height, err = cs.co.AggregateTree()
+	if err == nil {
+		// Publish the round's frozen view here, so no reader pays for it.
+		root, err = cs.co.View()
 	}
 	if err != nil {
 		cs.pullErrs.Add(1)
@@ -156,21 +97,18 @@ func (cs *coordServer) refresh() error {
 		cs.lastErr.Store(&msg)
 		return err
 	}
-	// The final merge advanced root to the sites' high-water tick; settle it
-	// explicitly so every later query is a pure read no matter which site
-	// shapes arrived.
-	root.Advance(root.Now())
-	cs.merged.Store(&mergedView{sk: root, height: height, pulledAt: time.Now()})
 	cs.pulls.Add(1)
 	cs.lastErr.Store(nil)
-	// Swap the standing-query evaluator onto the fresh root and re-check
+	cs.pulledAt.Store(time.Now().UnixMilli())
+	// Swap the standing-query evaluator onto the fresh view and re-check
 	// only the predicates whose cells the pulls replaced (delta pulls feed
 	// cell-granular change sets; full pulls mark everything changed). The
-	// window and advance policy come from the root itself, not flags.
-	cs.standing.SetWindow(root.Params().WindowLength)
-	cs.standing.SetStrictAdvance(root.Params().Algorithm == ecmsketch.AlgoRW)
+	// window and advance policy come from the view itself, not flags.
+	reg := cs.srv.Standing()
+	reg.SetWindow(root.Params().WindowLength)
+	reg.SetStrictAdvance(root.Params().Algorithm == ecmsketch.AlgoRW)
 	cells, all := cs.co.TakeChangedCells()
-	cs.standing.RefreshTarget(root, cells, all)
+	reg.RefreshTarget(root, cells, all)
 	cs.maybePersistRoot()
 	return nil
 }
@@ -203,11 +141,10 @@ func (cs *coordServer) Close() {
 	cs.stopOnce.Do(func() { close(cs.stop) })
 }
 
-// runServe is the CLI entry of server mode. A non-empty token puts the whole
-// surface — watch streams included — behind a bearer check; non-empty
-// certFile/keyFile serve TLS (the flags a NewPullClient with a matching root
-// CA pool verifies from the pulling side).
-func runServe(cs *coordServer, addr, token, certFile, keyFile string) {
+// runServe is the CLI entry of server mode: one synchronous pull so the
+// surface is warm, then the loop, then the listener (TLS when certFile and
+// keyFile are set).
+func runServe(cs *coordServer, addr, certFile, keyFile string) {
 	if err := cs.refresh(); err != nil {
 		// Sites may simply not be up yet; the loop keeps retrying.
 		log.Printf("ecmcoord: initial pull failed (will retry every %v): %v", cs.interval, err)
@@ -225,183 +162,18 @@ func runServe(cs *coordServer, addr, token, certFile, keyFile string) {
 			os.Exit(0)
 		}()
 	}
-	mode := "tree re-merge"
-	if cs.incremental {
-		mode = "incremental re-merge"
-	}
-	log.Printf("ecmcoord serving merged view of %d sites on %s (re-pull every %v, %s)",
-		len(cs.co.Sites()), addr, cs.interval, mode)
-	handler := wire.RequireBearer(token, cs)
-	if certFile != "" || keyFile != "" {
-		log.Fatal(http.ListenAndServeTLS(addr, certFile, keyFile, handler))
-	}
-	log.Fatal(http.ListenAndServe(addr, handler))
+	log.Printf("ecmcoord serving merged view of %d sites on %s (re-pull every %v)",
+		len(cs.co.Sites()), addr, cs.interval)
+	log.Fatal(cs.srv.ListenAndServe(addr, certFile, keyFile))
 }
 
-// view returns the current merged view, or nil (and a 503) before the first
-// successful pull.
-func (cs *coordServer) view(w http.ResponseWriter) *mergedView {
-	v := cs.merged.Load()
-	if v == nil {
-		msg := "no merged view yet (no successful site pull)"
-		if e := cs.lastErr.Load(); e != nil {
-			msg += ": last error: " + *e
-		}
-		coordError(w, http.StatusServiceUnavailable, msg)
-		return nil
-	}
-	return v
-}
-
-// The /v1 request/reply conventions are the shared internal/wire codec —
-// the same parser, error shape, ?strings=1 encoding and snapshot writer
-// ecmserver uses, so the coordinator surface cannot drift from the site
-// surface.
-func coordError(w http.ResponseWriter, code int, msg string) {
-	wire.Error(w, code, fmt.Errorf("%s", msg))
-}
-
-func coordRespond(w http.ResponseWriter, v any) { wire.Respond(w, v) }
-
-// coordKey resolves ?key= (string, digested) or ?ikey= (decimal uint64).
-func coordKey(r *http.Request) (uint64, error) { return wire.ParseKey(r) }
-
-func coordRange(r *http.Request, v *mergedView) (uint64, error) {
-	raw := r.URL.Query().Get("range")
-	if raw == "" {
-		return v.sk.Params().WindowLength, nil
-	}
-	n, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad range: %v", err)
-	}
-	if n == 0 {
-		return v.sk.Params().WindowLength, nil
-	}
-	return n, nil
-}
-
-func (cs *coordServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	v := cs.view(w)
-	if v == nil {
-		return
-	}
-	key, err := coordKey(r)
-	if err != nil {
-		coordError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rng, err := coordRange(r, v)
-	if err != nil {
-		coordError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	coordRespond(w, map[string]any{"estimate": v.sk.Estimate(key, rng), "range": wire.U64Field(wire.WantStrings(r), rng)})
-}
-
-func (cs *coordServer) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
-	v := cs.view(w)
-	if v == nil {
-		return
-	}
-	rng, err := coordRange(r, v)
-	if err != nil {
-		coordError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	coordRespond(w, map[string]any{"selfJoin": v.sk.SelfJoin(rng), "range": wire.U64Field(wire.WantStrings(r), rng)})
-}
-
-func (cs *coordServer) handleTotal(w http.ResponseWriter, r *http.Request) {
-	v := cs.view(w)
-	if v == nil {
-		return
-	}
-	rng, err := coordRange(r, v)
-	if err != nil {
-		coordError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	coordRespond(w, map[string]any{"total": v.sk.EstimateTotal(rng), "range": wire.U64Field(wire.WantStrings(r), rng)})
-}
-
-// handleQuery answers a batched multi-key query from the merged view, with
-// the exact request semantics of ecmserver's POST /v1/query (shared strict
-// parser: bounded token-streamed keys, duplicate/unknown fields rejected).
-// The whole batch is evaluated against one published view, so the answers
-// form a consistent cut of the merged stream as of the last pull.
-func (cs *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	v := cs.view(w)
-	if v == nil {
-		return
-	}
-	q, err := wire.ParseQueryBody(r.Body)
-	if err != nil {
-		coordError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	cs.answerQuery(w, r, v, q)
-}
-
-// handleQueryGet answers the GET form of /v1/query — repeated key=/ikey=
-// parameters plus range=, total=1, selfJoin=1 — sharing the parser with
-// ecmserver's GET route so the two tiers speak one spelling.
-func (cs *coordServer) handleQueryGet(w http.ResponseWriter, r *http.Request) {
-	v := cs.view(w)
-	if v == nil {
-		return
-	}
-	q, err := wire.ParseQueryParams(r)
-	if err != nil {
-		coordError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	cs.answerQuery(w, r, v, q)
-}
-
-// answerQuery evaluates a parsed QueryBatch against one published view.
-// ?direct=1 is honored for client uniformity: a coordinator has no stripes
-// to route to — its published root already is the zero-extra-merge answer
-// surface — so direct reads answer from the same view with the point-only
-// contract applied (aggregates rejected, exactly as a site server rejects
-// them), and a client flipping direct=1 sees one behavior at every tier.
-func (cs *coordServer) answerQuery(w http.ResponseWriter, r *http.Request, v *mergedView, q ecmsketch.QueryBatch) {
-	var res ecmsketch.QueryResult
-	var err error
-	if wire.WantDirect(r) {
-		res, err = v.sk.QueryDirect(q)
-		if err != nil {
-			coordError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	} else if res, err = v.sk.QueryBatch(q); err != nil {
-		coordError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	out := map[string]any{"now": res.Now, "range": res.Range}
-	if res.Estimates == nil {
-		res.Estimates = []float64{}
-	}
-	out["estimates"] = res.Estimates
-	if q.Total {
-		out["total"] = res.Total
-	}
-	if q.SelfJoin {
-		out["selfJoin"] = res.SelfJoin
-	}
-	if wire.WantStrings(r) {
-		out["now"] = strconv.FormatUint(res.Now, 10)
-		out["range"] = strconv.FormatUint(res.Range, 10)
-	}
-	coordRespond(w, out)
-}
-
-// handleStats reports coordinator provenance: site count, tree height,
-// merged clock/count, pull and network accounting. ?strings=1 encodes the
-// 64-bit tick/count fields as decimal strings, as on ecmserver.
-func (cs *coordServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	asStrings := wire.WantStrings(r)
+// stats is the coordinator's block of /v1/stats: site count, merged
+// clock/count, pull and network accounting, and the last round's
+// provenance. ?strings=1 encodes the 64-bit tick/count fields as decimal
+// strings, as on every tier.
+func (cs *coordServer) stats(asStrings bool) map[string]any {
 	u64 := func(v uint64) any { return wire.U64Field(asStrings, v) }
+	lr := cs.co.LastRefresh()
 	out := map[string]any{
 		"role":        "coordinator",
 		"sites":       len(cs.co.Sites()),
@@ -412,12 +184,7 @@ func (cs *coordServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		"pulledBytes": u64(uint64(cs.co.PulledBytes())),
 		"deltaPulls":  u64(cs.co.DeltaPulls()),
 		"fullPulls":   u64(cs.co.FullPulls()),
-		"apiVersion":  "v1",
-	}
-	if cs.incremental {
-		out["mode"] = "incremental"
-		lr := cs.co.LastRefresh()
-		out["lastRefresh"] = map[string]any{
+		"lastRefresh": map[string]any{
 			"round":        u64(lr.Round),
 			"contributors": lr.Contributors,
 			"stale":        lr.Stale,
@@ -430,86 +197,30 @@ func (cs *coordServer) handleStats(w http.ResponseWriter, r *http.Request) {
 			// parallelism of the merge step, per round.
 			"merge_ns": u64(uint64(lr.MergeNs)),
 			"workers":  lr.Workers,
-		}
-	} else {
-		out["mode"] = "tree"
+		},
 	}
+	dur := map[string]any{"enabled": cs.store != nil}
 	if cs.store != nil {
 		cs.refreshMu.Lock()
 		last := cs.lastPersist
 		cs.refreshMu.Unlock()
-		dur := map[string]any{"enabled": true}
 		if !last.IsZero() {
 			dur["lastPersistUnixMs"] = u64(uint64(last.UnixMilli()))
 		}
-		out["durability"] = dur
-	} else {
-		out["durability"] = map[string]any{"enabled": false}
 	}
-	subs, queries, watchers, dropped := cs.standing.Stats()
-	out["standing"] = map[string]any{
-		"subscriptions": subs,
-		"queries":       queries,
-		"watchers":      watchers,
-		"dropped":       u64(dropped),
-	}
+	out["durability"] = dur
 	if e := cs.lastErr.Load(); e != nil {
 		out["lastError"] = *e
 	}
-	if v := cs.merged.Load(); v != nil {
-		out["height"] = v.height
-		out["now"] = u64(v.sk.Now())
-		out["count"] = u64(v.sk.Count())
-		out["window"] = u64(v.sk.Params().WindowLength)
-		out["pulledAtUnixMs"] = u64(uint64(v.pulledAt.UnixMilli()))
+	if v, err := cs.co.View(); err == nil {
+		out["now"] = u64(v.Now())
+		out["count"] = u64(v.Count())
+		out["window"] = u64(v.Params().WindowLength)
 	}
-	coordRespond(w, out)
-}
-
-// handleSnapshot ships the merged view's bytes, making the coordinator
-// pullable by a higher-level coordinator (or persistable with curl), with
-// gzip honored for WAN hierarchies.
-//
-// In incremental mode the route also speaks the delta protocol upward:
-// ?since=<cursor> is answered from the persistent root — whose cells
-// Refresh patches through ordinary arrival mutations, so their versions
-// track exactly what changed — with an incremental payload (X-Ecm-Delta:
-// delta) or a re-baselining full one, plus the X-Ecm-Cursor to present next
-// time. A stacked parent coordinator therefore pulls cell-granular deltas
-// from this coordinator through the same receiver path it uses against
-// leaf servers. In tree mode (the wholesale re-merge) there is no change
-// tracking to serve; ?since= gets a cursorless full reply and a
-// delta-pulling parent degrades to full pulls, which is correct.
-func (cs *coordServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if sinceRaw, ok := r.URL.Query()["since"]; ok && cs.incremental {
-		var since ecmsketch.Cursor
-		if len(sinceRaw) > 0 {
-			// An unparsable cursor is an unrecognized one: reply full.
-			since, _ = ecmsketch.ParseCursor(sinceRaw[0])
-		}
-		payload, cur, full, err := cs.co.DeltaSnapshot(since)
-		if err != nil {
-			// The only error surface is "no merged view yet" — same 503
-			// contract as the query routes.
-			coordError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		kind := wire.KindDelta
-		if full {
-			kind = wire.KindFull
-		}
-		meta := wire.SnapshotMeta{Cursor: cur.String(), Kind: kind}
-		if v := cs.merged.Load(); v != nil {
-			meta.Now, meta.Count = v.sk.Now(), v.sk.Count()
-		}
-		wire.WriteSnapshot(w, r, payload, meta)
-		return
+	if at := cs.pulledAt.Load(); at != 0 {
+		out["pulledAtUnixMs"] = u64(uint64(at))
 	}
-	v := cs.view(w)
-	if v == nil {
-		return
-	}
-	wire.WriteSnapshot(w, r, v.sk.Marshal(), wire.SnapshotMeta{Now: v.sk.Now(), Count: v.sk.Count()})
+	return out
 }
 
 // handleSitesGet reports the membership with per-site health: consecutive
@@ -531,7 +242,7 @@ func (cs *coordServer) handleSitesGet(w http.ResponseWriter, r *http.Request) {
 		}
 		sites[i] = e
 	}
-	coordRespond(w, map[string]any{"sites": sites})
+	wire.Respond(w, map[string]any{"sites": sites})
 }
 
 // handleSitesAdd registers a site at runtime: POST /v1/sites with
@@ -547,15 +258,15 @@ func (cs *coordServer) handleSitesAdd(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		coordError(w, http.StatusBadRequest, "bad site registration: "+err.Error())
+		wire.Error(w, http.StatusBadRequest, fmt.Errorf("bad site registration: %v", err))
 		return
 	}
 	if req.URL == "" {
-		coordError(w, http.StatusBadRequest, "site registration requires a url")
+		wire.Error(w, http.StatusBadRequest, errors.New("site registration requires a url"))
 		return
 	}
 	if _, err := url.ParseRequestURI(req.URL); err != nil {
-		coordError(w, http.StatusBadRequest, "bad site url: "+err.Error())
+		wire.Error(w, http.StatusBadRequest, fmt.Errorf("bad site url: %v", err))
 		return
 	}
 	site := ecmsketch.NewHTTPSiteWithAuth(req.URL, cs.siteClient, cs.siteToken)
@@ -564,7 +275,7 @@ func (cs *coordServer) handleSitesAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	cs.co.AddSite(site)
 	cs.persistSites()
-	coordRespond(w, map[string]any{"ok": true, "sites": len(cs.co.Sites())})
+	wire.Respond(w, map[string]any{"ok": true, "sites": len(cs.co.Sites())})
 }
 
 // handleSitesRemove drops the member named by ?name= (the site's base URL
@@ -573,24 +284,23 @@ func (cs *coordServer) handleSitesAdd(w http.ResponseWriter, r *http.Request) {
 func (cs *coordServer) handleSitesRemove(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		coordError(w, http.StatusBadRequest, "?name= is required")
+		wire.Error(w, http.StatusBadRequest, errors.New("?name= is required"))
 		return
 	}
 	if !cs.co.RemoveSite(name) {
-		coordError(w, http.StatusNotFound, "no site named "+name)
+		wire.Error(w, http.StatusNotFound, fmt.Errorf("no site named %s", name))
 		return
 	}
 	cs.persistSites()
-	coordRespond(w, map[string]any{"ok": true, "sites": len(cs.co.Sites())})
+	wire.Respond(w, map[string]any{"ok": true, "sites": len(cs.co.Sites())})
 }
 
 // handleRefresh forces an immediate re-pull: POST /v1/refresh. Deployments
 // use it after known site catch-ups; tests use it for determinism.
 func (cs *coordServer) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if err := cs.refresh(); err != nil {
-		coordError(w, http.StatusBadGateway, err.Error())
+		wire.Error(w, http.StatusBadGateway, err)
 		return
 	}
-	v := cs.merged.Load()
-	coordRespond(w, map[string]any{"ok": true, "count": v.sk.Count(), "now": v.sk.Now()})
+	wire.Respond(w, map[string]any{"ok": true, "count": cs.co.Count(), "now": cs.co.Now()})
 }

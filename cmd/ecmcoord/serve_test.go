@@ -19,19 +19,28 @@ import (
 	"ecmsketch/ecmserver"
 )
 
-// newIncrementalCoordServer builds a serve-mode coordinator in the
-// incremental+delta configuration the CLI defaults to, over the given site
-// URLs, without starting the re-pull loop.
-func newIncrementalCoordServer(t *testing.T, client *http.Client, siteURLs []string) *coordServer {
+// newTestCoordServer builds a serve-mode coordinator over the given site
+// URLs the way main does, without starting the re-pull loop: refreshes are
+// explicit.
+func newTestCoordServer(t *testing.T, client *http.Client, siteURLs []string) *coordServer {
 	t.Helper()
-	co := newCoordinator(client, siteURLs, "")
-	co.SetDeltaPulls(true)
-	co.SetResilient(true)
-	cs := newCoordServer(co, 0)
-	cs.incremental = true
+	cs, err := newCoordServer(newCoordinator(client, siteURLs, ""), 0, ecmserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs.siteClient = client
 	t.Cleanup(cs.Close)
 	return cs
+}
+
+// viewOf returns the merged view the coordinator currently serves.
+func viewOf(t *testing.T, cs *coordServer) *ecmsketch.Sketch {
+	t.Helper()
+	v, err := cs.co.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // mutateSites trickles a few arrivals into every site engine and advances
@@ -48,13 +57,13 @@ func mutateSites(sites []*httptest.Server, round int) {
 }
 
 // TestStackedCoordServersShipDeltas is the tentpole over real HTTP: leaf
-// ecmserver sites → a mid coordinator (incremental) → a top coordinator
+// ecmserver sites → a mid coordinator → a top coordinator
 // pulling the mid one. After bootstrap, the top coordinator's pulls from the
 // mid tier are cursor-based deltas a fraction of the full view's size, and
 // every level's view stays byte-identical to the level below's.
 func TestStackedCoordServersShipDeltas(t *testing.T) {
 	sites := newEcmserverSites(t, 3)
-	mid := newIncrementalCoordServer(t, http.DefaultClient,
+	mid := newTestCoordServer(t, http.DefaultClient,
 		[]string{sites[0].URL, sites[1].URL, sites[2].URL})
 	if err := mid.refresh(); err != nil {
 		t.Fatal(err)
@@ -62,7 +71,7 @@ func TestStackedCoordServersShipDeltas(t *testing.T) {
 	midFront := httptest.NewServer(mid)
 	defer midFront.Close()
 
-	top := newIncrementalCoordServer(t, http.DefaultClient, []string{midFront.URL})
+	top := newTestCoordServer(t, http.DefaultClient, []string{midFront.URL})
 	if err := top.refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +103,11 @@ func TestStackedCoordServersShipDeltas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := top.merged.Load().sk.Count(), midView.Count(); got != want {
+		if got, want := viewOf(t, top).Count(), midView.Count(); got != want {
 			t.Fatalf("round %d: top count %d != mid count %d", round, got, want)
 		}
 	}
-	fullSize = int64(mid.merged.Load().sk.WireSize())
+	fullSize = int64(viewOf(t, mid).WireSize())
 	if got := top.co.DeltaPulls(); got < 4 {
 		t.Fatalf("top coordinator made %d delta pulls, want ≥4", got)
 	}
@@ -139,7 +148,7 @@ func TestStackedCoordServersShipDeltas(t *testing.T) {
 // the typed ecmclient helpers.
 func TestCoordServerSitesRoutes(t *testing.T) {
 	sites := newEcmserverSites(t, 3)
-	cs := newIncrementalCoordServer(t, http.DefaultClient, []string{sites[0].URL})
+	cs := newTestCoordServer(t, http.DefaultClient, []string{sites[0].URL})
 	if err := cs.refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestCoordServerSitesRoutes(t *testing.T) {
 	if err := cs.refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.merged.Load().sk.Count(); got != 9000 {
+	if got := viewOf(t, cs).Count(); got != 9000 {
 		t.Fatalf("count after registration = %d, want 9000 (3 sites × 3000)", got)
 	}
 	infos, _ = cl.Sites()
@@ -180,7 +189,7 @@ func TestCoordServerSitesRoutes(t *testing.T) {
 	if err := cs.refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.merged.Load().sk.Count(); got != 6000 {
+	if got := viewOf(t, cs).Count(); got != 6000 {
 		t.Fatalf("count after removal = %d, want 6000", got)
 	}
 
@@ -208,7 +217,7 @@ func TestCoordServerSitesRoutes(t *testing.T) {
 		t.Fatalf("DELETE without ?name=: %s, want 400", resp.Status)
 	}
 
-	// Stats carry the incremental-mode provenance.
+	// Stats carry the last round's provenance.
 	sr, err := http.Get(front.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +225,8 @@ func TestCoordServerSitesRoutes(t *testing.T) {
 	var stats map[string]any
 	json.NewDecoder(sr.Body).Decode(&stats)
 	sr.Body.Close()
-	if stats["mode"] != "incremental" {
-		t.Fatalf("stats mode = %v, want incremental", stats["mode"])
+	if stats["role"] != "coordinator" {
+		t.Fatalf("stats role = %v, want coordinator", stats["role"])
 	}
 	if _, ok := stats["lastRefresh"].(map[string]any); !ok {
 		t.Fatalf("stats lastRefresh missing: %v", stats)
@@ -251,11 +260,11 @@ func TestTLSRoundTrip(t *testing.T) {
 	}
 
 	client := ecmsketch.NewPullClient(5*time.Second, roots)
-	cs := newIncrementalCoordServer(t, client, []string{site.URL})
+	cs := newTestCoordServer(t, client, []string{site.URL})
 	if err := cs.refresh(); err != nil {
 		t.Fatalf("TLS pull: %v", err)
 	}
-	if got := cs.merged.Load().sk.Count(); got != 600 {
+	if got := viewOf(t, cs).Count(); got != 600 {
 		t.Fatalf("count over TLS = %d, want 600", got)
 	}
 
@@ -279,11 +288,11 @@ func TestTLSRoundTrip(t *testing.T) {
 
 	// And a second-tier coordinator pulls the TLS-served coordinator too —
 	// TLS on both hops of the hierarchy.
-	top := newIncrementalCoordServer(t, ecmsketch.NewPullClient(5*time.Second, frontRoots), []string{front.URL})
+	top := newTestCoordServer(t, ecmsketch.NewPullClient(5*time.Second, frontRoots), []string{front.URL})
 	if err := top.refresh(); err != nil {
 		t.Fatalf("stacked TLS pull: %v", err)
 	}
-	if got := top.merged.Load().sk.Count(); got != 600 {
+	if got := viewOf(t, top).Count(); got != 600 {
 		t.Fatalf("stacked TLS count = %d, want 600", got)
 	}
 }

@@ -67,9 +67,10 @@ func standingSurfaces(t *testing.T) []*standingSurface {
 		engines[i] = eng
 		sites[i] = ecmsketch.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
 	}
-	co := ecmsketch.NewCoordinator(sites...)
-	co.SetDeltaPulls(true)
-	cs := newCoordServer(co, time.Hour)
+	cs, err := newCoordServer(ecmsketch.NewCoordinator(sites...), time.Hour, ecmserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(cs.Close)
 	if err := cs.refresh(); err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func standingSurfaces(t *testing.T) []*standingSurface {
 	coord := &standingSurface{
 		name:    "ecmcoord",
 		handler: cs,
-		reg:     cs.standing,
+		reg:     cs.srv.Standing(),
 		fire: func(t *testing.T) {
 			// t.Errorf, not Fatal: fire also runs on non-test goroutines.
 			coordTick++

@@ -11,14 +11,13 @@
 // Endpoints (see ecmserver handler docs): POST /v1/add, POST /v1/batch,
 // POST /v1/events, GET /v1/estimate, GET /v1/interval, GET /v1/selfjoin,
 // GET /v1/total, GET /v1/stats, GET /v1/sketch, POST /v1/advance, and
-// GET /v1/topk with -topk. The unversioned paths remain as aliases.
+// GET /v1/topk with -topk.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -49,10 +48,6 @@ func main() {
 		walSync = flag.Duration("wal-sync", 0, "group-commit WAL fsync period; 0 fsyncs every batch (requires -data-dir)")
 	)
 	flag.Parse()
-	if (*tlsCert == "") != (*tlsKey == "") {
-		fmt.Fprintln(os.Stderr, "ecmserve: -tls-cert and -tls-key must be set together")
-		os.Exit(2)
-	}
 	srv, err := ecmserver.New(ecmserver.Config{
 		Epsilon:          *epsilon,
 		Delta:            *delta,
@@ -92,8 +87,5 @@ func main() {
 	}
 	log.Printf("ecmserve listening on %s (eps=%v delta=%v window=%d algo=%s shards=%d)",
 		*addr, *epsilon, *delta, *window, *algo, srv.Engine().Shards())
-	if *tlsCert != "" {
-		log.Fatal(http.ListenAndServeTLS(*addr, *tlsCert, *tlsKey, srv))
-	}
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	log.Fatal(srv.ListenAndServe(*addr, *tlsCert, *tlsKey))
 }

@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"crypto/x509"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -144,15 +143,6 @@ func (c *Client) del(path string, q url.Values, out any) error {
 	return c.do(req, out)
 }
 
-// statusError is a non-200 reply, preserving the status code so callers
-// can branch (e.g. the 404 fallback of FetchSnapshotBytes).
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
 func (c *Client) do(req *http.Request, out any) error {
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
@@ -161,16 +151,22 @@ func (c *Client) do(req *http.Request, out any) error {
 	if err != nil {
 		return fmt.Errorf("ecmclient: %s %s: %w", req.Method, req.URL.Path, err)
 	}
-	defer resp.Body.Close()
+	// Closing a body with unread bytes makes net/http discard the
+	// connection; draining a bounded remainder first keeps it pooled on
+	// every return path (ignored replies, error bodies, trailing newlines).
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // best effort: a failed drain only costs the connection
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		var remote struct {
 			Error string `json:"error"`
 		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		if json.Unmarshal(msg, &remote) == nil && remote.Error != "" {
-			return &statusError{resp.StatusCode, fmt.Sprintf("ecmclient: %s %s: %s: %s", req.Method, req.URL.Path, resp.Status, remote.Error)}
+			return fmt.Errorf("ecmclient: %s %s: %s: %s", req.Method, req.URL.Path, resp.Status, remote.Error)
 		}
-		return &statusError{resp.StatusCode, fmt.Sprintf("ecmclient: %s %s: %s", req.Method, req.URL.Path, resp.Status)}
+		return fmt.Errorf("ecmclient: %s %s: %s", req.Method, req.URL.Path, resp.Status)
 	}
 	if out == nil {
 		return nil
@@ -375,18 +371,11 @@ func (c *Client) FetchSketch() (*ecmsketch.Sketch, error) {
 }
 
 // FetchSnapshotBytes pulls the server's frozen merged view via the
-// coordinator snapshot route (GET /v1/snapshot), falling back to /v1/sketch
-// against servers predating it. The payload is identical; the snapshot
-// route additionally carries X-Ecm-Now/X-Ecm-Count staleness headers for
-// pullers that want them.
+// coordinator snapshot route (GET /v1/snapshot), which carries
+// X-Ecm-Now/X-Ecm-Count staleness headers for pullers that want them.
 func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 	var raw []byte
-	err := c.get("/v1/snapshot", nil, &raw)
-	var se *statusError
-	if errors.As(err, &se) && se.code == http.StatusNotFound {
-		return c.FetchSketchBytes()
-	}
-	if err != nil {
+	if err := c.get("/v1/snapshot", nil, &raw); err != nil {
 		return nil, err
 	}
 	return raw, nil
@@ -398,24 +387,12 @@ func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 // server does not recognize the cursor — a restart, a reconfiguration, the
 // zero cursor — a full baseline (full == true). Payloads are applied with
 // an ecmsketch.DeltaState; the returned cursor is what to present next
-// time. Servers predating the delta protocol (including the legacy /sketch
-// fallback) answer with a plain full snapshot and a zero cursor, so pull
-// loops degrade to full pulls instead of failing.
+// time. A reply without a cursor is taken as a plain full snapshot with a
+// zero cursor, so the pull loop keeps asking for full.
 func (c *Client) SnapshotSince(since ecmsketch.Cursor) ([]byte, ecmsketch.Cursor, bool, error) {
-	rep, err := wire.FetchSnapshotAuth(c.hc, c.base+"/v1/snapshot?since="+url.QueryEscape(since.String()), c.token)
-	if err == nil && rep.Status == http.StatusNotFound {
-		raw, err := c.FetchSketchBytes()
-		if err != nil {
-			return nil, ecmsketch.Cursor{}, false, err
-		}
-		return raw, ecmsketch.Cursor{}, true, nil
-	}
+	rep, err := wire.FetchSnapshot(c.hc, c.base+"/v1/snapshot?since="+url.QueryEscape(since.String()), c.token)
 	if err != nil {
 		return nil, ecmsketch.Cursor{}, false, fmt.Errorf("ecmclient: GET /v1/snapshot: %w", err)
-	}
-	if rep.Status != http.StatusOK {
-		return nil, ecmsketch.Cursor{}, false,
-			&statusError{rep.Status, fmt.Sprintf("ecmclient: GET /v1/snapshot: status %d", rep.Status)}
 	}
 	cur, err := ecmsketch.ParseCursor(rep.Cursor)
 	if err != nil {

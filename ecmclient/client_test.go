@@ -1,8 +1,10 @@
 package ecmclient_test
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"ecmsketch"
@@ -317,8 +319,7 @@ func TestClientBadRequestSurfacesServerError(t *testing.T) {
 }
 
 // TestClientSnapshotRoute pins that Snapshot pulls the /v1/snapshot route
-// (and that the result matches the engine), and that servers predating the
-// route are still served via the /v1/sketch fallback.
+// and that the result matches the engine.
 func TestClientSnapshotRoute(t *testing.T) {
 	ts, client := startServer(t, 0)
 	srv := ts.Config.Handler.(*ecmserver.Server)
@@ -331,24 +332,42 @@ func TestClientSnapshotRoute(t *testing.T) {
 	if snap.Count() != 1 || snap.Now() != 100 {
 		t.Errorf("snapshot count=%d now=%d, want 1/100", snap.Count(), snap.Now())
 	}
+}
 
-	// A legacy deployment: /v1/snapshot 404s, /v1/sketch answers.
-	enc := snap.Marshal()
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/sketch" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write(enc)
-	}))
-	defer legacy.Close()
-	old := ecmclient.New(legacy.URL)
-	fb, err := old.Snapshot()
+// TestClientReusesConnection: every reply body is drained before it is
+// closed, so one client keeps one keep-alive connection across ingest calls
+// (whose replies it ignores) and queries (whose JSON it decodes) alike. An
+// undrained AddEvents reply cost a fresh dial per call.
+func TestClientReusesConnection(t *testing.T) {
+	srv, err := ecmserver.New(ecmserver.Config{Epsilon: 0.05, Delta: 0.05, WindowLength: 10000, Seed: 7, Shards: 2})
 	if err != nil {
-		t.Fatalf("fallback snapshot: %v", err)
+		t.Fatal(err)
 	}
-	if fb.Count() != 1 {
-		t.Errorf("fallback snapshot count = %d, want 1", fb.Count())
+	defer srv.Close()
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	c := ecmclient.New(ts.URL, ecmclient.WithHTTPClient(ts.Client()))
+	for i := 0; i < 200; i++ {
+		tick := ecmsketch.Tick(i + 1)
+		if err := c.AddEvents([]ecmsketch.Event{{Key: uint64(i % 7), Tick: tick}, {Key: 99, Tick: tick}}); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			if _, err := c.QueryBatch(ecmsketch.QueryBatch{Keys: []uint64{99}, Total: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("200 AddEvents + 50 QueryBatch opened %d connections, want 1", got)
 	}
 }
 

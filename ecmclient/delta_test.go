@@ -65,10 +65,11 @@ func TestSnapshotSince(t *testing.T) {
 	}
 }
 
-// TestSnapshotSinceLegacyServer: a server predating the delta protocol (no
-// /v1/snapshot route at all) downgrades SnapshotSince to full pulls via the
-// /v1/sketch fallback, with a zero cursor so the loop keeps asking full.
-func TestSnapshotSinceLegacyServer(t *testing.T) {
+// TestSnapshotSinceCursorlessFull: a server that ignores ?since= and answers
+// a plain full snapshot with no cursor headers (what a source without delta
+// support produces) keeps SnapshotSince on full pulls, with a zero cursor so
+// the loop keeps asking full.
+func TestSnapshotSinceCursorlessFull(t *testing.T) {
 	sk, err := ecmsketch.New(ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestSnapshotSinceLegacyServer(t *testing.T) {
 	sk.Add(9, 5)
 	enc := sk.Marshal()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/sketch", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		w.Write(enc)
 	})
 	ts := httptest.NewServer(mux)
@@ -90,7 +91,7 @@ func TestSnapshotSinceLegacyServer(t *testing.T) {
 			t.Fatalf("pull %d: %v", pull, err)
 		}
 		if !full || !cur.IsZero() {
-			t.Fatalf("pull %d: legacy server must downgrade to cursorless full pulls", pull)
+			t.Fatalf("pull %d: a cursorless reply must read as a full pull with a zero cursor", pull)
 		}
 		if err := st.Apply(payload, cur, full); err != nil {
 			t.Fatalf("pull %d: %v", pull, err)
@@ -101,6 +102,6 @@ func TestSnapshotSinceLegacyServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Count() != sk.Count() {
-		t.Fatal("legacy downgrade lost content")
+		t.Fatal("cursorless full pulls lost content")
 	}
 }

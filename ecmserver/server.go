@@ -1,21 +1,24 @@
-// Package ecmserver is the embeddable HTTP front end over an ECM-sketch
-// engine: collectors POST arrivals, dashboards GET sliding-window
-// estimates, and a coordinator can pull the serialized sketch to aggregate
-// several sites (see cmd/ecmcoord, or ecmsketch.Merge programmatically).
+// Package ecmserver is the embeddable HTTP front end of both tiers of a
+// deployment: collectors POST arrivals, dashboards GET sliding-window
+// estimates, and a coordinator pulls the serialized sketch to aggregate
+// several sites — from a site server or from another coordinator.
 //
-// The engine behind the API is a lock-striped ecmsketch.Sharded, so
-// concurrent collectors contend per key stripe instead of on one global
-// lock. Routes are versioned under /v1/ (POST /v1/add, POST /v1/batch,
-// POST /v1/events, GET /v1/estimate, ...); the unversioned paths of
-// earlier deployments remain as thin aliases. cmd/ecmserve wires this
-// package behind flags; ecmclient speaks the /v1 API as a typed Go client.
+// A Server mounts the read routes (GET /v1/estimate, /v1/total,
+// /v1/selfjoin, /v1/query, /v1/snapshot, /v1/stats, the standing-query
+// routes) over any Source, and the write routes (POST /v1/add, /v1/batch,
+// /v1/events, /v1/advance) when the source also ingests: a site serves a
+// lock-striped ecmsketch.Sharded, a coordinator its ecmsketch.Coordinator,
+// read-only. Every route lives under /v1/. cmd/ecmserve and cmd/ecmcoord
+// wire this package behind flags; ecmclient speaks the API as a typed Go
+// client.
 package ecmserver
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -82,21 +85,38 @@ type Config struct {
 	DurableStore ecmsketch.DurableStore
 }
 
-// Server is an HTTP front end over a sharded ECM-sketch engine. All
-// handlers are safe for concurrent use; ingest contends only per key
-// stripe.
+// Source is the read side a Server serves. *ecmsketch.Sharded (a site) and
+// *ecmsketch.Coordinator (the merged view of several) both satisfy it. Reads
+// failing with ecmsketch.ErrNotReady — a coordinator before its first pull —
+// are answered 503.
+type Source interface {
+	ecmsketch.BatchQuerier
+	ecmsketch.DirectQuerier
+	ecmsketch.Snapshotter
+	ecmsketch.DeltaSnapshotter
+}
+
+// Server is an HTTP front end over a Source. All handlers are safe for
+// concurrent use; at a site, ingest contends only per key stripe.
 type Server struct {
-	engine  *ecmsketch.Sharded
-	cfg     Config
-	mux     *http.ServeMux
-	handler http.Handler // mux, wrapped with bearer auth when configured
+	src Source
+	// ingestor is src when it also ingests (the write routes exist only
+	// then); engine is src when it is a Sharded, which adds /v1/interval,
+	// the engine block of /v1/stats and the standing-query change feed.
+	// Both are nil at a coordinator.
+	ingestor  ecmsketch.Ingestor
+	engine    *ecmsketch.Sharded
+	tierStats func(asStrings bool) map[string]any
+	cfg       Config
+	mux       *http.ServeMux
+	handler   http.Handler // mux, wrapped with bearer auth when configured
 
 	// topkMu guards the TopK candidate set; the stream itself lives in the
 	// shared engine (single ingest, no private second sketch).
 	topkMu sync.Mutex
 	topk   *ecmsketch.TopK // nil unless TopK > 0
 
-	// standing evaluates continuous queries incrementally off the engine's
+	// standing evaluates continuous queries incrementally off the source's
 	// change feed and fans fired notifications out over /v1/watch (SSE).
 	standing *ecmsketch.StandingRegistry
 }
@@ -139,54 +159,72 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewOver(cfg, engine)
+	return NewOver(cfg, engine, nil)
 }
 
-// NewOver builds the routes over an engine the caller already owns (and
-// keeps using: the server adds no locking of its own beyond the engine's).
-// cfg supplies the reply defaults — WindowLength for query ranges, the
-// stats fields — and should match the engine's construction; the engine is
-// not rebuilt or validated against it.
-func NewOver(cfg Config, engine *ecmsketch.Sharded) (*Server, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("ecmserver: NewOver requires an engine")
+// NewOver builds the routes over a source the caller already owns (and
+// keeps using: the server adds no locking of its own beyond the source's).
+// Write routes mount only when src is also an ecmsketch.Ingestor; a
+// *ecmsketch.Sharded additionally gets /v1/interval, its block of /v1/stats,
+// and its change notes wired into the standing-query registry. Over any
+// other source the registry evaluates what the owner feeds it through
+// Standing().RefreshTarget, and subscriptions must name their keys.
+//
+// cfg's engine fields only label /v1/stats at a site and should match the
+// engine's construction; the source is not rebuilt or validated against
+// them. tierStats, when non-nil, adds the owner's fields to /v1/stats.
+func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]any) (*Server, error) {
+	if src == nil {
+		return nil, fmt.Errorf("ecmserver: NewOver requires a source")
 	}
-	s := &Server{engine: engine, cfg: cfg, mux: http.NewServeMux()}
+	s := &Server{src: src, tierStats: tierStats, cfg: cfg, mux: http.NewServeMux()}
+	s.ingestor, _ = src.(ecmsketch.Ingestor)
+	s.engine, _ = src.(*ecmsketch.Sharded)
+
+	s.mux.HandleFunc("GET /v1/estimate", s.handleEstimate)
+	s.mux.HandleFunc("GET /v1/selfjoin", s.handleSelfJoin)
+	s.mux.HandleFunc("GET /v1/total", s.handleTotal)
+	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
+	s.mux.HandleFunc("GET /v1/query", s.handleQueryGet)
+	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/sketch", s.writeSnapshot) // the full reply under its older name
+	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
+	if s.ingestor != nil {
+		s.mux.HandleFunc("POST /v1/add", s.handleAdd)
+		s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+		s.mux.HandleFunc("POST /v1/events", s.handleEvents)
+		s.mux.HandleFunc("POST /v1/advance", s.handleAdvance)
+	}
 	if cfg.TopK > 0 {
-		tk, err := ecmsketch.NewTopKOver(cfg.TopK, engine, cfg.WindowLength)
+		if s.engine == nil {
+			return nil, fmt.Errorf("ecmserver: TopK needs a site engine")
+		}
+		tk, err := ecmsketch.NewTopKOver(cfg.TopK, s.engine, cfg.WindowLength)
 		if err != nil {
 			return nil, err
 		}
 		s.topk = tk
-		s.route("GET", "/topk", s.handleTopK)
+		s.mux.HandleFunc("GET /v1/topk", s.handleTopK)
 	}
-	s.route("POST", "/add", s.handleAdd)
-	s.route("POST", "/batch", s.handleBatch)
-	s.route("GET", "/estimate", s.handleEstimate)
-	s.route("GET", "/interval", s.handleInterval)
-	s.route("GET", "/selfjoin", s.handleSelfJoin)
-	s.route("GET", "/total", s.handleTotal)
-	s.route("GET", "/stats", s.handleStats)
-	s.route("GET", "/sketch", s.handleSketch)
-	s.route("POST", "/advance", s.handleAdvance)
-	// JSON batch ingest, batched queries and coordinator snapshot pulls
-	// exist only under the versioned prefix.
-	s.mux.HandleFunc("POST /v1/events", s.handleEvents)
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("GET /v1/query", s.handleQueryGet)
-	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
 
-	// Standing queries: the registry re-checks its predicates incrementally
-	// on the engine's change feed (synchronously after each mutation's locks
-	// release) and pushes fired notifications to /v1/watch streams. The rw
-	// engine's randomized expiry is not monotone under pure advances, so it
-	// runs with the strict re-check policy.
-	s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{
-		Window:        cfg.WindowLength,
-		StrictAdvance: strings.EqualFold(cfg.Algorithm, "rw"),
-	})
-	s.standing.Bind(engine)
-	engine.SetNotifier(s.standing)
+	// Standing queries: at a site the registry re-checks its predicates
+	// incrementally on the engine's change feed (synchronously after each
+	// mutation's locks release) and pushes fired notifications to /v1/watch
+	// streams. The rw engine's randomized expiry is not monotone under pure
+	// advances, so it runs with the strict re-check policy. Any other
+	// source only ever shows cell replacements, never raw keys to learn
+	// top-k candidates from, hence RequireKeys.
+	if s.engine != nil {
+		s.mux.HandleFunc("GET /v1/interval", s.handleInterval)
+		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{
+			Window:        cfg.WindowLength,
+			StrictAdvance: strings.EqualFold(cfg.Algorithm, "rw"),
+		})
+		s.standing.Bind(s.engine)
+		s.engine.SetNotifier(s.standing)
+	} else {
+		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{RequireKeys: true})
+	}
 	svc := &standing.Service{Reg: s.standing}
 	s.mux.HandleFunc("POST /v1/subscribe", svc.HandleSubscribe)
 	s.mux.HandleFunc("DELETE /v1/subscribe", svc.HandleUnsubscribe)
@@ -207,23 +245,37 @@ func NewOver(cfg Config, engine *ecmsketch.Sharded) (*Server, error) {
 	return s, nil
 }
 
-// Close releases server-held background resources: the standing-query hook
-// is detached from the engine (and every watch stream ended) before the
-// engine's view refresher is stopped. Idempotent.
+// Handle mounts a route of the source's owner — a coordinator's membership
+// and refresh routes — on the server's mux, behind the same bearer check.
+// pattern is a net/http ServeMux pattern ("POST /v1/refresh").
+func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
+
+// ListenAndServe serves the API on addr until the listener fails: over TLS
+// when certFile and keyFile are set, in the clear when both are empty.
+func (s *Server) ListenAndServe(addr, certFile, keyFile string) error {
+	if (certFile == "") != (keyFile == "") {
+		return errors.New("ecmserver: TLS needs both a certificate and a key file")
+	}
+	if certFile != "" {
+		return http.ListenAndServeTLS(addr, certFile, keyFile, s)
+	}
+	return http.ListenAndServe(addr, s)
+}
+
+// Close releases server-held background resources: at a site the
+// standing-query hook is detached from the engine before the engine's view
+// refresher is stopped; any other source is its owner's to close.
+// Idempotent.
 func (s *Server) Close() error {
+	if s.engine == nil {
+		return nil
+	}
 	s.engine.SetNotifier(nil)
 	return s.engine.Close()
 }
 
-// route registers a handler under the versioned /v1 prefix and the legacy
-// unversioned path.
-func (s *Server) route(method, path string, h http.HandlerFunc) {
-	s.mux.HandleFunc(method+" /v1"+path, h)
-	s.mux.HandleFunc(method+" "+path, h)
-}
-
-// Engine exposes the sketch engine backing the server (e.g. to share it
-// with other in-process consumers).
+// Engine exposes the sketch engine backing a site server (e.g. to share it
+// with other in-process consumers); nil when the source is not a Sharded.
 func (s *Server) Engine() *ecmsketch.Sharded { return s.engine }
 
 // Standing exposes the standing-query registry behind /v1/subscribe and
@@ -245,26 +297,15 @@ func ParseAlgo(s string) (ecmsketch.Algorithm, error) {
 }
 
 // ServeHTTP implements http.Handler. When Config.AuthToken is set, every
-// route — legacy aliases included — sits behind the bearer check.
+// route — Handle-mounted ones included — sits behind the bearer check.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
-
-// The /v1 request/reply conventions — key parsing, ?strings=1 encoding,
-// the snapshot writer — live in the shared internal/wire codec, which
-// cmd/ecmcoord's coordinator surface builds on too, so the two tiers
-// cannot drift.
-var (
-	parseKey  = wire.ParseKey
-	parseU64  = wire.ParseU64
-	httpError = wire.Error
-	respond   = wire.Respond
-)
 
 // ingest feeds one arrival through the engine, keeping the TopK candidate
 // set in sync when enabled. The engine ingests the stream exactly once
 // either way, and always outside topkMu — the stripe locks, not the
 // candidate-set mutex, are the concurrency bottleneck.
 func (s *Server) ingest(key uint64, t ecmsketch.Tick, n uint64) {
-	s.engine.AddN(key, t, n)
+	s.ingestor.AddN(key, t, n)
 	if s.topk != nil {
 		s.topkMu.Lock()
 		s.topk.Note(key)
@@ -275,7 +316,7 @@ func (s *Server) ingest(key uint64, t ecmsketch.Tick, n uint64) {
 // ingestBatch feeds a batch through the engine's lock-amortized path and
 // then registers the keys as TopK candidates without re-ingesting.
 func (s *Server) ingestBatch(events []ecmsketch.Event) {
-	s.engine.AddBatch(events)
+	s.ingestor.AddBatch(events)
 	if s.topk != nil {
 		s.topkMu.Lock()
 		for _, ev := range events {
@@ -287,23 +328,23 @@ func (s *Server) ingestBatch(events []ecmsketch.Event) {
 
 // handleAdd registers one arrival: POST /v1/add?key=/home&t=12345[&n=3].
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	key, err := parseKey(r)
+	key, err := wire.ParseKey(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	t, err := parseU64(r, "t", 0)
+	t, err := wire.ParseU64(r, "t", 0)
 	if err != nil || t == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing or bad t parameter"))
+		wire.Error(w, http.StatusBadRequest, fmt.Errorf("missing or bad t parameter"))
 		return
 	}
-	n, err := parseU64(r, "n", 1)
+	n, err := wire.ParseU64(r, "n", 1)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	s.ingest(key, t, n)
-	respond(w, map[string]any{"ok": true})
+	wire.Respond(w, map[string]any{"ok": true})
 }
 
 // ingestFlushEvery bounds the memory of streaming batch uploads: parsed
@@ -360,7 +401,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	s.ingestBatch(events)
@@ -368,7 +409,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if firstErr != "" {
 		resp["firstError"] = firstErr
 	}
-	respond(w, resp)
+	wire.Respond(w, resp)
 }
 
 // WireEvent is the JSON form of one batched arrival on POST /v1/events.
@@ -438,29 +479,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ingestBatch(events)
 	accepted += len(events)
-	respond(w, map[string]any{"accepted": accepted})
-}
-
-// MaxQueryKeys re-exports the per-request key cap of POST /v1/query (see
-// wire.MaxQueryKeys): a batch of point queries is answered in full, so the
-// request size itself is capped and oversized batches are rejected with 400
-// before their tail is even parsed.
-const MaxQueryKeys = wire.MaxQueryKeys
-
-// WireQueryKey identifies one queried item on POST /v1/query, mirroring
-// WireEvent: exactly one of Key (string, digested server-side) or IKey
-// (decimal uint64, kept as a string so >2^53 digests survive non-Go JSON
-// stacks).
-type WireQueryKey struct {
-	Key  string `json:"key,omitempty"`
-	IKey string `json:"ikey,omitempty"`
+	wire.Respond(w, map[string]any{"accepted": accepted})
 }
 
 // WireQueryResult is the JSON reply of POST /v1/query: one estimate per
 // requested key in request order, the aggregates if requested, and the
 // engine clock the consistent cut was taken at. Now and Range are 64-bit
 // ticks; requests carrying ?strings=1 receive them as decimal strings
-// (see wantStrings) via wireQueryResultStrings instead.
+// (see wire.WantStrings) via wireQueryResultStrings instead.
 type WireQueryResult struct {
 	Estimates []float64 `json:"estimates"`
 	Total     *float64  `json:"total,omitempty"`
@@ -479,26 +505,18 @@ type wireQueryResultStrings struct {
 	Range     string    `json:"range"`
 }
 
-// ParseQueryBody decodes a POST /v1/query request body into a QueryBatch
-// under the strict wire semantics of the versioned API; it delegates to the
-// shared codec (wire.ParseQueryBody), which every tier serving the route —
-// this site server, the ecmcoord coordinator surface — validates through.
-func ParseQueryBody(body io.Reader) (ecmsketch.QueryBatch, error) {
-	return wire.ParseQueryBody(body)
-}
-
 // handleQuery answers a batched multi-key query from one consistent cut of
-// the engine's merged view: POST /v1/query with body
+// the source's merged view: POST /v1/query with body
 //
 //	{"keys":[{"key":"/home"},{"ikey":"17446744073709551615"}],
 //	 "range":60000,"total":true,"selfJoin":true}
 //
-// An omitted or zero range means the whole window; see ParseQueryBody for
-// the strict body semantics.
+// An omitted or zero range means the whole window; see wire.ParseQueryBody
+// for the strict body semantics (at most wire.MaxQueryKeys keys).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseQueryBody(r.Body)
+	q, err := wire.ParseQueryBody(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	s.answerQuery(w, r, q)
@@ -510,28 +528,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 	q, err := wire.ParseQueryParams(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	s.answerQuery(w, r, q)
 }
 
+// sourceError writes a failed read: 503 while the source has no view to
+// answer from yet (see Source), code otherwise.
+func sourceError(w http.ResponseWriter, code int, err error) {
+	if errors.Is(err, ecmsketch.ErrNotReady) {
+		code = http.StatusServiceUnavailable
+	}
+	wire.Error(w, code, err)
+}
+
 // answerQuery evaluates a parsed QueryBatch and writes the /v1 reply.
-// ?direct=1 routes through the zero-merge path: each key answered from its
-// owning stripe, no merged view built or consulted (aggregates rejected
-// with 400, since they need the view) — an inconsistent cut traded for
-// zero merge error and zero rebuild cost.
+// ?direct=1 routes through the zero-merge path: at a site each key is
+// answered from its owning stripe, no merged view built or consulted — an
+// inconsistent cut traded for zero merge error and zero rebuild cost.
+// Aggregates need the merged view and are rejected there with 400.
 func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, q ecmsketch.QueryBatch) {
 	var res ecmsketch.QueryResult
 	var err error
 	if wire.WantDirect(r) {
-		res, err = s.engine.QueryDirect(q)
+		res, err = s.src.QueryDirect(q)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			sourceError(w, http.StatusBadRequest, err)
 			return
 		}
-	} else if res, err = s.engine.QueryBatch(q); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+	} else if res, err = s.src.QueryBatch(q); err != nil {
+		sourceError(w, http.StatusInternalServerError, err)
 		return
 	}
 	out := WireQueryResult{Estimates: res.Estimates, Now: res.Now, Range: res.Range}
@@ -544,8 +571,8 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, q ecmsketch
 	if q.SelfJoin {
 		out.SelfJoin = &res.SelfJoin
 	}
-	if wantStrings(r) {
-		respond(w, wireQueryResultStrings{
+	if wire.WantStrings(r) {
+		wire.Respond(w, wireQueryResultStrings{
 			Estimates: out.Estimates,
 			Total:     out.Total,
 			SelfJoin:  out.SelfJoin,
@@ -554,23 +581,29 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, q ecmsketch
 		})
 		return
 	}
-	respond(w, out)
+	wire.Respond(w, out)
 }
 
-// handleEstimate answers a point query: GET /v1/estimate?key=/home&range=60000.
-// Key-hash routing answers from the single shard owning the key.
+// handleEstimate answers a point query: GET /v1/estimate?key=/home&range=60000
+// (an omitted or zero range means the whole window). It is a one-key direct
+// read: at a site, key-hash routing answers from the shard owning the key.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	key, err := parseKey(r)
+	key, err := wire.ParseKey(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	rng, err := parseU64(r, "range", s.cfg.WindowLength)
+	rng, err := wire.ParseU64(r, "range", 0)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	respond(w, map[string]any{"estimate": s.engine.Estimate(key, rng), "range": u64field(wantStrings(r), rng)})
+	res, err := s.src.QueryDirect(ecmsketch.QueryBatch{Keys: []uint64{key}, Range: rng})
+	if err != nil {
+		sourceError(w, http.StatusInternalServerError, err)
+		return
+	}
+	wire.Respond(w, map[string]any{"estimate": res.Estimates[0], "range": wire.U64Field(wire.WantStrings(r), res.Range)})
 }
 
 // handleInterval answers a point query over an arbitrary tick interval:
@@ -578,83 +611,91 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // frequency within (from, to]. Interval queries carry twice the window
 // error of suffix queries.
 func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
-	key, err := parseKey(r)
+	key, err := wire.ParseKey(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	from, err := parseU64(r, "from", 0)
+	from, err := wire.ParseU64(r, "from", 0)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	to, err := parseU64(r, "to", 0)
+	to, err := wire.ParseU64(r, "to", 0)
 	if err != nil || to == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing or bad to parameter"))
+		wire.Error(w, http.StatusBadRequest, fmt.Errorf("missing or bad to parameter"))
 		return
 	}
 	est := s.engine.EstimateInterval(key, from, to)
-	asStrings := wantStrings(r)
-	respond(w, map[string]any{"estimate": est, "from": u64field(asStrings, from), "to": u64field(asStrings, to)})
+	asStrings := wire.WantStrings(r)
+	wire.Respond(w, map[string]any{"estimate": est, "from": wire.U64Field(asStrings, from), "to": wire.U64Field(asStrings, to)})
 }
 
 // handleSelfJoin answers GET /v1/selfjoin?range=60000 from the merged view.
 func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
-	rng, err := parseU64(r, "range", s.cfg.WindowLength)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	if res, ok := s.aggregate(w, r, ecmsketch.QueryBatch{SelfJoin: true}); ok {
+		wire.Respond(w, map[string]any{"selfJoin": res.SelfJoin, "range": wire.U64Field(wire.WantStrings(r), res.Range)})
 	}
-	respond(w, map[string]any{"selfJoin": s.engine.SelfJoin(rng), "range": u64field(wantStrings(r), rng)})
 }
 
 // handleTotal answers GET /v1/total?range=60000 with the estimated ‖a_r‖₁.
 func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {
-	rng, err := parseU64(r, "range", s.cfg.WindowLength)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	if res, ok := s.aggregate(w, r, ecmsketch.QueryBatch{Total: true}); ok {
+		wire.Respond(w, map[string]any{"total": res.Total, "range": wire.U64Field(wire.WantStrings(r), res.Range)})
 	}
-	respond(w, map[string]any{"total": s.engine.EstimateTotal(rng), "range": u64field(wantStrings(r), rng)})
 }
 
-// wantStrings and u64field are the shared ?strings=1 convention (see
-// wire.WantStrings): string-encoded 64-bit tick/count reply fields for
-// JSON consumers above 2^53. Every scalar 64-bit reply field of the /v1
-// surface — now, count, range, from, to, window, viewRebuilds — honors it.
-var (
-	wantStrings = wire.WantStrings
-	u64field    = wire.U64Field
-)
+// aggregate evaluates the key-less batch q over ?range= (omitted or zero
+// means the whole window), writing the error reply itself when ok is false.
+func (s *Server) aggregate(w http.ResponseWriter, r *http.Request, q ecmsketch.QueryBatch) (res ecmsketch.QueryResult, ok bool) {
+	rng, err := wire.ParseU64(r, "range", 0)
+	if err != nil {
+		wire.Error(w, http.StatusBadRequest, err)
+		return res, false
+	}
+	q.Range = rng
+	if res, err = s.src.QueryBatch(q); err != nil {
+		sourceError(w, http.StatusInternalServerError, err)
+		return res, false
+	}
+	return res, true
+}
 
-// handleStats reports engine dimensions, clock and footprint. With
-// ?strings=1, the 64-bit tick/count fields (now, count, window,
-// viewRebuilds) are encoded as decimal strings.
+// handleStats reports the standing-query load plus the tier's own block: a
+// site's engine dimensions, clock and footprint, or what the source's owner
+// supplied to NewOver. With ?strings=1, the 64-bit tick/count fields (now,
+// count, window, viewRebuilds, ...) are encoded as decimal strings.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	asStrings := wantStrings(r)
+	asStrings := wire.WantStrings(r)
 	subs, queries, watchers, dropped := s.standing.Stats()
-	respond(w, map[string]any{
+	out := map[string]any{
 		"standing": map[string]any{
 			"subscriptions": subs,
 			"queries":       queries,
 			"watchers":      watchers,
-			"dropped":       u64field(asStrings, dropped),
+			"dropped":       wire.U64Field(asStrings, dropped),
 		},
-		"width":        s.engine.Width(),
-		"depth":        s.engine.Depth(),
-		"shards":       s.engine.Shards(),
-		"now":          u64field(asStrings, s.engine.Now()),
-		"count":        u64field(asStrings, s.engine.Count()),
-		"memoryBytes":  s.engine.MemoryBytes(),
-		"viewRebuilds": u64field(asStrings, s.engine.ViewRebuilds()),
-		"rebuild":      rebuildStatsField(asStrings, s.engine),
-		"epsilon":      s.cfg.Epsilon,
-		"delta":        s.cfg.Delta,
-		"window":       u64field(asStrings, s.cfg.WindowLength),
-		"algorithm":    s.cfg.Algorithm,
-		"apiVersion":   "v1",
-		"durability":   durabilityStatsField(asStrings, s.engine),
-	})
+		"apiVersion": "v1",
+	}
+	if s.engine != nil {
+		out["width"] = s.engine.Width()
+		out["depth"] = s.engine.Depth()
+		out["shards"] = s.engine.Shards()
+		out["now"] = wire.U64Field(asStrings, s.engine.Now())
+		out["count"] = wire.U64Field(asStrings, s.engine.Count())
+		out["memoryBytes"] = s.engine.MemoryBytes()
+		out["viewRebuilds"] = wire.U64Field(asStrings, s.engine.ViewRebuilds())
+		out["rebuild"] = rebuildStatsField(asStrings, s.engine)
+		out["epsilon"] = s.cfg.Epsilon
+		out["delta"] = s.cfg.Delta
+		out["window"] = wire.U64Field(asStrings, s.cfg.WindowLength)
+		out["algorithm"] = s.cfg.Algorithm
+		out["durability"] = durabilityStatsField(asStrings, s.engine)
+	}
+	if s.tierStats != nil {
+		maps.Copy(out, s.tierStats(asStrings))
+	}
+	wire.Respond(w, out)
 }
 
 // durabilityStatsField renders the durability block of /v1/stats: whether
@@ -669,16 +710,16 @@ func durabilityStatsField(asStrings bool, engine *ecmsketch.Sharded) map[string]
 	}
 	return map[string]any{
 		"enabled":            true,
-		"epoch":              u64field(asStrings, st.Epoch),
-		"generation":         u64field(asStrings, st.Generation),
-		"lastSnapshotTick":   u64field(asStrings, st.LastSnapshotTick),
+		"epoch":              wire.U64Field(asStrings, st.Epoch),
+		"generation":         wire.U64Field(asStrings, st.Generation),
+		"lastSnapshotTick":   wire.U64Field(asStrings, st.LastSnapshotTick),
 		"lastSnapshotUnixMs": st.LastSnapshotUnixMs,
-		"walRecords":         u64field(asStrings, st.WALRecords),
-		"walBytes":           u64field(asStrings, st.WALBytes),
+		"walRecords":         wire.U64Field(asStrings, st.WALRecords),
+		"walBytes":           wire.U64Field(asStrings, st.WALBytes),
 		"lastFsyncNs":        st.LastFsyncNs,
 		"recovered":          st.Recovered,
-		"replayedRecords":    u64field(asStrings, st.ReplayedRecords),
-		"errors":             u64field(asStrings, st.Errors),
+		"replayedRecords":    wire.U64Field(asStrings, st.ReplayedRecords),
+		"errors":             wire.U64Field(asStrings, st.Errors),
 	}
 }
 
@@ -690,91 +731,92 @@ func durabilityStatsField(asStrings bool, engine *ecmsketch.Sharded) map[string]
 func rebuildStatsField(asStrings bool, engine *ecmsketch.Sharded) map[string]any {
 	mergeNs, workers := engine.RebuildStats()
 	return map[string]any{
-		"merge_ns": u64field(asStrings, uint64(mergeNs)),
+		"merge_ns": wire.U64Field(asStrings, uint64(mergeNs)),
 		"workers":  workers,
 	}
 }
 
-// handleSketch ships the serialized merged view, letting a coordinator pull
-// and merge several sites' summaries. Honors Accept-Encoding: gzip.
-func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
-	enc := s.engine.Marshal()
-	if enc == nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("merging shards failed"))
-		return
-	}
-	wire.WriteSnapshot(w, r, enc, wire.SnapshotMeta{Now: s.engine.Now(), Count: s.engine.Count()})
-}
-
-// handleSnapshot is the coordinator pull route, in two modes:
-//
-// Without ?since=, GET /v1/snapshot ships the engine's frozen merged-view
-// bytes — the same payload as /v1/sketch, under the name the transport
-// layer (coord.HTTPSite, ecmclient.Snapshot) speaks — plus X-Ecm-Now and
-// X-Ecm-Count headers so pullers can gauge staleness and stream volume
+// writeSnapshot ships the source's frozen merged-view bytes plus X-Ecm-Now
+// and X-Ecm-Count headers so pullers can gauge staleness and stream volume
 // without decoding the body. Headers and payload come from one Snapshot of
-// the merged view (not separate engine reads), so they describe exactly
-// the bytes shipped even under concurrent ingest. Pre-delta clients keep
-// working unchanged.
-//
-// With ?since=<cursor>, the reply follows the delta protocol: an
-// incremental payload holding only the stripes/cells whose version moved
-// since the cursor (X-Ecm-Delta: delta), or a full multipart baseline when
-// the cursor is absent-valued ("0"), unparsable, or unrecognized — a
-// restarted or reconfigured engine — re-baselining the puller
-// (X-Ecm-Delta: full). X-Ecm-Cursor carries the cursor the payload brings
-// the puller to; delta pulls never build the merged view, so a steady-state
-// pull loop costs the server a few stripe clones instead of a P-way merge.
-//
-// Both modes honor Accept-Encoding: gzip.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if sinceRaw, ok := r.URL.Query()["since"]; ok {
-		var since ecmsketch.Cursor
-		if len(sinceRaw) > 0 {
-			// An unparsable cursor is an unrecognized one: reply full.
-			since, _ = ecmsketch.ParseCursor(sinceRaw[0])
-		}
-		payload, cur, full, err := s.engine.DeltaSnapshot(since)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		kind := wire.KindDelta
-		if full {
-			kind = wire.KindFull
-		}
-		wire.WriteSnapshot(w, r, payload, wire.SnapshotMeta{
-			Now: s.engine.Now(), Count: s.engine.Count(),
-			Cursor: cur.String(), Kind: kind,
-		})
-		return
-	}
-	sk, err := s.engine.Snapshot()
+// the merged view (not separate reads of the source), so they describe
+// exactly the bytes shipped even under concurrent ingest.
+func (s *Server) writeSnapshot(w http.ResponseWriter, r *http.Request) {
+	sk, err := s.src.Snapshot()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("merging shards failed: %w", err))
+		sourceError(w, http.StatusInternalServerError, err)
 		return
 	}
 	wire.WriteSnapshot(w, r, sk.Marshal(), wire.SnapshotMeta{Now: sk.Now(), Count: sk.Count()})
 }
 
+// handleSnapshot is the coordinator pull route, in two modes:
+//
+// Without ?since=, GET /v1/snapshot ships the full merged view (see
+// writeSnapshot), the payload the transport layer (coord.HTTPSite,
+// ecmclient.Snapshot) decodes.
+//
+// With ?since=<cursor>, the reply follows the delta protocol: an
+// incremental payload holding only the stripes/cells whose version moved
+// since the cursor (X-Ecm-Delta: delta), or a full baseline when the cursor
+// is absent-valued ("0"), unparsable, or unrecognized — a restarted or
+// reconfigured source — re-baselining the puller (X-Ecm-Delta: full).
+// X-Ecm-Cursor carries the cursor the payload brings the puller to. At a
+// site, delta pulls never build the merged view, so a steady-state pull
+// loop costs the server a few stripe clones instead of a P-way merge; a
+// coordinator answers from its patched root, so stacked coordinators pull
+// cell-granular deltas through the same receiver path they use on leaves.
+//
+// Both modes honor Accept-Encoding: gzip.
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	sinceRaw, ok := r.URL.Query()["since"]
+	if !ok {
+		s.writeSnapshot(w, r)
+		return
+	}
+	var since ecmsketch.Cursor
+	if len(sinceRaw) > 0 {
+		// An unparsable cursor is an unrecognized one: reply full.
+		since, _ = ecmsketch.ParseCursor(sinceRaw[0])
+	}
+	payload, cur, full, err := s.src.DeltaSnapshot(since)
+	if err != nil {
+		sourceError(w, http.StatusInternalServerError, err)
+		return
+	}
+	meta := wire.SnapshotMeta{Cursor: cur.String(), Kind: wire.KindDelta}
+	if full {
+		meta.Kind = wire.KindFull
+	}
+	// The advisory headers come from the source's own clock and counter,
+	// which both tiers report without building or cloning a merged view.
+	if c, ok := s.src.(interface {
+		Now() ecmsketch.Tick
+		Count() uint64
+	}); ok {
+		meta.Now, meta.Count = c.Now(), c.Count()
+	}
+	wire.WriteSnapshot(w, r, payload, meta)
+}
+
 // handleAdvance moves the window clock forward without an arrival:
 // POST /v1/advance?t=99999.
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	t, err := parseU64(r, "t", 0)
+	t, err := wire.ParseU64(r, "t", 0)
 	if err != nil || t == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing or bad t parameter"))
+		wire.Error(w, http.StatusBadRequest, fmt.Errorf("missing or bad t parameter"))
 		return
 	}
-	s.engine.Advance(t)
-	respond(w, map[string]any{"ok": true, "now": u64field(wantStrings(r), t)})
+	s.ingestor.Advance(t)
+	wire.Respond(w, map[string]any{"ok": true, "now": wire.U64Field(wire.WantStrings(r), t)})
 }
 
 // handleTopK reports the current hottest keys: GET /v1/topk?range=60000.
 // Available only when the server was configured with TopK > 0.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	rng, err := parseU64(r, "range", s.cfg.WindowLength)
+	rng, err := wire.ParseU64(r, "range", s.cfg.WindowLength)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	s.topkMu.Lock()
@@ -790,5 +832,5 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	for i, it := range items {
 		out[i] = entry{Key: strconv.FormatUint(it.Key, 10), Estimate: it.Estimate}
 	}
-	respond(w, map[string]any{"top": out, "range": u64field(wantStrings(r), rng)})
+	wire.Respond(w, map[string]any{"top": out, "range": wire.U64Field(wire.WantStrings(r), rng)})
 }

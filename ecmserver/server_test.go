@@ -61,12 +61,12 @@ func TestServerConfigValidation(t *testing.T) {
 func TestAddAndEstimate(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 50; i++ {
-		code, _ := doJSON(t, srv, "POST", fmt.Sprintf("/add?key=/home&t=%d", i), "")
+		code, _ := doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=/home&t=%d", i), "")
 		if code != http.StatusOK {
 			t.Fatalf("add returned %d", code)
 		}
 	}
-	code, out := doJSON(t, srv, "GET", "/estimate?key=/home&range=10000", "")
+	code, out := doJSON(t, srv, "GET", "/v1/estimate?key=/home&range=10000", "")
 	if code != http.StatusOK {
 		t.Fatalf("estimate returned %d", code)
 	}
@@ -74,7 +74,7 @@ func TestAddAndEstimate(t *testing.T) {
 		t.Errorf("estimate = %v, want ≈50", est)
 	}
 	// Unknown key estimates near zero.
-	_, out = doJSON(t, srv, "GET", "/estimate?key=/missing", "")
+	_, out = doJSON(t, srv, "GET", "/v1/estimate?key=/missing", "")
 	if est := out["estimate"].(float64); est > 10 {
 		t.Errorf("estimate for unseen key = %v", est)
 	}
@@ -83,14 +83,14 @@ func TestAddAndEstimate(t *testing.T) {
 func TestAddValidation(t *testing.T) {
 	srv := testServer(t)
 	for _, url := range []string{
-		"/add",              // no key, no t
-		"/add?key=a",        // no t
-		"/add?key=a&t=abc",  // bad t
-		"/add?ikey=zzz&t=5", // bad ikey
-		"/estimate",         // no key
-		"/estimate?key=a&range=x" /* bad range */} {
+		"/v1/add",              // no key, no t
+		"/v1/add?key=a",        // no t
+		"/v1/add?key=a&t=abc",  // bad t
+		"/v1/add?ikey=zzz&t=5", // bad ikey
+		"/v1/estimate",         // no key
+		"/v1/estimate?key=a&range=x" /* bad range */} {
 		method := "POST"
-		if strings.HasPrefix(url, "/estimate") {
+		if strings.HasPrefix(url, "/v1/estimate") {
 			method = "GET"
 		}
 		code, _ := doJSON(t, srv, method, url, "")
@@ -102,8 +102,8 @@ func TestAddValidation(t *testing.T) {
 
 func TestIntegerKeys(t *testing.T) {
 	srv := testServer(t)
-	doJSON(t, srv, "POST", "/add?ikey=42&t=1&n=7", "")
-	_, out := doJSON(t, srv, "GET", "/estimate?ikey=42", "")
+	doJSON(t, srv, "POST", "/v1/add?ikey=42&t=1&n=7", "")
+	_, out := doJSON(t, srv, "GET", "/v1/estimate?ikey=42", "")
 	if est := out["estimate"].(float64); est < 7 {
 		t.Errorf("estimate = %v, want ≥7", est)
 	}
@@ -121,7 +121,7 @@ func TestBatchIngest(t *testing.T) {
 		"/home,notanumber",
 		"/home,4",
 	}, "\n")
-	code, out := doJSON(t, srv, "POST", "/batch", body)
+	code, out := doJSON(t, srv, "POST", "/v1/batch", body)
 	if code != http.StatusOK {
 		t.Fatalf("batch returned %d", code)
 	}
@@ -131,7 +131,7 @@ func TestBatchIngest(t *testing.T) {
 	if _, hasErr := out["firstError"]; !hasErr {
 		t.Error("malformed lines not reported")
 	}
-	_, est := doJSON(t, srv, "GET", "/estimate?key=/about", "")
+	_, est := doJSON(t, srv, "GET", "/v1/estimate?key=/about", "")
 	if v := est["estimate"].(float64); v < 5 {
 		t.Errorf("/about estimate = %v, want ≥5", v)
 	}
@@ -140,13 +140,13 @@ func TestBatchIngest(t *testing.T) {
 func TestSelfJoinAndTotal(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 100; i++ {
-		doJSON(t, srv, "POST", fmt.Sprintf("/add?key=k%d&t=%d", i%4, i), "")
+		doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=k%d&t=%d", i%4, i), "")
 	}
-	_, sj := doJSON(t, srv, "GET", "/selfjoin", "")
+	_, sj := doJSON(t, srv, "GET", "/v1/selfjoin", "")
 	if v := sj["selfJoin"].(float64); v < 2000 || v > 4000 {
 		t.Errorf("selfJoin = %v, want ≈2500 (4 keys × 25²)", v)
 	}
-	_, tot := doJSON(t, srv, "GET", "/total", "")
+	_, tot := doJSON(t, srv, "GET", "/v1/total", "")
 	if v := tot["total"].(float64); v < 90 || v > 120 {
 		t.Errorf("total = %v, want ≈100", v)
 	}
@@ -154,8 +154,8 @@ func TestSelfJoinAndTotal(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	srv := testServer(t)
-	doJSON(t, srv, "POST", "/add?key=a&t=5", "")
-	code, out := doJSON(t, srv, "GET", "/stats", "")
+	doJSON(t, srv, "POST", "/v1/add?key=a&t=5", "")
+	code, out := doJSON(t, srv, "GET", "/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("stats returned %d", code)
 	}
@@ -173,11 +173,11 @@ func TestSketchPullAndMerge(t *testing.T) {
 	siteA := testServer(t)
 	siteB := testServer(t)
 	for i := 1; i <= 30; i++ {
-		doJSON(t, siteA, "POST", fmt.Sprintf("/add?key=x&t=%d", i), "")
-		doJSON(t, siteB, "POST", fmt.Sprintf("/add?key=x&t=%d", i), "")
+		doJSON(t, siteA, "POST", fmt.Sprintf("/v1/add?key=x&t=%d", i), "")
+		doJSON(t, siteB, "POST", fmt.Sprintf("/v1/add?key=x&t=%d", i), "")
 	}
 	pull := func(s *Server) []byte {
-		req := httptest.NewRequest("GET", "/sketch", nil)
+		req := httptest.NewRequest("GET", "/v1/sketch", nil)
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -204,13 +204,13 @@ func TestSketchPullAndMerge(t *testing.T) {
 
 func TestAdvanceExpiresWindow(t *testing.T) {
 	srv := testServer(t)
-	doJSON(t, srv, "POST", "/add?key=old&t=10", "")
-	doJSON(t, srv, "POST", "/advance?t=50000", "")
-	_, out := doJSON(t, srv, "GET", "/estimate?key=old", "")
+	doJSON(t, srv, "POST", "/v1/add?key=old&t=10", "")
+	doJSON(t, srv, "POST", "/v1/advance?t=50000", "")
+	_, out := doJSON(t, srv, "GET", "/v1/estimate?key=old", "")
 	if est := out["estimate"].(float64); est != 0 {
 		t.Errorf("estimate after expiry = %v, want 0", est)
 	}
-	code, _ := doJSON(t, srv, "POST", "/advance", "")
+	code, _ := doJSON(t, srv, "POST", "/v1/advance", "")
 	if code != http.StatusBadRequest {
 		t.Errorf("advance without t returned %d", code)
 	}
@@ -225,15 +225,15 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 1; i <= 200; i++ {
 				if i%10 == 0 {
-					doJSON(t, srv, "GET", "/estimate?key=hot", "")
+					doJSON(t, srv, "GET", "/v1/estimate?key=hot", "")
 				} else {
-					doJSON(t, srv, "POST", fmt.Sprintf("/add?key=hot&t=%d", i), "")
+					doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=hot&t=%d", i), "")
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	_, out := doJSON(t, srv, "GET", "/stats", "")
+	_, out := doJSON(t, srv, "GET", "/v1/stats", "")
 	if c := out["count"].(float64); c != 8*180 {
 		t.Errorf("count = %v, want %d", c, 8*180)
 	}
@@ -254,17 +254,17 @@ func TestParseAlgo(t *testing.T) {
 func TestIntervalEndpoint(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 100; i++ {
-		doJSON(t, srv, "POST", fmt.Sprintf("/add?key=x&t=%d", i), "")
+		doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=x&t=%d", i), "")
 	}
-	_, out := doJSON(t, srv, "GET", "/interval?key=x&from=20&to=70", "")
+	_, out := doJSON(t, srv, "GET", "/v1/interval?key=x&from=20&to=70", "")
 	if est := out["estimate"].(float64); est < 35 || est > 65 {
 		t.Errorf("interval estimate = %v, want ≈50", est)
 	}
-	code, _ := doJSON(t, srv, "GET", "/interval?key=x&from=20", "")
+	code, _ := doJSON(t, srv, "GET", "/v1/interval?key=x&from=20", "")
 	if code != http.StatusBadRequest {
 		t.Errorf("interval without to returned %d", code)
 	}
-	code, _ = doJSON(t, srv, "GET", "/interval?from=1&to=2", "")
+	code, _ = doJSON(t, srv, "GET", "/v1/interval?from=1&to=2", "")
 	if code != http.StatusBadRequest {
 		t.Errorf("interval without key returned %d", code)
 	}
@@ -278,15 +278,15 @@ func TestTopKEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 60; i++ {
-		doJSON(t, srv, "POST", fmt.Sprintf("/add?key=hot&t=%d", i), "")
+		doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=hot&t=%d", i), "")
 		if i%3 == 0 {
-			doJSON(t, srv, "POST", fmt.Sprintf("/add?key=warm&t=%d", i), "")
+			doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=warm&t=%d", i), "")
 		}
 		if i%10 == 0 {
-			doJSON(t, srv, "POST", fmt.Sprintf("/add?key=cold&t=%d", i), "")
+			doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=cold&t=%d", i), "")
 		}
 	}
-	code, out := doJSON(t, srv, "GET", "/topk", "")
+	code, out := doJSON(t, srv, "GET", "/v1/topk", "")
 	if code != http.StatusOK {
 		t.Fatalf("/topk returned %d", code)
 	}
@@ -303,14 +303,14 @@ func TestTopKEndpoint(t *testing.T) {
 	}
 	// Without -topk, the endpoint does not exist.
 	plain := testServer(t)
-	code, _ = doJSON(t, plain, "GET", "/topk", "")
+	code, _ = doJSON(t, plain, "GET", "/v1/topk", "")
 	if code == http.StatusOK {
 		t.Error("/topk served without TopK configured")
 	}
 }
 
-// TestVersionedRoutes checks every endpoint answers identically under the
-// /v1 prefix and its legacy unversioned alias.
+// TestVersionedRoutes checks every endpoint answers under the /v1 prefix
+// and only there: the API has no unversioned paths.
 func TestVersionedRoutes(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 20; i++ {
@@ -319,10 +319,14 @@ func TestVersionedRoutes(t *testing.T) {
 			t.Fatalf("/v1/add returned %d", code)
 		}
 	}
-	_, v1 := doJSON(t, srv, "GET", "/v1/estimate?key=/home", "")
-	_, legacy := doJSON(t, srv, "GET", "/estimate?key=/home", "")
-	if v1["estimate"] != legacy["estimate"] {
-		t.Errorf("/v1/estimate %v != /estimate %v", v1["estimate"], legacy["estimate"])
+	for _, tc := range []struct{ method, url string }{
+		{"POST", "/add?key=/home&t=21"}, {"POST", "/batch"}, {"POST", "/advance?t=30"},
+		{"GET", "/estimate?key=/home"}, {"GET", "/interval?key=/home&from=1&to=9"},
+		{"GET", "/selfjoin"}, {"GET", "/total"}, {"GET", "/stats"}, {"GET", "/sketch"},
+	} {
+		if code, _ := doJSON(t, srv, tc.method, tc.url, ""); code != http.StatusNotFound {
+			t.Errorf("%s %s returned %d, want 404", tc.method, tc.url, code)
+		}
 	}
 	_, stats := doJSON(t, srv, "GET", "/v1/stats", "")
 	if stats["apiVersion"] != "v1" || stats["shards"].(float64) < 1 {
@@ -366,7 +370,7 @@ func TestEventsEndpoint(t *testing.T) {
 			t.Errorf("body %q returned %d, want 400", bad, code)
 		}
 	}
-	// The JSON batch route has no legacy alias.
+	// The route exists only under the version prefix.
 	code, _ = doJSON(t, srv, "POST", "/events", `[]`)
 	if code == http.StatusOK {
 		t.Error("/events served without version prefix")
@@ -476,7 +480,7 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Errorf("oversized batch error = %q, want a too-many-keys rejection", msg)
 	}
 
-	// The query route has no legacy alias.
+	// The route exists only under the version prefix.
 	code, _ = doJSON(t, srv, "POST", "/query", `{"total":true}`)
 	if code == http.StatusOK {
 		t.Error("/query served without version prefix")
@@ -516,12 +520,12 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Error("/v1/snapshot and /v1/sketch payloads differ")
 	}
 
-	// v1-only: no legacy alias.
+	// The route exists only under the version prefix.
 	req3 := httptest.NewRequest("GET", "/snapshot", nil)
 	rec3 := httptest.NewRecorder()
 	srv.ServeHTTP(rec3, req3)
 	if rec3.Code != 404 {
-		t.Errorf("GET /snapshot = %d, want 404 (no legacy alias)", rec3.Code)
+		t.Errorf("GET /snapshot = %d, want 404", rec3.Code)
 	}
 }
 

@@ -3,7 +3,6 @@ package coord
 import (
 	"crypto/tls"
 	"crypto/x509"
-	"hash/fnv"
 	"net"
 	"net/http"
 	"time"
@@ -42,18 +41,3 @@ func NewPullClient(timeout time.Duration, rootCAs *x509.CertPool) *http.Client {
 // every such site shares one keep-alive transport and a 30-second pull
 // timeout.
 var defaultPullClient = NewPullClient(30*time.Second, nil)
-
-// PullStagger returns the deterministic offset in [0, window) at which the
-// site named name is fetched inside a pull round — a stable hash of the
-// name, so a site lands at the same phase every interval and across
-// coordinator restarts, and a fleet of sites spreads near-uniformly over
-// the window instead of being hit in one burst. A non-positive window
-// disables staggering.
-func PullStagger(name string, window time.Duration) time.Duration {
-	if window <= 0 {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return time.Duration(h.Sum64() % uint64(window))
-}

@@ -12,9 +12,9 @@
 //     simulated cluster pays no marshal+decode round trip on the merge
 //     path. The wire size it reports (Sketch.WireSize) is exactly what
 //     shipping the summary would cost, computed without encoding it.
-//   - HTTPSite pulls GET /v1/snapshot from an ecmserver deployment (falling
-//     back to the legacy /sketch route) and decodes the payload; the wire
-//     size it reports is the payload length actually transferred.
+//   - HTTPSite pulls GET /v1/snapshot from an ecmserver deployment and
+//     decodes the payload; the wire size it reports is the payload length
+//     actually transferred.
 //
 // Both transports feed one merge path, Coordinator.AggregateTree, so a
 // simulation and a networked deployment of the same event log produce
@@ -47,7 +47,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ecmsketch/internal/core"
 	"ecmsketch/internal/wire"
@@ -90,8 +89,8 @@ type Site interface {
 	// Delta fetches the site's update since a cursor: the payload, the
 	// cursor it brings the puller to, whether the payload is a full
 	// baseline, and the transfer size. Sites that cannot produce deltas
-	// (legacy servers, plain snapshot sources) answer every cursor with a
-	// full payload and a zero cursor.
+	// (plain snapshot sources) answer every cursor with a full payload and
+	// a zero cursor.
 	Delta(since core.Cursor) (payload []byte, cur core.Cursor, full bool, size int, err error)
 }
 
@@ -193,7 +192,7 @@ func (s *HTTPSite) URL() string { return s.base }
 // SetName gives the site a stable identity independent of its address, so a
 // site re-registering from a new host/port replaces its old membership entry
 // instead of accumulating a duplicate. Configure before handing the site to
-// a coordinator; the name keys membership, health, and pull staggering.
+// a coordinator; the name keys membership and health.
 func (s *HTTPSite) SetName(name string) {
 	if name != "" {
 		s.name = name
@@ -206,8 +205,7 @@ func (s *HTTPSite) SetName(name string) {
 func (s *HTTPSite) SetAuthToken(tok string) { s.token = tok }
 
 // Snapshot pulls the site's frozen merged view: GET /v1/snapshot (offering
-// gzip), falling back to the legacy /sketch route on 404 so coordinators
-// can pull from deployments predating the snapshot endpoint.
+// gzip).
 //
 // The reported size is the protocol payload length: the figure the paper's
 // transfer accounting charges, identical to what the in-process transport
@@ -215,15 +213,9 @@ func (s *HTTPSite) SetAuthToken(tok string) { s.token = tok }
 // bytes below that figure but deliberately does not enter the accounting —
 // otherwise the two transports of the same event log would stop agreeing.
 func (s *HTTPSite) Snapshot() (*core.Sketch, int, error) {
-	rep, err := s.fetch("/v1/snapshot")
-	if err == nil && rep.Status == http.StatusNotFound {
-		rep, err = s.fetch("/sketch")
-	}
+	rep, err := wire.FetchSnapshot(s.hc, s.base+"/v1/snapshot", s.token)
 	if err != nil {
 		return nil, 0, err
-	}
-	if rep.Status != http.StatusOK {
-		return nil, 0, fmt.Errorf("snapshot pull returned status %d", rep.Status)
 	}
 	sk, err := core.Unmarshal(rep.Payload)
 	if err != nil {
@@ -234,21 +226,14 @@ func (s *HTTPSite) Snapshot() (*core.Sketch, int, error) {
 
 // Delta pulls GET /v1/snapshot?since=<cursor>. A delta-speaking server
 // answers with an incremental payload (or a full baseline when it does not
-// recognize the cursor) plus X-Ecm-Cursor/X-Ecm-Delta headers; a server
-// predating the protocol ignores ?since and replies with a plain full
-// snapshot and no cursor, which the puller handles as a permanent
-// full-pull downgrade. The reported size is the protocol payload length
-// (see Snapshot for why negotiated compression stays out of accounting).
+// recognize the cursor) plus X-Ecm-Cursor/X-Ecm-Delta headers; a reply
+// without a cursor is taken as a full payload, so the puller keeps asking
+// for full. The reported size is the protocol payload length (see Snapshot
+// for why negotiated compression stays out of accounting).
 func (s *HTTPSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, error) {
-	rep, err := s.fetch("/v1/snapshot?since=" + url.QueryEscape(since.String()))
-	if err == nil && rep.Status == http.StatusNotFound {
-		rep, err = s.fetch("/sketch")
-	}
+	rep, err := wire.FetchSnapshot(s.hc, s.base+"/v1/snapshot?since="+url.QueryEscape(since.String()), s.token)
 	if err != nil {
 		return nil, core.Cursor{}, false, 0, err
-	}
-	if rep.Status != http.StatusOK {
-		return nil, core.Cursor{}, false, 0, fmt.Errorf("snapshot pull returned status %d", rep.Status)
 	}
 	cur, err := core.ParseCursor(rep.Cursor)
 	if err != nil {
@@ -258,10 +243,6 @@ func (s *HTTPSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, err
 	}
 	full := rep.Kind != wire.KindDelta || cur.IsZero()
 	return rep.Payload, cur, full, len(rep.Payload), nil
-}
-
-func (s *HTTPSite) fetch(pathAndQuery string) (wire.SnapshotReply, error) {
-	return wire.FetchSnapshotAuth(s.hc, s.base+pathAndQuery, s.token)
 }
 
 // Coordinator aggregates a dynamic set of sites' summaries into one sketch
@@ -280,16 +261,9 @@ type Coordinator struct {
 
 	// delta switches pulls to the cursor-based incremental protocol;
 	// resilient switches site failures from round-fatal to health-managed
-	// (retained baselines keep serving, flapping sites back off); stagger
-	// spreads each site's fetch inside a round by a deterministic
-	// per-name offset in [0, stagger).
+	// (retained baselines keep serving, flapping sites back off).
 	delta     bool
 	resilient bool
-	stagger   time.Duration
-
-	// pullWorkers bounds how many sites a round fetches and decodes
-	// concurrently; 0 means the automatic default (see SetPullConcurrency).
-	pullWorkers int
 
 	// mu guards the membership list and the pull-round counter.
 	mu      sync.RWMutex
@@ -315,11 +289,14 @@ type Coordinator struct {
 	changedAll   bool
 
 	// rootMu guards the incrementally maintained merged view (Refresh,
-	// Snapshot, DeltaSnapshot) and its provenance.
+	// DeltaSnapshot, ExportState) and its provenance. frozen is the clone
+	// of root that reads are answered from: stored and cleared only under
+	// rootMu, cleared by whatever moves root, so non-nil means current.
 	rootMu    sync.Mutex
 	root      *core.Sketch
 	contrib   []*member
 	lastStats RefreshStats
+	frozen    atomic.Pointer[core.Sketch]
 }
 
 // maxChangedCells bounds the accumulated changed-cell set; past it the
@@ -366,40 +343,6 @@ func (c *Coordinator) SetDeltaPulls(on bool) { c.delta = on }
 // off exponentially — skipping 1, 2, 4, … up to 32 rounds between probes —
 // until a successful probe re-admits it. Configure before the first pull.
 func (c *Coordinator) SetResilient(on bool) { c.resilient = on }
-
-// SetPullStagger spreads each site's fetch inside a pull round by a
-// deterministic offset in [0, window) derived from the site's name (see
-// PullStagger) — so a fleet of coordinators sharing an interval does not
-// stampede its sites at the tick. Zero (the default) fetches immediately.
-// Configure before the first pull.
-func (c *Coordinator) SetPullStagger(window time.Duration) { c.stagger = window }
-
-// SetPullConcurrency bounds the worker pool a pull round fans site fetches
-// and payload decodes across. The default (n <= 0) is 4×GOMAXPROCS with a
-// floor of 8 — pulls are network-bound, so oversubscribing the cores keeps
-// the wire busy while decodes overlap — where the pre-pool behavior spawned
-// one goroutine per site: at a 1000-site coordinator that is a 1000-way
-// stampede of sockets and decode allocations every interval. Configure
-// before the first pull.
-func (c *Coordinator) SetPullConcurrency(n int) { c.pullWorkers = n }
-
-// pullPoolSize resolves the round's worker count for n members.
-func (c *Coordinator) pullPoolSize(n int) int {
-	w := c.pullWorkers
-	if w <= 0 {
-		w = 4 * runtime.GOMAXPROCS(0)
-		if w < 8 {
-			w = 8
-		}
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // DeltaPulls and FullPulls report how many per-site pulls were answered
 // incrementally vs with a full baseline since construction (delta mode
@@ -487,24 +430,24 @@ func (c *Coordinator) beginRound() ([]*member, uint64) {
 	return slices.Clone(c.members), c.round
 }
 
-// pullRound fetches every member concurrently (staggered when configured)
-// and returns the outcomes with every member's receiver lock still held, so
-// callers can merge straight from the shared baselines. Nothing is charged
-// to the Network here — the aggregation shapes charge their own edges — but
-// fetched bytes are counted toward PulledBytes regardless of what the
-// caller does next: they crossed the transport.
+// pullRound fetches every member concurrently and returns the outcomes with
+// every member's receiver lock still held, so callers can merge straight
+// from the shared baselines. Nothing is charged to the Network here — the
+// aggregation shapes charge their own edges — but fetched bytes are counted
+// toward PulledBytes regardless of what the caller does next: they crossed
+// the transport.
 func (c *Coordinator) pullRound() roundResult {
 	c.pullMu.Lock()
 	members, round := c.beginRound()
 	outs := make([]pullOutcome, len(members))
-	// Bounded worker pool: workers claim members off a shared counter, so a
-	// thousand-site round runs pullPoolSize fetch+decode lanes instead of a
-	// thousand goroutines. Stagger sleeps serialize within a lane, which
-	// still spreads the fleet's fetches inside the round — the stampede the
-	// stagger exists to break is across coordinators, not within one.
+	// Bounded worker pool: 4×GOMAXPROCS lanes with a floor of 8 — pulls are
+	// network-bound, so oversubscribing the cores keeps the wire busy while
+	// decodes overlap — claiming members off a shared counter, where one
+	// goroutine per site would be a thousand-way stampede of sockets and
+	// decode allocations at a thousand-site coordinator every interval.
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	for w := c.pullPoolSize(len(members)); w > 0; w-- {
+	for w := min(max(4*runtime.GOMAXPROCS(0), 8), len(members)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -514,9 +457,6 @@ func (c *Coordinator) pullRound() roundResult {
 					return
 				}
 				m := members[i]
-				if c.stagger > 0 {
-					time.Sleep(PullStagger(m.site.Name(), c.stagger))
-				}
 				m.st.mu.Lock()
 				outs[i] = c.pullMemberLocked(m, round)
 			}

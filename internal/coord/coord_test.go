@@ -29,12 +29,11 @@ func feedSketch(t *testing.T, p core.Params, keys, events int, salt uint64) *cor
 	return s
 }
 
-// sketchSite serves enc as a site snapshot on both the /v1/snapshot and
-// legacy /sketch routes.
+// sketchSite serves enc as a site snapshot on the /v1/snapshot route.
 func sketchSite(t *testing.T, enc []byte) *httptest.Server {
 	t.Helper()
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/snapshot" && r.URL.Path != "/sketch" {
+		if r.URL.Path != "/v1/snapshot" {
 			http.NotFound(w, r)
 			return
 		}
@@ -228,29 +227,5 @@ func TestCoordinatorFailureModes(t *testing.T) {
 func TestNoSites(t *testing.T) {
 	if _, _, err := coord.New().AggregateTree(); err == nil {
 		t.Fatal("aggregating zero sites succeeded")
-	}
-}
-
-// TestHTTPSiteLegacyFallback pins the /sketch fallback: a site serving only
-// the legacy route still aggregates.
-func TestHTTPSiteLegacyFallback(t *testing.T) {
-	p := testParams(5)
-	sk := feedSketch(t, p, 32, 1000, 0)
-	enc := sk.Marshal()
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/sketch" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write(enc)
-	}))
-	defer legacy.Close()
-	co := coord.New(coord.NewHTTPSite(legacy.URL, nil))
-	root, _, err := co.AggregateTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Count() != sk.Count() {
-		t.Errorf("fallback root count = %d, want %d", root.Count(), sk.Count())
 	}
 }

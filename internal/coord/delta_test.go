@@ -126,7 +126,7 @@ func TestDeltaCoordinatorBitIdentical(t *testing.T) {
 // in-process sites wrap. Only the routes the coordinator transport speaks
 // are needed.
 func serveEngineOver(eng *ecmsketch.Sharded) http.Handler {
-	srv, err := ecmserver.NewOver(ecmserver.Config{Epsilon: 0.1, Delta: 0.1, WindowLength: 50000, Seed: 99, Shards: 4}, eng)
+	srv, err := ecmserver.NewOver(ecmserver.Config{Epsilon: 0.1, Delta: 0.1, WindowLength: 50000, Seed: 99, Shards: 4}, eng, nil)
 	if err != nil {
 		panic(err)
 	}

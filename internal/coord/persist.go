@@ -67,5 +67,6 @@ func (c *Coordinator) RestoreState(blob []byte) error {
 	defer c.rootMu.Unlock()
 	c.root = sk
 	c.contrib = nil
+	c.frozen.Store(nil)
 	return nil
 }

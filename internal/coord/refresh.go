@@ -15,6 +15,10 @@ package coord
 // root (Snapshot / DeltaSnapshot satisfy the same source contracts leaf
 // engines do), and stacked coordinators pull deltas from coordinators the
 // way coordinators pull deltas from sites.
+//
+// Queries never touch the live root: they read a frozen clone of it (View),
+// the Sharded engine's merged-view discipline one level up, which makes a
+// Coordinator a read-side front end ecmserver can serve like any other.
 
 import (
 	"errors"
@@ -59,21 +63,18 @@ type RefreshStats struct {
 // The Network accounting charges the leaf transfers only (the flat merge
 // has no internal edges); the tree-model equivalent is AggregateTree.
 func (c *Coordinator) Refresh() error {
-	c.rootMu.Lock()
-	defer c.rootMu.Unlock()
 	r := c.pullRound()
 	defer r.release()
-	if len(r.members) == 0 {
-		return errors.New("coord: no sites to aggregate")
+	parts, _, err := c.foldOutcomes(r, false)
+	if err != nil {
+		return err
 	}
-	for i, o := range r.outs {
-		if o.err != nil {
-			return fmt.Errorf("coord: site %s: %w", r.members[i].site.Name(), o.err)
-		}
-	}
+	// Taken after the pulls (pullMu already orders concurrent rounds), so
+	// readers and upward delta pulls wait out a patch, never a network round.
+	c.rootMu.Lock()
+	defer c.rootMu.Unlock()
 
-	stats := RefreshStats{Round: r.round}
-	var parts []*core.Sketch
+	stats := RefreshStats{Round: r.round, Contributors: len(parts)}
 	var contrib []*member
 	var union []int
 	anyAll := false
@@ -82,7 +83,6 @@ func (c *Coordinator) Refresh() error {
 			stats.Excluded++
 			continue
 		}
-		parts = append(parts, o.part)
 		contrib = append(contrib, r.members[i])
 		if o.stale {
 			stats.Stale++
@@ -94,15 +94,6 @@ func (c *Coordinator) Refresh() error {
 			anyAll = true
 		} else {
 			union = append(union, o.cells...)
-		}
-	}
-	if len(parts) == 0 {
-		return errors.New("coord: no sites available (every site excluded by health backoff)")
-	}
-	for i := 1; i < len(parts); i++ {
-		if !parts[0].Compatible(parts[i]) {
-			return fmt.Errorf("coord: site %s: sketch parameters incompatible with site %s",
-				contrib[i].site.Name(), contrib[0].site.Name())
 		}
 	}
 
@@ -148,10 +139,10 @@ func (c *Coordinator) Refresh() error {
 		patched = c.root.Depth() * c.root.Width()
 	}
 	stats.Workers = core.MergeWorkersFor(patched)
-	stats.Contributors = len(parts)
 	stats.ChangedCells = len(union)
 	c.contrib = contrib
 	c.lastStats = stats
+	c.frozen.Store(nil)
 	return nil
 }
 
@@ -162,21 +153,91 @@ func (c *Coordinator) LastRefresh() RefreshStats {
 	return c.lastStats
 }
 
-// errNoView is returned by the serving surface before the first successful
-// Refresh.
-var errNoView = errors.New("coord: no merged view yet (Refresh has not succeeded)")
+// ErrNotReady is returned by the read side before the first successful
+// Refresh or RestoreState: there is no merged view to answer from yet.
+var ErrNotReady = errors.New("coord: no merged view yet (Refresh has not succeeded)")
 
-// Snapshot returns an independent clone of the incrementally maintained
-// merged view. It satisfies the same SnapshotSource contract leaf engines
-// do, so a coordinator nests under a parent coordinator via NewLocalSite —
-// the in-process form of a coordinator hierarchy.
-func (c *Coordinator) Snapshot() (*core.Sketch, error) {
+// View returns the frozen clone of the merged root that reads are answered
+// from: settled to its own clock, so every query on it is a pure read, and
+// shared — callers must not mutate it. Refresh only invalidates the clone;
+// the first View after a round republishes it.
+func (c *Coordinator) View() (*core.Sketch, error) {
+	if v := c.frozen.Load(); v != nil {
+		return v, nil
+	}
 	c.rootMu.Lock()
 	defer c.rootMu.Unlock()
-	if c.root == nil {
-		return nil, errNoView
+	if v := c.frozen.Load(); v != nil {
+		return v, nil
 	}
-	return c.root.Snapshot()
+	if c.root == nil {
+		return nil, ErrNotReady
+	}
+	v, err := c.root.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	v.Advance(v.Now())
+	c.frozen.Store(v)
+	return v, nil
+}
+
+// QueryBatch answers a multi-key query from the frozen view: one consistent
+// cut of the merged stream as of the last round.
+func (c *Coordinator) QueryBatch(q core.QueryBatch) (core.QueryResult, error) {
+	v, err := c.View()
+	if err != nil {
+		return core.QueryResult{}, err
+	}
+	return v.QueryBatch(q)
+}
+
+// QueryDirect answers the point-only form from the same view: a coordinator
+// has no stripes to route to, so only the direct contract applies
+// (aggregates rejected) and ?direct=1 behaves the same at every tier.
+func (c *Coordinator) QueryDirect(q core.QueryBatch) (core.QueryResult, error) {
+	v, err := c.View()
+	if err != nil {
+		return core.QueryResult{}, err
+	}
+	return v.QueryDirect(q)
+}
+
+// Now and Count report the frozen view's clock and arrival count; zero
+// before the first round.
+func (c *Coordinator) Now() core.Tick {
+	if v, err := c.View(); err == nil {
+		return v.Now()
+	}
+	return 0
+}
+
+func (c *Coordinator) Count() uint64 {
+	if v, err := c.View(); err == nil {
+		return v.Count()
+	}
+	return 0
+}
+
+// Marshal serializes the frozen view; nil before the first round.
+func (c *Coordinator) Marshal() []byte {
+	v, err := c.View()
+	if err != nil {
+		return nil
+	}
+	return v.Marshal()
+}
+
+// Snapshot returns an independent clone of the frozen view. It satisfies
+// the same SnapshotSource contract leaf engines do, so a coordinator nests
+// under a parent coordinator via NewLocalSite — the in-process form of a
+// coordinator hierarchy.
+func (c *Coordinator) Snapshot() (*core.Sketch, error) {
+	v, err := c.View()
+	if err != nil {
+		return nil, err
+	}
+	return v.Snapshot()
 }
 
 // DeltaSnapshot serves the cursor-based incremental protocol from the
@@ -189,7 +250,7 @@ func (c *Coordinator) DeltaSnapshot(since core.Cursor) ([]byte, core.Cursor, boo
 	c.rootMu.Lock()
 	defer c.rootMu.Unlock()
 	if c.root == nil {
-		return nil, core.Cursor{}, false, errNoView
+		return nil, core.Cursor{}, false, ErrNotReady
 	}
 	return c.root.DeltaSnapshot(since)
 }

@@ -6,9 +6,9 @@ package coord_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"ecmsketch"
 	"ecmsketch/internal/coord"
@@ -492,6 +492,10 @@ func TestDynamicMembershipConcurrent(t *testing.T) {
 				t.Errorf("observer round %d: %v", r, err)
 				return
 			}
+			if _, err := co.QueryBatch(core.QueryBatch{Keys: []uint64{7}, Total: true}); err != nil {
+				t.Errorf("observer round %d: query: %v", r, err)
+				return
+			}
 			if _, next, _, err := co.DeltaSnapshot(cur); err == nil {
 				cur = next
 			}
@@ -522,27 +526,77 @@ func TestDynamicMembershipConcurrent(t *testing.T) {
 	}
 }
 
-// TestPullStaggerDeterministic pins the stagger function: stable per name,
-// inside the window, spread across names, and disabled on a zero window.
-func TestPullStaggerDeterministic(t *testing.T) {
-	window := 10 * time.Second
-	seen := map[time.Duration]int{}
-	for i := 0; i < 32; i++ {
-		name := fmt.Sprintf("site-%d", i)
-		a := coord.PullStagger(name, window)
-		b := coord.PullStagger(name, window)
-		if a != b {
-			t.Fatalf("%s: stagger not deterministic: %v vs %v", name, a, b)
-		}
-		if a < 0 || a >= window {
-			t.Fatalf("%s: stagger %v outside [0,%v)", name, a, window)
-		}
-		seen[a]++
-	}
-	if len(seen) < 16 {
-		t.Fatalf("32 names landed on only %d distinct offsets", len(seen))
-	}
-	if coord.PullStagger("anything", 0) != 0 {
-		t.Fatal("zero window must disable staggering")
+// TestRefreshSurvivesExpiry is the regression test for the nil-note crash:
+// a delta-pulling coordinator patches its retained baselines and its root
+// with PatchMerged(…, nil), which advances every unpatched cell — and once
+// the windows are full such a cell can drop an expired bucket, where the
+// unguarded note(i) call used to die on a nil func inside a pull goroutine.
+// The EH case is the configuration that crashed (eight 2-stripe sites, one
+// Zipf event per site per tick, a refresh every W/16 ticks: a nil-func
+// SIGSEGV in round 44); the wave engines run smaller ones. All stream for
+// more than three windows, and every round's root must also stay
+// byte-identical to a from-scratch flat merge while buckets expire under it.
+func TestRefreshSurvivesExpiry(t *testing.T) {
+	for _, tc := range []struct {
+		algo   ecmsketch.Algorithm
+		sites  int
+		eps    float64
+		window uint64
+	}{
+		{ecmsketch.AlgoEH, 8, 0.05, 4096},
+		{ecmsketch.AlgoDW, 4, 0.1, 1024},
+		{ecmsketch.AlgoRW, 4, 0.25, 512}, // randomized waves cost 1/ε² per cell
+	} {
+		t.Run(tc.algo.String(), func(t *testing.T) {
+			every, ticks := tc.window/16, 3*tc.window+tc.window/8
+			engines := make([]*ecmsketch.Sharded, tc.sites)
+			sites := make([]coord.Site, tc.sites)
+			zipfs := make([]*rand.Zipf, tc.sites)
+			for i := range engines {
+				eng, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{
+					Params: ecmsketch.Params{Epsilon: tc.eps, Delta: tc.eps, Algorithm: tc.algo,
+						WindowLength: tc.window, UpperBound: 2 * tc.window, Seed: 41},
+					Shards: 2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines[i] = eng
+				sites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
+				zipfs[i] = rand.NewZipf(rand.New(rand.NewSource(int64(100+i))), 1.1, 1, 1<<16)
+			}
+			co := coord.New(sites...)
+			co.SetDeltaPulls(true)
+			co.SetResilient(true)
+			for tick := uint64(1); tick <= ticks; tick++ {
+				for i, eng := range engines {
+					eng.Add(zipfs[i].Uint64(), tick)
+				}
+				if tick%every != 0 {
+					continue
+				}
+				if err := co.Refresh(); err != nil {
+					t.Fatalf("tick %d: Refresh: %v", tick, err)
+				}
+				if st := co.LastRefresh(); st.Stale != 0 || st.Excluded != 0 {
+					t.Fatalf("tick %d: in-process sites went stale: %+v", tick, st)
+				}
+				got, err := co.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The reference pulls full baselines through the same protocol:
+				// a fresh coordinator has no cursors to present.
+				ref := coord.New(sites...)
+				ref.SetDeltaPulls(true)
+				want, _, err := ref.AggregateFlat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Marshal(), want.Marshal()) {
+					t.Fatalf("tick %d: patched root differs from from-scratch flat merge", tick)
+				}
+			}
+		})
 	}
 }

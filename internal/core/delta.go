@@ -616,8 +616,8 @@ func (st *DeltaState) applyFull(payload []byte, cur Cursor) error {
 	st.changed, st.changedAll = nil, true
 	st.merged, st.mergedDirty, st.mergedDirtyAll = nil, nil, false
 	if cur.IsZero() {
-		// Producer does not speak cursors (legacy server, plain snapshot
-		// source): keep pulling full.
+		// Producer does not speak cursors (a plain snapshot source): keep
+		// pulling full.
 		st.epoch, st.vers = 0, nil
 	} else {
 		if len(cur.Vers) != len(st.parts) {

@@ -254,6 +254,35 @@ func TestDeltaExpiryJoinsChangeFeed(t *testing.T) {
 	}
 }
 
+// TestAdvanceNotingNilNote: note is optional — both production callers of
+// PatchMerged pass nil — so an advance that expires content must report
+// nothing rather than call it, on every bank.
+func TestAdvanceNotingNilNote(t *testing.T) {
+	for _, algo := range []window.Algorithm{window.AlgoEH, window.AlgoDW, window.AlgoRW} {
+		t.Run(algo.String(), func(t *testing.T) {
+			p := deltaTestParams()
+			p.Algorithm = algo
+			p.UpperBound = 1 << 16
+			s, err := New(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 8; k++ {
+				s.Add(uint64(k), Tick(k+1))
+			}
+			want, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Advance(5000)
+			s.AdvanceNoting(5000, nil)
+			if !bytes.Equal(s.Marshal(), want.Marshal()) {
+				t.Fatal("AdvanceNoting(t, nil) diverged from Advance(t)")
+			}
+		})
+	}
+}
+
 // TestDeltaIndexOverflowRejected: a crafted payload whose cell- or
 // part-index varint would wrap int must error (and drop the baseline), not
 // panic — a compromised site must never crash the coordinator.

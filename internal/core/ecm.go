@@ -351,8 +351,13 @@ func (s *Sketch) Advance(t Tick) {
 // producer's clock use it to keep their changed-cell feed exact; the
 // test-only per-object engines have no per-cell expiry reporting, so there
 // the move falls back to Advance and note(-1) signals that granularity was
-// lost (any cell may have changed) whenever the clock actually moved.
+// lost (any cell may have changed) whenever the clock actually moved. A nil
+// note advances and reports nothing.
 func (s *Sketch) AdvanceNoting(t Tick, note func(int)) {
+	if note == nil {
+		s.Advance(t)
+		return
+	}
 	if s.bank != nil {
 		if t > s.now {
 			s.now = t
@@ -362,7 +367,7 @@ func (s *Sketch) AdvanceNoting(t Tick, note func(int)) {
 	}
 	moved := t > s.now
 	s.Advance(t)
-	if moved && note != nil {
+	if moved {
 		note(-1)
 	}
 }

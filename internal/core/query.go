@@ -71,6 +71,10 @@ func (s *Sketch) QueryBatch(q QueryBatch) (QueryResult, error) {
 	return res, nil
 }
 
+// ErrDirectAggregates rejects Total/SelfJoin on the direct read path, in one
+// wording for every front end.
+var ErrDirectAggregates = errors.New("ecmsketch: direct reads answer point queries only (aggregates need the merged view; use QueryBatch)")
+
 // QueryDirect answers the point-only form of QueryBatch. A single sketch
 // has no stripes: every key already reads its own cells with zero merge
 // error, so the direct read and the consistent batch coincide. The method
@@ -79,7 +83,7 @@ func (s *Sketch) QueryBatch(q QueryBatch) (QueryResult, error) {
 // switching a front end never has a query class silently change meaning.
 func (s *Sketch) QueryDirect(q QueryBatch) (QueryResult, error) {
 	if q.Total || q.SelfJoin {
-		return QueryResult{}, errors.New("core: direct reads answer point queries only (request aggregates via QueryBatch)")
+		return QueryResult{}, ErrDirectAggregates
 	}
 	return s.QueryBatch(q)
 }

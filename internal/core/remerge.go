@@ -17,7 +17,7 @@ package core
 // (This holds for the flat P-way Merge; the pairwise AggregateTree shape
 // re-replays already-merged histograms, whose half/half splits are not
 // stable under patching — which is why the incremental path is defined
-// against Merge and the coordinator's incremental mode merges flat.)
+// against Merge and the coordinator's Refresh merges flat.)
 
 import (
 	"errors"

@@ -318,7 +318,7 @@ func ParseQueryParams(r *http.Request) (core.QueryBatch, error) {
 type SnapshotMeta struct {
 	Now    uint64
 	Count  uint64
-	Cursor string // "" omits the header (legacy full replies)
+	Cursor string // "" omits the header (plain full replies)
 	Kind   string // "", KindFull or KindDelta
 }
 
@@ -377,10 +377,8 @@ func WriteSnapshot(w http.ResponseWriter, r *http.Request, payload []byte, m Sna
 
 // SnapshotReply is one fetched snapshot: the decoded payload, the bytes
 // that actually crossed the wire (compressed when the server gzipped), and
-// the protocol headers. Status is returned without error for non-200
-// replies so callers can branch (e.g. a 404 route fallback).
+// the protocol headers.
 type SnapshotReply struct {
-	Status  int
 	Payload []byte
 	Wire    int
 	Now     uint64
@@ -392,14 +390,9 @@ type SnapshotReply struct {
 // FetchSnapshot GETs a snapshot URL, explicitly offering gzip (which
 // disables Go's transparent decompression precisely so the raw transfer
 // size can be measured) and decompressing the body when the server took the
-// offer.
-func FetchSnapshot(hc *http.Client, url string) (SnapshotReply, error) {
-	return FetchSnapshotAuth(hc, url, "")
-}
-
-// FetchSnapshotAuth is FetchSnapshot with an optional bearer token ("" sends
-// no Authorization header) for servers running with auth enabled.
-func FetchSnapshotAuth(hc *http.Client, url, token string) (SnapshotReply, error) {
+// offer. A non-empty token is sent as a bearer credential. Any reply but
+// 200 is an error naming the status.
+func FetchSnapshot(hc *http.Client, url, token string) (SnapshotReply, error) {
 	var rep SnapshotReply
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
@@ -414,10 +407,9 @@ func FetchSnapshotAuth(hc *http.Client, url, token string) (SnapshotReply, error
 		return rep, err
 	}
 	defer resp.Body.Close()
-	rep.Status = resp.StatusCode
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
-		return rep, nil
+		return rep, fmt.Errorf("snapshot pull returned status %d", resp.StatusCode)
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxSnapshotBytes))
 	if err != nil {

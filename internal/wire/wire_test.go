@@ -32,7 +32,7 @@ func TestWriteFetchRoundTrip(t *testing.T) {
 				wire.WriteSnapshot(w, r, tc.payload, tc.meta)
 			}))
 			defer ts.Close()
-			rep, err := wire.FetchSnapshot(http.DefaultClient, ts.URL)
+			rep, err := wire.FetchSnapshot(http.DefaultClient, ts.URL, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,16 +90,13 @@ func TestGzipNegotiation(t *testing.T) {
 	}
 }
 
-// TestFetchSnapshotNon200: non-200 replies come back as a status without an
-// error, so callers branch on route fallbacks.
+// TestFetchSnapshotNon200: a non-200 reply is an error naming the status,
+// with no payload.
 func TestFetchSnapshotNon200(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	defer ts.Close()
-	rep, err := wire.FetchSnapshot(http.DefaultClient, ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != http.StatusNotFound || rep.Payload != nil {
-		t.Fatalf("got %+v", rep)
+	rep, err := wire.FetchSnapshot(http.DefaultClient, ts.URL, "")
+	if err == nil || !strings.Contains(err.Error(), "404") || rep.Payload != nil {
+		t.Fatalf("got %+v, err %v; want a status-404 error", rep, err)
 	}
 }

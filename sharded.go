@@ -1,7 +1,6 @@
 package ecmsketch
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -878,7 +877,7 @@ func (sh *Sharded) QueryBatch(q QueryBatch) (QueryResult, error) {
 // request them through QueryBatch.
 func (sh *Sharded) QueryDirect(q QueryBatch) (QueryResult, error) {
 	if q.Total || q.SelfJoin {
-		return QueryResult{}, errors.New("ecmsketch: direct reads answer point queries only (aggregates need the merged view; use QueryBatch)")
+		return QueryResult{}, core.ErrDirectAggregates
 	}
 	now := sh.now.Load()
 	r := q.Range
