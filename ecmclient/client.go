@@ -213,19 +213,9 @@ func (c *Client) AddEvents(events []ecmsketch.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	type wireEvent struct {
-		IKey string `json:"ikey"`
-		T    uint64 `json:"t"`
-		N    uint64 `json:"n,omitempty"`
-	}
-	wire := make([]wireEvent, len(events))
-	for i, ev := range events {
-		wire[i] = wireEvent{IKey: strconv.FormatUint(ev.Key, 10), T: ev.Tick, N: ev.N}
-	}
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return err
-	}
+	// A fresh body per call, never pooled: net/http may still be writing it
+	// when Do returns on an early error reply.
+	body := wire.EncodeEvents(events)
 	return c.post("/v1/events", nil, bytes.NewReader(body), "application/json", nil)
 }
 

@@ -1,9 +1,15 @@
 package ecmclient_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -405,5 +411,63 @@ func TestClientAsCoordinatorSite(t *testing.T) {
 	}
 	if co.Network().Messages() != 2 {
 		t.Errorf("messages = %d, want 2", co.Network().Messages())
+	}
+}
+
+// roundTripFunc is an http.RoundTripper that is just a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestAddEventsBodyMatchesJSONMarshal: the hand-appended /v1/events body is
+// byte for byte what json.Marshal made of the wire struct it replaced, and it
+// still reaches net/http as a replayable, length-framed body (Content-Length
+// and GetBody set).
+func TestAddEventsBodyMatchesJSONMarshal(t *testing.T) {
+	type wireEvent struct {
+		IKey string `json:"ikey"`
+		T    uint64 `json:"t"`
+		N    uint64 `json:"n,omitempty"`
+	}
+	var sent, replay []byte
+	var length int64
+	c := ecmclient.New("http://site.invalid", ecmclient.WithHTTPClient(&http.Client{
+		Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			length = r.ContentLength
+			sent, _ = io.ReadAll(r.Body)
+			if r.GetBody != nil {
+				again, _ := r.GetBody()
+				replay, _ = io.ReadAll(again)
+			}
+			return &http.Response{StatusCode: 200, Body: io.NopCloser(bytes.NewReader(nil))}, nil
+		}),
+	}))
+	rng := rand.New(rand.NewSource(5))
+	edge := []uint64{0, 1, 2, 1 << 53, 1<<53 + 1, math.MaxUint64}
+	for round := 0; round < 50; round++ {
+		evs := make([]ecmsketch.Event, 1+rng.Intn(40))
+		for i := range evs {
+			evs[i] = ecmsketch.Event{Key: rng.Uint64(), Tick: 1 + rng.Uint64()>>uint(rng.Intn(64)), N: edge[rng.Intn(len(edge))]}
+			if rng.Intn(4) == 0 {
+				evs[i].Key = edge[rng.Intn(len(edge))]
+			}
+		}
+		old := make([]wireEvent, len(evs))
+		for i, ev := range evs {
+			old[i] = wireEvent{IKey: strconv.FormatUint(ev.Key, 10), T: ev.Tick, N: ev.N}
+		}
+		want, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddEvents(evs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sent, want) {
+			t.Fatalf("round %d: body\n%s\nwant json.Marshal's\n%s", round, sent, want)
+		}
+		if length != int64(len(want)) || !bytes.Equal(replay, want) {
+			t.Fatalf("round %d: Content-Length %d, GetBody replayed %d bytes; want %d and the same body", round, length, len(replay), len(want))
+		}
 	}
 }

@@ -352,6 +352,16 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 // long request bodies never accumulate in full.
 const ingestFlushEvery = 4096
 
+// eventBufs pools the chunk buffers of the batch routes. A handler may put
+// its buffer back as soon as ingestBatch returns: Sharded.AddBatch only reads
+// the slice (sync ingest applies and WAL-encodes it under the stripe locks,
+// the async pipeline copies it into its own per-stripe chunks), and the
+// standing-query and TopK notes copy the keys out before returning.
+var eventBufs = sync.Pool{New: func() any {
+	buf := make([]ecmsketch.Event, 0, ingestFlushEvery)
+	return &buf
+}}
+
 // handleBatch ingests newline-separated "key,tick[,count]" records:
 // POST /v1/batch with a text body. Returns the number of accepted records
 // and the first error encountered, if any. Records are applied in chunks
@@ -362,21 +372,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	accepted, lineNo := 0, 0
 	var firstErr string
-	events := make([]ecmsketch.Event, 0, ingestFlushEvery)
+	buf := eventBufs.Get().(*[]ecmsketch.Event)
+	defer eventBufs.Put(buf)
+	events := (*buf)[:0]
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		parts := strings.Split(line, ",")
-		if len(parts) < 2 {
+		name, rest, ok := strings.Cut(line, ",")
+		if !ok {
 			if firstErr == "" {
 				firstErr = fmt.Sprintf("line %d: want key,tick[,count]", lineNo)
 			}
 			continue
 		}
-		t, err := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 64)
+		tick, count, hasCount := strings.Cut(rest, ",")
+		t, err := strconv.ParseUint(strings.TrimSpace(tick), 10, 64)
 		if err != nil {
 			if firstErr == "" {
 				firstErr = fmt.Sprintf("line %d: bad tick: %v", lineNo, err)
@@ -384,15 +397,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		n := uint64(1)
-		if len(parts) >= 3 {
-			if n, err = strconv.ParseUint(strings.TrimSpace(parts[2]), 10, 64); err != nil {
+		if hasCount {
+			count, _, _ = strings.Cut(count, ",") // further fields are ignored
+			if n, err = strconv.ParseUint(strings.TrimSpace(count), 10, 64); err != nil {
 				if firstErr == "" {
 					firstErr = fmt.Sprintf("line %d: bad count: %v", lineNo, err)
 				}
 				continue
 			}
 		}
-		key := ecmsketch.KeyString(strings.TrimSpace(parts[0]))
+		key := ecmsketch.KeyString(strings.TrimSpace(name))
 		events = append(events, ecmsketch.Event{Key: key, Tick: t, N: n})
 		accepted++
 		if len(events) == ingestFlushEvery {
@@ -412,74 +426,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wire.Respond(w, resp)
 }
 
-// WireEvent is the JSON form of one batched arrival on POST /v1/events.
-// Exactly one of Key (string, digested server-side) or IKey (decimal
-// uint64, kept as a string so >2^53 digests survive non-Go JSON stacks)
-// identifies the item.
-type WireEvent struct {
-	Key  string `json:"key,omitempty"`
-	IKey string `json:"ikey,omitempty"`
-	T    uint64 `json:"t"`
-	N    uint64 `json:"n,omitempty"`
-}
-
 // handleEvents ingests a JSON array of arrivals: POST /v1/events with body
-// [{"key":"/home","t":12345,"n":2}, {"ikey":"17446744073709551615","t":12346}].
-// The array is decoded element by element and flushed into the engine in
-// chunks, so body size does not bound memory; an error mid-stream returns
-// 400 with the count already accepted (earlier chunks are not rolled back).
+// [{"key":"/home","t":12345,"n":2}, {"ikey":"17446744073709551615","t":12346}]
+// (wire.Scanner.NextEvent has the grammar). The array is scanned element by
+// element and flushed into the engine in chunks, so body size does not bound
+// memory; an error mid-stream returns 400 with the count already accepted
+// (earlier chunks are not rolled back).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	accepted := 0
-	fail := func(err error) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
-	}
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
-		fail(fmt.Errorf("bad events body: want a JSON array"))
-		return
-	}
-	events := make([]ecmsketch.Event, 0, ingestFlushEvery)
-	for i := 0; dec.More(); i++ {
-		var ev WireEvent
-		if err := dec.Decode(&ev); err != nil {
-			fail(fmt.Errorf("event %d: %v", i, err))
+	sc := wire.NewScanner(r.Body)
+	defer sc.Release()
+	buf := eventBufs.Get().(*[]ecmsketch.Event)
+	defer eventBufs.Put(buf)
+	events, accepted := (*buf)[:0], 0
+	for {
+		ev, ok, err := sc.NextEvent()
+		if err != nil {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
 			return
 		}
-		var key uint64
-		switch {
-		case ev.Key != "":
-			key = ecmsketch.KeyString(ev.Key)
-		case ev.IKey != "":
-			v, err := strconv.ParseUint(ev.IKey, 10, 64)
-			if err != nil {
-				fail(fmt.Errorf("event %d: bad ikey: %v", i, err))
-				return
-			}
-			key = v
-		default:
-			fail(fmt.Errorf("event %d: missing key or ikey", i))
-			return
+		if !ok {
+			break
 		}
-		if ev.T == 0 {
-			fail(fmt.Errorf("event %d: missing or zero t", i))
-			return
-		}
-		events = append(events, ecmsketch.Event{Key: key, Tick: ev.T, N: ev.N})
-		if len(events) == ingestFlushEvery {
+		if events = append(events, ev); len(events) == ingestFlushEvery {
 			s.ingestBatch(events)
 			accepted += len(events)
 			events = events[:0]
 		}
 	}
-	if tok, err := dec.Token(); err != nil || tok != json.Delim(']') {
-		fail(fmt.Errorf("bad events body: unterminated array"))
-		return
-	}
 	s.ingestBatch(events)
-	accepted += len(events)
-	wire.Respond(w, map[string]any{"accepted": accepted})
+	wire.Respond(w, map[string]any{"accepted": accepted + len(events)})
 }
 
 // WireQueryResult is the JSON reply of POST /v1/query: one estimate per

@@ -169,15 +169,191 @@ func RequireBearer(token string, next http.Handler) http.Handler {
 // parsed.
 const MaxQueryKeys = 4096
 
-// queryKey identifies one queried item on POST /v1/query: exactly one of
-// Key (string, digested server-side) or IKey (decimal uint64 as a string).
-type queryKey struct {
-	Key  string `json:"key,omitempty"`
-	IKey string `json:"ikey,omitempty"`
+// The two bounds a JSON request body is scanned under: no string token (a
+// key, a field name, a string inside an unknown field) may exceed
+// MaxStringToken bytes between its quotes, and the value of an unknown field
+// may nest at most MaxSkipDepth arrays/objects — lowered from encoding/json's
+// 10000, since nothing the routes understand nests at all. Either is answered
+// 400; without them one element could buffer the whole body.
+const (
+	MaxStringToken = 64 << 10
+	MaxSkipDepth   = 32
+)
+
+// Fields of the one-item objects on the wire, ordered so that a route names
+// the last one it knows: /v1/query elements stop at ikey, /v1/events
+// elements at n.
+const (
+	fieldNone = iota
+	fieldKey
+	fieldIKey
+	fieldT
+	fieldN
+)
+
+var fieldNames = [...][]byte{fieldKey: []byte("key"), fieldIKey: []byte("ikey"), fieldT: []byte("t"), fieldN: []byte("n")}
+
+// item reads one {"key"|"ikey", "t", "n"} object at the cursor, recognising
+// fields up to last and skipping the others, and resolves the key it names
+// once the object has closed: as encoding/json had it, names fold case, null
+// changes nothing, the last duplicate of a field wins, and a non-empty key
+// beats ikey whatever their order — an unparsable ikey behind one is no error.
+func (s *Scanner) item(last int) (key, t, n uint64, err error) {
+	var (
+		ikey      uint64
+		hasKey    bool // the last "key" was a non-empty string
+		ikeyState int  // of the last "ikey": 0 absent or empty, 1 parsed, -1 not a uint64
+	)
+	if err = s.want('{'); err != nil {
+		return 0, 0, 0, err
+	}
+	for first := true; ; first = false {
+		var name []byte
+		var ok bool
+		if name, ok, err = s.member(first); err != nil {
+			return 0, 0, 0, err
+		}
+		if !ok {
+			break
+		}
+		f := fieldNone
+		switch string(name) {
+		case "key":
+			f = fieldKey
+		case "ikey":
+			f = fieldIKey
+		case "t":
+			f = fieldT
+		case "n":
+			f = fieldN
+		default:
+			for i := fieldKey; i <= fieldN; i++ {
+				if bytes.EqualFold(name, fieldNames[i]) {
+					f = i
+				}
+			}
+		}
+		if f > last {
+			f = fieldNone
+		}
+		if err = s.want(':'); err != nil {
+			return 0, 0, 0, err
+		}
+		switch f {
+		case fieldNone:
+			err = s.skip(MaxSkipDepth)
+		case fieldT:
+			err = s.uint(&t)
+		case fieldN:
+			err = s.uint(&n)
+		default: // key or ikey: a string, or null
+			if s.peek() == 'n' {
+				err = s.lit("null")
+				break
+			}
+			var v []byte
+			if v, err = s.quoted(); err != nil {
+				break
+			}
+			if f == fieldKey {
+				key, hasKey = hashing.KeyBytes(v), len(v) > 0
+				break
+			}
+			ikey, ikeyState = 0, 0
+			for i, c := range v { // strconv.ParseUint(v, 10, 64), without the string
+				d := uint64(c - '0')
+				if ikeyState = 1; d > 9 || !pushDigit(&ikey, d, i) {
+					ikeyState = -1
+					break
+				}
+			}
+		}
+		if err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	switch {
+	case hasKey:
+	case ikeyState < 0:
+		err = errors.New("bad ikey: want a decimal uint64")
+	case ikeyState == 0:
+		err = errors.New("missing key or ikey")
+	default:
+		key = ikey
+	}
+	return key, t, n, err
+}
+
+// NextEvent decodes the next element of a POST /v1/events body,
+//
+//	[{"key":"/home","t":12345,"n":2}, {"ikey":"17446744073709551615","t":12346}]
+//
+// reporting false after the closing ']'; bytes behind it are not read. An
+// error names the element it stopped at.
+func (s *Scanner) NextEvent() (core.Event, bool, error) {
+	if s.n < 0 {
+		if s.want('[') != nil {
+			return core.Event{}, false, errors.New("bad events body: want a JSON array")
+		}
+		s.n = 0
+	}
+	if ok, err := s.elem(s.n == 0); err != nil {
+		return core.Event{}, false, fmt.Errorf("bad events body: unterminated array: %w", err)
+	} else if !ok {
+		return core.Event{}, false, nil
+	}
+	key, t, n, err := s.item(fieldN)
+	if err == nil && t == 0 {
+		err = errors.New("missing or zero t")
+	}
+	if err != nil {
+		return core.Event{}, false, fmt.Errorf("event %d: %w", s.n, err)
+	}
+	s.n++
+	return core.Event{Key: key, Tick: t, N: n}, true, nil
+}
+
+// EncodeEvents returns the POST /v1/events body for events in one exactly
+// presized allocation: a {"ikey":"<decimal>","t":<tick>[,"n":<count>]} per
+// event, n omitted when zero — byte for byte what encoding/json made of those
+// fields.
+func EncodeEvents(events []core.Event) []byte {
+	size := len("[") + max(1, len(events)*len(`{"ikey":"","t":},`)) // each event closes with ',' or ']'
+	for _, ev := range events {
+		size += decLen(ev.Key) + decLen(ev.Tick)
+		if ev.N != 0 {
+			size += len(`,"n":`) + decLen(ev.N)
+		}
+	}
+	dst := append(make([]byte, 0, size), '[')
+	for i, ev := range events {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(append(dst, `{"ikey":"`...), ev.Key, 10)
+		dst = strconv.AppendUint(append(dst, `","t":`...), ev.Tick, 10)
+		if ev.N != 0 {
+			dst = strconv.AppendUint(append(dst, `,"n":`...), ev.N, 10)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
+// decLen is the number of decimal digits of v.
+func decLen(v uint64) int {
+	n := 1
+	for ; v >= 1e4; v /= 1e4 {
+		n += 4
+	}
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // ParseQueryBody decodes a POST /v1/query request body into a QueryBatch
-// under the strict wire semantics of the versioned API: the body is decoded
+// under the strict wire semantics of the versioned API: the body is scanned
 // token by token with the keys array consumed element-wise, so request
 // memory stays bounded — batches beyond MaxQueryKeys are rejected
 // mid-stream, and duplicate or unknown fields are rejected rather than
@@ -185,17 +361,21 @@ type queryKey struct {
 // coordinator surface) validates through this one parser.
 func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 	var q core.QueryBatch
-	dec := json.NewDecoder(body)
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+	s := NewScanner(body)
+	defer s.Release()
+	if s.want('{') != nil {
 		return q, fmt.Errorf("bad query body: want a JSON object")
 	}
 	seen := map[string]bool{}
-	for dec.More() {
-		tok, err := dec.Token()
+	for first := true; ; first = false {
+		name, ok, err := s.member(first)
 		if err != nil {
 			return q, fmt.Errorf("bad query body: %v", err)
 		}
-		field, _ := tok.(string)
+		if !ok {
+			return q, nil
+		}
+		field := string(name)
 		if seen[field] {
 			// Rejecting duplicates keeps the parse strict (last-wins would
 			// mask client bugs) and stops repeated keys arrays from evading
@@ -203,55 +383,45 @@ func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 			return q, fmt.Errorf("duplicate query field %q", field)
 		}
 		seen[field] = true
+		if err := s.want(':'); err != nil {
+			return q, fmt.Errorf("bad query body: %v", err)
+		}
 		switch field {
 		case "keys":
-			if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+			if s.want('[') != nil {
 				return q, fmt.Errorf("bad query body: keys must be an array")
 			}
-			for dec.More() {
+			for first := true; ; first = false {
+				if ok, err := s.elem(first); err != nil {
+					return q, fmt.Errorf("bad query body: unterminated keys array")
+				} else if !ok {
+					break
+				}
 				if len(q.Keys) == MaxQueryKeys {
 					return q, fmt.Errorf("too many keys: at most %d per query", MaxQueryKeys)
 				}
-				var wk queryKey
-				if err := dec.Decode(&wk); err != nil {
+				key, _, _, err := s.item(fieldIKey)
+				if err != nil {
 					return q, fmt.Errorf("key %d: %v", len(q.Keys), err)
 				}
-				switch {
-				case wk.Key != "":
-					q.Keys = append(q.Keys, hashing.KeyString(wk.Key))
-				case wk.IKey != "":
-					v, err := strconv.ParseUint(wk.IKey, 10, 64)
-					if err != nil {
-						return q, fmt.Errorf("key %d: bad ikey: %v", len(q.Keys), err)
-					}
-					q.Keys = append(q.Keys, v)
-				default:
-					return q, fmt.Errorf("key %d: missing key or ikey", len(q.Keys))
-				}
-			}
-			if tok, err := dec.Token(); err != nil || tok != json.Delim(']') {
-				return q, fmt.Errorf("bad query body: unterminated keys array")
+				q.Keys = append(q.Keys, key)
 			}
 		case "range":
-			if err := dec.Decode(&q.Range); err != nil {
+			if err := s.uint(&q.Range); err != nil {
 				return q, fmt.Errorf("bad range: %v", err)
 			}
 		case "total":
-			if err := dec.Decode(&q.Total); err != nil {
+			if err := s.boolean(&q.Total); err != nil {
 				return q, fmt.Errorf("bad total: %v", err)
 			}
 		case "selfJoin":
-			if err := dec.Decode(&q.SelfJoin); err != nil {
+			if err := s.boolean(&q.SelfJoin); err != nil {
 				return q, fmt.Errorf("bad selfJoin: %v", err)
 			}
 		default:
 			return q, fmt.Errorf("unknown query field %q", field)
 		}
 	}
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('}') {
-		return q, fmt.Errorf("bad query body: unterminated object")
-	}
-	return q, nil
 }
 
 // ParseQueryParams decodes the GET form of /v1/query from the URL query
