@@ -138,16 +138,6 @@ type DirectQuerier interface {
 	QueryDirect(q QueryBatch) (QueryResult, error)
 }
 
-// SetMergeParallelism caps the worker pool Merge, PatchMerged and the
-// sharded engine's view rebuild fan cell replay across; n <= 0 restores the
-// automatic choice (GOMAXPROCS), 1 forces the sequential path. Parallel and
-// sequential paths produce byte-identical sketches; the knob exists for
-// benchmarking and for capping merge CPU next to latency-critical ingest.
-func SetMergeParallelism(n int) { core.SetMergeParallelism(n) }
-
-// MergeParallelism reports the configured merge worker cap (0 = automatic).
-func MergeParallelism() int { return core.MergeParallelism() }
-
 // Snapshotter produces merge-ready summaries: the wire encoding consumed by
 // Unmarshal/Merge, and a decoded independent copy. A Sharded engine and a
 // remote Client synthesize their snapshot by merging (resp. fetching) on

@@ -2,7 +2,7 @@
 // at a reduced, benchmark-friendly scale. Each Benchmark{Table,Fig}* runs
 // the corresponding experiment and reports the headline quantities via
 // b.ReportMetric, so `go test -bench=. -benchmem` prints the same series the
-// paper does (full-scale runs: cmd/ecmbench).
+// paper does (full-scale runs: cmd/ecmbench -exp).
 package ecmsketch_test
 
 import (

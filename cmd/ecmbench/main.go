@@ -10,6 +10,10 @@
 //
 // Experiments: table2, table3, table4, fig4, fig5, fig6, heavy, geom,
 // geomscale, plan, motivation, ablation, all.
+//
+// These are the paper's own measurements. The performance of this
+// implementation — ingest, reads, refresh rounds, recovery — is measured by
+// ./bench (bash bench/run.sh), not here.
 package main
 
 import (
@@ -28,121 +32,8 @@ func main() {
 		exp     = flag.String("exp", "all", "experiment: table2|table3|table4|fig4|fig5|fig6|heavy|geom|geomscale|plan|motivation|ablation|all")
 		dataset = flag.String("dataset", "both", "dataset: wc98|snmp|both")
 		events  = flag.Int("events", experiments.DefaultScale, "stream length per dataset")
-		ingest  = flag.Bool("ingest", false, "measure engine ingest throughput and append JSON results to -out instead of running paper experiments")
-		ismoke  = flag.Bool("ingestsmoke", false, "paired same-process ingest regression gate: exit non-zero if the batch pipeline loses its required edge over per-event ingest (20% noise tolerance)")
-		query   = flag.Bool("query", false, "measure merged-view query latency under concurrent readers/writers and append JSON results to -out")
-		qwire   = flag.Bool("querywire", false, "measure wire-level QueryBatch round trips (ecmclient → ecmserver over loopback HTTP) and append JSON results to -out")
-		dwire   = flag.Bool("deltawire", false, "measure full-pull vs delta-pull coordinator bytes and latency over a slow-moving stream (loopback HTTP) and append JSON results to -out")
-		pushfan = flag.Bool("pushfan", false, "measure standing-query SSE fan-out: notify latency and memory across many in-process subscribers, append JSON results to -out")
-		subs    = flag.Int("subs", 10000, "subscriber count for -pushfan")
-		ctree   = flag.Bool("coordtree", false, "simulate a 3-level coordinator hierarchy (full vs delta vs incremental re-merge) over -treesites leaves, gate root byte-identity across modes, and append JSON results to -out")
-		tsites  = flag.Int("treesites", 1000, "leaf-site count for -coordtree (rounded to the nearest cube)")
-		tints   = flag.Int("treeintervals", 14, "pull intervals per mode for -coordtree")
-		tcheck  = flag.Bool("treecheck", true, "-coordtree: assert the three modes' root views byte-identical every interval")
-		mscale  = flag.Bool("mergescale", false, "measure parallel merge scaling (coordinator refresh + sharded view rebuild vs worker count) plus direct-vs-merged point reads, gate parallel/sequential byte-identity every interval, and append JSON results to -out")
-		mints   = flag.Int("mergeintervals", 12, "steady-state intervals per worker setting for -mergescale")
-		mcheck  = flag.Bool("mergecheck", true, "-mergescale: gate root byte-identity, the workers=4 regression bound, and the direct-read contract")
-		recov   = flag.Bool("recover", false, "measure durable-state costs (checkpoint write/restore time, WAL replay events/s, ingest overhead WAL on/off) on a file-backed store and append JSON results to -out")
-		revents = flag.Int("recoverevents", 200000, "pre-checkpoint event count for -recover (a quarter more is ingested as the WAL replay set)")
-		label   = flag.String("label", "dev", "label recorded with -ingest/-query results")
-		out     = flag.String("out", "", "output file for -ingest/-query results (default BENCH_ingest.json / BENCH_query.json)")
 	)
 	flag.Parse()
-	if *ingest {
-		path := *out
-		if path == "" {
-			path = "BENCH_ingest.json"
-		}
-		if err := runIngestBench(*label, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ismoke {
-		if err := runIngestSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *query {
-		path := *out
-		if path == "" {
-			path = "BENCH_query.json"
-		}
-		if err := runQueryBench(*label, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *qwire {
-		path := *out
-		if path == "" {
-			path = "BENCH_query.json"
-		}
-		if err := runWireBench(*label, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dwire {
-		path := *out
-		if path == "" {
-			path = "BENCH_coord.json"
-		}
-		if err := runDeltaWireBench(*label, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ctree {
-		path := *out
-		if path == "" {
-			path = "BENCH_coord.json"
-		}
-		if err := runCoordTreeBench(*label, path, *tsites, *tints, *tcheck); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *mscale {
-		path := *out
-		if path == "" {
-			path = "BENCH_coord.json"
-		}
-		if err := runMergeScaleBench(*label, path, *mints, *mcheck); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *recov {
-		path := *out
-		if path == "" {
-			path = "BENCH_durable.json"
-		}
-		if err := runRecoverBench(*label, path, *revents); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pushfan {
-		path := *out
-		if path == "" {
-			path = "BENCH_push.json"
-		}
-		if err := runPushFanBench(*label, path, *subs); err != nil {
-			fmt.Fprintln(os.Stderr, "ecmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*exp, *dataset, *events); err != nil {
 		fmt.Fprintln(os.Stderr, "ecmbench:", err)
 		os.Exit(1)

@@ -598,7 +598,8 @@ func (sh *Sharded) closeDurable() error {
 // goroutines stop (so tests don't leak them), but nothing is flushed,
 // synced or checkpointed — recovery must reconstruct the state from the
 // last checkpoint plus the WAL. It exists for crash-recovery tests and
-// the -recover benchmark; production shutdown is Close.
+// the benchmark's crash cycles (bench/, serve-ingest); production shutdown
+// is Close.
 func (sh *Sharded) CloseAbrupt() error {
 	sh.closeOnce.Do(func() {
 		if sh.async != nil {

@@ -2,10 +2,13 @@ package ecmserver
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,9 +133,21 @@ func TestSubscribeValidationAndWatch404(t *testing.T) {
 }
 
 // TestWatchStreamDeliversOverHTTP runs the full wire path on a real listener:
-// subscribe, attach the SSE stream with a real client, fire a crossing
-// through ingest, and parse the notify frame off the stream.
+// subscribe, attach SSE streams with real clients, fire crossings through
+// ingest, and parse the notify frames off every stream. With one subscriber
+// it is the plain round trip; with 256 on one subscription it is the fan-out:
+// every subscriber must see every notification, in order, and never a
+// dropped marker.
 func TestWatchStreamDeliversOverHTTP(t *testing.T) {
+	for _, subscribers := range []int{1, 256} {
+		t.Run(fmt.Sprintf("subscribers=%d", subscribers), func(t *testing.T) {
+			watchStreamDelivers(t, subscribers)
+		})
+	}
+}
+
+func watchStreamDelivers(t *testing.T, subscribers int) {
+	const rounds = 3
 	srv := authedServer(t, "tok")
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -143,62 +158,108 @@ func TestWatchStreamDeliversOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/watch?sub="+info.ID, nil)
-	req.Header.Set("Authorization", "Bearer tok")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
+
+	// Each subscriber reports the hello frame, then one notification per
+	// round; any other frame (dropped, bye) or a broken stream is an error.
+	type frame struct {
+		n   standing.Notification
+		err error
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("watch: %s", resp.Status)
+	hello := make(chan error, subscribers)
+	frames := make(chan frame, subscribers*rounds)
+	ctx, cancel := context.WithCancel(context.Background())
+	send := func(f frame) {
+		select {
+		case frames <- f:
+		case <-ctx.Done():
+		}
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	for i := 0; i < subscribers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/watch?sub="+info.ID, nil)
+			req.Header.Set("Authorization", "Bearer tok")
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				hello <- err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				hello <- fmt.Errorf("watch: %s", resp.Status)
+				return
+			}
+			sc := bufio.NewScanner(resp.Body)
+			var event string
+			helloSeen := false
+			for sc.Scan() {
+				line := sc.Text()
+				switch {
+				case strings.HasPrefix(line, "event: "):
+					event = strings.TrimPrefix(line, "event: ")
+				case strings.HasPrefix(line, "data: ") && event == "hello" && !helloSeen:
+					helloSeen = true
+					hello <- nil
+				case strings.HasPrefix(line, "data: ") && event == "notify":
+					n, err := standing.ParseNotificationJSON([]byte(strings.TrimPrefix(line, "data: ")))
+					send(frame{n, err})
+				case strings.HasPrefix(line, "data: "):
+					send(frame{err: fmt.Errorf("unexpected %q frame: %s", event, line)})
+				}
+			}
+			if !helloSeen {
+				hello <- fmt.Errorf("stream ended before hello: %v", sc.Err())
+			}
+		}()
+	}
+	for i := 0; i < subscribers; i++ {
+		select {
+		case err := <-hello:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d subscribers attached", i, subscribers)
+		}
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	readEvent := func() (event, data string) {
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case line == "":
-				if event != "" {
-					return event, data
+	// Each round the key crosses its threshold (rising edge, fires once),
+	// then the window slides past the burst so the next round crosses again.
+	tick := ecmsketch.Tick(1)
+	for round := 1; round <= rounds; round++ {
+		fired := make(chan struct{})
+		go func() {
+			srv.Engine().AddBatch([]ecmsketch.Event{{Key: 42, Tick: tick, N: 100}})
+			close(fired)
+		}()
+		for i := 0; i < subscribers; i++ {
+			select {
+			case f := <-frames:
+				if f.err != nil {
+					t.Fatalf("round %d: %v", round, f.err)
 				}
-			case strings.HasPrefix(line, "event: "):
-				event = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				data = strings.TrimPrefix(line, "data: ")
+				if f.n.Key != 42 || !f.n.Rising || f.n.Seq != uint64(round) {
+					t.Fatalf("round %d: notification %+v, want rising on key 42 seq %d", round, f.n, round)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: %d of %d subscribers notified", round, i, subscribers)
 			}
 		}
-		t.Fatalf("stream ended early: %v", sc.Err())
-		return "", ""
-	}
-	if ev, _ := readEvent(); ev != "hello" {
-		t.Fatalf("first event %q, want hello", ev)
-	}
-
-	fired := make(chan struct{})
-	go func() {
-		srv.Engine().AddBatch([]ecmsketch.Event{{Key: 42, Tick: 1, N: 100}})
-		close(fired)
-	}()
-	ev, data := readEvent()
-	if ev != "notify" {
-		t.Fatalf("event %q, want notify", ev)
-	}
-	n, err := standing.ParseNotificationJSON([]byte(data))
-	if err != nil {
-		t.Fatalf("bad notify payload %q: %v", data, err)
-	}
-	if n.Key != 42 || !n.Rising || n.Seq != 1 {
-		t.Fatalf("notification %+v, want rising on key 42 seq 1", n)
-	}
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ingest blocked on delivery")
+		select {
+		case <-fired:
+		case <-time.After(5 * time.Second):
+			t.Fatal("ingest blocked on delivery")
+		}
+		tick += 10000 + 1
+		srv.Engine().Advance(tick)
+		tick++
 	}
 
-	// Stats surface the subscription.
+	// Stats surface the subscription, every watcher, and no drops.
 	statsReq, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/stats", nil)
 	statsReq.Header.Set("Authorization", "Bearer tok")
 	statsResp, err := ts.Client().Do(statsReq)
@@ -208,14 +269,15 @@ func TestWatchStreamDeliversOverHTTP(t *testing.T) {
 	defer statsResp.Body.Close()
 	var stats struct {
 		Standing struct {
-			Subscriptions int `json:"subscriptions"`
-			Watchers      int `json:"watchers"`
+			Subscriptions int    `json:"subscriptions"`
+			Watchers      int    `json:"watchers"`
+			Dropped       uint64 `json:"dropped"`
 		} `json:"standing"`
 	}
 	if err := json.NewDecoder(statsResp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Standing.Subscriptions != 1 || stats.Standing.Watchers != 1 {
-		t.Fatalf("stats standing = %+v, want 1 subscription, 1 watcher", stats.Standing)
+	if stats.Standing.Subscriptions != 1 || stats.Standing.Watchers != subscribers || stats.Standing.Dropped != 0 {
+		t.Fatalf("stats standing = %+v, want 1 subscription, %d watchers, 0 dropped", stats.Standing, subscribers)
 	}
 }

@@ -94,61 +94,80 @@ func TestRefreshBitIdenticalToFlatMerge(t *testing.T) {
 }
 
 // TestStackedCoordinatorDeltaServing pins the upward half of the tentpole: a
-// parent coordinator pulling a child coordinator receives cursor-based
-// deltas from the child's patched root — in steady state a small fraction of
-// the full view — and its merged result matches the child's exactly.
+// parent coordinator pulling child coordinators receives cursor-based
+// deltas from each child's patched root — in steady state a small fraction of
+// the full view — and its merged result matches theirs exactly. Two shapes:
+// one child over 3 leaves, and the fan-in-3 tree of 9 leaves → 3 mids → root.
 func TestStackedCoordinatorDeltaServing(t *testing.T) {
-	engines := deltaTestEngines(t, 3)
-	leafSites := make([]coord.Site, len(engines))
-	for i, eng := range engines {
-		leafSites[i] = coord.NewLocalSite(fmt.Sprintf("leaf-%d", i), eng)
-	}
-	child := coord.New(leafSites...)
-	child.SetDeltaPulls(true)
+	for _, leaves := range []int{3, 9} {
+		engines := deltaTestEngines(t, leaves)
+		leafSites := make([]coord.Site, len(engines))
+		for i, eng := range engines {
+			leafSites[i] = coord.NewLocalSite(fmt.Sprintf("leaf-%d", i), eng)
+		}
+		// Each child satisfies SnapshotSource + DeltaSnapshotSource, so it
+		// nests under a parent like any engine.
+		var children []*coord.Coordinator
+		var childSites []coord.Site
+		for i := 0; i < leaves; i += 3 {
+			child := coord.New(leafSites[i : i+3]...)
+			child.SetDeltaPulls(true)
+			children = append(children, child)
+			childSites = append(childSites, coord.NewLocalSite(fmt.Sprintf("child-%d", i/3), child))
+		}
+		parent := coord.New(childSites...)
+		parent.SetDeltaPulls(true)
 
-	// The child satisfies SnapshotSource + DeltaSnapshotSource, so it nests
-	// under a parent like any engine.
-	parent := coord.New(coord.NewLocalSite("child", child))
-	parent.SetDeltaPulls(true)
-
-	var fullSize, steadyDelta int64
-	for round := 0; round < 6; round++ {
-		if round > 0 {
-			mutateSlow(engines, round)
+		var fullSize, steadyDelta int64
+		for round := 0; round < 6; round++ {
+			if round > 0 {
+				mutateSlow(engines, round)
+			}
+			for i, child := range children {
+				if err := child.Refresh(); err != nil {
+					t.Fatalf("%d leaves round %d: child %d refresh: %v", leaves, round, i, err)
+				}
+			}
+			before := parent.PulledBytes()
+			if err := parent.Refresh(); err != nil {
+				t.Fatalf("%d leaves round %d: parent refresh: %v", leaves, round, err)
+			}
+			pulled := parent.PulledBytes() - before
+			if round == 0 {
+				fullSize = pulled
+			} else if round >= 2 {
+				steadyDelta += pulled
+			}
+			// The parent's incrementally patched root must equal the root of
+			// a fresh full-pull tree of the same shape over the same leaves:
+			// every level's patched root is held to its from-scratch merge,
+			// the invariant the leaf-level test pins, stacked.
+			parentRoot, err := parent.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			freshSites := make([]coord.Site, len(children))
+			for i := range children {
+				mid, _, err := coord.New(leafSites[3*i : 3*i+3]...).AggregateFlat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				freshSites[i] = coord.NewLocalSite(childSites[i].Name(), mid)
+			}
+			want, _, err := coord.New(freshSites...).AggregateFlat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(parentRoot.Marshal(), want.Marshal()) {
+				t.Fatalf("%d leaves round %d: parent root differs from a fresh full-pull tree", leaves, round)
+			}
 		}
-		if err := child.Refresh(); err != nil {
-			t.Fatalf("round %d: child refresh: %v", round, err)
+		if parent.DeltaPulls() < uint64(5*len(children)) {
+			t.Fatalf("%d leaves: parent answered %d delta pulls, want ≥%d", leaves, parent.DeltaPulls(), 5*len(children))
 		}
-		before := parent.PulledBytes()
-		if err := parent.Refresh(); err != nil {
-			t.Fatalf("round %d: parent refresh: %v", round, err)
+		if avg := steadyDelta / 4; avg*5 > fullSize {
+			t.Fatalf("%d leaves: steady-state parent delta bytes/round %d not ≥5× below full %d", leaves, avg, fullSize)
 		}
-		pulled := parent.PulledBytes() - before
-		if round == 0 {
-			fullSize = pulled
-		} else if round >= 2 {
-			steadyDelta += pulled
-		}
-		// The parent's incrementally patched root must equal its own
-		// from-scratch flat merge over the same child — the same invariant
-		// the leaf-level test pins, one level up.
-		parentRoot, err := parent.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := coord.New(coord.NewLocalSite("child", child)).AggregateFlat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(parentRoot.Marshal(), want.Marshal()) {
-			t.Fatalf("round %d: parent root differs from from-scratch merge of child", round)
-		}
-	}
-	if parent.DeltaPulls() < 5 {
-		t.Fatalf("parent answered %d delta pulls, want ≥5", parent.DeltaPulls())
-	}
-	if avg := steadyDelta / 4; avg*5 > fullSize {
-		t.Fatalf("steady-state parent delta bytes/round %d not ≥5× below full %d", avg, fullSize)
 	}
 }
 

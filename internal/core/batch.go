@@ -212,28 +212,14 @@ func (s *Sketch) AddBatch(events []Event) {
 		s.now = maxTick
 	}
 	s.count += total
-	s.waveVer++
 	ns := sc.ns
 	if allUnit {
 		ns = nil // all-unit batch: the bank sweeps skip the multiplicity loop
 	}
 
-	if s.bank == nil {
-		// The exact engine keeps per-object counters; apply event-major with
-		// the already-validated ticks.
-		for e, ev := range events {
-			k := hashing.Fold(ev.Key)
-			for j := 0; j < s.d; j++ {
-				s.counters[j*s.w+s.fam.HashFolded(j, k)].AddN(sc.ticks[e], sc.ns[e])
-			}
-		}
-		return
-	}
-
-	// Flat path. Hash every event once — repeated keys once per stream of
-	// batches, via the persistent key cache on deep batches — laying
-	// positions out row-major so each row's sweep reads its positions
-	// sequentially...
+	// Hash every event once — repeated keys once per stream of batches, via
+	// the persistent key cache on deep batches — laying positions out
+	// row-major so each row's sweep reads its positions sequentially...
 	d := s.d
 	deep := m >= groupFactor*s.w
 	s.hashBatch(events, m, deep)
@@ -297,15 +283,10 @@ const groupFactor = 4
 // Snapshot returns an independent copy of the sketch, safe to query, merge
 // or ship elsewhere while the original keeps ingesting.
 //
-// For the flat engines (all three paper algorithms) the copy is an arena
-// clone — a few slab memcpys plus a fixed header, no per-counter walking —
-// which is what makes copy-on-read stripe snapshots cheap enough for the
-// sharded engine to take under a stripe lock. The test-only exact engine
-// falls back to a serialize + decode round trip.
+// The copy is an arena clone — a few slab memcpys plus a fixed header, no
+// per-counter walking — which is what makes copy-on-read stripe snapshots
+// cheap enough for the sharded engine to take under a stripe lock.
 func (s *Sketch) Snapshot() (*Sketch, error) {
-	if s.bank == nil {
-		return Unmarshal(s.Marshal())
-	}
 	c := *s
 	switch {
 	case s.eh != nil:

@@ -63,13 +63,9 @@ func TestExtractVectorMass(t *testing.T) {
 			t.Errorf("row %d mass = %v, want 50", j, row)
 		}
 	}
-	// Default-algorithm sketches run on the flat arena engine, with no
-	// per-cell counter objects to hand out.
+	// Default-algorithm sketches run on the flat EH arena.
 	if s.eh == nil {
 		t.Error("EH sketch is not using the flat engine")
-	}
-	if s.counters != nil {
-		t.Error("flat sketch still carries per-object counters")
 	}
 }
 
@@ -79,9 +75,8 @@ func TestMergeErrorPaths(t *testing.T) {
 	if _, err := Merge(a, nil); err == nil {
 		t.Error("nil input accepted")
 	}
-	// Exact-algorithm sketches cannot be built through core (no such Params
-	// path), so the unsupported-algorithm branch is exercised via a DW/EH
-	// mismatch instead.
+	// New rejects every algorithm Merge cannot aggregate, so the only
+	// algorithm error left to Merge is a mismatch between its inputs.
 	pd := p
 	pd.Algorithm = window.AlgoDW
 	d := mustECM(t, pd)

@@ -170,16 +170,9 @@ func ParseCursor(s string) (Cursor, error) {
 }
 
 // DeltaVersion reports the sketch's arrival-mutation version — the scalar a
-// cursor carries per part. The flat engines (all three paper algorithms)
-// track it in their bank, alongside the per-cell versions that make deltas
-// cell-granular; the test-only exact engine keeps a sketch-level counter and
-// ships full on any change.
-func (s *Sketch) DeltaVersion() uint64 {
-	if s.bank != nil {
-		return s.bank.Version()
-	}
-	return s.waveVer
-}
+// cursor carries per part. The bank tracks it, alongside the per-cell
+// versions that make deltas cell-granular.
+func (s *Sketch) DeltaVersion() uint64 { return s.bank.Version() }
 
 // Epoch reports the engine-instance identifier cursors are bound to.
 func (s *Sketch) Epoch() uint64 { return s.epoch }
@@ -197,25 +190,12 @@ func (s *Sketch) SetEpoch(e uint64) { s.epoch = e }
 // encodings deliberately omit these (Unmarshal starts a new engine
 // instance under a fresh epoch); durable snapshots persist them as a
 // sidecar next to the Marshal bytes so a restart restores cursor
-// continuity. The test-only exact engine tracks a sketch-level counter and
-// exports a nil vector.
-func (s *Sketch) VersionVector() (uint64, []uint64) {
-	if s.bank != nil {
-		return s.bank.VersionVector()
-	}
-	return s.waveVer, nil
-}
+// continuity.
+func (s *Sketch) VersionVector() (uint64, []uint64) { return s.bank.VersionVector() }
 
 // RestoreVersionVector installs previously exported change-tracking state;
 // the counterpart of VersionVector for durable recovery.
 func (s *Sketch) RestoreVersionVector(version uint64, vers []uint64) error {
-	if s.bank == nil {
-		if len(vers) != 0 {
-			return fmt.Errorf("core: exact engine has no per-cell versions, got %d", len(vers))
-		}
-		s.waveVer = version
-		return nil
-	}
 	return s.bank.RestoreVersionVector(version, vers)
 }
 
@@ -233,10 +213,7 @@ func (s *Sketch) RestoreVersionVector(version uint64, vers []uint64) error {
 func (s *Sketch) DeltaSnapshot(since Cursor) ([]byte, Cursor, bool, error) {
 	ver := s.DeltaVersion()
 	cur := Cursor{Epoch: s.epoch, Vers: []uint64{ver}}
-	ok := since.Epoch == s.epoch && len(since.Vers) == 1 && since.Vers[0] <= ver
-	// The exact engine has no per-cell change tracking: it answers with an
-	// empty delta when nothing changed and a full snapshot otherwise.
-	if ok && (s.bank != nil || since.Vers[0] == ver) {
+	if since.Epoch == s.epoch && len(since.Vers) == 1 && since.Vers[0] <= ver {
 		s.Advance(s.now)
 		return s.appendDelta(nil, s.epoch, since.Vers[0]), cur, false, nil
 	}
@@ -264,10 +241,6 @@ func (s *Sketch) appendDelta(dst []byte, epoch, base uint64) []byte {
 	dst = binary.AppendUvarint(dst, s.count)
 	dst = binary.AppendUvarint(dst, s.salt)
 	dst = binary.AppendUvarint(dst, s.seq)
-	if s.bank == nil {
-		// The exact engine only emits deltas for the nothing-changed case.
-		return binary.AppendUvarint(dst, 0)
-	}
 	changed := 0
 	for i := 0; i < s.d*s.w; i++ {
 		if s.bank.CellChangedSince(i, base) {
@@ -338,9 +311,6 @@ func (s *Sketch) applyDelta(payload []byte, epoch, base uint64, record func(int)
 	if hdr.ver < hdr.base {
 		return 0, errors.New("core: delta version regressed")
 	}
-	if s.bank == nil && hdr.changed != 0 {
-		return 0, errors.New("core: cell-granular delta for a per-object engine")
-	}
 	if hdr.changed > uint64(len(payload)) { // ≥1 byte per changed cell
 		return 0, errors.New("core: corrupt delta")
 	}
@@ -390,7 +360,7 @@ func (s *Sketch) applyDelta(payload []byte, epoch, base uint64, record func(int)
 	// change feed — their estimates moved (for the wave synopses possibly
 	// upward, when expiry forces a coarser level) even though no encoding
 	// for them was shipped.
-	if s.bank != nil && record != nil {
+	if record != nil {
 		s.bank.AdvanceAllNoting(s.now, record)
 	} else {
 		s.Advance(s.now)
@@ -479,9 +449,7 @@ type DeltaState struct {
 const maxTrackedCells = 4096
 
 // noteCell records one changed cell into both accumulations: the external
-// change feed (TakeChangedCells) and the merged-cache dirty set. A negative
-// index signals that cell granularity was lost and every cell may have
-// changed.
+// change feed (TakeChangedCells) and the merged-cache dirty set.
 func (st *DeltaState) noteCell(idx int) {
 	noteInto(&st.changed, &st.changedAll, idx)
 	noteInto(&st.mergedDirty, &st.mergedDirtyAll, idx)
@@ -491,7 +459,7 @@ func noteInto(cells *[]int, all *bool, idx int) {
 	if *all {
 		return
 	}
-	if idx < 0 || len(*cells) >= maxTrackedCells {
+	if len(*cells) >= maxTrackedCells {
 		*cells, *all = nil, true
 		return
 	}

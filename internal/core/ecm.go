@@ -83,26 +83,24 @@ type cellBank interface {
 // All three paper algorithms keep their d×w counters in one flat arena
 // (window.EHBank, window.DWBank, window.RWBank): a contiguous slab addressed
 // row-major, with no per-counter heap objects and no interface dispatch on
-// the ingest path. Only the test-only exact algorithm keeps one
-// window.Counter object per cell.
+// the ingest path.
 //
 // Sketch is not safe for concurrent use; distributed sites each own one.
 type Sketch struct {
-	params   Params
-	split    Split
-	fam      *hashing.Family
-	eh       *window.EHBank   // flat EH engine; non-nil iff Algorithm == AlgoEH
-	dw       *window.DWBank   // flat DW engine; non-nil iff Algorithm == AlgoDW
-	rw       *window.RWBank   // flat RW engine; non-nil iff Algorithm == AlgoRW
-	bank     cellBank         // whichever of the three is in use, or nil
-	counters []window.Counter // row-major d×w; only for the exact algorithm
-	w, d     int
-	wcfg     window.Config
-	now      Tick
-	count    uint64 // arrivals (total inserted value) since stream start
-	salt     uint64
-	seq      uint64
-	batch    batchScratch
+	params Params
+	split  Split
+	fam    *hashing.Family
+	eh     *window.EHBank // flat EH engine; non-nil iff Algorithm == AlgoEH
+	dw     *window.DWBank // flat DW engine; non-nil iff Algorithm == AlgoDW
+	rw     *window.RWBank // flat RW engine; non-nil iff Algorithm == AlgoRW
+	bank   cellBank       // whichever of the three is in use; never nil
+	w, d   int
+	wcfg   window.Config
+	now    Tick
+	count  uint64 // arrivals (total inserted value) since stream start
+	salt   uint64
+	seq    uint64
+	batch  batchScratch
 
 	// epoch identifies this engine instance to the delta-snapshot protocol
 	// (see Cursor): process-random at construction, so cursors issued by a
@@ -110,12 +108,11 @@ type Sketch struct {
 	// against this instance. Snapshot clones share the lineage (and the
 	// cell versions), so they keep the epoch.
 	epoch uint64
-	// waveVer is the mutation counter behind DeltaVersion for per-object
-	// (wave) engines; the flat engine tracks versions in the bank itself.
-	waveVer uint64
 }
 
-// New constructs an ECM-sketch.
+// New constructs an ECM-sketch over one of the paper's three window
+// algorithms (window.AlgoEH, AlgoDW, AlgoRW); any other Algorithm value —
+// including one decoded from a foreign encoding — is an error.
 func New(p Params) (*Sketch, error) {
 	split, err := resolveSplit(&p)
 	if err != nil {
@@ -168,7 +165,6 @@ func New(p Params) (*Sketch, error) {
 		}
 		s.eh = bank
 		s.bank = bank
-		return s, nil
 	case window.AlgoDW:
 		bank, err := window.NewDWBank(wcfg, d*w)
 		if err != nil {
@@ -176,7 +172,6 @@ func New(p Params) (*Sketch, error) {
 		}
 		s.dw = bank
 		s.bank = bank
-		return s, nil
 	case window.AlgoRW:
 		bank, err := window.NewRWBank(wcfg, d*w)
 		if err != nil {
@@ -184,15 +179,8 @@ func New(p Params) (*Sketch, error) {
 		}
 		s.rw = bank
 		s.bank = bank
-		return s, nil
-	}
-	s.counters = make([]window.Counter, d*w)
-	for i := range s.counters {
-		c, err := window.New(p.Algorithm, wcfg)
-		if err != nil {
-			return nil, err
-		}
-		s.counters[i] = c
+	default:
+		return nil, fmt.Errorf("core: unsupported window algorithm %v", p.Algorithm)
 	}
 	return s, nil
 }
@@ -280,25 +268,19 @@ func (s *Sketch) AddN(key uint64, t Tick, n uint64) {
 		s.now = t
 	}
 	s.count += n
-	s.waveVer++
-	if s.params.Algorithm == window.AlgoRW {
+	if s.rw != nil {
 		s.addRW(key, t, n)
 		return
 	}
 	k := hashing.Fold(key)
-	switch {
-	case s.eh != nil:
+	if s.eh != nil {
 		for j := 0; j < s.d; j++ {
 			s.eh.AddN(j*s.w+s.fam.HashFolded(j, k), t, n)
 		}
-	case s.dw != nil:
-		for j := 0; j < s.d; j++ {
-			s.dw.AddN(j*s.w+s.fam.HashFolded(j, k), t, n)
-		}
-	default:
-		for j := 0; j < s.d; j++ {
-			s.counters[j*s.w+s.fam.HashFolded(j, k)].AddN(t, n)
-		}
+		return
+	}
+	for j := 0; j < s.d; j++ {
+		s.dw.AddN(j*s.w+s.fam.HashFolded(j, k), t, n)
 	}
 }
 
@@ -336,65 +318,38 @@ func (s *Sketch) Advance(t Tick) {
 	if t > s.now {
 		s.now = t
 	}
-	if s.bank != nil {
-		s.bank.AdvanceAll(t)
-		return
-	}
-	for _, c := range s.counters {
-		c.Advance(t)
-	}
+	s.bank.AdvanceAll(t)
 }
 
 // AdvanceNoting moves the window of every counter forward to tick t like
 // Advance and calls note(i) for each cell whose retained content the move
 // actually changed (expiry dropped content). Receivers replaying a
-// producer's clock use it to keep their changed-cell feed exact; the
-// test-only per-object engines have no per-cell expiry reporting, so there
-// the move falls back to Advance and note(-1) signals that granularity was
-// lost (any cell may have changed) whenever the clock actually moved. A nil
-// note advances and reports nothing.
+// producer's clock use it to keep their changed-cell feed exact. A nil note
+// advances and reports nothing.
 func (s *Sketch) AdvanceNoting(t Tick, note func(int)) {
 	if note == nil {
 		s.Advance(t)
 		return
 	}
-	if s.bank != nil {
-		if t > s.now {
-			s.now = t
-		}
-		s.bank.AdvanceAllNoting(t, note)
-		return
+	if t > s.now {
+		s.now = t
 	}
-	moved := t > s.now
-	s.Advance(t)
-	if moved {
-		note(-1)
-	}
+	s.bank.AdvanceAllNoting(t, note)
 }
 
 // cellEstimateRange evaluates counter idx over the last r ticks. Counters
 // are only advanced on their own arrivals; the helper first aligns them with
 // the sketch clock so expired content does not linger.
 func (s *Sketch) cellEstimateRange(idx int, r Tick) float64 {
-	if s.bank != nil {
-		s.bank.Advance(idx, s.now)
-		return s.bank.EstimateRange(idx, r)
-	}
-	c := s.counters[idx]
-	c.Advance(s.now)
-	return c.EstimateRange(r)
+	s.bank.Advance(idx, s.now)
+	return s.bank.EstimateRange(idx, r)
 }
 
 // cellEstimateSince evaluates counter idx for ticks > since, aligning the
 // counter with the sketch clock first.
 func (s *Sketch) cellEstimateSince(idx int, since Tick) float64 {
-	if s.bank != nil {
-		s.bank.Advance(idx, s.now)
-		return s.bank.EstimateSince(idx, since)
-	}
-	c := s.counters[idx]
-	c.Advance(s.now)
-	return c.EstimateSince(since)
+	s.bank.Advance(idx, s.now)
+	return s.bank.EstimateSince(idx, since)
 }
 
 // Estimate answers the point query (key, r): the estimated frequency of the
@@ -533,30 +488,17 @@ func (s *Sketch) EstimateTotal(r Tick) float64 {
 	return best
 }
 
-// MemoryBytes reports the heap footprint of the sketch. The flat engine
-// reports the arena slabs directly; per-object engines sum their counters.
+// MemoryBytes reports the heap footprint of the sketch: a fixed header plus
+// the arena slabs.
 func (s *Sketch) MemoryBytes() int {
-	n := 128
-	if s.bank != nil {
-		return n + s.bank.MemoryBytes()
-	}
-	for _, c := range s.counters {
-		n += c.MemoryBytes()
-	}
-	return n
+	return 128 + s.bank.MemoryBytes()
 }
 
-// Reset empties every counter, keeping the configuration (and, for the flat
-// engines, the arena capacity).
+// Reset empties every counter, keeping the configuration and the arena
+// capacity.
 func (s *Sketch) Reset() {
-	if s.bank != nil {
-		s.bank.Reset()
-	}
-	for _, c := range s.counters {
-		c.Reset()
-	}
+	s.bank.Reset()
 	s.now = 0
 	s.count = 0
 	s.seq = 0
-	s.waveVer++
 }

@@ -114,6 +114,8 @@ func TestNewValidation(t *testing.T) {
 		{WindowLength: 100, Epsilon: 0.1}, // no delta
 		{WindowLength: 100, Epsilon: 2, Delta: 0.1}, // bad epsilon
 		{WindowLength: 100, Epsilon: 0.1, Delta: 0.1, Split: &Split{EpsCM: 0, EpsSW: 0.1}},
+		{WindowLength: 100, Epsilon: 0.1, Delta: 0.1, Algorithm: window.AlgoExact}, // ground truth, not an engine
+		{WindowLength: 100, Epsilon: 0.1, Delta: 0.1, Algorithm: window.Algorithm(9)},
 	}
 	for _, p := range bad {
 		if _, err := New(p); err == nil {

@@ -53,59 +53,35 @@ func (s *Sketch) appendMarshalHeader(dst []byte) []byte {
 func (s *Sketch) Marshal() []byte {
 	dst := []byte{wireECM}
 	dst = s.appendMarshalHeader(dst)
-	if s.bank != nil {
-		// Flat engines: encode each cell straight out of the arena through
-		// call-local scratch buffers — the arena itself is only read, so
-		// frozen sketches (the sharded engine's published views) marshal
-		// concurrently without coordination. The bytes are identical to what
-		// a per-object counter holding the same content would write.
-		var cell []byte
-		var scratch []window.Bucket
-		for i := 0; i < s.d*s.w; i++ {
-			switch {
-			case s.eh != nil:
-				cell, scratch = s.eh.AppendMarshalCell(cell[:0], i, scratch)
-			case s.dw != nil:
-				cell = s.dw.AppendMarshalCell(cell[:0], i)
-			default:
-				cell = s.rw.AppendMarshalCell(cell[:0], i)
-			}
-			dst = binary.AppendUvarint(dst, uint64(len(cell)))
-			dst = append(dst, cell...)
-		}
-		return dst
-	}
-	for _, c := range s.counters {
-		var enc []byte
-		switch cc := c.(type) {
-		case *window.DW:
-			enc = cc.Marshal()
-		case *window.RW:
-			enc = cc.Marshal()
-		case *window.EH:
-			enc = cc.Marshal()
+	// Encode each cell straight out of the arena through call-local scratch
+	// buffers — the arena itself is only read, so frozen sketches (the
+	// sharded engine's published views) marshal concurrently without
+	// coordination. The bytes are identical to what a per-object counter
+	// holding the same content would write.
+	var cell []byte
+	var scratch []window.Bucket
+	for i := 0; i < s.d*s.w; i++ {
+		switch {
+		case s.eh != nil:
+			cell, scratch = s.eh.AppendMarshalCell(cell[:0], i, scratch)
+		case s.dw != nil:
+			cell = s.dw.AppendMarshalCell(cell[:0], i)
 		default:
-			// Exact counters are test-only and not serialized.
-			enc = nil
+			cell = s.rw.AppendMarshalCell(cell[:0], i)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(enc)))
-		dst = append(dst, enc...)
+		dst = binary.AppendUvarint(dst, uint64(len(cell)))
+		dst = append(dst, cell...)
 	}
 	return dst
 }
 
 // WireSize reports len(s.Marshal()) without producing the encoding: the
-// fixed header fields are summed directly and, on the flat engines (all
-// three paper algorithms), each cell's size comes from a slab walk that
-// never materializes bytes. This is what lets the coordinator's network
-// accounting charge a snapshot's transfer cost at the transport boundary
-// while the merge path consumes the snapshot itself — no marshal+decode
-// round trip just to know what shipping it would cost. The test-only exact
-// engine falls back to encoding and measuring.
+// fixed header fields are summed directly and each cell's size comes from a
+// slab walk that never materializes bytes. This is what lets the
+// coordinator's network accounting charge a snapshot's transfer cost at the
+// transport boundary while the merge path consumes the snapshot itself — no
+// marshal+decode round trip just to know what shipping it would cost.
 func (s *Sketch) WireSize() int {
-	if s.bank == nil {
-		return len(s.Marshal())
-	}
 	n := 1 + // wireECM tag
 		8 + 8 + // Epsilon, Delta
 		3 + // Query, Algorithm, Model bytes
@@ -265,9 +241,6 @@ func Unmarshal(b []byte) (*Sketch, error) {
 		off += int(ln)
 		// Decode straight into the flat arena; cross-version encodings from
 		// the per-object engines restore identically.
-		if s.bank == nil {
-			return nil, fmt.Errorf("core: cannot decode algorithm %v", h.p.Algorithm)
-		}
 		if err := s.bank.UnmarshalCell(i, enc); err != nil {
 			return nil, fmt.Errorf("core: counter %d: %w", i, err)
 		}

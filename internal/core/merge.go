@@ -59,19 +59,14 @@ func Merge(inputs ...*Sketch) (*Sketch, error) {
 		}
 		count += in.count
 	}
-	switch first.params.Algorithm {
-	case window.AlgoEH, window.AlgoDW, window.AlgoRW:
-		// Flat engines: replay every input cell straight into the output
-		// arena — the same per-cell aggregation the per-object engines
-		// perform (EH/DW: the Theorem 4 half/half replay, tick-ordered
-		// across inputs; RW: the lossless position-wise union of Section
-		// 5.2). Cells are independent, so large arrays fan the replay across
-		// a bounded worker pool; the output is byte-identical to the
-		// sequential cell loop either way (see parallel.go).
-		applyMergeCells(out, inputs, nil, true, now, false)
-	default:
-		return nil, fmt.Errorf("core: algorithm %v does not support aggregation", first.params.Algorithm)
-	}
+	// Replay every input cell straight into the output arena — the same
+	// per-cell aggregation the per-object engines perform (EH/DW: the
+	// Theorem 4 half/half replay, tick-ordered across inputs; RW: the
+	// lossless position-wise union of Section 5.2). Cells are independent,
+	// so large arrays fan the replay across a bounded worker pool; the
+	// output is byte-identical to the sequential cell loop either way (see
+	// parallel.go).
+	applyMergeCells(out, inputs, nil, true, now, false)
 	out.now = now
 	out.count = count
 	out.Advance(now)

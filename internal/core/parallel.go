@@ -29,8 +29,9 @@ import (
 )
 
 // mergeProcs caps the merge/patch worker pool; 0 means automatic
-// (GOMAXPROCS). Stored atomically so benchmarks and servers can retune a
-// live process.
+// (GOMAXPROCS), which is what every binary runs. Only the byte-identity
+// tests set it, to force the sequential and parallel twins; it is atomic
+// because merges on other goroutines read it.
 var mergeProcs atomic.Int64
 
 // SetMergeParallelism caps the number of worker goroutines Merge and

@@ -45,9 +45,6 @@ func PatchMerged(dst *Sketch, inputs []*Sketch, cells []int, all bool, note func
 	if dst == nil || len(inputs) == 0 {
 		return errors.New("core: PatchMerged requires a destination and at least one input")
 	}
-	if dst.bank == nil {
-		return fmt.Errorf("core: algorithm %v does not support incremental re-merge", dst.params.Algorithm)
-	}
 	for i, in := range inputs {
 		if in == nil {
 			return fmt.Errorf("core: PatchMerged input %d is nil", i)

@@ -29,12 +29,9 @@ import (
 // encoding the decoder can reproduce without bytes: untouched cells sitting
 // at the sketch clock. UnmarshalAny inverts it; the reconstruction is
 // byte-identical (Marshal) to the dense encoding. Falls back to the dense
-// form when nothing can be elided (or for the test-only per-object engines),
-// so the result is never meaningfully larger than Marshal.
+// form when nothing can be elided, so the result is never meaningfully larger
+// than Marshal.
 func (s *Sketch) MarshalSparse() []byte {
-	if s.bank == nil {
-		return s.Marshal()
-	}
 	n := s.d * s.w
 	var elided []int
 	for i := 0; i < n; i++ {
@@ -105,9 +102,6 @@ func unmarshalSparse(b []byte) (*Sketch, error) {
 	s, err := New(h.p)
 	if err != nil {
 		return nil, err
-	}
-	if s.bank == nil {
-		return nil, fmt.Errorf("core: sparse encoding for algorithm %v", h.p.Algorithm)
 	}
 	getU := func() (uint64, error) {
 		v, n := binary.Uvarint(b[off:])

@@ -25,7 +25,8 @@ func BenchmarkSketchAdd(b *testing.B) {
 
 // BenchmarkSketchAddBatch measures the single-sketch batch ingest hot path
 // at the acceptance operating point (EH, ε=0.05): ns/op, B/op and allocs/op
-// are all per event, the numbers recorded in BENCH_ingest.json.
+// are all per event. A working micro-benchmark only: recorded ingest numbers
+// come from bench/'s engine-ingest workload.
 func BenchmarkSketchAddBatch(b *testing.B) {
 	for _, size := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
@@ -217,8 +218,8 @@ func BenchmarkIngestSafeVsSharded(b *testing.B) {
 
 // BenchmarkQueryBatchVsSingles compares one QueryBatch of 16 keys plus both
 // aggregates against the equivalent sequence of 18 single queries, on a
-// quiesced Sharded engine (cache-hit reads — the contended-read trajectory
-// lives in BENCH_query.json via cmd/ecmbench -query).
+// quiesced Sharded engine (cache-hit reads — reads beside a writer are
+// bench/'s serve-read workload).
 func BenchmarkQueryBatchVsSingles(b *testing.B) {
 	params := ecmsketch.Params{Epsilon: 0.05, Delta: 0.05, WindowLength: 1 << 20}
 	sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: params, Shards: 16})

@@ -1196,8 +1196,10 @@ func (sh *Sharded) rebuildLocked() (*Sketch, error) {
 
 // refreshPart brings stripe i's cached snapshot up to date (an arena clone
 // under the stripe lock when its version moved, a no-op otherwise) and
-// aligns it with the engine clock, so the merge sees the same expiry
-// frontier a single sketch would. Only the rebuild holder runs it; distinct
+// settles it at the engine clock, so the merge sees the same expiry
+// frontier a single sketch would. The settle is unconditional: a stripe
+// whose clock already equals the engine clock still holds cells that last
+// expired at their own arrivals. Only the rebuild holder runs it; distinct
 // stripes may refresh concurrently.
 func (sh *Sharded) refreshPart(i int, now Tick) error {
 	s := &sh.shards[i]
@@ -1213,8 +1215,6 @@ func (sh *Sharded) refreshPart(i int, now Tick) error {
 		sh.rebuild.parts[i] = part
 		sh.rebuild.versions[i] = ver
 	}
-	if now > sh.rebuild.parts[i].Now() {
-		sh.rebuild.parts[i].Advance(now)
-	}
+	sh.rebuild.parts[i].Advance(now)
 	return nil
 }

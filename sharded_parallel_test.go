@@ -3,6 +3,8 @@ package ecmsketch
 import (
 	"bytes"
 	"testing"
+
+	"ecmsketch/internal/core"
 )
 
 // parallelShardedParams sizes the array so the merge worker pool engages
@@ -55,20 +57,20 @@ func dropViewCache(sh *Sharded) {
 // and an 8-worker pool must publish byte-identical merged views, for every
 // counter algorithm, across successive churn rounds.
 func TestShardedParallelRebuildByteIdentical(t *testing.T) {
-	defer SetMergeParallelism(0)
+	defer core.SetMergeParallelism(0)
 	for _, algo := range []Algorithm{AlgoEH, AlgoDW, AlgoRW} {
 		sh := newParallelSharded(t, algo)
 		for round := 1; round <= 3; round++ {
 			feedParallelSharded(sh, 2*round)
 
-			SetMergeParallelism(1)
+			core.SetMergeParallelism(1)
 			dropViewCache(sh)
 			seq := sh.Marshal()
 			if seq == nil {
 				t.Fatalf("algo %v round %d: sequential Marshal failed", algo, round)
 			}
 
-			SetMergeParallelism(8)
+			core.SetMergeParallelism(8)
 			dropViewCache(sh)
 			par := sh.Marshal()
 			if par == nil {
@@ -173,11 +175,11 @@ func TestQueryDirectSingleSketchCoincides(t *testing.T) {
 // full rebuild the last build's wall time is recorded and the worker count
 // reflects the configured cap.
 func TestShardedRebuildStats(t *testing.T) {
-	defer SetMergeParallelism(0)
+	defer core.SetMergeParallelism(0)
 	sh := newParallelSharded(t, AlgoEH)
 	feedParallelSharded(sh, 4)
 
-	SetMergeParallelism(1)
+	core.SetMergeParallelism(1)
 	dropViewCache(sh)
 	if sh.Marshal() == nil {
 		t.Fatal("Marshal failed")
@@ -190,7 +192,7 @@ func TestShardedRebuildStats(t *testing.T) {
 		t.Fatalf("workers = %d under a sequential cap, want 1", workers)
 	}
 
-	SetMergeParallelism(4)
+	core.SetMergeParallelism(4)
 	dropViewCache(sh)
 	if sh.Marshal() == nil {
 		t.Fatal("Marshal failed")
