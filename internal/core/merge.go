@@ -66,6 +66,9 @@ func Merge(inputs ...*Sketch) (*Sketch, error) {
 	// so large arrays fan the replay across a bounded worker pool; the
 	// output is byte-identical to the sequential cell loop either way (see
 	// parallel.go).
+	if out.eh != nil {
+		out.eh.ReserveMerge(ehBanks(inputs), out.d*out.w, func(j int) int { return j })
+	}
 	applyMergeCells(out, inputs, nil, true, now, false)
 	out.now = now
 	out.count = count

@@ -117,13 +117,8 @@ func applyMergeCellsSeq(dst *Sketch, inputs []*Sketch, cells []int, all bool, no
 	}
 	switch {
 	case dst.eh != nil:
-		lists := make([][]window.Bucket, len(inputs))
-		forEach(func(idx int) {
-			for k, in := range inputs {
-				lists[k] = in.eh.AppendBuckets(lists[k][:0], idx)
-			}
-			dst.eh.MergeCell(idx, now, lists)
-		})
+		ins := ehBanks(inputs)
+		forEach(func(idx int) { dst.eh.MergeCell(idx, now, ins) })
 	case dst.dw != nil:
 		ins := make([]*window.DWBank, len(inputs))
 		for k, in := range inputs {
@@ -137,6 +132,14 @@ func applyMergeCellsSeq(dst *Sketch, inputs []*Sketch, cells []int, all bool, no
 		}
 		forEach(func(idx int) { dst.rw.MergeCell(idx, ins) })
 	}
+}
+
+func ehBanks(inputs []*Sketch) []*window.EHBank {
+	ins := make([]*window.EHBank, len(inputs))
+	for k, in := range inputs {
+		ins[k] = in.eh
+	}
+	return ins
 }
 
 // mergeChunk is one worker's contiguous share of the cell list and its
@@ -214,14 +217,11 @@ func mergeChunkCells(ch *mergeChunk, dst *Sketch, inputs []*Sketch, cellAt func(
 		if err != nil {
 			return err
 		}
-		lists := make([][]window.Bucket, len(inputs))
+		ins := ehBanks(inputs)
+		scratch.ReserveMerge(ins, n, func(j int) int { return cellAt(ch.lo + j) })
 		var bs []window.Bucket
 		for j := 0; j < n; j++ {
-			idx := cellAt(ch.lo + j)
-			for k, in := range inputs {
-				lists[k] = in.eh.AppendBuckets(lists[k][:0], idx)
-			}
-			scratch.MergeCell(j, now, lists)
+			scratch.MergeCellFrom(j, cellAt(ch.lo+j), now, ins)
 			ch.buf, bs = scratch.AppendMarshalCellBare(ch.buf, j, bs)
 			ch.ends = append(ch.ends, len(ch.buf))
 		}

@@ -3,6 +3,7 @@ package window
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // This file implements the flat-memory exponential-histogram engine: a bank
@@ -75,6 +76,8 @@ type EHBank struct {
 	// the same content replays them exactly by advancing to the same tick.
 	version uint64
 	vers    []uint64
+
+	merger runMerger // MergeCellFrom's scratch; never cloned
 }
 
 // NewEHBank constructs a bank of n empty exponential histograms, each with
@@ -748,15 +751,54 @@ func (b *EHBank) NormalizeRestored(i int) {
 }
 
 // MergeCell replays the order-preserving aggregation of Section 5.1
-// (Theorem 4) into cell i: each input bucket list contributes ⌈s/2⌉ arrivals
-// at its start tick and ⌊s/2⌋ at its end tick, replayed in global tick
-// order, exactly as MergeEH does for the per-object engine. Cell i must be
-// empty. now advances the cell's clock to the inputs' high-water tick.
-func (b *EHBank) MergeCell(i int, now Tick, inputs [][]Bucket) {
-	for _, ev := range replayEventsFromBuckets(inputs, splitHalfHalf) {
-		b.AddN(i, ev.t, ev.n)
+// (Theorem 4) into cell i: each bucket of the inputs' cell i contributes
+// ⌈s/2⌉ arrivals at its start tick and ⌊s/2⌋ at its end tick, replayed in
+// global tick order, exactly as MergeEH does for the per-object engine. Cell
+// i must be empty. now advances the cell's clock to the inputs' high-water
+// tick.
+func (b *EHBank) MergeCell(i int, now Tick, inputs []*EHBank) {
+	b.MergeCellFrom(i, i, now, inputs)
+}
+
+// MergeCellFrom is MergeCell with the source index decoupled from the
+// destination: the inputs' cell src merges into cell i of b (see
+// DWBank.MergeCellFrom for why the split exists). The inputs' rings are
+// streamed in place through the bank's run merger — nothing is allocated
+// per cell.
+func (b *EHBank) MergeCellFrom(i, src int, now Tick, inputs []*EHBank) {
+	m := &b.merger
+	m.begin(len(inputs))
+	for _, in := range inputs {
+		m.addCell(in, src)
+	}
+	for t, n, ok := m.next(); ok; t, n, ok = m.next() {
+		b.AddN(i, t, n)
 	}
 	b.Advance(i, now)
+}
+
+// ReserveMerge presizes the arena for n MergeCellFrom calls, the j-th from the
+// inputs' cell src(j), so the replay does not regrow (and re-clear) the slab
+// by doublings. A merged cell carries at most k times the mass of its deepest
+// input, so it needs about that input's size classes plus ⌈log₂ k⌉; a cell
+// that needs more grows the slab as any other does.
+func (b *EHBank) ReserveMerge(inputs []*EHBank, n int, src func(j int) int) {
+	extra := bits.Len(uint(len(inputs) - 1))
+	levels := 0
+	for j := 0; j < n; j++ {
+		deepest := 0
+		for _, in := range inputs {
+			deepest = max(deepest, int(in.cells[src(j)].nLv))
+		}
+		if deepest > 0 {
+			levels += deepest + extra
+		}
+	}
+	if need := len(b.slab) + levels*b.stride; cap(b.slab) < need {
+		grown := make([]bucket, len(b.slab), need)
+		copy(grown, b.slab)
+		b.slab = grown
+	}
 }
 
 // Clone returns an independent deep copy of the bank: three slab memcpys

@@ -230,7 +230,17 @@ func TestBankMergeCellMatchesMergeEH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.MergeCell(2, now, [][]Bucket{a.Buckets(), c.Buckets()})
+	asBank := func(h *EH) *EHBank {
+		in, err := NewEHBank(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.UnmarshalCell(2, h.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	b.MergeCell(2, now, []*EHBank{asBank(a), asBank(c)})
 	checkCellEqualsEH(t, b, 2, want)
 }
 

@@ -1,10 +1,11 @@
 package window
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // replayEvent is one simulated insertion used when aggregating histograms:
@@ -12,6 +13,154 @@ import (
 type replayEvent struct {
 	t Tick
 	n uint64
+}
+
+func byTick(a, b replayEvent) int { return cmp.Compare(a.t, b.t) }
+
+// replayRun is one input synopsis's share of the Theorem 4 replay: its
+// arrivals as a stream of events in tick order. A synopsis stores its
+// content oldest → newest (EH buckets are disjoint intervals, wave entries
+// are rank-ordered), so the stream is read straight off the input — a bank
+// cell's level rings are walked in place, highest size class first — and
+// never materialized or sorted. Inputs that are only available lowered (a
+// per-object EH, a wave's segment log) stream from an event slice instead.
+type replayRun struct {
+	t Tick // head event, valid while the run is live
+	n uint64
+
+	events []replayEvent // slice-backed run: the events after the head
+
+	// Ring-backed run (bank != nil): the walk stands at bucket j of level lv
+	// of dirs, the cell's level directory, and endN arrivals of the bucket
+	// whose first half is the head are still due at endT.
+	bank  *EHBank
+	dirs  []ehLevel
+	lv, j int
+	endT  Tick
+	endN  uint64
+}
+
+// advance moves the head to the run's next event; false means exhausted.
+func (r *replayRun) advance() bool {
+	if r.endN > 0 {
+		r.t, r.n, r.endN = r.endT, r.endN, 0
+		return true
+	}
+	if r.bank == nil {
+		if len(r.events) == 0 {
+			return false
+		}
+		r.t, r.n, r.events = r.events[0].t, r.events[0].n, r.events[1:]
+		return true
+	}
+	for ; r.lv >= 0; r.lv, r.j = r.lv-1, 0 {
+		d := &r.dirs[r.lv]
+		if r.j == int(d.n) {
+			continue
+		}
+		bk := r.bank.at(d, r.j)
+		r.j++
+		// ⌈s/2⌉ arrivals at the bucket's start, ⌊s/2⌋ at its end; a bucket
+		// confined to one tick replays whole.
+		size := uint64(1) << uint(r.lv)
+		r.t, r.n = bk.start, size
+		if bk.end != bk.start {
+			r.n, r.endT, r.endN = size-size/2, bk.end, size/2
+		}
+		return true
+	}
+	return false
+}
+
+// runMerger is the k-way merge at the heart of every order-preserving
+// aggregation: it drains k tick-ordered runs in global tick order, ties
+// going to the earlier input — a rule, not an accident of the scan: when
+// expiry is pending at a tick, the order its events replay in can change the
+// merged cell (TestReplayTieOrderIsVisible). k is the fan-in of a merge (a
+// handful), so the minimum is a linear scan. The zero value is ready; a
+// merger is reused across cells and keeps its run storage.
+type runMerger struct {
+	runs []replayRun // live runs, in input order
+}
+
+// begin empties the merger ahead of a merge of up to k runs.
+func (m *runMerger) begin(k int) {
+	if cap(m.runs) < k {
+		m.runs = make([]replayRun, 0, k)
+	}
+	m.runs = m.runs[:0]
+}
+
+// push admits the run r was set up as, unless it is empty.
+func (m *runMerger) push(r replayRun) {
+	if r.advance() {
+		m.runs = append(m.runs, r)
+	}
+}
+
+// addEvents admits a run of lowered events. Every synopsis lowers to a
+// tick-ordered run; one that does not was decoded from a corrupt encoding
+// and is put in order here, on its own, so the merge below has one shape.
+func (m *runMerger) addEvents(events []replayEvent) {
+	if !slices.IsSortedFunc(events, byTick) {
+		slices.SortStableFunc(events, byTick)
+	}
+	m.push(replayRun{events: events})
+}
+
+// addCell admits cell i of bank in, walked in place.
+func (m *runMerger) addCell(in *EHBank, i int) {
+	if !in.cellTickOrdered(i) {
+		m.addEvents(lowerBuckets(in.Buckets(i), splitHalfHalf))
+		return
+	}
+	c := &in.cells[i]
+	m.push(replayRun{bank: in, dirs: in.dirs[i*in.maxLv:][:c.nLv], lv: int(c.nLv) - 1})
+}
+
+// next pops the globally earliest pending event.
+func (m *runMerger) next() (t Tick, n uint64, ok bool) {
+	runs := m.runs
+	if len(runs) == 0 {
+		return 0, 0, false
+	}
+	best, t := 0, runs[0].t
+	for k := 1; k < len(runs); k++ {
+		if h := runs[k].t; h < t {
+			best, t = k, h
+		}
+	}
+	r := &runs[best]
+	n = r.n
+	if !r.advance() {
+		// Close the gap keeping input order, and drop the vacated slot's
+		// reference to its input: the storage outlives the merge.
+		last := len(runs) - 1
+		copy(runs[best:], runs[best+1:])
+		runs[last] = replayRun{}
+		m.runs = runs[:last]
+	}
+	return t, n, true
+}
+
+// cellTickOrdered reports whether cell i's buckets, read oldest → newest,
+// have non-decreasing boundary ticks — true of every cell built by arrivals
+// or merges. UnmarshalCell delta-decodes ticks but files each bucket under
+// the size class its encoding names, so sizes out of level order (or a tick
+// delta that wraps) leave a cell whose level walk jumps back in time.
+func (b *EHBank) cellTickOrdered(i int) bool {
+	var prev Tick
+	for lv := int(b.cells[i].nLv) - 1; lv >= 0; lv-- {
+		d := b.level(i, lv)
+		for j := 0; j < int(d.n); j++ {
+			bk := b.at(d, j)
+			if bk.start < prev || bk.end < bk.start {
+				return false
+			}
+			prev = bk.end
+		}
+	}
+	return true
 }
 
 // MergeEH performs the order-preserving aggregation EH⊕ = EH1 ⊕ ... ⊕ EHn of
@@ -40,8 +189,7 @@ func MergeEH(out Config, inputs ...*EH) (*EH, error) {
 			return nil, fmt.Errorf("window: MergeEH input %d is %v; count-based exponential histograms cannot be aggregated", i, in.cfg.Model)
 		}
 	}
-	events := gatherReplayEvents(inputs, splitHalfHalf)
-	return replayIntoEH(out, events, maxNow(inputs))
+	return replayIntoEH(out, inputs, splitHalfHalf)
 }
 
 // MergeEHEndpointOnly is the ablation variant of MergeEH that replays each
@@ -56,8 +204,7 @@ func MergeEHEndpointOnly(out Config, inputs ...*EH) (*EH, error) {
 	if out.Model != TimeBased {
 		return nil, errors.New("window: order-preserving aggregation requires time-based windows")
 	}
-	events := gatherReplayEvents(inputs, splitEndpoint)
-	return replayIntoEH(out, events, maxNow(inputs))
+	return replayIntoEH(out, inputs, splitEndpoint)
 }
 
 // splitFunc distributes a bucket's size across its two boundary ticks.
@@ -70,64 +217,45 @@ func splitHalfHalf(b Bucket) (uint64, uint64) {
 
 func splitEndpoint(b Bucket) (uint64, uint64) { return 0, b.Size }
 
-func gatherReplayEvents(inputs []*EH, split splitFunc) []replayEvent {
-	lists := make([][]Bucket, len(inputs))
-	for k, in := range inputs {
-		lists[k] = in.Buckets()
-	}
-	return replayEventsFromBuckets(lists, split)
-}
-
-// replayEventsFromBuckets lowers bucket lists (one per input synopsis,
-// oldest → newest) into the tick-ordered arrival replay of Theorem 4. It is
-// the shared core of MergeEH and EHBank.MergeCell.
-func replayEventsFromBuckets(inputs [][]Bucket, split splitFunc) []replayEvent {
-	total := 0
-	for _, in := range inputs {
-		total += len(in)
-	}
-	events := make([]replayEvent, 0, 2*total)
-	for _, in := range inputs {
-		for _, b := range in {
-			s, e := split(b)
-			if b.Start == b.End {
-				if b.Size > 0 {
-					events = append(events, replayEvent{t: b.Start, n: b.Size})
-				}
-				continue
+// lowerBuckets lowers one synopsis's bucket list (oldest → newest) into its
+// replay run.
+func lowerBuckets(bs []Bucket, split splitFunc) []replayEvent {
+	dst := make([]replayEvent, 0, 2*len(bs))
+	for _, b := range bs {
+		s, e := split(b)
+		if b.Start == b.End {
+			if b.Size > 0 {
+				dst = append(dst, replayEvent{t: b.Start, n: b.Size})
 			}
-			if s > 0 {
-				events = append(events, replayEvent{t: b.Start, n: s})
-			}
-			if e > 0 {
-				events = append(events, replayEvent{t: b.End, n: e})
-			}
+			continue
+		}
+		if s > 0 {
+			dst = append(dst, replayEvent{t: b.Start, n: s})
+		}
+		if e > 0 {
+			dst = append(dst, replayEvent{t: b.End, n: e})
 		}
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].t < events[j].t })
-	return events
+	return dst
 }
 
-func replayIntoEH(out Config, events []replayEvent, now Tick) (*EH, error) {
+func replayIntoEH(out Config, inputs []*EH, split splitFunc) (*EH, error) {
 	merged, err := NewEH(out)
 	if err != nil {
 		return nil, err
 	}
-	for _, ev := range events {
-		merged.AddN(ev.t, ev.n)
+	var m runMerger
+	m.begin(len(inputs))
+	var now Tick
+	for _, in := range inputs {
+		m.addEvents(lowerBuckets(in.Buckets(), split))
+		now = max(now, in.now)
+	}
+	for t, n, ok := m.next(); ok; t, n, ok = m.next() {
+		merged.AddN(t, n)
 	}
 	merged.Advance(now)
 	return merged, nil
-}
-
-func maxNow(inputs []*EH) Tick {
-	var now Tick
-	for _, in := range inputs {
-		if in.now > now {
-			now = in.now
-		}
-	}
-	return now
 }
 
 // MergedRelativeError returns the worst-case relative error of aggregating

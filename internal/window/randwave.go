@@ -423,6 +423,8 @@ func collectLevel(inputs []*RW, r, j int) []rwEntry {
 			all = append(all, d.at(i))
 		}
 	}
+	// Not the EH/DW run merger: equal-tick entries carry distinct ids, so this
+	// sort's tie order is byte-visible in the merged rings and must not change.
 	sort.Slice(all, func(a, b int) bool { return all[a].t < all[b].t })
 	seen := make(map[uint64]struct{}, len(all))
 	out := all[:0]

@@ -475,6 +475,8 @@ func collectBankLevel(all []rwEntry, inputs []*RWBank, i, r, j int) []rwEntry {
 			all = append(all, in.rwAt(d, k))
 		}
 	}
+	// Not the EH/DW run merger: equal-tick entries carry distinct ids, so this
+	// sort's tie order is byte-visible in the merged rings and must not change.
 	sort.Slice(all, func(x, y int) bool { return all[x].t < all[y].t })
 	seen := make(map[uint64]struct{}, len(all))
 	out := all[:0]

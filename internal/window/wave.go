@@ -254,8 +254,9 @@ func (w *DW) Levels() int { return len(w.levels) }
 // input wave is first converted to a bucket log equivalent to an exponential
 // histogram's — consecutive stored ranks r1 < r2 delimit a bucket of r2−r1
 // arrivals between their ticks — and the buckets are replayed half at the
-// start tick and half at the end tick, in global tick order. The resulting
-// error bound matches Theorem 4: ε + ε′ + εε′.
+// start tick and half at the end tick, in global tick order: ranks grow with
+// ticks, so each log is already a tick-ordered run for the k-way merge EH
+// aggregation uses. The resulting error bound matches Theorem 4: ε + ε′ + εε′.
 func MergeDW(out Config, inputs ...*DW) (*DW, error) {
 	if len(inputs) == 0 {
 		return nil, errors.New("window: MergeDW requires at least one input")
@@ -263,7 +264,8 @@ func MergeDW(out Config, inputs ...*DW) (*DW, error) {
 	if out.Model != TimeBased {
 		return nil, errors.New("window: order-preserving aggregation requires time-based windows")
 	}
-	var events []replayEvent
+	var m runMerger
+	m.begin(len(inputs))
 	var now Tick
 	for i, in := range inputs {
 		if in == nil {
@@ -272,18 +274,15 @@ func MergeDW(out Config, inputs ...*DW) (*DW, error) {
 		if in.cfg.Model != TimeBased {
 			return nil, fmt.Errorf("window: MergeDW input %d is %v; count-based waves cannot be aggregated", i, in.cfg.Model)
 		}
-		events = append(events, in.replayLog()...)
-		if in.now > now {
-			now = in.now
-		}
+		m.addEvents(in.replayLog())
+		now = max(now, in.now)
 	}
-	sort.Slice(events, func(a, b int) bool { return events[a].t < events[b].t })
 	merged, err := NewDW(out)
 	if err != nil {
 		return nil, err
 	}
-	for _, ev := range events {
-		merged.AddN(ev.t, ev.n)
+	for t, n, ok := m.next(); ok; t, n, ok = m.next() {
+		merged.AddN(t, n)
 	}
 	merged.Advance(now)
 	return merged, nil

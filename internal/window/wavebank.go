@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // This file implements the flat-memory deterministic-wave engine: a bank of
@@ -67,6 +66,8 @@ type DWBank struct {
 	// not bump, they are replayed by the receiver advancing to the same tick.
 	version uint64
 	vers    []uint64
+
+	merger runMerger // MergeCellFrom's scratch; never cloned
 }
 
 // NewDWBank constructs a bank of n empty deterministic waves, each with
@@ -420,9 +421,9 @@ func (b *DWBank) appendEntries(dst []waveEntry, i int) []waveEntry {
 
 // MergeCell performs the order-preserving aggregation of Section 5.1 into
 // cell i, exactly as MergeDW does for per-object waves: each input cell's
-// stored positions linearize into replay events, the concatenation is sorted
-// by tick, and the events are replayed into the (empty) cell. now advances
-// the cell's clock to the inputs' high-water tick.
+// stored positions linearize into a tick-ordered run of replay events, and
+// the runs are merged and replayed into the (empty) cell. now advances the
+// cell's clock to the inputs' high-water tick.
 func (b *DWBank) MergeCell(i int, now Tick, inputs []*DWBank) {
 	b.MergeCellFrom(i, i, now, inputs)
 }
@@ -434,13 +435,13 @@ func (b *DWBank) MergeCell(i int, now Tick, inputs []*DWBank) {
 // global indices; the replay is identical to MergeCell(src, ...) on a bank
 // where the indices coincide.
 func (b *DWBank) MergeCellFrom(i, src int, now Tick, inputs []*DWBank) {
-	var events []replayEvent
+	m := &b.merger
+	m.begin(len(inputs))
 	for _, in := range inputs {
-		events = waveReplayEvents(events, sortDedupEntriesByRank(in.appendEntries(nil, src)))
+		m.addEvents(waveReplayEvents(nil, sortDedupEntriesByRank(in.appendEntries(nil, src))))
 	}
-	sort.Slice(events, func(x, y int) bool { return events[x].t < events[y].t })
-	for _, ev := range events {
-		b.AddN(i, ev.t, ev.n)
+	for t, n, ok := m.next(); ok; t, n, ok = m.next() {
+		b.AddN(i, t, n)
 	}
 	b.Advance(i, now)
 }
