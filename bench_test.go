@@ -240,62 +240,6 @@ func BenchmarkAblationEpsilonSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMergeReplay compares Theorem 4's half/half bucket replay
-// against the endpoint-only ablation during aggregation.
-func BenchmarkAblationMergeReplay(b *testing.B) {
-	cfg := window.Config{Length: 50000, Epsilon: 0.1}
-	build := func() []*window.EH {
-		hs := make([]*window.EH, 4)
-		for i := range hs {
-			h, err := window.NewEH(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for t := window.Tick(1); t <= 40000; t += window.Tick(1 + i%3) {
-				h.Add(t)
-			}
-			hs[i] = h
-		}
-		return hs
-	}
-	hs := build()
-	b.Run("half-half", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := window.MergeEH(cfg, hs...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("endpoint-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := window.MergeEHEndpointOnly(cfg, hs...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationBucketLayout compares the per-level deque layout of the
-// exponential histogram (the paper's §7.1 choice, implemented here) against
-// a deterministic wave, whose flat fixed arrays are the natural alternative
-// layout, on identical streams.
-func BenchmarkAblationBucketLayout(b *testing.B) {
-	cfg := window.Config{Length: 1 << 20, Epsilon: 0.1, UpperBound: 1 << 20, Delta: 0.1}
-	for _, algo := range []window.Algorithm{window.AlgoEH, window.AlgoDW} {
-		b.Run(algo.String(), func(b *testing.B) {
-			c, err := window.New(algo, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Add(window.Tick(i + 1))
-			}
-		})
-	}
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

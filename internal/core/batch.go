@@ -288,17 +288,7 @@ const groupFactor = 4
 // cheap enough for the sharded engine to take under a stripe lock.
 func (s *Sketch) Snapshot() (*Sketch, error) {
 	c := *s
-	switch {
-	case s.eh != nil:
-		c.eh = s.eh.Clone()
-		c.bank = c.eh
-	case s.dw != nil:
-		c.dw = s.dw.Clone()
-		c.bank = c.dw
-	default:
-		c.rw = s.rw.Clone()
-		c.bank = c.rw
-	}
+	c.setBank(s.bank.Clone())
 	c.batch = batchScratch{} // scratch is per-owner working memory
 	return &c, nil
 }

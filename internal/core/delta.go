@@ -32,7 +32,7 @@ package core
 //     to a full pull. Invalidation is always safe: a full pull re-baselines.
 //
 // Delta payloads carry cells in the config-elided bare form
-// (window.AppendMarshalCellBare): a delta only ever applies against a
+// (window.Bank.AppendMarshalCellBare): a delta only ever applies against a
 // baseline whose Config was already validated, so repeating the shared
 // per-cell Config (~30 bytes) per changed cell would roughly double a
 // sparse delta pre-gzip. The cell decoder accepts both forms, so payloads
@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 
 	"ecmsketch/internal/hashing"
-	"ecmsketch/internal/window"
 )
 
 // Delta payload tags, continuing the 0xEC (wireECM) namespace.
@@ -137,33 +136,23 @@ func ParseCursor(s string) (Cursor, error) {
 	if err != nil {
 		return Cursor{}, fmt.Errorf("core: bad cursor: %v", err)
 	}
-	var c Cursor
-	off := 0
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return 0, errors.New("core: truncated cursor")
-		}
-		off += n
-		return v, nil
-	}
-	if c.Epoch, err = getU(); err != nil {
-		return Cursor{}, err
-	}
-	n, err := getU()
-	if err != nil {
-		return Cursor{}, err
+	r := &reader{b: b, what: "cursor"}
+	c := Cursor{Epoch: r.uvarint()}
+	n := r.uvarint()
+	if r.err != nil {
+		return Cursor{}, r.err
 	}
 	if n > maxDeltaParts {
 		return Cursor{}, fmt.Errorf("core: cursor declares %d parts", n)
 	}
 	c.Vers = make([]uint64, n)
 	for i := range c.Vers {
-		if c.Vers[i], err = getU(); err != nil {
-			return Cursor{}, err
-		}
+		c.Vers[i] = r.uvarint()
 	}
-	if off != len(b) {
+	if r.err != nil {
+		return Cursor{}, r.err
+	}
+	if r.off != len(b) {
 		return Cursor{}, errors.New("core: trailing bytes in cursor")
 	}
 	return c, nil
@@ -250,21 +239,13 @@ func (s *Sketch) appendDelta(dst []byte, epoch, base uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(changed))
 	prev := 0
 	var cell []byte
-	var scratch []window.Bucket
 	for i := 0; i < s.d*s.w; i++ {
 		if !s.bank.CellChangedSince(i, base) {
 			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(i-prev))
 		prev = i
-		switch {
-		case s.eh != nil:
-			cell, scratch = s.eh.AppendMarshalCellBare(cell[:0], i, scratch)
-		case s.dw != nil:
-			cell = s.dw.AppendMarshalCellBare(cell[:0], i)
-		default:
-			cell = s.rw.AppendMarshalCellBare(cell[:0], i)
-		}
+		cell = s.bank.AppendMarshalCellBare(cell[:0], i)
 		dst = binary.AppendUvarint(dst, uint64(len(cell)))
 		dst = append(dst, cell...)
 	}
@@ -283,24 +264,15 @@ func (s *Sketch) applyDelta(payload []byte, epoch, base uint64, record func(int)
 	if len(payload) == 0 || payload[0] != wireDelta {
 		return 0, errors.New("core: not a delta encoding")
 	}
-	off := 1
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return 0, errors.New("core: truncated delta")
-		}
-		off += n
-		return v, nil
-	}
+	r := &reader{b: payload, off: 1, what: "delta"}
 	hdr := struct{ epoch, base, ver, now, count, salt, seq, changed uint64 }{}
 	for _, f := range []*uint64{
 		&hdr.epoch, &hdr.base, &hdr.ver, &hdr.now, &hdr.count, &hdr.salt, &hdr.seq, &hdr.changed,
 	} {
-		v, err := getU()
-		if err != nil {
-			return 0, err
-		}
-		*f = v
+		*f = r.uvarint()
+	}
+	if r.err != nil {
+		return 0, r.err
 	}
 	if hdr.epoch != epoch {
 		return 0, fmt.Errorf("core: delta epoch %x does not match %x", hdr.epoch, epoch)
@@ -314,31 +286,13 @@ func (s *Sketch) applyDelta(payload []byte, epoch, base uint64, record func(int)
 	if hdr.changed > uint64(len(payload)) { // ≥1 byte per changed cell
 		return 0, errors.New("core: corrupt delta")
 	}
-	prev := 0
+	idx := 0
 	for k := uint64(0); k < hdr.changed; k++ {
-		dIdx, err := getU()
-		if err != nil {
-			return 0, err
+		idx = r.index(idx, s.d*s.w, k == 0)
+		enc := r.chunk()
+		if r.err != nil {
+			return 0, r.err
 		}
-		// Bound the increment before converting: a huge varint would wrap
-		// int and sneak a negative index past the range check.
-		if dIdx > uint64(s.d*s.w) {
-			return 0, fmt.Errorf("core: delta cell index increment %d out of range", dIdx)
-		}
-		idx := prev + int(dIdx)
-		if idx >= s.d*s.w || (k > 0 && dIdx == 0) {
-			return 0, fmt.Errorf("core: delta cell index %d out of range", idx)
-		}
-		prev = idx
-		ln, err := getU()
-		if err != nil {
-			return 0, err
-		}
-		if ln > uint64(len(payload)-off) {
-			return 0, errors.New("core: truncated delta cell")
-		}
-		enc := payload[off : off+int(ln)]
-		off += int(ln)
 		s.bank.ResetCell(idx)
 		if err := s.bank.UnmarshalCell(idx, enc); err != nil {
 			return 0, fmt.Errorf("core: delta cell %d: %w", idx, err)
@@ -347,7 +301,7 @@ func (s *Sketch) applyDelta(payload []byte, epoch, base uint64, record func(int)
 			record(idx)
 		}
 	}
-	if off != len(payload) {
+	if r.off != len(payload) {
 		return 0, errors.New("core: trailing bytes in delta")
 	}
 	if hdr.now > s.now {
@@ -360,11 +314,7 @@ func (s *Sketch) applyDelta(payload []byte, epoch, base uint64, record func(int)
 	// change feed — their estimates moved (for the wave synopses possibly
 	// upward, when expiry forces a coarser level) even though no encoding
 	// for them was shipped.
-	if record != nil {
-		s.bank.AdvanceAllNoting(s.now, record)
-	} else {
-		s.Advance(s.now)
-	}
+	s.AdvanceNoting(s.now, record)
 	return hdr.ver, nil
 }
 
@@ -598,36 +548,16 @@ func (st *DeltaState) applyFull(payload []byte, cur Cursor) error {
 }
 
 func (st *DeltaState) applyMultiDelta(payload []byte, cur Cursor) error {
-	off := 1
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return 0, errors.New("core: truncated multipart delta")
-		}
-		off += n
-		return v, nil
-	}
-	epoch, err := getU()
-	if err != nil {
-		return err
+	r := &reader{b: payload, off: 1, what: "multipart delta"}
+	epoch, nparts, now, nChanged := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
+	if r.err != nil {
+		return r.err
 	}
 	if epoch != st.epoch {
 		return fmt.Errorf("core: multipart delta epoch %x does not match %x", epoch, st.epoch)
 	}
-	nparts, err := getU()
-	if err != nil {
-		return err
-	}
-	if int(nparts) != len(st.parts) {
+	if nparts != uint64(len(st.parts)) {
 		return fmt.Errorf("core: multipart delta names %d parts, baseline holds %d", nparts, len(st.parts))
-	}
-	now, err := getU()
-	if err != nil {
-		return err
-	}
-	nChanged, err := getU()
-	if err != nil {
-		return err
 	}
 	if nChanged > nparts {
 		return errors.New("core: multipart delta changes more parts than exist")
@@ -636,30 +566,13 @@ func (st *DeltaState) applyMultiDelta(payload []byte, cur Cursor) error {
 		return errors.New("core: multipart delta cursor part count mismatch")
 	}
 	newVers := append([]uint64(nil), st.vers...)
-	prev := 0
+	idx := 0
 	for k := uint64(0); k < nChanged; k++ {
-		dIdx, err := getU()
-		if err != nil {
-			return err
+		idx = r.index(idx, len(st.parts), k == 0)
+		sub := r.chunk()
+		if r.err != nil {
+			return r.err
 		}
-		// Same int-wrap guard as the cell path: bound before converting.
-		if dIdx > uint64(len(st.parts)) {
-			return fmt.Errorf("core: multipart delta part index increment %d out of range", dIdx)
-		}
-		idx := prev + int(dIdx)
-		if idx >= len(st.parts) || (k > 0 && dIdx == 0) {
-			return fmt.Errorf("core: multipart delta part index %d out of range", idx)
-		}
-		prev = idx
-		ln, err := getU()
-		if err != nil {
-			return err
-		}
-		if ln > uint64(len(payload)-off) {
-			return errors.New("core: truncated multipart sub-delta")
-		}
-		sub := payload[off : off+int(ln)]
-		off += int(ln)
 		if len(sub) > 0 && (sub[0] == wireECM || sub[0] == wireSparse) {
 			// Whole-part replacement: how a producer without cell-granular
 			// change tracking ships a changed stripe. The part's new version
@@ -667,6 +580,9 @@ func (st *DeltaState) applyMultiDelta(payload []byte, cur Cursor) error {
 			sk, err := UnmarshalAny(sub)
 			if err != nil {
 				return fmt.Errorf("core: part %d: %w", idx, err)
+			}
+			if !st.parts[idx].Compatible(sk) {
+				return fmt.Errorf("core: part %d: replacement incompatible with the baseline", idx)
 			}
 			sk.Advance(sk.Now())
 			st.parts[idx] = sk
@@ -683,7 +599,7 @@ func (st *DeltaState) applyMultiDelta(payload []byte, cur Cursor) error {
 		}
 		newVers[idx] = ver
 	}
-	if off != len(payload) {
+	if r.off != len(payload) {
 		return errors.New("core: trailing bytes in multipart delta")
 	}
 	// The cursor must name exactly the state we just built: changed parts
@@ -712,46 +628,35 @@ func (st *DeltaState) applyMultiDelta(payload []byte, cur Cursor) error {
 }
 
 func decodeMultiFull(payload []byte) (epoch uint64, now Tick, parts []*Sketch, err error) {
-	off := 1
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return 0, errors.New("core: truncated multipart baseline")
-		}
-		off += n
-		return v, nil
-	}
-	if epoch, err = getU(); err != nil {
-		return 0, 0, nil, err
-	}
-	nparts, err := getU()
-	if err != nil {
-		return 0, 0, nil, err
+	r := &reader{b: payload, off: 1, what: "multipart baseline"}
+	epoch = r.uvarint()
+	nparts := r.uvarint()
+	now = r.uvarint()
+	if r.err != nil {
+		return 0, 0, nil, r.err
 	}
 	if nparts == 0 || nparts > maxDeltaParts {
 		return 0, 0, nil, fmt.Errorf("core: multipart baseline declares %d parts", nparts)
 	}
-	if now, err = getU(); err != nil {
-		return 0, 0, nil, err
-	}
 	parts = make([]*Sketch, nparts)
 	for i := range parts {
-		ln, err := getU()
-		if err != nil {
-			return 0, 0, nil, err
+		enc := r.chunk()
+		if r.err != nil {
+			return 0, 0, nil, r.err
 		}
-		if ln > uint64(len(payload)-off) {
-			return 0, 0, nil, errors.New("core: truncated multipart baseline part")
-		}
-		sk, err := UnmarshalAny(payload[off : off+int(ln)])
-		if err != nil {
+		if parts[i], err = UnmarshalAny(enc); err != nil {
 			return 0, 0, nil, fmt.Errorf("core: baseline part %d: %w", i, err)
 		}
-		off += int(ln)
-		parts[i] = sk
 	}
-	if off != len(payload) {
+	if r.off != len(payload) {
 		return 0, 0, nil, errors.New("core: trailing bytes in multipart baseline")
+	}
+	// The parts exist to be merged (Materialize); a baseline whose parts
+	// cannot be is corrupt, and is refused here rather than at first use.
+	if len(parts) > 1 {
+		if err := checkMergeable(parts); err != nil {
+			return 0, 0, nil, fmt.Errorf("core: multipart baseline: %w", err)
+		}
 	}
 	return epoch, now, parts, nil
 }

@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
-
-	"ecmsketch/internal/window"
 )
 
 // Golden-vector tests for the delta wire format. Delta payloads carry
-// changed cells in the config-elided bare form (window.AppendMarshalCellBare);
+// changed cells in the config-elided bare form (window.Bank.AppendMarshalCellBare);
 // these vectors pin that framing byte-for-byte so it cannot drift silently,
 // and the fallback test proves the decoder still accepts the older framing
 // that shipped full-form (config-carrying) cells, so payloads from producers
@@ -140,14 +138,13 @@ func appendDeltaFullForm(s *Sketch, epoch, base uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(changed))
 	prev := 0
 	var cell []byte
-	var scratch []window.Bucket
 	for i := 0; i < s.d*s.w; i++ {
 		if !s.eh.CellChangedSince(i, base) {
 			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(i-prev))
 		prev = i
-		cell, scratch = s.eh.AppendMarshalCell(cell[:0], i, scratch)
+		cell = s.eh.AppendMarshalCell(cell[:0], i)
 		dst = binary.AppendUvarint(dst, uint64(len(cell)))
 		dst = append(dst, cell...)
 	}

@@ -408,3 +408,47 @@ func TestDeltaInvalidation(t *testing.T) {
 		t.Fatal("recovery reconstruction diverged")
 	}
 }
+
+// TestMultipartRejectsUnmergeableParts: the parts of a multipart state exist
+// to be merged, so a baseline — or a whole-part replacement — whose parts
+// Merge would refuse is rejected at Apply, not discovered at Materialize
+// (found by FuzzDeltaApply: a bit flip in one part's header was accepted and
+// the state then failed every materialization).
+func TestMultipartRejectsUnmergeableParts(t *testing.T) {
+	build := func(seed uint64) *Sketch {
+		p := deltaTestParams()
+		p.Seed = seed
+		s, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Add(seed, 1)
+		return s
+	}
+	a, b, foreign := build(42), build(42), build(43)
+	const epoch = 7
+	cur := Cursor{Epoch: epoch, Vers: []uint64{a.DeltaVersion(), b.DeltaVersion()}}
+
+	var st DeltaState
+	bad := EncodeMultiFull(epoch, 1, [][]byte{a.Marshal(), foreign.Marshal()})
+	if err := st.Apply(bad, cur, true); err == nil {
+		t.Fatal("baseline with incompatible parts accepted")
+	}
+	if st.HasBaseline() {
+		t.Fatal("refused baseline left in use")
+	}
+
+	good := EncodeMultiFull(epoch, 1, [][]byte{a.Marshal(), b.Marshal()})
+	if err := st.Apply(good, cur, true); err != nil {
+		t.Fatal(err)
+	}
+	next := cur.Clone()
+	next.Vers[1]++
+	swap := EncodeMultiDelta(epoch, 1, 2, []PartDelta{{Index: 1, Payload: foreign.Marshal()}})
+	if err := st.Apply(swap, next, false); err == nil {
+		t.Fatal("incompatible whole-part replacement accepted")
+	}
+	if st.HasBaseline() {
+		t.Fatal("refused replacement left the baseline in use")
+	}
+}

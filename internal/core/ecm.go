@@ -50,31 +50,6 @@ type Params struct {
 // never collide across sites.
 var ecmSaltCounter uint64
 
-// cellBank is the algorithm-independent surface of the flat arena engines
-// (window.EHBank, window.DWBank, window.RWBank): everything the sketch needs
-// per cell except ingest and serialization, which stay on the concrete types
-// — ingest because the per-algorithm entry points differ (bucketed AddN
-// versus per-identifier AddID), serialization because the bank encoders
-// append into caller-owned scratch without interface-boxing allocations.
-type cellBank interface {
-	Advance(i int, t Tick)
-	AdvanceAll(t Tick)
-	AdvanceAllNoting(t Tick, note func(int))
-	Now(i int) Tick
-	EstimateSince(i int, since Tick) float64
-	EstimateRange(i int, r Tick) float64
-	Version() uint64
-	VersionVector() (uint64, []uint64)
-	RestoreVersionVector(version uint64, vers []uint64) error
-	CellChangedSince(i int, since uint64) bool
-	CellUntouched(i int) bool
-	ResetCell(i int)
-	Reset()
-	MemoryBytes() int
-	MarshalCellSize(i int) int
-	UnmarshalCell(i int, enc []byte) error
-}
-
 // Sketch is an ECM-sketch: a d×w Count-Min array whose counters are sliding
 // window synopses. It supports point queries, inner-product and self-join
 // queries over any sub-range of the window, and order-preserving aggregation
@@ -82,18 +57,20 @@ type cellBank interface {
 //
 // All three paper algorithms keep their d×w counters in one flat arena
 // (window.EHBank, window.DWBank, window.RWBank): a contiguous slab addressed
-// row-major, with no per-counter heap objects and no interface dispatch on
-// the ingest path.
+// row-major, with no per-counter heap objects. Queries, serialization, deltas
+// and snapshots go through the window.Bank contract and never ask which
+// algorithm they hold; ingest and merging use the concrete type, so the
+// ingest path pays no interface dispatch per event.
 //
 // Sketch is not safe for concurrent use; distributed sites each own one.
 type Sketch struct {
 	params Params
 	split  Split
 	fam    *hashing.Family
-	eh     *window.EHBank // flat EH engine; non-nil iff Algorithm == AlgoEH
-	dw     *window.DWBank // flat DW engine; non-nil iff Algorithm == AlgoDW
-	rw     *window.RWBank // flat RW engine; non-nil iff Algorithm == AlgoRW
-	bank   cellBank       // whichever of the three is in use; never nil
+	bank   window.Bank    // the d×w counters; never nil
+	eh     *window.EHBank // bank's concrete type, for ingest and merging:
+	dw     *window.DWBank // exactly one of the three is non-nil
+	rw     *window.RWBank
 	w, d   int
 	wcfg   window.Config
 	now    Tick
@@ -157,32 +134,21 @@ func New(p Params) (*Sketch, error) {
 		salt:   hashing.Mix64(atomic.AddUint64(&ecmSaltCounter, 1) * 0x94d049bb133111eb),
 		epoch:  newEpoch(),
 	}
-	switch p.Algorithm {
-	case window.AlgoEH:
-		bank, err := window.NewEHBank(wcfg, d*w)
-		if err != nil {
-			return nil, err
-		}
-		s.eh = bank
-		s.bank = bank
-	case window.AlgoDW:
-		bank, err := window.NewDWBank(wcfg, d*w)
-		if err != nil {
-			return nil, err
-		}
-		s.dw = bank
-		s.bank = bank
-	case window.AlgoRW:
-		bank, err := window.NewRWBank(wcfg, d*w)
-		if err != nil {
-			return nil, err
-		}
-		s.rw = bank
-		s.bank = bank
-	default:
-		return nil, fmt.Errorf("core: unsupported window algorithm %v", p.Algorithm)
+	bank, err := window.NewBank(p.Algorithm, wcfg, d*w)
+	if err != nil {
+		return nil, err
 	}
+	s.setBank(bank)
 	return s, nil
+}
+
+// setBank installs b as the sketch's counters, caching its concrete type
+// for the ingest and merge paths.
+func (s *Sketch) setBank(b window.Bank) {
+	s.bank = b
+	s.eh, _ = b.(*window.EHBank)
+	s.dw, _ = b.(*window.DWBank)
+	s.rw, _ = b.(*window.RWBank)
 }
 
 func resolveSplit(p *Params) (Split, error) {
@@ -233,7 +199,10 @@ func (s *Sketch) Count() uint64 { return s.count }
 func (s *Sketch) Now() Tick { return s.now }
 
 // SetIDSalt overrides the salt used for auto-generated randomized-wave event
-// identifiers; see window.RW.SetIDSalt.
+// identifiers. Sketches merged together must have been fed events with
+// globally unique identifiers; within one process the default per-sketch salt
+// guarantees that, while multi-process deployments should set an explicit
+// site salt (see window.RWBank.SetCellIDSalt for the per-cell equivalent).
 func (s *Sketch) SetIDSalt(salt uint64) { s.salt = salt }
 
 // NormalizeCellSalts re-derives every randomized-wave cell's auto-identifier
@@ -314,12 +283,7 @@ func (s *Sketch) SetClock(t Tick) {
 }
 
 // Advance moves the window of every counter forward to tick t.
-func (s *Sketch) Advance(t Tick) {
-	if t > s.now {
-		s.now = t
-	}
-	s.bank.AdvanceAll(t)
-}
+func (s *Sketch) Advance(t Tick) { s.AdvanceNoting(t, nil) }
 
 // AdvanceNoting moves the window of every counter forward to tick t like
 // Advance and calls note(i) for each cell whose retained content the move
@@ -327,14 +291,10 @@ func (s *Sketch) Advance(t Tick) {
 // producer's clock use it to keep their changed-cell feed exact. A nil note
 // advances and reports nothing.
 func (s *Sketch) AdvanceNoting(t Tick, note func(int)) {
-	if note == nil {
-		s.Advance(t)
-		return
-	}
 	if t > s.now {
 		s.now = t
 	}
-	s.bank.AdvanceAllNoting(t, note)
+	window.AdvanceAll(s.bank, t, note)
 }
 
 // cellEstimateRange evaluates counter idx over the last r ticks. Counters

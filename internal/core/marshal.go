@@ -53,22 +53,12 @@ func (s *Sketch) appendMarshalHeader(dst []byte) []byte {
 func (s *Sketch) Marshal() []byte {
 	dst := []byte{wireECM}
 	dst = s.appendMarshalHeader(dst)
-	// Encode each cell straight out of the arena through call-local scratch
-	// buffers — the arena itself is only read, so frozen sketches (the
-	// sharded engine's published views) marshal concurrently without
-	// coordination. The bytes are identical to what a per-object counter
-	// holding the same content would write.
+	// Encode each cell straight out of the arena through a call-local buffer
+	// — the arena itself is only read, so frozen sketches (the sharded
+	// engine's published views) marshal concurrently without coordination.
 	var cell []byte
-	var scratch []window.Bucket
 	for i := 0; i < s.d*s.w; i++ {
-		switch {
-		case s.eh != nil:
-			cell, scratch = s.eh.AppendMarshalCell(cell[:0], i, scratch)
-		case s.dw != nil:
-			cell = s.dw.AppendMarshalCell(cell[:0], i)
-		default:
-			cell = s.rw.AppendMarshalCell(cell[:0], i)
-		}
+		cell = s.bank.AppendMarshalCell(cell[:0], i)
 		dst = binary.AppendUvarint(dst, uint64(len(cell)))
 		dst = append(dst, cell...)
 	}
@@ -110,100 +100,103 @@ type marshalHeader struct {
 	count, salt, seq uint64
 }
 
-// readMarshalHeader decodes the header appendMarshalHeader wrote, starting
-// at off (just past the tag byte), and returns the offset of the first cell
-// payload.
-func readMarshalHeader(b []byte, off int) (marshalHeader, int, error) {
-	var h marshalHeader
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return 0, errors.New("core: truncated encoding")
-		}
-		off += n
-		return v, nil
-	}
-	getF := func() (float64, error) {
-		if off+8 > len(b) {
-			return 0, errors.New("core: truncated encoding")
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-		return v, nil
-	}
-	getB := func() (byte, error) {
-		if off >= len(b) {
-			return 0, errors.New("core: truncated encoding")
-		}
-		v := b[off]
-		off++
-		return v, nil
-	}
+// reader walks one varint-packed encoding. The first read past the end
+// latches err (naming the encoding as what) and every later read returns
+// zero, so a run of fields decodes without a check per field; callers check
+// err before a decoded value steers control flow.
+type reader struct {
+	b    []byte
+	off  int
+	what string
+	err  error
+}
 
-	var err error
-	if h.p.Epsilon, err = getF(); err != nil {
-		return h, 0, err
+func (r *reader) truncated() {
+	if r.err == nil {
+		r.err = fmt.Errorf("core: truncated %s", r.what)
 	}
-	if h.p.Delta, err = getF(); err != nil {
-		return h, 0, err
+}
+
+// take consumes n bytes.
+func (r *reader) take(n uint64) []byte {
+	if r.err != nil || n > uint64(len(r.b)-r.off) {
+		r.truncated()
+		return nil
 	}
-	q, err := getB()
-	if err != nil {
-		return h, 0, err
+	c := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return c
+}
+
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	h.p.Query = QueryKind(q)
-	a, err := getB()
-	if err != nil {
-		return h, 0, err
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.truncated()
+		return 0
 	}
-	h.p.Algorithm = window.Algorithm(a)
-	m, err := getB()
-	if err != nil {
-		return h, 0, err
+	r.off += n
+	return v
+}
+
+func (r *reader) byte1() byte {
+	if c := r.take(1); c != nil {
+		return c[0]
 	}
-	h.p.Model = window.Model(m)
-	if h.p.WindowLength, err = getU(); err != nil {
-		return h, 0, err
+	return 0
+}
+
+func (r *reader) f64() float64 {
+	if c := r.take(8); c != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(c))
 	}
-	if h.p.UpperBound, err = getU(); err != nil {
-		return h, 0, err
+	return 0
+}
+
+// chunk consumes one length-prefixed run of bytes.
+func (r *reader) chunk() []byte { return r.take(r.uvarint()) }
+
+// index consumes one delta-encoded index of a strictly increasing list over
+// [0, n): prev is the previous index, first whether this is the first. An
+// index out of range latches err like a truncation does. The increment is
+// bounded before converting — a huge varint would wrap int and sneak a
+// negative index past the range check.
+func (r *reader) index(prev, n int, first bool) int {
+	d := r.uvarint()
+	if r.err != nil {
+		return 0
 	}
-	if h.p.Seed, err = getU(); err != nil {
-		return h, 0, err
+	if d > uint64(n) || prev+int(d) >= n || (!first && d == 0) {
+		r.err = fmt.Errorf("core: %s index out of range", r.what)
+		return 0
 	}
-	wu, err := getU()
-	if err != nil {
-		return h, 0, err
-	}
-	du, err := getU()
-	if err != nil {
-		return h, 0, err
+	return prev + int(d)
+}
+
+// readMarshalHeader decodes the header appendMarshalHeader wrote (r stands
+// just past the tag byte), leaving r at the first cell payload.
+func readMarshalHeader(r *reader) (marshalHeader, error) {
+	var h marshalHeader
+	var split Split
+	h.p.Epsilon, h.p.Delta = r.f64(), r.f64()
+	h.p.Query = QueryKind(r.byte1())
+	h.p.Algorithm = window.Algorithm(r.byte1())
+	h.p.Model = window.Model(r.byte1())
+	h.p.WindowLength, h.p.UpperBound, h.p.Seed = r.uvarint(), r.uvarint(), r.uvarint()
+	wu, du := r.uvarint(), r.uvarint()
+	split.EpsCM, split.EpsSW = r.f64(), r.f64()
+	h.p.Split = &split
+	h.now, h.count, h.salt, h.seq = r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
+	if r.err != nil {
+		return h, r.err
 	}
 	if wu == 0 || du == 0 || wu > 1<<20 || du > 1<<8 || wu*du > 1<<22 {
-		return h, 0, fmt.Errorf("core: corrupt dimensions %dx%d", du, wu)
+		return h, fmt.Errorf("core: corrupt dimensions %dx%d", du, wu)
 	}
 	h.p.Width, h.p.Depth = int(wu), int(du)
-	var split Split
-	if split.EpsCM, err = getF(); err != nil {
-		return h, 0, err
-	}
-	if split.EpsSW, err = getF(); err != nil {
-		return h, 0, err
-	}
-	h.p.Split = &split
-	if h.now, err = getU(); err != nil {
-		return h, 0, err
-	}
-	if h.count, err = getU(); err != nil {
-		return h, 0, err
-	}
-	if h.salt, err = getU(); err != nil {
-		return h, 0, err
-	}
-	if h.seq, err = getU(); err != nil {
-		return h, 0, err
-	}
-	return h, off, nil
+	return h, nil
 }
 
 // Unmarshal reconstructs a sketch from Marshal output. The decoded sketch
@@ -213,7 +206,14 @@ func Unmarshal(b []byte) (*Sketch, error) {
 	if len(b) == 0 || b[0] != wireECM {
 		return nil, errors.New("core: not an ECM-sketch encoding")
 	}
-	h, off, err := readMarshalHeader(b, 1)
+	return unmarshal(b)
+}
+
+// unmarshal decodes either sketch encoding — dense (wireECM) or sparse
+// (wireSparse, see sparse.go) — the tag byte having been checked.
+func unmarshal(b []byte) (*Sketch, error) {
+	r := &reader{b: b, off: 1, what: "sketch encoding"}
+	h, err := readMarshalHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -221,29 +221,62 @@ func Unmarshal(b []byte) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return 0, errors.New("core: truncated encoding")
+	n := s.d * s.w
+	var elided []int
+	var salts []uint64
+	var skip []bool
+	if b[0] == wireSparse {
+		nElided := r.uvarint()
+		if r.err != nil {
+			return nil, r.err
 		}
-		off += n
-		return v, nil
+		if nElided > uint64(n) {
+			return nil, fmt.Errorf("core: sparse encoding elides %d of %d cells", nElided, n)
+		}
+		elided = make([]int, nElided)
+		skip = make([]bool, n)
+		prev := 0
+		for k := range elided {
+			prev = r.index(prev, n, k == 0)
+			if r.err != nil {
+				return nil, r.err
+			}
+			elided[k] = prev
+			skip[prev] = true
+		}
+		if s.rw != nil {
+			salts = make([]uint64, nElided)
+			for k := range salts {
+				salts[k] = r.uvarint()
+			}
+		}
 	}
-	for i := 0; i < s.d*s.w; i++ {
-		ln, err := getU()
-		if err != nil {
-			return nil, err
+	for i := 0; i < n; i++ {
+		if skip != nil && skip[i] {
+			continue
 		}
-		if ln > uint64(len(b)-off) {
-			return nil, errors.New("core: truncated counter encoding")
+		enc := r.chunk()
+		if r.err != nil {
+			return nil, r.err
 		}
-		enc := b[off : off+int(ln)]
-		off += int(ln)
-		// Decode straight into the flat arena; cross-version encodings from
-		// the per-object engines restore identically.
 		if err := s.bank.UnmarshalCell(i, enc); err != nil {
 			return nil, fmt.Errorf("core: counter %d: %w", i, err)
 		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if b[0] == wireSparse && r.off != len(b) {
+		return nil, errors.New("core: trailing bytes in sparse encoding")
+	}
+	// Elided cells are fresh cells moved to the header clock (with their
+	// identifier salt restored for randomized waves); shipped cells carry
+	// their own clocks, so only the elided ones are advanced here.
+	for k, idx := range elided {
+		if s.rw != nil {
+			s.rw.SetCellIDSalt(idx, salts[k])
+		}
+		s.bank.Advance(idx, h.now)
 	}
 	s.now = h.now
 	s.count = h.count

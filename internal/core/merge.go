@@ -20,60 +20,63 @@ import (
 // sketches the aggregation is lossless (Section 5.2). Count-based sketches
 // cannot be aggregated at all; Merge rejects them.
 func Merge(inputs ...*Sketch) (*Sketch, error) {
-	if len(inputs) == 0 {
-		return nil, errors.New("core: Merge requires at least one input")
+	if err := checkMergeable(inputs); err != nil {
+		return nil, err
 	}
 	first := inputs[0]
-	for i, in := range inputs[1:] {
-		if in == nil {
-			return nil, fmt.Errorf("core: Merge input %d is nil", i+1)
-		}
-		if !first.Compatible(in) {
-			return nil, fmt.Errorf("core: Merge input %d incompatible with input 0", i+1)
-		}
-	}
-	if first.params.Algorithm != window.AlgoRW && first.wcfg.Model != window.TimeBased {
-		return nil, errors.New("core: order-preserving aggregation requires time-based windows")
-	}
 	out, err := New(first.params)
 	if err != nil {
 		return nil, err
 	}
-	// New assigned the output a fresh process-local identifier salt, which
-	// would make merged encodings differ run to run in that one field.
-	// Derive it deterministically from the inputs instead: merged summaries
-	// must be reproducible byte-for-byte across processes and transports —
-	// the coordinator's cross-transport equivalence contract — while the
-	// mixing still gives the output an ID space distinct from each input's
-	// for any future randomized-wave ingest.
-	salt := uint64(0x9e37_79b9_7f4a_7c15)
-	for _, in := range inputs {
-		salt = hashing.Mix64(salt ^ in.salt)
-	}
-	out.salt = salt
 	var now Tick
-	var count uint64
-	for _, in := range inputs {
-		if in.now > now {
-			now = in.now
-		}
-		count += in.count
-	}
-	// Replay every input cell straight into the output arena — the same
-	// per-cell aggregation the per-object engines perform (EH/DW: the
+	out.salt, now, out.count = mergedScalars(inputs)
+	// Replay every input cell straight into the output arena (EH/DW: the
 	// Theorem 4 half/half replay, tick-ordered across inputs; RW: the
 	// lossless position-wise union of Section 5.2). Cells are independent,
 	// so large arrays fan the replay across a bounded worker pool; the
 	// output is byte-identical to the sequential cell loop either way (see
 	// parallel.go).
-	if out.eh != nil {
-		out.eh.ReserveMerge(ehBanks(inputs), out.d*out.w, func(j int) int { return j })
-	}
 	applyMergeCells(out, inputs, nil, true, now, false)
-	out.now = now
-	out.count = count
 	out.Advance(now)
 	return out, nil
+}
+
+// mergedScalars folds the inputs' sketch-level fields into a merge output's:
+// the latest clock, the summed arrival count, and an identifier salt derived
+// deterministically from the inputs' in order. New assigns every sketch a
+// fresh process-local salt, which would make merged encodings differ run to
+// run in that one field; merged summaries must be reproducible byte-for-byte
+// across processes and transports — the coordinator's cross-transport
+// equivalence contract — while the mixing still gives the output an ID space
+// distinct from each input's for any future randomized-wave ingest.
+func mergedScalars(inputs []*Sketch) (salt uint64, now Tick, count uint64) {
+	salt = 0x9e37_79b9_7f4a_7c15
+	for _, in := range inputs {
+		salt = hashing.Mix64(salt ^ in.salt)
+		now = max(now, in.now)
+		count += in.count
+	}
+	return salt, now, count
+}
+
+// checkMergeable reports why Merge would refuse inputs, or nil.
+func checkMergeable(inputs []*Sketch) error {
+	if len(inputs) == 0 {
+		return errors.New("core: Merge requires at least one input")
+	}
+	first := inputs[0]
+	for i, in := range inputs[1:] {
+		if in == nil {
+			return fmt.Errorf("core: Merge input %d is nil", i+1)
+		}
+		if !first.Compatible(in) {
+			return fmt.Errorf("core: Merge input %d incompatible with input 0", i+1)
+		}
+	}
+	if first.params.Algorithm != window.AlgoRW && first.wcfg.Model != window.TimeBased {
+		return errors.New("core: order-preserving aggregation requires time-based windows")
+	}
+	return nil
 }
 
 // MergedPointErrorBound bounds the point-query error factor of a sketch

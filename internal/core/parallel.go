@@ -76,70 +76,96 @@ func MergeWorkersFor(ncells int) int {
 // cell first, as PatchMerged requires on a live destination; Merge passes
 // false for its virgin output bank. Parallel when the cell count warrants
 // it, byte-identical to the sequential replay either way.
+//
+// This is the one place outside construction and ingest that asks which
+// algorithm a sketch runs: a merge reads same-kind inputs through their
+// concrete bank type, so the pass below is instantiated once per call for
+// whichever it is.
 func applyMergeCells(dst *Sketch, inputs []*Sketch, cells []int, all bool, now Tick, reset bool) {
-	count := len(cells)
+	p := mergePlan{cells: cells, all: all, now: now, reset: reset, count: len(cells)}
 	if all {
-		count = dst.d * dst.w
+		p.count = dst.d * dst.w
 	}
-	if w := MergeWorkersFor(count); w > 1 {
-		if applyMergeCellsParallel(dst, inputs, cells, all, now, w) == nil {
+	switch {
+	case dst.eh != nil:
+		ins := banksOf(inputs, func(s *Sketch) *window.EHBank { return s.eh })
+		mergePass[*window.EHBank]{p, dst.eh, ins, window.NewEHBank, (*window.EHBank).ReserveMerge}.run()
+	case dst.dw != nil:
+		ins := banksOf(inputs, func(s *Sketch) *window.DWBank { return s.dw })
+		mergePass[*window.DWBank]{p, dst.dw, ins, window.NewDWBank, nil}.run()
+	default:
+		ins := banksOf(inputs, func(s *Sketch) *window.RWBank { return s.rw })
+		mergePass[*window.RWBank]{p, dst.rw, ins, window.NewRWBank, nil}.run()
+	}
+}
+
+func banksOf[B any](inputs []*Sketch, of func(*Sketch) B) []B {
+	ins := make([]B, len(inputs))
+	for k, in := range inputs {
+		ins[k] = of(in)
+	}
+	return ins
+}
+
+// mergePlan names the cells one merge pass re-derives: cells[0:count], or
+// cells 0..count-1 when all.
+type mergePlan struct {
+	cells []int
+	all   bool
+	count int
+	now   Tick
+	reset bool
+}
+
+func (p *mergePlan) cellAt(j int) int {
+	if p.all {
+		return j
+	}
+	return p.cells[j]
+}
+
+// mergeBank is a concrete bank type B seen from the merge pass: the Bank
+// contract plus the one operation that reads other banks of its own kind.
+type mergeBank[B any] interface {
+	window.Bank
+	MergeCellFrom(i, src int, now Tick, ins []B)
+}
+
+// mergePass is one merge pass over banks of kind B: the plan, the
+// destination and the inputs, the constructor of the same-kind scratch banks
+// the parallel path merges into, and — when the kind has one — the function
+// that presizes an empty bank for the cells about to be merged into it.
+type mergePass[B mergeBank[B]] struct {
+	mergePlan
+	dst     B
+	ins     []B
+	newBank func(window.Config, int) (B, error)
+	reserve func(b B, ins []B, n int, src func(j int) int)
+}
+
+func (p mergePass[B]) run() {
+	if p.reserve != nil && !p.reset {
+		p.reserve(p.dst, p.ins, p.count, p.cellAt)
+	}
+	if workers := MergeWorkersFor(p.count); workers > 1 {
+		if p.runParallel(workers) == nil {
 			return
 		}
 		// A worker failed (scratch construction or a graft decode): fall
 		// back to the in-place replay. Cells the graft already replaced are
 		// re-derived from scratch, so the fallback must reset even on a
 		// virgin destination.
-		reset = true
+		p.reset = true
 	}
-	applyMergeCellsSeq(dst, inputs, cells, all, now, reset)
-}
-
-// applyMergeCellsSeq is the single-goroutine replay: reset (when asked) and
-// re-merge each destination cell in place, in cell order.
-func applyMergeCellsSeq(dst *Sketch, inputs []*Sketch, cells []int, all bool, now Tick, reset bool) {
-	n := dst.d * dst.w
-	forEach := func(merge func(idx int)) {
-		if all {
-			for idx := 0; idx < n; idx++ {
-				if reset {
-					dst.bank.ResetCell(idx)
-				}
-				merge(idx)
-			}
-			return
+	// The single-goroutine replay: reset (when asked) and re-merge each
+	// destination cell in place, in cell order.
+	for j := 0; j < p.count; j++ {
+		idx := p.cellAt(j)
+		if p.reset {
+			p.dst.ResetCell(idx)
 		}
-		for _, idx := range cells {
-			if reset {
-				dst.bank.ResetCell(idx)
-			}
-			merge(idx)
-		}
+		p.dst.MergeCellFrom(idx, idx, p.now, p.ins)
 	}
-	switch {
-	case dst.eh != nil:
-		ins := ehBanks(inputs)
-		forEach(func(idx int) { dst.eh.MergeCell(idx, now, ins) })
-	case dst.dw != nil:
-		ins := make([]*window.DWBank, len(inputs))
-		for k, in := range inputs {
-			ins[k] = in.dw
-		}
-		forEach(func(idx int) { dst.dw.MergeCell(idx, now, ins) })
-	default:
-		ins := make([]*window.RWBank, len(inputs))
-		for k, in := range inputs {
-			ins[k] = in.rw
-		}
-		forEach(func(idx int) { dst.rw.MergeCell(idx, ins) })
-	}
-}
-
-func ehBanks(inputs []*Sketch) []*window.EHBank {
-	ins := make([]*window.EHBank, len(inputs))
-	for k, in := range inputs {
-		ins[k] = in.eh
-	}
-	return ins
 }
 
 // mergeChunk is one worker's contiguous share of the cell list and its
@@ -152,33 +178,39 @@ type mergeChunk struct {
 	err    error
 }
 
-// applyMergeCellsParallel fans the per-cell replay across workers private
-// scratch banks (phase 1, parallel — inputs are only read) and grafts the
-// encoded results into dst through the delta receiver's reset+decode path
-// (phase 2, sequential, cheap: decode is a structured copy, not a replay).
-// On error dst may be partially grafted; the caller re-runs the sequential
-// replay, which re-derives every cell whole.
-func applyMergeCellsParallel(dst *Sketch, inputs []*Sketch, cells []int, all bool, now Tick, workers int) error {
-	count := len(cells)
-	if all {
-		count = dst.d * dst.w
-	}
-	cellAt := func(i int) int {
-		if all {
-			return i
-		}
-		return cells[i]
-	}
-
+// runParallel fans the per-cell replay across workers' private scratch banks
+// (phase 1, parallel — inputs are only read) and grafts the encoded results
+// into dst through the delta receiver's reset+decode path (phase 2,
+// sequential, cheap: decode is a structured copy, not a replay). On error dst
+// may be partially grafted; the caller re-runs the sequential replay, which
+// re-derives every cell whole.
+func (p mergePass[B]) runParallel(workers int) error {
 	chunks := make([]mergeChunk, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		chunks[w].lo = count * w / workers
-		chunks[w].hi = count * (w + 1) / workers
+		chunks[w].lo = p.count * w / workers
+		chunks[w].hi = p.count * (w + 1) / workers
 		wg.Add(1)
 		go func(ch *mergeChunk) {
 			defer wg.Done()
-			ch.err = mergeChunkCells(ch, dst, inputs, cellAt, now)
+			// The scratch bank is chunk-sized: local cell j holds the merge
+			// of the inputs' cell cellAt(ch.lo+j).
+			n := ch.hi - ch.lo
+			src := func(j int) int { return p.cellAt(ch.lo + j) }
+			scratch, err := p.newBank(p.dst.Config(), n)
+			if err != nil {
+				ch.err = err
+				return
+			}
+			if p.reserve != nil {
+				p.reserve(scratch, p.ins, n, src)
+			}
+			ch.ends = make([]int, 0, n)
+			for j := 0; j < n; j++ {
+				scratch.MergeCellFrom(j, src(j), p.now, p.ins)
+				ch.buf = scratch.AppendMarshalCellBare(ch.buf, j)
+				ch.ends = append(ch.ends, len(ch.buf))
+			}
 		}(&chunks[w])
 	}
 	wg.Wait()
@@ -191,67 +223,12 @@ func applyMergeCellsParallel(dst *Sketch, inputs []*Sketch, cells []int, all boo
 		ch := &chunks[w]
 		start := 0
 		for j, end := range ch.ends {
-			idx := cellAt(ch.lo + j)
-			dst.bank.ResetCell(idx)
-			if err := dst.bank.UnmarshalCell(idx, ch.buf[start:end]); err != nil {
+			idx := p.cellAt(ch.lo + j)
+			p.dst.ResetCell(idx)
+			if err := p.dst.UnmarshalCell(idx, ch.buf[start:end]); err != nil {
 				return err
 			}
 			start = end
-		}
-	}
-	return nil
-}
-
-// mergeChunkCells merges one chunk's cells into a private scratch bank and
-// encodes each merged cell into ch.buf. The scratch bank is chunk-sized:
-// local cell j holds the merge of the inputs' cell cellAt(ch.lo+j).
-func mergeChunkCells(ch *mergeChunk, dst *Sketch, inputs []*Sketch, cellAt func(int) int, now Tick) error {
-	n := ch.hi - ch.lo
-	if n == 0 {
-		return nil
-	}
-	ch.ends = make([]int, 0, n)
-	switch {
-	case dst.eh != nil:
-		scratch, err := window.NewEHBank(dst.wcfg, n)
-		if err != nil {
-			return err
-		}
-		ins := ehBanks(inputs)
-		scratch.ReserveMerge(ins, n, func(j int) int { return cellAt(ch.lo + j) })
-		var bs []window.Bucket
-		for j := 0; j < n; j++ {
-			scratch.MergeCellFrom(j, cellAt(ch.lo+j), now, ins)
-			ch.buf, bs = scratch.AppendMarshalCellBare(ch.buf, j, bs)
-			ch.ends = append(ch.ends, len(ch.buf))
-		}
-	case dst.dw != nil:
-		scratch, err := window.NewDWBank(dst.wcfg, n)
-		if err != nil {
-			return err
-		}
-		ins := make([]*window.DWBank, len(inputs))
-		for k, in := range inputs {
-			ins[k] = in.dw
-		}
-		for j := 0; j < n; j++ {
-			scratch.MergeCellFrom(j, cellAt(ch.lo+j), now, ins)
-			ch.buf = scratch.AppendMarshalCellBare(ch.buf, j)
-			ch.ends = append(ch.ends, len(ch.buf))
-		}
-	default:
-		scratch, err := window.NewRWBank(dst.wcfg, n)
-		if err != nil {
-			return err
-		}
-		ins := make([]*window.RWBank, len(inputs))
-		for k, in := range inputs {
-			ins[k] = in.rw
-		}
-		for j := 0; j < n; j++ {
-			scratch.MergeCellFrom(j, cellAt(ch.lo+j), ins)
-			ch.buf = scratch.AppendMarshalCellBare(ch.buf, j)
-			ch.ends = append(ch.ends, len(ch.buf))
 		}
 	}
 	return nil

@@ -23,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"ecmsketch/internal/hashing"
 )
 
 // PatchMerged updates dst — a sketch produced by Merge(inputs...) — to the
@@ -54,17 +52,7 @@ func PatchMerged(dst *Sketch, inputs []*Sketch, cells []int, all bool, note func
 		}
 	}
 
-	// Scalars, exactly as Merge computes them.
-	salt := uint64(0x9e37_79b9_7f4a_7c15)
-	var now Tick
-	var count uint64
-	for _, in := range inputs {
-		salt = hashing.Mix64(salt ^ in.salt)
-		if in.now > now {
-			now = in.now
-		}
-		count += in.count
-	}
+	salt, now, count := mergedScalars(inputs)
 
 	n := dst.d * dst.w
 	if !all {

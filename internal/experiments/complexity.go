@@ -7,9 +7,10 @@ import (
 )
 
 // ComplexityRow is one empirical scaling point backing Table 2: the measured
-// memory and per-update cost of a single sliding-window counter at a given
-// ε, used to check the advertised asymptotics (EH/DW memory linear in 1/ε,
-// RW quadratic; O(1) amortized updates).
+// memory and per-update cost of a single sliding-window counter — a one-cell
+// bank, the layout every sketch runs on — at a given ε, used to check the
+// advertised asymptotics (EH/DW memory linear in 1/ε, RW quadratic; O(1)
+// amortized updates).
 type ComplexityRow struct {
 	Algo        window.Algorithm
 	Eps         float64
@@ -29,9 +30,9 @@ func AnalyticComplexity() []string {
 		"Query                O(ln(1/d) ln(u(N,S))/sqrt(e))   O(ln(1/d) ln(u(N,S))/sqrt(e))   O(ln^2(d)(ln u(N,S)+1/e^2))",
 		"",
 		"g(N,S) = max(u(N,S), N).",
-		"* the default DW inserts rank r into levels 0..tz(r): O(1) amortized,",
-		"  O(log u) worst-case. window.DWConst implements the paper's strict O(1)",
-		"  worst case (single placement per arrival, union reconstruction at query).",
+		"* the DW measured here inserts rank r into levels 0..tz(r): O(1) amortized,",
+		"  O(log u) worst-case. The paper's strict O(1) worst case takes a single",
+		"  placement per arrival and a union reconstruction at query time.",
 	}
 }
 
@@ -50,20 +51,20 @@ func RunComplexity(epsilons []float64, events int) ([]ComplexityRow, error) {
 				Delta:      0.1,
 				UpperBound: uint64(events),
 			}
-			c, err := window.New(algo, cfg)
+			c, err := window.NewBank(algo, cfg, 1)
 			if err != nil {
 				return nil, err
 			}
 			start := time.Now()
 			for i := 0; i < events; i++ {
-				c.Add(Tick(i + 1))
+				c.Add(0, Tick(i+1))
 			}
 			upd := time.Since(start)
 			const queries = 2000
 			start = time.Now()
 			var sink float64
 			for i := 0; i < queries; i++ {
-				sink += c.EstimateRange(Tick(1 + i*events/queries))
+				sink += c.EstimateRange(0, Tick(1+i*events/queries))
 			}
 			qry := time.Since(start)
 			_ = sink

@@ -29,7 +29,7 @@
 //     monotonicity argument holds cell by cell. DW estimates can *rise*
 //     when expiry pops a wave position, but the engines report every
 //     expiry-mutated cell through the same change feed as arrivals —
-//     core.Sketch advances its banks with AdvanceAllNoting — so such
+//     core.Sketch advances its banks with window.AdvanceAll — so such
 //     cells are "touched", never skipped, and the fast path stays safe.
 //     Randomized waves resample at level switches, which perturbs
 //     untouched cells' estimates without mutating them; Config's
@@ -239,7 +239,7 @@ type Config struct {
 	// does not report as mutated. Only the randomized-wave algorithm
 	// needs it (sampling noise at level switches); EH is monotone under
 	// expiry, and DW's expiry-driven rises are reported cell-granularly
-	// through the change feed (window.AdvanceAllNoting), so both run the
+	// through the change feed (window.AdvanceAll), so both run the
 	// fast path — below-threshold predicates skipped on advances — with
 	// StrictAdvance off.
 	StrictAdvance bool

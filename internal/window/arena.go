@@ -1,7 +1,6 @@
 package window
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -10,8 +9,8 @@ import (
 // of EH counters whose buckets all live in one contiguous arena instead of
 // one growable deque per (cell, level).
 //
-// The per-object layout (type EH) allocates a []bucket ring per size class of
-// every counter — for a d×w ECM-sketch that is thousands of tiny heap
+// A per-object exponential histogram allocates a []bucket ring per size class
+// of every counter — for a d×w ECM-sketch that is thousands of tiny heap
 // objects, and every Add chases counter pointer → level slice → ring buffer
 // before touching a bucket. The bank replaces all of that with three slabs:
 //
@@ -24,13 +23,33 @@ import (
 // A level's ring can never outgrow its chunk: the EH cascade fires as soon as
 // a size class exceeds capPerLv buckets, so occupancy peaks at capPerLv+1 —
 // exactly the chunk size. Chunks are handed out from the end of the slab and
-// never freed (an empty level keeps its chunk for refills, matching the old
-// deques, which never shrank either).
+// never freed (an empty level keeps its chunk for refills).
 //
-// The algorithm is deliberately identical to type EH — same insert cascade,
-// same expiry, same estimate arithmetic in the same order — so a bank cell
-// and an EH fed the same stream return bit-identical answers and marshal to
+// The algorithm is deliberately identical to the textbook per-object
+// histogram kept in eh_oracle_test.go — same insert cascade, same expiry,
+// same estimate arithmetic in the same order — so a bank cell and the oracle
+// fed the same stream return bit-identical answers and marshal to
 // byte-identical encodings. Tests assert both.
+
+// Bucket is one exponential-histogram bucket: Size arrivals whose ticks fall
+// in [Start, End]. Buckets are exposed so that order-preserving aggregation
+// (and serialization) can replay their contents.
+type Bucket struct {
+	Start Tick
+	End   Tick
+	Size  uint64
+}
+
+// bucket is the in-memory layout: the size is implied by the level (2^level),
+// so only the boundaries are stored. Unlike the textbook formulation, each
+// bucket also records the tick of its oldest arrival. This costs one extra
+// word per bucket and is what enables the order-preserving aggregation of
+// Section 5.1 (Theorem 4); it also lets point queries skip the half-bucket
+// correction when the query boundary falls in the gap between two buckets.
+type bucket struct {
+	start Tick
+	end   Tick
+}
 
 // ehCell is the per-counter header of a bank.
 type ehCell struct {
@@ -54,13 +73,18 @@ type ehLevel struct {
 	n    uint16 // live buckets in the ring
 }
 
-// EHBank is a bank of n exponential-histogram counters backed by one
-// contiguous bucket arena. Cells are addressed by index; an ECM-sketch lays
-// its d×w counters out row-major and addresses cell j*w+i.
+// EHBank is a bank of n exponential histograms (Datar, Gionis, Indyk,
+// Motwani) backed by one contiguous bucket arena. Each cell maintains buckets
+// of exponentially increasing sizes; at most k/2+2 buckets exist per size
+// class, where k = ⌈1/ε⌉, which bounds the relative error of any suffix query
+// by ε: the only uncertain contribution is the oldest, partially overlapping
+// bucket, whose size is at most an ε fraction of the arrivals after it
+// (invariant 1 of the paper). Cells are addressed by index; an ECM-sketch
+// lays its d×w counters out row-major and addresses cell j*w+i.
 //
 // EHBank is not safe for concurrent use.
 type EHBank struct {
-	cfg      Config
+	bankCore
 	capPerLv int // merge threshold per size class: ⌈k/2⌉+2
 	stride   int // ring capacity per level chunk: capPerLv+1
 	maxLv    int // directory stride; grows (rarely) when any cell exceeds it
@@ -68,89 +92,28 @@ type EHBank struct {
 	dirs     []ehLevel
 	slab     []bucket
 
-	// version counts arrival-content mutations of the whole bank, and
-	// vers[i] records the bank version at cell i's last such mutation —
-	// the change tracking behind delta snapshots (only cells with
-	// vers[i] > cursor ship). Expiry and Advance deliberately do not bump:
-	// they are pure functions of (content, clock), so a receiver holding
-	// the same content replays them exactly by advancing to the same tick.
-	version uint64
-	vers    []uint64
-
 	merger runMerger // MergeCellFrom's scratch; never cloned
 }
 
 // NewEHBank constructs a bank of n empty exponential histograms, each with
 // relative error cfg.Epsilon over a window of cfg.Length ticks.
 func NewEHBank(cfg Config, n int) (*EHBank, error) {
-	if err := cfg.Validate(AlgoEH); err != nil {
+	core, err := newBankCore(AlgoEH, cfg, n)
+	if err != nil {
 		return nil, err
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("window: bank size must be positive, got %d", n)
 	}
 	k := int(math.Ceil(1 / cfg.Epsilon))
 	capPerLv := (k+1)/2 + 2
 	const initialMaxLv = 4
 	return &EHBank{
-		cfg:      cfg,
+		bankCore: core,
 		capPerLv: capPerLv,
 		stride:   capPerLv + 1,
 		maxLv:    initialMaxLv,
 		cells:    make([]ehCell, n),
 		dirs:     make([]ehLevel, n*initialMaxLv),
-		vers:     make([]uint64, n),
 	}, nil
 }
-
-// Version reports the bank's arrival-mutation counter: it grows on every
-// content change by arrival (AddN with n > 0, restores, merges) and is the
-// scalar a delta cursor compares against. Advance-only clock movement does
-// not bump it.
-func (b *EHBank) Version() uint64 { return b.version }
-
-// CellChangedSince reports whether cell i's content changed by arrival after
-// bank version since. Cells whose content only moved through expiry are not
-// reported: expiry is deterministically replayed by advancing the receiver's
-// copy to the same clock.
-func (b *EHBank) CellChangedSince(i int, since uint64) bool { return b.vers[i] > since }
-
-// noteCellMutation stamps cell i as changed at a fresh bank version.
-func (b *EHBank) noteCellMutation(i int) {
-	b.version++
-	b.vers[i] = b.version
-}
-
-// VersionVector exports the bank's change-tracking state — the
-// arrival-mutation counter plus the per-cell last-modified versions. The
-// wire encodings deliberately omit versions (they are engine-instance
-// state, meaningful only next to the epoch a cursor is bound to); durable
-// snapshots persist them as a sidecar so a restarted engine keeps honoring
-// cursors issued before the crash. The returned slice is a copy.
-func (b *EHBank) VersionVector() (uint64, []uint64) {
-	return b.version, append([]uint64(nil), b.vers...)
-}
-
-// RestoreVersionVector installs previously exported change-tracking state.
-func (b *EHBank) RestoreVersionVector(version uint64, vers []uint64) error {
-	if len(vers) != len(b.vers) {
-		return fmt.Errorf("window: version vector has %d cells, bank has %d", len(vers), len(b.vers))
-	}
-	for i, v := range vers {
-		if v > version {
-			return fmt.Errorf("window: cell %d version %d exceeds bank version %d", i, v, version)
-		}
-	}
-	b.version = version
-	copy(b.vers, vers)
-	return nil
-}
-
-// Config returns the shared configuration of the bank's cells.
-func (b *EHBank) Config() Config { return b.cfg }
-
-// Len reports the number of cells.
-func (b *EHBank) Len() int { return len(b.cells) }
 
 // level returns the lv-th size class of cell i; it must exist.
 func (b *EHBank) level(i, lv int) *ehLevel { return &b.dirs[i*b.maxLv+lv] }
@@ -239,10 +202,11 @@ func (b *EHBank) growDirs() {
 // Add registers one arrival at tick t in cell i.
 func (b *EHBank) Add(i int, t Tick) { b.AddN(i, t, 1) }
 
-// AddN registers n simultaneous arrivals at tick t in cell i. The semantics
-// mirror EH.AddN exactly: ticks are 1-based, slight regressions are clamped
-// to the cell's clock, and the n arrivals insert as n unit buckets with
-// cascading merges.
+// AddN registers n simultaneous arrivals at tick t in cell i: ticks are
+// 1-based, slight regressions are clamped to the cell's clock, and — the
+// histogram's canonical form requires power-of-two bucket sizes — the n
+// arrivals insert as n unit buckets, with cascading merges keeping the
+// amortized cost per unit constant.
 func (b *EHBank) AddN(i int, t Tick, n uint64) {
 	if n == 0 {
 		b.Advance(i, t)
@@ -587,47 +551,27 @@ func (b *EHBank) oldestLevel(i int, c *ehCell) int {
 	return -1
 }
 
-// Advance moves cell i's window to tick t, expiring old buckets.
-func (b *EHBank) Advance(i int, t Tick) {
+// Advance moves cell i's window to tick t, expiring old buckets, and reports
+// whether any bucket was dropped.
+func (b *EHBank) Advance(i int, t Tick) bool {
 	c := &b.cells[i]
 	if t > c.now {
 		c.now = t
 	}
-	b.expire(c, i)
-}
-
-// AdvanceAll moves every cell's window to tick t.
-func (b *EHBank) AdvanceAll(t Tick) {
-	for i := range b.cells {
-		b.Advance(i, t)
-	}
-}
-
-// AdvanceAllNoting moves every cell's window to tick t like AdvanceAll and
-// calls note(i) for each cell whose retained content the move actually
-// changed (expiry dropped buckets). Delta receivers replaying a producer's
-// clock use this to keep their changed-cell feed exact: an expired cell's
-// estimate moves even though no new encoding for it was shipped.
-func (b *EHBank) AdvanceAllNoting(t Tick, note func(int)) {
-	for i := range b.cells {
-		c := &b.cells[i]
-		if t > c.now {
-			c.now = t
-		}
-		if b.expire(c, i) {
-			note(i)
-		}
-	}
+	return b.expire(c, i)
 }
 
 // Now reports the latest tick observed by cell i.
 func (b *EHBank) Now(i int) Tick { return b.cells[i].now }
 
-// Total reports the exact sum of cell i's live bucket sizes.
+// Total reports the exact sum of cell i's live bucket sizes. The oldest
+// bucket may partially precede the window, so Total can exceed the true
+// window count by up to that bucket's size.
 func (b *EHBank) Total(i int) uint64 { return b.cells[i].total }
 
-// EstimateSince estimates the number of arrivals in cell i with tick >
-// since; the arithmetic matches EH.EstimateSince operation for operation.
+// EstimateSince estimates the number of arrivals in cell i with tick > since.
+// Buckets fully inside the range are counted exactly; the oldest bucket
+// overlapping the boundary contributes half its size.
 func (b *EHBank) EstimateSince(i int, since Tick) float64 {
 	c := &b.cells[i]
 	if c.total == 0 {
@@ -682,9 +626,9 @@ func (b *EHBank) NumBuckets(i int) int {
 	return n
 }
 
-// AppendBuckets appends cell i's live buckets, ordered oldest to newest, to
-// dst and returns the extended slice.
-func (b *EHBank) AppendBuckets(dst []Bucket, i int) []Bucket {
+// Buckets returns a snapshot of cell i's live buckets, oldest to newest.
+func (b *EHBank) Buckets(i int) []Bucket {
+	dst := make([]Bucket, 0, b.NumBuckets(i))
 	c := &b.cells[i]
 	for lv := int(c.nLv) - 1; lv >= 0; lv-- {
 		d := b.level(i, lv)
@@ -697,16 +641,13 @@ func (b *EHBank) AppendBuckets(dst []Bucket, i int) []Bucket {
 	return dst
 }
 
-// Buckets returns a snapshot of cell i's live buckets, oldest to newest.
-func (b *EHBank) Buckets(i int) []Bucket {
-	return b.AppendBuckets(make([]Bucket, 0, b.NumBuckets(i)), i)
-}
-
 // RestoreBucket appends a decoded bucket into cell i's size class directly,
 // bypassing the cascade; callers feed buckets oldest to newest and finish
-// with NormalizeRestored, mirroring the EH restore path. Inputs decoded from
-// valid encodings never overflow a ring; a corrupt overfull class is repaired
-// by cascading before the insert.
+// with NormalizeRestored. Replaying the buckets directly (not via the
+// half/half merge split) is what makes a decoded cell answer queries
+// identically to the encoded one. Inputs decoded from valid encodings never
+// overflow a ring; a corrupt overfull class is repaired by cascading before
+// the insert.
 func (b *EHBank) RestoreBucket(i int, bk Bucket) {
 	c := &b.cells[i]
 	lv := 0
@@ -750,21 +691,23 @@ func (b *EHBank) NormalizeRestored(i int) {
 	}
 }
 
-// MergeCell replays the order-preserving aggregation of Section 5.1
-// (Theorem 4) into cell i: each bucket of the inputs' cell i contributes
-// ⌈s/2⌉ arrivals at its start tick and ⌊s/2⌋ at its end tick, replayed in
-// global tick order, exactly as MergeEH does for the per-object engine. Cell
-// i must be empty. now advances the cell's clock to the inputs' high-water
-// tick.
-func (b *EHBank) MergeCell(i int, now Tick, inputs []*EHBank) {
-	b.MergeCellFrom(i, i, now, inputs)
-}
-
-// MergeCellFrom is MergeCell with the source index decoupled from the
-// destination: the inputs' cell src merges into cell i of b (see
-// DWBank.MergeCellFrom for why the split exists). The inputs' rings are
-// streamed in place through the bank's run merger — nothing is allocated
-// per cell.
+// MergeCellFrom performs the order-preserving aggregation EH⊕ = EH1 ⊕ ... ⊕
+// EHn of Section 5.1 (Theorem 4) from the inputs' cell src into cell i of b,
+// which must be empty: each input bucket of size s contributes ⌈s/2⌉ arrivals
+// at its start tick and ⌊s/2⌋ at its end tick, replayed in global tick order;
+// now then advances the cell's clock to the inputs' high-water tick. If the
+// inputs were built with error ε and b with error ε′, the merged cell answers
+// any suffix query with relative error at most ε + ε′ + εε′
+// (MergedRelativeError). Only time-based histograms can be aggregated:
+// count-based ones do not retain the order of the zero bits of the combined
+// stream (Figure 2 of the paper); callers reject them.
+//
+// The source index is decoupled from the destination so that a worker
+// merging a chunk of a larger bank into a chunk-sized private scratch bank
+// can address its scratch cells 0..n-1 while reading the inputs at their
+// global indices; the replay is identical to one where the indices coincide.
+// The inputs' rings are streamed in place through the bank's run merger —
+// nothing is allocated per cell.
 func (b *EHBank) MergeCellFrom(i, src int, now Tick, inputs []*EHBank) {
 	m := &b.merger
 	m.begin(len(inputs))
@@ -801,37 +744,20 @@ func (b *EHBank) ReserveMerge(inputs []*EHBank, n int, src func(j int) int) {
 	}
 }
 
-// Clone returns an independent deep copy of the bank: three slab memcpys
-// plus the fixed header, with no per-counter walking. This is what makes
-// copy-on-read snapshots of a whole ECM-sketch cheap enough to take inside
-// a stripe lock — cost is proportional to the arena footprint, not to the
-// number of counters or buckets.
-//
-// The clone owns its slabs outright (no aliasing with the source), so
-// source and clone may afterwards be used from different goroutines without
-// coordination.
-func (b *EHBank) Clone() *EHBank {
-	c := &EHBank{
-		cfg:      b.cfg,
-		capPerLv: b.capPerLv,
-		stride:   b.stride,
-		maxLv:    b.maxLv,
-		version:  b.version,
-		cells:    make([]ehCell, len(b.cells)),
-		dirs:     make([]ehLevel, len(b.dirs)),
-		slab:     make([]bucket, len(b.slab)),
-		vers:     make([]uint64, len(b.vers)),
-	}
-	copy(c.cells, b.cells)
-	copy(c.dirs, b.dirs)
-	copy(c.slab, b.slab)
-	copy(c.vers, b.vers)
-	return c
+// Clone returns an independent deep copy of the bank: cost is proportional
+// to the arena footprint, not to the number of counters or buckets.
+func (b *EHBank) Clone() Bank {
+	c := *b
+	c.bankCore = b.bankCore.clone()
+	c.cells = cloneExact(b.cells)
+	c.dirs = cloneExact(b.dirs)
+	c.slab = cloneExact(b.slab)
+	c.merger = runMerger{}
+	return &c
 }
 
 // MemoryBytes reports the heap footprint of the whole bank: the flat slabs,
-// plus a small fixed header. Unlike the per-object engine there is no
-// per-level allocator overhead to account for.
+// plus a small fixed header.
 func (b *EHBank) MemoryBytes() int {
 	const (
 		cellBytes   = 32 // ehCell: 3×8-byte words + packed level indices/flag
@@ -865,8 +791,7 @@ func (b *EHBank) ResetCell(i int) {
 }
 
 // Reset empties every cell, keeping the configuration and retaining the
-// arena's capacity for refills. Every cell counts as mutated: a delta cursor
-// taken before a Reset must see all content re-shipped.
+// arena's capacity for refills.
 func (b *EHBank) Reset() {
 	for i := range b.cells {
 		b.cells[i] = ehCell{}
@@ -875,8 +800,5 @@ func (b *EHBank) Reset() {
 		b.dirs[i] = ehLevel{}
 	}
 	b.slab = b.slab[:0]
-	b.version++
-	for i := range b.vers {
-		b.vers[i] = b.version
-	}
+	b.noteAllMutated()
 }

@@ -57,7 +57,7 @@ func checkCellEqualsEH(t *testing.T, b *EHBank, i int, h *EH) {
 	if got, want := b.EstimateWindow(i), h.EstimateWindow(); got != want {
 		t.Fatalf("EstimateWindow: bank %v, EH %v", got, want)
 	}
-	if got, want := func() []byte { enc, _ := b.AppendMarshalCell(nil, i, nil); return enc }(), h.Marshal(); !bytes.Equal(got, want) {
+	if got, want := b.AppendMarshalCell(nil, i), h.Marshal(); !bytes.Equal(got, want) {
 		t.Fatalf("encodings differ: bank %d bytes, EH %d bytes", len(got), len(want))
 	}
 }
@@ -146,7 +146,7 @@ func TestBankAdvanceAllAndReset(t *testing.T) {
 			b.Add(i, tk)
 		}
 	}
-	b.AdvanceAll(120)
+	AdvanceAll(b, 120, nil)
 	for i := 0; i < 4; i++ {
 		if got := b.Now(i); got != 120 {
 			t.Fatalf("cell %d Now = %d after AdvanceAll", i, got)
@@ -240,7 +240,7 @@ func TestBankMergeCellMatchesMergeEH(t *testing.T) {
 		}
 		return in
 	}
-	b.MergeCell(2, now, []*EHBank{asBank(a), asBank(c)})
+	b.MergeCellFrom(2, 2, now, []*EHBank{asBank(a), asBank(c)})
 	checkCellEqualsEH(t, b, 2, want)
 }
 

@@ -25,7 +25,7 @@ func TestBankVersioning(t *testing.T) {
 	}
 	// Advancing far enough to expire cell 2's content moves no versions:
 	// expiry is the receiver's job, replayed deterministically by clock.
-	b.AdvanceAll(500)
+	AdvanceAll(b, 500, nil)
 	if b.Total(2) != 0 {
 		t.Fatal("expected expiry")
 	}
@@ -55,9 +55,7 @@ func TestResetCellRestoresBitIdentical(t *testing.T) {
 			b.AddN(1, Tick(i+1), 1)
 		}
 	}
-	var enc0 []byte
-	var scratch []Bucket
-	enc0, scratch = b.AppendMarshalCell(nil, 0, scratch)
+	enc0 := b.AppendMarshalCell(nil, 0)
 
 	// Overwrite cell 1 with cell 0's state.
 	b.ResetCell(1)
@@ -67,7 +65,7 @@ func TestResetCellRestoresBitIdentical(t *testing.T) {
 	if err := b.UnmarshalCell(1, enc0); err != nil {
 		t.Fatal(err)
 	}
-	enc1, _ := b.AppendMarshalCell(nil, 1, scratch)
+	enc1 := b.AppendMarshalCell(nil, 1)
 	if !bytes.Equal(enc0, enc1) {
 		t.Fatal("restored cell does not re-encode bit-identically")
 	}

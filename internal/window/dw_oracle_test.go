@@ -1,19 +1,16 @@
 package window
 
+// The per-object deterministic wave: one eagerly allocated full-capacity ring
+// per level, the textbook layout DWBank replaced in production. It stays here
+// as the differential oracle the bank is held to bit for bit; it shares the
+// entry type, the level sizing and the merge lowering with production.
+
 import (
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
-
-// waveEntry is one stored position of a wave: the tick of an arrival and its
-// rank (1-based count of arrivals since the beginning of the stream).
-type waveEntry struct {
-	t    Tick
-	rank uint64
-}
 
 // entryDeque is a fixed-capacity ring buffer of wave entries ordered oldest
 // (front) to newest (back). Waves allocate the full capacity at construction,
@@ -110,15 +107,6 @@ func NewDW(cfg Config) (*DW, error) {
 	return w, nil
 }
 
-// waveLevels returns the top level index L such that c·2^L covers u arrivals.
-func waveLevels(u uint64, c int) int {
-	if u <= uint64(c) {
-		return 1
-	}
-	q := (u + uint64(c) - 1) / uint64(c)
-	return bits.Len64(q-1) + 1
-}
-
 // Config returns the configuration the wave was built with.
 func (w *DW) Config() Config { return w.cfg }
 
@@ -137,7 +125,7 @@ func (w *DW) Add(t Tick) {
 	if tz > top {
 		tz = top
 	}
-	e := waveEntry{t: t, rank: w.rank}
+	e := waveEntry{t: t, id: w.rank}
 	for j := uint(0); j <= tz; j++ {
 		w.levels[j].pushBack(e)
 	}
@@ -214,7 +202,7 @@ func (w *DW) EstimateSince(since Tick) float64 {
 		return gap
 	}
 	e := d.at(idx)
-	return float64(w.rank-e.rank) + 1 + gap
+	return float64(w.rank-e.id) + 1 + gap
 }
 
 // EstimateRange estimates arrivals within the last r ticks.
@@ -296,34 +284,6 @@ func (w *DW) replayLog() []replayEvent {
 	return waveReplayEvents(nil, w.distinctEntries())
 }
 
-// waveReplayEvents converts rank-sorted distinct entries into replay events
-// and appends them to dst. Shared by the per-object wave and the flat bank so
-// their merge paths stay byte-identical: the oldest stored entry stands for
-// itself only (arrivals before it have either expired or were evicted beyond
-// reconstruction), and each segment between consecutive ranks replays half at
-// each boundary tick like an exponential-histogram bucket.
-func waveReplayEvents(dst []replayEvent, entries []waveEntry) []replayEvent {
-	if len(entries) == 0 {
-		return dst
-	}
-	dst = append(dst, replayEvent{t: entries[0].t, n: 1})
-	for i := 1; i < len(entries); i++ {
-		prev, cur := entries[i-1], entries[i]
-		n := cur.rank - prev.rank
-		if n == 0 {
-			continue
-		}
-		half := n / 2
-		if n-half > 0 {
-			dst = append(dst, replayEvent{t: prev.t, n: n - half})
-		}
-		if half > 0 {
-			dst = append(dst, replayEvent{t: cur.t, n: half})
-		}
-	}
-	return dst
-}
-
 // distinctEntries returns all stored entries across levels, sorted by rank
 // with duplicates removed.
 func (w *DW) distinctEntries() []waveEntry {
@@ -335,20 +295,4 @@ func (w *DW) distinctEntries() []waveEntry {
 		}
 	}
 	return sortDedupEntriesByRank(all)
-}
-
-// sortDedupEntriesByRank sorts wave entries by rank and removes duplicates in
-// place. Equal ranks within one wave always name the same arrival, so the
-// result is a deterministic linearization of the stored stream positions.
-func sortDedupEntriesByRank(all []waveEntry) []waveEntry {
-	sort.Slice(all, func(a, b int) bool { return all[a].rank < all[b].rank })
-	out := all[:0]
-	var last uint64
-	for _, e := range all {
-		if len(out) == 0 || e.rank != last {
-			out = append(out, e)
-			last = e.rank
-		}
-	}
-	return out
 }

@@ -58,7 +58,7 @@ func (w *DWConst) Add(t Tick) {
 	if j >= len(w.levels) {
 		j = len(w.levels) - 1
 	}
-	w.levels[j].pushBack(waveEntry{t: t, rank: w.rank})
+	w.levels[j].pushBack(waveEntry{t: t, id: w.rank})
 	w.expireOne(j)
 }
 
@@ -120,7 +120,7 @@ func (w *DWConst) coverageRank(j int) uint64 {
 			// Evicted and empty: nothing reconstructible at this granularity.
 			return w.rank + 1
 		}
-		if fr := d.front().rank; fr > r {
+		if fr := d.front().id; fr > r {
 			r = fr
 		}
 	}
@@ -136,12 +136,12 @@ func (w *DWConst) unionAfter(j int, minRank uint64, since Tick) (count uint64, o
 		idx := d.searchTickAfter(since)
 		for ; idx < d.n; idx++ {
 			e := d.at(idx)
-			if e.rank < minRank {
+			if e.id < minRank {
 				continue
 			}
 			count++
-			if oldestRank == 0 || e.rank < oldestRank {
-				oldestRank = e.rank
+			if oldestRank == 0 || e.id < oldestRank {
+				oldestRank = e.id
 			}
 		}
 	}
@@ -191,7 +191,7 @@ func (w *DWConst) unionHasTickAtOrBefore(j int, minRank uint64, since Tick) bool
 		d := &w.levels[k]
 		idx := d.searchTickAfter(since)
 		for i := 0; i < idx; i++ {
-			if d.at(i).rank >= minRank {
+			if d.at(i).id >= minRank {
 				return true
 			}
 		}

@@ -1,18 +1,14 @@
 package window
 
+// The per-object exponential histogram: one growable deque per size class,
+// the textbook layout EHBank replaced in production. It stays here as the
+// differential oracle — same algorithm, independent storage and codec — that
+// the bank is held to bit for bit.
+
 import (
 	"fmt"
 	"math"
 )
-
-// Bucket is one exponential-histogram bucket: Size arrivals whose ticks fall
-// in [Start, End]. Buckets are exposed so that order-preserving aggregation
-// (and serialization) can replay their contents.
-type Bucket struct {
-	Start Tick
-	End   Tick
-	Size  uint64
-}
 
 // bucketDeque is a ring buffer of buckets ordered oldest (front) to newest
 // (back). Per the paper's implementation notes (§7.1), each histogram level
@@ -22,13 +18,6 @@ type bucketDeque struct {
 	buf  []bucket
 	head int
 	n    int
-}
-
-// bucket is the in-memory layout: the size is implied by the level (2^level),
-// so only the boundaries are stored.
-type bucket struct {
-	start Tick
-	end   Tick
 }
 
 func (d *bucketDeque) len() int { return d.n }

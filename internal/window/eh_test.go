@@ -108,17 +108,18 @@ func TestEHExactWhenSmall(t *testing.T) {
 
 func TestEHRelativeErrorBound(t *testing.T) {
 	for _, eps := range []float64{0.05, 0.1, 0.25} {
-		rng := rand.New(rand.NewSource(42))
 		cfg := Config{Length: 5000, Epsilon: eps}
-		h := mustEH(t, cfg)
-		x := mustExact(t, cfg)
-		var now Tick
-		for i := 0; i < 20000; i++ {
-			now += Tick(rng.Intn(3))
-			h.Add(now)
-			x.Add(now)
-			if i%97 == 0 {
-				checkSuffixQueries(t, "EH", h, x, eps, now, rng)
+		for _, h := range subjects(t, AlgoEH, cfg) {
+			rng := rand.New(rand.NewSource(42))
+			x := mustExact(t, cfg)
+			var now Tick
+			for i := 0; i < 20000; i++ {
+				now += Tick(rng.Intn(3))
+				h.Add(now)
+				x.Add(now)
+				if i%97 == 0 {
+					checkSuffixQueries(t, h.name, h, x, eps, now, rng)
+				}
 			}
 		}
 	}
@@ -253,18 +254,22 @@ func TestEHQuickSuffixAccuracy(t *testing.T) {
 	const eps = 0.15
 	prop := func(gaps []uint8, queryAt uint16) bool {
 		cfg := Config{Length: 300, Epsilon: eps}
-		h, _ := NewEH(cfg)
-		x, _ := NewExact(cfg)
-		var now Tick
-		for _, g := range gaps {
-			now += Tick(g % 5)
-			h.Add(now)
-			x.Add(now)
+		for _, h := range subjects(t, AlgoEH, cfg) {
+			x, _ := NewExact(cfg)
+			var now Tick
+			for _, g := range gaps {
+				now += Tick(g % 5)
+				h.Add(now)
+				x.Add(now)
+			}
+			since := Tick(queryAt)
+			got := h.EstimateSince(since)
+			want := float64(x.CountSince(since))
+			if !(abs64(got-want) <= eps*want+0.5) {
+				return false
+			}
 		}
-		since := Tick(queryAt)
-		got := h.EstimateSince(since)
-		want := float64(x.CountSince(since))
-		return abs64(got-want) <= eps*want+0.5
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -276,20 +281,21 @@ func TestEHCountBasedModel(t *testing.T) {
 	// last 100 arrivals; each counter-relevant arrival carries the global
 	// arrival index.
 	cfg := Config{Model: CountBased, Length: 100, Epsilon: 0.1}
-	h := mustEH(t, cfg)
-	x := mustExact(t, cfg)
-	for seq := Tick(1); seq <= 1000; seq++ {
-		if seq%3 == 0 { // only every third global arrival hits this counter
-			h.Add(seq)
-			x.Add(seq)
-		} else {
-			h.Advance(seq)
-			x.Advance(seq)
+	for _, h := range subjects(t, AlgoEH, cfg) {
+		x := mustExact(t, cfg)
+		for seq := Tick(1); seq <= 1000; seq++ {
+			if seq%3 == 0 { // only every third global arrival hits this counter
+				h.Add(seq)
+				x.Add(seq)
+			} else {
+				h.Advance(seq)
+				x.Advance(seq)
+			}
 		}
-	}
-	got := h.EstimateWindow()
-	want := float64(x.CountRange(100))
-	if abs64(got-want) > 0.1*want+0.5 {
-		t.Errorf("count-based EstimateWindow = %v, exact = %v", got, want)
+		got := h.EstimateWindow()
+		want := float64(x.CountRange(100))
+		if abs64(got-want) > 0.1*want+0.5 {
+			t.Errorf("%s: count-based EstimateWindow = %v, exact = %v", h.name, got, want)
+		}
 	}
 }

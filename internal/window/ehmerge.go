@@ -2,8 +2,6 @@ package window
 
 import (
 	"cmp"
-	"errors"
-	"fmt"
 	"math"
 	"slices"
 )
@@ -23,7 +21,7 @@ func byTick(a, b replayEvent) int { return cmp.Compare(a.t, b.t) }
 // are rank-ordered), so the stream is read straight off the input — a bank
 // cell's level rings are walked in place, highest size class first — and
 // never materialized or sorted. Inputs that are only available lowered (a
-// per-object EH, a wave's segment log) stream from an event slice instead.
+// wave's segment log, a corrupt cell) stream from an event slice instead.
 type replayRun struct {
 	t Tick // head event, valid while the run is live
 	n uint64
@@ -163,50 +161,6 @@ func (b *EHBank) cellTickOrdered(i int) bool {
 	return true
 }
 
-// MergeEH performs the order-preserving aggregation EH⊕ = EH1 ⊕ ... ⊕ EHn of
-// Section 5.1 (Theorem 4). Each input bucket of size s is replayed into the
-// output histogram as ⌈s/2⌉ arrivals at the bucket's start tick and the
-// remaining arrivals at its end tick, in global tick order. If the inputs
-// were built with error ε and the output is configured with error ε′, the
-// merged histogram answers any suffix query with relative error at most
-// ε + ε′ + εε′.
-//
-// Only time-based histograms can be aggregated: count-based ones do not
-// retain the order of the zero bits of the combined stream (Figure 2 of the
-// paper), so MergeEH rejects them.
-func MergeEH(out Config, inputs ...*EH) (*EH, error) {
-	if len(inputs) == 0 {
-		return nil, errors.New("window: MergeEH requires at least one input")
-	}
-	if out.Model != TimeBased {
-		return nil, errors.New("window: order-preserving aggregation requires time-based windows")
-	}
-	for i, in := range inputs {
-		if in == nil {
-			return nil, fmt.Errorf("window: MergeEH input %d is nil", i)
-		}
-		if in.cfg.Model != TimeBased {
-			return nil, fmt.Errorf("window: MergeEH input %d is %v; count-based exponential histograms cannot be aggregated", i, in.cfg.Model)
-		}
-	}
-	return replayIntoEH(out, inputs, splitHalfHalf)
-}
-
-// MergeEHEndpointOnly is the ablation variant of MergeEH that replays each
-// bucket's full size at its end tick instead of splitting it half/half across
-// the bucket boundaries. It has no bounded-error guarantee — Theorem 4's
-// proof relies on the half/half split — and exists to quantify what the
-// split buys (see BenchmarkAblationMergeReplay).
-func MergeEHEndpointOnly(out Config, inputs ...*EH) (*EH, error) {
-	if len(inputs) == 0 {
-		return nil, errors.New("window: MergeEHEndpointOnly requires at least one input")
-	}
-	if out.Model != TimeBased {
-		return nil, errors.New("window: order-preserving aggregation requires time-based windows")
-	}
-	return replayIntoEH(out, inputs, splitEndpoint)
-}
-
 // splitFunc distributes a bucket's size across its two boundary ticks.
 type splitFunc func(b Bucket) (atStart, atEnd uint64)
 
@@ -214,8 +168,6 @@ func splitHalfHalf(b Bucket) (uint64, uint64) {
 	half := b.Size / 2
 	return b.Size - half, half
 }
-
-func splitEndpoint(b Bucket) (uint64, uint64) { return 0, b.Size }
 
 // lowerBuckets lowers one synopsis's bucket list (oldest → newest) into its
 // replay run.
@@ -237,25 +189,6 @@ func lowerBuckets(bs []Bucket, split splitFunc) []replayEvent {
 		}
 	}
 	return dst
-}
-
-func replayIntoEH(out Config, inputs []*EH, split splitFunc) (*EH, error) {
-	merged, err := NewEH(out)
-	if err != nil {
-		return nil, err
-	}
-	var m runMerger
-	m.begin(len(inputs))
-	var now Tick
-	for _, in := range inputs {
-		m.addEvents(lowerBuckets(in.Buckets(), split))
-		now = max(now, in.now)
-	}
-	for t, n, ok := m.next(); ok; t, n, ok = m.next() {
-		merged.AddN(t, n)
-	}
-	merged.Advance(now)
-	return merged, nil
 }
 
 // MergedRelativeError returns the worst-case relative error of aggregating

@@ -2,6 +2,8 @@ package window
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -82,8 +84,8 @@ func maxNow(inputs []*EH) Tick {
 // banks) the version vector.
 func requireCellsIdentical(t *testing.T, got *EHBank, gi int, want *EHBank, wi int) {
 	t.Helper()
-	ge, _ := got.AppendMarshalCellBare(nil, gi, nil)
-	we, _ := want.AppendMarshalCellBare(nil, wi, nil)
+	ge := got.AppendMarshalCellBare(nil, gi)
+	we := want.AppendMarshalCellBare(nil, wi)
 	if !bytes.Equal(ge, we) {
 		t.Fatalf("cell encodings differ:\n got  %x\n want %x", ge, we)
 	}
@@ -149,7 +151,7 @@ func TestMergeCellTieBreakIsInputOrder(t *testing.T) {
 	for _, ins := range [][]*EHBank{{x, y}, {y, x}} {
 		got, _ := NewEHBank(cfg, 1)
 		want, _ := NewEHBank(cfg, 1)
-		got.MergeCell(0, 11, ins)
+		got.MergeCellFrom(0, 0, 11, ins)
 		oracleMergeCell(want, 0, 11, [][]Bucket{ins[0].Buckets(0), ins[1].Buckets(0)})
 		requireCellsIdentical(t, got, 0, want, 0)
 		totals = append(totals, got.Total(0))
@@ -272,4 +274,73 @@ func FuzzMergeCellRuns(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The per-object aggregation entry points: the Theorem 4 replay over
+// per-object histograms, riding production's run merger from lowered event
+// slices. The banks' MergeCellFrom is compared against them.
+
+// MergeEH performs the order-preserving aggregation EH⊕ = EH1 ⊕ ... ⊕ EHn of
+// Section 5.1 (Theorem 4). Each input bucket of size s is replayed into the
+// output histogram as ⌈s/2⌉ arrivals at the bucket's start tick and the
+// remaining arrivals at its end tick, in global tick order. If the inputs
+// were built with error ε and the output is configured with error ε′, the
+// merged histogram answers any suffix query with relative error at most
+// ε + ε′ + εε′.
+//
+// Only time-based histograms can be aggregated: count-based ones do not
+// retain the order of the zero bits of the combined stream (Figure 2 of the
+// paper), so MergeEH rejects them.
+func MergeEH(out Config, inputs ...*EH) (*EH, error) {
+	if len(inputs) == 0 {
+		return nil, errors.New("window: MergeEH requires at least one input")
+	}
+	if out.Model != TimeBased {
+		return nil, errors.New("window: order-preserving aggregation requires time-based windows")
+	}
+	for i, in := range inputs {
+		if in == nil {
+			return nil, fmt.Errorf("window: MergeEH input %d is nil", i)
+		}
+		if in.cfg.Model != TimeBased {
+			return nil, fmt.Errorf("window: MergeEH input %d is %v; count-based exponential histograms cannot be aggregated", i, in.cfg.Model)
+		}
+	}
+	return replayIntoEH(out, inputs, splitHalfHalf)
+}
+
+// MergeEHEndpointOnly is the ablation variant of MergeEH that replays each
+// bucket's full size at its end tick instead of splitting it half/half across
+// the bucket boundaries. It has no bounded-error guarantee — Theorem 4's
+// proof relies on the half/half split — and exists to quantify what the
+// split buys (see BenchmarkAblationMergeReplay).
+func MergeEHEndpointOnly(out Config, inputs ...*EH) (*EH, error) {
+	if len(inputs) == 0 {
+		return nil, errors.New("window: MergeEHEndpointOnly requires at least one input")
+	}
+	if out.Model != TimeBased {
+		return nil, errors.New("window: order-preserving aggregation requires time-based windows")
+	}
+	return replayIntoEH(out, inputs, splitEndpoint)
+}
+
+func splitEndpoint(b Bucket) (uint64, uint64) { return 0, b.Size }
+
+func replayIntoEH(out Config, inputs []*EH, split splitFunc) (*EH, error) {
+	merged, err := NewEH(out)
+	if err != nil {
+		return nil, err
+	}
+	var m runMerger
+	m.begin(len(inputs))
+	var now Tick
+	for _, in := range inputs {
+		m.addEvents(lowerBuckets(in.Buckets(), split))
+		now = max(now, in.now)
+	}
+	for t, n, ok := m.next(); ok; t, n, ok = m.next() {
+		merged.AddN(t, n)
+	}
+	merged.Advance(now)
+	return merged, nil
 }

@@ -205,3 +205,61 @@ func TestMergeEHEndpointOnlyIsWorse(t *testing.T) {
 	}
 	t.Logf("cumulative relative error: half/half=%.4f endpoint-only=%.4f", errHalf, errEnd)
 }
+
+// The two ablations below time oracle code, so they live beside it.
+
+// BenchmarkAblationMergeReplay compares Theorem 4's half/half bucket replay
+// against the endpoint-only ablation during aggregation.
+func BenchmarkAblationMergeReplay(b *testing.B) {
+	cfg := Config{Length: 50000, Epsilon: 0.1}
+	build := func() []*EH {
+		hs := make([]*EH, 4)
+		for i := range hs {
+			h, err := NewEH(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for t := Tick(1); t <= 40000; t += Tick(1 + i%3) {
+				h.Add(t)
+			}
+			hs[i] = h
+		}
+		return hs
+	}
+	hs := build()
+	b.Run("half-half", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := MergeEH(cfg, hs...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("endpoint-only", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := MergeEHEndpointOnly(cfg, hs...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkAblationBucketLayout compares the per-level deque layout of the
+// per-object exponential histogram (the paper's §7.1 choice) against the
+// per-object deterministic wave, whose flat fixed arrays are the natural
+// alternative layout, on identical streams.
+func BenchmarkAblationBucketLayout(b *testing.B) {
+	cfg := Config{Length: 1 << 20, Epsilon: 0.1, UpperBound: 1 << 20, Delta: 0.1}
+	for _, algo := range []Algorithm{AlgoEH, AlgoDW} {
+		b.Run(algo.String(), func(b *testing.B) {
+			c, err := New(algo, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Add(Tick(i + 1))
+			}
+		})
+	}
+}

@@ -164,3 +164,17 @@ func (x *Exact) Reset() {
 	x.base = 0
 	x.now = 0
 }
+
+// CountInterval returns the exact count of arrivals with tick in (from, to]:
+// an arbitrary sub-interval of the window, not just a suffix.
+func (x *Exact) CountInterval(from, to Tick) uint64 {
+	if to <= from {
+		return 0
+	}
+	a := x.CountSince(from)
+	b := x.CountSince(to)
+	if b > a {
+		return 0
+	}
+	return a - b
+}

@@ -26,11 +26,7 @@ func TestEstimateIntervalErrorBound(t *testing.T) {
 	const eps = 0.1
 	cfg := Config{Length: 5000, Epsilon: eps, UpperBound: 20000, Delta: 0.1}
 	rng := rand.New(rand.NewSource(33))
-	for _, algo := range []Algorithm{AlgoEH, AlgoDW} {
-		c, err := New(algo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range append(subjects(t, AlgoEH, cfg), subjects(t, AlgoDW, cfg)...) {
 		x := mustExact(t, cfg)
 		var now Tick
 		for i := 0; i < 20000; i++ {
@@ -39,7 +35,7 @@ func TestEstimateIntervalErrorBound(t *testing.T) {
 			x.Add(now)
 		}
 		type iv interface{ EstimateInterval(from, to Tick) float64 }
-		est := c.(iv)
+		est := c.Counter.(iv)
 		for trial := 0; trial < 200; trial++ {
 			var ws Tick
 			if now > cfg.Length {
@@ -53,7 +49,7 @@ func TestEstimateIntervalErrorBound(t *testing.T) {
 			suffix := float64(x.CountSince(from))
 			if abs64(got-want) > 2*eps*suffix+1 {
 				t.Errorf("%v: EstimateInterval(%d,%d) = %v, exact %v (suffix %v)",
-					algo, from, to, got, want, suffix)
+					c.name, from, to, got, want, suffix)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package window
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,22 +33,6 @@ const (
 
 var errTruncated = errors.New("window: truncated encoding")
 
-type wireWriter struct{ buf bytes.Buffer }
-
-func (w *wireWriter) byte1(b byte) { w.buf.WriteByte(b) }
-
-func (w *wireWriter) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.buf.Write(tmp[:n])
-}
-
-func (w *wireWriter) f64(v float64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	w.buf.Write(tmp[:])
-}
-
 type wireReader struct {
 	b   []byte
 	off int
@@ -80,10 +63,6 @@ func (r *wireReader) f64() (float64, error) {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
 	r.off += 8
 	return v, nil
-}
-
-func (w *wireWriter) config(c Config) {
-	w.buf.Write(appendConfig(nil, c))
 }
 
 func (r *wireReader) config() (Config, error) {
@@ -151,15 +130,53 @@ func configSize(c Config) int {
 	return 1 + 8 + 8 + UvarintLen(c.Length) + UvarintLen(c.UpperBound) + UvarintLen(c.Seed)
 }
 
-// MarshalCellSize reports len of the encoding AppendMarshalCell would
-// produce for cell i, without materializing buckets or bytes. It walks the
-// level directories in the same oldest→newest order the encoder uses, since
-// the delta encoding's varint widths depend on that order.
-func (b *EHBank) MarshalCellSize(i int) int {
-	n := 1 + configSize(b.cfg) + UvarintLen(b.cells[i].now)
-	n += UvarintLen(uint64(b.NumBuckets(i)))
-	var prev Tick
+// The EH cell encoding: tag, (Config,) now, bucket count, then the buckets
+// oldest → newest with boundaries delta-encoded in arrival order and the
+// size spelled out, so a typical bucket costs a handful of bytes. The encoder
+// walks the level rings in place: the bank is only read, so concurrent
+// marshals of a frozen bank (the sharded engine's published views) need no
+// coordination and no scratch.
+
+// AppendMarshalCell appends cell i's self-describing encoding to dst.
+func (b *EHBank) AppendMarshalCell(dst []byte, i int) []byte {
+	dst = append(dst, wireEH)
+	dst = appendConfig(dst, b.cfg)
+	return b.appendCellBody(dst, i)
+}
+
+// AppendMarshalCellBare appends cell i's config-elided encoding
+// (wireEHBare) to dst; see Bank.
+func (b *EHBank) AppendMarshalCellBare(dst []byte, i int) []byte {
+	dst = append(dst, wireEHBare)
+	return b.appendCellBody(dst, i)
+}
+
+func (b *EHBank) appendCellBody(dst []byte, i int) []byte {
 	c := &b.cells[i]
+	dst = binary.AppendUvarint(dst, c.now)
+	dst = binary.AppendUvarint(dst, uint64(b.NumBuckets(i)))
+	var prev Tick
+	for lv := int(c.nLv) - 1; lv >= 0; lv-- {
+		d := b.level(i, lv)
+		size := uint64(1) << uint(lv)
+		for j := 0; j < int(d.n); j++ {
+			bk := b.at(d, j)
+			dst = binary.AppendUvarint(dst, bk.start-prev)
+			dst = binary.AppendUvarint(dst, bk.end-bk.start)
+			dst = binary.AppendUvarint(dst, size)
+			prev = bk.end
+		}
+	}
+	return dst
+}
+
+// MarshalCellSize reports len(AppendMarshalCell(nil, i)) without producing
+// the bytes, walking the level directories in the encoder's order, since the
+// delta encoding's varint widths depend on it.
+func (b *EHBank) MarshalCellSize(i int) int {
+	c := &b.cells[i]
+	n := 1 + configSize(b.cfg) + UvarintLen(c.now) + UvarintLen(uint64(b.NumBuckets(i)))
+	var prev Tick
 	for lv := int(c.nLv) - 1; lv >= 0; lv-- {
 		d := b.level(i, lv)
 		size := uint64(1) << uint(lv)
@@ -172,84 +189,12 @@ func (b *EHBank) MarshalCellSize(i int) int {
 	return n
 }
 
-// appendEHBuckets appends the delta-encoded bucket payload shared by the
-// per-object and flat-bank EH encoders: boundaries are delta-encoded in
-// arrival order, so a typical bucket costs a handful of bytes.
-func appendEHBuckets(dst []byte, bs []Bucket) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(bs)))
-	var prev Tick
-	for _, b := range bs {
-		dst = binary.AppendUvarint(dst, b.Start-prev)
-		dst = binary.AppendUvarint(dst, b.End-b.Start)
-		dst = binary.AppendUvarint(dst, b.Size)
-		prev = b.End
-	}
-	return dst
-}
-
-// Marshal encodes the histogram.
-func (h *EH) Marshal() []byte {
-	dst := []byte{wireEH}
-	dst = appendConfig(dst, h.cfg)
-	dst = binary.AppendUvarint(dst, h.now)
-	return appendEHBuckets(dst, h.Buckets()) // oldest → newest, ticks non-decreasing
-}
-
-// AppendMarshalCell appends cell i's encoding to dst, snapshotting the
-// cell's buckets into scratch (grown as needed and returned for reuse
-// across cells). A bank cell and an EH holding the same content encode to
-// byte-identical output — both funnel through appendEHBuckets — so flat
-// sketches serialize onto the exact wire format of the per-object engine.
-//
-// The bank itself is only read: with a caller-owned scratch, concurrent
-// marshals of a frozen bank (the sharded engine's published views) need no
-// coordination.
-func (b *EHBank) AppendMarshalCell(dst []byte, i int, scratch []Bucket) ([]byte, []Bucket) {
-	dst = append(dst, wireEH)
-	dst = appendConfig(dst, b.cfg)
-	dst = binary.AppendUvarint(dst, b.cells[i].now)
-	scratch = b.AppendBuckets(scratch[:0], i)
-	return appendEHBuckets(dst, scratch), scratch
-}
-
-// AppendMarshalCellBare appends cell i's config-elided encoding (wireEHBare)
-// to dst: tag, now, buckets. Delta payloads carry one cell per changed
-// index, so repeating the shared bank Config per cell would roughly double
-// a sparse delta pre-gzip; the receiver validated config identity when it
-// accepted the baseline snapshot, and UnmarshalCell trusts its own bank's
-// Config for bare cells.
-func (b *EHBank) AppendMarshalCellBare(dst []byte, i int, scratch []Bucket) ([]byte, []Bucket) {
-	dst = append(dst, wireEHBare)
-	dst = binary.AppendUvarint(dst, b.cells[i].now)
-	scratch = b.AppendBuckets(scratch[:0], i)
-	return appendEHBuckets(dst, scratch), scratch
-}
-
-// UnmarshalCell decodes an EH encoding (as written by EH.Marshal,
-// AppendMarshalCell or AppendMarshalCellBare) into cell i, which must be
-// empty. A full-form encoding embeds its Config, which must match the
-// bank's: bank cells share one Config by construction, so a mismatch means
-// the encoding belongs to a different synopsis. A bare encoding carries no
-// Config and inherits the bank's.
+// UnmarshalCell decodes an EH cell encoding, full or bare, into cell i, which
+// must be empty.
 func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 	r := wireReader{b: enc}
-	tag, err := r.byte1()
-	if err != nil {
+	if err := b.readCellTag(&r, wireEH, wireEHBare, "EH"); err != nil {
 		return err
-	}
-	switch tag {
-	case wireEH:
-		cfg, err := r.config()
-		if err != nil {
-			return err
-		}
-		if !configEqual(cfg, b.cfg) {
-			return fmt.Errorf("window: EH encoding config %+v does not match bank config %+v", cfg, b.cfg)
-		}
-	case wireEHBare:
-		// Config elided; the bank's own is authoritative.
-	default:
-		return fmt.Errorf("window: expected EH encoding, got tag 0x%02x", tag)
 	}
 	now, err := r.uvarint()
 	if err != nil {
@@ -286,212 +231,19 @@ func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 	return nil
 }
 
-// UnmarshalEH reconstructs a histogram from Marshal output. The
-// reconstruction replays the buckets directly (not via the half/half merge
-// split), so the decoded histogram answers queries identically to the
-// encoded one.
-func UnmarshalEH(b []byte) (*EH, error) {
-	r := wireReader{b: b}
-	tag, err := r.byte1()
-	if err != nil {
-		return nil, err
-	}
-	if tag != wireEH {
-		return nil, fmt.Errorf("window: expected EH encoding, got tag 0x%02x", tag)
-	}
-	cfg, err := r.config()
-	if err != nil {
-		return nil, err
-	}
-	now, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b)) { // cheap corruption guard: ≥1 byte per bucket
-		return nil, errors.New("window: corrupt EH encoding")
-	}
-	h, err := NewEH(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var prev Tick
-	for i := uint64(0); i < n; i++ {
-		ds, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		de, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		size, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		start := prev + ds
-		end := start + de
-		prev = end
-		h.restoreBucket(bucketRestore{start: start, end: end, size: size})
-	}
-	h.normalizeRestored()
-	h.Advance(now)
-	return h, nil
-}
+// The DW cell encoding: tag, (Config,) now, rank, level count — a cheap
+// shape check against the receiving bank — then the ring payload with
+// delta-encoded ranks (wavering.go).
 
-// bucketRestore carries a decoded bucket during reconstruction.
-type bucketRestore struct {
-	start, end Tick
-	size       uint64
-}
-
-// restoreBucket appends a decoded bucket into its size class directly,
-// bypassing the cascade: Marshal emits buckets from a valid histogram, so
-// the class populations already satisfy the invariant.
-func (h *EH) restoreBucket(b bucketRestore) {
-	lv := 0
-	for s := b.size; s > 1; s >>= 1 {
-		lv++
-	}
-	for len(h.levels) <= lv {
-		h.levels = append(h.levels, bucketDeque{})
-	}
-	h.levels[lv].pushBack(bucket{start: b.start, end: b.end})
-	h.total += uint64(1) << uint(lv)
-	if b.end > h.now {
-		h.now = b.end
-	}
-	h.started = true
-}
-
-// normalizeRestored re-checks class budgets after a restore; decoded
-// histograms are already canonical, so this is a defensive no-op loop that
-// repairs corrupt inputs instead of violating internal invariants.
-func (h *EH) normalizeRestored() {
-	for lv := 0; lv < len(h.levels); lv++ {
-		for h.levels[lv].len() > h.capPerLv {
-			older := h.levels[lv].popFront()
-			newer := h.levels[lv].popFront()
-			if lv+1 == len(h.levels) {
-				h.levels = append(h.levels, bucketDeque{})
-			}
-			h.levels[lv+1].pushBack(bucket{start: older.start, end: newer.end})
-		}
-	}
-}
-
-// Marshal encodes the wave: per-level entry lists with delta-encoded ticks
-// and ranks.
-func (w *DW) Marshal() []byte {
-	var wr wireWriter
-	wr.byte1(wireDW)
-	wr.config(w.cfg)
-	wr.uvarint(w.now)
-	wr.uvarint(w.rank)
-	wr.uvarint(uint64(len(w.levels)))
-	for j := range w.levels {
-		d := &w.levels[j]
-		wr.uvarint(uint64(d.n))
-		if d.evicted {
-			wr.byte1(1)
-		} else {
-			wr.byte1(0)
-		}
-		var pt Tick
-		var pr uint64
-		for i := 0; i < d.n; i++ {
-			e := d.at(i)
-			wr.uvarint(e.t - pt)
-			wr.uvarint(e.rank - pr)
-			pt, pr = e.t, e.rank
-		}
-	}
-	return wr.buf.Bytes()
-}
-
-// UnmarshalDW reconstructs a wave from Marshal output.
-func UnmarshalDW(b []byte) (*DW, error) {
-	r := wireReader{b: b}
-	tag, err := r.byte1()
-	if err != nil {
-		return nil, err
-	}
-	if tag != wireDW {
-		return nil, fmt.Errorf("window: expected DW encoding, got tag 0x%02x", tag)
-	}
-	cfg, err := r.config()
-	if err != nil {
-		return nil, err
-	}
-	now, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	rank, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	nl, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	w, err := NewDW(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if nl != uint64(len(w.levels)) {
-		return nil, fmt.Errorf("window: DW encoding has %d levels, config implies %d", nl, len(w.levels))
-	}
-	for j := uint64(0); j < nl; j++ {
-		cnt, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ev, err := r.byte1()
-		if err != nil {
-			return nil, err
-		}
-		if cnt > uint64(len(b)) {
-			return nil, errors.New("window: corrupt DW encoding")
-		}
-		d := &w.levels[j]
-		var pt Tick
-		var pr uint64
-		for i := uint64(0); i < cnt; i++ {
-			dt, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			dr, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			pt += dt
-			pr += dr
-			d.pushBack(waveEntry{t: pt, rank: pr})
-		}
-		d.evicted = ev == 1
-	}
-	w.rank = rank
-	w.now = now
-	return w, nil
-}
-
-// AppendMarshalCell appends cell i's encoding to dst. A bank cell and a DW
-// holding the same content encode to byte-identical output — both emit the
-// wireDW layout in the same level order — so flat sketches serialize onto
-// the exact wire format of the per-object engine. The bank is only read.
+// AppendMarshalCell appends cell i's self-describing encoding to dst.
 func (b *DWBank) AppendMarshalCell(dst []byte, i int) []byte {
 	dst = append(dst, wireDW)
 	dst = appendConfig(dst, b.cfg)
 	return b.appendCellBody(dst, i)
 }
 
-// AppendMarshalCellBare appends cell i's config-elided encoding (wireDWBare)
-// to dst for delta payloads; see AppendMarshalCellBare on EHBank.
+// AppendMarshalCellBare appends cell i's config-elided encoding
+// (wireDWBare) to dst; see Bank.
 func (b *DWBank) AppendMarshalCellBare(dst []byte, i int) []byte {
 	dst = append(dst, wireDWBare)
 	return b.appendCellBody(dst, i)
@@ -502,263 +254,56 @@ func (b *DWBank) appendCellBody(dst []byte, i int) []byte {
 	dst = binary.AppendUvarint(dst, c.now)
 	dst = binary.AppendUvarint(dst, c.rank)
 	dst = binary.AppendUvarint(dst, uint64(b.nLv))
-	base := i * b.nLv
-	for j := 0; j < b.nLv; j++ {
-		d := &b.dirs[base+j]
-		dst = binary.AppendUvarint(dst, uint64(d.n))
-		if d.evicted {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		var pt Tick
-		var pr uint64
-		for k := 0; k < int(d.n); k++ {
-			e := b.waveAt(d, k)
-			dst = binary.AppendUvarint(dst, e.t-pt)
-			dst = binary.AppendUvarint(dst, e.rank-pr)
-			pt, pr = e.t, e.rank
-		}
-	}
-	return dst
+	return b.appendRings(dst, i, true)
 }
 
-// MarshalCellSize reports len of the encoding AppendMarshalCell would
-// produce for cell i, without producing the bytes.
+// MarshalCellSize reports len(AppendMarshalCell(nil, i)) without producing
+// the bytes.
 func (b *DWBank) MarshalCellSize(i int) int {
 	c := &b.cells[i]
-	n := 1 + configSize(b.cfg) + UvarintLen(c.now) + UvarintLen(c.rank) + UvarintLen(uint64(b.nLv))
-	base := i * b.nLv
-	for j := 0; j < b.nLv; j++ {
-		d := &b.dirs[base+j]
-		n += UvarintLen(uint64(d.n)) + 1
-		var pt Tick
-		var pr uint64
-		for k := 0; k < int(d.n); k++ {
-			e := b.waveAt(d, k)
-			n += UvarintLen(e.t-pt) + UvarintLen(e.rank-pr)
-			pt, pr = e.t, e.rank
-		}
-	}
-	return n
+	return 1 + configSize(b.cfg) + UvarintLen(c.now) + UvarintLen(c.rank) +
+		UvarintLen(uint64(b.nLv)) + b.ringsSize(i, true)
 }
 
-// UnmarshalCell decodes a DW encoding (as written by DW.Marshal,
-// AppendMarshalCell or AppendMarshalCellBare) into cell i, which must be
-// empty. Full-form encodings embed their Config, which must match the
-// bank's; bare encodings inherit it. The level count must match the bank's
-// geometry either way.
+// UnmarshalCell decodes a DW cell encoding, full or bare, into cell i, which
+// must be empty. The level count must match the bank's geometry either way.
 func (b *DWBank) UnmarshalCell(i int, enc []byte) error {
 	r := wireReader{b: enc}
-	tag, err := r.byte1()
-	if err != nil {
+	if err := b.readCellTag(&r, wireDW, wireDWBare, "DW"); err != nil {
 		return err
 	}
-	switch tag {
-	case wireDW:
-		cfg, err := r.config()
+	var now, rank, nl uint64
+	for _, f := range []*uint64{&now, &rank, &nl} {
+		v, err := r.uvarint()
 		if err != nil {
 			return err
 		}
-		if !configEqual(cfg, b.cfg) {
-			return fmt.Errorf("window: DW encoding config %+v does not match bank config %+v", cfg, b.cfg)
-		}
-	case wireDWBare:
-		// Config elided; the bank's own is authoritative.
-	default:
-		return fmt.Errorf("window: expected DW encoding, got tag 0x%02x", tag)
-	}
-	now, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	rank, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	nl, err := r.uvarint()
-	if err != nil {
-		return err
+		*f = v
 	}
 	if nl != uint64(b.nLv) {
 		return fmt.Errorf("window: DW encoding has %d levels, bank implies %d", nl, b.nLv)
 	}
-	c := &b.cells[i]
-	base := i * b.nLv
-	oldest := emptyOldEnd
-	for j := 0; j < b.nLv; j++ {
-		cnt, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		ev, err := r.byte1()
-		if err != nil {
-			return err
-		}
-		if cnt > uint64(len(enc)) {
-			return errors.New("window: corrupt DW encoding")
-		}
-		d := &b.dirs[base+j]
-		var pt Tick
-		var pr uint64
-		for k := uint64(0); k < cnt; k++ {
-			dt, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			dr, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			pt += dt
-			pr += dr
-			b.wavePush(d, waveEntry{t: pt, rank: pr})
-		}
-		d.evicted = ev == 1
-		if d.n > 0 {
-			if f := b.waveFront(d).t; f < oldest {
-				oldest = f
-			}
-		}
+	oldest, err := b.readRings(&r, i, true, "DW")
+	if err != nil {
+		return err
 	}
-	c.rank = rank
-	c.now = now
-	c.oldEnd = oldest
+	b.cells[i] = dwCell{waveClock{now, oldest}, rank}
 	b.noteCellMutation(i)
 	return nil
 }
 
-// Marshal encodes the randomized wave: per-copy, per-level entry lists with
-// delta-encoded ticks and raw identifiers. Identifiers are incompressible,
-// which is the dominant reason RW transfer volume exceeds EH by an order of
-// magnitude in the distributed experiments.
-func (w *RW) Marshal() []byte {
-	var wr wireWriter
-	wr.byte1(wireRW)
-	wr.config(w.cfg)
-	wr.uvarint(w.now)
-	wr.uvarint(w.count)
-	wr.uvarint(w.salt)
-	wr.uvarint(w.seq)
-	wr.uvarint(uint64(len(w.copies)))
-	wr.uvarint(uint64(len(w.copies[0].levels)))
-	for r := range w.copies {
-		cp := &w.copies[r]
-		for j := range cp.levels {
-			d := &cp.levels[j]
-			wr.uvarint(uint64(d.n))
-			if d.evicted {
-				wr.byte1(1)
-			} else {
-				wr.byte1(0)
-			}
-			var pt Tick
-			for i := 0; i < d.n; i++ {
-				e := d.at(i)
-				wr.uvarint(e.t - pt)
-				wr.uvarint(e.id)
-				pt = e.t
-			}
-		}
-	}
-	return wr.buf.Bytes()
-}
+// The RW cell encoding: tag, (Config,) now, count, salt, sequence, copy and
+// level counts, then the ring payload with raw identifiers (wavering.go).
 
-// UnmarshalRW reconstructs a randomized wave from Marshal output.
-func UnmarshalRW(b []byte) (*RW, error) {
-	r := wireReader{b: b}
-	tag, err := r.byte1()
-	if err != nil {
-		return nil, err
-	}
-	if tag != wireRW {
-		return nil, fmt.Errorf("window: expected RW encoding, got tag 0x%02x", tag)
-	}
-	cfg, err := r.config()
-	if err != nil {
-		return nil, err
-	}
-	now, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	count, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	salt, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	seq, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ncopies, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	nlevels, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	w, err := NewRW(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if ncopies != uint64(len(w.copies)) || nlevels != uint64(len(w.copies[0].levels)) {
-		return nil, fmt.Errorf("window: RW encoding shape %dx%d, config implies %dx%d",
-			ncopies, nlevels, len(w.copies), len(w.copies[0].levels))
-	}
-	for cr := range w.copies {
-		cp := &w.copies[cr]
-		for j := range cp.levels {
-			cnt, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			ev, err := r.byte1()
-			if err != nil {
-				return nil, err
-			}
-			if cnt > uint64(len(b)) {
-				return nil, errors.New("window: corrupt RW encoding")
-			}
-			d := &cp.levels[j]
-			var pt Tick
-			for i := uint64(0); i < cnt; i++ {
-				dt, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				id, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				pt += dt
-				d.pushBack(rwEntry{t: pt, id: id})
-			}
-			d.evicted = ev == 1
-		}
-	}
-	w.now = now
-	w.count = count
-	w.salt = salt
-	w.seq = seq
-	return w, nil
-}
-
-// AppendMarshalCell appends cell i's encoding to dst. A bank cell and an RW
-// holding the same content (including salt and sequence) encode to
-// byte-identical output.
+// AppendMarshalCell appends cell i's self-describing encoding to dst.
 func (b *RWBank) AppendMarshalCell(dst []byte, i int) []byte {
 	dst = append(dst, wireRW)
 	dst = appendConfig(dst, b.cfg)
 	return b.appendCellBody(dst, i)
 }
 
-// AppendMarshalCellBare appends cell i's config-elided encoding (wireRWBare)
-// to dst for delta payloads; see AppendMarshalCellBare on EHBank.
+// AppendMarshalCellBare appends cell i's config-elided encoding
+// (wireRWBare) to dst; see Bank.
 func (b *RWBank) AppendMarshalCellBare(dst []byte, i int) []byte {
 	dst = append(dst, wireRWBare)
 	return b.appendCellBody(dst, i)
@@ -766,147 +311,48 @@ func (b *RWBank) AppendMarshalCellBare(dst []byte, i int) []byte {
 
 func (b *RWBank) appendCellBody(dst []byte, i int) []byte {
 	c := &b.cells[i]
-	dst = binary.AppendUvarint(dst, c.now)
-	dst = binary.AppendUvarint(dst, c.count)
-	dst = binary.AppendUvarint(dst, c.salt)
-	dst = binary.AppendUvarint(dst, c.seq)
-	dst = binary.AppendUvarint(dst, uint64(b.reps))
-	dst = binary.AppendUvarint(dst, uint64(b.nLv))
-	base := i * b.reps * b.nLv
-	for rj := 0; rj < b.reps*b.nLv; rj++ {
-		d := &b.dirs[base+rj]
-		dst = binary.AppendUvarint(dst, uint64(d.n))
-		if d.evicted {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		var pt Tick
-		for k := 0; k < int(d.n); k++ {
-			e := b.rwAt(d, k)
-			dst = binary.AppendUvarint(dst, e.t-pt)
-			dst = binary.AppendUvarint(dst, e.id)
-			pt = e.t
-		}
+	for _, v := range [...]uint64{c.now, c.count, c.salt, c.seq, uint64(b.reps), uint64(b.nLv)} {
+		dst = binary.AppendUvarint(dst, v)
 	}
-	return dst
+	return b.appendRings(dst, i, false)
 }
 
-// MarshalCellSize reports len of the encoding AppendMarshalCell would
-// produce for cell i, without producing the bytes.
+// MarshalCellSize reports len(AppendMarshalCell(nil, i)) without producing
+// the bytes.
 func (b *RWBank) MarshalCellSize(i int) int {
 	c := &b.cells[i]
-	n := 1 + configSize(b.cfg) + UvarintLen(c.now) + UvarintLen(c.count) +
-		UvarintLen(c.salt) + UvarintLen(c.seq) +
-		UvarintLen(uint64(b.reps)) + UvarintLen(uint64(b.nLv))
-	base := i * b.reps * b.nLv
-	for rj := 0; rj < b.reps*b.nLv; rj++ {
-		d := &b.dirs[base+rj]
-		n += UvarintLen(uint64(d.n)) + 1
-		var pt Tick
-		for k := 0; k < int(d.n); k++ {
-			e := b.rwAt(d, k)
-			n += UvarintLen(e.t-pt) + UvarintLen(e.id)
-			pt = e.t
-		}
+	n := 1 + configSize(b.cfg) + b.ringsSize(i, false)
+	for _, v := range [...]uint64{c.now, c.count, c.salt, c.seq, uint64(b.reps), uint64(b.nLv)} {
+		n += UvarintLen(v)
 	}
 	return n
 }
 
-// UnmarshalCell decodes an RW encoding (as written by RW.Marshal,
-// AppendMarshalCell or AppendMarshalCellBare) into cell i, which must be
-// empty. Full-form encodings embed their Config, which must match the
-// bank's; bare encodings inherit it. The copy/level shape must match the
-// bank's geometry either way.
+// UnmarshalCell decodes an RW cell encoding, full or bare, into cell i, which
+// must be empty. The copy/level shape must match the bank's geometry either
+// way.
 func (b *RWBank) UnmarshalCell(i int, enc []byte) error {
 	r := wireReader{b: enc}
-	tag, err := r.byte1()
-	if err != nil {
+	if err := b.readCellTag(&r, wireRW, wireRWBare, "RW"); err != nil {
 		return err
 	}
-	switch tag {
-	case wireRW:
-		cfg, err := r.config()
+	var now, count, salt, seq, ncopies, nlevels uint64
+	for _, f := range []*uint64{&now, &count, &salt, &seq, &ncopies, &nlevels} {
+		v, err := r.uvarint()
 		if err != nil {
 			return err
 		}
-		if !configEqual(cfg, b.cfg) {
-			return fmt.Errorf("window: RW encoding config %+v does not match bank config %+v", cfg, b.cfg)
-		}
-	case wireRWBare:
-		// Config elided; the bank's own is authoritative.
-	default:
-		return fmt.Errorf("window: expected RW encoding, got tag 0x%02x", tag)
-	}
-	now, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	count, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	salt, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	seq, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	ncopies, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	nlevels, err := r.uvarint()
-	if err != nil {
-		return err
+		*f = v
 	}
 	if ncopies != uint64(b.reps) || nlevels != uint64(b.nLv) {
 		return fmt.Errorf("window: RW encoding shape %dx%d, bank implies %dx%d",
 			ncopies, nlevels, b.reps, b.nLv)
 	}
-	c := &b.cells[i]
-	base := i * b.reps * b.nLv
-	oldest := emptyOldEnd
-	for rj := 0; rj < b.reps*b.nLv; rj++ {
-		cnt, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		ev, err := r.byte1()
-		if err != nil {
-			return err
-		}
-		if cnt > uint64(len(enc)) {
-			return errors.New("window: corrupt RW encoding")
-		}
-		d := &b.dirs[base+rj]
-		var pt Tick
-		for k := uint64(0); k < cnt; k++ {
-			dt, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			id, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			pt += dt
-			b.rwPush(d, rwEntry{t: pt, id: id})
-		}
-		d.evicted = ev == 1
-		if d.n > 0 {
-			if f := b.rwFront(d).t; f < oldest {
-				oldest = f
-			}
-		}
+	oldest, err := b.readRings(&r, i, false, "RW")
+	if err != nil {
+		return err
 	}
-	c.now = now
-	c.count = count
-	c.salt = salt
-	c.seq = seq
-	c.oldEnd = oldest
+	b.cells[i] = rwCell{waveClock{now, oldest}, count, salt, seq}
 	b.noteCellMutation(i)
 	return nil
 }

@@ -53,59 +53,65 @@ func TestRWAccuracy(t *testing.T) {
 	// Probabilistic bound: check that the overwhelming majority of queries
 	// land within ε, and that none are wildly off.
 	const eps = 0.2
-	rng := rand.New(rand.NewSource(9))
 	cfg := Config{Length: 3000, Epsilon: eps, Delta: 0.05, UpperBound: 10000, Seed: 77}
-	w := mustRW(t, cfg)
-	x := mustExact(t, cfg)
-	var now Tick
-	bad := 0
-	checks := 0
-	for i := 0; i < 10000; i++ {
-		now += Tick(rng.Intn(2))
-		w.Add(now)
-		x.Add(now)
-		if i%101 == 0 && i > 500 {
-			for _, r := range []Tick{3000, 1500, 700} {
-				got := w.EstimateRange(r)
-				want := float64(x.CountRange(r))
-				if want < 50 {
-					continue
-				}
-				checks++
-				if abs64(got-want) > eps*want+1 {
-					bad++
-				}
-				if abs64(got-want) > 4*eps*want+2 {
-					t.Fatalf("RW estimate wildly off: got %v, exact %v (r=%d)", got, want, r)
+	for _, w := range subjects(t, AlgoRW, cfg) {
+		rng := rand.New(rand.NewSource(9))
+		x := mustExact(t, cfg)
+		var now Tick
+		bad := 0
+		checks := 0
+		for i := 0; i < 10000; i++ {
+			now += Tick(rng.Intn(2))
+			w.Add(now)
+			x.Add(now)
+			if i%101 == 0 && i > 500 {
+				for _, r := range []Tick{3000, 1500, 700} {
+					got := w.EstimateRange(r)
+					want := float64(x.CountRange(r))
+					if want < 50 {
+						continue
+					}
+					checks++
+					if abs64(got-want) > eps*want+1 {
+						bad++
+					}
+					if abs64(got-want) > 4*eps*want+2 {
+						t.Fatalf("%s estimate wildly off: got %v, exact %v (r=%d)", w.name, got, want, r)
+					}
 				}
 			}
 		}
-	}
-	if checks == 0 {
-		t.Fatal("no checks performed")
-	}
-	if frac := float64(bad) / float64(checks); frac > 0.1 {
-		t.Errorf("RW exceeded ε on %.1f%% of %d checks, want ≤10%%", 100*frac, checks)
+		if checks == 0 {
+			t.Fatal("no checks performed")
+		}
+		if frac := float64(bad) / float64(checks); frac > 0.1 {
+			t.Errorf("%s exceeded ε on %.1f%% of %d checks, want ≤10%%", w.name, 100*frac, checks)
+		}
 	}
 }
 
 func TestRWDuplicateInsensitive(t *testing.T) {
 	cfg := Config{Length: 1000, Epsilon: 0.2, Delta: 0.1, Seed: 3}
-	w := mustRW(t, cfg)
-	for i := Tick(1); i <= 50; i++ {
-		w.AddID(i, uint64(i)) // level assignment depends only on the id
-	}
-	before := w.EstimateWindow()
-	// Re-adding the same identifiers must not change per-level membership
-	// beyond replacing entries with equal ones.
-	for i := Tick(1); i <= 50; i++ {
-		w.AddID(i, uint64(i))
-	}
-	after := w.EstimateWindow()
-	// The count field doubles but the estimate derives from stored entries;
-	// duplicate ids map to identical levels so small windows stay exact-ish.
-	if after > 2*before+10 {
-		t.Errorf("duplicate inserts inflated estimate from %v to %v", before, after)
+	for _, s := range subjects(t, AlgoRW, cfg) {
+		w := s.Counter.(interface {
+			Counter
+			AddID(t Tick, id uint64)
+		})
+		for i := Tick(1); i <= 50; i++ {
+			w.AddID(i, uint64(i)) // level assignment depends only on the id
+		}
+		before := w.EstimateWindow()
+		// Re-adding the same identifiers must not change per-level membership
+		// beyond replacing entries with equal ones.
+		for i := Tick(1); i <= 50; i++ {
+			w.AddID(i, uint64(i))
+		}
+		after := w.EstimateWindow()
+		// The count field doubles but the estimate derives from stored entries;
+		// duplicate ids map to identical levels so small windows stay exact-ish.
+		if after > 2*before+10 {
+			t.Errorf("%s: duplicate inserts inflated estimate from %v to %v", s.name, before, after)
+		}
 	}
 }
 

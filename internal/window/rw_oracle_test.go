@@ -1,9 +1,13 @@
 package window
 
+// The per-object randomized wave: one growable deque per level of every
+// copy, the textbook layout RWBank replaced in production. It stays here as
+// the differential oracle the bank is held to bit for bit, down to its own
+// entry type; only the sizing formulas and the salt counter are shared.
+
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -98,11 +102,6 @@ type rwCopy struct {
 	levels []rwDeque
 }
 
-// rwSaltCounter hands out distinct default identifier salts to RW instances
-// created in the same process, so that events from different instances never
-// collide.
-var rwSaltCounter uint64
-
 // RW is a randomized wave (Gibbons & Tirthapura) for duplicate-insensitive
 // basic counting over a sliding window. Every event carries a unique
 // identifier; a hash of the identifier assigns the event to level l with
@@ -148,24 +147,6 @@ func NewRW(cfg Config) (*RW, error) {
 		}
 	}
 	return w, nil
-}
-
-// rwCapacity is the per-level event budget; the quadratic dependence on 1/ε
-// is inherent to randomized synopses and is what the paper's evaluation
-// charges them for.
-func rwCapacity(eps float64) int { return int(math.Ceil(4 / (eps * eps))) }
-
-// rwRepetitions is the number of independent copies whose median estimate is
-// returned.
-func rwRepetitions(delta float64) int {
-	r := int(math.Ceil(math.Log(1 / delta)))
-	if r < 1 {
-		r = 1
-	}
-	if r%2 == 0 {
-		r++ // odd count makes the median well-defined
-	}
-	return r
 }
 
 // Config returns the configuration the wave was built with.

@@ -455,7 +455,7 @@ func TestDWBankMergeMatchesMergeDW(t *testing.T) {
 		if t2 := banks[1].Now(i); t2 > now {
 			now = t2
 		}
-		out.MergeCell(i, now, []*DWBank{banks[0], banks[1]})
+		out.MergeCellFrom(i, i, now, []*DWBank{banks[0], banks[1]})
 		if got, want := out.AppendMarshalCell(nil, i), ref.Marshal(); !bytes.Equal(got, want) {
 			t.Errorf("cell %d: bank merge encoding differs from MergeDW", i)
 		}
@@ -503,7 +503,7 @@ func TestRWBankMergeMatchesMergeRW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out.MergeCell(i, []*RWBank{banks[0], banks[1]})
+		out.MergeCellFrom(i, i, 0, []*RWBank{banks[0], banks[1]})
 		salt := uint64(0x9e3779b97f4a7c15)
 		salt = hashing.Mix64(salt ^ banks[0].cells[i].salt)
 		salt = hashing.Mix64(salt ^ banks[1].cells[i].salt)
@@ -535,7 +535,7 @@ func TestDWBankVersioning(t *testing.T) {
 	}
 	v1 := b.Version()
 	b.Advance(1, 500)
-	b.AdvanceAll(600)
+	AdvanceAll(b, 600, nil)
 	_ = b.EstimateWindow(1)
 	if b.Version() != v1 {
 		t.Error("advance or query bumped the version")
@@ -602,7 +602,7 @@ func TestWaveBankClone(t *testing.T) {
 	for k := 1; k <= 300; k++ {
 		db.Add(k%2, Tick(k))
 	}
-	dc := db.Clone()
+	dc := db.Clone().(*DWBank)
 	if !bytes.Equal(db.AppendMarshalCell(nil, 0), dc.AppendMarshalCell(nil, 0)) {
 		t.Error("DW clone encodes differently")
 	}
@@ -622,7 +622,7 @@ func TestWaveBankClone(t *testing.T) {
 	for k := 1; k <= 300; k++ {
 		rb.Add(k%2, Tick(k))
 	}
-	rc := rb.Clone()
+	rc := rb.Clone().(*RWBank)
 	if !bytes.Equal(rb.AppendMarshalCell(nil, 1), rc.AppendMarshalCell(nil, 1)) {
 		t.Error("RW clone encodes differently")
 	}

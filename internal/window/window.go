@@ -9,7 +9,13 @@
 // arrivals (count-based model). Both models are driven through the same
 // interface: the caller supplies a monotonically non-decreasing Tick with
 // every arrival — a timestamp in the time-based model, the global arrival
-// sequence number in the count-based model.
+// sequence number in the count-based model. Regressions are clamped, per the
+// tick clamping contract documented on ecmsketch.Ingestor.
+//
+// Each synopsis has one implementation: a flat bank of n counters in one
+// arena (EHBank, DWBank, RWBank) behind the Bank contract. The textbook
+// per-object forms of the same algorithms are kept in this package's
+// *_oracle_test.go files, where the banks are held to them bit for bit.
 package window
 
 import (
@@ -45,7 +51,7 @@ func (m Model) String() string {
 	}
 }
 
-// Algorithm selects the synopsis implementation behind a Counter.
+// Algorithm selects the synopsis implementation behind a Bank.
 type Algorithm uint8
 
 const (
@@ -127,56 +133,6 @@ func (c *Config) Validate(algo Algorithm) error {
 		c.UpperBound = uint64(c.Length)
 	}
 	return nil
-}
-
-// Counter is a sliding-window basic counter. Implementations estimate the
-// number of arrivals inside any suffix of the window with bounded relative
-// error.
-//
-// Ticks passed to Add/AddN/Advance must be non-decreasing; regressions are
-// clamped, per the tick clamping contract documented on ecmsketch.Ingestor.
-type Counter interface {
-	// Add registers one arrival at tick t.
-	Add(t Tick)
-	// AddN registers n simultaneous arrivals at tick t.
-	AddN(t Tick, n uint64)
-	// Advance moves the window forward to tick t without an arrival,
-	// expiring content that falls out of the window.
-	Advance(t Tick)
-	// Now reports the latest tick observed.
-	Now() Tick
-	// EstimateSince estimates the number of arrivals with tick strictly
-	// greater than since (clamped to the window). Estimates are fractional
-	// because straddling buckets contribute half their size.
-	EstimateSince(since Tick) float64
-	// EstimateRange estimates the arrivals within the last r ticks, i.e.
-	// ticks in (Now()-r, Now()]. r is clamped to the window length.
-	EstimateRange(r Tick) float64
-	// EstimateWindow estimates the arrivals in the whole window.
-	EstimateWindow() float64
-	// MemoryBytes reports the current heap footprint of the synopsis.
-	MemoryBytes() int
-	// Reset empties the synopsis, keeping its configuration.
-	Reset()
-}
-
-// New constructs a Counter for the given algorithm.
-func New(algo Algorithm, cfg Config) (Counter, error) {
-	if err := cfg.Validate(algo); err != nil {
-		return nil, err
-	}
-	switch algo {
-	case AlgoEH:
-		return NewEH(cfg)
-	case AlgoDW:
-		return NewDW(cfg)
-	case AlgoRW:
-		return NewRW(cfg)
-	case AlgoExact:
-		return NewExact(cfg)
-	default:
-		return nil, fmt.Errorf("window: unknown algorithm %v", algo)
-	}
 }
 
 // rangeToSince converts a query range r ending at now into the exclusive
