@@ -212,32 +212,17 @@ type IngestQuerier interface {
 	Querier
 }
 
-// Compile-time interface conformance for every local front end.
+// Compile-time interface conformance for every local front end: Engine is
+// Ingestor, Querier, BatchQuerier, Snapshotter and DeltaSnapshotter at once.
 // (ecmclient.Client asserts its own conformance in its package.)
 var (
-	_ Ingestor = (*Sketch)(nil)
-	_ Ingestor = (*SafeSketch)(nil)
-	_ Ingestor = (*Sharded)(nil)
-
-	_ Querier = (*Sketch)(nil)
-	_ Querier = (*SafeSketch)(nil)
-	_ Querier = (*Sharded)(nil)
-
-	_ BatchQuerier = (*Sketch)(nil)
-	_ BatchQuerier = (*SafeSketch)(nil)
-	_ BatchQuerier = (*Sharded)(nil)
+	_ Engine = (*Sketch)(nil)
+	_ Engine = (*SafeSketch)(nil)
+	_ Engine = (*Sharded)(nil)
 
 	_ DirectQuerier = (*Sketch)(nil)
 	_ DirectQuerier = (*SafeSketch)(nil)
 	_ DirectQuerier = (*Sharded)(nil)
-
-	_ DeltaSnapshotter = (*Sketch)(nil)
-	_ DeltaSnapshotter = (*SafeSketch)(nil)
-	_ DeltaSnapshotter = (*Sharded)(nil)
-
-	_ Engine = (*Sketch)(nil)
-	_ Engine = (*SafeSketch)(nil)
-	_ Engine = (*Sharded)(nil)
 
 	// Every local front end can serve as an in-process coordinator site.
 	_ SnapshotSource = (*Sketch)(nil)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ecmsketch/internal/coord"
-	"ecmsketch/internal/distrib"
 	"ecmsketch/internal/workload"
 )
 
@@ -14,14 +13,11 @@ import (
 // sub-stream in an ECM-sketch, plus the balanced-binary-tree aggregation
 // path of the paper's distributed experiments. Sites run as goroutines;
 // every aggregation edge ships a sketch summary whose wire size is charged
-// to the cluster's Network accounting. Aggregation runs on the same
+// to the cluster's Network() accounting. Aggregation runs on the same
 // coordinator core as networked deployments (see Coordinator), so the
 // simulation's merged result is bit-identical to a real coordinator's over
 // the same event log.
-type Cluster = distrib.Cluster
-
-// Network is the communication-cost accounting of a Cluster or Coordinator.
-type Network = coord.Network
+type Cluster = coord.Cluster
 
 // Site is one summary source behind a coordinator transport: it produces a
 // frozen snapshot of a site's stream — full (Snapshot) or incremental
@@ -73,17 +69,6 @@ func NewHTTPSiteWithAuth(baseURL string, hc *http.Client, token string) Site {
 	return s
 }
 
-// RefreshStats describes one successful Coordinator.Refresh round: how many
-// members contributed (and how many of those were stale baselines or
-// excluded outright), the bytes pulled, and whether the persistent merged
-// view was patched cell-by-cell or rebuilt wholesale.
-type RefreshStats = coord.RefreshStats
-
-// SiteStatus is one coordinator member's health record: consecutive
-// failures, backoff rounds until its next probe, and whether a retained
-// baseline lets it contribute while unreachable.
-type SiteStatus = coord.SiteStatus
-
 // NewPullClient returns an HTTP client tuned for coordinator pulls: one
 // keep-alive transport shared by every site pulled through it (idle pools
 // sized for hundreds of site hosts), dial/TLS/overall timeouts, and — when
@@ -93,19 +78,16 @@ func NewPullClient(timeout time.Duration, rootCAs *x509.CertPool) *http.Client {
 	return coord.NewPullClient(timeout, rootCAs)
 }
 
-// StreamEvent is one synthetic-workload arrival routed to a site (key,
-// time, site). It is distinct from the batch-ingest Event type of the
-// Ingestor interfaces, which carries no site affinity.
-type StreamEvent = workload.Event
-
 // NewCluster builds n sites with identically configured, mergeable sketches.
-func NewCluster(p Params, n int) (*Cluster, error) { return distrib.NewCluster(p, n) }
+func NewCluster(p Params, n int) (*Cluster, error) { return coord.NewCluster(p, n) }
 
 // StreamConfig parameterizes a synthetic workload stream.
 type StreamConfig = workload.Config
 
 // StreamGenerator produces reproducible synthetic event streams, including
-// the wc'98-like and snmp-like stand-ins used by the experiment harness.
+// the wc'98-like and snmp-like stand-ins used by the experiment harness. Its
+// events (key, time, site) carry the site affinity Cluster.Feed routes by,
+// which the batch-ingest Event of the Ingestor interfaces does not have.
 type StreamGenerator = workload.Generator
 
 // NewStream builds a synthetic stream generator.

@@ -27,12 +27,17 @@ import (
 	"ecmsketch/internal/window"
 )
 
+// registerFlags declares every flag of the binary on fs; testdata/surface.golden
+// pins the set.
+func registerFlags(fs *flag.FlagSet) (exp, dataset *string, events *int) {
+	exp = fs.String("exp", "all", "experiment: table2|table3|table4|fig4|fig5|fig6|heavy|geom|geomscale|plan|motivation|ablation|all")
+	dataset = fs.String("dataset", "both", "dataset: wc98|snmp|both")
+	events = fs.Int("events", experiments.DefaultScale, "stream length per dataset")
+	return exp, dataset, events
+}
+
 func main() {
-	var (
-		exp     = flag.String("exp", "all", "experiment: table2|table3|table4|fig4|fig5|fig6|heavy|geom|geomscale|plan|motivation|ablation|all")
-		dataset = flag.String("dataset", "both", "dataset: wc98|snmp|both")
-		events  = flag.Int("events", experiments.DefaultScale, "stream length per dataset")
-	)
+	exp, dataset, events := registerFlags(flag.CommandLine)
 	flag.Parse()
 	if err := run(*exp, *dataset, *events); err != nil {
 		fmt.Fprintln(os.Stderr, "ecmbench:", err)

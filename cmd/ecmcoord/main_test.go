@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -33,6 +34,18 @@ func fakeSite(t *testing.T, seed uint64, feed func(*ecmsketch.Sketch)) *httptest
 	}))
 }
 
+// pullAndMerge is one round of the binary's only mode over siteURLs: build
+// the coordinator ecmcoord builds, refresh it once, and hand back the merged
+// view with the payload bytes pulled.
+func pullAndMerge(t *testing.T, client *http.Client, siteURLs []string) (*ecmsketch.Sketch, int, error) {
+	t.Helper()
+	cs := newTestCoordServer(t, client, siteURLs)
+	if err := cs.refresh(); err != nil {
+		return nil, 0, err
+	}
+	return viewOf(t, cs), int(cs.co.PulledBytes()), nil
+}
+
 func TestPullAndMerge(t *testing.T) {
 	a := fakeSite(t, 9, func(s *ecmsketch.Sketch) {
 		for i := ecmsketch.Tick(1); i <= 100; i++ {
@@ -48,7 +61,7 @@ func TestPullAndMerge(t *testing.T) {
 	})
 	defer b.Close()
 
-	merged, transferred, err := PullAndMerge(http.DefaultClient, []string{a.URL, b.URL})
+	merged, transferred, err := pullAndMerge(t, http.DefaultClient, []string{a.URL, b.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +84,7 @@ func TestPullAndMergeIncompatibleSeeds(t *testing.T) {
 	defer a.Close()
 	b := fakeSite(t, 2, func(s *ecmsketch.Sketch) { s.Add(1, 1) })
 	defer b.Close()
-	if _, _, err := PullAndMerge(http.DefaultClient, []string{a.URL, b.URL}); err == nil {
+	if _, _, err := pullAndMerge(t, http.DefaultClient, []string{a.URL, b.URL}); err == nil {
 		t.Fatal("merging sketches with different seeds succeeded")
 	}
 }
@@ -81,17 +94,17 @@ func TestPullAndMergeHTTPErrors(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer bad.Close()
-	if _, _, err := PullAndMerge(http.DefaultClient, []string{bad.URL}); err == nil {
+	if _, _, err := pullAndMerge(t, http.DefaultClient, []string{bad.URL}); err == nil {
 		t.Fatal("HTTP 500 not surfaced")
 	}
 	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("not a sketch"))
 	}))
 	defer garbage.Close()
-	if _, _, err := PullAndMerge(http.DefaultClient, []string{garbage.URL}); err == nil {
+	if _, _, err := pullAndMerge(t, http.DefaultClient, []string{garbage.URL}); err == nil {
 		t.Fatal("garbage payload not surfaced")
 	}
-	if _, _, err := PullAndMerge(http.DefaultClient, []string{"http://127.0.0.1:1"}); err == nil {
+	if _, _, err := pullAndMerge(t, http.DefaultClient, []string{"http://127.0.0.1:1"}); err == nil {
 		t.Fatal("connection failure not surfaced")
 	}
 }
@@ -123,12 +136,12 @@ func newEcmserverSites(t *testing.T, n int) []*httptest.Server {
 }
 
 // TestEcmcoordMergesBitIdenticallyToInProcess is the CI smoke for the
-// shared coordinator core: ecmcoord's networked pull-and-merge of two
-// ecmserver sites must produce byte-for-byte the summary an in-process
-// coordinator over the same engines computes.
+// shared coordinator core: ecmcoord's networked refresh of two ecmserver
+// sites must produce byte-for-byte the summary an in-process coordinator
+// refreshing over the same engines computes.
 func TestEcmcoordMergesBitIdenticallyToInProcess(t *testing.T) {
 	sites := newEcmserverSites(t, 2)
-	merged, transferred, err := PullAndMerge(http.DefaultClient, []string{sites[0].URL, sites[1].URL})
+	merged, transferred, err := pullAndMerge(t, http.DefaultClient, []string{sites[0].URL, sites[1].URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +153,12 @@ func TestEcmcoordMergesBitIdenticallyToInProcess(t *testing.T) {
 		local[i] = ecmsketch.NewLocalSite(fmt.Sprintf("site-%d", i),
 			ts.Config.Handler.(*ecmserver.Server).Engine())
 	}
-	inproc, _, err := ecmsketch.NewCoordinator(local...).AggregateTree()
+	co := ecmsketch.NewCoordinator(local...)
+	co.SetDeltaPulls(true)
+	if err := co.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	inproc, err := co.View()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +170,7 @@ func TestEcmcoordMergesBitIdenticallyToInProcess(t *testing.T) {
 	}
 }
 
-// TestCoordServer drives the server mode end to end: refresh, point and
+// TestCoordServer drives the coordinator end to end: refresh, point and
 // batch queries, stats provenance, snapshot re-pull (a coordinator is
 // itself a site), and the 503 surface before any successful pull.
 func TestCoordServer(t *testing.T) {
@@ -182,14 +200,14 @@ func TestCoordServer(t *testing.T) {
 	}
 
 	// Key 0 appears in site 0's stream ~50 times per full window.
-	est := getJSON("/v1/estimate?ikey=0&range=10000")["estimate"].(float64)
+	est := getJSON("/v1/query?ikey=0&range=10000&direct=1")["estimates"].([]any)[0].(float64)
 	if est < 25 || est > 200 {
 		t.Errorf("estimate = %v, want ≈50", est)
 	}
-	if tot := getJSON("/v1/total?range=10000")["total"].(float64); tot < 5000 || tot > 7000 {
+	if tot := getJSON("/v1/query?total=1&range=10000")["total"].(float64); tot < 5000 || tot > 7000 {
 		t.Errorf("total = %v, want ≈6000", tot)
 	}
-	if sj := getJSON("/v1/selfjoin?range=10000")["selfJoin"].(float64); sj <= 0 {
+	if sj := getJSON("/v1/query?selfJoin=1&range=10000")["selfJoin"].(float64); sj <= 0 {
 		t.Errorf("selfJoin = %v, want > 0", sj)
 	}
 
@@ -238,13 +256,19 @@ func TestCoordServer(t *testing.T) {
 		t.Errorf("unknown query field accepted: %s", bad.Status)
 	}
 
-	// A coordinator is itself pullable: merging "the coordinator" as a
-	// single site reproduces its merged summary bit-identically.
-	repulled, _, err := PullAndMerge(http.DefaultClient, []string{front.URL})
+	// A coordinator is itself pullable: what /v1/snapshot ships is its
+	// merged view, byte for byte (TestStackedCoordServersShipDeltas pulls
+	// one coordinator from another).
+	snap, err := http.Get(front.URL + "/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(repulled.Marshal(), viewOf(t, cs).Marshal()) {
+	repulled, err := io.ReadAll(snap.Body)
+	snap.Body.Close()
+	if err != nil || snap.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/snapshot: %s, %v", snap.Status, err)
+	}
+	if !bytes.Equal(repulled, viewOf(t, cs).Marshal()) {
 		t.Error("re-pulled coordinator snapshot differs from its merged view")
 	}
 
@@ -266,7 +290,7 @@ func TestCoordServerNotReady(t *testing.T) {
 	cs := newTestCoordServer(t, http.DefaultClient, []string{"http://127.0.0.1:1"})
 	front := httptest.NewServer(cs)
 	defer front.Close()
-	resp, err := http.Get(front.URL + "/v1/total")
+	resp, err := http.Get(front.URL + "/v1/query?total=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package main
 
-// Coordinator durability: with -data-dir the server mode persists its two
+// Coordinator durability: with -data-dir the coordinator persists its two
 // pieces of restart-worthy state through the same pluggable store the leaf
 // engines use — the merged root with its delta-serving epoch and version
 // vector (blob "root", via Coordinator.ExportState), and the dynamic

@@ -19,7 +19,7 @@ import (
 	"ecmsketch/internal/wire"
 )
 
-// coordServer is the server mode of ecmcoord: an ecmserver over the
+// coordServer is the running coordinator: an ecmserver over the
 // coordinator's merged view — the same read-only /v1 surface a site serves,
 // snapshot and delta routes included, so a running coordinator is itself a
 // valid pull target and coordinators compose into the multi-level
@@ -60,7 +60,7 @@ type coordServer struct {
 
 // newCoordServer wraps co in the shared serving surface, configured by cfg
 // (AuthToken, EnableProfiling). The coordinator always pulls deltas and
-// tracks site health: there is one serve mode.
+// tracks site health.
 func newCoordServer(co *ecmsketch.Coordinator, interval time.Duration, cfg ecmserver.Config) (*coordServer, error) {
 	co.SetDeltaPulls(true)
 	co.SetResilient(true)
@@ -141,7 +141,7 @@ func (cs *coordServer) Close() {
 	cs.stopOnce.Do(func() { close(cs.stop) })
 }
 
-// runServe is the CLI entry of server mode: one synchronous pull so the
+// runServe is what main ends in: one synchronous pull so the
 // surface is warm, then the loop, then the listener (TLS when certFile and
 // keyFile are set).
 func runServe(cs *coordServer, addr, certFile, keyFile string) {

@@ -107,7 +107,7 @@ func TestStackedCoordServersShipDeltas(t *testing.T) {
 			t.Fatalf("round %d: top count %d != mid count %d", round, got, want)
 		}
 	}
-	fullSize = int64(viewOf(t, mid).WireSize())
+	fullSize = int64(len(viewOf(t, mid).Marshal()))
 	if got := top.co.DeltaPulls(); got < 4 {
 		t.Fatalf("top coordinator made %d delta pulls, want ≥4", got)
 	}
@@ -255,7 +255,7 @@ func TestTLSRoundTrip(t *testing.T) {
 	roots.AddCert(site.Certificate())
 
 	// Without the CA the pull fails closed.
-	if _, _, err := PullAndMerge(ecmsketch.NewPullClient(5*time.Second, nil), []string{site.URL}); err == nil {
+	if _, _, err := pullAndMerge(t, ecmsketch.NewPullClient(5*time.Second, nil), []string{site.URL}); err == nil {
 		t.Fatal("pull of TLS site without its CA succeeded")
 	}
 

@@ -16,7 +16,7 @@ import (
 )
 
 // The standing-query wire surface is mounted on two servers — ecmserver
-// (site) and ecmcoord -serve (coordinator) — through the same
+// (site) and ecmcoord (coordinator) — through the same
 // standing.Service. These lifecycle tests are table-driven over both
 // surfaces so the subscribe/watch/resume contract cannot drift between
 // them: each surface provides its handler, its registry, and a fire hook

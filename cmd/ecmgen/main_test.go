@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"strings"
 	"testing"
+
+	"ecmsketch/internal/workload"
 )
 
 func TestBuildPresets(t *testing.T) {
 	for _, preset := range []string{"wc98", "snmp", ""} {
-		g, err := build(preset, 100, 1000, 64, 1.0, 2, 0, false, 1)
+		g, err := build(preset, workload.Config{Events: 100, Duration: 1000, KeyDomain: 64, Skew: 1.0, Sites: 2, Seed: 1})
 		if err != nil {
 			t.Fatalf("build(%q): %v", preset, err)
 		}
@@ -16,16 +18,16 @@ func TestBuildPresets(t *testing.T) {
 			t.Errorf("preset %q: %d events", preset, g.Remaining())
 		}
 	}
-	if _, err := build("bogus", 100, 1000, 64, 1.0, 2, 0, false, 1); err == nil {
+	if _, err := build("bogus", workload.Config{Events: 100, Duration: 1000, KeyDomain: 64, Skew: 1.0, Sites: 2, Seed: 1}); err == nil {
 		t.Error("bogus preset accepted")
 	}
-	if _, err := build("", 0, 1000, 64, 1.0, 2, 0, false, 1); err == nil {
+	if _, err := build("", workload.Config{Duration: 1000, KeyDomain: 64, Skew: 1.0, Sites: 2, Seed: 1}); err == nil {
 		t.Error("zero events accepted")
 	}
 }
 
 func TestEmitFormat(t *testing.T) {
-	g, err := build("", 50, 500, 16, 1.0, 3, 0, false, 7)
+	g, err := build("", workload.Config{Events: 50, Duration: 500, KeyDomain: 16, Skew: 1.0, Sites: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestEmitFormat(t *testing.T) {
 }
 
 func TestEmitWithSite(t *testing.T) {
-	g, err := build("", 20, 200, 16, 1.0, 3, 0, false, 7)
+	g, err := build("", workload.Config{Events: 20, Duration: 200, KeyDomain: 16, Skew: 1.0, Sites: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestEmitWithSite(t *testing.T) {
 
 func TestEmitDeterministic(t *testing.T) {
 	render := func() string {
-		g, err := build("wc98", 200, 5000, 0, 0, 0, 0, false, 42)
+		g, err := build("wc98", workload.Config{Events: 200, Duration: 5000, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}

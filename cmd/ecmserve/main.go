@@ -8,10 +8,11 @@
 //
 //	ecmserve -addr :8080 -epsilon 0.02 -delta 0.01 -window 3600000 -shards 8
 //
-// Endpoints (see ecmserver handler docs): POST /v1/add, POST /v1/batch,
-// POST /v1/events, GET /v1/estimate, GET /v1/interval, GET /v1/selfjoin,
-// GET /v1/total, GET /v1/stats, GET /v1/sketch, POST /v1/advance, and
-// GET /v1/topk with -topk.
+// Endpoints (see ecmserver handler docs): POST /v1/events, POST /v1/batch,
+// POST /v1/advance, GET and POST /v1/query, GET /v1/interval,
+// GET /v1/snapshot, GET /v1/stats, the standing-query routes
+// (/v1/subscribe, /v1/watch), and GET /v1/topk with -topk.
+// docs/operations.md has the deployment guide.
 package main
 
 import (
@@ -26,50 +27,47 @@ import (
 	"ecmsketch/ecmserver"
 )
 
+// options is what the flags set: the engine and server configuration plus
+// the listener's own three values.
+type options struct {
+	addr, tlsCert, tlsKey string
+	cfg                   ecmserver.Config
+}
+
+// registerFlags declares every flag of the binary on fs; testdata/surface.golden
+// pins the set.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.Float64Var(&o.cfg.Epsilon, "epsilon", 0.02, "total error budget")
+	fs.Float64Var(&o.cfg.Delta, "delta", 0.01, "failure probability")
+	fs.Uint64Var(&o.cfg.WindowLength, "window", 3_600_000, "window length in ticks")
+	fs.StringVar(&o.cfg.Algorithm, "algo", "eh", "counter algorithm: eh|dw|rw")
+	fs.Uint64Var(&o.cfg.UpperBound, "ubound", 0, "u(N,S) arrival bound (waves; 0 = window length)")
+	fs.Uint64Var(&o.cfg.Seed, "seed", 1, "hash seed (sites to be merged must share it)")
+	fs.IntVar(&o.cfg.TopK, "topk", 0, "track the N hottest keys and serve GET /v1/topk (0 = off)")
+	fs.IntVar(&o.cfg.Shards, "shards", 0, "ingest lock stripes (0 = GOMAXPROCS)")
+	fs.DurationVar(&o.cfg.MergeTTL, "merge-ttl", 250*time.Millisecond, "staleness bound of cached global-query view (0 = always fresh)")
+	fs.DurationVar(&o.cfg.RefreshInterval, "refresh", 0, "background merged-view refresh period (0 = rebuild on the reader that trips merge-ttl)")
+	fs.StringVar(&o.cfg.AuthToken, "token", "", "require this bearer token on every request (empty = open)")
+	fs.StringVar(&o.tlsCert, "tls-cert", "", "serve TLS with this certificate file (requires -tls-key); pullers trusting a private CA pass it to ecmcoord -site-ca or ecmclient.WithRootCAs")
+	fs.StringVar(&o.tlsKey, "tls-key", "", "private key file for -tls-cert")
+	fs.BoolVar(&o.cfg.EnableProfiling, "pprof", false, "mount net/http/pprof under /debug/pprof/ (behind -token auth when set)")
+	fs.StringVar(&o.cfg.DataDir, "data-dir", "", "persist epoch, snapshots, and a batch WAL under this directory; a restart replays to the pre-crash state and keeps serving deltas (empty = memory only)")
+	fs.DurationVar(&o.cfg.SnapshotInterval, "snapshot-interval", time.Minute, "how often to fold the WAL into a fresh snapshot (requires -data-dir)")
+	fs.DurationVar(&o.cfg.WALSyncInterval, "wal-sync", 0, "group-commit WAL fsync period; 0 fsyncs every batch (requires -data-dir)")
+	return o
+}
+
 func main() {
-	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		epsilon = flag.Float64("epsilon", 0.02, "total error budget")
-		delta   = flag.Float64("delta", 0.01, "failure probability")
-		window  = flag.Uint64("window", 3_600_000, "window length in ticks")
-		algo    = flag.String("algo", "eh", "counter algorithm: eh|dw|rw")
-		ubound  = flag.Uint64("ubound", 0, "u(N,S) arrival bound (waves; 0 = window length)")
-		seed    = flag.Uint64("seed", 1, "hash seed (sites to be merged must share it)")
-		topk    = flag.Int("topk", 0, "track the N hottest keys and serve GET /v1/topk (0 = off)")
-		shards  = flag.Int("shards", 0, "ingest lock stripes (0 = GOMAXPROCS)")
-		ttl     = flag.Duration("merge-ttl", 250*time.Millisecond, "staleness bound of cached global-query view (0 = always fresh)")
-		refresh = flag.Duration("refresh", 0, "background merged-view refresh period (0 = rebuild on the reader that trips merge-ttl)")
-		token   = flag.String("token", "", "require this bearer token on every request (empty = open)")
-		tlsCert = flag.String("tls-cert", "", "serve TLS with this certificate file (requires -tls-key); pullers trusting a private CA pass it to ecmcoord -site-ca or ecmclient.WithRootCAs")
-		tlsKey  = flag.String("tls-key", "", "private key file for -tls-cert")
-		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (behind -token auth when set)")
-		dataDir = flag.String("data-dir", "", "persist epoch, snapshots, and a batch WAL under this directory; a restart replays to the pre-crash state and keeps serving deltas (empty = memory only)")
-		snapIvl = flag.Duration("snapshot-interval", time.Minute, "how often to fold the WAL into a fresh snapshot (requires -data-dir)")
-		walSync = flag.Duration("wal-sync", 0, "group-commit WAL fsync period; 0 fsyncs every batch (requires -data-dir)")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	srv, err := ecmserver.New(ecmserver.Config{
-		Epsilon:          *epsilon,
-		Delta:            *delta,
-		WindowLength:     *window,
-		Algorithm:        *algo,
-		UpperBound:       *ubound,
-		Seed:             *seed,
-		TopK:             *topk,
-		Shards:           *shards,
-		MergeTTL:         *ttl,
-		RefreshInterval:  *refresh,
-		AuthToken:        *token,
-		EnableProfiling:  *pprofOn,
-		DataDir:          *dataDir,
-		SnapshotInterval: *snapIvl,
-		WALSyncInterval:  *walSync,
-	})
+	srv, err := ecmserver.New(o.cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ecmserve:", err)
 		os.Exit(1)
 	}
-	if *dataDir != "" {
+	if o.cfg.DataDir != "" {
 		// SIGINT/SIGTERM write a final checkpoint so the next start replays
 		// nothing; an unclean death is covered by WAL replay instead.
 		sig := make(chan os.Signal, 1)
@@ -83,9 +81,9 @@ func main() {
 		}()
 		ds := srv.Engine().DurabilityStats()
 		log.Printf("ecmserve durable state in %s (epoch=%x recovered=%v replayed=%d records)",
-			*dataDir, ds.Epoch, ds.Recovered, ds.ReplayedRecords)
+			o.cfg.DataDir, ds.Epoch, ds.Recovered, ds.ReplayedRecords)
 	}
 	log.Printf("ecmserve listening on %s (eps=%v delta=%v window=%d algo=%s shards=%d)",
-		*addr, *epsilon, *delta, *window, *algo, srv.Engine().Shards())
-	log.Fatal(srv.ListenAndServe(*addr, *tlsCert, *tlsKey))
+		o.addr, o.cfg.Epsilon, o.cfg.Delta, o.cfg.WindowLength, o.cfg.Algorithm, srv.Engine().Shards())
+	log.Fatal(srv.ListenAndServe(o.addr, o.tlsCert, o.tlsKey))
 }

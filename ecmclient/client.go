@@ -8,13 +8,17 @@
 //
 // Two method families coexist:
 //
-//   - Explicit, error-returning calls (AddEvents, Query, PointEstimate,
-//     SelfJoinEstimate, FetchSketch, Stats, TopK, ...) for callers that
-//     handle transport failures per request.
-//   - The interface methods (Add, AddBatch, Estimate, SelfJoin, ...),
-//     whose signatures carry no error; a transport failure there returns a
-//     zero value and parks the error on the client, readable (and
-//     clearable) via Err, in the bufio.Scanner sticky-error style.
+//   - Explicit, error-returning calls (AddEvents, PointEstimate,
+//     SelfJoinEstimate, FetchSnapshotBytes, FetchStats, TopK, ...) for
+//     callers that handle transport failures per request.
+//   - The methods of the ecmsketch interfaces (Add, AddBatch, Estimate,
+//     SelfJoin, QueryBatch, Snapshot, ...), most of whose signatures carry
+//     no error; a transport failure there returns a zero value and parks
+//     the error on the client, readable (and clearable) via Err, in the
+//     bufio.Scanner sticky-error style.
+//
+// Every call is one request on one route: writes are POST /v1/events, reads
+// are /v1/query, summaries are GET /v1/snapshot.
 package ecmclient
 
 import (
@@ -77,8 +81,13 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// Err reports the first transport failure recorded by an interface-shaped
-// call since the last Reset; nil means every such call succeeded.
+// Err reports the first transport failure since the last Reset of any
+// method belonging to an ecmsketch interface — Ingestor, Querier,
+// BatchQuerier, DirectQuerier, Snapshotter, DeltaSnapshotter — whether or
+// not that method's signature also returns the error; nil means every such
+// call succeeded. The explicit calls (AddKey, AddEvents, PointEstimate,
+// FetchSnapshotBytes, FetchStats, TopK, Sites, ...) return their error and
+// record nothing.
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -187,25 +196,16 @@ func (c *Client) do(req *http.Request, out any) error {
 
 // ---- explicit, error-returning API ----
 
-// AddKey registers n arrivals of a pre-digested key at tick t.
+// AddKey registers n arrivals of a pre-digested key at tick t: a
+// one-element AddEvents.
 func (c *Client) AddKey(key uint64, t ecmsketch.Tick, n uint64) error {
-	q := url.Values{
-		"ikey": {strconv.FormatUint(key, 10)},
-		"t":    {strconv.FormatUint(t, 10)},
-		"n":    {strconv.FormatUint(n, 10)},
-	}
-	return c.post("/v1/add", q, nil, "", nil)
+	return c.AddEvents([]ecmsketch.Event{{Key: key, Tick: t, N: n}})
 }
 
-// AddKeyString registers n arrivals of a string key (digested server-side,
-// with the same KeyString digest as local sketches).
+// AddKeyString registers n arrivals of a string key, digested with
+// ecmsketch.KeyString like every local sketch's string keys.
 func (c *Client) AddKeyString(key string, t ecmsketch.Tick, n uint64) error {
-	q := url.Values{
-		"key": {key},
-		"t":   {strconv.FormatUint(t, 10)},
-		"n":   {strconv.FormatUint(n, 10)},
-	}
-	return c.post("/v1/add", q, nil, "", nil)
+	return c.AddKey(ecmsketch.KeyString(key), t, n)
 }
 
 // AddEvents ships a batch of arrivals in one POST /v1/events request.
@@ -219,15 +219,9 @@ func (c *Client) AddEvents(events []ecmsketch.Event) error {
 	return c.post("/v1/events", nil, bytes.NewReader(body), "application/json", nil)
 }
 
-// Query answers a multi-key query in one POST /v1/query round trip: point
-// estimates for every key plus the optional aggregates, all evaluated by
-// the server against one consistent cut of its stream. Keys are shipped as
-// decimal digests; pre-digest string keys with ecmsketch.KeyString (the
-// same digest the server applies to its own string keys).
-func (c *Client) Query(q ecmsketch.QueryBatch) (ecmsketch.QueryResult, error) {
-	return c.query(q, false)
-}
-
+// query is one POST /v1/query round trip (with ?direct=1 for the zero-merge
+// path). Keys are shipped as decimal digests; pre-digest string keys with
+// ecmsketch.KeyString (the digest the server applies to its own string keys).
 func (c *Client) query(q ecmsketch.QueryBatch, direct bool) (ecmsketch.QueryResult, error) {
 	type wireKey struct {
 		IKey string `json:"ikey"`
@@ -276,31 +270,23 @@ func (c *Client) AdvanceTo(t ecmsketch.Tick) error {
 	return c.post("/v1/advance", url.Values{"t": {strconv.FormatUint(t, 10)}}, nil, "", nil)
 }
 
-// PointEstimate answers a point query over the last r ticks.
+// PointEstimate answers a point query over the last r ticks (zero means the
+// whole window) through the zero-merge path, POST /v1/query?direct=1: at a
+// site the key is read from the one stripe that owns it.
 func (c *Client) PointEstimate(key uint64, r ecmsketch.Tick) (float64, error) {
-	var out struct {
-		Estimate float64 `json:"estimate"`
-	}
-	q := url.Values{
-		"ikey":  {strconv.FormatUint(key, 10)},
-		"range": {strconv.FormatUint(r, 10)},
-	}
-	if err := c.get("/v1/estimate", q, &out); err != nil {
+	res, err := c.query(ecmsketch.QueryBatch{Keys: []uint64{key}, Range: r}, true)
+	if err != nil {
 		return 0, err
 	}
-	return out.Estimate, nil
+	if len(res.Estimates) != 1 {
+		return 0, fmt.Errorf("ecmclient: POST /v1/query: %d estimates for one key", len(res.Estimates))
+	}
+	return res.Estimates[0], nil
 }
 
 // PointEstimateString answers a point query for a string key.
 func (c *Client) PointEstimateString(key string, r ecmsketch.Tick) (float64, error) {
-	var out struct {
-		Estimate float64 `json:"estimate"`
-	}
-	q := url.Values{"key": {key}, "range": {strconv.FormatUint(r, 10)}}
-	if err := c.get("/v1/estimate", q, &out); err != nil {
-		return 0, err
-	}
-	return out.Estimate, nil
+	return c.PointEstimate(ecmsketch.KeyString(key), r)
 }
 
 // IntervalEstimate answers a point query over the tick interval (from, to].
@@ -319,50 +305,23 @@ func (c *Client) IntervalEstimate(key uint64, from, to ecmsketch.Tick) (float64,
 	return out.Estimate, nil
 }
 
-// SelfJoinEstimate answers an F₂ query over the last r ticks.
+// SelfJoinEstimate answers an F₂ query over the last r ticks: a key-less
+// POST /v1/query with selfJoin set.
 func (c *Client) SelfJoinEstimate(r ecmsketch.Tick) (float64, error) {
-	var out struct {
-		SelfJoin float64 `json:"selfJoin"`
-	}
-	if err := c.get("/v1/selfjoin", url.Values{"range": {strconv.FormatUint(r, 10)}}, &out); err != nil {
-		return 0, err
-	}
-	return out.SelfJoin, nil
+	res, err := c.query(ecmsketch.QueryBatch{SelfJoin: true, Range: r}, false)
+	return res.SelfJoin, err
 }
 
-// TotalEstimate answers a ‖a_r‖₁ query over the last r ticks.
+// TotalEstimate answers a ‖a_r‖₁ query over the last r ticks: a key-less
+// POST /v1/query with total set.
 func (c *Client) TotalEstimate(r ecmsketch.Tick) (float64, error) {
-	var out struct {
-		Total float64 `json:"total"`
-	}
-	if err := c.get("/v1/total", url.Values{"range": {strconv.FormatUint(r, 10)}}, &out); err != nil {
-		return 0, err
-	}
-	return out.Total, nil
+	res, err := c.query(ecmsketch.QueryBatch{Total: true, Range: r}, false)
+	return res.Total, err
 }
 
-// FetchSketchBytes pulls the server's serialized merged sketch.
-func (c *Client) FetchSketchBytes() ([]byte, error) {
-	var raw []byte
-	if err := c.get("/v1/sketch", nil, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
-// FetchSketch pulls and decodes the server's merged sketch — ready to
-// query locally or Merge with other sites' summaries.
-func (c *Client) FetchSketch() (*ecmsketch.Sketch, error) {
-	raw, err := c.FetchSketchBytes()
-	if err != nil {
-		return nil, err
-	}
-	return ecmsketch.Unmarshal(raw)
-}
-
-// FetchSnapshotBytes pulls the server's frozen merged view via the
-// coordinator snapshot route (GET /v1/snapshot), which carries
-// X-Ecm-Now/X-Ecm-Count staleness headers for pullers that want them.
+// FetchSnapshotBytes pulls the server's serialized merged sketch: GET
+// /v1/snapshot, the route coordinators pull (it carries X-Ecm-Now/X-Ecm-Count
+// staleness headers for pullers that want them).
 func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 	var raw []byte
 	if err := c.get("/v1/snapshot", nil, &raw); err != nil {
@@ -371,18 +330,23 @@ func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 	return raw, nil
 }
 
-// SnapshotSince pulls the server's snapshot incrementally:
+// DeltaSnapshot pulls the server's snapshot incrementally:
 // GET /v1/snapshot?since=<cursor>, offering gzip. Given the cursor from a
 // previous pull it returns the delta payload (full == false) or, when the
 // server does not recognize the cursor — a restart, a reconfiguration, the
 // zero cursor — a full baseline (full == true). Payloads are applied with
 // an ecmsketch.DeltaState; the returned cursor is what to present next
 // time. A reply without a cursor is taken as a plain full snapshot with a
-// zero cursor, so the pull loop keeps asking for full.
-func (c *Client) SnapshotSince(since ecmsketch.Cursor) ([]byte, ecmsketch.Cursor, bool, error) {
+// zero cursor, so the pull loop keeps asking for full. It completes the
+// ecmsketch.DeltaSnapshotter contract (and with it ecmsketch.Engine), so a
+// Client plugs into any pull loop — including coordinator sites — exactly
+// like a local engine.
+func (c *Client) DeltaSnapshot(since ecmsketch.Cursor) ([]byte, ecmsketch.Cursor, bool, error) {
 	rep, err := wire.FetchSnapshot(c.hc, c.base+"/v1/snapshot?since="+url.QueryEscape(since.String()), c.token)
 	if err != nil {
-		return nil, ecmsketch.Cursor{}, false, fmt.Errorf("ecmclient: GET /v1/snapshot: %w", err)
+		err = fmt.Errorf("ecmclient: GET /v1/snapshot: %w", err)
+		c.record(err)
+		return nil, ecmsketch.Cursor{}, false, err
 	}
 	cur, err := ecmsketch.ParseCursor(rep.Cursor)
 	if err != nil {
@@ -390,16 +354,6 @@ func (c *Client) SnapshotSince(since ecmsketch.Cursor) ([]byte, ecmsketch.Cursor
 	}
 	full := rep.Kind != wire.KindDelta || cur.IsZero()
 	return rep.Payload, cur, full, nil
-}
-
-// DeltaSnapshot completes the ecmsketch.DeltaSnapshotter contract (and
-// with it ecmsketch.Engine): it is SnapshotSince with the transport failure
-// additionally recorded in the sticky error, so a Client plugs into any
-// pull loop — including coordinator sites — exactly like a local engine.
-func (c *Client) DeltaSnapshot(since ecmsketch.Cursor) ([]byte, ecmsketch.Cursor, bool, error) {
-	payload, cur, full, err := c.SnapshotSince(since)
-	c.record(err)
-	return payload, cur, full, err
 }
 
 // Stats is the server's engine accounting.
@@ -486,9 +440,9 @@ func (c *Client) EstimateString(key string, r ecmsketch.Tick) float64 {
 
 // InnerProduct estimates the inner product between the server's stream and
 // another (compatible) sketch's stream over the last r ticks, by pulling
-// the server's merged sketch and running the query locally.
+// the server's merged sketch (see Snapshot) and running the query locally.
 func (c *Client) InnerProduct(other *ecmsketch.Sketch, r ecmsketch.Tick) (float64, error) {
-	sk, err := c.FetchSketch()
+	sk, err := c.Snapshot()
 	if err != nil {
 		return 0, err
 	}
@@ -509,12 +463,12 @@ func (c *Client) EstimateTotal(r ecmsketch.Tick) float64 {
 	return v
 }
 
-// QueryBatch answers a multi-key query from one consistent server-side cut,
-// in one round trip. It is Query with the transport failure additionally
-// recorded in the sticky error, completing the ecmsketch.BatchQuerier
-// contract.
+// QueryBatch answers a multi-key query in one POST /v1/query round trip:
+// point estimates for every key plus the optional aggregates, all evaluated
+// by the server against one consistent cut of its stream — the
+// ecmsketch.BatchQuerier contract.
 func (c *Client) QueryBatch(q ecmsketch.QueryBatch) (ecmsketch.QueryResult, error) {
-	res, err := c.Query(q)
+	res, err := c.query(q, false)
 	c.record(err)
 	return res, err
 }
@@ -524,8 +478,7 @@ func (c *Client) QueryBatch(q ecmsketch.QueryBatch) (ecmsketch.QueryResult, erro
 // that owns it, with no merged view built or consulted. Zero merge error
 // and no rebuild cost, but no consistency across the batch, and aggregate
 // requests (Total/SelfJoin) are rejected by the server with 400 — the
-// ecmsketch.DirectQuerier contract, forwarded. Transport failures are
-// recorded in the sticky error like QueryBatch's.
+// ecmsketch.DirectQuerier contract, forwarded.
 func (c *Client) QueryDirect(q ecmsketch.QueryBatch) (ecmsketch.QueryResult, error) {
 	res, err := c.query(q, true)
 	c.record(err)
@@ -542,17 +495,19 @@ func (c *Client) Now() ecmsketch.Tick {
 // Marshal pulls the server's serialized merged sketch; nil on transport
 // failure (recorded in Err).
 func (c *Client) Marshal() []byte {
-	raw, err := c.FetchSketchBytes()
+	raw, err := c.FetchSnapshotBytes()
 	c.record(err)
 	return raw
 }
 
-// Snapshot pulls and decodes the server's merged sketch via the snapshot
-// route — the client half of the coordinator transport, so a Client wrapped
-// in NewLocalSite aggregates like any other engine.
+// Snapshot pulls and decodes the server's merged sketch — ready to query
+// locally or Merge with other sites' summaries, and the client half of the
+// coordinator transport: a Client wrapped in NewLocalSite aggregates like
+// any other engine.
 func (c *Client) Snapshot() (*ecmsketch.Sketch, error) {
 	raw, err := c.FetchSnapshotBytes()
 	if err != nil {
+		c.record(err)
 		return nil, err
 	}
 	return ecmsketch.Unmarshal(raw)
@@ -570,7 +525,7 @@ type SiteInfo struct {
 }
 
 // Sites lists a coordinator's membership with per-site health. Only
-// ecmcoord -serve deployments expose the route; against a plain ecmserve
+// coordinators (ecmcoord) expose the route; against a plain ecmserve
 // the call fails with a 404.
 func (c *Client) Sites() ([]SiteInfo, error) {
 	var out struct {

@@ -168,7 +168,7 @@ func TestClientSketchPullAndMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := siteB.FetchSketch()
+	b, err := siteB.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,25 +209,76 @@ func TestClientTopK(t *testing.T) {
 	}
 }
 
+// TestClientStickyError walks the rule stated on Client.Err: against a dead
+// server every method of an ecmsketch interface parks its transport failure
+// on the client — the ones that also return it included — and no explicit
+// call does.
 func TestClientStickyError(t *testing.T) {
 	ts, c := startServer(t, 0)
+	other, err := ecmsketch.New(ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 10000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts.Close()
-	c.Add(1, 1)
-	if c.Err() == nil {
-		t.Fatal("transport failure not recorded")
+	q := ecmsketch.QueryBatch{Keys: []uint64{1}}
+	for _, tc := range []struct {
+		name string
+		call func() error // the returned error, for the methods that have one
+		errs bool         // the signature returns the failure too
+	}{
+		{"Add", func() error { c.Add(1, 1); return nil }, false},
+		{"AddN", func() error { c.AddN(1, 1, 2); return nil }, false},
+		{"AddString", func() error { c.AddString("a", 1); return nil }, false},
+		{"AddBatch", func() error { c.AddBatch([]ecmsketch.Event{{Key: 1, Tick: 1}}); return nil }, false},
+		{"Advance", func() error { c.Advance(5); return nil }, false},
+		{"Estimate", func() error { c.Estimate(1, 100); return nil }, false},
+		{"EstimateString", func() error { c.EstimateString("a", 100); return nil }, false},
+		{"SelfJoin", func() error { c.SelfJoin(100); return nil }, false},
+		{"EstimateTotal", func() error { c.EstimateTotal(100); return nil }, false},
+		{"Now", func() error { c.Now(); return nil }, false},
+		{"Marshal", func() error { c.Marshal(); return nil }, false},
+		{"InnerProduct", func() error { _, err := c.InnerProduct(other, 100); return err }, true},
+		{"QueryBatch", func() error { _, err := c.QueryBatch(q); return err }, true},
+		{"QueryDirect", func() error { _, err := c.QueryDirect(q); return err }, true},
+		{"Snapshot", func() error { _, err := c.Snapshot(); return err }, true},
+		{"DeltaSnapshot", func() error { _, _, _, err := c.DeltaSnapshot(ecmsketch.Cursor{}); return err }, true},
+	} {
+		c.Reset()
+		if c.Err() != nil {
+			t.Fatalf("%s: Reset did not clear the sticky error", tc.name)
+		}
+		if err := tc.call(); tc.errs && err == nil {
+			t.Errorf("%s against a dead server returned no error", tc.name)
+		}
+		if c.Err() == nil {
+			t.Errorf("%s: transport failure not recorded", tc.name)
+		}
 	}
 	if got := c.Estimate(1, 100); got != 0 {
 		t.Errorf("estimate against dead server = %v, want 0", got)
 	}
-	c.Reset()
-	if c.Err() != nil {
-		t.Error("Reset did not clear the sticky error")
-	}
 	if b := c.Marshal(); b != nil {
 		t.Errorf("Marshal against dead server = %d bytes, want nil", len(b))
 	}
-	if c.Err() == nil {
-		t.Error("Marshal failure not recorded")
+
+	c.Reset()
+	for name, call := range map[string]func() error{
+		"AddKey":             func() error { return c.AddKey(1, 1, 1) },
+		"AddEvents":          func() error { return c.AddEvents([]ecmsketch.Event{{Key: 1, Tick: 1}}) },
+		"AdvanceTo":          func() error { return c.AdvanceTo(5) },
+		"PointEstimate":      func() error { _, err := c.PointEstimate(1, 100); return err },
+		"SelfJoinEstimate":   func() error { _, err := c.SelfJoinEstimate(100); return err },
+		"TotalEstimate":      func() error { _, err := c.TotalEstimate(100); return err },
+		"IntervalEstimate":   func() error { _, err := c.IntervalEstimate(1, 1, 5); return err },
+		"FetchSnapshotBytes": func() error { _, err := c.FetchSnapshotBytes(); return err },
+		"FetchStats":         func() error { _, err := c.FetchStats(); return err },
+	} {
+		if call() == nil {
+			t.Errorf("%s against a dead server returned no error", name)
+		}
+		if c.Err() != nil {
+			t.Errorf("%s recorded its error; explicit calls only return it", name)
+		}
 	}
 }
 
@@ -264,7 +315,7 @@ func TestClientQueryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Query(q)
+	got, err := c.QueryBatch(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,15 +338,6 @@ func TestClientQueryBatch(t *testing.T) {
 			got.Now, got.Range, want.Now, want.Range)
 	}
 
-	// The interface-shaped method matches the explicit one and records
-	// transport failures in the sticky error.
-	ifres, err := c.QueryBatch(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ifres.Total != want.Total {
-		t.Errorf("QueryBatch total %v != local %v", ifres.Total, want.Total)
-	}
 	if c.Err() != nil {
 		t.Errorf("sticky error after successful QueryBatch: %v", c.Err())
 	}

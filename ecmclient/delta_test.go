@@ -11,8 +11,9 @@ import (
 	"ecmsketch/ecmserver"
 )
 
-// TestSnapshotSince: the client half of the delta protocol — bootstrap
-// baseline, incremental pulls, reconstruction identical to the full fetch.
+// TestSnapshotSince: the client half of the delta protocol (DeltaSnapshot,
+// GET /v1/snapshot?since=) — bootstrap baseline, incremental pulls,
+// reconstruction identical to the full fetch.
 func TestSnapshotSince(t *testing.T) {
 	srv, err := ecmserver.New(ecmserver.Config{
 		Epsilon: 0.1, Delta: 0.1, WindowLength: 100000, Seed: 11, Shards: 4,
@@ -29,7 +30,7 @@ func TestSnapshotSince(t *testing.T) {
 
 	c := ecmclient.New(ts.URL)
 	var st ecmsketch.DeltaState
-	payload, cur, full, err := c.SnapshotSince(st.Cursor())
+	payload, cur, full, err := c.DeltaSnapshot(st.Cursor())
 	if err != nil || !full {
 		t.Fatalf("bootstrap: full=%v err=%v", full, err)
 	}
@@ -39,7 +40,7 @@ func TestSnapshotSince(t *testing.T) {
 	baselineLen := len(payload)
 
 	eng.Add(31337, 900)
-	payload, cur, full, err = c.SnapshotSince(st.Cursor())
+	payload, cur, full, err = c.DeltaSnapshot(st.Cursor())
 	if err != nil || full {
 		t.Fatalf("second pull: full=%v err=%v", full, err)
 	}
@@ -67,7 +68,7 @@ func TestSnapshotSince(t *testing.T) {
 
 // TestSnapshotSinceCursorlessFull: a server that ignores ?since= and answers
 // a plain full snapshot with no cursor headers (what a source without delta
-// support produces) keeps SnapshotSince on full pulls, with a zero cursor so
+// support produces) keeps DeltaSnapshot on full pulls, with a zero cursor so
 // the loop keeps asking full.
 func TestSnapshotSinceCursorlessFull(t *testing.T) {
 	sk, err := ecmsketch.New(ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1000, Seed: 2})
@@ -86,7 +87,7 @@ func TestSnapshotSinceCursorlessFull(t *testing.T) {
 	c := ecmclient.New(ts.URL)
 	var st ecmsketch.DeltaState
 	for pull := 0; pull < 2; pull++ {
-		payload, cur, full, err := c.SnapshotSince(st.Cursor())
+		payload, cur, full, err := c.DeltaSnapshot(st.Cursor())
 		if err != nil {
 			t.Fatalf("pull %d: %v", pull, err)
 		}

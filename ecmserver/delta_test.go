@@ -196,9 +196,9 @@ func TestScalarStringsAt2pow60(t *testing.T) {
 	out = post("/v1/advance?t=" + tickStr)
 	wantNumeric(out, "now")
 
-	out = get("/v1/estimate?ikey=5&range=" + tickStr + "&strings=1")
+	out = get("/v1/query?direct=1&ikey=5&range=" + tickStr + "&strings=1")
 	wantString(out, "range")
-	out = get("/v1/estimate?ikey=5&range=" + tickStr)
+	out = get("/v1/query?direct=1&ikey=5&range=" + tickStr)
 	wantNumeric(out, "range")
 
 	out = get("/v1/interval?ikey=5&from=1&to=" + tickStr + "&strings=1")
@@ -207,8 +207,8 @@ func TestScalarStringsAt2pow60(t *testing.T) {
 		t.Fatalf("from = %s, want \"1\"", out["from"])
 	}
 
-	out = get("/v1/selfjoin?range=" + tickStr + "&strings=1")
+	out = get("/v1/query?selfJoin=1&range=" + tickStr + "&strings=1")
 	wantString(out, "range")
-	out = get("/v1/total?range=" + tickStr + "&strings=1")
+	out = get("/v1/query?total=1&range=" + tickStr + "&strings=1")
 	wantString(out, "range")
 }

@@ -10,7 +10,7 @@ import (
 func seedDirect(t *testing.T, srv *Server) {
 	t.Helper()
 	for i := 0; i < 50; i++ {
-		code, _ := doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?ikey=%d&t=%d&n=3", i%5, i+1), "")
+		code, _ := doJSON(t, srv, "POST", "/v1/events", fmt.Sprintf(`[{"ikey":"%d","t":%d,"n":3}]`, i%5, i+1))
 		if code != 200 {
 			t.Fatalf("add %d: status %d", i, code)
 		}
@@ -100,7 +100,7 @@ func TestQueryGet(t *testing.T) {
 func TestStatsRebuildBlock(t *testing.T) {
 	srv := testServer(t)
 	seedDirect(t, srv)
-	if code, _ := doJSON(t, srv, "GET", "/v1/selfjoin?range=1000", ""); code != 200 {
+	if code, _ := doJSON(t, srv, "GET", "/v1/query?selfJoin=1&range=1000", ""); code != 200 {
 		t.Fatal("selfjoin failed")
 	}
 

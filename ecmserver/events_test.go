@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -405,4 +406,70 @@ func TestShardedAsyncHandlerWriters(t *testing.T) {
 			})
 		}
 	}
+}
+
+// batchReference counts what /v1/batch must accept of body, the plain way:
+// strings.Split on newlines, strings.Split on commas, strconv on the fields.
+// malformed reports whether any line was skipped, mass the arrivals the
+// accepted records add up to (saturating).
+func batchReference(body string) (accepted int, malformed bool, mass uint64) {
+	for _, line := range strings.Split(body, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		fields := strings.Split(line, ",")
+		ok := len(fields) >= 2
+		if ok {
+			_, err := strconv.ParseUint(strings.TrimSpace(fields[1]), 10, 64)
+			ok = err == nil
+		}
+		count := uint64(1)
+		if ok && len(fields) >= 3 {
+			var err error
+			count, err = strconv.ParseUint(strings.TrimSpace(fields[2]), 10, 64)
+			ok = err == nil
+		}
+		if !ok {
+			malformed = true
+			continue
+		}
+		accepted++
+		if mass += count; mass < count {
+			mass = math.MaxUint64
+		}
+	}
+	return accepted, malformed, mass
+}
+
+// FuzzBatchBody holds the /v1/batch line grammar to batchReference: the
+// handler never panics, answers 200, accepts exactly the lines the reference
+// accepts and reports a first error exactly when one was skipped. Bodies stay
+// under the scanner's 1 MiB line bound, which TestBatchOversizedLine covers,
+// and under 2^16 arrivals in all: ingest costs one insert per unit of count,
+// so "k,1,18446744073709551615" is well-formed and never returns (ROADMAP 3b,
+// work-bounded decode).
+func FuzzBatchBody(f *testing.F) {
+	f.Add("# comment\n/home,1\n/home,2\n/about,3,5\n\ngarbage-line\n/home,notanumber\n/home,4")
+	f.Add("a,1,2,3,4\r\n b , 7 , 9 \r\n,5\nc,\nd,1,\n")
+	f.Add("k,18446744073709551615,4096\nk,18446744073709551616\nk,-1\nk,+1\nk,0x10\nk,1,18446744073709551616\n")
+	f.Add(strings.Repeat("x,1\n", ingestFlushEvery+1))
+	f.Fuzz(func(t *testing.T, body string) {
+		want, malformed, mass := batchReference(body)
+		if len(body) >= 1<<20 || mass > 1<<16 {
+			t.Skip()
+		}
+		srv, err := New(Config{Epsilon: 0.2, Delta: 0.2, WindowLength: 1000, Seed: 1, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		code, out := doJSON(t, srv, "POST", "/v1/batch", body)
+		if code != http.StatusOK || out["accepted"] != float64(want) {
+			t.Fatalf("body %q: status %d, accepted %v, want 200 and %d", body, code, out["accepted"], want)
+		}
+		if _, reported := out["firstError"]; reported != malformed {
+			t.Fatalf("body %q: firstError reported %v, reference skipped a line %v", body, reported, malformed)
+		}
+	})
 }

@@ -55,12 +55,11 @@ func TestSurfaceParity(t *testing.T) {
 	}
 
 	reads := []parityCall{
-		{"GET", "/v1/estimate?key=alpha", "", 200},
-		{"GET", "/v1/total", "", 200},
-		{"GET", "/v1/selfjoin", "", 200},
+		{"GET", "/v1/query?key=alpha&direct=1", "", 200},
+		{"GET", "/v1/query?total=1", "", 200},
+		{"GET", "/v1/query?selfJoin=1", "", 200},
 		{"GET", "/v1/query?key=alpha&total=1", "", 200},
 		{"POST", "/v1/query", `{"keys":[{"key":"alpha"}]}`, 200},
-		{"GET", "/v1/sketch", "", 200},
 		{"GET", "/v1/snapshot", "", 200},
 		{"GET", "/v1/snapshot?since=0", "", 200},
 	}
@@ -97,12 +96,12 @@ func TestSurfaceParity(t *testing.T) {
 	}
 	// The JSON routes of reads, then the rest of the table.
 	table := append(slices.Clone(reads[:5]), []parityCall{
-		{"GET", "/v1/estimate?key=alpha&range=5&strings=1", "", 200},
-		{"GET", "/v1/estimate?ikey=42", "", 200},
-		{"GET", "/v1/estimate?key=never-seen", "", 200},
-		{"GET", "/v1/total?range=3", "", 200},
-		{"GET", "/v1/total?range=0", "", 200}, // zero means the whole window, as on /v1/query
-		{"GET", "/v1/selfjoin?range=7&strings=1", "", 200},
+		{"GET", "/v1/query?key=alpha&range=5&strings=1&direct=1", "", 200},
+		{"GET", "/v1/query?ikey=42&direct=1", "", 200},
+		{"GET", "/v1/query?key=never-seen&direct=1", "", 200},
+		{"GET", "/v1/query?total=1&range=3", "", 200},
+		{"GET", "/v1/query?total=1&range=0", "", 200}, // zero means the whole window
+		{"GET", "/v1/query?selfJoin=1&range=7&strings=1", "", 200},
 		{"POST", "/v1/query", `{"keys":[{"key":"alpha"},{"ikey":"42"},{"key":"beta"}],"range":9,"total":true,"selfJoin":true}`, 200},
 		{"POST", "/v1/query?strings=1", `{"keys":[{"key":"gamma"}],"total":true}`, 200},
 		{"POST", "/v1/query", `{"selfJoin":true}`, 200},
@@ -111,11 +110,10 @@ func TestSurfaceParity(t *testing.T) {
 		{"POST", "/v1/query?direct=1", `{"keys":[{"ikey":"42"}],"range":4}`, 200},
 		{"GET", "/v1/query?key=alpha&total=1&direct=1", "", 400},
 		{"POST", "/v1/query?direct=1", `{"selfJoin":true}`, 400},
-		{"GET", "/v1/estimate", "", 400},
-		{"GET", "/v1/estimate?ikey=zz", "", 400},
-		{"GET", "/v1/estimate?key=alpha&range=x", "", 400},
-		{"GET", "/v1/total?range=-1", "", 400},
-		{"GET", "/v1/selfjoin?range=1e3", "", 400},
+		{"GET", "/v1/query?ikey=zz&direct=1", "", 400},
+		{"GET", "/v1/query?key=alpha&range=x&direct=1", "", 400},
+		{"GET", "/v1/query?total=1&range=-1", "", 400},
+		{"GET", "/v1/query?selfJoin=1&range=1e3", "", 400},
 		{"GET", "/v1/query?ikey=nope", "", 400},
 		{"POST", "/v1/query", `{"keys":[{"key":"alpha"}],"bogus":1}`, 400},
 		{"POST", "/v1/query", `{"keys":[` + manyKeys(4096, ",", `{"ikey":"%d"}`) + `]}`, 200},
@@ -152,11 +150,9 @@ func TestSurfaceParity(t *testing.T) {
 			}
 			return rec
 		}
-		for _, url := range []string{"/v1/snapshot", "/v1/sketch"} {
-			if rec := snap(url, ""); rec.Header().Get("X-Ecm-Delta") != "" || rec.Header().Get("X-Ecm-Cursor") != "" ||
-				rec.Header().Get("X-Ecm-Count") != "15" || rec.Header().Get("X-Ecm-Now") != "1152921504606846988" {
-				t.Errorf("%s: GET %s headers %v", tier.name, url, rec.Header())
-			}
+		if rec := snap("/v1/snapshot", ""); rec.Header().Get("X-Ecm-Delta") != "" || rec.Header().Get("X-Ecm-Cursor") != "" ||
+			rec.Header().Get("X-Ecm-Count") != "15" || rec.Header().Get("X-Ecm-Now") != "1152921504606846988" {
+			t.Errorf("%s: GET /v1/snapshot headers %v", tier.name, rec.Header())
 		}
 		var cursor string
 		for _, since := range []string{"?since=", "?since=0", "?since=garbage"} {
@@ -189,7 +185,6 @@ func TestSurfaceParity(t *testing.T) {
 	// A coordinator ingests nothing: no write route, and none of the routes
 	// that need a site engine.
 	for _, c := range []parityCall{
-		{"POST", "/v1/add?key=alpha&t=5", "", 0},
 		{"POST", "/v1/batch", "alpha,5\n", 0},
 		{"POST", "/v1/events", `[{"key":"alpha","t":5}]`, 0},
 		{"POST", "/v1/advance?t=99", "", 0},
@@ -200,7 +195,7 @@ func TestSurfaceParity(t *testing.T) {
 			t.Errorf("coordinator: %s %s = %d, want 404 or 405", c.method, c.url, rec.Code)
 		}
 	}
-	if rec := (parityCall{"GET", "/v1/total", "", 200}).serve(coord, false, ""); !strings.Contains(rec.Body.String(), `"total":15`) {
+	if rec := (parityCall{"GET", "/v1/query?total=1", "", 200}).serve(coord, false, ""); !strings.Contains(rec.Body.String(), `"total":15`) {
 		t.Errorf("coordinator total moved after rejected writes: %s", rec.Body)
 	}
 }

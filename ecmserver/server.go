@@ -3,14 +3,14 @@
 // estimates, and a coordinator pulls the serialized sketch to aggregate
 // several sites — from a site server or from another coordinator.
 //
-// A Server mounts the read routes (GET /v1/estimate, /v1/total,
-// /v1/selfjoin, /v1/query, /v1/snapshot, /v1/stats, the standing-query
-// routes) over any Source, and the write routes (POST /v1/add, /v1/batch,
-// /v1/events, /v1/advance) when the source also ingests: a site serves a
-// lock-striped ecmsketch.Sharded, a coordinator its ecmsketch.Coordinator,
-// read-only. Every route lives under /v1/. cmd/ecmserve and cmd/ecmcoord
-// wire this package behind flags; ecmclient speaks the API as a typed Go
-// client.
+// A Server mounts the read routes (GET and POST /v1/query, GET /v1/snapshot,
+// /v1/stats, the standing-query routes) over any Source, and the write
+// routes (POST /v1/events, /v1/batch, /v1/advance) when the source also
+// ingests: a site serves a lock-striped ecmsketch.Sharded, a coordinator its
+// ecmsketch.Coordinator, read-only. Every route lives under /v1/, each
+// capability under one spelling; testdata/surface.golden lists them all.
+// cmd/ecmserve and cmd/ecmcoord wire this package behind flags; ecmclient
+// speaks the API as a typed Go client.
 package ecmserver
 
 import (
@@ -109,6 +109,7 @@ type Server struct {
 	tierStats func(asStrings bool) map[string]any
 	cfg       Config
 	mux       *http.ServeMux
+	patterns  []string     // every pattern mounted on mux; testdata/surface.golden pins the list
 	handler   http.Handler // mux, wrapped with bearer auth when configured
 
 	// topkMu guards the TopK candidate set; the stream itself lives in the
@@ -181,19 +182,14 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 	s.ingestor, _ = src.(ecmsketch.Ingestor)
 	s.engine, _ = src.(*ecmsketch.Sharded)
 
-	s.mux.HandleFunc("GET /v1/estimate", s.handleEstimate)
-	s.mux.HandleFunc("GET /v1/selfjoin", s.handleSelfJoin)
-	s.mux.HandleFunc("GET /v1/total", s.handleTotal)
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("GET /v1/query", s.handleQueryGet)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/sketch", s.writeSnapshot) // the full reply under its older name
-	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
+	s.Handle("POST /v1/query", s.handleQuery)
+	s.Handle("GET /v1/query", s.handleQueryGet)
+	s.Handle("GET /v1/stats", s.handleStats)
+	s.Handle("GET /v1/snapshot", s.handleSnapshot)
 	if s.ingestor != nil {
-		s.mux.HandleFunc("POST /v1/add", s.handleAdd)
-		s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-		s.mux.HandleFunc("POST /v1/events", s.handleEvents)
-		s.mux.HandleFunc("POST /v1/advance", s.handleAdvance)
+		s.Handle("POST /v1/batch", s.handleBatch)
+		s.Handle("POST /v1/events", s.handleEvents)
+		s.Handle("POST /v1/advance", s.handleAdvance)
 	}
 	if cfg.TopK > 0 {
 		if s.engine == nil {
@@ -204,7 +200,7 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 			return nil, err
 		}
 		s.topk = tk
-		s.mux.HandleFunc("GET /v1/topk", s.handleTopK)
+		s.Handle("GET /v1/topk", s.handleTopK)
 	}
 
 	// Standing queries: at a site the registry re-checks its predicates
@@ -215,7 +211,7 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 	// source only ever shows cell replacements, never raw keys to learn
 	// top-k candidates from, hence RequireKeys.
 	if s.engine != nil {
-		s.mux.HandleFunc("GET /v1/interval", s.handleInterval)
+		s.Handle("GET /v1/interval", s.handleInterval)
 		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{
 			Window:        cfg.WindowLength,
 			StrictAdvance: strings.EqualFold(cfg.Algorithm, "rw"),
@@ -226,19 +222,19 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{RequireKeys: true})
 	}
 	svc := &standing.Service{Reg: s.standing}
-	s.mux.HandleFunc("POST /v1/subscribe", svc.HandleSubscribe)
-	s.mux.HandleFunc("DELETE /v1/subscribe", svc.HandleUnsubscribe)
-	s.mux.HandleFunc("GET /v1/watch", svc.HandleWatch)
+	s.Handle("POST /v1/subscribe", svc.HandleSubscribe)
+	s.Handle("DELETE /v1/subscribe", svc.HandleUnsubscribe)
+	s.Handle("GET /v1/watch", svc.HandleWatch)
 
 	if cfg.EnableProfiling {
 		// Registered inside the mux the bearer wrapper guards — see
 		// Config.EnableProfiling. The default-mux side effects of importing
 		// net/http/pprof are irrelevant here; these are explicit routes.
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		s.Handle("GET /debug/pprof/", pprof.Index)
+		s.Handle("GET /debug/pprof/cmdline", pprof.Cmdline)
+		s.Handle("GET /debug/pprof/profile", pprof.Profile)
+		s.Handle("GET /debug/pprof/symbol", pprof.Symbol)
+		s.Handle("GET /debug/pprof/trace", pprof.Trace)
 	}
 
 	s.handler = wire.RequireBearer(cfg.AuthToken, s.mux)
@@ -248,7 +244,10 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 // Handle mounts a route of the source's owner — a coordinator's membership
 // and refresh routes — on the server's mux, behind the same bearer check.
 // pattern is a net/http ServeMux pattern ("POST /v1/refresh").
-func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
+func (s *Server) Handle(pattern string, h http.HandlerFunc) {
+	s.patterns = append(s.patterns, pattern)
+	s.mux.HandleFunc(pattern, h)
+}
 
 // ListenAndServe serves the API on addr until the listener fails: over TLS
 // when certFile and keyFile are set, in the clear when both are empty.
@@ -300,19 +299,6 @@ func ParseAlgo(s string) (ecmsketch.Algorithm, error) {
 // route — Handle-mounted ones included — sits behind the bearer check.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// ingest feeds one arrival through the engine, keeping the TopK candidate
-// set in sync when enabled. The engine ingests the stream exactly once
-// either way, and always outside topkMu — the stripe locks, not the
-// candidate-set mutex, are the concurrency bottleneck.
-func (s *Server) ingest(key uint64, t ecmsketch.Tick, n uint64) {
-	s.ingestor.AddN(key, t, n)
-	if s.topk != nil {
-		s.topkMu.Lock()
-		s.topk.Note(key)
-		s.topkMu.Unlock()
-	}
-}
-
 // ingestBatch feeds a batch through the engine's lock-amortized path and
 // then registers the keys as TopK candidates without re-ingesting.
 func (s *Server) ingestBatch(events []ecmsketch.Event) {
@@ -324,27 +310,6 @@ func (s *Server) ingestBatch(events []ecmsketch.Event) {
 		}
 		s.topkMu.Unlock()
 	}
-}
-
-// handleAdd registers one arrival: POST /v1/add?key=/home&t=12345[&n=3].
-func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	key, err := wire.ParseKey(r)
-	if err != nil {
-		wire.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	t, err := wire.ParseU64(r, "t", 0)
-	if err != nil || t == 0 {
-		wire.Error(w, http.StatusBadRequest, fmt.Errorf("missing or bad t parameter"))
-		return
-	}
-	n, err := wire.ParseU64(r, "n", 1)
-	if err != nil {
-		wire.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	s.ingest(key, t, n)
-	wire.Respond(w, map[string]any{"ok": true})
 }
 
 // ingestFlushEvery bounds the memory of streaming batch uploads: parsed
@@ -366,7 +331,9 @@ var eventBufs = sync.Pool{New: func() any {
 // POST /v1/batch with a text body. Returns the number of accepted records
 // and the first error encountered, if any. Records are applied in chunks
 // as the body streams in, so a huge upload costs bounded memory (malformed
-// lines are skipped, as reported, not rolled back).
+// lines are skipped, as reported, not rolled back). A body the line scanner
+// gives up on — a line over 1 MiB — is answered 400 with /v1/events' reply,
+// {"error", "accepted"}: accepted counts the records before it, all applied.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -414,11 +381,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			events = events[:0]
 		}
 	}
+	// Whatever stopped the scan, every record parsed before it is applied,
+	// like the chunks already flushed.
+	s.ingestBatch(events)
 	if err := sc.Err(); err != nil {
-		wire.Error(w, http.StatusBadRequest, err)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
 		return
 	}
-	s.ingestBatch(events)
 	resp := map[string]any{"accepted": accepted}
 	if firstErr != "" {
 		resp["firstError"] = firstErr
@@ -561,28 +532,6 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, q ecmsketch
 	wire.Respond(w, out)
 }
 
-// handleEstimate answers a point query: GET /v1/estimate?key=/home&range=60000
-// (an omitted or zero range means the whole window). It is a one-key direct
-// read: at a site, key-hash routing answers from the shard owning the key.
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	key, err := wire.ParseKey(r)
-	if err != nil {
-		wire.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	rng, err := wire.ParseU64(r, "range", 0)
-	if err != nil {
-		wire.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := s.src.QueryDirect(ecmsketch.QueryBatch{Keys: []uint64{key}, Range: rng})
-	if err != nil {
-		sourceError(w, http.StatusInternalServerError, err)
-		return
-	}
-	wire.Respond(w, map[string]any{"estimate": res.Estimates[0], "range": wire.U64Field(wire.WantStrings(r), res.Range)})
-}
-
 // handleInterval answers a point query over an arbitrary tick interval:
 // GET /v1/interval?key=/home&from=1000&to=2000 estimates the key's
 // frequency within (from, to]. Interval queries carry twice the window
@@ -606,36 +555,6 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 	est := s.engine.EstimateInterval(key, from, to)
 	asStrings := wire.WantStrings(r)
 	wire.Respond(w, map[string]any{"estimate": est, "from": wire.U64Field(asStrings, from), "to": wire.U64Field(asStrings, to)})
-}
-
-// handleSelfJoin answers GET /v1/selfjoin?range=60000 from the merged view.
-func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
-	if res, ok := s.aggregate(w, r, ecmsketch.QueryBatch{SelfJoin: true}); ok {
-		wire.Respond(w, map[string]any{"selfJoin": res.SelfJoin, "range": wire.U64Field(wire.WantStrings(r), res.Range)})
-	}
-}
-
-// handleTotal answers GET /v1/total?range=60000 with the estimated ‖a_r‖₁.
-func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {
-	if res, ok := s.aggregate(w, r, ecmsketch.QueryBatch{Total: true}); ok {
-		wire.Respond(w, map[string]any{"total": res.Total, "range": wire.U64Field(wire.WantStrings(r), res.Range)})
-	}
-}
-
-// aggregate evaluates the key-less batch q over ?range= (omitted or zero
-// means the whole window), writing the error reply itself when ok is false.
-func (s *Server) aggregate(w http.ResponseWriter, r *http.Request, q ecmsketch.QueryBatch) (res ecmsketch.QueryResult, ok bool) {
-	rng, err := wire.ParseU64(r, "range", 0)
-	if err != nil {
-		wire.Error(w, http.StatusBadRequest, err)
-		return res, false
-	}
-	q.Range = rng
-	if res, err = s.src.QueryBatch(q); err != nil {
-		sourceError(w, http.StatusInternalServerError, err)
-		return res, false
-	}
-	return res, true
 }
 
 // handleStats reports the standing-query load plus the tier's own block: a

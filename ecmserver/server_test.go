@@ -49,6 +49,25 @@ func doJSON(t *testing.T, srv *Server, method, url, body string) (int, map[strin
 	return rec.Code, out
 }
 
+// add ingests n arrivals of a string key at tick the way every writer does:
+// a one-element POST /v1/events.
+func add(t *testing.T, srv *Server, key string, tick, n int) int {
+	t.Helper()
+	code, _ := doJSON(t, srv, "POST", "/v1/events", fmt.Sprintf(`[{"key":%q,"t":%d,"n":%d}]`, key, tick, n))
+	return code
+}
+
+// estimate reads one key's zero-merge point estimate: GET /v1/query?direct=1
+// with params naming the key ("key=/home", "ikey=42") and optionally a range.
+func estimate(t *testing.T, srv *Server, params string) float64 {
+	t.Helper()
+	code, out := doJSON(t, srv, "GET", "/v1/query?direct=1&"+params, "")
+	if code != http.StatusOK {
+		t.Fatalf("GET /v1/query?direct=1&%s returned %d: %v", params, code, out)
+	}
+	return out["estimates"].([]any)[0].(float64)
+}
+
 func TestServerConfigValidation(t *testing.T) {
 	if _, err := New(Config{Epsilon: 0.1, Delta: 0.1, WindowLength: 100, Algorithm: "bogus"}); err == nil {
 		t.Error("bogus algorithm accepted")
@@ -61,50 +80,40 @@ func TestServerConfigValidation(t *testing.T) {
 func TestAddAndEstimate(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 50; i++ {
-		code, _ := doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=/home&t=%d", i), "")
-		if code != http.StatusOK {
+		if code := add(t, srv, "/home", i, 1); code != http.StatusOK {
 			t.Fatalf("add returned %d", code)
 		}
 	}
-	code, out := doJSON(t, srv, "GET", "/v1/estimate?key=/home&range=10000", "")
-	if code != http.StatusOK {
-		t.Fatalf("estimate returned %d", code)
-	}
-	if est := out["estimate"].(float64); est < 45 || est > 60 {
+	if est := estimate(t, srv, "key=/home&range=10000"); est < 45 || est > 60 {
 		t.Errorf("estimate = %v, want ≈50", est)
 	}
 	// Unknown key estimates near zero.
-	_, out = doJSON(t, srv, "GET", "/v1/estimate?key=/missing", "")
-	if est := out["estimate"].(float64); est > 10 {
+	if est := estimate(t, srv, "key=/missing"); est > 10 {
 		t.Errorf("estimate for unseen key = %v", est)
 	}
 }
 
 func TestAddValidation(t *testing.T) {
 	srv := testServer(t)
-	for _, url := range []string{
-		"/v1/add",              // no key, no t
-		"/v1/add?key=a",        // no t
-		"/v1/add?key=a&t=abc",  // bad t
-		"/v1/add?ikey=zzz&t=5", // bad ikey
-		"/v1/estimate",         // no key
-		"/v1/estimate?key=a&range=x" /* bad range */} {
-		method := "POST"
-		if strings.HasPrefix(url, "/v1/estimate") {
-			method = "GET"
-		}
-		code, _ := doJSON(t, srv, method, url, "")
+	for _, tc := range []struct{ method, url, body string }{
+		{"POST", "/v1/events", `[{}]`},                    // no key, no t
+		{"POST", "/v1/events", `[{"key":"a"}]`},           // no t
+		{"POST", "/v1/events", `[{"key":"a","t":"abc"}]`}, // bad t
+		{"POST", "/v1/events", `[{"ikey":"zzz","t":5}]`},  // bad ikey
+		{"GET", "/v1/query?ikey=zzz&direct=1", ""},        // bad ikey
+		{"GET", "/v1/query?key=a&range=x&direct=1", ""},   // bad range
+	} {
+		code, _ := doJSON(t, srv, tc.method, tc.url, tc.body)
 		if code != http.StatusBadRequest {
-			t.Errorf("%s %s returned %d, want 400", method, url, code)
+			t.Errorf("%s %s %s returned %d, want 400", tc.method, tc.url, tc.body, code)
 		}
 	}
 }
 
 func TestIntegerKeys(t *testing.T) {
 	srv := testServer(t)
-	doJSON(t, srv, "POST", "/v1/add?ikey=42&t=1&n=7", "")
-	_, out := doJSON(t, srv, "GET", "/v1/estimate?ikey=42", "")
-	if est := out["estimate"].(float64); est < 7 {
+	doJSON(t, srv, "POST", "/v1/events", `[{"ikey":"42","t":1,"n":7}]`)
+	if est := estimate(t, srv, "ikey=42"); est < 7 {
 		t.Errorf("estimate = %v, want ≥7", est)
 	}
 }
@@ -131,22 +140,48 @@ func TestBatchIngest(t *testing.T) {
 	if _, hasErr := out["firstError"]; !hasErr {
 		t.Error("malformed lines not reported")
 	}
-	_, est := doJSON(t, srv, "GET", "/v1/estimate?key=/about", "")
-	if v := est["estimate"].(float64); v < 5 {
+	if v := estimate(t, srv, "key=/about"); v < 5 {
 		t.Errorf("/about estimate = %v, want ≥5", v)
+	}
+}
+
+// TestBatchOversizedLine forces the line scanner's error on /v1/batch: a
+// line over 1 MiB stops the scan, and the reply is /v1/events' — 400 with
+// the error and an accepted count — with every record before the bad line
+// applied, the ones parsed since the last 4096-record flush included.
+func TestBatchOversizedLine(t *testing.T) {
+	srv := testServer(t)
+	const before = ingestFlushEvery + 904
+	var body strings.Builder
+	for i := 1; i <= before; i++ {
+		fmt.Fprintf(&body, "/home,%d\n", i)
+	}
+	body.WriteString(strings.Repeat("x", 1<<20+1) + ",1\n/home,9000\n")
+	code, out := doJSON(t, srv, "POST", "/v1/batch", body.String())
+	if code != http.StatusBadRequest {
+		t.Fatalf("batch with a 1 MiB line returned %d, want 400", code)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "token too long") {
+		t.Errorf("error = %q, want the scanner's token-too-long", msg)
+	}
+	if acc, ok := out["accepted"].(float64); !ok || acc != before {
+		t.Errorf("accepted = %v, want %d", out["accepted"], before)
+	}
+	if _, stats := doJSON(t, srv, "GET", "/v1/stats", ""); stats["count"].(float64) != before {
+		t.Errorf("engine count = %v, want %d: accepted must mean applied", stats["count"], before)
 	}
 }
 
 func TestSelfJoinAndTotal(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 100; i++ {
-		doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=k%d&t=%d", i%4, i), "")
+		add(t, srv, fmt.Sprintf("k%d", i%4), i, 1)
 	}
-	_, sj := doJSON(t, srv, "GET", "/v1/selfjoin", "")
+	_, sj := doJSON(t, srv, "GET", "/v1/query?selfJoin=1", "")
 	if v := sj["selfJoin"].(float64); v < 2000 || v > 4000 {
 		t.Errorf("selfJoin = %v, want ≈2500 (4 keys × 25²)", v)
 	}
-	_, tot := doJSON(t, srv, "GET", "/v1/total", "")
+	_, tot := doJSON(t, srv, "GET", "/v1/query?total=1", "")
 	if v := tot["total"].(float64); v < 90 || v > 120 {
 		t.Errorf("total = %v, want ≈100", v)
 	}
@@ -154,7 +189,7 @@ func TestSelfJoinAndTotal(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	srv := testServer(t)
-	doJSON(t, srv, "POST", "/v1/add?key=a&t=5", "")
+	add(t, srv, "a", 5, 1)
 	code, out := doJSON(t, srv, "GET", "/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("stats returned %d", code)
@@ -173,11 +208,11 @@ func TestSketchPullAndMerge(t *testing.T) {
 	siteA := testServer(t)
 	siteB := testServer(t)
 	for i := 1; i <= 30; i++ {
-		doJSON(t, siteA, "POST", fmt.Sprintf("/v1/add?key=x&t=%d", i), "")
-		doJSON(t, siteB, "POST", fmt.Sprintf("/v1/add?key=x&t=%d", i), "")
+		add(t, siteA, "x", i, 1)
+		add(t, siteB, "x", i, 1)
 	}
 	pull := func(s *Server) []byte {
-		req := httptest.NewRequest("GET", "/v1/sketch", nil)
+		req := httptest.NewRequest("GET", "/v1/snapshot", nil)
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -204,10 +239,9 @@ func TestSketchPullAndMerge(t *testing.T) {
 
 func TestAdvanceExpiresWindow(t *testing.T) {
 	srv := testServer(t)
-	doJSON(t, srv, "POST", "/v1/add?key=old&t=10", "")
+	add(t, srv, "old", 10, 1)
 	doJSON(t, srv, "POST", "/v1/advance?t=50000", "")
-	_, out := doJSON(t, srv, "GET", "/v1/estimate?key=old", "")
-	if est := out["estimate"].(float64); est != 0 {
+	if est := estimate(t, srv, "key=old"); est != 0 {
 		t.Errorf("estimate after expiry = %v, want 0", est)
 	}
 	code, _ := doJSON(t, srv, "POST", "/v1/advance", "")
@@ -225,9 +259,9 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 1; i <= 200; i++ {
 				if i%10 == 0 {
-					doJSON(t, srv, "GET", "/v1/estimate?key=hot", "")
+					doJSON(t, srv, "GET", "/v1/query?key=hot&direct=1", "")
 				} else {
-					doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=hot&t=%d", i), "")
+					add(t, srv, "hot", i, 1)
 				}
 			}
 		}(g)
@@ -254,7 +288,7 @@ func TestParseAlgo(t *testing.T) {
 func TestIntervalEndpoint(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 100; i++ {
-		doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=x&t=%d", i), "")
+		add(t, srv, "x", i, 1)
 	}
 	_, out := doJSON(t, srv, "GET", "/v1/interval?key=x&from=20&to=70", "")
 	if est := out["estimate"].(float64); est < 35 || est > 65 {
@@ -278,12 +312,12 @@ func TestTopKEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 60; i++ {
-		doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=hot&t=%d", i), "")
+		add(t, srv, "hot", i, 1)
 		if i%3 == 0 {
-			doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=warm&t=%d", i), "")
+			add(t, srv, "warm", i, 1)
 		}
 		if i%10 == 0 {
-			doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=cold&t=%d", i), "")
+			add(t, srv, "cold", i, 1)
 		}
 	}
 	code, out := doJSON(t, srv, "GET", "/v1/topk", "")
@@ -314,15 +348,17 @@ func TestTopKEndpoint(t *testing.T) {
 func TestVersionedRoutes(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 20; i++ {
-		code, _ := doJSON(t, srv, "POST", fmt.Sprintf("/v1/add?key=/home&t=%d", i), "")
-		if code != http.StatusOK {
-			t.Fatalf("/v1/add returned %d", code)
+		if code := add(t, srv, "/home", i, 1); code != http.StatusOK {
+			t.Fatalf("/v1/events returned %d", code)
 		}
 	}
 	for _, tc := range []struct{ method, url string }{
-		{"POST", "/add?key=/home&t=21"}, {"POST", "/batch"}, {"POST", "/advance?t=30"},
-		{"GET", "/estimate?key=/home"}, {"GET", "/interval?key=/home&from=1&to=9"},
-		{"GET", "/selfjoin"}, {"GET", "/total"}, {"GET", "/stats"}, {"GET", "/sketch"},
+		{"POST", "/events"}, {"POST", "/batch"}, {"POST", "/advance?t=30"},
+		{"GET", "/query?key=/home"}, {"GET", "/interval?key=/home&from=1&to=9"},
+		{"GET", "/stats"}, {"GET", "/snapshot"},
+		// One spelling per capability: these second ones are not routes.
+		{"POST", "/v1/add?key=/home&t=21"}, {"GET", "/v1/estimate?key=/home"},
+		{"GET", "/v1/selfjoin"}, {"GET", "/v1/total"}, {"GET", "/v1/sketch"},
 	} {
 		if code, _ := doJSON(t, srv, tc.method, tc.url, ""); code != http.StatusNotFound {
 			t.Errorf("%s %s returned %d, want 404", tc.method, tc.url, code)
@@ -332,7 +368,7 @@ func TestVersionedRoutes(t *testing.T) {
 	if stats["apiVersion"] != "v1" || stats["shards"].(float64) < 1 {
 		t.Errorf("stats = %v", stats)
 	}
-	for _, url := range []string{"/v1/selfjoin", "/v1/total", "/v1/interval?key=/home&from=1&to=9"} {
+	for _, url := range []string{"/v1/query?selfJoin=1", "/v1/query?total=1", "/v1/interval?key=/home&from=1&to=9"} {
 		code, _ := doJSON(t, srv, "GET", url, "")
 		if code != http.StatusOK {
 			t.Errorf("GET %s returned %d", url, code)
@@ -351,12 +387,10 @@ func TestEventsEndpoint(t *testing.T) {
 	if out["accepted"].(float64) != 3 {
 		t.Errorf("accepted = %v, want 3", out["accepted"])
 	}
-	_, est := doJSON(t, srv, "GET", "/v1/estimate?key=/home", "")
-	if v := est["estimate"].(float64); v < 5 {
+	if v := estimate(t, srv, "key=/home"); v < 5 {
 		t.Errorf("/home estimate = %v, want ≥5", v)
 	}
-	_, est = doJSON(t, srv, "GET", "/v1/estimate?ikey=42", "")
-	if v := est["estimate"].(float64); v < 1 {
+	if v := estimate(t, srv, "ikey=42"); v < 1 {
 		t.Errorf("ikey 42 estimate = %v, want ≥1", v)
 	}
 	for _, bad := range []string{
@@ -489,7 +523,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestSnapshotEndpoint(t *testing.T) {
 	srv := testServer(t)
-	doJSON(t, srv, "POST", "/v1/add?key=alpha&t=100&n=7", "")
+	add(t, srv, "alpha", 100, 7)
 
 	req := httptest.NewRequest("GET", "/v1/snapshot", nil)
 	rec := httptest.NewRecorder()
@@ -512,12 +546,9 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Errorf("decoded count = %d, want 7", sk.Count())
 	}
 
-	// Same payload as the sketch route.
-	req2 := httptest.NewRequest("GET", "/v1/sketch", nil)
-	rec2 := httptest.NewRecorder()
-	srv.ServeHTTP(rec2, req2)
-	if !bytes.Equal(rec.Body.Bytes(), rec2.Body.Bytes()) {
-		t.Error("/v1/snapshot and /v1/sketch payloads differ")
+	// The payload is the engine's own encoding.
+	if !bytes.Equal(rec.Body.Bytes(), srv.Engine().Marshal()) {
+		t.Error("/v1/snapshot payload differs from Engine().Marshal()")
 	}
 
 	// The route exists only under the version prefix.

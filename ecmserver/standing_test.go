@@ -39,9 +39,9 @@ func authedServer(t *testing.T, token string) *Server {
 func TestAuthToken(t *testing.T) {
 	srv := authedServer(t, "s3cret")
 	paths := []struct{ method, path, body string }{
-		{http.MethodGet, "/v1/estimate?ikey=1", ""},
+		{http.MethodGet, "/v1/query?ikey=1&direct=1", ""},
 		{http.MethodGet, "/v1/stats", ""},
-		{http.MethodGet, "/v1/sketch", ""},
+		{http.MethodGet, "/v1/snapshot", ""},
 		{http.MethodPost, "/v1/subscribe", `{"queries":[{"kind":"threshold","ikey":"1","value":5}]}`},
 		{http.MethodGet, "/v1/watch?sub=nope", ""},
 	}

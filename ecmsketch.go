@@ -59,8 +59,8 @@
 //
 // The implementation packages sit under internal/: window (exponential
 // histograms, deterministic and randomized waves), cm (conventional
-// Count-Min), core (the ECM-sketch itself), dyadic, geom, distrib,
-// workload and experiments (the reproduction of the paper's evaluation).
+// Count-Min), core (the ECM-sketch itself), dyadic, geom, coord, workload
+// and experiments (the reproduction of the paper's evaluation).
 // The HTTP layer lives in ecmserver (embeddable server) and ecmclient
 // (typed client); cmd/ecmserve wires the server behind flags.
 package ecmsketch
@@ -88,26 +88,21 @@ type Sketch = core.Sketch
 type Params = core.Params
 
 // Split is an explicit division of the error budget ε between the Count-Min
-// array and the sliding-window counters.
+// array and the sliding-window counters. A nil Params.Split resolves to the
+// paper's memory-optimal division for Params.Query and the algorithm.
 type Split = core.Split
 
-// QueryKind selects the query type the ε-split optimizes memory for.
-type QueryKind = core.QueryKind
-
-// Query kinds.
-const (
-	PointQuery        = core.PointQuery
-	InnerProductQuery = core.InnerProductQuery
-)
+// InnerProductQuery is the Params.Query value that optimizes the ε-split for
+// inner-product and self-join queries; the zero value optimizes for point
+// queries.
+const InnerProductQuery = core.InnerProductQuery
 
 // WindowModel selects time-based or count-based windows.
 type WindowModel = window.Model
 
-// Window models.
-const (
-	TimeBased  = window.TimeBased
-	CountBased = window.CountBased
-)
+// CountBased is the WindowModel of windows holding the last N arrivals; the
+// zero value is a time-based window.
+const CountBased = window.CountBased
 
 // Algorithm selects the sliding-window synopsis behind each counter.
 type Algorithm = window.Algorithm
@@ -134,19 +129,10 @@ func Unmarshal(b []byte) (*Sketch, error) { return core.Unmarshal(b) }
 // semantics.
 func Merge(sketches ...*Sketch) (*Sketch, error) { return core.Merge(sketches...) }
 
-// SplitPoint, SplitInnerProduct and SplitPointRW expose the paper's
-// memory-optimal ε divisions for callers who pin Params.Split explicitly.
-func SplitPoint(eps float64) Split        { return core.SplitPoint(eps) }
-func SplitInnerProduct(eps float64) Split { return core.SplitInnerProduct(eps) }
-func SplitPointRW(eps float64) Split      { return core.SplitPointRW(eps) }
-
 // KeyString digests a string key (URL, MAC address, user id) into the
 // uint64 key space of the sketches. AddString/EstimateString call it
 // internally; it is exported so callers can pre-digest hot keys.
 func KeyString(s string) uint64 { return hashing.KeyString(s) }
-
-// KeyBytes digests a byte-slice key.
-func KeyBytes(b []byte) uint64 { return hashing.KeyBytes(b) }
 
 // Hierarchy answers the derived sliding-window queries of Section 6.1 —
 // heavy hitters, range counts, quantiles — via a dyadic stack of
@@ -177,9 +163,6 @@ type Monitor = geom.Monitor
 // MonitorConfig configures a Monitor.
 type MonitorConfig = geom.Config
 
-// MonitorStats is the communication accounting of a Monitor.
-type MonitorStats = geom.Stats
-
 // MonitoredFunction is the function whose threshold crossings a Monitor
 // tracks; SelfJoinMonitor and L2Monitor are ready-made instances.
 type MonitoredFunction = geom.Function
@@ -198,10 +181,8 @@ func NewMonitor(cfg MonitorConfig, n int) (*Monitor, error) { return geom.NewMon
 // as ongoing work in Section 6.2.
 type PairMonitor = geom.PairMonitor
 
-// Stream selects which of a pair-monitored site's streams an update feeds.
-type Stream = geom.Stream
-
-// The two monitored streams of a PairMonitor.
+// The two monitored streams of a PairMonitor, which an update names to say
+// which one it feeds.
 const (
 	StreamA = geom.StreamA
 	StreamB = geom.StreamB

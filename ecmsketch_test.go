@@ -68,17 +68,27 @@ func TestPublicMergeAndSerialize(t *testing.T) {
 	}
 }
 
+// TestPublicSplitHelpers: a sketch built without an explicit Params.Split
+// divides ε the memory-optimal way for its query kind, so the whole budget is
+// spent and none of it twice.
 func TestPublicSplitHelpers(t *testing.T) {
 	for _, eps := range []float64{0.05, 0.2} {
-		if s := ecmsketch.SplitPoint(eps); math.Abs(s.PointErrorBound()-eps) > 1e-9 {
-			t.Errorf("SplitPoint(%v) bound %v", eps, s.PointErrorBound())
+		p := ecmsketch.Params{Epsilon: eps, Delta: 0.1, WindowLength: 1000}
+		point, err := ecmsketch.New(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s := ecmsketch.SplitInnerProduct(eps); math.Abs(s.InnerProductErrorBound()-eps) > 1e-9 {
-			t.Errorf("SplitInnerProduct(%v) bound %v", eps, s.InnerProductErrorBound())
+		if s := point.EffectiveSplit(); math.Abs(s.PointErrorBound()-eps) > 1e-9 {
+			t.Errorf("point split at ε=%v has bound %v", eps, s.PointErrorBound())
 		}
-	}
-	if ecmsketch.KeyString("abc") != ecmsketch.KeyBytes([]byte("abc")) {
-		t.Error("KeyString and KeyBytes disagree")
+		p.Query = ecmsketch.InnerProductQuery
+		inner, err := ecmsketch.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := inner.EffectiveSplit(); math.Abs(s.InnerProductErrorBound()-eps) > 1e-9 {
+			t.Errorf("inner-product split at ε=%v has bound %v", eps, s.InnerProductErrorBound())
+		}
 	}
 }
 

@@ -1,41 +1,21 @@
-// Package distrib simulates the paper's distributed deployments: n sites
-// each observe a local sub-stream and summarize it in an ECM-sketch; the
-// sketches are then aggregated bottom-up over a balanced binary tree (the
-// topology of Section 7.3), with every edge shipping a serialized sketch
-// whose size is charged as network volume.
-//
-// Sites run as goroutines consuming their own event channels, which is the
-// natural Go model for physically distributed stream observers. Aggregation
-// is the shared coordinator core of internal/coord: every site contributes
-// a frozen snapshot (an arena clone, not a marshal+decode round trip), and
-// every aggregation edge is charged to the Network at the exact size the
-// shipped encoding would have — so the measured transfer volumes are what a
-// networked deployment pays, and the merged result is bit-identical to what
-// a coordinator pulling the same sites over HTTP computes.
-package distrib
+package coord
 
 import (
 	"fmt"
 	"sync"
 
-	"ecmsketch/internal/coord"
 	"ecmsketch/internal/core"
-	"ecmsketch/internal/window"
 	"ecmsketch/internal/workload"
 )
 
-// Tick re-exports the logical timestamp type.
-type Tick = window.Tick
-
-// Network is the communication-cost accounting of the coordinator core.
-type Network = coord.Network
-
-// Cluster is a set of simulated sites sharing one sketch configuration.
-// Site channels carry event batches, not single events: feeding batched
-// keeps the channel traffic (and, inside each site, the per-arrival call
-// overhead) proportional to batches rather than arrivals.
+// Cluster simulates the paper's distributed deployments in one process: n
+// sites each observe a local sub-stream and summarize it in an ECM-sketch,
+// and AggregateTree merges them through the same Coordinator a networked
+// deployment runs. Sites are goroutines consuming their own channels, which
+// carry event batches, not single events: feeding batched keeps the channel
+// traffic (and, inside each site, the per-arrival call overhead)
+// proportional to batches rather than arrivals.
 type Cluster struct {
-	params  core.Params
 	sites   []*core.Sketch
 	chans   []chan []workload.Event
 	wg      sync.WaitGroup
@@ -49,13 +29,13 @@ type Cluster struct {
 // unique.
 func NewCluster(p core.Params, n int) (*Cluster, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("distrib: need at least one site, got %d", n)
+		return nil, fmt.Errorf("coord: a cluster needs at least one site, got %d", n)
 	}
-	c := &Cluster{params: p}
+	c := new(Cluster)
 	for i := 0; i < n; i++ {
 		s, err := core.New(p)
 		if err != nil {
-			return nil, fmt.Errorf("distrib: site %d: %w", i, err)
+			return nil, fmt.Errorf("coord: cluster site %d: %w", i, err)
 		}
 		s.SetIDSalt(0x5151_0000_0000_0001 * uint64(i+1))
 		c.sites = append(c.sites, s)
@@ -118,7 +98,7 @@ func (c *Cluster) FeedBatch(events []workload.Event) {
 
 // Wait closes the site channels and blocks until every site has drained its
 // stream, then aligns all site windows to the given tick.
-func (c *Cluster) Wait(now Tick) {
+func (c *Cluster) Wait(now core.Tick) {
 	for _, ch := range c.chans {
 		close(ch)
 	}
@@ -136,9 +116,9 @@ const ingestChunk = 512
 // IngestAll runs the full pipeline for a pre-generated stream: start the
 // sites, feed every event in site-grouped batches, and wait for
 // completion. It returns the final stream tick.
-func (c *Cluster) IngestAll(events []workload.Event) Tick {
+func (c *Cluster) IngestAll(events []workload.Event) core.Tick {
 	c.Start()
-	var now Tick
+	var now core.Tick
 	for _, ev := range events {
 		if ev.Time > now {
 			now = ev.Time
@@ -156,45 +136,18 @@ func (c *Cluster) IngestAll(events []workload.Event) Tick {
 }
 
 // AggregateTree merges the site sketches bottom-up over a balanced binary
-// tree of height ⌈log₂ n⌉, as in the distributed experiments. It is a thin
-// shim over the shared coordinator core: each site becomes an in-process
-// coord.Site whose snapshot is an arena clone and whose transfer is charged
-// at the exact encoding size, preserving the historical per-edge accounting
-// (one message per aggregation edge, odd nodes re-charged as they are
-// promoted) without any marshal+decode on the merge path. The root sketch
+// tree of height ⌈log₂ n⌉, as in the distributed experiments: each site
+// becomes a LocalSite of a Coordinator charging the cluster's Network, so
+// the per-edge accounting (one message per aggregation edge, odd nodes
+// re-charged as they are promoted) and the root are exactly what a
+// coordinator pulling the same sites over HTTP computes. The root sketch
 // summarizing the union stream is returned together with the tree height.
 func (c *Cluster) AggregateTree() (*core.Sketch, int, error) {
-	sites := make([]coord.Site, len(c.sites))
+	sites := make([]Site, len(c.sites))
 	for i, s := range c.sites {
-		sites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), s)
+		sites[i] = NewLocalSite(fmt.Sprintf("site-%d", i), s)
 	}
-	return coord.NewWithNetwork(&c.net, sites...).AggregateTree()
-}
-
-// CentralizedBaseline builds a single sketch over the same events, the
-// centralized reference the distributed error is compared against (Table 4).
-func CentralizedBaseline(p core.Params, events []workload.Event) (*core.Sketch, error) {
-	s, err := core.New(p)
-	if err != nil {
-		return nil, err
-	}
-	var now Tick
-	for _, ev := range events {
-		s.Add(ev.Key, ev.Time)
-		if ev.Time > now {
-			now = ev.Time
-		}
-	}
-	s.Advance(now)
-	return s, nil
-}
-
-// TreeHeight returns ⌈log₂ n⌉, the aggregation depth of a balanced binary
-// tree over n leaves.
-func TreeHeight(n int) int {
-	h := 0
-	for size := 1; size < n; size <<= 1 {
-		h++
-	}
-	return h
+	co := New(sites...)
+	co.net = &c.net
+	return co.AggregateTree()
 }

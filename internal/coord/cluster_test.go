@@ -1,4 +1,4 @@
-package distrib
+package coord
 
 import (
 	"math"
@@ -9,7 +9,7 @@ import (
 	"ecmsketch/internal/workload"
 )
 
-func testParams() core.Params {
+func clusterParams() core.Params {
 	return core.Params{
 		Epsilon:      0.1,
 		Delta:        0.1,
@@ -18,7 +18,7 @@ func testParams() core.Params {
 	}
 }
 
-func genEvents(t *testing.T, n, sites int) []workload.Event {
+func clusterEvents(t *testing.T, n, sites int) []workload.Event {
 	t.Helper()
 	g, err := workload.NewGenerator(workload.Config{
 		Events: n, Duration: 40000, KeyDomain: 2000, Skew: 1.0,
@@ -30,11 +30,29 @@ func genEvents(t *testing.T, n, sites int) []workload.Event {
 	return g.Drain()
 }
 
+// centralizedBaseline builds a single sketch over the same events, the
+// centralized reference the distributed error is compared against (Table 4).
+func centralizedBaseline(p core.Params, events []workload.Event) (*core.Sketch, error) {
+	s, err := core.New(p)
+	if err != nil {
+		return nil, err
+	}
+	var now core.Tick
+	for _, ev := range events {
+		s.Add(ev.Key, ev.Time)
+		if ev.Time > now {
+			now = ev.Time
+		}
+	}
+	s.Advance(now)
+	return s, nil
+}
+
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(testParams(), 0); err == nil {
+	if _, err := NewCluster(clusterParams(), 0); err == nil {
 		t.Error("0 sites accepted")
 	}
-	bad := testParams()
+	bad := clusterParams()
 	bad.Epsilon = 0
 	if _, err := NewCluster(bad, 2); err == nil {
 		t.Error("invalid params accepted")
@@ -42,8 +60,8 @@ func TestClusterValidation(t *testing.T) {
 }
 
 func TestClusterIngestAndAggregate(t *testing.T) {
-	events := genEvents(t, 20000, 8)
-	cluster, err := NewCluster(testParams(), 8)
+	events := clusterEvents(t, 20000, 8)
+	cluster, err := NewCluster(clusterParams(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +97,8 @@ func TestClusterIngestAndAggregate(t *testing.T) {
 }
 
 func TestNetworkAccounting(t *testing.T) {
-	events := genEvents(t, 5000, 4)
-	cluster, err := NewCluster(testParams(), 4)
+	events := clusterEvents(t, 5000, 4)
+	cluster, err := NewCluster(clusterParams(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +120,8 @@ func TestNetworkAccounting(t *testing.T) {
 }
 
 func TestOddSiteCount(t *testing.T) {
-	events := genEvents(t, 6000, 5)
-	cluster, err := NewCluster(testParams(), 5)
+	events := clusterEvents(t, 6000, 5)
+	cluster, err := NewCluster(clusterParams(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +139,8 @@ func TestOddSiteCount(t *testing.T) {
 }
 
 func TestSingleSiteAggregation(t *testing.T) {
-	events := genEvents(t, 3000, 1)
-	cluster, err := NewCluster(testParams(), 1)
+	events := clusterEvents(t, 3000, 1)
+	cluster, err := NewCluster(clusterParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +163,8 @@ func TestSingleSiteAggregation(t *testing.T) {
 func TestDistributedVsCentralized(t *testing.T) {
 	// Table 4's structure: distributed aggregation loses little accuracy
 	// compared to a centralized sketch over the same stream.
-	events := genEvents(t, 30000, 16)
-	p := testParams()
+	events := clusterEvents(t, 30000, 16)
+	p := clusterParams()
 	cluster, err := NewCluster(p, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +174,7 @@ func TestDistributedVsCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	central, err := CentralizedBaseline(p, events)
+	central, err := centralizedBaseline(p, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +204,10 @@ func TestDistributedVsCentralized(t *testing.T) {
 func TestRWClusterLosslessAndCostly(t *testing.T) {
 	// Fig. 5's structure: RW aggregation is lossless but ships an order of
 	// magnitude more bytes than EH.
-	p := testParams()
+	p := clusterParams()
 	p.Epsilon = 0.2
 	p.UpperBound = 50000
-	events := genEvents(t, 10000, 4)
+	events := clusterEvents(t, 10000, 4)
 
 	eh, err := NewCluster(p, 4)
 	if err != nil {
@@ -216,11 +234,121 @@ func TestRWClusterLosslessAndCostly(t *testing.T) {
 	}
 }
 
+func TestDWClusterAggregates(t *testing.T) {
+	// Deterministic-wave sketches also merge through the tree (Section 5.1
+	// "Deterministic Waves"); the paper excludes them from its distributed
+	// plots only because they offer no advantage over EH.
+	p := clusterParams()
+	p.Algorithm = window.AlgoDW
+	p.UpperBound = 20000
+	events := clusterEvents(t, 12000, 4)
+	cluster, err := NewCluster(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.IngestAll(events)
+	root, height, err := cluster.AggregateTree()
+	if err != nil {
+		t.Fatalf("AggregateTree(DW): %v", err)
+	}
+	if height != 2 {
+		t.Errorf("height = %d", height)
+	}
+	oracle := workload.NewOracle(p.WindowLength)
+	for _, ev := range events {
+		oracle.AddEvent(ev)
+	}
+	l1 := float64(oracle.Total(p.WindowLength))
+	bound := core.HierarchicalPointErrorBound(root.EffectiveSplit(), height)
+	for k := uint64(0); k < 50; k++ {
+		got := root.Estimate(k, p.WindowLength)
+		want := float64(oracle.Freq(k, p.WindowLength))
+		if math.Abs(got-want) > bound*l1+1 {
+			t.Errorf("DW root Estimate(%d)=%v true=%v", k, got, want)
+		}
+	}
+}
+
+func TestClusterReuseAfterWait(t *testing.T) {
+	// A cluster can ingest several batches: Start/Feed/Wait cycles compose.
+	p := clusterParams()
+	cluster, err := NewCluster(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch1 := clusterEvents(t, 2000, 2)
+	batch2 := clusterEvents(t, 2000, 2)
+	cluster.IngestAll(batch1)
+	cluster.IngestAll(batch2)
+	var total uint64
+	for _, s := range cluster.Sites() {
+		total += s.Count()
+	}
+	if total != 4000 {
+		t.Errorf("sites hold %d events, want 4000", total)
+	}
+}
+
+func TestCentralizedBaselineMatchesSingleSite(t *testing.T) {
+	p := clusterParams()
+	events := clusterEvents(t, 5000, 1)
+	central, err := centralizedBaseline(p, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := NewCluster(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.IngestAll(events)
+	site := cluster.Sites()[0]
+	for k := uint64(0); k < 100; k++ {
+		if a, b := central.Estimate(k, p.WindowLength), site.Estimate(k, p.WindowLength); a != b {
+			t.Fatalf("Estimate(%d): central=%v site=%v", k, a, b)
+		}
+	}
+}
+
+func TestRWClusterSaltsDistinct(t *testing.T) {
+	// Randomized-wave sites must not share identifier salts, or merged
+	// union counts would collapse duplicates that are distinct events.
+	p := clusterParams()
+	p.Algorithm = window.AlgoRW
+	p.Epsilon = 0.25
+	p.UpperBound = 10000
+	cluster, err := NewCluster(p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every site sees the same key at the same ticks: a salt collision
+	// would make merged estimates ≈ one site's worth instead of three.
+	cluster.Start()
+	for i := 0; i < 900; i++ {
+		cluster.Feed(workload.Event{Key: 5, Time: core.Tick(i/3 + 1), Site: i % 3})
+	}
+	cluster.Wait(300)
+	root, _, err := cluster.AggregateTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := root.Estimate(5, p.WindowLength)
+	if got < 600 {
+		t.Errorf("merged RW estimate %v, want ≈900 (salt collision collapses to ≈300)", got)
+	}
+}
+
+// TestTreeHeight: n sites aggregate over a tree of height ⌈log₂ n⌉, odd nodes
+// promoted, whatever n is.
 func TestTreeHeight(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 33: 6, 256: 8, 535: 10}
-	for n, want := range cases {
-		if got := TreeHeight(n); got != want {
-			t.Errorf("TreeHeight(%d) = %d, want %d", n, got, want)
+	p := clusterParams()
+	p.Epsilon = 0.5
+	for n, want := range map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 33: 6} {
+		cluster, err := NewCluster(p, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got, err := cluster.AggregateTree(); err != nil || got != want {
+			t.Errorf("%d sites: height %d, %v; want %d", n, got, err, want)
 		}
 	}
 }

@@ -10,8 +10,8 @@
 //     sharded engine, anything with Snapshot). Its "transfer" is an arena
 //     clone — Sketch.Snapshot / EHBank.Clone, three slab memcpys — so the
 //     simulated cluster pays no marshal+decode round trip on the merge
-//     path. The wire size it reports (Sketch.WireSize) is exactly what
-//     shipping the summary would cost, computed without encoding it.
+//     path. The wire size it reports is the length of the encoding
+//     shipping the summary would send.
 //   - HTTPSite pulls GET /v1/snapshot from an ecmserver deployment and
 //     decodes the payload; the wire size it reports is the payload length
 //     actually transferred.
@@ -125,15 +125,15 @@ func (s *LocalSite) Name() string { return s.name }
 // Snapshot clones the source's current state (an arena copy on the default
 // exponential-histogram engine), settles it to its own clock — the
 // protocol-wide convention, so in-process and decoded-from-the-wire
-// summaries carry one expiry frontier — and reports the exact wire size the
-// summary would cost to ship, without encoding it.
+// summaries carry one expiry frontier — and reports the wire size shipping
+// the summary would cost: the length of its encoding.
 func (s *LocalSite) Snapshot() (*core.Sketch, int, error) {
 	snap, err := s.src.Snapshot()
 	if err != nil {
 		return nil, 0, err
 	}
 	snap.Advance(snap.Now())
-	return snap, snap.WireSize(), nil
+	return snap, len(snap.Marshal()), nil
 }
 
 // Delta answers an incremental pull from the source's own DeltaSnapshot
@@ -314,13 +314,8 @@ type siteDeltaState struct {
 
 // New builds a coordinator over the given sites with fresh network
 // accounting.
-func New(sites ...Site) *Coordinator { return NewWithNetwork(new(Network), sites...) }
-
-// NewWithNetwork builds a coordinator charging an existing Network — how
-// the simulated Cluster threads its historical accounting through the
-// shared merge path.
-func NewWithNetwork(net *Network, sites ...Site) *Coordinator {
-	c := &Coordinator{net: net}
+func New(sites ...Site) *Coordinator {
+	c := &Coordinator{net: new(Network)}
 	for _, s := range sites {
 		c.members = append(c.members, &member{site: s})
 	}
@@ -622,11 +617,10 @@ func (c *Coordinator) AggregateTree() (*core.Sketch, int, error) {
 	height := 0
 	// Internal-node sizes are computed lazily (sentinel -1) at the moment
 	// the node is actually charged for an upward hop: the root never ships
-	// anywhere, so its encoding size — a full throwaway Marshal on wave
-	// engines — is never computed.
+	// anywhere, so its encoding — made only to be measured — is never made.
 	charge := func(lsz []int, level []*core.Sketch, i int) int {
 		if lsz[i] < 0 {
-			lsz[i] = level[i].WireSize()
+			lsz[i] = len(level[i].Marshal())
 		}
 		c.net.Charge(lsz[i])
 		return lsz[i]

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"ecmsketch/internal/window"
@@ -227,6 +229,38 @@ func FuzzDeltaApply(f *testing.F) {
 			sync(len(data))
 			p.add(5, deltaFuzzWindow+1)
 			sync(len(data) + 1)
+		}
+	})
+}
+
+// FuzzParseCursor holds the ?since= decoder, which reads whatever a puller
+// sends: it never panics; what it accepts survives String and a second parse
+// unchanged; every cursor an engine can issue round-trips; "" and "0" are the
+// zero cursor.
+func FuzzParseCursor(f *testing.F) {
+	f.Add("", uint64(0), []byte(nil))
+	f.Add("0", uint64(7), []byte{1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(Cursor{Epoch: 1 << 63, Vers: []uint64{0, 1, 1 << 40}}.String(), uint64(1<<63), []byte("sixteen bytes .."))
+	f.Add("AAA", uint64(0), []byte(nil))          // epoch 0, no parts: zero, spelled long
+	f.Add("AYCAgIAQ", uint64(1), []byte(nil))     // declares 2^32 parts
+	f.Add("not base64 !", uint64(1), []byte(nil)) // rejected before decoding
+	f.Fuzz(func(t *testing.T, s string, epoch uint64, vers []byte) {
+		same := func(a, b Cursor) bool { return a.Epoch == b.Epoch && slices.Equal(a.Vers, b.Vers) }
+		if c, err := ParseCursor(s); err == nil {
+			back, err := ParseCursor(c.String())
+			if err != nil || !same(back, c) {
+				t.Fatalf("%q parsed to %+v, whose String %q parsed to %+v, %v", s, c, c.String(), back, err)
+			}
+			if (s == "" || s == "0") && !c.IsZero() {
+				t.Fatalf("%q parsed to %+v, want the zero cursor", s, c)
+			}
+		}
+		c := Cursor{Epoch: epoch}
+		for ; len(vers) >= 8 && len(c.Vers) < maxDeltaParts; vers = vers[8:] {
+			c.Vers = append(c.Vers, binary.LittleEndian.Uint64(vers))
+		}
+		if back, err := ParseCursor(c.String()); err != nil || !same(back, c) {
+			t.Fatalf("%+v rendered as %q parsed to %+v, %v", c, c.String(), back, err)
 		}
 	})
 }

@@ -65,33 +65,6 @@ func (s *Sketch) Marshal() []byte {
 	return dst
 }
 
-// WireSize reports len(s.Marshal()) without producing the encoding: the
-// fixed header fields are summed directly and each cell's size comes from a
-// slab walk that never materializes bytes. This is what lets the
-// coordinator's network accounting charge a snapshot's transfer cost at the
-// transport boundary while the merge path consumes the snapshot itself — no
-// marshal+decode round trip just to know what shipping it would cost.
-func (s *Sketch) WireSize() int {
-	n := 1 + // wireECM tag
-		8 + 8 + // Epsilon, Delta
-		3 + // Query, Algorithm, Model bytes
-		window.UvarintLen(s.params.WindowLength) +
-		window.UvarintLen(s.params.UpperBound) +
-		window.UvarintLen(s.params.Seed) +
-		window.UvarintLen(uint64(s.w)) +
-		window.UvarintLen(uint64(s.d)) +
-		8 + 8 + // split.EpsCM, split.EpsSW
-		window.UvarintLen(s.now) +
-		window.UvarintLen(s.count) +
-		window.UvarintLen(s.salt) +
-		window.UvarintLen(s.seq)
-	for i := 0; i < s.d*s.w; i++ {
-		c := s.bank.MarshalCellSize(i)
-		n += window.UvarintLen(uint64(c)) + c
-	}
-	return n
-}
-
 // marshalHeader is the decoded fixed sketch header shared by the dense and
 // sparse encodings.
 type marshalHeader struct {

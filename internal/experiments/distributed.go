@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"ecmsketch/internal/coord"
 	"ecmsketch/internal/core"
-	"ecmsketch/internal/distrib"
 	"ecmsketch/internal/window"
 )
 
@@ -88,7 +88,7 @@ func runDistributedOnce(ds Dataset, algo window.Algorithm, eps, delta float64, s
 		UpperBound:   ds.UpperBound,
 		Seed:         1234,
 	}
-	cluster, err := distrib.NewCluster(p, sites)
+	cluster, err := coord.NewCluster(p, sites)
 	if err != nil {
 		return DistributedRow{}, fmt.Errorf("experiments: %s %v ε=%v: %w", ds.Name, algo, eps, err)
 	}
@@ -207,7 +207,7 @@ func runScalingOnce(ds Dataset, algo window.Algorithm, eps, delta float64, nodes
 		UpperBound:   ds.UpperBound,
 		Seed:         1234,
 	}
-	cluster, err := distrib.NewCluster(p, nodes)
+	cluster, err := coord.NewCluster(p, nodes)
 	if err != nil {
 		return ScalingRow{}, err
 	}

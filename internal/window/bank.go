@@ -17,7 +17,7 @@ import "fmt"
 // MergeCellFrom reads same-kind inputs through their concrete type.
 //
 // Banks are not safe for concurrent mutation; every method that only reads
-// (estimates aside from Advance, the encoders, MarshalCellSize) may run
+// (estimates aside from Advance, the encoders) may run
 // concurrently on a bank nobody mutates.
 type Bank interface {
 	// Config returns the configuration the bank's cells share.
@@ -78,9 +78,6 @@ type Bank interface {
 	// shared Config per cell would roughly double a sparse delta pre-gzip;
 	// the receiver validated config identity when it accepted the baseline.
 	AppendMarshalCellBare(dst []byte, i int) []byte
-	// MarshalCellSize reports len(AppendMarshalCell(nil, i)) without
-	// producing the bytes.
-	MarshalCellSize(i int) int
 	// UnmarshalCell decodes either encoding into cell i, which must be empty.
 	// A full-form encoding embeds its Config, which must match the bank's; a
 	// bare encoding inherits it.

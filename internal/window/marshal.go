@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Serialization formats. Synopses are serialized when sites ship them to
@@ -116,20 +115,6 @@ func appendConfig(dst []byte, c Config) []byte {
 	return dst
 }
 
-// UvarintLen reports the encoded size of v under binary.AppendUvarint
-// without producing the bytes: one byte per started 7-bit group. Wire-size
-// accounting (the network volume a summary would cost to ship) sums these
-// instead of building throwaway encodings.
-func UvarintLen(v uint64) int {
-	return (bits.Len64(v|1) + 6) / 7
-}
-
-// configSize is the encoded size of a Config under appendConfig: model
-// byte, two float64s, and three uvarints.
-func configSize(c Config) int {
-	return 1 + 8 + 8 + UvarintLen(c.Length) + UvarintLen(c.UpperBound) + UvarintLen(c.Seed)
-}
-
 // The EH cell encoding: tag, (Config,) now, bucket count, then the buckets
 // oldest → newest with boundaries delta-encoded in arrival order and the
 // size spelled out, so a typical bucket costs a handful of bytes. The encoder
@@ -168,25 +153,6 @@ func (b *EHBank) appendCellBody(dst []byte, i int) []byte {
 		}
 	}
 	return dst
-}
-
-// MarshalCellSize reports len(AppendMarshalCell(nil, i)) without producing
-// the bytes, walking the level directories in the encoder's order, since the
-// delta encoding's varint widths depend on it.
-func (b *EHBank) MarshalCellSize(i int) int {
-	c := &b.cells[i]
-	n := 1 + configSize(b.cfg) + UvarintLen(c.now) + UvarintLen(uint64(b.NumBuckets(i)))
-	var prev Tick
-	for lv := int(c.nLv) - 1; lv >= 0; lv-- {
-		d := b.level(i, lv)
-		size := uint64(1) << uint(lv)
-		for j := 0; j < int(d.n); j++ {
-			bk := b.at(d, j)
-			n += UvarintLen(bk.start-prev) + UvarintLen(bk.end-bk.start) + UvarintLen(size)
-			prev = bk.end
-		}
-	}
-	return n
 }
 
 // UnmarshalCell decodes an EH cell encoding, full or bare, into cell i, which
@@ -257,14 +223,6 @@ func (b *DWBank) appendCellBody(dst []byte, i int) []byte {
 	return b.appendRings(dst, i, true)
 }
 
-// MarshalCellSize reports len(AppendMarshalCell(nil, i)) without producing
-// the bytes.
-func (b *DWBank) MarshalCellSize(i int) int {
-	c := &b.cells[i]
-	return 1 + configSize(b.cfg) + UvarintLen(c.now) + UvarintLen(c.rank) +
-		UvarintLen(uint64(b.nLv)) + b.ringsSize(i, true)
-}
-
 // UnmarshalCell decodes a DW cell encoding, full or bare, into cell i, which
 // must be empty. The level count must match the bank's geometry either way.
 func (b *DWBank) UnmarshalCell(i int, enc []byte) error {
@@ -315,17 +273,6 @@ func (b *RWBank) appendCellBody(dst []byte, i int) []byte {
 		dst = binary.AppendUvarint(dst, v)
 	}
 	return b.appendRings(dst, i, false)
-}
-
-// MarshalCellSize reports len(AppendMarshalCell(nil, i)) without producing
-// the bytes.
-func (b *RWBank) MarshalCellSize(i int) int {
-	c := &b.cells[i]
-	n := 1 + configSize(b.cfg) + b.ringsSize(i, false)
-	for _, v := range [...]uint64{c.now, c.count, c.salt, c.seq, uint64(b.reps), uint64(b.nLv)} {
-		n += UvarintLen(v)
-	}
-	return n
 }
 
 // UnmarshalCell decodes an RW cell encoding, full or bare, into cell i, which

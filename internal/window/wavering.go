@@ -287,28 +287,6 @@ func (a *waveArena) appendRings(dst []byte, i int, deltaID bool) []byte {
 	return dst
 }
 
-// ringsSize reports len(appendRings(nil, i, deltaID)) without producing the
-// bytes.
-func (a *waveArena) ringsSize(i int, deltaID bool) int {
-	n := 0
-	rs := a.rings(i)
-	for j := range rs {
-		d := &rs[j]
-		n += UvarintLen(uint64(d.n)) + 1
-		var pt Tick
-		var pid uint64
-		for k := 0; k < int(d.n); k++ {
-			e := a.at(d, k)
-			n += UvarintLen(e.t-pt) + UvarintLen(e.id-pid)
-			pt = e.t
-			if deltaID {
-				pid = e.id
-			}
-		}
-	}
-	return n
-}
-
 // readRings decodes a ring payload into cell i's (empty) rings and returns
 // the earliest tick stored (emptyOldEnd when none).
 func (a *waveArena) readRings(r *wireReader, i int, deltaID bool, name string) (oldest Tick, err error) {

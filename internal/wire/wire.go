@@ -1,10 +1,10 @@
 // Package wire is the shared /v1 HTTP codec of this repository: the
 // request-parsing, reply-encoding and snapshot-transfer conventions that
 // every tier serving (or consuming) the versioned API must agree on.
-// ecmserver (the site server) and cmd/ecmcoord's -serve surface both build
-// on it, so the two cannot drift; ecmclient and the coordinator's HTTP
-// transport consume snapshots through it, so gzip negotiation and transfer
-// accounting live in exactly one place.
+// ecmserver (at a site and under cmd/ecmcoord) and the coordinator's own
+// routes both build on it, so the two cannot drift; ecmclient and the
+// coordinator's HTTP transport consume snapshots through it, so gzip
+// negotiation and transfer accounting live in exactly one place.
 //
 // Conventions encoded here:
 //
