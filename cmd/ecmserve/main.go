@@ -48,7 +48,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.cfg.TopK, "topk", 0, "track the N hottest keys and serve GET /v1/topk (0 = off)")
 	fs.IntVar(&o.cfg.Shards, "shards", 0, "ingest lock stripes (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.cfg.MergeTTL, "merge-ttl", 250*time.Millisecond, "staleness bound of cached global-query view (0 = always fresh)")
-	fs.DurationVar(&o.cfg.RefreshInterval, "refresh", 0, "background merged-view refresh period (0 = rebuild on the reader that trips merge-ttl)")
 	fs.StringVar(&o.cfg.AuthToken, "token", "", "require this bearer token on every request (empty = open)")
 	fs.StringVar(&o.tlsCert, "tls-cert", "", "serve TLS with this certificate file (requires -tls-key); pullers trusting a private CA pass it to ecmcoord -site-ca or ecmclient.WithRootCAs")
 	fs.StringVar(&o.tlsKey, "tls-key", "", "private key file for -tls-cert")

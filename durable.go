@@ -132,8 +132,9 @@ type durableState struct {
 	recovered    bool
 	replayed     uint64
 
-	snapStop, snapDone chan struct{}
-	syncStop, syncDone chan struct{}
+	// stops holds the stop function of each running background loop (the
+	// interval checkpoint, the interval fsync).
+	stops []func()
 }
 
 // initDurable recovers prior durable state (or discards to a fresh epoch)
@@ -150,17 +151,12 @@ func (sh *Sharded) initDurable(dc *DurabilityConfig) error {
 	sh.dur = d
 	d.fp = sh.durableFingerprint()
 
-	snap := sh.loadCheckpoint(d)
 	activeGen := uint64(1)
 	var replayedGens []uint64
-	if snap != nil {
-		if ok := sh.restoreCheckpoint(snap); ok {
-			d.recovered = true
-			activeGen = snap.Gen + 2
-			replayedGens = []uint64{snap.Gen, snap.Gen + 1}
-		} else if err := sh.resetStripes(); err != nil {
-			return err
-		}
+	if snap := sh.loadCheckpoint(d); snap != nil && sh.restoreCheckpoint(snap) {
+		d.recovered = true
+		activeGen = snap.Gen + 2
+		replayedGens = []uint64{snap.Gen, snap.Gen + 1}
 	}
 
 	// Open the new active segment (truncating any stale file from a dead
@@ -181,14 +177,11 @@ func (sh *Sharded) initDurable(dc *DurabilityConfig) error {
 	}
 
 	if dc.SnapshotInterval > 0 {
-		d.snapStop = make(chan struct{})
-		d.snapDone = make(chan struct{})
-		go sh.durSnapshotLoop(dc.SnapshotInterval)
+		// Checkpoint failures are counted in stats.
+		d.stops = append(d.stops, every(dc.SnapshotInterval, func() { _ = sh.Checkpoint() }))
 	}
 	if dc.SyncInterval > 0 {
-		d.syncStop = make(chan struct{})
-		d.syncDone = make(chan struct{})
-		go sh.durSyncLoop(dc.SyncInterval)
+		d.stops = append(d.stops, every(dc.SyncInterval, d.syncNow))
 	}
 	return nil
 }
@@ -227,12 +220,12 @@ func (sh *Sharded) loadCheckpoint(d *durableState) *durable.Snapshot {
 	return snap
 }
 
-// restoreCheckpoint installs the snapshot's stripes and replays the WAL
-// segments it may be paired with. Reports false when anything fails
-// validation — the caller then discards to a fresh epoch.
+// restoreCheckpoint decodes the snapshot's stripes, replays onto them the
+// WAL segments the snapshot may be paired with, and installs the result.
+// Reports false when anything fails validation, before installing any
+// stripe: the engine's fresh stripes are untouched and the caller starts a
+// fresh epoch over them.
 func (sh *Sharded) restoreCheckpoint(snap *durable.Snapshot) bool {
-	// Decode and validate every part before installing any, so a failure
-	// leaves the fresh stripes untouched.
 	sks := make([]*Sketch, len(snap.Parts))
 	for i := range snap.Parts {
 		p := &snap.Parts[i]
@@ -245,19 +238,17 @@ func (sh *Sharded) restoreCheckpoint(snap *durable.Snapshot) bool {
 		}
 		sks[i] = sk
 	}
-	for i, sk := range sks {
-		sh.shards[i].sk = sk
-	}
-	if !sh.replayWAL(snap) {
+	if !sh.replayWAL(snap, sks) {
 		return false
 	}
 	sh.epoch = snap.Epoch
 	now := snap.Now
-	for i := range sh.shards {
+	for i, sk := range sks {
 		s := &sh.shards[i]
-		s.count.Store(s.sk.Count())
-		s.deltaVer.Store(s.sk.DeltaVersion())
-		if n := s.sk.Now(); n > now {
+		s.sk = sk
+		s.count.Store(sk.Count())
+		s.deltaVer.Store(sk.DeltaVersion())
+		if n := sk.Now(); n > now {
 			now = n
 		}
 	}
@@ -265,12 +256,13 @@ func (sh *Sharded) restoreCheckpoint(snap *durable.Snapshot) bool {
 	return true
 }
 
-// replayWAL applies the snapshot generation's segment and its successor
-// (at most those two can exist; the checkpoint that would have deleted
-// the first also wrote a newer blob). Reports false on a validation
-// failure; torn tails within a segment are not failures — durable.Replay
-// already truncated them to the last intact frame.
-func (sh *Sharded) replayWAL(snap *durable.Snapshot) bool {
+// replayWAL applies to sks, the snapshot's decoded stripes, the snapshot
+// generation's segment and its successor (at most those two can exist; the
+// checkpoint that would have deleted the first also wrote a newer blob).
+// Reports false on a validation failure; torn tails within a segment are
+// not failures — durable.Replay already truncated them to the last intact
+// frame.
+func (sh *Sharded) replayWAL(snap *durable.Snapshot, sks []*Sketch) bool {
 	for gen := snap.Gen; gen <= snap.Gen+1; gen++ {
 		log, err := sh.dur.store.OpenLog(durWALName(gen))
 		if err != nil {
@@ -296,10 +288,10 @@ func (sh *Sharded) replayWAL(snap *durable.Snapshot) bool {
 			if err != nil {
 				return false
 			}
-			if rec.Part >= uint64(len(sh.shards)) {
+			if rec.Part >= uint64(len(sks)) {
 				return false
 			}
-			sk := sh.shards[rec.Part].sk
+			sk := sks[rec.Part]
 			switch rec.Kind {
 			case durable.RecordAdvance:
 				sk.Advance(rec.Tick)
@@ -325,23 +317,6 @@ func (sh *Sharded) replayWAL(snap *durable.Snapshot) bool {
 	return true
 }
 
-// resetStripes rebuilds every stripe empty (after a half-installed
-// restore was abandoned), re-deriving the deterministic identifier salts.
-func (sh *Sharded) resetStripes() error {
-	for i := range sh.shards {
-		s, err := New(sh.params)
-		if err != nil {
-			return err
-		}
-		s.SetIDSalt(0x9e37_79b9_7f4a_7c15 * uint64(i+1))
-		s.NormalizeCellSalts()
-		sh.shards[i].sk = s
-		sh.shards[i].count.Store(0)
-		sh.shards[i].deltaVer.Store(0)
-	}
-	return nil
-}
-
 // openSegment opens WAL segment gen empty and writes its header record,
 // synced: a segment is identifiable before anything rides on it.
 func (d *durableState) openSegment(epoch, gen uint64) (*durable.WAL, error) {
@@ -365,9 +340,9 @@ func (d *durableState) openSegment(epoch, gen uint64) (*durable.WAL, error) {
 	return w, nil
 }
 
-// writeCheckpointBlob captures every stripe (arena clone plus version
-// vector under the stripe lock; encoding outside it) and atomically saves
-// the snapshot blob at generation gen. Stripes are deliberately captured
+// writeCheckpointBlob captures every stripe (an arena clone under the stripe
+// lock; version vector and encoding read off the clone) and atomically
+// saves the snapshot blob at generation gen. Stripes are deliberately captured
 // unsettled — replay reproduces insert-time expiry exactly (see the file
 // comment), and settling is the receiver's job, as everywhere else in the
 // delta protocol.
@@ -375,14 +350,11 @@ func (sh *Sharded) writeCheckpointBlob(gen uint64) error {
 	d := sh.dur
 	parts := make([]durable.SnapshotPart, len(sh.shards))
 	for i := range sh.shards {
-		s := &sh.shards[i]
-		s.mu.Lock()
-		ver, vers := s.sk.VersionVector()
-		snap, err := s.sk.Snapshot()
-		s.mu.Unlock()
+		snap, _, err := sh.stripeSnapshot(i)
 		if err != nil {
 			return err
 		}
+		ver, vers := snap.VersionVector()
 		parts[i] = durable.SnapshotPart{Enc: snap.Marshal(), Ver: ver, Vers: vers}
 	}
 	blob := durable.Snapshot{
@@ -536,62 +508,47 @@ func (d *durableState) syncNow() {
 	}
 }
 
-func (sh *Sharded) durSnapshotLoop(interval time.Duration) {
-	defer close(sh.dur.snapDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-sh.dur.snapStop:
-			return
-		case <-t.C:
-			_ = sh.Checkpoint() // failures are counted in stats
+// every runs fn on its own goroutine once per interval until the returned
+// stop is called; stop returns after the goroutine (and any fn in flight)
+// has exited.
+func every(interval time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				fn()
+			}
 		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }
 
-func (sh *Sharded) durSyncLoop(interval time.Duration) {
-	defer close(sh.dur.syncDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-sh.dur.syncStop:
-			return
-		case <-t.C:
-			sh.dur.syncNow()
-		}
-	}
-}
-
-func (d *durableState) stopLoops() {
-	if d.snapStop != nil {
-		close(d.snapStop)
-		<-d.snapDone
-	}
-	if d.syncStop != nil {
-		close(d.syncStop)
-		<-d.syncDone
-	}
-}
-
-// closeDurable finishes Close on a durable engine: a final checkpoint (a
-// clean restart then replays nothing) and a synced shutdown of the WAL.
-func (sh *Sharded) closeDurable() error {
-	d := sh.dur
-	d.stopLoops()
-	err := sh.Checkpoint()
+// seal marks the durable state closed — appends and syncs become no-ops —
+// and hands back the active segment for the caller to finish with.
+func (d *durableState) seal() *durable.WAL {
 	d.mu.Lock()
 	d.closed = true
 	w := d.wal
 	d.mu.Unlock()
-	if serr := w.Sync(); serr != nil && err == nil {
-		err = serr
-	}
-	if cerr := w.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
+	return w
+}
+
+// closeDurable finishes Close on a durable engine, after stopBackground: a
+// final checkpoint (a clean restart then replays nothing) and a synced
+// shutdown of the WAL.
+func (sh *Sharded) closeDurable() error {
+	err := sh.Checkpoint()
+	w := sh.dur.seal()
+	return errors.Join(err, w.Sync(), w.Close())
 }
 
 // CloseAbrupt tears the engine down the way a crash would: background
@@ -602,20 +559,9 @@ func (sh *Sharded) closeDurable() error {
 // is Close.
 func (sh *Sharded) CloseAbrupt() error {
 	sh.closeOnce.Do(func() {
-		if sh.async != nil {
-			sh.async.stop()
-		}
-		if sh.refreshStop != nil {
-			close(sh.refreshStop)
-			<-sh.refreshDone
-		}
-		if d := sh.dur; d != nil {
-			d.stopLoops()
-			d.mu.Lock()
-			d.closed = true
-			w := d.wal
-			d.mu.Unlock()
-			w.Close()
+		sh.stopBackground()
+		if sh.dur != nil {
+			sh.dur.seal().Close()
 		}
 	})
 	return nil

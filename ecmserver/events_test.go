@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -90,6 +89,9 @@ func oracleNext(body io.Reader) func() (ecmsketch.Event, bool, error) {
 		}
 		if ev.T == 0 {
 			return zero, false, fmt.Errorf("event %d: missing or zero t", i)
+		}
+		if ev.N > wire.MaxEventCount {
+			return zero, false, fmt.Errorf("event %d: n over wire.MaxEventCount", i)
 		}
 		i++
 		return ecmsketch.Event{Key: key, Tick: ev.T, N: ev.N}, true, nil
@@ -358,8 +360,8 @@ func TestShardedAsyncHandlerWriters(t *testing.T) {
 	}
 	for name, cfg := range map[string]ecmsketch.ShardedConfig{
 		"sync":          {Params: params, Shards: 4},
-		"async":         {Params: params, Shards: 4, Async: true, AsyncQueue: 4},
-		"async-durable": {Params: params, Shards: 4, Async: true, AsyncQueue: 4, Durability: &ecmsketch.DurabilityConfig{}},
+		"async":         {Params: params, Shards: 4, Async: true},
+		"async-durable": {Params: params, Shards: 4, Async: true, Durability: &ecmsketch.DurabilityConfig{}},
 	} {
 		for _, writers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s-%d", name, writers), func(t *testing.T) {
@@ -410,9 +412,10 @@ func TestShardedAsyncHandlerWriters(t *testing.T) {
 
 // batchReference counts what /v1/batch must accept of body, the plain way:
 // strings.Split on newlines, strings.Split on commas, strconv on the fields.
-// malformed reports whether any line was skipped, mass the arrivals the
-// accepted records add up to (saturating).
-func batchReference(body string) (accepted int, malformed bool, mass uint64) {
+// mass is the arrivals the accepted records add up to (a zero count is a unit
+// arrival), malformed reports whether any line was skipped, overCap whether
+// the count stopped at a record claiming more than wire.MaxEventCount.
+func batchReference(body string) (accepted int, mass uint64, malformed, overCap bool) {
 	for _, line := range strings.Split(body, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || line[0] == '#' {
@@ -434,29 +437,36 @@ func batchReference(body string) (accepted int, malformed bool, mass uint64) {
 			malformed = true
 			continue
 		}
-		accepted++
-		if mass += count; mass < count {
-			mass = math.MaxUint64
+		if count > wire.MaxEventCount {
+			return accepted, mass, malformed, true
 		}
+		accepted++
+		mass += max(count, 1)
 	}
-	return accepted, malformed, mass
+	return accepted, mass, malformed, false
 }
 
 // FuzzBatchBody holds the /v1/batch line grammar to batchReference: the
-// handler never panics, answers 200, accepts exactly the lines the reference
-// accepts and reports a first error exactly when one was skipped. Bodies stay
-// under the scanner's 1 MiB line bound, which TestBatchOversizedLine covers,
-// and under 2^16 arrivals in all: ingest costs one insert per unit of count,
-// so "k,1,18446744073709551615" is well-formed and never returns (ROADMAP 3b,
-// work-bounded decode).
+// handler never panics, accepts exactly the lines the reference accepts,
+// answers 200 with a first error exactly when one was skipped, and answers
+// 400 exactly when a record claims more than wire.MaxEventCount arrivals
+// (ingest costs one insert per unit of count, so an uncapped
+// "k,1,18446744073709551615" would never return). Bodies stay under the
+// scanner's 1 MiB line bound, which TestBatchOversizedLine covers.
 func FuzzBatchBody(f *testing.F) {
 	f.Add("# comment\n/home,1\n/home,2\n/about,3,5\n\ngarbage-line\n/home,notanumber\n/home,4")
 	f.Add("a,1,2,3,4\r\n b , 7 , 9 \r\n,5\nc,\nd,1,\n")
 	f.Add("k,18446744073709551615,4096\nk,18446744073709551616\nk,-1\nk,+1\nk,0x10\nk,1,18446744073709551616\n")
+	f.Add("a,1,1048576\nb,2,18446744073709551615\nc,3\n")
 	f.Add(strings.Repeat("x,1\n", ingestFlushEvery+1))
 	f.Fuzz(func(t *testing.T, body string) {
-		want, malformed, mass := batchReference(body)
-		if len(body) >= 1<<20 || mass > 1<<16 {
+		want, mass, malformed, overCap := batchReference(body)
+		if len(body) >= 1<<20 || mass > wire.MaxEventCount {
+			// The mass bound is a time budget, no longer a hang guard: one
+			// record's worth of arrivals is ~30 ms of inserts, several times
+			// that under coverage instrumentation, and the mutator can stack
+			// records until an exec passes the ten seconds at which the go
+			// fuzzer declares a worker hung.
 			t.Skip()
 		}
 		srv, err := New(Config{Epsilon: 0.2, Delta: 0.2, WindowLength: 1000, Seed: 1, Shards: 1})
@@ -465,8 +475,17 @@ func FuzzBatchBody(f *testing.F) {
 		}
 		defer srv.Close()
 		code, out := doJSON(t, srv, "POST", "/v1/batch", body)
-		if code != http.StatusOK || out["accepted"] != float64(want) {
-			t.Fatalf("body %q: status %d, accepted %v, want 200 and %d", body, code, out["accepted"], want)
+		if got := srv.Engine().Count(); out["accepted"] != float64(want) || got != mass {
+			t.Fatalf("body %q: accepted %v with %d arrivals applied, want %d with %d", body, out["accepted"], got, want, mass)
+		}
+		if overCap {
+			if _, reported := out["error"]; code != http.StatusBadRequest || !reported {
+				t.Fatalf("body %q: status %d %v, want 400 and an error for the over-cap record", body, code, out)
+			}
+			return
+		}
+		if code != http.StatusOK {
+			t.Fatalf("body %q: status %d, want 200", body, code)
 		}
 		if _, reported := out["firstError"]; reported != malformed {
 			t.Fatalf("body %q: firstError reported %v, reference skipped a line %v", body, reported, malformed)

@@ -47,11 +47,6 @@ type Config struct {
 	// sketch pulls) served from the engine's cached merged view; 0 means
 	// always fresh.
 	MergeTTL time.Duration
-	// RefreshInterval, when positive, rebuilds stale merged views in a
-	// background goroutine instead of on the tail of whichever reader trips
-	// the TTL; set it at or below MergeTTL. Servers configured with it
-	// should be Closed on shutdown.
-	RefreshInterval time.Duration
 	// AuthToken, when non-empty, requires "Authorization: Bearer <AuthToken>"
 	// on every route (constant-time compared); unauthenticated requests get
 	// 401. Empty leaves the server open, as before.
@@ -137,10 +132,9 @@ func New(cfg Config) (*Server, error) {
 		Seed:         cfg.Seed,
 	}
 	shCfg := ecmsketch.ShardedConfig{
-		Params:          params,
-		Shards:          cfg.Shards,
-		MergeTTL:        cfg.MergeTTL,
-		RefreshInterval: cfg.RefreshInterval,
+		Params:   params,
+		Shards:   cfg.Shards,
+		MergeTTL: cfg.MergeTTL,
 	}
 	store := cfg.DurableStore
 	if store == nil && cfg.DataDir != "" {
@@ -262,9 +256,9 @@ func (s *Server) ListenAndServe(addr, certFile, keyFile string) error {
 }
 
 // Close releases server-held background resources: at a site the
-// standing-query hook is detached from the engine before the engine's view
-// refresher is stopped; any other source is its owner's to close.
-// Idempotent.
+// standing-query hook is detached from the engine before the engine is
+// closed (final checkpoint, WAL shut down); any other source is its owner's
+// to close. Idempotent.
 func (s *Server) Close() error {
 	if s.engine == nil {
 		return nil
@@ -331,14 +325,17 @@ var eventBufs = sync.Pool{New: func() any {
 // POST /v1/batch with a text body. Returns the number of accepted records
 // and the first error encountered, if any. Records are applied in chunks
 // as the body streams in, so a huge upload costs bounded memory (malformed
-// lines are skipped, as reported, not rolled back). A body the line scanner
-// gives up on — a line over 1 MiB — is answered 400 with /v1/events' reply,
-// {"error", "accepted"}: accepted counts the records before it, all applied.
+// lines are skipped, as reported, not rolled back). A record that would buy
+// unbounded work — a line over 1 MiB, which the line scanner gives up on, or
+// a count over wire.MaxEventCount — ends the scan and is answered 400 with
+// /v1/events' reply, {"error", "accepted"}: accepted counts the records
+// before it, all applied.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	accepted, lineNo := 0, 0
 	var firstErr string
+	var stop error // what ended the scan early; answered 400
 	buf := eventBufs.Get().(*[]ecmsketch.Event)
 	defer eventBufs.Put(buf)
 	events := (*buf)[:0]
@@ -372,6 +369,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				}
 				continue
 			}
+			if n > wire.MaxEventCount {
+				stop = fmt.Errorf("line %d: count %d: at most %d arrivals per record", lineNo, n, wire.MaxEventCount)
+				break
+			}
 		}
 		key := ecmsketch.KeyString(strings.TrimSpace(name))
 		events = append(events, ecmsketch.Event{Key: key, Tick: t, N: n})
@@ -384,10 +385,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Whatever stopped the scan, every record parsed before it is applied,
 	// like the chunks already flushed.
 	s.ingestBatch(events)
-	if err := sc.Err(); err != nil {
+	if stop == nil {
+		stop = sc.Err()
+	}
+	if stop != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
+		json.NewEncoder(w).Encode(map[string]any{"error": stop.Error(), "accepted": accepted})
 		return
 	}
 	resp := map[string]any{"accepted": accepted}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ecmsketch"
+	"ecmsketch/internal/wire"
 )
 
 func testServer(t *testing.T) *Server {
@@ -169,6 +170,44 @@ func TestBatchOversizedLine(t *testing.T) {
 	}
 	if _, stats := doJSON(t, srv, "GET", "/v1/stats", ""); stats["count"].(float64) != before {
 		t.Errorf("engine count = %v, want %d: accepted must mean applied", stats["count"], before)
+	}
+}
+
+// TestEventCountCap: a record may claim wire.MaxEventCount arrivals and not
+// one more. Past it both ingest routes answer 400 {"error","accepted"} with
+// every record before the bad one applied and nothing behind it read — one
+// well-formed line can no longer hold a stripe lock for 2^64 inserts.
+func TestEventCountCap(t *testing.T) {
+	const before = ingestFlushEvery
+	var lines, elems strings.Builder
+	for i := 1; i <= before; i++ {
+		fmt.Fprintf(&lines, "/home,%d\n", i)
+		fmt.Fprintf(&elems, `{"key":"/home","t":%d},`, i)
+	}
+	for route, body := range map[string]string{
+		"/v1/batch":  lines.String() + fmt.Sprintf("/big,9000,%d\n/home,9001\n", wire.MaxEventCount+1),
+		"/v1/events": "[" + elems.String() + fmt.Sprintf(`{"key":"/big","t":9000,"n":%d},{"key":"/home","t":9001}]`, wire.MaxEventCount+1),
+	} {
+		srv := testServer(t)
+		code, out := doJSON(t, srv, "POST", route, body)
+		if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "at most 1048576 arrivals") {
+			t.Errorf("%s: status %d error %q, want 400 naming the cap", route, code, msg)
+		}
+		if acc, ok := out["accepted"].(float64); !ok || acc != before {
+			t.Errorf("%s: accepted = %v, want %d", route, out["accepted"], before)
+		}
+		if got := srv.Engine().Count(); got != before {
+			t.Errorf("%s: engine count = %d, want %d: accepted must mean applied, the rest untouched", route, got, before)
+		}
+	}
+
+	srv := testServer(t)
+	atCap := fmt.Sprintf("/big,1,%d\n", wire.MaxEventCount)
+	if code, out := doJSON(t, srv, "POST", "/v1/batch", atCap); code != http.StatusOK || out["accepted"] != float64(1) {
+		t.Errorf("a record at the cap: status %d %v, want 200 accepted 1", code, out)
+	}
+	if got := srv.Engine().Count(); got != wire.MaxEventCount {
+		t.Errorf("engine count = %d, want %d", got, wire.MaxEventCount)
 	}
 }
 

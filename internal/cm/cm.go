@@ -6,7 +6,6 @@
 package cm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -164,50 +163,6 @@ func (s *Sketch) MemoryBytes() int { return 64 + 8*len(s.cells) }
 // geometric-method extraction).
 func (s *Sketch) Cell(j, i int) uint64 { return s.cells[j*s.w+i] }
 
-// Marshal encodes the sketch: hash-family parameters followed by varint
-// cells.
-func (s *Sketch) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.Write(s.fam.Marshal())
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], s.count)
-	buf.Write(tmp[:n])
-	for _, c := range s.cells {
-		n = binary.PutUvarint(tmp[:], c)
-		buf.Write(tmp[:n])
-	}
-	return buf.Bytes()
-}
-
-// Unmarshal reconstructs a sketch from Marshal output.
-func Unmarshal(b []byte) (*Sketch, error) {
-	fam, off, err := hashing.UnmarshalFamily(b)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sketch{
-		fam:   fam,
-		w:     fam.Width(),
-		d:     fam.Depth(),
-		cells: make([]uint64, fam.Depth()*fam.Width()),
-	}
-	count, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return nil, errors.New("cm: truncated encoding")
-	}
-	off += n
-	s.count = count
-	for i := range s.cells {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return nil, errors.New("cm: truncated encoding")
-		}
-		off += n
-		s.cells[i] = v
-	}
-	return s, nil
-}
-
 // Vector is a dense real-valued view of a Count-Min array. The geometric
 // monitoring method (Section 6.2) treats extracted sketches as vectors in
 // R^(d·w) and performs linear algebra on them: averages, differences, norms.
@@ -221,24 +176,12 @@ func NewVector(d, w int) *Vector {
 	return &Vector{W: w, D: d, Cells: make([]float64, d*w)}
 }
 
-// ToVector converts the sketch counters to a real vector.
-func (s *Sketch) ToVector() *Vector {
-	v := NewVector(s.d, s.w)
-	for i, c := range s.cells {
-		v.Cells[i] = float64(c)
-	}
-	return v
-}
-
 // Clone returns a deep copy.
 func (v *Vector) Clone() *Vector {
 	c := NewVector(v.D, v.W)
 	copy(c.Cells, v.Cells)
 	return c
 }
-
-// SameShape reports whether two vectors have equal dimensions.
-func (v *Vector) SameShape(o *Vector) bool { return o != nil && v.W == o.W && v.D == o.D }
 
 // AddScaled sets v += α·o and returns v.
 func (v *Vector) AddScaled(o *Vector, alpha float64) *Vector {
@@ -296,7 +239,8 @@ func (v *Vector) SelfJoin() float64 {
 	return best
 }
 
-// Marshal encodes the vector dimensions and cells (8 bytes per cell).
+// Marshal encodes the vector dimensions and cells (8 bytes per cell) — what
+// a monitoring site would ship; the monitors charge its length.
 func (v *Vector) Marshal() []byte {
 	buf := make([]byte, 8+8*len(v.Cells))
 	binary.LittleEndian.PutUint32(buf[0:], uint32(v.D))
@@ -305,21 +249,4 @@ func (v *Vector) Marshal() []byte {
 		binary.LittleEndian.PutUint64(buf[8+8*i:], math.Float64bits(c))
 	}
 	return buf
-}
-
-// UnmarshalVector reconstructs a vector from Marshal output.
-func UnmarshalVector(b []byte) (*Vector, error) {
-	if len(b) < 8 {
-		return nil, errors.New("cm: truncated vector encoding")
-	}
-	d := int(binary.LittleEndian.Uint32(b[0:]))
-	w := int(binary.LittleEndian.Uint32(b[4:]))
-	if d <= 0 || w <= 0 || len(b) != 8+8*d*w {
-		return nil, fmt.Errorf("cm: corrupt vector encoding (d=%d w=%d len=%d)", d, w, len(b))
-	}
-	v := NewVector(d, w)
-	for i := range v.Cells {
-		v.Cells[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8+8*i:]))
-	}
-	return v, nil
 }

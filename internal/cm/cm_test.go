@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -181,40 +182,6 @@ func TestSelfJoin(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	s := mustSketch(t, Params{Epsilon: 0.1, Delta: 0.1, Seed: 21})
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 5000; i++ {
-		s.Add(uint64(rng.Intn(1000)), uint64(rng.Intn(3)+1))
-	}
-	dec, err := Unmarshal(s.Marshal())
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if !s.Compatible(dec) {
-		t.Fatal("decoded sketch incompatible with original")
-	}
-	for k := uint64(0); k < 1000; k++ {
-		if s.Estimate(k) != dec.Estimate(k) {
-			t.Fatalf("Estimate(%d) differs after round trip", k)
-		}
-	}
-	if dec.Count() != s.Count() {
-		t.Errorf("Count decoded=%d original=%d", dec.Count(), s.Count())
-	}
-}
-
-func TestUnmarshalTruncated(t *testing.T) {
-	s := mustSketch(t, Params{Epsilon: 0.1, Delta: 0.1})
-	s.Add(42, 7)
-	enc := s.Marshal()
-	for _, cut := range []int{0, 3, 10, len(enc) / 2} {
-		if _, err := Unmarshal(enc[:cut]); err == nil {
-			t.Errorf("Unmarshal accepted truncation to %d bytes", cut)
-		}
-	}
-}
-
 func TestResetAndMemory(t *testing.T) {
 	s := mustSketch(t, Params{Epsilon: 0.1, Delta: 0.1})
 	s.Add(1, 5)
@@ -255,9 +222,6 @@ func TestVectorOps(t *testing.T) {
 	v := NewVector(2, 3)
 	copy(v.Cells, []float64{1, 2, 3, 4, 5, 6})
 	o := v.Clone()
-	if !v.SameShape(o) {
-		t.Fatal("clone shape mismatch")
-	}
 	if got := v.Dist(o); got != 0 {
 		t.Errorf("Dist to clone = %v", got)
 	}
@@ -284,28 +248,19 @@ func TestVectorMarshalRoundTrip(t *testing.T) {
 	for i := range v.Cells {
 		v.Cells[i] = float64(i) * 1.5
 	}
-	dec, err := UnmarshalVector(v.Marshal())
-	if err != nil {
-		t.Fatalf("UnmarshalVector: %v", err)
+	// The package has no decoder (nothing in the tree receives a vector);
+	// read the layout back by hand: d, w, then 8 bytes per cell.
+	enc := v.Marshal()
+	if len(enc) != 8+8*len(v.Cells) {
+		t.Fatalf("encoding is %d bytes, want %d", len(enc), 8+8*len(v.Cells))
 	}
-	if dec.Dist(v) != 0 {
-		t.Error("vector changed across round trip")
+	if d, w := binary.LittleEndian.Uint32(enc[0:]), binary.LittleEndian.Uint32(enc[4:]); d != 3 || w != 5 {
+		t.Fatalf("encoded dimensions %dx%d, want 3x5", d, w)
 	}
-	if _, err := UnmarshalVector(v.Marshal()[:7]); err == nil {
-		t.Error("UnmarshalVector accepted truncated input")
-	}
-}
-
-func TestToVector(t *testing.T) {
-	s := mustSketch(t, Params{Width: 8, Depth: 2, Seed: 3})
-	s.Add(5, 10)
-	v := s.ToVector()
-	var sum float64
-	for _, c := range v.Cells {
-		sum += c
-	}
-	if sum != 20 { // 10 in each of 2 rows
-		t.Errorf("vector mass = %v, want 20", sum)
+	for i, c := range v.Cells {
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(enc[8+8*i:])); got != c {
+			t.Fatalf("cell %d changed across round trip: %v, want %v", i, got, c)
+		}
 	}
 }
 

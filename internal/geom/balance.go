@@ -52,7 +52,7 @@ func (m *Monitor) balance(v *Site, t Tick) bool {
 
 // drift computes a site's current drift vector u_i = e + Δv_i + slack_i.
 func (m *Monitor) drift(s *Site) *cm.Vector {
-	cur := s.sketch.ExtractVector(m.cfg.QueryRange)
+	cur := s.vector(m.cfg.QueryRange)
 	u := cur.Clone().Sub(s.lastSync).AddScaled(m.estimate, 1)
 	if s.slack != nil {
 		u.AddScaled(s.slack, 1)

@@ -50,18 +50,37 @@ type Stats struct {
 }
 
 // Site is one stream-observing node participating in the monitoring
-// protocol. It owns a local ECM-sketch, the current global estimate vector,
-// and its snapshot from the last synchronization.
+// protocol. It owns one local ECM-sketch per monitored stream (one, or two
+// under a PairMonitor) and its statistics vector from the last
+// synchronization.
 type Site struct {
 	id       int
-	sketch   *core.Sketch
+	sketches []*core.Sketch
 	lastSync *cm.Vector // v_i at the last synchronization
 	slack    *cm.Vector // zero-sum balancing adjustment, nil when unused
 	sinceChk int
 }
 
-// Sketch exposes the site's local sketch (e.g. to feed it externally).
-func (s *Site) Sketch() *core.Sketch { return s.sketch }
+// Sketch exposes the site's local sketch — its first stream's — e.g. to
+// feed it externally.
+func (s *Site) Sketch() *core.Sketch { return s.sketches[0] }
+
+// vector extracts the site's local statistics vector over the last r ticks:
+// the sketch's own for one stream, the concatenation [va ‖ vb] for two.
+func (s *Site) vector(r Tick) *cm.Vector {
+	v := s.sketches[0].ExtractVector(r)
+	if len(s.sketches) == 2 {
+		v = ConcatVectors(v, s.sketches[1].ExtractVector(r))
+	}
+	return v
+}
+
+// advance moves the window of every local sketch to tick t.
+func (s *Site) advance(t Tick) {
+	for _, sk := range s.sketches {
+		sk.Advance(t)
+	}
+}
 
 // ID reports the site index.
 func (s *Site) ID() int { return s.id }
@@ -78,11 +97,17 @@ type Monitor struct {
 
 // NewMonitor builds a deployment of n sites.
 func NewMonitor(cfg Config, n int) (*Monitor, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("geom: need at least one site, got %d", n)
-	}
 	if cfg.Function == nil {
 		return nil, errors.New("geom: Function must be set")
+	}
+	return newMonitor(cfg, n, 1)
+}
+
+// newMonitor builds a deployment of n sites observing the given number of
+// streams each.
+func newMonitor(cfg Config, n, streams int) (*Monitor, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("geom: need at least one site, got %d", n)
 	}
 	if cfg.QueryRange == 0 {
 		cfg.QueryRange = cfg.Sketch.WindowLength
@@ -92,11 +117,15 @@ func NewMonitor(cfg Config, n int) (*Monitor, error) {
 	}
 	m := &Monitor{cfg: cfg}
 	for i := 0; i < n; i++ {
-		sk, err := core.New(cfg.Sketch)
-		if err != nil {
-			return nil, fmt.Errorf("geom: site %d: %w", i, err)
+		s := &Site{id: i}
+		for st := 0; st < streams; st++ {
+			sk, err := core.New(cfg.Sketch)
+			if err != nil {
+				return nil, fmt.Errorf("geom: site %d stream %d: %w", i, st, err)
+			}
+			s.sketches = append(s.sketches, sk)
 		}
-		m.sites = append(m.sites, &Site{id: i, sketch: sk})
+		m.sites = append(m.sites, s)
 	}
 	// Initialize with an explicit synchronization so every site holds e.
 	m.synchronize(0)
@@ -117,11 +146,19 @@ func (m *Monitor) Estimate() *cm.Vector { return m.estimate.Clone() }
 // rule out a threshold crossing. It reports whether a synchronization
 // happened.
 func (m *Monitor) Update(idx int, key uint64, t Tick) (synced bool, err error) {
+	return m.update(idx, 0, key, t)
+}
+
+// update is Update for an arrival of the site's stream st.
+func (m *Monitor) update(idx, st int, key uint64, t Tick) (synced bool, err error) {
 	if idx < 0 || idx >= len(m.sites) {
 		return false, fmt.Errorf("geom: site %d out of range", idx)
 	}
 	s := m.sites[idx]
-	s.sketch.Add(key, t)
+	if st >= len(s.sketches) {
+		return false, errors.New("geom: unknown stream")
+	}
+	s.sketches[st].Add(key, t)
 	m.stats.Updates++
 	s.sinceChk++
 	if s.sinceChk < m.cfg.CheckEvery {
@@ -145,7 +182,7 @@ func (m *Monitor) Update(idx int, key uint64, t Tick) (synced bool, err error) {
 func (m *Monitor) Advance(t Tick) bool {
 	synced := false
 	for _, s := range m.sites {
-		s.sketch.Advance(t)
+		s.advance(t)
 	}
 	for _, s := range m.sites {
 		if !m.checkLocal(s, t) {
@@ -174,7 +211,7 @@ func (m *Monitor) synchronize(t Tick) {
 	n := len(m.sites)
 	var avg *cm.Vector
 	for _, s := range m.sites {
-		v := s.sketch.ExtractVector(m.cfg.QueryRange)
+		v := s.vector(m.cfg.QueryRange)
 		s.lastSync = v
 		m.stats.MessagesSent++
 		m.stats.BytesSent += len(v.Marshal())
@@ -206,8 +243,8 @@ func (m *Monitor) synchronize(t Tick) {
 func (m *Monitor) GlobalValue(t Tick) float64 {
 	var avg *cm.Vector
 	for _, s := range m.sites {
-		s.sketch.Advance(t)
-		v := s.sketch.ExtractVector(m.cfg.QueryRange)
+		s.advance(t)
+		v := s.vector(m.cfg.QueryRange)
 		if avg == nil {
 			avg = v
 		} else {
@@ -225,6 +262,6 @@ func (m *Monitor) NaiveSyncBytes() int {
 	if len(m.sites) == 0 {
 		return 0
 	}
-	vecBytes := len(m.sites[0].sketch.ExtractVector(m.cfg.QueryRange).Marshal())
+	vecBytes := len(m.sites[0].vector(m.cfg.QueryRange).Marshal())
 	return m.stats.Updates * vecBytes
 }

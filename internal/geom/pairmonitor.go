@@ -1,13 +1,5 @@
 package geom
 
-import (
-	"errors"
-	"fmt"
-
-	"ecmsketch/internal/cm"
-	"ecmsketch/internal/core"
-)
-
 // PairMonitor runs the geometric method over TWO streams observed at every
 // site, monitoring a function of the concatenated global vectors — in
 // particular the inner-product (join size) between the streams via
@@ -15,62 +7,27 @@ import (
 // paper leaves as ongoing work in Section 6.2.
 //
 // Each site keeps one ECM-sketch per stream; its local statistics vector is
-// [va ‖ vb]. Everything else — drift vectors, spheres, synchronizations —
-// is the standard protocol on the doubled vector space.
+// [va ‖ vb]. Everything else — drift vectors, spheres, balancing,
+// synchronizations — is Monitor's protocol on the doubled vector space.
 type PairMonitor struct {
-	cfg      Config
-	sites    []*PairSite
-	estimate *cm.Vector
-	stats    Stats
+	mon *Monitor
 }
-
-// PairSite is one node of a PairMonitor.
-type PairSite struct {
-	id       int
-	a, b     *core.Sketch
-	lastSync *cm.Vector
-	sinceChk int
-}
-
-// SketchA returns the site's first-stream sketch.
-func (s *PairSite) SketchA() *core.Sketch { return s.a }
-
-// SketchB returns the site's second-stream sketch.
-func (s *PairSite) SketchB() *core.Sketch { return s.b }
 
 // NewPairMonitor builds a two-stream deployment of n sites. cfg.Function
 // defaults to InnerProductFn when unset.
 func NewPairMonitor(cfg Config, n int) (*PairMonitor, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("geom: need at least one site, got %d", n)
-	}
 	if cfg.Function == nil {
 		cfg.Function = InnerProductFn{}
 	}
-	if cfg.QueryRange == 0 {
-		cfg.QueryRange = cfg.Sketch.WindowLength
+	mon, err := newMonitor(cfg, n, 2)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 1
-	}
-	m := &PairMonitor{cfg: cfg}
-	for i := 0; i < n; i++ {
-		a, err := core.New(cfg.Sketch)
-		if err != nil {
-			return nil, fmt.Errorf("geom: site %d stream a: %w", i, err)
-		}
-		b, err := core.New(cfg.Sketch)
-		if err != nil {
-			return nil, fmt.Errorf("geom: site %d stream b: %w", i, err)
-		}
-		m.sites = append(m.sites, &PairSite{id: i, a: a, b: b})
-	}
-	m.synchronize()
-	return m, nil
+	return &PairMonitor{mon: mon}, nil
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (m *PairMonitor) Stats() Stats { return m.stats }
+func (m *PairMonitor) Stats() Stats { return m.mon.Stats() }
 
 // Stream selects which of a site's streams an update belongs to.
 type Stream uint8
@@ -84,93 +41,15 @@ const (
 // Update feeds one arrival of stream st at site idx and runs the local
 // constraint check. It reports whether a synchronization happened.
 func (m *PairMonitor) Update(idx int, st Stream, key uint64, t Tick) (bool, error) {
-	if idx < 0 || idx >= len(m.sites) {
-		return false, fmt.Errorf("geom: site %d out of range", idx)
-	}
-	if st != StreamA && st != StreamB {
-		return false, errors.New("geom: unknown stream")
-	}
-	s := m.sites[idx]
-	if st == StreamA {
-		s.a.Add(key, t)
-	} else {
-		s.b.Add(key, t)
-	}
-	m.stats.Updates++
-	s.sinceChk++
-	if s.sinceChk < m.cfg.CheckEvery {
-		return false, nil
-	}
-	s.sinceChk = 0
-	if m.checkLocal(s) {
-		return false, nil
-	}
-	m.stats.Violations++
-	m.synchronize()
-	return true, nil
+	return m.mon.update(idx, int(st), key, t)
 }
 
-func (m *PairMonitor) extract(s *PairSite) *cm.Vector {
-	va := s.a.ExtractVector(m.cfg.QueryRange)
-	vb := s.b.ExtractVector(m.cfg.QueryRange)
-	return ConcatVectors(va, vb)
-}
-
-func (m *PairMonitor) checkLocal(s *PairSite) bool {
-	m.stats.LocalChecks++
-	cur := m.extract(s)
-	drift := cur.Clone().Sub(s.lastSync).AddScaled(m.estimate, 1)
-	center := m.estimate.Clone().AddScaled(drift, 1).Scale(0.5)
-	radius := m.estimate.Dist(drift) / 2
-	lo, hi := m.cfg.Function.BoundsOnBall(center, radius)
-	if m.stats.ThresholdAbove {
-		return lo > m.cfg.Threshold
-	}
-	return hi <= m.cfg.Threshold
-}
-
-func (m *PairMonitor) synchronize() {
-	n := len(m.sites)
-	var avg *cm.Vector
-	for _, s := range m.sites {
-		v := m.extract(s)
-		s.lastSync = v
-		m.stats.MessagesSent++
-		m.stats.BytesSent += len(v.Marshal())
-		if avg == nil {
-			avg = v.Clone()
-		} else {
-			avg.AddScaled(v, 1)
-		}
-	}
-	avg.Scale(1 / float64(n))
-	m.estimate = avg
-	m.stats.MessagesSent += n
-	m.stats.BytesSent += n * len(avg.Marshal())
-	m.stats.Syncs++
-	val := m.cfg.Function.Value(avg)
-	above := val > m.cfg.Threshold
-	if m.stats.Syncs > 1 && above != m.stats.ThresholdAbove {
-		m.stats.Crossings++
-	}
-	m.stats.ThresholdAbove = above
-	m.stats.FunctionValue = val
-}
+// Advance moves both windows of every site to tick t and re-checks
+// constraints, so a crossing caused by expiry alone is detected without
+// waiting for the next arrival. It reports whether a synchronization
+// happened.
+func (m *PairMonitor) Advance(t Tick) bool { return m.mon.Advance(t) }
 
 // GlobalValue computes the monitored function on the true average of the
 // concatenated site vectors, for verification.
-func (m *PairMonitor) GlobalValue(t Tick) float64 {
-	var avg *cm.Vector
-	for _, s := range m.sites {
-		s.a.Advance(t)
-		s.b.Advance(t)
-		v := m.extract(s)
-		if avg == nil {
-			avg = v
-		} else {
-			avg.AddScaled(v, 1)
-		}
-	}
-	avg.Scale(1 / float64(len(m.sites)))
-	return m.cfg.Function.Value(avg)
-}
+func (m *PairMonitor) GlobalValue(t Tick) float64 { return m.mon.GlobalValue(t) }

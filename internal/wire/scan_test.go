@@ -181,8 +181,10 @@ func FuzzParseQueryBody(f *testing.F) {
 	})
 }
 
-// TestEncodeEventsRoundTrip: what EncodeEvents writes, NextEvent reads back,
-// and the body fills exactly the capacity it was presized to.
+// TestEncodeEventsRoundTrip: what EncodeEvents writes, NextEvent reads back
+// (counts up to MaxEventCount — past it the reader refuses, see
+// TestNextEventCountCap), and the body fills exactly the capacity it was
+// presized to at any count.
 func TestEncodeEventsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	edge := []uint64{0, 1, 9, 10, 99, 100, 9999, 10000, 99999, 1<<53 + 1, 9999999999999999999, 10000000000000000000, math.MaxUint64}
@@ -194,6 +196,12 @@ func TestEncodeEventsRoundTrip(t *testing.T) {
 	}
 	for len(evs) < cap(evs) {
 		evs = append(evs, core.Event{Key: rng.Uint64(), Tick: 1 + rng.Uint64()>>uint(rng.Intn(64)), N: rng.Uint64() >> uint(rng.Intn(64))})
+	}
+	if body := EncodeEvents(evs); cap(body) != len(body) {
+		t.Fatalf("len %d cap %d: want an exact presize", len(body), cap(body))
+	}
+	for i := range evs {
+		evs[i].N %= MaxEventCount + 1
 	}
 	body := EncodeEvents(evs)
 	if cap(body) != len(body) {
@@ -211,6 +219,20 @@ func TestEncodeEventsRoundTrip(t *testing.T) {
 	}
 	if _, ok, err := s.NextEvent(); ok || err != nil {
 		t.Fatalf("past the last event: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestNextEventCountCap: an element may claim MaxEventCount arrivals and not
+// one more; the refusal names the element and leaves earlier ones readable.
+func TestNextEventCountCap(t *testing.T) {
+	body := EncodeEvents([]core.Event{{Key: 1, Tick: 1, N: MaxEventCount}, {Key: 2, Tick: 2, N: MaxEventCount + 1}})
+	s := NewScanner(bytes.NewReader(body))
+	defer s.Release()
+	if ev, ok, err := s.NextEvent(); err != nil || !ok || ev.N != MaxEventCount {
+		t.Fatalf("element at the cap: %+v ok=%v err=%v", ev, ok, err)
+	}
+	if _, ok, err := s.NextEvent(); ok || err == nil || !strings.Contains(err.Error(), "event 1") {
+		t.Fatalf("element over the cap: ok=%v err=%v, want an error naming event 1", ok, err)
 	}
 }
 

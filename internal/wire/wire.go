@@ -169,6 +169,14 @@ func RequireBearer(token string, next http.Handler) http.Handler {
 // parsed.
 const MaxQueryKeys = 4096
 
+// MaxEventCount bounds the arrival count one /v1/events element or
+// /v1/batch line may claim. Ingest costs one insert per unit of count under
+// the stripe lock, so an uncapped "n" lets a few well-formed bytes buy
+// unbounded work; a record claiming more is rejected with 400 like any other
+// bad record (clients with heavier keys split them across records). Library
+// callers are not capped.
+const MaxEventCount = 1 << 20
+
 // The two bounds a JSON request body is scanned under: no string token (a
 // key, a field name, a string inside an unknown field) may exceed
 // MaxStringToken bytes between its quotes, and the value of an unknown field
@@ -280,6 +288,9 @@ func (s *Scanner) item(last int) (key, t, n uint64, err error) {
 		err = errors.New("missing key or ikey")
 	default:
 		key = ikey
+	}
+	if err == nil && n > MaxEventCount {
+		err = fmt.Errorf("n %d: at most %d arrivals per event", n, MaxEventCount)
 	}
 	return key, t, n, err
 }

@@ -81,12 +81,8 @@ type Sharded struct {
 	// atomic pointer so SetNotifier is safe against in-flight ingest.
 	notifier atomic.Pointer[Notifier]
 
-	// refreshStop/refreshDone bracket the background view refresher's
-	// lifetime (nil when RefreshInterval is 0); closeOnce makes Close
-	// idempotent.
-	refreshStop chan struct{}
-	refreshDone chan struct{}
-	closeOnce   sync.Once
+	// closeOnce makes Close (and CloseAbrupt) idempotent.
+	closeOnce sync.Once
 
 	// async, when non-nil, is the per-stripe ingest pipeline (Async config);
 	// writers enqueue grouped sub-batches instead of taking stripe locks.
@@ -148,33 +144,20 @@ type ShardedConfig struct {
 	// previous view, so the worst-case staleness is MergeTTL plus one
 	// rebuild duration.
 	MergeTTL time.Duration
-	// RefreshInterval, when positive, starts a background goroutine that
-	// every interval rebuilds the merged view if any stripe mutated since
-	// the last build (regardless of MergeTTL), so the published view stays
-	// current and TTL-expired rebuilds stop landing on the tail latency of
-	// whichever reader happens to trip them. Set it at or below MergeTTL to
-	// keep readers on the lock-free fast path essentially always. Engines
-	// with a refresher hold a goroutine until Close is called; 0 (the
-	// default) keeps the previous reader-driven rebuild behavior and needs
-	// no Close.
-	RefreshInterval time.Duration
 	// Async moves ingest onto a per-stripe pipeline: every stripe gets an
-	// owner goroutine consuming a bounded queue of pre-grouped sub-batches,
-	// and writers only group, copy and enqueue — they never take stripe
-	// locks, so concurrent writers scale with stripes instead of contending
-	// on them. The trade is read-your-writes: a write is visible to queries,
-	// delta cursors and standing-query evaluation only once its stripe owner
-	// has applied it. Flush is the barrier — it returns after everything
-	// enqueued before the call is applied, and a read after Flush observes a
-	// consistent post-flush state. Async engines hold P goroutines until
-	// Close (which flushes, stops the owners, and reverts writes to the
-	// synchronous path). Off by default: zero-configuration engines keep
-	// strictly synchronous semantics.
+	// owner goroutine consuming a bounded queue of pre-grouped sub-batches
+	// (asyncQueueDepth deep; writers block when it is full), and writers only
+	// group, copy and enqueue — they never take stripe locks, so concurrent
+	// writers scale with stripes instead of contending on them. The trade is
+	// read-your-writes: a write is visible to queries, delta cursors and
+	// standing-query evaluation only once its stripe owner has applied it.
+	// Flush is the barrier — it returns after everything enqueued before the
+	// call is applied, and a read after Flush observes a consistent
+	// post-flush state. Async engines hold P goroutines until Close (which
+	// flushes, stops the owners, and reverts writes to the synchronous
+	// path). Off by default: zero-configuration engines keep strictly
+	// synchronous semantics.
 	Async bool
-	// AsyncQueue bounds each stripe's queue depth in sub-batches; writers
-	// block (backpressure) when a stripe's queue is full. 0 means 256.
-	// Ignored unless Async is set.
-	AsyncQueue int
 	// Durability, when non-nil, makes the engine's state survive restarts:
 	// construction recovers the persisted epoch, arena snapshots and WAL
 	// from the Store (or starts a fresh epoch when there is nothing usable),
@@ -185,6 +168,10 @@ type ShardedConfig struct {
 	// barrier that makes earlier writes both applied and fsynced.
 	Durability *DurabilityConfig
 }
+
+// asyncQueueDepth bounds each Async stripe queue, in sub-batches: the
+// backpressure point past which writers block on a slow owner.
+const asyncQueueDepth = 256
 
 // NewSharded builds a lock-striped engine of identically configured,
 // mergeable per-shard sketches.
@@ -221,101 +208,55 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		s.NormalizeCellSalts()
 		sh.shards[i].sk = s
 	}
-	if cfg.RefreshInterval < 0 {
-		return nil, fmt.Errorf("ecmsketch: RefreshInterval must be non-negative, got %v", cfg.RefreshInterval)
-	}
-	if cfg.AsyncQueue < 0 {
-		return nil, fmt.Errorf("ecmsketch: AsyncQueue must be non-negative, got %d", cfg.AsyncQueue)
-	}
 	if cfg.Durability != nil {
 		// Recovery must complete before any background goroutine can
-		// mutate the stripes, so it runs ahead of the async pipeline and
-		// refresher below.
+		// mutate the stripes, so it runs ahead of the async pipeline below.
 		if err := sh.initDurable(cfg.Durability); err != nil {
 			return nil, fmt.Errorf("ecmsketch: durability: %w", err)
 		}
 	}
 	if cfg.Async {
-		depth := cfg.AsyncQueue
-		if depth == 0 {
-			depth = 256
-		}
 		a := &asyncPipeline{on: true, qs: make([]chan stripeMsg, pow)}
 		sh.async = a
 		a.done.Add(pow)
 		for i := range a.qs {
-			a.qs[i] = make(chan stripeMsg, depth)
+			a.qs[i] = make(chan stripeMsg, asyncQueueDepth)
 			go sh.stripeOwner(i, a.qs[i])
 		}
-	}
-	if cfg.RefreshInterval > 0 {
-		sh.refreshStop = make(chan struct{})
-		sh.refreshDone = make(chan struct{})
-		go sh.refreshLoop(cfg.RefreshInterval)
 	}
 	return sh, nil
 }
 
-// refreshLoop is the background view refresher: every interval it rebuilds
-// the merged view if it has gone stale, off every reader's critical path.
-func (sh *Sharded) refreshLoop(interval time.Duration) {
-	defer close(sh.refreshDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-sh.refreshStop:
-			return
-		case <-t.C:
-			sh.refreshView()
-		}
-	}
-}
-
-// refreshView rebuilds the merged view if it is missing or behind the
-// stripes. Unlike reader-driven freshness (viewFresh), the refresher
-// deliberately ignores the TTL arm: its job is to keep the published view
-// at the latest stripe version so that readers' TTL never expires against
-// a stale view and the rebuild never lands on a reader's tail. It never
-// blocks behind a reader-driven rebuild (TryLock): if someone else is
-// already merging, the refresher's work is being done for it. Rebuild
-// errors are dropped — the next global query re-attempts and surfaces them.
-func (sh *Sharded) refreshView() {
-	if v := sh.view.Load(); v != nil && v.version == sh.versionSum() {
-		return
-	}
-	if !sh.rebuild.TryLock() {
-		return
-	}
-	defer sh.rebuild.Unlock()
-	if v := sh.view.Load(); v != nil && v.version == sh.versionSum() {
-		return
-	}
-	_, _ = sh.rebuildLocked()
-}
-
-// Close stops the engine's background goroutines: the view refresher, if
-// any, and — on Async engines — the per-stripe ingest owners, after
-// draining every queued write. On durable engines it then writes a final
-// checkpoint and shuts the WAL down synced, so a clean restart replays
-// nothing. It is idempotent and a no-op on engines built without any of
-// the three. The engine remains usable after Close; writes revert to the
+// Close stops the engine's background goroutines — on Async engines the
+// per-stripe ingest owners, after draining every queued write; on durable
+// engines the checkpoint and fsync loops — and then, on durable engines,
+// writes a final checkpoint and shuts the WAL down synced, so a clean
+// restart replays nothing. It is idempotent and a no-op on engines built
+// with neither. The engine remains usable after Close; writes revert to the
 // synchronous path (and, on durable engines, stop being persisted).
 func (sh *Sharded) Close() error {
 	var err error
 	sh.closeOnce.Do(func() {
-		if sh.async != nil {
-			sh.async.stop()
-		}
-		if sh.refreshStop != nil {
-			close(sh.refreshStop)
-			<-sh.refreshDone
-		}
+		sh.stopBackground()
 		if sh.dur != nil {
 			err = sh.closeDurable()
 		}
 	})
 	return err
+}
+
+// stopBackground halts every goroutine the engine started, waiting for each
+// to exit: the half of teardown Close and CloseAbrupt share. Queued async
+// writes are applied (and WAL-appended) before the owners exit.
+func (sh *Sharded) stopBackground() {
+	if sh.async != nil {
+		sh.async.stop()
+	}
+	if sh.dur != nil {
+		for _, stop := range sh.dur.stops {
+			stop()
+		}
+	}
 }
 
 // Shards reports the stripe count P.
@@ -324,8 +265,9 @@ func (sh *Sharded) Shards() int { return len(sh.shards) }
 // Params returns the per-shard sketch configuration.
 func (sh *Sharded) Params() Params { return sh.params }
 
-func (sh *Sharded) shardFor(key uint64) *shard {
-	return &sh.shards[hashing.Mix64(key)&sh.mask]
+// stripeOf routes key to the index of the stripe owning it.
+func (sh *Sharded) stripeOf(key uint64) int {
+	return int(hashing.Mix64(key) & sh.mask)
 }
 
 // observe raises the global high-water tick to t.
@@ -345,6 +287,45 @@ func (s *shard) noteMutation() {
 	s.count.Store(s.sk.Count())
 	s.deltaVer.Store(s.sk.DeltaVersion())
 	s.version.Add(1)
+}
+
+// applyStripe is the write path's one critical section: every arrival that
+// ever reaches stripe si — a single AddN, a one-stripe or striped batch, an
+// async owner's sub-batch — lands here. Under the stripe lock it applies
+// events through the stripe sketch's batch pipeline (whose validation is the
+// clamp: ticks 1-based and never behind the stripe clock, N = 0 a unit
+// arrival), appends the WAL record while the lock is still held — that is
+// what makes per-stripe WAL order equal apply order, and the record carries
+// the pre-apply clock so replay clamps identically — and publishes the
+// stripe's new state. It returns the stripe clock after the apply.
+func (sh *Sharded) applyStripe(si int, events []Event) (now Tick) {
+	s := &sh.shards[si]
+	s.mu.Lock()
+	pre := s.sk.Now()
+	s.sk.AddBatch(events)
+	if sh.dur != nil {
+		sh.logBatch(si, pre, s.sk.DeltaVersion(), events)
+	}
+	now = s.sk.Now()
+	s.noteMutation()
+	s.mu.Unlock()
+	return now
+}
+
+// advanceStripe is applyStripe's twin for a pure clock advance of stripe si.
+// Advances are logged per stripe, under each stripe's lock, so per-stripe
+// WAL order matches apply order even when a batch on another goroutine
+// interleaves with an engine-wide Advance. Read-path advances (lockSettled)
+// do not come through here: they log only when they drop content.
+func (sh *Sharded) advanceStripe(si int, t Tick) {
+	s := &sh.shards[si]
+	s.mu.Lock()
+	s.sk.Advance(t)
+	if sh.dur != nil {
+		sh.logAdvance(si, t)
+	}
+	s.noteMutation()
+	s.mu.Unlock()
 }
 
 // SetNotifier installs (or, with nil, removes) the change-note hook. Notes
@@ -378,39 +359,15 @@ func (sh *Sharded) CellIndices(key uint64, dst []int) []int {
 func (sh *Sharded) Add(key uint64, t Tick) { sh.AddN(key, t, 1) }
 
 // AddN registers n arrivals of key at tick t; n = 0 counts as a unit
-// arrival, the engine-wide Event contract (previously only the async and
-// batch paths normalized it, so sync and async disagreed on n = 0).
+// arrival, the engine-wide Event contract. It is a one-event batch on the
+// key's stripe, clamped against that stripe's clock (see Ingestor).
 func (sh *Sharded) AddN(key uint64, t Tick, n uint64) {
-	if n == 0 {
-		n = 1
-	}
+	sh.observe(t)
 	if sh.async != nil && sh.addNAsync(key, t, n) {
 		return
 	}
-	sh.observe(t)
-	si := int(hashing.Mix64(key) & sh.mask)
-	s := &sh.shards[si]
-	s.mu.Lock()
-	pre := s.sk.Now()
-	// Apply the batch clamping contract (see Ingestor): ticks are 1-based
-	// and never behind the engine clock. The async path already normalizes
-	// (it routes through AddBatch); clamping here keeps sync ingest
-	// identical — and makes the logged record replay to the same state,
-	// since a below-clock tick would otherwise resolve against per-cell
-	// clocks the WAL cannot reconstruct.
-	if t < pre {
-		t = pre
-	}
-	if t == 0 {
-		t = 1
-	}
-	s.sk.AddN(key, t, n)
-	if sh.dur != nil {
-		one := [1]Event{{Key: key, Tick: t, N: n}}
-		sh.logBatch(si, pre, s.sk.DeltaVersion(), one[:])
-	}
-	s.noteMutation()
-	s.mu.Unlock()
+	one := [1]Event{{Key: key, Tick: t, N: n}}
+	sh.applyStripe(sh.stripeOf(key), one[:])
 	if nt := sh.loadNotifier(); nt != nil {
 		nt.NoteKey(key)
 	}
@@ -443,53 +400,22 @@ func (sh *Sharded) AddBatch(events []Event) {
 	if len(sh.shards) == 1 {
 		// The lone stripe's sketch clock tracks the engine clock exactly, so
 		// its own batch validation is the engine-level one.
-		s := &sh.shards[0]
-		s.mu.Lock()
-		pre := s.sk.Now()
-		s.sk.AddBatch(events)
-		if sh.dur != nil {
-			sh.logBatch(0, pre, s.sk.DeltaVersion(), events)
+		sh.observe(sh.applyStripe(0, events))
+	} else {
+		// Gather each stripe's chain into one scratch sub-batch and hand it
+		// to the sketch's own batch pipeline (row-major arena sweep for EH),
+		// so striping does not forfeit the devirtualized hot path. The
+		// engine-level ticks are already clamped, so the per-sketch
+		// validation is a no-op pass over an in-order sequence.
+		sc := batchScratchPool.Get().(*shardedBatchScratch)
+		sh.groupByStripe(sc, events)
+		for si := range sh.shards {
+			if sc.heads[si] >= 0 {
+				sc.sub = sc.gather(sc.sub[:0], events, si) // retains any growth for the next stripe
+				sh.applyStripe(si, sc.sub)
+			}
 		}
-		maxTick := s.sk.Now()
-		s.noteMutation()
-		s.mu.Unlock()
-		sh.observe(maxTick)
-		if nt := sh.loadNotifier(); nt != nil {
-			nt.NoteEvents(events)
-		}
-		return
-	}
-	sc := batchScratchPool.Get().(*shardedBatchScratch)
-	defer batchScratchPool.Put(sc)
-	sh.groupByStripe(sc, events)
-	// Gather each stripe's chain into one scratch sub-batch and hand it to
-	// the sketch's own batch pipeline (row-major arena sweep for EH), so
-	// striping does not forfeit the devirtualized hot path. The engine-level
-	// ticks are already clamped, so the per-sketch validation is a no-op
-	// pass over an in-order sequence.
-	for si := range sh.shards {
-		i := sc.heads[si]
-		if i < 0 {
-			continue
-		}
-		sub := sc.sub[:0]
-		for ; i >= 0; i = sc.next[i] {
-			ev := events[i]
-			ev.Tick = sc.ticks[i]
-			sub = append(sub, ev)
-		}
-		s := &sh.shards[si]
-		s.mu.Lock()
-		pre := s.sk.Now()
-		s.sk.AddBatch(sub)
-		if sh.dur != nil {
-			// sub carries the engine-clamped ticks, so the record replays
-			// through the same per-sketch fast path it was applied on.
-			sh.logBatch(si, pre, s.sk.DeltaVersion(), sub)
-		}
-		s.noteMutation()
-		s.mu.Unlock()
-		sc.sub = sub[:0] // retain any growth for the next stripe
+		batchScratchPool.Put(sc)
 	}
 	if nt := sh.loadNotifier(); nt != nil {
 		nt.NoteEvents(events)
@@ -539,6 +465,17 @@ type shardedBatchScratch struct {
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(shardedBatchScratch) }}
+
+// gather appends stripe si's chain of events, under their clamped ticks, to
+// dst.
+func (sc *shardedBatchScratch) gather(dst, events []Event, si int) []Event {
+	for i := sc.heads[si]; i >= 0; i = sc.next[i] {
+		ev := events[i]
+		ev.Tick = sc.ticks[i]
+		dst = append(dst, ev)
+	}
+	return dst
+}
 
 func (sc *shardedBatchScratch) resize(stripes, events int) {
 	if cap(sc.heads) < stripes {
@@ -617,39 +554,51 @@ func (a *asyncPipeline) stop() {
 	a.done.Wait()
 }
 
+// enter takes the lifecycle gate for one enqueue; the caller releases it
+// with a.mu.RUnlock. It reports false — gate not held — when the pipeline
+// is stopped (Close raced the call): the caller falls back to the
+// synchronous path.
+func (a *asyncPipeline) enter() bool {
+	a.mu.RLock()
+	if a.on {
+		return true
+	}
+	a.mu.RUnlock()
+	return false
+}
+
+// broadcast enqueues m on every stripe queue, ordered behind everything
+// enqueued before it. Reports false when the pipeline is stopped.
+func (a *asyncPipeline) broadcast(m stripeMsg) bool {
+	if !a.enter() {
+		return false
+	}
+	for _, q := range a.qs {
+		q <- m
+	}
+	a.mu.RUnlock()
+	return true
+}
+
 // stripeOwner is stripe i's single mutator in async mode: it applies
 // queued sub-batches under the stripe lock (uncontended by other writers —
 // only queries and snapshots ever share it) and delivers change notes from
 // its own goroutine.
 func (sh *Sharded) stripeOwner(i int, q chan stripeMsg) {
 	defer sh.async.done.Done()
-	s := &sh.shards[i]
 	for m := range q {
 		switch {
 		case m.flush != nil:
 			m.flush.Done()
 		case m.adv != nil:
-			s.mu.Lock()
-			s.sk.Advance(m.adv.t)
-			if sh.dur != nil {
-				sh.logAdvance(i, m.adv.t)
-			}
-			s.noteMutation()
-			s.mu.Unlock()
+			sh.advanceStripe(i, m.adv.t)
 			if m.adv.pending.Add(-1) == 0 {
 				if nt := sh.loadNotifier(); nt != nil {
 					nt.NoteAdvance()
 				}
 			}
 		default:
-			s.mu.Lock()
-			pre := s.sk.Now()
-			s.sk.AddBatch(m.events)
-			if sh.dur != nil {
-				sh.logBatch(i, pre, s.sk.DeltaVersion(), m.events)
-			}
-			s.noteMutation()
-			s.mu.Unlock()
+			sh.applyStripe(i, m.events)
 			if nt := sh.loadNotifier(); nt != nil {
 				nt.NoteEvents(m.events)
 			}
@@ -659,29 +608,18 @@ func (sh *Sharded) stripeOwner(i int, q chan stripeMsg) {
 }
 
 // addBatchAsync groups events per stripe and enqueues one copied sub-batch
-// per touched stripe. Reports false when the pipeline is stopped (Close
-// raced the call) so the caller falls back to the synchronous path.
+// per touched stripe. Reports false when the pipeline is stopped.
 func (sh *Sharded) addBatchAsync(events []Event) bool {
 	a := sh.async
-	a.mu.RLock()
-	if !a.on {
-		a.mu.RUnlock()
+	if !a.enter() {
 		return false
 	}
 	sc := batchScratchPool.Get().(*shardedBatchScratch)
 	sh.groupByStripe(sc, events)
 	for si := range sh.shards {
-		i := sc.heads[si]
-		if i < 0 {
-			continue
+		if sc.heads[si] >= 0 {
+			a.qs[si] <- stripeMsg{events: sc.gather(a.getBuf(), events, si)}
 		}
-		buf := a.getBuf()
-		for ; i >= 0; i = sc.next[i] {
-			ev := events[i]
-			ev.Tick = sc.ticks[i]
-			buf = append(buf, ev)
-		}
-		a.qs[si] <- stripeMsg{events: buf}
 	}
 	batchScratchPool.Put(sc)
 	a.mu.RUnlock()
@@ -692,34 +630,10 @@ func (sh *Sharded) addBatchAsync(events []Event) bool {
 // when the pipeline is stopped.
 func (sh *Sharded) addNAsync(key uint64, t Tick, n uint64) bool {
 	a := sh.async
-	a.mu.RLock()
-	if !a.on {
-		a.mu.RUnlock()
+	if !a.enter() {
 		return false
 	}
-	sh.observe(t)
-	buf := append(a.getBuf(), Event{Key: key, Tick: t, N: n})
-	a.qs[hashing.Mix64(key)&sh.mask] <- stripeMsg{events: buf}
-	a.mu.RUnlock()
-	return true
-}
-
-// advanceAsync fans an Advance out to every stripe queue, keeping it
-// ordered behind previously enqueued batches. Reports false when the
-// pipeline is stopped.
-func (sh *Sharded) advanceAsync(t Tick) bool {
-	a := sh.async
-	a.mu.RLock()
-	if !a.on {
-		a.mu.RUnlock()
-		return false
-	}
-	sh.observe(t)
-	adv := &advanceMsg{t: t}
-	adv.pending.Store(int32(len(a.qs)))
-	for _, q := range a.qs {
-		q <- stripeMsg{adv: adv}
-	}
+	a.qs[sh.stripeOf(key)] <- stripeMsg{events: append(a.getBuf(), Event{Key: key, Tick: t, N: n})}
 	a.mu.RUnlock()
 	return true
 }
@@ -732,19 +646,11 @@ func (sh *Sharded) advanceAsync(t Tick) bool {
 // engines Flush additionally fsyncs the WAL, making everything it covers
 // durable regardless of SyncInterval.
 func (sh *Sharded) Flush() {
-	a := sh.async
-	if a != nil {
-		a.mu.RLock()
-		if a.on {
-			var wg sync.WaitGroup
-			wg.Add(len(a.qs))
-			for _, q := range a.qs {
-				q <- stripeMsg{flush: &wg}
-			}
-			a.mu.RUnlock()
-			wg.Wait()
-		} else {
-			a.mu.RUnlock()
+	if a := sh.async; a != nil {
+		var applied sync.WaitGroup
+		applied.Add(len(a.qs))
+		if a.broadcast(stripeMsg{flush: &applied}) {
+			applied.Wait()
 		}
 	}
 	if sh.dur != nil {
@@ -752,27 +658,20 @@ func (sh *Sharded) Flush() {
 	}
 }
 
-// Advance moves the window clock of every stripe forward.
+// Advance moves the window clock of every stripe forward. On an Async
+// engine the advance is fanned out to every stripe queue, so it stays
+// ordered behind previously enqueued batches.
 func (sh *Sharded) Advance(t Tick) {
-	if sh.async != nil && sh.advanceAsync(t) {
-		return
-	}
 	sh.observe(t)
-	for i := range sh.shards {
-		s := &sh.shards[i]
-		s.mu.Lock()
-		s.sk.Advance(t)
-		if sh.dur != nil {
-			// Advances are logged per stripe, under each stripe's lock, so
-			// per-stripe WAL order matches apply order even when a batch on
-			// another goroutine interleaves with this loop. Read-path
-			// advances (Estimate settling a stripe) are deliberately not
-			// logged: they are pure expiry, and batch records replay the
-			// expiry frontier they established via their pre-apply clock.
-			sh.logAdvance(i, t)
+	if a := sh.async; a != nil {
+		adv := &advanceMsg{t: t}
+		adv.pending.Store(int32(len(a.qs)))
+		if a.broadcast(stripeMsg{adv: adv}) {
+			return
 		}
-		s.noteMutation()
-		s.mu.Unlock()
+	}
+	for i := range sh.shards {
+		sh.advanceStripe(i, t)
 	}
 	if nt := sh.loadNotifier(); nt != nil {
 		nt.NoteAdvance()
@@ -785,15 +684,21 @@ func (sh *Sharded) Advance(t Tick) {
 // expiry matches a single-sketch deployment. For multi-key reads, or when
 // the answers must come from one consistent cut, use QueryBatch.
 func (sh *Sharded) Estimate(key uint64, r Tick) float64 {
-	now := sh.now.Load()
-	si := int(hashing.Mix64(key) & sh.mask)
+	s := sh.lockSettled(sh.stripeOf(key), sh.now.Load())
+	defer s.mu.Unlock()
+	return s.sk.Estimate(key, r)
+}
+
+// lockSettled is the read side's one stripe accessor: it returns stripe si
+// locked and advanced to the engine clock now, so a point read expires what
+// a single-sketch deployment would have. The caller unlocks.
+func (sh *Sharded) lockSettled(si int, now Tick) *shard {
 	s := &sh.shards[si]
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if now > s.sk.Now() {
 		sh.settleStripe(si, now)
 	}
-	return s.sk.Estimate(key, r)
+	return s
 }
 
 // EstimateString answers a point query for a string key.
@@ -804,14 +709,8 @@ func (sh *Sharded) EstimateString(key string, r Tick) float64 {
 // EstimateInterval answers a point query over the tick interval (from, to],
 // again from the single stripe owning the key.
 func (sh *Sharded) EstimateInterval(key uint64, from, to Tick) float64 {
-	now := sh.now.Load()
-	si := int(hashing.Mix64(key) & sh.mask)
-	s := &sh.shards[si]
-	s.mu.Lock()
+	s := sh.lockSettled(sh.stripeOf(key), sh.now.Load())
 	defer s.mu.Unlock()
-	if now > s.sk.Now() {
-		sh.settleStripe(si, now)
-	}
 	return s.sk.EstimateInterval(key, from, to)
 }
 
@@ -893,18 +792,14 @@ func (sh *Sharded) QueryDirect(q QueryBatch) (QueryResult, error) {
 	// taken once for all its keys, like ingest's grouped batches.
 	perStripe := make([][]int, len(sh.shards))
 	for i, key := range q.Keys {
-		si := int(hashing.Mix64(key) & sh.mask)
+		si := sh.stripeOf(key)
 		perStripe[si] = append(perStripe[si], i)
 	}
 	for si, idxs := range perStripe {
 		if len(idxs) == 0 {
 			continue
 		}
-		s := &sh.shards[si]
-		s.mu.Lock()
-		if now > s.sk.Now() {
-			sh.settleStripe(si, now)
-		}
+		s := sh.lockSettled(si, now)
 		for _, i := range idxs {
 			res.Estimates[i] = s.sk.Estimate(q.Keys[i], r)
 		}

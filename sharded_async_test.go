@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 func asyncTestParams() Params {
@@ -67,7 +68,7 @@ func TestShardedAsyncEquivalence(t *testing.T) {
 // TestShardedAsyncFlushBarrier: everything enqueued before Flush is
 // visible to reads after it.
 func TestShardedAsyncFlushBarrier(t *testing.T) {
-	eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 2, Async: true, AsyncQueue: 4})
+	eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 2, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +112,52 @@ func TestShardedAsyncCloseReverts(t *testing.T) {
 	}
 }
 
+// TestShardedCloseIdempotent pins Close semantics on the engine with the
+// most to tear down — async owners, both durable loops, a WAL: repeated
+// closes (of either kind, in either order) are no-ops, a closed engine keeps
+// answering and accepting writes, and an engine with nothing to stop needs
+// no Close but tolerates one.
+func TestShardedCloseIdempotent(t *testing.T) {
+	for _, abruptFirst := range []bool{false, true} {
+		sh, err := NewSharded(ShardedConfig{
+			Params: asyncTestParams(), Shards: 2, Async: true,
+			Durability: &DurabilityConfig{Store: NewMemStore(), SnapshotInterval: time.Millisecond, SyncInterval: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.Add(1, 10)
+		first, second := sh.Close, sh.CloseAbrupt
+		if abruptFirst {
+			first, second = second, first
+		}
+		for _, c := range []func() error{first, first, second} {
+			if err := c(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sh.Add(1, 11)
+		if got := sh.Estimate(1, 1000); got != 2 {
+			t.Errorf("abruptFirst=%v: estimate after Close = %v, want 2", abruptFirst, got)
+		}
+	}
+
+	plain, err := NewSharded(ShardedConfig{Params: asyncTestParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Close(); err != nil {
+		t.Errorf("Close on an engine with no background work: %v", err)
+	}
+}
+
 // TestShardedAsyncStress exercises the full concurrent surface of an async
 // engine at once — writers, point readers, global-view readers, delta
 // pullers and a standing-query registry fed from the owner goroutines —
 // and then checks final consistency after the last Flush. CI runs this
 // under -race; the assertions here are the non-timing ones.
 func TestShardedAsyncStress(t *testing.T) {
-	eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 4, Async: true, AsyncQueue: 16})
+	eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}

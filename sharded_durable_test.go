@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ecmsketch/internal/durable"
 )
 
 // feedDurableWorkload drives one deterministic mixed workload — batches with
@@ -346,6 +348,52 @@ func TestDurableTornWALTail(t *testing.T) {
 		t.Fatalf("epoch changed: %x want %x", b.epoch, epoch)
 	}
 	settleAndCompare(t, b, ref)
+}
+
+// TestDurableWALGapDiscardsWholeRestore forces the failure that arrives
+// latest in recovery: a well-formed WAL record, behind records that replay
+// cleanly, whose version does not continue the restored state. Nothing of
+// the half-replayed restore may survive — the engine starts a fresh epoch
+// over stripes byte-identical to a brand-new engine's.
+func TestDurableWALGapDiscardsWholeRestore(t *testing.T) {
+	p := parallelShardedParams(AlgoRW)
+	store := NewMemStore()
+	mk := func(dc *DurabilityConfig) *Sharded {
+		sh, err := NewSharded(ShardedConfig{Params: p, Shards: 2, Durability: dc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh
+	}
+	a := mk(&DurabilityConfig{Store: store})
+	feedDurableWorkload(a, 3)
+	a.Flush()
+	epoch, ver := a.epoch, a.shards[0].sk.DeltaVersion()
+	a.CloseAbrupt()
+
+	log, err := store.OpenLog(durWALName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := durable.AppendRecord(nil, &durable.Record{
+		Kind: durable.RecordBatch, Part: 0, Tick: a.Now(), Ver: ver + 1000, Events: []Event{{Key: 1, Tick: a.Now()}},
+	})
+	if err := durable.NewWAL(log).Append(forged, true); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+
+	b := mk(&DurabilityConfig{Store: store})
+	defer b.Close()
+	if st := b.DurabilityStats(); st.Recovered || st.ReplayedRecords == 0 {
+		t.Fatalf("want a restore abandoned after replaying records, got %+v", st)
+	}
+	if b.epoch == epoch {
+		t.Fatal("abandoned restore must mint a fresh epoch")
+	}
+	fresh := mk(nil)
+	defer fresh.Close()
+	requireSameStripes(t, "abandoned restore", b, fresh)
 }
 
 // TestDurableCorruptSnapshotDiscardsToFreshEpoch flips one byte of the
