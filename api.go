@@ -57,9 +57,8 @@ type Ingestor interface {
 // block (the StandingRegistry evaluates under one mutex and hands delivery
 // to bounded queues).
 type Notifier interface {
-	// NoteKey notes one touched key (single-event ingest).
-	NoteKey(key uint64)
-	// NoteEvents notes a landed batch; the slice must not be retained.
+	// NoteEvents notes a landed batch (a one-event batch for single-event
+	// ingest); the slice must not be retained.
 	NoteEvents(events []Event)
 	// NoteAdvance notes a pure clock advance (expiry only, no arrivals).
 	NoteAdvance()
@@ -142,10 +141,6 @@ type DirectQuerier interface {
 // Unmarshal/Merge, and a decoded independent copy. A Sharded engine and a
 // remote Client synthesize their snapshot by merging (resp. fetching) on
 // demand, so Snapshot can be more expensive than on a plain Sketch.
-//
-// Every Snapshotter is also a valid in-process coordinator site: wrap it
-// with NewLocalSite and a Coordinator will aggregate its snapshots with
-// those of other sites — local or networked — over one shared merge path.
 type Snapshotter interface {
 	// Marshal serializes the (merged) sketch state.
 	Marshal() []byte
@@ -187,8 +182,13 @@ type DeltaState = core.DeltaState
 //
 // The returned cursor names the state the payload brings the puller to and
 // is what the puller presents next time. Payloads are applied with
-// DeltaState. Implemented by Sketch, SafeSketch, Sharded and the remote
-// ecmclient.Client (which forwards to GET /v1/snapshot?since=).
+// DeltaState. Implemented by Sketch, SafeSketch, Sharded, Coordinator and
+// the remote ecmclient.Client (which forwards to GET /v1/snapshot?since=).
+//
+// Every DeltaSnapshotter is also a valid in-process coordinator site: wrap
+// it with NewLocalSite and a Coordinator will pull it, full or
+// incrementally, through the one receiver path it pulls every other site —
+// local or networked — through.
 type DeltaSnapshotter interface {
 	DeltaSnapshot(since Cursor) (payload []byte, cursor Cursor, full bool, err error)
 }
@@ -223,11 +223,6 @@ var (
 	_ DirectQuerier = (*Sketch)(nil)
 	_ DirectQuerier = (*SafeSketch)(nil)
 	_ DirectQuerier = (*Sharded)(nil)
-
-	// Every local front end can serve as an in-process coordinator site.
-	_ SnapshotSource = (*Sketch)(nil)
-	_ SnapshotSource = (*SafeSketch)(nil)
-	_ SnapshotSource = (*Sharded)(nil)
 
 	// A coordinator is a read-side front end over its merged root.
 	_ BatchQuerier     = (*Coordinator)(nil)

@@ -19,18 +19,20 @@ import (
 // the same event log.
 type Cluster = coord.Cluster
 
-// Site is one summary source behind a coordinator transport: it produces a
-// frozen snapshot of a site's stream — full (Snapshot) or incremental
-// against a cursor (Delta) — plus the wire size shipping it costs, measured
-// at the transport boundary. NewLocalSite adapts any in-process engine;
-// NewHTTPSite pulls a remote ecmserve deployment.
+// Site is one summary source behind a coordinator transport: Delta answers a
+// cursor with a protocol payload — a full baseline for the zero cursor,
+// otherwise what changed since — plus the wire size shipping it costs,
+// measured at the transport boundary. NewLocalSite adapts any in-process
+// front end; NewHTTPSite pulls a remote ecmserve deployment.
 type Site = coord.Site
 
 // Coordinator aggregates a set of sites' summaries — in-process, networked,
 // or a mix — into one sketch of the combined stream, with the paper's
-// balanced-binary-tree accounting. SetDeltaPulls(true) switches its pulls
-// to the cursor-based incremental protocol (per-site retained baselines,
-// transparent full-pull fallback on any cursor invalidation). After a
+// balanced-binary-tree accounting. Every pull lands in a per-site receiver
+// state (DeltaState): by default the coordinator presents the zero cursor
+// and each site ships its full summary; SetDeltaPulls(true) presents the
+// held cursor instead, so sites ship only what changed (transparent
+// full-pull fallback on any cursor invalidation). After a
 // Refresh it is also a read-side front end — BatchQuerier, DirectQuerier,
 // Snapshotter, DeltaSnapshotter over a frozen clone of its merged root —
 // which is how ecmserver serves one; see cmd/ecmcoord for the deployable
@@ -41,19 +43,15 @@ type Coordinator = coord.Coordinator
 // successful Refresh: there is no merged view to answer from yet.
 var ErrNotReady = coord.ErrNotReady
 
-// SnapshotSource is what an in-process coordinator site needs from its
-// engine: Sketch, SafeSketch, Sharded and ecmclient.Client all satisfy it
-// (it is the snapshot half of the Snapshotter interface).
-type SnapshotSource = coord.SnapshotSource
-
 // NewCoordinator builds a coordinator over the given sites with fresh
 // network accounting.
 func NewCoordinator(sites ...Site) *Coordinator { return coord.New(sites...) }
 
-// NewLocalSite adapts an in-process engine as a coordinator site named
-// name. Its snapshots are arena clones (no marshal+decode round trip) and
-// its transfers are charged at the exact wire size the encoding would have.
-func NewLocalSite(name string, src SnapshotSource) Site { return coord.NewLocalSite(name, src) }
+// NewLocalSite adapts an in-process front end — Sketch, SafeSketch,
+// Sharded, a Coordinator, an ecmclient.Client — as a coordinator site named
+// name. Its transfers are the payloads src.DeltaSnapshot encodes, charged
+// at their length.
+func NewLocalSite(name string, src DeltaSnapshotter) Site { return coord.NewLocalSite(name, src) }
 
 // NewHTTPSite builds a coordinator site pulling GET /v1/snapshot from the
 // ecmserve deployment at baseURL. A nil client uses the shared pull client

@@ -339,8 +339,8 @@ func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 // time. A reply without a cursor is taken as a plain full snapshot with a
 // zero cursor, so the pull loop keeps asking for full. It completes the
 // ecmsketch.DeltaSnapshotter contract (and with it ecmsketch.Engine), so a
-// Client plugs into any pull loop — including coordinator sites — exactly
-// like a local engine.
+// Client plugs into any pull loop exactly like a local engine: wrapped in
+// NewLocalSite, it is a coordinator site.
 func (c *Client) DeltaSnapshot(since ecmsketch.Cursor) ([]byte, ecmsketch.Cursor, bool, error) {
 	rep, err := wire.FetchSnapshot(c.hc, c.base+"/v1/snapshot?since="+url.QueryEscape(since.String()), c.token)
 	if err != nil {
@@ -501,9 +501,7 @@ func (c *Client) Marshal() []byte {
 }
 
 // Snapshot pulls and decodes the server's merged sketch — ready to query
-// locally or Merge with other sites' summaries, and the client half of the
-// coordinator transport: a Client wrapped in NewLocalSite aggregates like
-// any other engine.
+// locally or Merge with other sites' summaries.
 func (c *Client) Snapshot() (*ecmsketch.Sketch, error) {
 	raw, err := c.FetchSnapshotBytes()
 	if err != nil {

@@ -653,8 +653,7 @@ func (s *Server) writeSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot is the coordinator pull route, in two modes:
 //
 // Without ?since=, GET /v1/snapshot ships the full merged view (see
-// writeSnapshot), the payload the transport layer (coord.HTTPSite,
-// ecmclient.Snapshot) decodes.
+// writeSnapshot), the payload ecmclient.Snapshot decodes.
 //
 // With ?since=<cursor>, the reply follows the delta protocol: an
 // incremental payload holding only the stripes/cells whose version moved

@@ -4,37 +4,36 @@
 // them bottom-up over a balanced binary tree (the topology of Section 7.3)
 // with the order-preserving merge ⊕.
 //
-// The Site interface is the transport seam. Two implementations ship:
+// The Site interface is the transport seam, and it moves a summary one way:
+// Delta, the cursor-based snapshot protocol. Two implementations ship:
 //
-//   - LocalSite wraps any in-process snapshot source (a *core.Sketch, the
-//     sharded engine, anything with Snapshot). Its "transfer" is an arena
-//     clone — Sketch.Snapshot / EHBank.Clone, three slab memcpys — so the
-//     simulated cluster pays no marshal+decode round trip on the merge
-//     path. The wire size it reports is the length of the encoding
-//     shipping the summary would send.
-//   - HTTPSite pulls GET /v1/snapshot from an ecmserver deployment and
-//     decodes the payload; the wire size it reports is the payload length
-//     actually transferred.
+//   - LocalSite wraps any in-process front end with DeltaSnapshot (a
+//     *core.Sketch, the sharded engine, a child Coordinator). Its transfer
+//     is the payload the front end encodes, and the size it reports is that
+//     payload's length.
+//   - HTTPSite pulls GET /v1/snapshot?since= from an ecmserver deployment;
+//     the size it reports is the payload length actually transferred.
 //
-// Both transports feed one merge path, Coordinator.AggregateTree, so a
-// simulation and a networked deployment of the same event log produce
-// bit-identical merged summaries and identical Network accounting: sizes
-// are measured at the transport boundary, and the tree model charges one
-// message per aggregation edge regardless of how the leaves arrived.
+// Every pull lands in the member's receiver state (core.DeltaState): Apply,
+// then MaterializeShared. The coordinator's aggregation shapes
+// (AggregateTree, Refresh) merge from there, so a simulation and a
+// networked deployment of the same event log produce bit-identical merged
+// summaries and identical Network accounting: sizes are measured at the
+// transport boundary, and the tree model charges one message per
+// aggregation edge regardless of how the leaves arrived.
 //
-// # Delta pulls
+// # Full and delta pulls
 //
-// Re-pulling a site every interval ships its whole summary even when almost
-// nothing changed. With SetDeltaPulls(true) the coordinator switches to the
-// cursor-based incremental protocol: it retains per-site receiver state
-// (core.DeltaState), presents each site the cursor from the previous pull,
-// and applies the delta the site answers with — only the stripes and cells
-// whose version moved cross the transport, and the leaf charge in the
-// Network accounting is the actual delta payload size. Any cursor
+// A full pull is the protocol's own baseline: the coordinator presents the
+// zero cursor and the site answers with its whole summary. That is every
+// pull by default. With SetDeltaPulls(true) the coordinator instead
+// presents the cursor from the member's previous pull, and the site answers
+// with only the stripes and cells whose version moved; the leaf charge in
+// the Network accounting is the actual delta payload size. Any cursor
 // invalidation — site restart, parameter change, stale or torn payload —
 // makes the coordinator transparently re-pull a full baseline from that
-// site; a delta-pulling coordinator's merged result stays byte-identical to
-// a full-pulling one's at every pull.
+// site. Both modes run one receiver path, so a delta-pulling coordinator's
+// merged result is byte-identical to a full-pulling one's at every pull.
 package coord
 
 import (
@@ -72,92 +71,52 @@ func (n *Network) Bytes() int64 { return n.bytes.Load() }
 // Messages reports the number of messages sent.
 func (n *Network) Messages() int64 { return n.messages.Load() }
 
-// Site is one summary source behind a transport. Snapshot returns a frozen,
-// independently owned sketch of the site's stream — safe to merge, query or
-// mutate without affecting the site — plus the wire size shipping that
-// summary costs, measured at the transport boundary (actual payload bytes
-// for networked sites, the exact would-be encoding size for in-process
-// ones). Delta is the incremental counterpart: raw protocol payloads the
-// coordinator's per-site DeltaState applies, with the size again measured
-// at the transport boundary (for networked sites that is the compressed
-// transfer when gzip was negotiated).
+// Site is one summary source behind a transport. Delta answers a cursor
+// with a raw protocol payload the coordinator's per-site DeltaState
+// applies — a full baseline for the zero cursor or any cursor the site does
+// not recognize, an incremental delta otherwise — plus the wire size that
+// transfer costs, measured at the transport boundary: the protocol payload
+// length, identical across transports for the same summary.
 type Site interface {
 	// Name identifies the site in errors and accounting.
 	Name() string
-	// Snapshot fetches the site's current summary and its transfer size.
-	Snapshot() (*core.Sketch, int, error)
 	// Delta fetches the site's update since a cursor: the payload, the
 	// cursor it brings the puller to, whether the payload is a full
-	// baseline, and the transfer size. Sites that cannot produce deltas
-	// (plain snapshot sources) answer every cursor with a full payload and
-	// a zero cursor.
+	// baseline, and the transfer size. A site that does not speak cursors
+	// answers every cursor with a full payload and a zero cursor.
 	Delta(since core.Cursor) (payload []byte, cur core.Cursor, full bool, size int, err error)
 }
 
-// SnapshotSource is the fragment of the engine contract an in-process site
-// needs: *core.Sketch, the sharded engine and every other local front end
-// satisfy it.
-type SnapshotSource interface {
-	Snapshot() (*core.Sketch, error)
-}
-
-// DeltaSnapshotSource is the optional incremental half of an in-process
-// site's engine contract; every front end of the public API satisfies it.
-// A LocalSite over a source without it degrades to full payloads per pull.
+// DeltaSnapshotSource is the engine contract an in-process site needs:
+// *core.Sketch, the sharded engine, a Coordinator and every other front end
+// of the public API satisfy it.
 type DeltaSnapshotSource interface {
 	DeltaSnapshot(since core.Cursor) ([]byte, core.Cursor, bool, error)
 }
 
-// LocalSite adapts an in-process snapshot source as a coordinator site.
+// LocalSite adapts an in-process front end as a coordinator site.
 type LocalSite struct {
 	name string
-	src  SnapshotSource
+	src  DeltaSnapshotSource
 }
 
 // NewLocalSite wraps src as a site named name.
-func NewLocalSite(name string, src SnapshotSource) *LocalSite {
+func NewLocalSite(name string, src DeltaSnapshotSource) *LocalSite {
 	return &LocalSite{name: name, src: src}
 }
 
 // Name identifies the site.
 func (s *LocalSite) Name() string { return s.name }
 
-// Snapshot clones the source's current state (an arena copy on the default
-// exponential-histogram engine), settles it to its own clock — the
-// protocol-wide convention, so in-process and decoded-from-the-wire
-// summaries carry one expiry frontier — and reports the wire size shipping
-// the summary would cost: the length of its encoding.
-func (s *LocalSite) Snapshot() (*core.Sketch, int, error) {
-	snap, err := s.src.Snapshot()
-	if err != nil {
-		return nil, 0, err
-	}
-	snap.Advance(snap.Now())
-	return snap, len(snap.Marshal()), nil
-}
-
-// Delta answers an incremental pull from the source's own DeltaSnapshot
-// when it has one; sources without incremental support ship a full settled
-// encoding on every pull (with a zero cursor, so the puller keeps asking
-// for full). Unlike full Snapshot transfers, delta transfers materialize
-// real payload bytes even in-process: the receiver state applies payloads,
-// and both transports exercising identical payloads is what the
-// cross-transport equivalence tests pin.
+// Delta answers a pull from the source's own DeltaSnapshot. The payload is
+// real bytes even in-process: both transports hand the receiver identical
+// payloads, which is what the cross-transport equivalence tests pin.
 func (s *LocalSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, error) {
-	if ds, ok := s.src.(DeltaSnapshotSource); ok {
-		payload, cur, full, err := ds.DeltaSnapshot(since)
-		if err != nil {
-			return nil, core.Cursor{}, false, 0, err
-		}
-		return payload, cur, full, len(payload), nil
-	}
-	snap, err := s.src.Snapshot()
+	payload, cur, full, err := s.src.DeltaSnapshot(since)
 	if err != nil {
 		return nil, core.Cursor{}, false, 0, err
 	}
-	snap.Advance(snap.Now())
-	enc := snap.Marshal()
-	return enc, core.Cursor{}, true, len(enc), nil
+	return payload, cur, full, len(payload), nil
 }
 
 // HTTPSite pulls summaries from an ecmserver deployment over HTTP.
@@ -204,32 +163,17 @@ func (s *HTTPSite) SetName(name string) {
 // empty token sends no header. Configure before the first pull.
 func (s *HTTPSite) SetAuthToken(tok string) { s.token = tok }
 
-// Snapshot pulls the site's frozen merged view: GET /v1/snapshot (offering
-// gzip).
+// Delta pulls GET /v1/snapshot?since=<cursor> (offering gzip). A
+// delta-speaking server answers with an incremental payload (or a full
+// baseline when it does not recognize the cursor) plus X-Ecm-Cursor/
+// X-Ecm-Delta headers; a reply without a cursor is taken as a full payload,
+// so the puller keeps asking for full.
 //
 // The reported size is the protocol payload length: the figure the paper's
 // transfer accounting charges, identical to what the in-process transport
 // reports for the same summary. Negotiated compression shrinks the link
 // bytes below that figure but deliberately does not enter the accounting —
 // otherwise the two transports of the same event log would stop agreeing.
-func (s *HTTPSite) Snapshot() (*core.Sketch, int, error) {
-	rep, err := wire.FetchSnapshot(s.hc, s.base+"/v1/snapshot", s.token)
-	if err != nil {
-		return nil, 0, err
-	}
-	sk, err := core.Unmarshal(rep.Payload)
-	if err != nil {
-		return nil, 0, fmt.Errorf("decoding snapshot (%d bytes): %w", len(rep.Payload), err)
-	}
-	return sk, len(rep.Payload), nil
-}
-
-// Delta pulls GET /v1/snapshot?since=<cursor>. A delta-speaking server
-// answers with an incremental payload (or a full baseline when it does not
-// recognize the cursor) plus X-Ecm-Cursor/X-Ecm-Delta headers; a reply
-// without a cursor is taken as a full payload, so the puller keeps asking
-// for full. The reported size is the protocol payload length (see Snapshot
-// for why negotiated compression stays out of accounting).
 func (s *HTTPSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, error) {
 	rep, err := wire.FetchSnapshot(s.hc, s.base+"/v1/snapshot?since="+url.QueryEscape(since.String()), s.token)
 	if err != nil {
@@ -247,9 +191,9 @@ func (s *HTTPSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, err
 
 // Coordinator aggregates a dynamic set of sites' summaries into one sketch
 // of the combined stream. It is safe for concurrent use: pull rounds
-// (AggregateTree, AggregateFlat, Refresh) serialize on an internal lock,
-// membership calls and root queries interleave freely with them, and the
-// per-site receiver states carry their own locks.
+// (AggregateTree, Refresh) serialize on an internal lock, membership calls
+// and root queries interleave freely with them, and the per-site receiver
+// states carry their own locks.
 type Coordinator struct {
 	net *Network
 
@@ -259,9 +203,10 @@ type Coordinator struct {
 	// single-site tree ships nothing. Bandwidth monitoring wants this one.
 	pulled atomic.Int64
 
-	// delta switches pulls to the cursor-based incremental protocol;
-	// resilient switches site failures from round-fatal to health-managed
-	// (retained baselines keep serving, flapping sites back off).
+	// delta makes pulls present each member's held cursor instead of the
+	// zero one; resilient switches site failures from round-fatal to
+	// health-managed (retained baselines keep serving, flapping sites back
+	// off).
 	delta     bool
 	resilient bool
 
@@ -323,12 +268,11 @@ func New(sites ...Site) *Coordinator {
 }
 
 // SetDeltaPulls toggles cursor-based incremental pulls (see the package
-// comment). Off, every pull fetches full summaries — the pre-delta
-// behavior. On, the coordinator retains per-site baselines, presents
-// cursors, applies deltas, and transparently re-baselines with a full pull
-// whenever a site invalidates its cursor. Configure before the first pull;
-// toggling does not drop retained baselines (delta→full→delta keeps the
-// cursors, which the next delta pull revalidates against the sites anyway).
+// comment). Off, every pull presents the zero cursor and so fetches a full
+// baseline. On, the coordinator presents each member's held cursor, applies
+// the delta, and transparently re-baselines with a full pull whenever a
+// site invalidates its cursor. Either way the per-site receiver states keep
+// the last summary between rounds. Configure before the first pull.
 func (c *Coordinator) SetDeltaPulls(on bool) { c.delta = on }
 
 // SetResilient switches site-failure handling from round-fatal (any failed
@@ -340,9 +284,10 @@ func (c *Coordinator) SetDeltaPulls(on bool) { c.delta = on }
 func (c *Coordinator) SetResilient(on bool) { c.resilient = on }
 
 // DeltaPulls and FullPulls report how many per-site pulls were answered
-// incrementally vs with a full baseline since construction (delta mode
-// only). A healthy steady state shows full pulls only at bootstrap and
-// after site restarts.
+// incrementally vs with a full baseline since construction. A healthy
+// delta-pulling steady state shows full pulls only at bootstrap and after
+// site restarts; a full-pulling coordinator counts one full pull per site
+// per round.
 func (c *Coordinator) DeltaPulls() uint64 { return c.deltaPulls.Load() }
 func (c *Coordinator) FullPulls() uint64  { return c.fullPulls.Load() }
 
@@ -368,7 +313,7 @@ func (c *Coordinator) Network() *Network { return c.net }
 func (c *Coordinator) PulledBytes() int64 { return c.pulled.Load() }
 
 // noteChanged records moved cells from one site pull. all marks the whole
-// summary changed (full baselines, non-delta pulls, wave engines).
+// summary changed (full baselines).
 func (c *Coordinator) noteChanged(cells []int, all bool) {
 	c.changedMu.Lock()
 	defer c.changedMu.Unlock()
@@ -384,9 +329,9 @@ func (c *Coordinator) noteChanged(cells []int, all bool) {
 
 // TakeChangedCells returns the union of cell indices replaced across all
 // sites since the previous call, clearing the accumulator. all == true means
-// "treat everything as changed" — reported after full baselines, non-delta
-// pulls, or when the set outgrew its bound. The slice may contain duplicates
-// and is owned by the caller. Serving coordinators hand the result to
+// "treat everything as changed" — reported after full baselines or when the
+// set outgrew its bound. The slice may contain duplicates and is owned by
+// the caller. Serving coordinators hand the result to
 // StandingRegistry.RefreshTarget after each refresh.
 func (c *Coordinator) TakeChangedCells() (cells []int, all bool) {
 	c.changedMu.Lock()
@@ -399,7 +344,6 @@ func (c *Coordinator) TakeChangedCells() (cells []int, all bool) {
 // pullOutcome is one member's contribution to a pull round.
 type pullOutcome struct {
 	part  *core.Sketch // nil when the member is excluded this round
-	owned bool         // part is an independent clone, valid past release
 	size  int          // payload bytes fetched this round
 	stale bool         // served from the retained baseline without contact
 	cells []int        // merged-view cells this pull replaced
@@ -408,8 +352,8 @@ type pullOutcome struct {
 }
 
 // roundResult is one pull round's members, outcomes, and the release that
-// unlocks every member's receiver state (and the round lock). Parts that
-// are not owned alias the receiver baselines and must not outlive release.
+// unlocks every member's receiver state (and the round lock). Parts alias
+// the receiver baselines and must not outlive release.
 type roundResult struct {
 	round   uint64
 	members []*member
@@ -478,15 +422,7 @@ func (c *Coordinator) pullMemberLocked(m *member, round uint64) pullOutcome {
 	if c.resilient && m.backedOff(round) {
 		return c.staleOutcome(m)
 	}
-	var o pullOutcome
-	if c.delta {
-		o = c.pullDeltaLocked(m)
-	} else {
-		part, size, err := m.site.Snapshot()
-		// A full pull carries no cell-granular change information:
-		// everything may have moved.
-		o = pullOutcome{part: part, owned: true, size: size, all: true, err: err}
-	}
+	o := c.pullDeltaLocked(m)
 	if o.err == nil {
 		m.noteSuccess()
 		c.noteChanged(o.cells, o.all)
@@ -496,8 +432,7 @@ func (c *Coordinator) pullMemberLocked(m *member, round uint64) pullOutcome {
 	if !c.resilient {
 		return o
 	}
-	o = c.staleOutcome(m)
-	return o
+	return c.staleOutcome(m)
 }
 
 // staleOutcome serves a member from its retained baseline — the previous
@@ -511,22 +446,29 @@ func (c *Coordinator) staleOutcome(m *member) pullOutcome {
 	return pullOutcome{}
 }
 
-// pullDeltaLocked performs one incremental pull of a member: present the
-// held cursor, apply what comes back, and materialize the site's summary
-// from the retained baseline. When the application fails — the site
-// restarted, the cursor went stale, the payload arrived torn — the receiver
-// state has already dropped its baseline, and the coordinator transparently
-// re-pulls a full baseline in the same round; both transfers are charged.
-// The merged result is byte-identical to what a full pull would have
-// fetched.
+// pullDeltaLocked performs one pull of a member: present a cursor — the
+// held one in delta mode, the zero one otherwise — apply what comes back,
+// and materialize the site's summary from the retained baseline. When a
+// delta fails to apply — the site restarted, the cursor went stale, the
+// payload arrived torn — the receiver state has already dropped its
+// baseline, and the coordinator transparently re-pulls a full baseline in
+// the same round; both transfers are charged. A failed full baseline is not
+// re-pulled, so a full pull stays one transfer per site per round.
 func (c *Coordinator) pullDeltaLocked(m *member) pullOutcome {
 	ds := &m.st.ds
-	payload, cur, full, size, err := m.site.Delta(ds.Cursor())
+	var since core.Cursor
+	if c.delta {
+		since = ds.Cursor()
+	}
+	payload, cur, full, size, err := m.site.Delta(since)
 	if err != nil {
 		return pullOutcome{err: err}
 	}
 	total := size
 	if applyErr := ds.Apply(payload, cur, full); applyErr != nil {
+		if since.IsZero() {
+			return pullOutcome{err: applyErr}
+		}
 		payload, cur, full, size, err = m.site.Delta(core.Cursor{})
 		total += size
 		if err != nil {
@@ -554,9 +496,8 @@ func (c *Coordinator) pullDeltaLocked(m *member) pullOutcome {
 
 // foldOutcomes turns a round's outcomes into mergeable parts plus their
 // leaf transfer sizes: strict mode surfaces the first site error; resilient
-// mode drops excluded members. clone makes shared parts independent of the
-// receiver states, for results that must outlive the round's release.
-func (c *Coordinator) foldOutcomes(r roundResult, clone bool) ([]*core.Sketch, []int, error) {
+// mode drops excluded members.
+func (c *Coordinator) foldOutcomes(r roundResult) ([]*core.Sketch, []int, error) {
 	if len(r.members) == 0 {
 		return nil, nil, errors.New("coord: no sites to aggregate")
 	}
@@ -572,15 +513,7 @@ func (c *Coordinator) foldOutcomes(r roundResult, clone bool) ([]*core.Sketch, [
 		if o.part == nil {
 			continue
 		}
-		p := o.part
-		if clone && !o.owned {
-			var err error
-			if p, err = p.Snapshot(); err != nil {
-				return nil, nil, fmt.Errorf("coord: site %s: cloning retained baseline: %w",
-					r.members[i].site.Name(), err)
-			}
-		}
-		parts = append(parts, p)
+		parts = append(parts, o.part)
 		sizes = append(sizes, o.size)
 		names = append(names, r.members[i].site.Name())
 	}
@@ -600,19 +533,22 @@ func (c *Coordinator) foldOutcomes(r roundResult, clone bool) ([]*core.Sketch, [
 // balanced binary tree of height ⌈log₂ n⌉, as in the paper's distributed
 // experiments: all sites are leaves; each aggregation edge ships the
 // child's summary (charged to the Network at the size the transport
-// reported — the exact encoding size for in-process sites, the transferred
-// payload for networked ones), and each internal node merges its children
+// reported: the payload length), and each internal node merges its children
 // with the order-preserving ⊕. An odd node out is promoted to the next
 // level, its summary still traveling one hop upward. The root sketch
 // summarizing the union stream is returned with the tree height.
 func (c *Coordinator) AggregateTree() (*core.Sketch, int, error) {
 	r := c.pullRound()
 	defer r.release()
-	// Parts are cloned out of the shared receiver baselines because a
-	// single-leaf tree returns the leaf itself as the root.
-	level, lsz, err := c.foldOutcomes(r, true)
+	level, lsz, err := c.foldOutcomes(r)
 	if err != nil {
 		return nil, 0, err
+	}
+	if len(level) == 1 {
+		// A single-leaf tree returns the leaf itself, which aliases the
+		// receiver baseline: the caller gets a clone.
+		root, err := level[0].Snapshot()
+		return root, 0, err
 	}
 	height := 0
 	// Internal-node sizes are computed lazily (sentinel -1) at the moment

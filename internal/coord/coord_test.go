@@ -97,8 +97,7 @@ type errSite struct {
 	err  error
 }
 
-func (s errSite) Name() string                         { return s.name }
-func (s errSite) Snapshot() (*core.Sketch, int, error) { return nil, 0, s.err }
+func (s errSite) Name() string { return s.name }
 func (s errSite) Delta(core.Cursor) ([]byte, core.Cursor, bool, int, error) {
 	return nil, core.Cursor{}, false, 0, s.err
 }
@@ -166,7 +165,7 @@ func TestCoordinatorFailureModes(t *testing.T) {
 				t.Cleanup(srv.Close)
 				return []coord.Site{coord.NewHTTPSite(srv.URL, nil)}
 			},
-			wantSub: "decoding snapshot",
+			wantSub: "core: truncated sketch encoding",
 		},
 		{
 			name: "http garbage payload",
@@ -175,7 +174,7 @@ func TestCoordinatorFailureModes(t *testing.T) {
 				t.Cleanup(srv.Close)
 				return []coord.Site{coord.NewHTTPSite(srv.URL, nil)}
 			},
-			wantSub: "decoding snapshot",
+			wantSub: "core: unknown snapshot tag 0x6e",
 		},
 		{
 			name: "http mismatched params",

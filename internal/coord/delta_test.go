@@ -133,7 +133,7 @@ func serveEngineOver(eng *ecmsketch.Sharded) http.Handler {
 	return srv
 }
 
-// restartableSrc is an in-process snapshot source whose engine can be
+// restartableSrc is an in-process delta source whose engine can be
 // swapped, simulating a site restart (fresh epoch, same or different
 // configuration).
 type restartableSrc struct {
@@ -151,7 +151,6 @@ func (s *restartableSrc) swap(e *ecmsketch.Sharded) {
 	defer s.mu.Unlock()
 	s.eng = e
 }
-func (s *restartableSrc) Snapshot() (*ecmsketch.Sketch, error) { return s.get().Snapshot() }
 func (s *restartableSrc) DeltaSnapshot(c core.Cursor) ([]byte, core.Cursor, bool, error) {
 	return s.get().DeltaSnapshot(c)
 }
@@ -164,7 +163,6 @@ type tearingSrc struct {
 	tore bool
 }
 
-func (s *tearingSrc) Snapshot() (*ecmsketch.Sketch, error) { return s.eng.Snapshot() }
 func (s *tearingSrc) DeltaSnapshot(c core.Cursor) ([]byte, core.Cursor, bool, error) {
 	payload, cur, full, err := s.eng.DeltaSnapshot(c)
 	if err == nil && !full && s.arm && !s.tore {
@@ -374,4 +372,95 @@ func TestDeltaFailureModes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFullAndDeltaPullsAgree pins the one pull path: a full-pulling and a
+// delta-pulling coordinator over the same sites — a plain sketch, a one- and
+// a four-stripe engine and a child coordinator, each in process and over
+// HTTP — hold byte-identical roots after every Refresh, for every synopsis,
+// while the stream slides more than three windows past. The full-pulling
+// one presents the zero cursor every round: exactly one full pull per site
+// per round, and no deltas.
+func TestFullAndDeltaPullsAgree(t *testing.T) {
+	const window, ticksPerRound, rounds = 256, 32, 28 // 3.5 windows
+	for _, algo := range []ecmsketch.Algorithm{ecmsketch.AlgoEH, ecmsketch.AlgoDW, ecmsketch.AlgoRW} {
+		t.Run(algo.String(), func(t *testing.T) {
+			p := ecmsketch.Params{Epsilon: 0.25, Delta: 0.25, Algorithm: algo,
+				WindowLength: window, UpperBound: 1 << 12, Seed: 17}
+			sharded := func(stripes int) *ecmsketch.Sharded {
+				eng, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: stripes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng
+			}
+			var leaves []ecmsketch.Ingestor
+			var children []*coord.Coordinator
+			var sites []coord.Site
+			for _, transport := range []string{"local", "http"} {
+				plain, err := core.New(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, four, childLeaf := sharded(1), sharded(4), sharded(2)
+				child := coord.New(coord.NewLocalSite("leaf", childLeaf))
+				child.SetDeltaPulls(true)
+				leaves = append(leaves, plain, one, four, childLeaf)
+				children = append(children, child)
+				for _, src := range []struct {
+					name string
+					src  ecmserver.Source
+				}{{"sketch", plain}, {"stripes-1", one}, {"stripes-4", four}, {"child", child}} {
+					name := transport + "-" + src.name
+					if transport == "local" {
+						sites = append(sites, coord.NewLocalSite(name, src.src))
+						continue
+					}
+					srv, err := ecmserver.NewOver(ecmserver.Config{WindowLength: window}, src.src, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ts := httptest.NewServer(srv)
+					t.Cleanup(ts.Close)
+					site := coord.NewHTTPSite(ts.URL, nil)
+					site.SetName(name)
+					sites = append(sites, site)
+				}
+			}
+			full, delta := coord.New(sites...), coord.New(sites...)
+			delta.SetDeltaPulls(true)
+
+			tick := uint64(0)
+			for round := 0; round < rounds; round++ {
+				for range ticksPerRound {
+					tick++
+					for i, leaf := range leaves {
+						leaf.AddBatch([]ecmsketch.Event{
+							{Key: (tick*7 + uint64(i)) % 61, Tick: tick},
+							{Key: uint64(100 + i), Tick: tick},
+						})
+					}
+				}
+				for _, child := range children {
+					if err := child.Refresh(); err != nil {
+						t.Fatalf("round %d: child refresh: %v", round, err)
+					}
+				}
+				for _, co := range []*coord.Coordinator{full, delta} {
+					if err := co.Refresh(); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+				}
+				if !bytes.Equal(full.Marshal(), delta.Marshal()) {
+					t.Fatalf("round %d (tick %d): full-pull root differs from delta-pull root", round, tick)
+				}
+			}
+			if got, want := full.FullPulls(), uint64(rounds*len(sites)); got != want || full.DeltaPulls() != 0 {
+				t.Fatalf("full-pull coordinator: %d full, %d delta pulls; want %d full, 0 delta", got, full.DeltaPulls(), want)
+			}
+			if delta.DeltaPulls() == 0 {
+				t.Fatal("delta-pull coordinator never pulled a delta")
+			}
+		})
+	}
 }

@@ -5,16 +5,16 @@ package coord
 // every interval. Each round pulls the sites (delta pulls, normally),
 // collects the union of merged-view cells the deltas replaced, and patches
 // exactly those cells of the root with core.PatchMerged — whose output is
-// pinned byte-identical to a from-scratch flat merge (AggregateFlat) over
-// the same parts. Sites with zero changed cells contribute nothing but
-// their retained baseline to the replay, and cost nothing beyond it.
+// pinned byte-identical to a from-scratch flat merge (core.Merge) over the
+// same parts. Sites with zero changed cells contribute nothing but their
+// retained baseline to the replay, and cost nothing beyond it.
 //
 // Because the root is a long-lived sketch patched through ordinary arrival
 // mutations, its cell versions move exactly like a leaf engine's — so the
 // coordinator can serve the cursor-based delta protocol upward from the
-// root (Snapshot / DeltaSnapshot satisfy the same source contracts leaf
-// engines do), and stacked coordinators pull deltas from coordinators the
-// way coordinators pull deltas from sites.
+// root (DeltaSnapshot satisfies the same source contract leaf engines do),
+// and stacked coordinators pull deltas from coordinators the way
+// coordinators pull deltas from sites.
 //
 // Queries never touch the live root: they read a frozen clone of it (View),
 // the Sharded engine's merged-view discipline one level up, which makes a
@@ -65,7 +65,7 @@ type RefreshStats struct {
 func (c *Coordinator) Refresh() error {
 	r := c.pullRound()
 	defer r.release()
-	parts, _, err := c.foldOutcomes(r, false)
+	parts, _, err := c.foldOutcomes(r)
 	if err != nil {
 		return err
 	}
@@ -228,10 +228,7 @@ func (c *Coordinator) Marshal() []byte {
 	return v.Marshal()
 }
 
-// Snapshot returns an independent clone of the frozen view. It satisfies
-// the same SnapshotSource contract leaf engines do, so a coordinator nests
-// under a parent coordinator via NewLocalSite — the in-process form of a
-// coordinator hierarchy.
+// Snapshot returns an independent clone of the frozen view.
 func (c *Coordinator) Snapshot() (*core.Sketch, error) {
 	v, err := c.View()
 	if err != nil {
@@ -244,8 +241,10 @@ func (c *Coordinator) Snapshot() (*core.Sketch, error) {
 // merged root: a parent presenting the cursor from its previous pull
 // receives only the root cells Refresh re-derived since — in steady state a
 // small fraction of the merged view — and any unrecognized cursor receives
-// a full baseline. Satisfies DeltaSnapshotSource, so stacked coordinators
-// pull deltas through the exact receiver path they use against leaves.
+// a full baseline. Satisfies DeltaSnapshotSource, so a coordinator nests
+// under a parent via NewLocalSite — the in-process form of a coordinator
+// hierarchy — and stacked coordinators pull through the exact receiver path
+// they use against leaves.
 func (c *Coordinator) DeltaSnapshot(since core.Cursor) ([]byte, core.Cursor, bool, error) {
 	c.rootMu.Lock()
 	defer c.rootMu.Unlock()
@@ -253,36 +252,4 @@ func (c *Coordinator) DeltaSnapshot(since core.Cursor) ([]byte, core.Cursor, boo
 		return nil, core.Cursor{}, false, ErrNotReady
 	}
 	return c.root.DeltaSnapshot(since)
-}
-
-// AggregateFlat pulls every site and merges the summaries with one flat
-// n-way ⊕ — the aggregation shape Refresh maintains incrementally, returned
-// from scratch. Its result is byte-identical to the root Refresh maintains
-// over the same parts (the equivalence the incremental tests pin). Leaf
-// transfers are charged to the Network; the flat shape has no internal
-// edges, so the returned height is 1 (0 for a single site, as in the tree
-// model).
-func (c *Coordinator) AggregateFlat() (*core.Sketch, int, error) {
-	r := c.pullRound()
-	defer r.release()
-	parts, sizes, err := c.foldOutcomes(r, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := range parts {
-		if sizes[i] > 0 {
-			c.net.Charge(sizes[i])
-		}
-	}
-	// Merging under the round's locks: the shared parts stay pinned until
-	// release, and Merge allocates its own output.
-	root, err := core.Merge(parts...)
-	if err != nil {
-		return nil, 0, fmt.Errorf("coord: %w", err)
-	}
-	height := 1
-	if len(parts) == 1 {
-		height = 0
-	}
-	return root, height, nil
 }

@@ -15,20 +15,32 @@ import (
 	"ecmsketch/internal/core"
 )
 
-// flatOver builds a stateless full-pull coordinator over the same engines
-// and returns its from-scratch flat merge — the reference the incremental
-// root must stay byte-identical to.
-func flatOver(t *testing.T, engines []*ecmsketch.Sharded) *core.Sketch {
+// flatMerge is the reference an incremental root must stay byte-identical
+// to: one from-scratch flat ⊕ over the settled parts.
+func flatMerge(t *testing.T, parts ...*core.Sketch) *core.Sketch {
 	t.Helper()
-	sites := make([]coord.Site, len(engines))
-	for i, eng := range engines {
-		sites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
+	for _, p := range parts {
+		p.Advance(p.Now())
 	}
-	root, _, err := coord.New(sites...).AggregateFlat()
+	root, err := core.Merge(parts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return root
+}
+
+// flatOver is flatMerge over the engines' current snapshots.
+func flatOver(t *testing.T, engines []*ecmsketch.Sharded) *core.Sketch {
+	t.Helper()
+	parts := make([]*core.Sketch, len(engines))
+	for i, eng := range engines {
+		snap, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = snap
+	}
+	return flatMerge(t, parts...)
 }
 
 // TestRefreshBitIdenticalToFlatMerge is the tentpole equivalence at the
@@ -105,8 +117,8 @@ func TestStackedCoordinatorDeltaServing(t *testing.T) {
 		for i, eng := range engines {
 			leafSites[i] = coord.NewLocalSite(fmt.Sprintf("leaf-%d", i), eng)
 		}
-		// Each child satisfies SnapshotSource + DeltaSnapshotSource, so it
-		// nests under a parent like any engine.
+		// Each child satisfies DeltaSnapshotSource, so it nests under a
+		// parent like any engine.
 		var children []*coord.Coordinator
 		var childSites []coord.Site
 		for i := 0; i < leaves; i += 3 {
@@ -146,18 +158,11 @@ func TestStackedCoordinatorDeltaServing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			freshSites := make([]coord.Site, len(children))
+			mids := make([]*core.Sketch, len(children))
 			for i := range children {
-				mid, _, err := coord.New(leafSites[3*i : 3*i+3]...).AggregateFlat()
-				if err != nil {
-					t.Fatal(err)
-				}
-				freshSites[i] = coord.NewLocalSite(childSites[i].Name(), mid)
+				mids[i] = flatOver(t, engines[3*i:3*i+3])
 			}
-			want, _, err := coord.New(freshSites...).AggregateFlat()
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := flatMerge(t, mids...)
 			if !bytes.Equal(parentRoot.Marshal(), want.Marshal()) {
 				t.Fatalf("%d leaves round %d: parent root differs from a fresh full-pull tree", leaves, round)
 			}
@@ -190,13 +195,6 @@ func (s *faultSite) state() (down, tear bool) {
 }
 
 func (s *faultSite) Name() string { return s.inner.Name() }
-
-func (s *faultSite) Snapshot() (*core.Sketch, int, error) {
-	if down, _ := s.state(); down {
-		return nil, 0, fmt.Errorf("site %s: connection refused", s.Name())
-	}
-	return s.inner.Snapshot()
-}
 
 func (s *faultSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, error) {
 	down, tear := s.state()
@@ -604,14 +602,7 @@ func TestRefreshSurvivesExpiry(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The reference pulls full baselines through the same protocol:
-				// a fresh coordinator has no cursors to present.
-				ref := coord.New(sites...)
-				ref.SetDeltaPulls(true)
-				want, _, err := ref.AggregateFlat()
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := flatOver(t, engines)
 				if !bytes.Equal(got.Marshal(), want.Marshal()) {
 					t.Fatalf("tick %d: patched root differs from from-scratch flat merge", tick)
 				}

@@ -386,8 +386,8 @@ type DeltaState struct {
 	// to standing-query evaluation. Cell positions are geometry-relative
 	// (width·depth·seed), identical across parts and the merged summary.
 	// changedAll stands in for the whole index space when cell granularity
-	// is unavailable: full baselines, whole-part replacements, or an
-	// accumulation past maxTrackedCells.
+	// is unavailable: full baselines or an accumulation past
+	// maxTrackedCells.
 	changed    []int
 	changedAll bool
 
@@ -418,8 +418,8 @@ func noteInto(cells *[]int, all *bool, idx int) {
 
 // TakeChangedCells returns and clears the cell indices changed by applies
 // since the previous call. all reports that cell granularity was lost
-// (full baseline, whole-part swap, overflow) and every cell may have
-// changed. The returned slice may hold duplicates.
+// (full baseline, overflow) and every cell may have changed. The returned
+// slice may hold duplicates.
 func (st *DeltaState) TakeChangedCells() (cells []int, all bool) {
 	cells, all = st.changed, st.changedAll
 	st.changed, st.changedAll = nil, false
@@ -572,26 +572,6 @@ func (st *DeltaState) applyMultiDelta(payload []byte, cur Cursor) error {
 		sub := r.chunk()
 		if r.err != nil {
 			return r.err
-		}
-		if len(sub) > 0 && (sub[0] == wireECM || sub[0] == wireSparse) {
-			// Whole-part replacement: how a producer without cell-granular
-			// change tracking ships a changed stripe. The part's new version
-			// comes from the cursor alone.
-			sk, err := UnmarshalAny(sub)
-			if err != nil {
-				return fmt.Errorf("core: part %d: %w", idx, err)
-			}
-			if !st.parts[idx].Compatible(sk) {
-				return fmt.Errorf("core: part %d: replacement incompatible with the baseline", idx)
-			}
-			sk.Advance(sk.Now())
-			st.parts[idx] = sk
-			newVers[idx] = cur.Vers[idx]
-			// No cell granularity on replacement: anything may differ, and
-			// the merged cache cannot be patched across a part-object swap.
-			st.changed, st.changedAll = nil, true
-			st.merged, st.mergedDirty, st.mergedDirtyAll = nil, nil, false
-			continue
 		}
 		ver, err := st.parts[idx].applyDelta(sub, st.epoch, st.vers[idx], st.noteCell)
 		if err != nil {

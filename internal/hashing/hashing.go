@@ -9,8 +9,6 @@
 package hashing
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -190,34 +188,4 @@ func GeometricLevel(seed, key uint64, max int) int {
 		return max
 	}
 	return l
-}
-
-// Marshal encodes the family parameters (seed, depth, width) in 20 bytes.
-// The functions themselves are re-derived on Unmarshal, so serialized
-// sketches stay small.
-func (fam *Family) Marshal() []byte {
-	buf := make([]byte, 20)
-	binary.LittleEndian.PutUint64(buf[0:], fam.seed)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(fam.funcs)))
-	binary.LittleEndian.PutUint64(buf[12:], fam.funcs[0].width)
-	return buf
-}
-
-// UnmarshalFamily reconstructs a family from Marshal output and returns the
-// number of bytes consumed.
-func UnmarshalFamily(b []byte) (*Family, int, error) {
-	if len(b) < 20 {
-		return nil, 0, errors.New("hashing: truncated family encoding")
-	}
-	seed := binary.LittleEndian.Uint64(b[0:])
-	d := int(binary.LittleEndian.Uint32(b[8:]))
-	w := int(binary.LittleEndian.Uint64(b[12:]))
-	if d <= 0 || d > 1<<20 || w <= 0 {
-		return nil, 0, fmt.Errorf("hashing: corrupt family encoding (d=%d w=%d)", d, w)
-	}
-	fam, err := NewFamily(seed, d, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return fam, 20, nil
 }

@@ -90,30 +90,6 @@ func TestFamilyCompatible(t *testing.T) {
 	}
 }
 
-func TestFamilyMarshalRoundTrip(t *testing.T) {
-	fam, _ := NewFamily(123, 5, 77)
-	dec, n, err := UnmarshalFamily(fam.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 20 {
-		t.Errorf("consumed %d bytes, want 20", n)
-	}
-	if !fam.Compatible(dec) {
-		t.Error("decoded family incompatible")
-	}
-	for j := 0; j < 5; j++ {
-		for k := uint64(0); k < 100; k++ {
-			if fam.Hash(j, k) != dec.Hash(j, k) {
-				t.Fatalf("decoded family disagrees at (%d,%d)", j, k)
-			}
-		}
-	}
-	if _, _, err := UnmarshalFamily(fam.Marshal()[:10]); err == nil {
-		t.Error("truncated family accepted")
-	}
-}
-
 func TestMix64Bijective(t *testing.T) {
 	// Spot-check injectivity on a window of inputs.
 	seen := map[uint64]uint64{}

@@ -370,13 +370,9 @@ func (r *Registry) Stats() (subs, queries, watchers int, dropped uint64) {
 
 // --- Notifier hooks (ingest-side change feed) ---
 
-// NoteKey notes one touched key (the AddN path).
-func (r *Registry) NoteKey(key uint64) {
-	r.noteKeys([]uint64{key})
-}
-
-// NoteEvents notes a landed batch (the AddBatch path): the touched keys are
-// mapped to their cells and only intersecting predicates are re-checked.
+// NoteEvents notes a landed batch (a one-event batch on the AddN path): the
+// touched keys are mapped to their cells and only intersecting predicates
+// are re-checked.
 func (r *Registry) NoteEvents(events []core.Event) {
 	if len(events) == 0 {
 		return
@@ -405,34 +401,13 @@ func (r *Registry) NoteAdvance() {
 	r.notePassLocked(changeSet{}, nil)
 }
 
-func (r *Registry) noteKeys(keys []uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.preds) == 0 {
-		r.syncClockLocked()
-		return
-	}
-	r.notePassLocked(r.cellSetLocked(keys), keys)
-}
-
 // NoteCells notes externally-observed cell changes — the coordinator path
 // feeds the delta stream's changed-cell indices here (via RefreshTarget).
-// all marks "everything may have changed" (full pulls, whole-part swaps).
+// all marks "everything may have changed" (full baselines).
 func (r *Registry) NoteCells(cells []int, all bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.preds) == 0 {
-		r.syncClockLocked()
-		return
-	}
-	set := changeSet{all: all}
-	if !all {
-		set.cells = make(map[int]struct{}, len(cells))
-		for _, c := range cells {
-			set.cells[c] = struct{}{}
-		}
-	}
-	r.notePassLocked(set, nil)
+	r.noteCellsLocked(cells, all)
 }
 
 // RefreshTarget atomically swaps the evaluation target (a coordinator's
@@ -446,6 +421,11 @@ func (r *Registry) RefreshTarget(t Target, cells []int, all bool) {
 	if t == nil {
 		return
 	}
+	r.noteCellsLocked(cells, all)
+}
+
+// noteCellsLocked runs a pass over externally-observed cell changes.
+func (r *Registry) noteCellsLocked(cells []int, all bool) {
 	if len(r.preds) == 0 {
 		r.syncClockLocked()
 		return

@@ -33,6 +33,10 @@ func newTestRegistry(t *testing.T, ft *fakeTarget) *Registry {
 	return r
 }
 
+// noteKey notes one touched key the way single-event ingest does: as a
+// one-event batch.
+func noteKey(r *Registry, key uint64) { r.NoteEvents([]core.Event{{Key: key}}) }
+
 func drain(w *Watcher) []Notification {
 	var out []Notification
 	for {
@@ -82,19 +86,19 @@ func TestThresholdEdges(t *testing.T) {
 
 	// Staying high: no re-fire.
 	ft.est[1] = 12
-	r.NoteKey(1)
+	noteKey(r, 1)
 	if got := drain(w); len(got) != 0 {
 		t.Fatalf("no edge, but fired: %+v", got)
 	}
 	// Falling below: plain threshold stays silent, but disarms.
 	ft.est[1] = 2
-	r.NoteKey(1)
+	noteKey(r, 1)
 	if got := drain(w); len(got) != 0 {
 		t.Fatalf("falling edge fired a plain threshold: %+v", got)
 	}
 	// Crossing up again: fires.
 	ft.est[1] = 7
-	r.NoteKey(1)
+	noteKey(r, 1)
 	got := drain(w)
 	if len(got) != 1 || !got[0].Rising || got[0].Value != 7 {
 		t.Fatalf("want rising fire at 7, got %+v", got)
@@ -113,7 +117,7 @@ func TestThresholdBelowFiresOnFallingEdge(t *testing.T) {
 		t.Fatalf("arming fired: %+v", got)
 	}
 	ft.est[1] = 1
-	r.NoteKey(1)
+	noteKey(r, 1)
 	got := drain(w)
 	if len(got) != 1 || got[0].Rising || got[0].Value != 1 {
 		t.Fatalf("want falling fire at 1, got %+v", got)
@@ -135,7 +139,7 @@ func TestDisarmedThresholdSkippedOnAdvance(t *testing.T) {
 		t.Fatalf("disarmed threshold evaluated on advance: %+v", got)
 	}
 	// A touch does evaluate it.
-	r.NoteKey(1)
+	noteKey(r, 1)
 	if got := drain(w); len(got) != 1 {
 		t.Fatalf("touch did not fire: %+v", got)
 	}
@@ -163,21 +167,21 @@ func TestRateFires(t *testing.T) {
 	}
 	// cur 25 >= 2*prev(10) and >= Value(5): fires once, rising only.
 	ft.est[1] = 25
-	r.NoteKey(1)
+	noteKey(r, 1)
 	got := drain(w)
 	if len(got) != 1 || got[0].Value != 25 || got[0].Prev != 10 {
 		t.Fatalf("want rate fire cur=25 prev=10, got %+v", got)
 	}
 	// Still high: no re-fire until it drops and spikes again.
 	ft.est[1] = 30
-	r.NoteKey(1)
+	noteKey(r, 1)
 	if got := drain(w); len(got) != 0 {
 		t.Fatalf("re-fired while high: %+v", got)
 	}
 	ft.est[1] = 6 // below factor*prev: disarms
-	r.NoteKey(1)
+	noteKey(r, 1)
 	ft.est[1] = 40
-	r.NoteKey(1)
+	noteKey(r, 1)
 	if got := drain(w); len(got) != 1 {
 		t.Fatalf("second spike did not fire: %+v", got)
 	}
@@ -200,7 +204,7 @@ func TestTopKMembership(t *testing.T) {
 	}
 	// Key 3 overtakes: entered/left diff.
 	ft.est[3] = 10
-	r.NoteKey(3)
+	noteKey(r, 3)
 	got := drain(w)
 	if len(got) != 1 {
 		t.Fatalf("membership change did not fire: %+v", got)
@@ -214,7 +218,7 @@ func TestTopKMembership(t *testing.T) {
 	}
 	// Rank swap without membership change: silent unless RankChanges.
 	ft.est[1], ft.est[3] = 20, 10
-	r.NoteKey(1)
+	noteKey(r, 1)
 	if got := drain(w); len(got) != 0 {
 		t.Fatalf("rank-only change fired without RankChanges: %+v", got)
 	}
@@ -225,7 +229,7 @@ func TestTopKRankChanges(t *testing.T) {
 	r := newTestRegistry(t, ft)
 	_, w := mustSubscribe(t, r, Query{Kind: KindTopK, K: 2, Keys: []uint64{1, 2}, RankChanges: true})
 	ft.est[2] = 9
-	r.NoteKey(2)
+	noteKey(r, 2)
 	got := drain(w)
 	if len(got) != 1 || got[0].Top[0].Key != 2 {
 		t.Fatalf("rank change did not fire with RankChanges: %+v", got)
@@ -237,7 +241,7 @@ func TestLearnedTopKAdmitsTouchedKeys(t *testing.T) {
 	r := newTestRegistry(t, ft)
 	_, w := mustSubscribe(t, r, Query{Kind: KindTopK, K: 3})
 	ft.est[7] = 4
-	r.NoteKey(7)
+	noteKey(r, 7)
 	got := drain(w)
 	if len(got) != 1 || len(got[0].Top) != 1 || got[0].Top[0].Key != 7 {
 		t.Fatalf("learned candidate not admitted: %+v", got)
@@ -285,9 +289,9 @@ func TestRingReplayAndGap(t *testing.T) {
 	// Fire 6 crossings: seqs 1..6; the 4-slot ring retains 3..6.
 	for i := 0; i < 6; i++ {
 		ft.est[1] = 10
-		r.NoteKey(1)
+		noteKey(r, 1)
 		ft.est[1] = 0
-		r.NoteKey(1)
+		noteKey(r, 1)
 	}
 	w, missed, start, err := r.Attach(info.ID, 0, true)
 	if err != nil {
@@ -323,9 +327,9 @@ func TestQueueOverflowDrops(t *testing.T) {
 	_, w := mustSubscribe(t, r, Query{Kind: KindThreshold, Key: 1, Value: 5})
 	for i := 0; i < 3; i++ {
 		ft.est[1] = 10
-		r.NoteKey(1)
+		noteKey(r, 1)
 		ft.est[1] = 0
-		r.NoteKey(1)
+		noteKey(r, 1)
 	}
 	if _, _, _, dropped := r.Stats(); dropped != 2 {
 		t.Fatalf("dropped = %d, want 2 (queue of 1, 3 fires, nothing drained)", dropped)
@@ -403,7 +407,7 @@ func TestLifecycleChurnRace(t *testing.T) {
 			default:
 			}
 			ft.hot.Store(!ft.hot.Load())
-			r.NoteKey(1)
+			noteKey(r, 1)
 			r.NoteAdvance()
 		}
 	}()

@@ -369,7 +369,7 @@ func (sh *Sharded) AddN(key uint64, t Tick, n uint64) {
 	one := [1]Event{{Key: key, Tick: t, N: n}}
 	sh.applyStripe(sh.stripeOf(key), one[:])
 	if nt := sh.loadNotifier(); nt != nil {
-		nt.NoteKey(key)
+		nt.NoteEvents(one[:])
 	}
 }
 
@@ -1076,12 +1076,21 @@ func (sh *Sharded) rebuildLocked() (*Sketch, error) {
 	for i := range sh.shards {
 		vsum += sh.rebuild.versions[i]
 	}
-	view, err := Merge(sh.rebuild.parts...)
+	// One stripe is its own view: a one-input Theorem-4 replay would
+	// re-bucket it, adding merge error and parting from the stripe that
+	// DeltaSnapshot ships.
+	var view *Sketch
+	var err error
+	if len(sh.rebuild.parts) == 1 {
+		view, err = sh.rebuild.parts[0].Snapshot()
+	} else {
+		view, err = Merge(sh.rebuild.parts...)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ecmsketch: merging shards: %w", err)
 	}
-	// Merge advanced the view to the engine clock; from here on its clock
-	// never moves, so concurrent queries on it are pure reads.
+	// The view sits at the engine clock the parts were settled to; from here
+	// on its clock never moves, so concurrent queries on it are pure reads.
 	sh.view.Store(&shardedView{sk: view, version: vsum, builtAt: time.Now()})
 	sh.rebuilds.Add(1)
 	sh.rebuildNs.Store(time.Since(start).Nanoseconds())

@@ -11,7 +11,8 @@ import (
 // shipping zero bytes. The sparse input stays inside one window and checks
 // delta sizes; the dense one runs a small window seven times over, so
 // stripes whose clock already equals the engine clock still hold cells with
-// expired content when the merged view is built.
+// expired content when the merged view is built; the one-stripe row runs it
+// on the engine whose view needs no merge at all.
 func TestShardedDeltaReconstructsSnapshot(t *testing.T) {
 	inputs := []struct {
 		name                   string
@@ -22,6 +23,9 @@ func TestShardedDeltaReconstructsSnapshot(t *testing.T) {
 	}{
 		{"sparse", 10000, 8, 12, 3, []Algorithm{AlgoEH, AlgoDW}, true},
 		{"past-the-window", 512, 4, 60, 64, []Algorithm{AlgoEH, AlgoDW, AlgoRW}, false},
+		// One stripe, as ecmserve runs on a one-core host: the view is the
+		// settled stripe itself, not a one-input merge of it.
+		{"one-stripe", 512, 1, 30, 64, []Algorithm{AlgoEH, AlgoDW, AlgoRW}, false},
 	}
 	for _, in := range inputs {
 		for _, algo := range in.algos {
