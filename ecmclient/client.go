@@ -112,42 +112,19 @@ func (c *Client) record(err error) {
 	}
 }
 
-// post issues a POST and decodes the JSON reply into out (ignored if nil).
-func (c *Client) post(path string, q url.Values, body io.Reader, contentType string, out any) error {
+// request issues one request on path with query q and decodes the JSON reply
+// into out (ignored if nil); contentType labels a non-nil body.
+func (c *Client) request(method, path string, q url.Values, body io.Reader, contentType string, out any) error {
 	u := c.base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
-	req, err := http.NewRequest(http.MethodPost, u, body)
+	req, err := http.NewRequest(method, u, body)
 	if err != nil {
 		return err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
-	}
-	return c.do(req, out)
-}
-
-func (c *Client) get(path string, q url.Values, out any) error {
-	u := c.base + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, out)
-}
-
-func (c *Client) del(path string, q url.Values, out any) error {
-	u := c.base + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := http.NewRequest(http.MethodDelete, u, nil)
-	if err != nil {
-		return err
 	}
 	return c.do(req, out)
 }
@@ -216,7 +193,7 @@ func (c *Client) AddEvents(events []ecmsketch.Event) error {
 	// A fresh body per call, never pooled: net/http may still be writing it
 	// when Do returns on an early error reply.
 	body := wire.EncodeEvents(events)
-	return c.post("/v1/events", nil, bytes.NewReader(body), "application/json", nil)
+	return c.request(http.MethodPost, "/v1/events", nil, bytes.NewReader(body), "application/json", nil)
 }
 
 // query is one POST /v1/query round trip (with ?direct=1 for the zero-merge
@@ -253,7 +230,7 @@ func (c *Client) query(q ecmsketch.QueryBatch, direct bool) (ecmsketch.QueryResu
 	if direct {
 		params = url.Values{"direct": {"1"}}
 	}
-	if err := c.post("/v1/query", params, bytes.NewReader(body), "application/json", &out); err != nil {
+	if err := c.request(http.MethodPost, "/v1/query", params, bytes.NewReader(body), "application/json", &out); err != nil {
 		return ecmsketch.QueryResult{}, err
 	}
 	return ecmsketch.QueryResult{
@@ -267,7 +244,7 @@ func (c *Client) query(q ecmsketch.QueryBatch, direct bool) (ecmsketch.QueryResu
 
 // AdvanceTo moves the server's window clock forward without an arrival.
 func (c *Client) AdvanceTo(t ecmsketch.Tick) error {
-	return c.post("/v1/advance", url.Values{"t": {strconv.FormatUint(t, 10)}}, nil, "", nil)
+	return c.request(http.MethodPost, "/v1/advance", url.Values{"t": {strconv.FormatUint(t, 10)}}, nil, "", nil)
 }
 
 // PointEstimate answers a point query over the last r ticks (zero means the
@@ -299,7 +276,7 @@ func (c *Client) IntervalEstimate(key uint64, from, to ecmsketch.Tick) (float64,
 		"from": {strconv.FormatUint(from, 10)},
 		"to":   {strconv.FormatUint(to, 10)},
 	}
-	if err := c.get("/v1/interval", q, &out); err != nil {
+	if err := c.request(http.MethodGet, "/v1/interval", q, nil, "", &out); err != nil {
 		return 0, err
 	}
 	return out.Estimate, nil
@@ -324,7 +301,7 @@ func (c *Client) TotalEstimate(r ecmsketch.Tick) (float64, error) {
 // staleness headers for pullers that want them).
 func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 	var raw []byte
-	if err := c.get("/v1/snapshot", nil, &raw); err != nil {
+	if err := c.request(http.MethodGet, "/v1/snapshot", nil, nil, "", &raw); err != nil {
 		return nil, err
 	}
 	return raw, nil
@@ -375,7 +352,7 @@ type Stats struct {
 // FetchStats reports engine dimensions, clock and footprint.
 func (c *Client) FetchStats() (Stats, error) {
 	var out Stats
-	err := c.get("/v1/stats", nil, &out)
+	err := c.request(http.MethodGet, "/v1/stats", nil, nil, "", &out)
 	return out, err
 }
 
@@ -388,7 +365,7 @@ func (c *Client) TopK(r ecmsketch.Tick) ([]ecmsketch.HeavyItem, error) {
 			Estimate float64 `json:"estimate"`
 		} `json:"top"`
 	}
-	if err := c.get("/v1/topk", url.Values{"range": {strconv.FormatUint(r, 10)}}, &out); err != nil {
+	if err := c.request(http.MethodGet, "/v1/topk", url.Values{"range": {strconv.FormatUint(r, 10)}}, nil, "", &out); err != nil {
 		return nil, err
 	}
 	items := make([]ecmsketch.HeavyItem, 0, len(out.Top))
@@ -529,7 +506,7 @@ func (c *Client) Sites() ([]SiteInfo, error) {
 	var out struct {
 		Sites []SiteInfo `json:"sites"`
 	}
-	if err := c.get("/v1/sites", nil, &out); err != nil {
+	if err := c.request(http.MethodGet, "/v1/sites", nil, nil, "", &out); err != nil {
 		return nil, err
 	}
 	return out.Sites, nil
@@ -545,11 +522,11 @@ func (c *Client) RegisterSite(siteURL, name string) error {
 	if err != nil {
 		return err
 	}
-	return c.post("/v1/sites", nil, bytes.NewReader(body), "application/json", nil)
+	return c.request(http.MethodPost, "/v1/sites", nil, bytes.NewReader(body), "application/json", nil)
 }
 
 // UnregisterSite removes the member named name (the site's base URL unless
 // it registered under an explicit name) from a running coordinator.
 func (c *Client) UnregisterSite(name string) error {
-	return c.del("/v1/sites", url.Values{"name": {name}}, nil)
+	return c.request(http.MethodDelete, "/v1/sites", url.Values{"name": {name}}, nil, "", nil)
 }

@@ -86,7 +86,7 @@ func (c *Client) Subscribe(ctx context.Context, queries []ecmsketch.StandingQuer
 	var rep struct {
 		Subscription string `json:"subscription"`
 	}
-	if err := c.post("/v1/subscribe", nil, bytes.NewReader(body), "application/json", &rep); err != nil {
+	if err := c.request(http.MethodPost, "/v1/subscribe", nil, bytes.NewReader(body), "application/json", &rep); err != nil {
 		return nil, err
 	}
 	if rep.Subscription == "" {
@@ -107,12 +107,7 @@ func (c *Client) Subscribe(ctx context.Context, queries []ecmsketch.StandingQuer
 // Unsubscribe removes a subscription server-side (DELETE /v1/subscribe);
 // its watch streams end with a bye event.
 func (c *Client) Unsubscribe(id string) error {
-	u := c.base + "/v1/subscribe?sub=" + url.QueryEscape(id)
-	req, err := http.NewRequest(http.MethodDelete, u, nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, nil)
+	return c.request(http.MethodDelete, "/v1/subscribe", url.Values{"sub": {id}}, nil, "", nil)
 }
 
 // marshalSubscribe encodes queries in the subscribe wire shape (pre-digested

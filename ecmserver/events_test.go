@@ -144,6 +144,18 @@ var eventsCorpus = []string{
 	`[{"key":"a","t":1,"x":[}]`, `[{"key":"a","t":1,"x":{"a"}}]`, `[{"key":"a","t":1,"x":{"a":1,}}]`, `[{"key":"a","t":1,"x":"\x"}]`,
 	`[{"key":"a","t":1,"x":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}]`,
 	`[{"key":"a","t":1,"":1}]`, `[{"":"","key":"a","t":1}]`, `[{"key":"a","t":1},{"t":2}]`, `[{"key":"a","t":1},{"key":"b"}]`,
+	// The canonical spelling EncodeEvents writes, at the decoder's boundaries.
+	`[{"ikey":"18446744073709551615","t":1},{"ikey":"18446744073709551616","t":1}]`,
+	`[{"ikey":"000000000000000000000000000042","t":1}]`, `[{"ikey":"0","t":1}]`, `[{"ikey":"","t":1}]`,
+	`[{"ikey":"1","t":18446744073709551615,"n":1}]`, `[{"ikey":"1","t":18446744073709551616,"n":1}]`,
+	`[{"ikey":"1","t":1,"n":18446744073709551615}]`, `[{"ikey":"1","t":1,"n":18446744073709551616}]`,
+	`[{"ikey":"1","t":01}]`, `[{"ikey":"1","t":0}]`, `[{"ikey":"1","t":1,"n":0}]`, `[{"ikey":"1","t":1,"n":01}]`,
+	`[{"ikey":"1","t":1,"n":1048576}]`, `[{"ikey":"1","t":1,"n":1048577}]`,
+	`[{"ikey":"1","t":2} ,{"ikey":"3","t":4} ]`, "[{\"ikey\":\"1\",\"t\":2}\n,\t{\"ikey\":\"3\",\"t\":4,\"n\":5}\r]",
+	`[{"ikey":"1","t":2,"x":1}]`, `[{"ikey":"1","t":2,"n":3,"x":1}]`, `[{"ikey":"1","t":2},"key"]`,
+	`[{"ikey":"1","t":2,"key":"a"}]`, `[{"ikey":"1","key":"a","t":2}]`, `[{"ikey":"1\u0030","t":2}]`,
+	`[{"ikey":"1","t":2,"n":3}{"ikey":"1","t":2}]`, `[{"ikey":"1","t":2.5}]`, `[{"ikey":"1","t":2e1}]`,
+	`[{"ikey":"1","t":2}`, `[{"ikey":"1","t":2`, `[{"ikey":"1","t":2,"n":3`, `[{"ikey":"1","t":2,"n":}]`,
 }
 
 // assertSameDecode checks scanner and oracle agree on accept/reject, the

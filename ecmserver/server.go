@@ -389,9 +389,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		stop = sc.Err()
 	}
 	if stop != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]any{"error": stop.Error(), "accepted": accepted})
+		badIngest(w, stop, accepted)
 		return
 	}
 	resp := map[string]any{"accepted": accepted}
@@ -416,9 +414,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		ev, ok, err := sc.NextEvent()
 		if err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
+			badIngest(w, err, accepted)
 			return
 		}
 		if !ok {
@@ -432,6 +428,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ingestBatch(events)
 	wire.Respond(w, map[string]any{"accepted": accepted + len(events)})
+}
+
+// badIngest is the 400 of both ingest routes, /v1/batch and /v1/events: the
+// error that stopped the request and the records applied before it.
+func badIngest(w http.ResponseWriter, err error, accepted int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusBadRequest)
+	json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
 }
 
 // WireQueryResult is the JSON reply of POST /v1/query: one estimate per

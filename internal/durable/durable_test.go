@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ecmsketch/internal/core"
@@ -234,18 +236,22 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
+// codecSnapshot is the snapshot TestSnapshotCodecRoundTrip round-trips and
+// FuzzSnapshotCodec starts from.
+var codecSnapshot = Snapshot{
+	Epoch:       0xDEADBEEF,
+	Gen:         7,
+	Now:         123456,
+	Fingerprint: 0xCAFEBABE12345678,
+	Parts: []SnapshotPart{
+		{Enc: []byte("part-zero"), Ver: 42, Vers: []uint64{1, 2, 3, 42}},
+		{Enc: nil, Ver: 0, Vers: nil},
+		{Enc: []byte{0xFF}, Ver: 1 << 40, Vers: []uint64{1 << 40}},
+	},
+}
+
 func TestSnapshotCodecRoundTrip(t *testing.T) {
-	s := &Snapshot{
-		Epoch:       0xDEADBEEF,
-		Gen:         7,
-		Now:         123456,
-		Fingerprint: 0xCAFEBABE12345678,
-		Parts: []SnapshotPart{
-			{Enc: []byte("part-zero"), Ver: 42, Vers: []uint64{1, 2, 3, 42}},
-			{Enc: nil, Ver: 0, Vers: nil},
-			{Enc: []byte{0xFF}, Ver: 1 << 40, Vers: []uint64{1 << 40}},
-		},
-	}
+	s := &codecSnapshot
 	blob := s.Encode()
 	got, err := DecodeSnapshot(blob)
 	if err != nil {
@@ -286,16 +292,19 @@ func TestSnapshotCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// codecRecords are the records TestRecordCodecRoundTrip round-trips and
+// FuzzRecordCodec starts from: one of each kind, and an empty batch.
+var codecRecords = []Record{
+	{Kind: RecordHeader, Epoch: 99, Gen: 3, Fingerprint: 0xABCD},
+	{Kind: RecordBatch, Part: 5, Tick: 1000, Ver: 77, Events: []core.Event{
+		{Key: 1, Tick: 1000, N: 1}, {Key: 0xFFFFFFFFFFFFFFFF, Tick: 1001, N: 12},
+	}},
+	{Kind: RecordBatch, Part: 0, Tick: 0, Ver: 1, Events: nil},
+	{Kind: RecordAdvance, Part: 2, Tick: 424242},
+}
+
 func TestRecordCodecRoundTrip(t *testing.T) {
-	recs := []Record{
-		{Kind: RecordHeader, Epoch: 99, Gen: 3, Fingerprint: 0xABCD},
-		{Kind: RecordBatch, Part: 5, Tick: 1000, Ver: 77, Events: []core.Event{
-			{Key: 1, Tick: 1000, N: 1}, {Key: 0xFFFFFFFFFFFFFFFF, Tick: 1001, N: 12},
-		}},
-		{Kind: RecordBatch, Part: 0, Tick: 0, Ver: 1, Events: nil},
-		{Kind: RecordAdvance, Part: 2, Tick: 424242},
-	}
-	for i, r := range recs {
+	for i, r := range codecRecords {
 		b := AppendRecord(nil, &r)
 		got, err := DecodeRecord(b)
 		if err != nil {
@@ -329,4 +338,68 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 	if _, err := DecodeRecord(append(append([]byte(nil), b...), 0)); err == nil {
 		t.Error("trailing bytes: no error")
 	}
+}
+
+// assertAllocBound fails t if decode allocates more than a fixed slack plus 64
+// bytes per input byte: a decoder may size what it builds by what the input
+// claims only once the input is long enough to back the claim. The least of
+// three runs counts, so an allocation elsewhere in the process cannot fail it.
+func assertAllocBound(t *testing.T, input []byte, decode func()) {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		decode()
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	if limit := 1024 + 64*uint64(len(input)); least > limit {
+		t.Fatalf("%d-byte input: decoding allocated %d bytes, over %d", len(input), least, limit)
+	}
+}
+
+// FuzzRecordCodec: DecodeRecord never panics or allocates past what its input
+// can back, and whatever it accepts re-encodes to bytes that decode to the
+// same record (not necessarily to the same bytes: a uvarint may be spelled
+// with redundant continuation bytes).
+func FuzzRecordCodec(f *testing.F) {
+	for i := range codecRecords {
+		f.Add(AppendRecord(nil, &codecRecords[i]))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		assertAllocBound(t, b, func() { DecodeRecord(b) }) //nolint:errcheck // measured, not checked
+		r, err := DecodeRecord(b)
+		if err != nil {
+			return
+		}
+		back, err := DecodeRecord(AppendRecord(nil, &r))
+		if err != nil || !reflect.DeepEqual(back, r) {
+			t.Fatalf("%x decoded to %+v, which re-encoded and decoded to %+v, err %v", b, r, back, err)
+		}
+	})
+}
+
+// FuzzSnapshotCodec holds DecodeSnapshot to the same two properties. Each
+// input is tried as it is and sealed with its own CRC-32C, so the fuzzer
+// reaches the field parser behind the checksum rather than only the checksum.
+func FuzzSnapshotCodec(f *testing.F) {
+	blob := codecSnapshot.Encode()
+	f.Add(blob[:len(blob)-4])
+	f.Add((&Snapshot{}).Encode())
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sealed := binary.LittleEndian.AppendUint32(append([]byte{}, body...), crc32.Checksum(body, castagnoli))
+		for _, b := range [][]byte{body, sealed} {
+			assertAllocBound(t, b, func() { DecodeSnapshot(b) }) //nolint:errcheck // measured, not checked
+			s, err := DecodeSnapshot(b)
+			if err != nil {
+				continue
+			}
+			back, err := DecodeSnapshot(s.Encode())
+			if err != nil || !reflect.DeepEqual(back, s) {
+				t.Fatalf("%x decoded to %+v, which re-encoded and decoded to %+v, err %v", b, s, back, err)
+			}
+		}
+	})
 }

@@ -110,7 +110,7 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nparts > maxSnapshotParts {
+	if nparts > maxSnapshotParts || nparts > uint64(len(body)-off)/3 { // each part is ≥ 3 bytes
 		return nil, fmt.Errorf("durable: snapshot declares %d parts", nparts)
 	}
 	s.Parts = make([]SnapshotPart, nparts)

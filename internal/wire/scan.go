@@ -23,6 +23,11 @@ var (
 //
 // The buffer is read-ahead and token scratch at once: a string token is
 // always contiguous in it, so its fixed size is what enforces MaxStringToken.
+//
+// NextEvent first tries an element as the one spelling EncodeEvents writes
+// (canonicalEvent, one pass over the buffered bytes) and reads it byte-wise
+// only when that declines; which path runs is decided by the bytes alone, and
+// the fast one accepts nothing the byte-wise one would read differently.
 type Scanner struct {
 	r        io.Reader
 	buf      [MaxStringToken + 2]byte // the longest legal string, quotes included

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -197,6 +198,14 @@ func TestEncodeEventsRoundTrip(t *testing.T) {
 	for len(evs) < cap(evs) {
 		evs = append(evs, core.Event{Key: rng.Uint64(), Tick: 1 + rng.Uint64()>>uint(rng.Intn(64)), N: rng.Uint64() >> uint(rng.Intn(64))})
 	}
+	for _, v := range pow10[1:] { // every power of ten, and either side
+		edge = append(edge, v-1, v, v+1)
+	}
+	for _, v := range edge {
+		if got, want := decLen(v), len(strconv.FormatUint(v, 10)); got != want {
+			t.Fatalf("decLen(%d) = %d, want %d", v, got, want)
+		}
+	}
 	if body := EncodeEvents(evs); cap(body) != len(body) {
 		t.Fatalf("len %d cap %d: want an exact presize", len(body), cap(body))
 	}
@@ -236,16 +245,109 @@ func TestNextEventCountCap(t *testing.T) {
 	}
 }
 
+// itemEvent reads the one element at the front of b the general way — item,
+// then NextEvent's t ≠ 0 — and returns it with the bytes it took.
+func itemEvent(b []byte) (core.Event, int, error) {
+	s := NewScanner(bytes.NewReader(b))
+	defer s.Release()
+	key, t, n, err := s.item(fieldN)
+	if err == nil && t == 0 {
+		err = errors.New("missing or zero t")
+	}
+	return core.Event{Key: key, Tick: t, N: n}, s.pos, err
+}
+
+// TestCanonicalEventAgreesWithItem: on EncodeEvents' elements and on every
+// one-byte truncation, deletion and substitution of them, canonicalEvent
+// either declines or decodes exactly the event and length item does — it
+// never accepts what item rejects.
+func TestCanonicalEventAgreesWithItem(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var accepted, declined int
+	check := func(b []byte) {
+		ev, m := canonicalEvent(b)
+		if m == 0 {
+			declined++
+			return
+		}
+		accepted++
+		want, wantM, err := itemEvent(b)
+		if err != nil || ev != want || m != wantM {
+			t.Fatalf("%q: canonical %+v in %d bytes, item %+v in %d bytes, err %v", b, ev, m, want, wantM, err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		ev := core.Event{Key: rng.Uint64() >> uint(rng.Intn(64)), Tick: 1 + rng.Uint64()>>uint(rng.Intn(64))}
+		switch i % 3 {
+		case 1:
+			ev.N = uint64(rng.Intn(MaxEventCount))
+		case 2: // at the cap, and either side
+			ev.N = uint64(MaxEventCount - 1 + rng.Intn(3))
+		}
+		body := EncodeEvents([]core.Event{ev})
+		elem := body[1 : len(body)-1]
+		if got, m := canonicalEvent(body[1:]); (m == 0) != (ev.N > MaxEventCount) || (m > 0 && got != ev) {
+			t.Fatalf("%q: canonical %+v in %d bytes, want %+v", elem, got, m, ev)
+		}
+		for cut := 0; cut <= len(elem); cut++ {
+			check(elem[:cut])
+			check(append(append([]byte{}, elem[:cut]...), ']'))
+		}
+		for at := range elem {
+			del := append(append([]byte{}, elem[:at]...), elem[at+1:]...)
+			check(del)
+			check(append(del, ']'))
+			sub := append(append([]byte{}, elem...), ']')
+			for c := 0; c < 256; c++ {
+				sub[at] = byte(c)
+				check(sub)
+			}
+		}
+	}
+	if accepted == 0 || declined == 0 {
+		t.Fatalf("accepted %d, declined %d: want both paths taken", accepted, declined)
+	}
+}
+
 func BenchmarkEncodeEvents(b *testing.B) {
+	evs := benchEvents()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		EncodeEvents(evs)
+	}
+}
+
+// BenchmarkNextEvent is the scanner alone on what BenchmarkEncodeEvents
+// writes: the parse layer of /v1/events, without HTTP or the engine.
+func BenchmarkNextEvent(b *testing.B) {
+	body := EncodeEvents(benchEvents())
+	rd := bytes.NewReader(body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		s := NewScanner(rd)
+		for {
+			_, ok, err := s.NextEvent()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		s.Release()
+	}
+}
+
+// benchEvents is a 512-event request of random ikeys, eight to a tick.
+func benchEvents() []core.Event {
 	rng := rand.New(rand.NewSource(1))
 	evs := make([]core.Event, 512)
 	for i := range evs {
 		evs[i] = core.Event{Key: rng.Uint64(), Tick: uint64(1<<17 + i/8)}
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		EncodeEvents(evs)
-	}
+	return evs
 }
 
 func BenchmarkParseQueryBody(b *testing.B) {

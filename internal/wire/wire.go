@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -313,6 +314,16 @@ func (s *Scanner) NextEvent() (core.Event, bool, error) {
 	} else if !ok {
 		return core.Event{}, false, nil
 	}
+	// Top up so a whole canonical element is in view if the body has one;
+	// keeping under 81 bytes, the refill cannot trip MaxStringToken.
+	if s.end-s.pos < maxCanonicalEvent {
+		s.refill(s.pos)
+	}
+	if ev, m := canonicalEvent(s.buf[s.pos:s.end]); m > 0 {
+		s.pos += m
+		s.n++
+		return ev, true, nil
+	}
 	key, t, n, err := s.item(fieldN)
 	if err == nil && t == 0 {
 		err = errors.New("missing or zero t")
@@ -351,16 +362,84 @@ func EncodeEvents(events []core.Event) []byte {
 	return append(dst, ']')
 }
 
-// decLen is the number of decimal digits of v.
+// pow10 holds 10^i for every i a uint64 reaches.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// decLen is the number of decimal digits of v: 1233/4096 is log10(2) from
+// below, so the bit length gives the digit count or the one under it, and one
+// compare with a power of ten picks which (v|1 so that 0 has one digit).
 func decLen(v uint64) int {
-	n := 1
-	for ; v >= 1e4; v /= 1e4 {
-		n += 4
+	v |= 1
+	d := bits.Len64(v) * 1233 >> 12
+	if v >= pow10[d] {
+		d++
 	}
-	for ; v >= 10; v /= 10 {
-		n++
+	return d
+}
+
+// maxCanonicalEvent is the longest element EncodeEvents can write.
+const maxCanonicalEvent = len(`{"ikey":"18446744073709551615","t":18446744073709551615,"n":18446744073709551615}`)
+
+// canonicalEvent is EncodeEvents' inverse on one element: it decodes
+// {"ikey":"<digits>","t":<digits>[,"n":<digits>]}, spelled byte for byte so,
+// from the front of b and returns the event and the bytes it took. It
+// declines — returns 0 — on anything else, and on whatever item would reject
+// or read differently: whitespace, another field or order, an escape in the
+// key, a number running to the end of b (its digits may go on unread), a t or
+// n with a leading zero (so also t = 0 and n = 0), n over MaxEventCount, a
+// value past 2^64−1. A declined element is read by item, so every rejection
+// and its error text stay the general path's.
+func canonicalEvent(b []byte) (core.Event, int) {
+	var ev core.Event
+	i := canonicalLit(b, 0, `{"ikey":"`)
+	i = canonicalUint(b, i, &ev.Key, true)
+	i = canonicalLit(b, i, `","t":`)
+	i = canonicalUint(b, i, &ev.Tick, false)
+	if j := canonicalLit(b, i, `,"n":`); j > 0 {
+		if i = canonicalUint(b, j, &ev.N, false); ev.N > MaxEventCount {
+			i = -1
+		}
 	}
-	return n
+	if i < 0 || i == len(b) || b[i] != '}' {
+		return core.Event{}, 0
+	}
+	return ev, i + 1
+}
+
+// canonicalLit returns the index behind lit if b holds it at i, else -1; so
+// does canonicalUint, and both pass a -1 on, so canonicalEvent reads straight
+// down and checks once.
+func canonicalLit(b []byte, i int, lit string) int {
+	if i < 0 || len(b)-i < len(lit) || string(b[i:i+len(lit)]) != lit {
+		return -1
+	}
+	return i + len(lit)
+}
+
+// canonicalUint reads the digits at b[i:] into *v and returns the index of the
+// byte behind them, or -1 on no digits, a leading zero unless zeros, a value
+// past 2^64−1, or digits running to the end of b.
+func canonicalUint(b []byte, i int, v *uint64, zeros bool) int {
+	if i < 0 {
+		return -1
+	}
+	var acc uint64
+	j := i
+	for ; j < len(b); j++ {
+		d := uint64(b[j] - '0')
+		if d > 9 {
+			break
+		}
+		if !pushDigit(&acc, d, j-i) {
+			return -1
+		}
+	}
+	if j == i || j == len(b) || (!zeros && b[i] == '0') {
+		return -1
+	}
+	*v = acc
+	return j
 }
 
 // ParseQueryBody decodes a POST /v1/query request body into a QueryBatch
