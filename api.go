@@ -205,13 +205,6 @@ type Engine interface {
 	DeltaSnapshotter
 }
 
-// IngestQuerier is the intersection trackers like TopK need from their
-// backing sketch: writes plus point queries, without snapshot capability.
-type IngestQuerier interface {
-	Ingestor
-	Querier
-}
-
 // Compile-time interface conformance for every local front end: Engine is
 // Ingestor, Querier, BatchQuerier, Snapshotter and DeltaSnapshotter at once.
 // (ecmclient.Client asserts its own conformance in its package.)

@@ -18,6 +18,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log"
 	"time"
 
@@ -73,15 +74,15 @@ func (cs *coordServer) restoreSites() {
 		}
 		return
 	}
-	var saved []persistedSite
-	if err := json.Unmarshal(blob, &saved); err != nil {
+	saved, rejected, err := decodeSites(blob)
+	if err != nil {
 		log.Printf("ecmcoord: discarding persisted membership: %v", err)
 		return
 	}
+	for _, err := range rejected {
+		log.Printf("ecmcoord: skipping persisted site: %v", err)
+	}
 	for _, ps := range saved {
-		if ps.URL == "" {
-			continue
-		}
 		site := ecmsketch.NewHTTPSiteWithAuth(ps.URL, cs.siteClient, cs.siteToken)
 		if ps.Name != ps.URL {
 			site.(interface{ SetName(string) }).SetName(ps.Name)
@@ -93,6 +94,27 @@ func (cs *coordServer) restoreSites() {
 	if len(saved) > 0 {
 		log.Printf("ecmcoord: restored %d persisted site registrations", len(saved))
 	}
+}
+
+// decodeSites reads the sites blob persistSites writes. It keeps the entries
+// whose url passes checkSiteURL, naming an unnamed one by its url as POST
+// /v1/sites does, and reports one error per entry it rejects.
+func decodeSites(blob []byte) (kept []persistedSite, rejected []error, err error) {
+	var saved []persistedSite
+	if err := json.Unmarshal(blob, &saved); err != nil {
+		return nil, nil, err
+	}
+	for i, ps := range saved {
+		if err := checkSiteURL(ps.URL); err != nil {
+			rejected = append(rejected, fmt.Errorf("entry %d (name %q): %w", i, ps.Name, err))
+			continue
+		}
+		if ps.Name == "" {
+			ps.Name = ps.URL
+		}
+		kept = append(kept, ps)
+	}
+	return kept, rejected, nil
 }
 
 // persistSites snapshots the current HTTP membership. Called from the

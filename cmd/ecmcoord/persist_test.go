@@ -6,8 +6,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -147,4 +149,56 @@ func TestCoordSitesSurviveRestart(t *testing.T) {
 			t.Fatal("removed site resurrected across restart")
 		}
 	}
+}
+
+// TestRestoreSitesSkipsRejectedEntries: a sites blob holding entries POST
+// /v1/sites would refuse — no url, a url ParseRequestURI rejects — restores
+// only the valid members; an unnamed entry is named by its url.
+func TestRestoreSitesSkipsRejectedEntries(t *testing.T) {
+	store := ecmsketch.NewMemStore()
+	blob := `[{"name":"good","url":"http://127.0.0.1:1"},{"name":"empty","url":""},` +
+		`{"name":"relative","url":"not a url"},{"url":"http://127.0.0.1:2"}]`
+	if err := store.Save(coordSitesBlob, []byte(blob)); err != nil {
+		t.Fatal(err)
+	}
+	cs := newDurableCoordServer(t, nil, store)
+	names := map[string]bool{}
+	for _, s := range cs.co.Sites() {
+		names[s.Name()] = true
+	}
+	if len(names) != 2 || !names["good"] || !names["http://127.0.0.1:2"] {
+		t.Fatalf("restored members %v, want good and http://127.0.0.1:2 only", names)
+	}
+}
+
+// FuzzSitesBlob: decoding a sites blob never panics, every entry it keeps
+// passes the POST /v1/sites check, and what it keeps round-trips through the
+// encoding persistSites writes — decoded again, it is kept whole.
+func FuzzSitesBlob(f *testing.F) {
+	for _, seed := range []string{
+		`[]`, `null`, `[null]`, `{}`, `[{"name":"a","url":"http://h:1"}]`,
+		`[{"url":"http://h:1"},{"url":""},{"url":"x"},{"name":"b","url":"https://[::1]:8/p?q"}]`,
+		`[{"NAME":"c","Url":"http://h:2","extra":1}]`, `[{"name":"\ud800","url":"/rel"}]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		kept, _, err := decodeSites(blob)
+		if err != nil {
+			return
+		}
+		for _, ps := range kept {
+			if checkSiteURL(ps.URL) != nil || ps.Name == "" {
+				t.Fatalf("kept %+v, which POST /v1/sites would refuse", ps)
+			}
+		}
+		again, err := json.Marshal(kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, rejected, err := decodeSites(again)
+		if err != nil || len(rejected) != 0 || !reflect.DeepEqual(back, kept) {
+			t.Fatalf("round trip of %s: kept %+v, rejected %v, err %v; want %+v", again, back, rejected, err, kept)
+		}
+	})
 }

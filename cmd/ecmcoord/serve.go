@@ -261,12 +261,8 @@ func (cs *coordServer) handleSitesAdd(w http.ResponseWriter, r *http.Request) {
 		wire.Error(w, http.StatusBadRequest, fmt.Errorf("bad site registration: %v", err))
 		return
 	}
-	if req.URL == "" {
-		wire.Error(w, http.StatusBadRequest, errors.New("site registration requires a url"))
-		return
-	}
-	if _, err := url.ParseRequestURI(req.URL); err != nil {
-		wire.Error(w, http.StatusBadRequest, fmt.Errorf("bad site url: %v", err))
+	if err := checkSiteURL(req.URL); err != nil {
+		wire.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	site := ecmsketch.NewHTTPSiteWithAuth(req.URL, cs.siteClient, cs.siteToken)
@@ -276,6 +272,18 @@ func (cs *coordServer) handleSitesAdd(w http.ResponseWriter, r *http.Request) {
 	cs.co.AddSite(site)
 	cs.persistSites()
 	wire.Respond(w, map[string]any{"ok": true, "sites": len(cs.co.Sites())})
+}
+
+// checkSiteURL is the one test a member's base URL must pass, whether it
+// arrives by POST /v1/sites or from the persisted membership blob.
+func checkSiteURL(raw string) error {
+	if raw == "" {
+		return errors.New("site registration requires a url")
+	}
+	if _, err := url.ParseRequestURI(raw); err != nil {
+		return fmt.Errorf("bad site url: %v", err)
+	}
+	return nil
 }
 
 // handleSitesRemove drops the member named by ?name= (the site's base URL

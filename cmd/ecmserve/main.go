@@ -10,8 +10,8 @@
 //
 // Endpoints (see ecmserver handler docs): POST /v1/events, POST /v1/batch,
 // POST /v1/advance, GET and POST /v1/query, GET /v1/interval,
-// GET /v1/snapshot, GET /v1/stats, the standing-query routes
-// (/v1/subscribe, /v1/watch), and GET /v1/topk with -topk.
+// GET /v1/snapshot, GET /v1/stats, and the standing-query routes
+// (/v1/subscribe, /v1/watch).
 // docs/operations.md has the deployment guide.
 package main
 
@@ -45,7 +45,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.cfg.Algorithm, "algo", "eh", "counter algorithm: eh|dw|rw")
 	fs.Uint64Var(&o.cfg.UpperBound, "ubound", 0, "u(N,S) arrival bound (waves; 0 = window length)")
 	fs.Uint64Var(&o.cfg.Seed, "seed", 1, "hash seed (sites to be merged must share it)")
-	fs.IntVar(&o.cfg.TopK, "topk", 0, "track the N hottest keys and serve GET /v1/topk (0 = off)")
 	fs.IntVar(&o.cfg.Shards, "shards", 0, "ingest lock stripes (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.cfg.MergeTTL, "merge-ttl", 250*time.Millisecond, "staleness bound of cached global-query view (0 = always fresh)")
 	fs.StringVar(&o.cfg.AuthToken, "token", "", "require this bearer token on every request (empty = open)")

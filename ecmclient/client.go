@@ -2,14 +2,13 @@
 //
 // Client implements the same ecmsketch.Ingestor / Querier / Snapshotter
 // interfaces as the local sketch front ends, so code written against those
-// interfaces — ingest pipelines, the TopK tracker, examples — can point at
-// a remote ecmserve deployment by swapping the constructor and nothing
-// else.
+// interfaces — ingest pipelines, examples — can point at a remote ecmserve
+// deployment by swapping the constructor and nothing else.
 //
 // Two method families coexist:
 //
 //   - Explicit, error-returning calls (AddEvents, PointEstimate,
-//     SelfJoinEstimate, FetchSnapshotBytes, FetchStats, TopK, ...) for
+//     SelfJoinEstimate, FetchSnapshotBytes, FetchStats, ...) for
 //     callers that handle transport failures per request.
 //   - The methods of the ecmsketch interfaces (Add, AddBatch, Estimate,
 //     SelfJoin, QueryBatch, Snapshot, ...), most of whose signatures carry
@@ -86,7 +85,7 @@ func New(baseURL string, opts ...Option) *Client {
 // BatchQuerier, DirectQuerier, Snapshotter, DeltaSnapshotter — whether or
 // not that method's signature also returns the error; nil means every such
 // call succeeded. The explicit calls (AddKey, AddEvents, PointEstimate,
-// FetchSnapshotBytes, FetchStats, TopK, Sites, ...) return their error and
+// FetchSnapshotBytes, FetchStats, Sites, ...) return their error and
 // record nothing.
 func (c *Client) Err() error {
 	c.mu.Lock()
@@ -354,29 +353,6 @@ func (c *Client) FetchStats() (Stats, error) {
 	var out Stats
 	err := c.request(http.MethodGet, "/v1/stats", nil, nil, "", &out)
 	return out, err
-}
-
-// TopK reports the server's current hottest keys within the last r ticks
-// (requires the server to run with TopK enabled).
-func (c *Client) TopK(r ecmsketch.Tick) ([]ecmsketch.HeavyItem, error) {
-	var out struct {
-		Top []struct {
-			Key      string  `json:"key"`
-			Estimate float64 `json:"estimate"`
-		} `json:"top"`
-	}
-	if err := c.request(http.MethodGet, "/v1/topk", url.Values{"range": {strconv.FormatUint(r, 10)}}, nil, "", &out); err != nil {
-		return nil, err
-	}
-	items := make([]ecmsketch.HeavyItem, 0, len(out.Top))
-	for _, e := range out.Top {
-		key, err := strconv.ParseUint(e.Key, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("ecmclient: bad key %q in topk reply: %v", e.Key, err)
-		}
-		items = append(items, ecmsketch.HeavyItem{Key: key, Estimate: e.Estimate})
-	}
-	return items, nil
 }
 
 // ---- ecmsketch.Ingestor / Querier / Snapshotter ----

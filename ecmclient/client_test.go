@@ -2,6 +2,7 @@ package ecmclient_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -18,14 +19,13 @@ import (
 	"ecmsketch/ecmserver"
 )
 
-func startServer(t *testing.T, topk int) (*httptest.Server, *ecmclient.Client) {
+func startServer(t *testing.T) (*httptest.Server, *ecmclient.Client) {
 	t.Helper()
 	srv, err := ecmserver.New(ecmserver.Config{
 		Epsilon:      0.05,
 		Delta:        0.05,
 		WindowLength: 10000,
 		Seed:         7,
-		TopK:         topk,
 		Shards:       4,
 	})
 	if err != nil {
@@ -37,7 +37,7 @@ func startServer(t *testing.T, topk int) (*httptest.Server, *ecmclient.Client) {
 }
 
 func TestClientRoundTrip(t *testing.T) {
-	_, c := startServer(t, 0)
+	_, c := startServer(t)
 	for i := ecmsketch.Tick(1); i <= 50; i++ {
 		if err := c.AddKeyString("/home", i, 1); err != nil {
 			t.Fatal(err)
@@ -85,10 +85,16 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 }
 
+// ingestQuerier is what feedAndQuery touches: writes plus point queries.
+type ingestQuerier interface {
+	ecmsketch.Ingestor
+	ecmsketch.Querier
+}
+
 // feedAndQuery is the interface-driven pipeline of the interchangeability
 // test: everything it touches is the Ingestor/Querier contract, so it runs
 // identically against a plain Sketch, a Sharded engine, or a remote server.
-func feedAndQuery(e ecmsketch.IngestQuerier) (hot float64, total float64) {
+func feedAndQuery(e ingestQuerier) (hot float64, total float64) {
 	var batch []ecmsketch.Event
 	var now ecmsketch.Tick
 	for i := 0; i < 500; i++ {
@@ -121,9 +127,9 @@ func TestClientInterchangeable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, remote := startServer(t, 0)
+	_, remote := startServer(t)
 
-	backends := map[string]ecmsketch.IngestQuerier{
+	backends := map[string]ingestQuerier{
 		"sketch": local, "sharded": sharded, "client": remote,
 	}
 	type answer struct{ hot, total float64 }
@@ -158,8 +164,8 @@ func relDiff(a, b float64) float64 {
 }
 
 func TestClientSketchPullAndMerge(t *testing.T) {
-	_, siteA := startServer(t, 0)
-	_, siteB := startServer(t, 0)
+	_, siteA := startServer(t)
+	_, siteB := startServer(t)
 	for i := ecmsketch.Tick(1); i <= 30; i++ {
 		siteA.Add(99, i)
 		siteB.Add(99, i)
@@ -189,8 +195,12 @@ func TestClientSketchPullAndMerge(t *testing.T) {
 	}
 }
 
-func TestClientTopK(t *testing.T) {
-	_, c := startServer(t, 2)
+// TestClientLearnedTopK is the hot-keys recipe end to end: a top-k
+// subscription with no keys learns its candidates from the keys ingest
+// touches, so after the stream has run, the first notification after the next
+// batch ranks the window's hottest keys.
+func TestClientLearnedTopK(t *testing.T) {
+	ts, c := startServer(t)
 	for i := ecmsketch.Tick(1); i <= 60; i++ {
 		c.AddString("hot", i)
 		if i%3 == 0 {
@@ -200,12 +210,22 @@ func TestClientTopK(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	top, err := c.TopK(10000)
+	sub, err := c.Subscribe(context.Background(), []ecmsketch.StandingQuery{{Kind: ecmsketch.StandingTopK, K: 2}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top) != 2 || top[0].Key != ecmsketch.KeyString("hot") {
-		t.Errorf("TopK = %v", top)
+	defer sub.Close()
+	waitWatcher(t, ts.Config.Handler.(*ecmserver.Server), 1)
+	if err := c.AddEvents([]ecmsketch.Event{{Key: ecmsketch.KeyString("hot"), Tick: 61}, {Key: ecmsketch.KeyString("warm"), Tick: 61}}); err != nil {
+		t.Fatal(err)
+	}
+	n := recvNotification(t, sub)
+	if n.Kind != ecmsketch.StandingTopK || len(n.Top) != 2 ||
+		n.Top[0].Key != ecmsketch.KeyString("hot") || n.Top[1].Key != ecmsketch.KeyString("warm") {
+		t.Fatalf("notification %+v, want top-2 hot then warm", n)
+	}
+	if n.Top[0].Estimate < 55 {
+		t.Errorf("hot estimate %v, want ≈61", n.Top[0].Estimate)
 	}
 }
 
@@ -214,7 +234,7 @@ func TestClientTopK(t *testing.T) {
 // on the client — the ones that also return it included — and no explicit
 // call does.
 func TestClientStickyError(t *testing.T) {
-	ts, c := startServer(t, 0)
+	ts, c := startServer(t)
 	other, err := ecmsketch.New(ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 10000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +307,7 @@ func TestClientStickyError(t *testing.T) {
 // the answers a local Sharded engine with identical configuration and
 // stream produces.
 func TestClientQueryBatch(t *testing.T) {
-	_, c := startServer(t, 0)
+	_, c := startServer(t)
 	local, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{
 		Params: ecmsketch.Params{Epsilon: 0.05, Delta: 0.05, WindowLength: 10000, Seed: 7},
 		Shards: 4,
@@ -344,7 +364,7 @@ func TestClientQueryBatch(t *testing.T) {
 }
 
 func TestClientQueryBatchStickyError(t *testing.T) {
-	ts, c := startServer(t, 0)
+	ts, c := startServer(t)
 	ts.Close()
 	if _, err := c.QueryBatch(ecmsketch.QueryBatch{Total: true}); err == nil {
 		t.Fatal("QueryBatch against dead server must error")
@@ -355,21 +375,17 @@ func TestClientQueryBatchStickyError(t *testing.T) {
 }
 
 func TestClientBadRequestSurfacesServerError(t *testing.T) {
-	_, c := startServer(t, 0)
+	_, c := startServer(t)
 	// Tick 0 is rejected server-side; the error body must surface.
 	if err := c.AddKey(1, 0, 1); err == nil {
 		t.Fatal("server-side validation error not surfaced")
-	}
-	// TopK is not enabled on this server.
-	if _, err := c.TopK(10000); err == nil {
-		t.Fatal("topk on a server without -topk must error")
 	}
 }
 
 // TestClientSnapshotRoute pins that Snapshot pulls the /v1/snapshot route
 // and that the result matches the engine.
 func TestClientSnapshotRoute(t *testing.T) {
-	ts, client := startServer(t, 0)
+	ts, client := startServer(t)
 	srv := ts.Config.Handler.(*ecmserver.Server)
 	srv.Engine().Add(7, 100)
 
@@ -423,7 +439,7 @@ func TestClientReusesConnection(t *testing.T) {
 // coordinator through the client: the Engine interfaces make a remote site
 // and a local engine interchangeable leaves of one aggregation tree.
 func TestClientAsCoordinatorSite(t *testing.T) {
-	ts, client := startServer(t, 0)
+	ts, client := startServer(t)
 	srv := ts.Config.Handler.(*ecmserver.Server)
 	for i := uint64(1); i <= 300; i++ {
 		srv.Engine().Add(i%7, i)

@@ -11,7 +11,7 @@ import (
 // ones on a quiet engine, aggregates are rejected by the server, and the
 // rejection is recorded in the sticky error like any transport failure.
 func TestClientQueryDirect(t *testing.T) {
-	_, c := startServer(t, 0)
+	_, c := startServer(t)
 	for i := ecmsketch.Tick(1); i <= 60; i++ {
 		if err := c.AddKeyString("/home", i, 1); err != nil {
 			t.Fatal(err)

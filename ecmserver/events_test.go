@@ -330,15 +330,16 @@ func BenchmarkHandleEvents(b *testing.B) {
 }
 
 // TestShardedAsyncHandlerWriters is the check behind pooling the handlers'
-// event buffers: neither route's buffer may be read after ingestBatch
-// returns, or the next request — which gets the same buffer straight back —
-// would overwrite events an async stripe owner or the WAL had yet to take.
-// One handler-driven writer alternating /v1/events and /v1/batch must leave
-// a sync, an async and an async durable engine byte-equal to an engine fed
-// the same events directly; four concurrent writers, TopK noting on (its
-// reads settle async stripes at timing-dependent ticks, so no byte equality
-// there), must lose no event. CI runs it under -race, which flags a retained
-// slice outright.
+// event buffers: neither route's buffer may be read after AddBatch returns,
+// or the next request — which gets the same buffer straight back — would
+// overwrite events an async stripe owner or the WAL had yet to take. One
+// handler-driven writer alternating /v1/events and /v1/batch must leave a
+// sync, an async and an async durable engine byte-equal to an engine fed the
+// same events directly; four concurrent writers, with a learned top-k
+// subscribed so the standing registry reads every batch's keys and scores
+// them against the engine (its reads settle async stripes at
+// timing-dependent ticks, so no byte equality there), must lose no event. CI
+// runs it under -race, which flags a retained slice outright.
 func TestShardedAsyncHandlerWriters(t *testing.T) {
 	params := ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1 << 16, Seed: 9}
 	const requests, perRequest = 12, ingestFlushEvery + 700 // two chunks a request
@@ -384,11 +385,16 @@ func TestShardedAsyncHandlerWriters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv, err := NewOver(Config{WindowLength: params.WindowLength, TopK: 3 * (writers / 4)}, eng, nil)
+				srv, err := NewOver(Config{WindowLength: params.WindowLength}, eng, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer srv.Close()
+				if writers > 1 {
+					if _, err := srv.Standing().Subscribe([]ecmsketch.StandingQuery{{Kind: ecmsketch.StandingTopK, K: 3}}); err != nil {
+						t.Fatal(err)
+					}
+				}
 				var wg sync.WaitGroup
 				for w := 0; w < writers; w++ {
 					wg.Add(1)

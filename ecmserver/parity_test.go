@@ -188,7 +188,6 @@ func TestSurfaceParity(t *testing.T) {
 		{"POST", "/v1/batch", "alpha,5\n", 0},
 		{"POST", "/v1/events", `[{"key":"alpha","t":5}]`, 0},
 		{"POST", "/v1/advance?t=99", "", 0},
-		{"GET", "/v1/topk", "", 0},
 		{"GET", "/v1/interval?key=alpha&from=1&to=9", "", 0},
 	} {
 		if rec := c.serve(coord, false, ""); rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {

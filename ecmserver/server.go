@@ -39,8 +39,6 @@ type Config struct {
 	Algorithm    string // "eh", "dw" or "rw"
 	UpperBound   uint64
 	Seed         uint64
-	// TopK enables the /v1/topk endpoint tracking this many hottest keys.
-	TopK int
 	// Shards is the lock-stripe count of the engine; 0 means GOMAXPROCS.
 	Shards int
 	// MergeTTL bounds the staleness of global queries (selfjoin, total,
@@ -106,11 +104,6 @@ type Server struct {
 	mux       *http.ServeMux
 	patterns  []string     // every pattern mounted on mux; testdata/surface.golden pins the list
 	handler   http.Handler // mux, wrapped with bearer auth when configured
-
-	// topkMu guards the TopK candidate set; the stream itself lives in the
-	// shared engine (single ingest, no private second sketch).
-	topkMu sync.Mutex
-	topk   *ecmsketch.TopK // nil unless TopK > 0
 
 	// standing evaluates continuous queries incrementally off the source's
 	// change feed and fans fired notifications out over /v1/watch (SSE).
@@ -184,17 +177,6 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 		s.Handle("POST /v1/batch", s.handleBatch)
 		s.Handle("POST /v1/events", s.handleEvents)
 		s.Handle("POST /v1/advance", s.handleAdvance)
-	}
-	if cfg.TopK > 0 {
-		if s.engine == nil {
-			return nil, fmt.Errorf("ecmserver: TopK needs a site engine")
-		}
-		tk, err := ecmsketch.NewTopKOver(cfg.TopK, s.engine, cfg.WindowLength)
-		if err != nil {
-			return nil, err
-		}
-		s.topk = tk
-		s.Handle("GET /v1/topk", s.handleTopK)
 	}
 
 	// Standing queries: at a site the registry re-checks its predicates
@@ -293,29 +275,16 @@ func ParseAlgo(s string) (ecmsketch.Algorithm, error) {
 // route — Handle-mounted ones included — sits behind the bearer check.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// ingestBatch feeds a batch through the engine's lock-amortized path and
-// then registers the keys as TopK candidates without re-ingesting.
-func (s *Server) ingestBatch(events []ecmsketch.Event) {
-	s.ingestor.AddBatch(events)
-	if s.topk != nil {
-		s.topkMu.Lock()
-		for _, ev := range events {
-			s.topk.Note(ev.Key)
-		}
-		s.topkMu.Unlock()
-	}
-}
-
 // ingestFlushEvery bounds the memory of streaming batch uploads: parsed
 // events are flushed into the engine in chunks of this many, so arbitrarily
 // long request bodies never accumulate in full.
 const ingestFlushEvery = 4096
 
 // eventBufs pools the chunk buffers of the batch routes. A handler may put
-// its buffer back as soon as ingestBatch returns: Sharded.AddBatch only reads
+// its buffer back as soon as AddBatch returns: Sharded.AddBatch only reads
 // the slice (sync ingest applies and WAL-encodes it under the stripe locks,
 // the async pipeline copies it into its own per-stripe chunks), and the
-// standing-query and TopK notes copy the keys out before returning.
+// standing-query notes copy the keys out before returning.
 var eventBufs = sync.Pool{New: func() any {
 	buf := make([]ecmsketch.Event, 0, ingestFlushEvery)
 	return &buf
@@ -378,13 +347,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		events = append(events, ecmsketch.Event{Key: key, Tick: t, N: n})
 		accepted++
 		if len(events) == ingestFlushEvery {
-			s.ingestBatch(events)
+			s.ingestor.AddBatch(events)
 			events = events[:0]
 		}
 	}
 	// Whatever stopped the scan, every record parsed before it is applied,
 	// like the chunks already flushed.
-	s.ingestBatch(events)
+	s.ingestor.AddBatch(events)
 	if stop == nil {
 		stop = sc.Err()
 	}
@@ -421,12 +390,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if events = append(events, ev); len(events) == ingestFlushEvery {
-			s.ingestBatch(events)
+			s.ingestor.AddBatch(events)
 			accepted += len(events)
 			events = events[:0]
 		}
 	}
-	s.ingestBatch(events)
+	s.ingestor.AddBatch(events)
 	wire.Respond(w, map[string]any{"accepted": accepted + len(events)})
 }
 
@@ -712,28 +681,4 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ingestor.Advance(t)
 	wire.Respond(w, map[string]any{"ok": true, "now": wire.U64Field(wire.WantStrings(r), t)})
-}
-
-// handleTopK reports the current hottest keys: GET /v1/topk?range=60000.
-// Available only when the server was configured with TopK > 0.
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	rng, err := wire.ParseU64(r, "range", s.cfg.WindowLength)
-	if err != nil {
-		wire.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	s.topkMu.Lock()
-	items := s.topk.Top(rng)
-	s.topkMu.Unlock()
-	// Keys are rendered as decimal strings: uint64 digests exceed the
-	// float64-exact integer range of JSON consumers.
-	type entry struct {
-		Key      string  `json:"key"`
-		Estimate float64 `json:"estimate"`
-	}
-	out := make([]entry, len(items))
-	for i, it := range items {
-		out[i] = entry{Key: strconv.FormatUint(it.Key, 10), Estimate: it.Estimate}
-	}
-	wire.Respond(w, map[string]any{"top": out, "range": wire.U64Field(wire.WantStrings(r), rng)})
 }

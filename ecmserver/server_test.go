@@ -343,45 +343,6 @@ func TestIntervalEndpoint(t *testing.T) {
 	}
 }
 
-func TestTopKEndpoint(t *testing.T) {
-	srv, err := New(Config{
-		Epsilon: 0.05, Delta: 0.05, WindowLength: 10000, TopK: 2, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 60; i++ {
-		add(t, srv, "hot", i, 1)
-		if i%3 == 0 {
-			add(t, srv, "warm", i, 1)
-		}
-		if i%10 == 0 {
-			add(t, srv, "cold", i, 1)
-		}
-	}
-	code, out := doJSON(t, srv, "GET", "/v1/topk", "")
-	if code != http.StatusOK {
-		t.Fatalf("/topk returned %d", code)
-	}
-	top := out["top"].([]any)
-	if len(top) != 2 {
-		t.Fatalf("top has %d entries, want 2", len(top))
-	}
-	first := top[0].(map[string]any)
-	if want := fmt.Sprintf("%d", ecmsketch.KeyString("hot")); first["key"].(string) != want {
-		t.Errorf("rank 1 is %v, want digest of \"hot\" (%s)", first["key"], want)
-	}
-	if est := first["estimate"].(float64); est < 55 {
-		t.Errorf("rank 1 estimate %v, want ≈60", est)
-	}
-	// Without -topk, the endpoint does not exist.
-	plain := testServer(t)
-	code, _ = doJSON(t, plain, "GET", "/v1/topk", "")
-	if code == http.StatusOK {
-		t.Error("/topk served without TopK configured")
-	}
-}
-
 // TestVersionedRoutes checks every endpoint answers under the /v1 prefix
 // and only there: the API has no unversioned paths.
 func TestVersionedRoutes(t *testing.T) {
@@ -398,6 +359,8 @@ func TestVersionedRoutes(t *testing.T) {
 		// One spelling per capability: these second ones are not routes.
 		{"POST", "/v1/add?key=/home&t=21"}, {"GET", "/v1/estimate?key=/home"},
 		{"GET", "/v1/selfjoin"}, {"GET", "/v1/total"}, {"GET", "/v1/sketch"},
+		// Retired: hot keys are a learned top-k subscription.
+		{"GET", "/v1/topk"},
 	} {
 		if code, _ := doJSON(t, srv, tc.method, tc.url, ""); code != http.StatusNotFound {
 			t.Errorf("%s %s returned %d, want 404", tc.method, tc.url, code)

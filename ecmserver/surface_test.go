@@ -118,7 +118,7 @@ func renderSurface(t *testing.T) []string {
 		out = append(out, renderIdentifiers(t, p.name, p.dir)...)
 	}
 
-	site, err := New(Config{Epsilon: 0.1, Delta: 0.1, WindowLength: 100, TopK: 3, Shards: 1})
+	site, err := New(Config{Epsilon: 0.1, Delta: 0.1, WindowLength: 100, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

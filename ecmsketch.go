@@ -52,10 +52,10 @@
 //	})
 //
 // Higher-level queries (heavy hitters, range counts, quantiles) live behind
-// NewHierarchy; hot-item tracking behind NewTopK/NewTopKOver (the latter
-// wraps any existing Engine instead of owning a second sketch); continuous
-// distributed threshold monitoring behind NewMonitor; multi-site simulation
-// and aggregation behind NewCluster.
+// NewHierarchy; continuous hot-key tracking is a learned top-k standing
+// query (NewStandingRegistry); continuous distributed threshold monitoring
+// behind NewMonitor; multi-site simulation and aggregation behind
+// NewCluster.
 //
 // The implementation packages sit under internal/: window (exponential
 // histograms, deterministic and randomized waves), cm (conventional

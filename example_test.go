@@ -77,31 +77,3 @@ func ExampleNewWindowedSum() {
 	// bytes in window ≈ 2464
 	// after sliding ≈ 964
 }
-
-// ExampleNewTopK demonstrates continuous top-k tracking.
-func ExampleNewTopK() {
-	tk, err := ecmsketch.NewTopK(2, ecmsketch.Params{
-		Epsilon:      0.01,
-		Delta:        0.05,
-		WindowLength: 1000,
-	})
-	if err != nil {
-		panic(err)
-	}
-	var t ecmsketch.Tick
-	for _, spec := range []struct {
-		key uint64
-		n   int
-	}{{101, 30}, {202, 20}, {303, 5}} {
-		for i := 0; i < spec.n; i++ {
-			t++
-			tk.Offer(spec.key, t)
-		}
-	}
-	for rank, item := range tk.Top(1000) {
-		fmt.Printf("#%d: item %d ≈ %.0f\n", rank+1, item.Key, item.Estimate)
-	}
-	// Output:
-	// #1: item 101 ≈ 30
-	// #2: item 202 ≈ 20
-}

@@ -1,8 +1,10 @@
 // E-shop ranking: the introduction's third motivating scenario — "ranking
 // products in a cloud-based e-shop, based on the number of recent visits of
 // each product" — using a COUNT-BASED window: the ranking always reflects
-// the last N visits, regardless of how bursty traffic is. A TopK tracker
-// maintains the leaderboard without scanning the catalog.
+// the last N visits, regardless of how bursty traffic is. A dyadic
+// Hierarchy (Section 6.1) finds the leaderboard by group testing over the
+// catalog's id space, without scanning the catalog or keeping a candidate
+// list: every product above a share of the window is found (Theorem 5).
 //
 // Run with: go run ./examples/eshop
 package main
@@ -16,12 +18,19 @@ import (
 )
 
 func main() {
-	const lastVisits = 50_000 // rank over the most recent 50k visits
-	tk, err := ecmsketch.NewTopK(5, ecmsketch.Params{
-		Epsilon:      0.01,
-		Delta:        0.05,
-		Model:        ecmsketch.CountBased,
-		WindowLength: lastVisits,
+	const (
+		lastVisits = 50_000 // rank over the most recent 50k visits
+		catalog    = 20_000 // product ids 0..catalog, inside a 15-bit domain
+		phi        = 0.01   // candidates: every product with ≥ 1% of the window
+	)
+	h, err := ecmsketch.NewHierarchy(ecmsketch.HierarchyParams{
+		Sketch: ecmsketch.Params{
+			Epsilon:      0.01,
+			Delta:        0.05,
+			Model:        ecmsketch.CountBased,
+			WindowLength: lastVisits,
+		},
+		DomainBits: 15,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -32,7 +41,7 @@ func main() {
 
 	// Catalog of 20k products with Zipf popularity; a "flash sale" later
 	// rotates which products are hot.
-	zipf := rand.NewZipf(rng, 1.2, 8, 20_000)
+	zipf := rand.NewZipf(rng, 1.2, 8, catalog)
 	visit := func(n int, saleItem uint64) {
 		for i := 0; i < n; i++ {
 			visitSeq++
@@ -40,13 +49,19 @@ func main() {
 			if saleItem != 0 && rng.Intn(4) == 0 {
 				product = saleItem
 			}
-			tk.Offer(product, visitSeq)
+			if err := h.Add(product, visitSeq); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	leaderboard := func(phase string) {
 		fmt.Printf("[%s] after %d visits, top products over the last %d visits:\n",
 			phase, visitSeq, ecmsketch.Tick(lastVisits))
-		for rank, it := range tk.Top(lastVisits) {
+		top, err := h.HeavyHitters(phi, lastVisits)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for rank, it := range top[:min(5, len(top))] {
 			fmt.Printf("   #%d product-%05d ≈ %6.0f visits\n", rank+1, it.Key, it.Estimate)
 		}
 	}
@@ -62,8 +77,8 @@ func main() {
 	visit(60_000, 0) // sale over; its visits age out of the last-50k window
 	leaderboard("sale expired")
 
-	fmt.Printf("\nsketch memory: %.1f KiB for a 20k-product catalog\n",
-		float64(tk.MemoryBytes())/1024)
+	fmt.Printf("\nsketch memory: %.1f KiB for a 20k-product catalog (%d dyadic levels)\n",
+		float64(h.MemoryBytes())/1024, h.DomainBits())
 	fmt.Println("note: count-based windows rank by recency of *visits*, not wall-clock —")
 	fmt.Println("a quiet night never dilutes the leaderboard.")
 }

@@ -628,9 +628,9 @@ func (r *Registry) evalTopKLocked(p *pred, t Target, now core.Tick) {
 		}
 		return scored[i].Key < scored[j].Key
 	})
-	// Learned candidate sets are trimmed like the TopK tracker: keep the
-	// best half of the overprovisioned bound, which always covers the
-	// current membership (4k ≥ k).
+	// A learned candidate set overprovisions 8·K — window decay can promote
+	// a mid-ranked key — and past that keeps the best half, which always
+	// covers the current membership (4k ≥ k).
 	if p.learned && len(scored) > 8*p.q.K {
 		for _, it := range scored[4*p.q.K:] {
 			delete(p.scores, it.Key)

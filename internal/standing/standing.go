@@ -127,16 +127,17 @@ type Query struct {
 	// K is the membership size of a top-k query.
 	K int
 	// Keys is the explicit candidate watchlist of a top-k query. Optional
-	// on ingest engines (candidates are then learned from the touched
-	// keys, like the TopK tracker); required on coordinator surfaces,
-	// which observe cell deltas, never raw keys.
+	// on ingest engines, where omitting it learns the candidates from the
+	// keys each batch touches — the site's hot-key tracker; required on
+	// coordinator surfaces, which observe cell deltas, never raw keys.
 	Keys []uint64
 	// RankChanges additionally fires top-k on rank-order changes among
 	// unchanged membership.
 	RankChanges bool
 }
 
-// maxTopKCandidates bounds explicit watchlists and learned candidate sets.
+// maxTopKCandidates bounds K and explicit watchlists. A learned candidate
+// set is bounded by its query instead: at most 8·K after each evaluation.
 const maxTopKCandidates = 4096
 
 // validate rejects malformed queries at registration, not at evaluation.

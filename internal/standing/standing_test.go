@@ -2,6 +2,7 @@ package standing
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,6 +246,76 @@ func TestLearnedTopKAdmitsTouchedKeys(t *testing.T) {
 	got := drain(w)
 	if len(got) != 1 || len(got[0].Top) != 1 || got[0].Top[0].Key != 7 {
 		t.Fatalf("learned candidate not admitted: %+v", got)
+	}
+}
+
+// sketchTarget is a real ECM-sketch under the registry, fed and noted one
+// arrival at a time the way a site's ingest path does.
+func sketchTarget(t *testing.T, window core.Tick) (*core.Sketch, *Registry) {
+	t.Helper()
+	sk, err := core.New(core.Params{Epsilon: 0.05, Delta: 0.05, WindowLength: window, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(Config{Window: window})
+	r.Bind(sk)
+	return sk, r
+}
+
+// TestLearnedTopKCandidateBounded: under heavy churn — 20,000 arrivals over
+// 100,000 distinct keys plus 5 recurring hot keys — a learned set never holds
+// more than 8·K candidates after a pass, and the hot keys hold the top 3.
+func TestLearnedTopKCandidateBounded(t *testing.T) {
+	const k = 5
+	sk, r := sketchTarget(t, 10000)
+	_, w := mustSubscribe(t, r, Query{Kind: KindTopK, K: k})
+	p := r.preds[0]
+	rng := rand.New(rand.NewSource(4))
+	for now := core.Tick(1); now <= 20000; now++ {
+		key := uint64(rng.Intn(100000))
+		if rng.Intn(5) == 0 {
+			key = uint64(rng.Intn(5))
+		}
+		sk.Add(key, now)
+		noteKey(r, key)
+		if n := len(p.scores); n > 8*k {
+			t.Fatalf("tick %d: learned set holds %d candidates, want at most %d", now, n, 8*k)
+		}
+		drain(w)
+	}
+	if len(p.members) < 3 {
+		t.Fatalf("membership %+v, want at least 3 members", p.members)
+	}
+	for i, it := range p.members[:3] {
+		if it.Key >= 5 {
+			t.Errorf("rank %d is churn key %d (top=%+v)", i, it.Key, p.members)
+		}
+	}
+}
+
+// TestLearnedTopKWindowDecay: a key hot early leaves the learned membership
+// once the window slides past its burst, and the notification says so.
+func TestLearnedTopKWindowDecay(t *testing.T) {
+	sk, r := sketchTarget(t, 100)
+	_, w := mustSubscribe(t, r, Query{Kind: KindTopK, K: 2})
+	for now := core.Tick(1); now <= 80; now++ {
+		sk.Add(7, now)
+		noteKey(r, 7)
+	}
+	if got := drain(w); len(got) != 1 || got[0].Top[0].Key != 7 {
+		t.Fatalf("early burst: %+v, want one notification with key 7 entering", got)
+	}
+	for now := core.Tick(300); now <= 380; now++ {
+		sk.Add(8, now)
+		noteKey(r, 8)
+	}
+	got := drain(w)
+	if len(got) != 1 {
+		t.Fatalf("late burst fired %d notifications, want 1: %+v", len(got), got)
+	}
+	n := got[0]
+	if len(n.Top) != 1 || n.Top[0].Key != 8 || len(n.Left) != 1 || n.Left[0] != 7 {
+		t.Fatalf("after decay: top %+v left %v, want only key 8, key 7 left", n.Top, n.Left)
 	}
 }
 

@@ -134,17 +134,6 @@ func BenchmarkReordererOffer(b *testing.B) {
 	r.Flush()
 }
 
-func BenchmarkTopKOffer(b *testing.B) {
-	tk, err := ecmsketch.NewTopK(10, ecmsketch.Params{Epsilon: 0.05, Delta: 0.05, WindowLength: 1 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tk.Offer(uint64(i%4096), ecmsketch.Tick(i+1))
-	}
-}
-
 // benchConcurrentIngest measures wall-clock ingest throughput of an
 // Ingestor under a fixed number of writer goroutines, each feeding
 // single-event AddN calls (the worst case for lock traffic — batching is

@@ -435,5 +435,84 @@ func TestStandingOracleEquivalenceCoordinator(t *testing.T) {
 	}
 }
 
+// learnedTopK feeds events into a 4-stripe Sharded engine in batches of 100
+// with a registry bound as its notifier, holding one learned top-k query (no
+// watchlist), and returns the engine and the membership of the last
+// notification — the query's current top-k.
+func learnedTopK(t *testing.T, k int, events []Event) (*Sharded, []NotificationItem) {
+	t.Helper()
+	p := Params{Epsilon: 0.05, Delta: 0.05, WindowLength: 10000, Seed: 3}
+	eng, err := NewSharded(ShardedConfig{Params: p, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewStandingRegistry(StandingConfig{Window: p.WindowLength})
+	reg.Bind(eng)
+	eng.SetNotifier(reg)
+	t.Cleanup(func() { eng.SetNotifier(nil) })
+	w, _, _ := collectRegistry(t, reg, []StandingQuery{{Kind: StandingTopK, K: k}})
+	var top []NotificationItem
+	for len(events) > 0 {
+		n := min(100, len(events))
+		eng.AddBatch(events[:n])
+		events = events[n:]
+		for _, note := range drainWatcher(w) {
+			top = note.Top
+		}
+	}
+	return eng, top
+}
+
+// TestLearnedTopKBasicRanking: a learned top-3 over five keys of distinct
+// frequencies ranks the three heaviest in order, with near-exact estimates,
+// and the stream is ingested once — the registry keeps no second sketch.
+func TestLearnedTopKBasicRanking(t *testing.T) {
+	var events []Event
+	var now Tick
+	for _, kc := range []struct{ key, n uint64 }{{1, 500}, {2, 300}, {3, 200}, {4, 50}, {5, 10}} {
+		for i := uint64(0); i < kc.n; i++ {
+			now++
+			events = append(events, Event{Key: kc.key, Tick: now})
+		}
+	}
+	eng, top := learnedTopK(t, 3, events)
+	if got := eng.Count(); got != uint64(len(events)) {
+		t.Errorf("engine ingested %d arrivals, want exactly %d", got, len(events))
+	}
+	if len(top) != 3 || top[0].Key != 1 || top[1].Key != 2 || top[2].Key != 3 {
+		t.Fatalf("top = %+v, want keys 1, 2, 3", top)
+	}
+	if top[0].Estimate < 450 {
+		t.Errorf("rank 1 estimate %v, want ≈500", top[0].Estimate)
+	}
+}
+
+// TestLearnedTopKZipfAgainstOracle: over a Zipf(1.3) stream the learned
+// top-10 holds at least 4 of the exact top 5.
+func TestLearnedTopKZipfAgainstOracle(t *testing.T) {
+	oracle := NewOracle(10000)
+	rng := rand.New(rand.NewSource(8))
+	zipf := rand.NewZipf(rng, 1.3, 1, 5000)
+	events := make([]Event, 30000)
+	for i := range events {
+		events[i] = Event{Key: zipf.Uint64(), Tick: Tick(i + 1)}
+		oracle.Add(events[i].Key, events[i].Tick)
+	}
+	_, top := learnedTopK(t, 10, events)
+	truth := oracle.HeavyHitters(0.01, 10000)[:5]
+	found := 0
+	for _, ev := range truth {
+		for _, it := range top {
+			if it.Key == ev.Key {
+				found++
+				break
+			}
+		}
+	}
+	if found < 4 {
+		t.Errorf("learned top-10 holds %d of the exact top 5 %v (top=%+v)", found, truth, top)
+	}
+}
+
 // Silence the unused-import guard if the standing alias set shrinks.
 var _ = standing.KindThreshold
