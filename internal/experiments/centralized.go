@@ -88,8 +88,11 @@ func RunCentralized(ds Dataset, cfg CentralizedConfig) ([]CentralizedRow, error)
 	return rows, nil
 }
 
+// newSketch builds the centralized sketch of one experiment cell. Its
+// identifier salt is fixed, so an RW row does not depend on how many
+// sketches the process built before it.
 func newSketch(ds Dataset, algo window.Algorithm, eps, delta float64, q core.QueryKind) (*core.Sketch, error) {
-	return core.New(core.Params{
+	s, err := core.New(core.Params{
 		Epsilon:      eps,
 		Delta:        delta,
 		Query:        q,
@@ -98,6 +101,11 @@ func newSketch(ds Dataset, algo window.Algorithm, eps, delta float64, q core.Que
 		UpperBound:   ds.UpperBound,
 		Seed:         1234,
 	})
+	if err != nil {
+		return nil, err
+	}
+	s.SetIDSalt(0xC3A5_C85C_97CB_3127)
+	return s, nil
 }
 
 func ingest(s *core.Sketch, ds Dataset) {

@@ -169,9 +169,9 @@ func subjects(t testing.TB, algo Algorithm, cfg Config) []subject {
 			t.Fatalf("NewBank(%v): %v", algo, err)
 		}
 		if algo == AlgoRW {
-			// Default identifier salts depend on how many waves the process
-			// built before this one; pin them so a randomized test draws the
-			// same identifiers — in both subjects — whatever ran before it.
+			// The oracle's default identifier salt depends on how many waves
+			// the process built before it, the bank's on the seed; pin both
+			// so a randomized test draws the same identifiers in each.
 			oracle.(*RW).SetIDSalt(subjectIDSalt)
 			bank.(*RWBank).SetCellIDSalt(0, subjectIDSalt)
 		}

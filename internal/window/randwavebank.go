@@ -3,7 +3,6 @@ package window
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"ecmsketch/internal/hashing"
 )
@@ -28,11 +27,6 @@ type rwCell struct {
 	salt  uint64 // mixed into auto-generated event identifiers
 	seq   uint64 // auto-identifier sequence
 }
-
-// rwSaltCounter hands out distinct default identifier salts to cells created
-// in the same process, so that auto-identified events from different cells
-// never collide.
-var rwSaltCounter uint64
 
 // RWBank is a bank of n randomized waves (Gibbons & Tirthapura) for
 // duplicate-insensitive basic counting, backed by one contiguous entry
@@ -62,8 +56,9 @@ type RWBank struct {
 
 // NewRWBank constructs a bank of n empty randomized waves providing an (ε,δ)
 // approximation over a window of cfg.Length ticks, sized for cfg.UpperBound
-// arrivals per window. Each cell draws a process-unique default identifier
-// salt.
+// arrivals per window. Each cell's default identifier salt derives from
+// (cfg.Seed, cell index), so two processes building the same bank agree
+// byte for byte.
 func NewRWBank(cfg Config, n int) (*RWBank, error) {
 	core, err := newBankCore(AlgoRW, cfg, n)
 	if err != nil {
@@ -84,7 +79,7 @@ func NewRWBank(cfg Config, n int) (*RWBank, error) {
 		b.seeds[r] = hashing.Mix64(cfg.Seed ^ uint64(r+1)*0xD1B54A32D192ED03)
 	}
 	for i := range b.cells {
-		b.cells[i].salt = hashing.Mix64(atomic.AddUint64(&rwSaltCounter, 1) * 0x9e3779b97f4a7c15)
+		b.cells[i].salt = hashing.Mix64(cfg.Seed*0x9e3779b97f4a7c15 ^ uint64(i+1)*0xBF58476D1CE4E5B9)
 	}
 	return b, nil
 }
@@ -109,9 +104,10 @@ func rwRepetitions(delta float64) int {
 
 // SetCellIDSalt overrides the salt mixed into cell i's auto-generated event
 // identifiers. Waves merged together must have been fed events with globally
-// unique identifiers; within one process the default per-cell salt
-// guarantees that, while multi-process deployments should set an explicit
-// site salt (or feed explicit identifiers through AddID).
+// unique identifiers; the default salt separates the cells of one bank but
+// is shared by every bank built with the same seed, so banks whose waves
+// will be merged need explicit per-site salts (or explicit identifiers
+// through AddID).
 func (b *RWBank) SetCellIDSalt(i int, salt uint64) { b.cells[i].salt = salt }
 
 // CellIDSalt reports cell i's auto-identifier salt (the inverse of

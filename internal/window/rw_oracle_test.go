@@ -3,7 +3,7 @@ package window
 // The per-object randomized wave: one growable deque per level of every
 // copy, the textbook layout RWBank replaced in production. It stays here as
 // the differential oracle the bank is held to bit for bit, down to its own
-// entry type; only the sizing formulas and the salt counter are shared.
+// entry type; only the sizing formulas are shared.
 
 import (
 	"errors"
@@ -13,6 +13,10 @@ import (
 
 	"ecmsketch/internal/hashing"
 )
+
+// rwSaltCounter hands out distinct default identifier salts to oracle waves
+// built in the same process.
+var rwSaltCounter uint64
 
 // rwEntry is one stored event of a randomized wave: its tick and its unique
 // event identifier. The identifier determines the event's level assignment,
