@@ -10,13 +10,13 @@ import (
 )
 
 // Cluster simulates a set of distributed sites, each summarizing its local
-// sub-stream in an ECM-sketch, plus the balanced-binary-tree aggregation
-// path of the paper's distributed experiments. Sites run as goroutines;
-// every aggregation edge ships a sketch summary whose wire size is charged
-// to the cluster's Network() accounting. Aggregation runs on the same
-// coordinator core as networked deployments (see Coordinator), so the
-// simulation's merged result is bit-identical to a real coordinator's over
-// the same event log.
+// sub-stream in an ECM-sketch, plus the balanced-binary-tree aggregation of
+// the paper's distributed experiments. IngestAll applies each site's share
+// of a stream on its own goroutine; AggregateTree builds the tree out of
+// Coordinators, so every aggregation edge is a coordinator pull whose wire
+// size is charged to the cluster's Network() accounting, and the
+// simulation's merged result is bit-identical to deployed coordinators'
+// over the same event log.
 type Cluster = coord.Cluster
 
 // Site is one summary source behind a coordinator transport: Delta answers a
@@ -27,12 +27,12 @@ type Cluster = coord.Cluster
 type Site = coord.Site
 
 // Coordinator aggregates a set of sites' summaries — in-process, networked,
-// or a mix — into one sketch of the combined stream, with the paper's
-// balanced-binary-tree accounting. Every pull lands in a per-site receiver
-// state (DeltaState): by default the coordinator presents the zero cursor
-// and each site ships its full summary; SetDeltaPulls(true) presents the
-// held cursor instead, so sites ship only what changed (transparent
-// full-pull fallback on any cursor invalidation). After a
+// or a mix — into one sketch of the combined stream, one Refresh round at a
+// time. Every pull lands in a per-site receiver state (DeltaState) and
+// presents the cursor it holds, so after the first full baseline sites ship
+// only what changed (transparent full-pull fallback on any cursor
+// invalidation); a failing site is served from its retained baseline or
+// excluded, and backs off (SiteStatuses). After a
 // Refresh it is also a read-side front end — BatchQuerier, DirectQuerier,
 // Snapshotter, DeltaSnapshotter over a frozen clone of its merged root —
 // which is how ecmserver serves one; see cmd/ecmcoord for the deployable
@@ -84,7 +84,7 @@ type StreamConfig = workload.Config
 
 // StreamGenerator produces reproducible synthetic event streams, including
 // the wc'98-like and snmp-like stand-ins used by the experiment harness. Its
-// events (key, time, site) carry the site affinity Cluster.Feed routes by,
+// events (key, time, site) carry the site affinity Cluster.IngestAll routes by,
 // which the batch-ingest Event of the Ingestor interfaces does not have.
 type StreamGenerator = workload.Generator
 

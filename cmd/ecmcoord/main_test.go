@@ -154,7 +154,6 @@ func TestEcmcoordMergesBitIdenticallyToInProcess(t *testing.T) {
 			ts.Config.Handler.(*ecmserver.Server).Engine())
 	}
 	co := ecmsketch.NewCoordinator(local...)
-	co.SetDeltaPulls(true)
 	if err := co.Refresh(); err != nil {
 		t.Fatal(err)
 	}

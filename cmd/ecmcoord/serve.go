@@ -59,11 +59,8 @@ type coordServer struct {
 }
 
 // newCoordServer wraps co in the shared serving surface, configured by cfg
-// (AuthToken, EnableProfiling). The coordinator always pulls deltas and
-// tracks site health.
+// (AuthToken, EnableProfiling).
 func newCoordServer(co *ecmsketch.Coordinator, interval time.Duration, cfg ecmserver.Config) (*coordServer, error) {
-	co.SetDeltaPulls(true)
-	co.SetResilient(true)
 	cs := &coordServer{co: co, interval: interval, stop: make(chan struct{})}
 	srv, err := ecmserver.NewOver(cfg, co, cs.stats)
 	if err != nil {

@@ -437,7 +437,7 @@ func TestClientReusesConnection(t *testing.T) {
 
 // TestClientAsCoordinatorSite wires a remote server into an in-process
 // coordinator through the client: the Engine interfaces make a remote site
-// and a local engine interchangeable leaves of one aggregation tree.
+// and a local engine interchangeable members of one coordinator.
 func TestClientAsCoordinatorSite(t *testing.T) {
 	ts, client := startServer(t)
 	srv := ts.Config.Handler.(*ecmserver.Server)
@@ -457,12 +457,12 @@ func TestClientAsCoordinatorSite(t *testing.T) {
 		ecmsketch.NewLocalSite("remote-via-client", client),
 		ecmsketch.NewLocalSite("local", local),
 	)
-	root, height, err := co.AggregateTree()
-	if err != nil {
+	if err := co.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if height != 1 {
-		t.Errorf("height = %d, want 1", height)
+	root, err := co.View()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if root.Count() != 600 {
 		t.Errorf("root count = %d, want 600", root.Count())

@@ -48,7 +48,6 @@ func TestSurfaceParity(t *testing.T) {
 	}
 	defer site.Close()
 	co := ecmsketch.NewCoordinator(ecmsketch.NewLocalSite("site", site.Engine()))
-	co.SetDeltaPulls(true)
 	coord, err := NewOver(Config{AuthToken: "tok"}, co, nil)
 	if err != nil {
 		t.Fatal(err)

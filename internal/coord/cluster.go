@@ -1,8 +1,11 @@
 package coord
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ecmsketch/internal/core"
 	"ecmsketch/internal/workload"
@@ -10,17 +13,11 @@ import (
 
 // Cluster simulates the paper's distributed deployments in one process: n
 // sites each observe a local sub-stream and summarize it in an ECM-sketch,
-// and AggregateTree merges them through the same Coordinator a networked
-// deployment runs. Sites are goroutines consuming their own channels, which
-// carry event batches, not single events: feeding batched keeps the channel
-// traffic (and, inside each site, the per-arrival call overhead)
-// proportional to batches rather than arrivals.
+// and AggregateTree merges them through a tree of the same Coordinators a
+// networked deployment runs.
 type Cluster struct {
-	sites   []*core.Sketch
-	chans   []chan []workload.Event
-	wg      sync.WaitGroup
-	net     Network
-	started bool
+	sites []*core.Sketch
+	net   Network
 }
 
 // NewCluster builds n sites with identically configured (and hence
@@ -43,111 +40,97 @@ func NewCluster(p core.Params, n int) (*Cluster, error) {
 	return c, nil
 }
 
-// Sites exposes the local sketches (after Wait, for inspection).
+// Sites exposes the local sketches (after IngestAll, for inspection).
 func (c *Cluster) Sites() []*core.Sketch { return c.sites }
 
 // Network exposes the communication accounting.
 func (c *Cluster) Network() *Network { return &c.net }
 
-// Start launches one goroutine per site, each consuming its own event
-// channel into its local sketch.
-func (c *Cluster) Start() {
-	if c.started {
-		return
-	}
-	c.started = true
-	c.chans = make([]chan []workload.Event, len(c.sites))
-	for i := range c.sites {
-		c.chans[i] = make(chan []workload.Event, 64)
-		c.wg.Add(1)
-		go func(idx int) {
-			defer c.wg.Done()
-			s := c.sites[idx]
-			var buf []core.Event
-			for batch := range c.chans[idx] {
-				buf = buf[:0]
-				for _, ev := range batch {
-					buf = append(buf, core.Event{Key: ev.Key, Tick: ev.Time, N: 1})
-				}
-				s.AddBatch(buf)
-			}
-		}(i)
-	}
-}
-
-// Feed routes one event to its site (ev.Site modulo the cluster size).
-func (c *Cluster) Feed(ev workload.Event) {
-	c.chans[ev.Site%len(c.sites)] <- []workload.Event{ev}
-}
-
-// FeedBatch routes a batch of events, grouping them per site so each site
-// channel receives at most one message for the whole batch. Per-site event
-// order follows slice order.
-func (c *Cluster) FeedBatch(events []workload.Event) {
-	groups := make([][]workload.Event, len(c.sites))
-	for _, ev := range events {
-		idx := ev.Site % len(c.sites)
-		groups[idx] = append(groups[idx], ev)
-	}
-	for i, g := range groups {
-		if len(g) > 0 {
-			c.chans[i] <- g
-		}
-	}
-}
-
-// Wait closes the site channels and blocks until every site has drained its
-// stream, then aligns all site windows to the given tick.
-func (c *Cluster) Wait(now core.Tick) {
-	for _, ch := range c.chans {
-		close(ch)
-	}
-	c.wg.Wait()
-	c.started = false
-	for _, s := range c.sites {
-		s.Advance(now)
-	}
-}
-
-// ingestChunk is the batch size IngestAll slices a pre-generated stream
-// into before routing it to the sites.
-const ingestChunk = 512
-
-// IngestAll runs the full pipeline for a pre-generated stream: start the
-// sites, feed every event in site-grouped batches, and wait for
-// completion. It returns the final stream tick.
+// IngestAll feeds a pre-generated stream: events are grouped per site
+// (ev.Site modulo the cluster size) in stream order, each site applies its
+// share with one AddBatch on its own goroutine, and every site then advances
+// to the stream's last tick, which IngestAll returns.
 func (c *Cluster) IngestAll(events []workload.Event) core.Tick {
-	c.Start()
+	groups := make([][]core.Event, len(c.sites))
 	var now core.Tick
 	for _, ev := range events {
-		if ev.Time > now {
-			now = ev.Time
-		}
+		i := ev.Site % len(c.sites)
+		groups[i] = append(groups[i], core.Event{Key: ev.Key, Tick: ev.Time, N: 1})
+		now = max(now, ev.Time)
 	}
-	for off := 0; off < len(events); off += ingestChunk {
-		end := off + ingestChunk
-		if end > len(events) {
-			end = len(events)
-		}
-		c.FeedBatch(events[off:end])
+	var wg sync.WaitGroup
+	for i, s := range c.sites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.AddBatch(groups[i])
+			s.Advance(now)
+		}()
 	}
-	c.Wait(now)
+	wg.Wait()
 	return now
 }
 
 // AggregateTree merges the site sketches bottom-up over a balanced binary
-// tree of height ⌈log₂ n⌉, as in the distributed experiments: each site
-// becomes a LocalSite of a Coordinator charging the cluster's Network, so
-// the per-edge accounting (one message per aggregation edge, odd nodes
-// re-charged as they are promoted) and the root are exactly what a
-// coordinator pulling the same sites over HTTP computes. The root sketch
-// summarizing the union stream is returned together with the tree height.
+// tree of height ⌈log₂ n⌉, as in the distributed experiments, built from
+// Coordinators sharing the cluster's Network: each level pairs the previous
+// level's nodes under a new Coordinator that pulls them through
+// NewLocalSite (an odd node is relayed by a one-member Coordinator, so it
+// still travels one hop per level). Every edge is charged by the Refresh
+// that pulls it, at the payload size. The root's summary of the union
+// stream is returned together with the tree height; a one-site cluster has
+// no edges and returns the site's summary at height 0.
 func (c *Cluster) AggregateTree() (*core.Sketch, int, error) {
-	sites := make([]Site, len(c.sites))
+	level := make([]treeNode, len(c.sites))
 	for i, s := range c.sites {
-		sites[i] = NewLocalSite(fmt.Sprintf("site-%d", i), s)
+		level[i] = s
 	}
-	co := New(sites...)
-	co.net = &c.net
-	return co.AggregateTree()
+	height := 0
+	for ; len(level) > 1; height++ {
+		nodes := make([]*Coordinator, 0, (len(level)+1)/2)
+		for i := 0; i < len(level); i += 2 {
+			var members []Site
+			for j, child := range level[i:min(i+2, len(level))] {
+				members = append(members, NewLocalSite(fmt.Sprintf("node-%d-%d", height, i+j), child))
+			}
+			co := New(members...)
+			co.net = &c.net
+			nodes = append(nodes, co)
+		}
+		if err := refreshAll(nodes); err != nil {
+			return nil, 0, fmt.Errorf("coord: aggregation at height %d: %w", height, err)
+		}
+		level = make([]treeNode, len(nodes))
+		for i, co := range nodes {
+			level[i] = co
+		}
+	}
+	root, err := level[0].Snapshot()
+	return root, height, err
+}
+
+// treeNode is one node of the aggregation tree: a site sketch or a
+// Coordinator over the level below.
+type treeNode interface {
+	DeltaSnapshotSource
+	Snapshot() (*core.Sketch, error)
+}
+
+// refreshAll runs one Refresh of every node, GOMAXPROCS at a time: the
+// nodes of one tree level are independent, and the merges are CPU-bound.
+func refreshAll(nodes []*Coordinator) error {
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := min(runtime.GOMAXPROCS(0), len(nodes)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(nodes); i = int(next.Add(1)) - 1 {
+				errs[i] = nodes[i].Refresh()
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }

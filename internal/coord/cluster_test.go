@@ -270,7 +270,7 @@ func TestDWClusterAggregates(t *testing.T) {
 }
 
 func TestClusterReuseAfterWait(t *testing.T) {
-	// A cluster can ingest several batches: Start/Feed/Wait cycles compose.
+	// A cluster can ingest several streams: IngestAll calls compose.
 	p := clusterParams()
 	cluster, err := NewCluster(p, 2)
 	if err != nil {
@@ -322,11 +322,13 @@ func TestRWClusterSaltsDistinct(t *testing.T) {
 	}
 	// Every site sees the same key at the same ticks: a salt collision
 	// would make merged estimates ≈ one site's worth instead of three.
-	cluster.Start()
-	for i := 0; i < 900; i++ {
-		cluster.Feed(workload.Event{Key: 5, Time: core.Tick(i/3 + 1), Site: i % 3})
+	events := make([]workload.Event, 900)
+	for i := range events {
+		events[i] = workload.Event{Key: 5, Time: core.Tick(i/3 + 1), Site: i % 3}
 	}
-	cluster.Wait(300)
+	if now := cluster.IngestAll(events); now != 300 {
+		t.Fatalf("IngestAll returned tick %d, want 300", now)
+	}
 	root, _, err := cluster.AggregateTree()
 	if err != nil {
 		t.Fatal(err)

@@ -15,25 +15,33 @@
 //     the size it reports is the payload length actually transferred.
 //
 // Every pull lands in the member's receiver state (core.DeltaState): Apply,
-// then MaterializeShared. The coordinator's aggregation shapes
-// (AggregateTree, Refresh) merge from there, so a simulation and a
-// networked deployment of the same event log produce bit-identical merged
-// summaries and identical Network accounting: sizes are measured at the
-// transport boundary, and the tree model charges one message per
-// aggregation edge regardless of how the leaves arrived.
+// then MaterializeShared. Refresh, the coordinator's one aggregation round,
+// merges from there, so a simulation and a networked deployment of the same
+// event log produce bit-identical merged summaries and identical Network
+// accounting: sizes are measured at the transport boundary, and every
+// member pull is charged as one message. The paper's balanced binary tree
+// is a tree of coordinators (Cluster.AggregateTree), each pulling its
+// children through NewLocalSite.
 //
-// # Full and delta pulls
+// # Cursor pulls
 //
-// A full pull is the protocol's own baseline: the coordinator presents the
-// zero cursor and the site answers with its whole summary. That is every
-// pull by default. With SetDeltaPulls(true) the coordinator instead
-// presents the cursor from the member's previous pull, and the site answers
-// with only the stripes and cells whose version moved; the leaf charge in
-// the Network accounting is the actual delta payload size. Any cursor
-// invalidation — site restart, parameter change, stale or torn payload —
-// makes the coordinator transparently re-pull a full baseline from that
-// site. Both modes run one receiver path, so a delta-pulling coordinator's
-// merged result is byte-identical to a full-pulling one's at every pull.
+// Each pull presents the cursor from the member's previous pull. A member
+// with no baseline presents the zero cursor and receives its site's whole
+// summary; after that the site answers with only the stripes and cells
+// whose version moved, and the Network charge is the delta payload size.
+// Any cursor invalidation — site restart, parameter change, stale or torn
+// payload — makes the coordinator transparently re-pull a full baseline
+// from that site, so a coordinator that has only ever applied deltas holds
+// the same merged summary, byte for byte, as a fresh one pulling every
+// site in full.
+//
+// # Failing sites
+//
+// A site whose pull fails is served from its retained baseline (stale) or,
+// without one, excluded from the round, and repeated failures back it off
+// exponentially — skipping 1, 2, 4, … up to 32 rounds between probes —
+// until a successful probe re-admits it. SiteStatuses and LastRefresh
+// report both; a round fails only when no member contributes.
 package coord
 
 import (
@@ -190,25 +198,18 @@ func (s *HTTPSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, err
 }
 
 // Coordinator aggregates a dynamic set of sites' summaries into one sketch
-// of the combined stream. It is safe for concurrent use: pull rounds
-// (AggregateTree, Refresh) serialize on an internal lock, membership calls
+// of the combined stream. It is safe for concurrent use: Refresh rounds
+// serialize on an internal lock, membership calls
 // and root queries interleave freely with them, and the per-site receiver
 // states carry their own locks.
 type Coordinator struct {
 	net *Network
 
 	// pulled counts payload bytes actually fetched from sites (one
-	// snapshot per site per pull), as opposed to the Network's
-	// aggregation-tree model in which internal edges also ship and a
-	// single-site tree ships nothing. Bandwidth monitoring wants this one.
+	// snapshot per site per pull), as opposed to the Network, which a tree
+	// of coordinators may share so that every edge of the tree is charged
+	// to one account. Bandwidth monitoring wants this one.
 	pulled atomic.Int64
-
-	// delta makes pulls present each member's held cursor instead of the
-	// zero one; resilient switches site failures from round-fatal to
-	// health-managed (retained baselines keep serving, flapping sites back
-	// off).
-	delta     bool
-	resilient bool
 
 	// mu guards the membership list and the pull-round counter.
 	mu      sync.RWMutex
@@ -249,9 +250,9 @@ type Coordinator struct {
 // re-check instead of unbounded memory.
 const maxChangedCells = 8192
 
-// siteDeltaState serializes one site's pull→apply→materialize sequence;
-// concurrent AggregateTree calls contend here per site instead of corrupting
-// the shared baseline.
+// siteDeltaState serializes one site's pull→apply→materialize sequence:
+// a pull round holds it across the merge, and SiteStatuses takes it to
+// read the baseline state.
 type siteDeltaState struct {
 	mu sync.Mutex
 	ds core.DeltaState
@@ -267,27 +268,15 @@ func New(sites ...Site) *Coordinator {
 	return c
 }
 
-// SetDeltaPulls toggles cursor-based incremental pulls (see the package
-// comment). Off, every pull presents the zero cursor and so fetches a full
-// baseline. On, the coordinator presents each member's held cursor, applies
-// the delta, and transparently re-baselines with a full pull whenever a
-// site invalidates its cursor. Either way the per-site receiver states keep
-// the last summary between rounds. Configure before the first pull.
-func (c *Coordinator) SetDeltaPulls(on bool) { c.delta = on }
+// Deprecated: every pull presents the member's held cursor; this is a no-op.
+func (c *Coordinator) SetDeltaPulls(on bool) {}
 
-// SetResilient switches site-failure handling from round-fatal (any failed
-// site fails the whole pull, the strict default) to health-managed: a
-// failing site is served from its retained baseline when one exists (delta
-// mode) or excluded from the round otherwise, and repeated failures back it
-// off exponentially — skipping 1, 2, 4, … up to 32 rounds between probes —
-// until a successful probe re-admits it. Configure before the first pull.
-func (c *Coordinator) SetResilient(on bool) { c.resilient = on }
+// Deprecated: a failing site is always excluded or served stale; this is a no-op.
+func (c *Coordinator) SetResilient(on bool) {}
 
 // DeltaPulls and FullPulls report how many per-site pulls were answered
 // incrementally vs with a full baseline since construction. A healthy
-// delta-pulling steady state shows full pulls only at bootstrap and after
-// site restarts; a full-pulling coordinator counts one full pull per site
-// per round.
+// steady state shows full pulls only at bootstrap and after site restarts.
 func (c *Coordinator) DeltaPulls() uint64 { return c.deltaPulls.Load() }
 func (c *Coordinator) FullPulls() uint64  { return c.fullPulls.Load() }
 
@@ -303,8 +292,8 @@ func (c *Coordinator) Sites() []Site {
 	return out
 }
 
-// Network exposes the communication accounting of the aggregation-tree
-// model: one message per tree edge, identical across transports.
+// Network exposes the communication accounting: one message per member
+// pull, at the payload size, identical across transports.
 func (c *Coordinator) Network() *Network { return c.net }
 
 // PulledBytes reports the total snapshot payload volume fetched from sites
@@ -348,7 +337,7 @@ type pullOutcome struct {
 	stale bool         // served from the retained baseline without contact
 	cells []int        // merged-view cells this pull replaced
 	all   bool         // the whole summary may have moved
-	err   error        // round-fatal in strict mode; recorded when resilient
+	err   error        // why the member's pull failed this round
 }
 
 // roundResult is one pull round's members, outcomes, and the release that
@@ -370,11 +359,10 @@ func (c *Coordinator) beginRound() ([]*member, uint64) {
 }
 
 // pullRound fetches every member concurrently and returns the outcomes with
-// every member's receiver lock still held, so callers can merge straight
-// from the shared baselines. Nothing is charged to the Network here — the
-// aggregation shapes charge their own edges — but fetched bytes are counted
-// toward PulledBytes regardless of what the caller does next: they crossed
-// the transport.
+// every member's receiver lock still held, so Refresh can merge straight
+// from the shared baselines. Nothing is charged to the Network here —
+// Refresh charges the pulls that entered the merge — but fetched bytes are
+// counted toward PulledBytes regardless: they crossed the transport.
 func (c *Coordinator) pullRound() roundResult {
 	c.pullMu.Lock()
 	members, round := c.beginRound()
@@ -414,13 +402,12 @@ func (c *Coordinator) pullRound() roundResult {
 	return roundResult{round: round, members: members, outs: outs, release: release}
 }
 
-// pullMemberLocked pulls one member (receiver lock held by the caller). In
-// resilient mode a backed-off member is not contacted at all, and a failed
-// contact degrades to the retained baseline (or exclusion) instead of an
-// error; strict mode surfaces the error for the round to fail on.
+// pullMemberLocked pulls one member (receiver lock held by the caller). A
+// backed-off member is not contacted at all, and a failed contact degrades
+// to the retained baseline, or to exclusion without one.
 func (c *Coordinator) pullMemberLocked(m *member, round uint64) pullOutcome {
-	if c.resilient && m.backedOff(round) {
-		return c.staleOutcome(m)
+	if m.backedOff(round) {
+		return staleOutcome(m, nil)
 	}
 	o := c.pullDeltaLocked(m)
 	if o.err == nil {
@@ -429,26 +416,23 @@ func (c *Coordinator) pullMemberLocked(m *member, round uint64) pullOutcome {
 		return o
 	}
 	m.noteFailure(round, o.err)
-	if !c.resilient {
-		return o
-	}
-	return c.staleOutcome(m)
+	return staleOutcome(m, o.err)
 }
 
 // staleOutcome serves a member from its retained baseline — the previous
 // view, unchanged, at zero transfer — or excludes it when there is none.
-func (c *Coordinator) staleOutcome(m *member) pullOutcome {
-	if c.delta && m.st.ds.HasBaseline() {
-		if sk, err := m.st.ds.MaterializeShared(); err == nil {
+func staleOutcome(m *member, err error) pullOutcome {
+	if m.st.ds.HasBaseline() {
+		if sk, merr := m.st.ds.MaterializeShared(); merr == nil {
 			return pullOutcome{part: sk, stale: true}
 		}
 	}
-	return pullOutcome{}
+	return pullOutcome{err: err}
 }
 
-// pullDeltaLocked performs one pull of a member: present a cursor — the
-// held one in delta mode, the zero one otherwise — apply what comes back,
-// and materialize the site's summary from the retained baseline. When a
+// pullDeltaLocked performs one pull of a member: present the held cursor
+// (zero without a baseline), apply what comes back, and materialize the
+// site's summary from the retained baseline. When a
 // delta fails to apply — the site restarted, the cursor went stale, the
 // payload arrived torn — the receiver state has already dropped its
 // baseline, and the coordinator transparently re-pulls a full baseline in
@@ -456,10 +440,7 @@ func (c *Coordinator) staleOutcome(m *member) pullOutcome {
 // re-pulled, so a full pull stays one transfer per site per round.
 func (c *Coordinator) pullDeltaLocked(m *member) pullOutcome {
 	ds := &m.st.ds
-	var since core.Cursor
-	if c.delta {
-		since = ds.Cursor()
-	}
+	since := ds.Cursor()
 	payload, cur, full, size, err := m.site.Delta(since)
 	if err != nil {
 		return pullOutcome{err: err}
@@ -494,94 +475,37 @@ func (c *Coordinator) pullDeltaLocked(m *member) pullOutcome {
 	return pullOutcome{part: sk, size: total, cells: cells, all: all}
 }
 
-// foldOutcomes turns a round's outcomes into mergeable parts plus their
-// leaf transfer sizes: strict mode surfaces the first site error; resilient
-// mode drops excluded members.
-func (c *Coordinator) foldOutcomes(r roundResult) ([]*core.Sketch, []int, error) {
+// foldOutcomes turns a round's outcomes into mergeable parts, dropping
+// excluded members. It fails when no member contributes, naming the first
+// pull error, or when two contributors cannot be merged.
+func (c *Coordinator) foldOutcomes(r roundResult) ([]*core.Sketch, error) {
 	if len(r.members) == 0 {
-		return nil, nil, errors.New("coord: no sites to aggregate")
-	}
-	for i, o := range r.outs {
-		if o.err != nil {
-			return nil, nil, fmt.Errorf("coord: site %s: %w", r.members[i].site.Name(), o.err)
-		}
+		return nil, errors.New("coord: no sites to aggregate")
 	}
 	parts := make([]*core.Sketch, 0, len(r.outs))
-	sizes := make([]int, 0, len(r.outs))
 	names := make([]string, 0, len(r.outs))
+	var firstErr error
 	for i, o := range r.outs {
 		if o.part == nil {
+			if firstErr == nil && o.err != nil {
+				firstErr = fmt.Errorf("site %s: %w", r.members[i].site.Name(), o.err)
+			}
 			continue
 		}
 		parts = append(parts, o.part)
-		sizes = append(sizes, o.size)
 		names = append(names, r.members[i].site.Name())
 	}
 	if len(parts) == 0 {
-		return nil, nil, errors.New("coord: no sites available (every site excluded by health backoff)")
+		if firstErr != nil {
+			return nil, fmt.Errorf("coord: no site contributed: %w", firstErr)
+		}
+		return nil, errors.New("coord: no sites available (every site excluded by health backoff)")
 	}
 	for i := 1; i < len(parts); i++ {
 		if !parts[0].Compatible(parts[i]) {
-			return nil, nil, fmt.Errorf("coord: site %s: sketch parameters incompatible with site %s",
+			return nil, fmt.Errorf("coord: site %s: sketch parameters incompatible with site %s",
 				names[i], names[0])
 		}
 	}
-	return parts, sizes, nil
-}
-
-// AggregateTree pulls every site's summary and merges bottom-up over a
-// balanced binary tree of height ⌈log₂ n⌉, as in the paper's distributed
-// experiments: all sites are leaves; each aggregation edge ships the
-// child's summary (charged to the Network at the size the transport
-// reported: the payload length), and each internal node merges its children
-// with the order-preserving ⊕. An odd node out is promoted to the next
-// level, its summary still traveling one hop upward. The root sketch
-// summarizing the union stream is returned with the tree height.
-func (c *Coordinator) AggregateTree() (*core.Sketch, int, error) {
-	r := c.pullRound()
-	defer r.release()
-	level, lsz, err := c.foldOutcomes(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(level) == 1 {
-		// A single-leaf tree returns the leaf itself, which aliases the
-		// receiver baseline: the caller gets a clone.
-		root, err := level[0].Snapshot()
-		return root, 0, err
-	}
-	height := 0
-	// Internal-node sizes are computed lazily (sentinel -1) at the moment
-	// the node is actually charged for an upward hop: the root never ships
-	// anywhere, so its encoding — made only to be measured — is never made.
-	charge := func(lsz []int, level []*core.Sketch, i int) int {
-		if lsz[i] < 0 {
-			lsz[i] = len(level[i].Marshal())
-		}
-		c.net.Charge(lsz[i])
-		return lsz[i]
-	}
-	for len(level) > 1 {
-		next := make([]*core.Sketch, 0, (len(level)+1)/2)
-		nsz := make([]int, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				sz := charge(lsz, level, i)
-				next = append(next, level[i])
-				nsz = append(nsz, sz)
-				continue
-			}
-			charge(lsz, level, i)
-			charge(lsz, level, i+1)
-			m, err := core.Merge(level[i], level[i+1])
-			if err != nil {
-				return nil, 0, fmt.Errorf("coord: aggregation at height %d: %w", height, err)
-			}
-			next = append(next, m)
-			nsz = append(nsz, -1)
-		}
-		level, lsz = next, nsz
-		height++
-	}
-	return level[0], height, nil
+	return parts, nil
 }

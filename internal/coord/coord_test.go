@@ -1,6 +1,7 @@
 package coord_test
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -41,55 +42,6 @@ func sketchSite(t *testing.T, enc []byte) *httptest.Server {
 	}))
 }
 
-// TestAggregateTreeAccounting pins the tree accounting the simulation has
-// always used, now charged through the transport boundary: 4 leaves → 4
-// level-0 transfers + 2 level-1 transfers = 6 messages, bytes equal to the
-// exact encoding sizes of the shipped summaries.
-func TestAggregateTreeAccounting(t *testing.T) {
-	p := testParams(5)
-	sites := make([]coord.Site, 4)
-	wantLeafBytes := int64(0)
-	parts := make([]*core.Sketch, 4)
-	for i := range sites {
-		parts[i] = feedSketch(t, p, 64, 4000, uint64(i)*1000)
-		sites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), parts[i])
-		wantLeafBytes += int64(len(parts[i].Marshal()))
-	}
-	co := coord.New(sites...)
-	root, height, err := co.AggregateTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if height != 2 {
-		t.Errorf("height = %d, want 2", height)
-	}
-	if got := co.Network().Messages(); got != 6 {
-		t.Errorf("messages = %d, want 6", got)
-	}
-	m01, err := core.Merge(parts[0], parts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	m23, err := core.Merge(parts[2], parts[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes := wantLeafBytes + int64(len(m01.Marshal())) + int64(len(m23.Marshal()))
-	if got := co.Network().Bytes(); got != wantBytes {
-		t.Errorf("bytes = %d, want %d (leaf encodings + internal-node encodings)", got, wantBytes)
-	}
-	if got := co.PulledBytes(); got != wantLeafBytes {
-		t.Errorf("pulled bytes = %d, want %d (leaf payloads only)", got, wantLeafBytes)
-	}
-	var wantCount uint64
-	for _, s := range parts {
-		wantCount += s.Count()
-	}
-	if root.Count() != wantCount {
-		t.Errorf("root count = %d, want %d", root.Count(), wantCount)
-	}
-}
-
 // errSite is an in-process site whose transport fails, the local analog of
 // an unreachable or torn networked site.
 type errSite struct {
@@ -105,12 +57,26 @@ func (s errSite) Delta(core.Cursor) ([]byte, core.Cursor, bool, int, error) {
 // TestCoordinatorFailureModes drives the coordinator through every
 // transport failure class — site unreachable, HTTP error status, torn or
 // truncated snapshot body, undecodable payload, mismatched sketch
-// parameters — over both transports, asserting the failing site is named.
+// parameters — over both transports. A failing site beside a healthy one is
+// excluded from the round and reported, by name and error, in SiteStatuses;
+// a round in which no site contributes, or whose contributors cannot be
+// merged, fails naming the site.
 func TestCoordinatorFailureModes(t *testing.T) {
 	p := testParams(5)
 	good := feedSketch(t, p, 32, 1000, 0)
 	goodEnc := good.Marshal()
 	badSeed := feedSketch(t, testParams(6), 32, 1000, 0)
+	// failing pairs a healthy HTTP site with the failing one.
+	failing := func(t *testing.T, h http.Handler) []coord.Site {
+		ok := sketchSite(t, goodEnc)
+		bad := httptest.NewServer(h)
+		t.Cleanup(ok.Close)
+		t.Cleanup(bad.Close)
+		return []coord.Site{coord.NewHTTPSite(ok.URL, nil), coord.NewHTTPSite(bad.URL, nil)}
+	}
+	serve := func(body []byte) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write(body) })
+	}
 
 	cases := []struct {
 		name string
@@ -118,6 +84,9 @@ func TestCoordinatorFailureModes(t *testing.T) {
 		// the test server's Close registered on t.
 		sites   func(t *testing.T) []coord.Site
 		wantSub string
+		// roundErr marks a case where the round itself must fail; otherwise
+		// the last site is excluded and the round succeeds without it.
+		roundErr bool
 	}{
 		{
 			name: "http site unreachable",
@@ -136,45 +105,47 @@ func TestCoordinatorFailureModes(t *testing.T) {
 		{
 			name: "http site returns 500",
 			sites: func(t *testing.T) []coord.Site {
-				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				return failing(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					http.Error(w, "boom", http.StatusInternalServerError)
 				}))
-				t.Cleanup(srv.Close)
-				return []coord.Site{coord.NewHTTPSite(srv.URL, nil)}
 			},
 			wantSub: "status 500",
 		},
 		{
 			name: "http torn body (content-length longer than payload)",
 			sites: func(t *testing.T) []coord.Site {
-				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				return failing(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					w.Header().Set("Content-Length", fmt.Sprint(len(goodEnc)))
 					w.Write(goodEnc[:len(goodEnc)/2])
 					// Hijack-free tear: the handler returns early, so the
 					// client sees an unexpected EOF mid-body.
 				}))
-				t.Cleanup(srv.Close)
-				return []coord.Site{coord.NewHTTPSite(srv.URL, nil)}
 			},
 			wantSub: "unexpected EOF",
 		},
 		{
 			name: "http truncated snapshot encoding",
 			sites: func(t *testing.T) []coord.Site {
-				srv := sketchSite(t, goodEnc[:len(goodEnc)/3])
-				t.Cleanup(srv.Close)
-				return []coord.Site{coord.NewHTTPSite(srv.URL, nil)}
+				return failing(t, serve(goodEnc[:len(goodEnc)/3]))
 			},
 			wantSub: "core: truncated sketch encoding",
 		},
 		{
 			name: "http garbage payload",
 			sites: func(t *testing.T) []coord.Site {
-				srv := sketchSite(t, []byte("not a sketch at all"))
-				t.Cleanup(srv.Close)
-				return []coord.Site{coord.NewHTTPSite(srv.URL, nil)}
+				return failing(t, serve([]byte("not a sketch at all")))
 			},
 			wantSub: "core: unknown snapshot tag 0x6e",
+		},
+		{
+			name: "every site fails",
+			sites: func(t *testing.T) []coord.Site {
+				srv := sketchSite(t, []byte("not a sketch at all"))
+				t.Cleanup(srv.Close)
+				return []coord.Site{coord.NewHTTPSite(srv.URL, nil), errSite{name: "site-broken", err: fmt.Errorf("gone")}}
+			},
+			wantSub:  "no site contributed: site " + "http://127.0.0.1",
+			roundErr: true,
 		},
 		{
 			name: "http mismatched params",
@@ -185,7 +156,8 @@ func TestCoordinatorFailureModes(t *testing.T) {
 				t.Cleanup(b.Close)
 				return []coord.Site{coord.NewHTTPSite(a.URL, nil), coord.NewHTTPSite(b.URL, nil)}
 			},
-			wantSub: "incompatible",
+			wantSub:  "incompatible",
+			roundErr: true,
 		},
 		{
 			name: "local transport failure",
@@ -195,7 +167,7 @@ func TestCoordinatorFailureModes(t *testing.T) {
 					errSite{name: "site-broken", err: fmt.Errorf("snapshot source gone")},
 				}
 			},
-			wantSub: "site site-broken: snapshot source gone",
+			wantSub: "snapshot source gone",
 		},
 		{
 			name: "local mismatched params",
@@ -205,18 +177,45 @@ func TestCoordinatorFailureModes(t *testing.T) {
 					coord.NewLocalSite("site-b", badSeed),
 				}
 			},
-			wantSub: "site site-b: sketch parameters incompatible with site site-a",
+			wantSub:  "site site-b: sketch parameters incompatible with site site-a",
+			roundErr: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			co := coord.New(tc.sites(t)...)
-			_, _, err := co.AggregateTree()
-			if err == nil {
-				t.Fatal("AggregateTree succeeded, want error")
+			sites := tc.sites(t)
+			co := coord.New(sites...)
+			err := co.Refresh()
+			if tc.roundErr {
+				if err == nil {
+					t.Fatal("Refresh succeeded, want error")
+				}
+				if !strings.Contains(err.Error(), tc.wantSub) {
+					t.Errorf("error %q does not mention %q", err, tc.wantSub)
+				}
+				return
 			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Errorf("error %q does not mention %q", err, tc.wantSub)
+			if err != nil {
+				t.Fatalf("Refresh failed with a healthy site present: %v", err)
+			}
+			if st := co.LastRefresh(); st.Contributors != 1 || st.Excluded != 1 || st.Stale != 0 {
+				t.Errorf("round stats %+v, want 1 contributor, 1 excluded, 0 stale", st)
+			}
+			statuses := co.SiteStatuses()
+			bad := statuses[len(statuses)-1]
+			if bad.Name != sites[len(sites)-1].Name() || bad.Healthy || bad.Failures != 1 || bad.HasBaseline ||
+				!strings.Contains(bad.LastError, tc.wantSub) {
+				t.Errorf("failing site status %+v, want unhealthy, one failure, no baseline, error mentioning %q", bad, tc.wantSub)
+			}
+			if !statuses[0].Healthy {
+				t.Errorf("healthy site reported %+v", statuses[0])
+			}
+			v, err := co.View()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v.Marshal(), goodEnc) {
+				t.Error("view is not the healthy site's summary alone")
 			}
 		})
 	}
@@ -224,7 +223,7 @@ func TestCoordinatorFailureModes(t *testing.T) {
 
 // TestNoSites pins the empty-coordinator error.
 func TestNoSites(t *testing.T) {
-	if _, _, err := coord.New().AggregateTree(); err == nil {
-		t.Fatal("aggregating zero sites succeeded")
+	if err := coord.New().Refresh(); err == nil {
+		t.Fatal("refreshing zero sites succeeded")
 	}
 }

@@ -56,41 +56,34 @@ func mutateSlow(engines []*ecmsketch.Sharded, round int) {
 
 // TestDeltaCoordinatorBitIdentical is the tentpole equivalence: across
 // mutation intervals, a coordinator that baselines once and then only ever
-// applies deltas produces merged summaries byte-identical to a coordinator
-// doing full pulls at the same versions — over the in-process transport,
-// over HTTP, and across the two (all four roots equal every interval) —
-// while pulling far fewer bytes.
+// applies deltas produces merged summaries byte-identical to a fresh
+// coordinator pulling every site in full at the same versions — over the
+// in-process transport, over HTTP, and across the two (all four roots equal
+// every interval) — while pulling far fewer bytes.
 func TestDeltaCoordinatorBitIdentical(t *testing.T) {
 	engines := deltaTestEngines(t, 3)
-	localFullSites := make([]coord.Site, len(engines))
-	localDeltaSites := make([]coord.Site, len(engines))
-	httpFullSites := make([]coord.Site, len(engines))
-	httpDeltaSites := make([]coord.Site, len(engines))
+	localSites := make([]coord.Site, len(engines))
+	httpSites := make([]coord.Site, len(engines))
 	for i, eng := range engines {
 		// Serve the same engine the local sites wrap, so all transports
 		// observe one state.
 		ts := httptest.NewServer(serveEngineOver(eng))
 		t.Cleanup(ts.Close)
-		localFullSites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
-		localDeltaSites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
-		httpFullSites[i] = coord.NewHTTPSite(ts.URL, nil)
-		httpDeltaSites[i] = coord.NewHTTPSite(ts.URL, nil)
+		localSites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
+		httpSites[i] = coord.NewHTTPSite(ts.URL, nil)
 	}
-	localFull := coord.New(localFullSites...)
-	localDelta := coord.New(localDeltaSites...)
-	localDelta.SetDeltaPulls(true)
-	httpFull := coord.New(httpFullSites...)
-	httpDelta := coord.New(httpDeltaSites...)
-	httpDelta.SetDeltaPulls(true)
+	localDelta := coord.New(localSites...)
+	httpDelta := coord.New(httpSites...)
 
-	var fullBytesPrev, deltaBytesPrev, steadyFull, steadyDelta int64
+	var deltaBytesPrev, steadyFull, steadyDelta int64
 	for round := 0; round < 6; round++ {
 		if round > 0 {
 			mutateSlow(engines, round)
 		}
+		localFull, httpFull := coord.New(localSites...), coord.New(httpSites...)
 		roots := make([][]byte, 4)
 		for ci, co := range []*coord.Coordinator{localFull, localDelta, httpFull, httpDelta} {
-			root, _, err := co.AggregateTree()
+			root, err := refreshView(co)
 			if err != nil {
 				t.Fatalf("round %d coordinator %d: %v", round, ci, err)
 			}
@@ -98,16 +91,15 @@ func TestDeltaCoordinatorBitIdentical(t *testing.T) {
 		}
 		for ci := 1; ci < 4; ci++ {
 			if !bytes.Equal(roots[0], roots[ci]) {
-				t.Fatalf("round %d: coordinator %d root differs from full-pull root", round, ci)
+				t.Fatalf("round %d: coordinator %d root differs from the fresh coordinator's", round, ci)
 			}
 		}
 		if round >= 2 {
-			// Steady state: count bytes per interval once both coordinators
-			// are warm.
-			steadyFull += localFull.PulledBytes() - fullBytesPrev
+			// Steady state: count bytes per interval once the delta
+			// coordinators are warm.
+			steadyFull += localFull.PulledBytes()
 			steadyDelta += localDelta.PulledBytes() - deltaBytesPrev
 		}
-		fullBytesPrev = localFull.PulledBytes()
 		deltaBytesPrev = localDelta.PulledBytes()
 	}
 	if got := localDelta.DeltaPulls(); got < 15 {
@@ -203,7 +195,7 @@ func tearingMiddleware(inner http.Handler, arm *bool) http.Handler {
 
 // TestDeltaFailureModes: stale cursors, site restarts, torn delta bodies
 // and parameter mismatches over both transports — asserting the full-pull
-// fallback fires and the merged view stays byte-identical to a full-pull
+// fallback fires and the merged view stays byte-identical to a fresh
 // coordinator's.
 func TestDeltaFailureModes(t *testing.T) {
 	newEngine := func(seed uint64) *ecmsketch.Sharded {
@@ -278,11 +270,10 @@ func TestDeltaFailureModes(t *testing.T) {
 				site = coord.NewHTTPSite(ts.URL, nil)
 			}
 			co := coord.New(site, coord.NewLocalSite("peer", peer))
-			co.SetDeltaPulls(true)
-			if _, _, err := co.AggregateTree(); err != nil {
+			if err := co.Refresh(); err != nil {
 				t.Fatalf("%s: bootstrap pull: %v", transport, err)
 			}
-			if _, _, err := co.AggregateTree(); err != nil {
+			if err := co.Refresh(); err != nil {
 				t.Fatalf("%s: delta pull: %v", transport, err)
 			}
 			deltasBefore := co.DeltaPulls()
@@ -291,7 +282,7 @@ func TestDeltaFailureModes(t *testing.T) {
 			// new epoch, so the held cursor must be answered with a full
 			// baseline, transparently absorbed.
 			src.swap(newEngine(7))
-			root, _, err := co.AggregateTree()
+			root, err := refreshView(co)
 			if err != nil {
 				t.Fatalf("%s: post-restart pull: %v", transport, err)
 			}
@@ -301,10 +292,9 @@ func TestDeltaFailureModes(t *testing.T) {
 			if co.DeltaPulls() != deltasBefore+1 { // the peer still deltas
 				t.Fatalf("%s: peer stopped delta-pulling", transport)
 			}
-			// The merged view matches a full-pull coordinator over the same
+			// The merged view matches a fresh coordinator over the same
 			// engines.
-			fullCo := coord.New(coord.NewLocalSite("a", src), coord.NewLocalSite("b", peer))
-			want, _, err := fullCo.AggregateTree()
+			want, err := refreshView(coord.New(coord.NewLocalSite("a", src), coord.NewLocalSite("b", peer)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,14 +321,13 @@ func TestDeltaFailureModes(t *testing.T) {
 				site = coord.NewHTTPSite(ts.URL, nil)
 			}
 			co := coord.New(site)
-			co.SetDeltaPulls(true)
-			if _, _, err := co.AggregateTree(); err != nil {
+			if err := co.Refresh(); err != nil {
 				t.Fatalf("%s: bootstrap: %v", transport, err)
 			}
 			eng.Add(777, 700)
 			arm()
 			fullsBefore := co.FullPulls()
-			root, _, err := co.AggregateTree()
+			root, err := refreshView(co)
 			if err != nil {
 				t.Fatalf("%s: torn pull did not recover: %v", transport, err)
 			}
@@ -355,6 +344,34 @@ func TestDeltaFailureModes(t *testing.T) {
 		}
 	})
 
+	t.Run("failed-pull-served-stale", func(t *testing.T) {
+		// A failed pull is not a round error: the site's retained baseline
+		// keeps serving, unchanged, while SiteStatuses names the failure
+		// and the site backs off.
+		eng := newEngine(7)
+		flaky := &faultSite{inner: coord.NewLocalSite("flaky", eng)}
+		co := coord.New(coord.NewLocalSite("steady", newEngine(7)), flaky)
+		if err := co.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		before := co.Marshal()
+		flaky.setDown(true)
+		eng.Add(777, 700)
+		if err := co.Refresh(); err != nil {
+			t.Fatalf("a failed pull failed the round: %v", err)
+		}
+		if st := co.LastRefresh(); st.Contributors != 2 || st.Stale != 1 || st.Excluded != 0 {
+			t.Fatalf("round stats %+v, want 2 contributors, 1 stale", st)
+		}
+		if !bytes.Equal(co.Marshal(), before) {
+			t.Fatal("stale round moved the view")
+		}
+		st := co.SiteStatuses()[1]
+		if st.Healthy || !st.HasBaseline || st.BackoffRounds == 0 || !strings.Contains(st.LastError, "connection refused") {
+			t.Fatalf("flaky status %+v, want unhealthy, baseline kept, backing off", st)
+		}
+	})
+
 	t.Run("param-mismatch-names-site", func(t *testing.T) {
 		a := newEngine(7)
 		b := newEngine(8) // different seed: incompatible
@@ -364,9 +381,7 @@ func TestDeltaFailureModes(t *testing.T) {
 			{coord.NewLocalSite("site-a", a), coord.NewLocalSite("site-b", b)},
 			{coord.NewLocalSite("site-a", a), coord.NewHTTPSite(ts.URL, nil)},
 		} {
-			co := coord.New(sites...)
-			co.SetDeltaPulls(true)
-			_, _, err := co.AggregateTree()
+			err := coord.New(sites...).Refresh()
 			if err == nil || !strings.Contains(err.Error(), "incompatible") {
 				t.Fatalf("param mismatch not reported: %v", err)
 			}
@@ -374,13 +389,13 @@ func TestDeltaFailureModes(t *testing.T) {
 	})
 }
 
-// TestFullAndDeltaPullsAgree pins the one pull path: a full-pulling and a
-// delta-pulling coordinator over the same sites — a plain sketch, a one- and
-// a four-stripe engine and a child coordinator, each in process and over
-// HTTP — hold byte-identical roots after every Refresh, for every synopsis,
-// while the stream slides more than three windows past. The full-pulling
-// one presents the zero cursor every round: exactly one full pull per site
-// per round, and no deltas.
+// TestFullAndDeltaPullsAgree pins the one pull path: a coordinator that
+// only ever applied deltas and a fresh coordinator built each round over
+// the same sites — a plain sketch, a one- and a four-stripe engine and a
+// child coordinator, each in process and over HTTP — hold byte-identical
+// roots after every Refresh, for every synopsis, while the stream slides
+// more than three windows past. Each fresh coordinator presents the zero
+// cursor: exactly one full pull per site, and no deltas.
 func TestFullAndDeltaPullsAgree(t *testing.T) {
 	const window, ticksPerRound, rounds = 256, 32, 28 // 3.5 windows
 	for _, algo := range []ecmsketch.Algorithm{ecmsketch.AlgoEH, ecmsketch.AlgoDW, ecmsketch.AlgoRW} {
@@ -404,7 +419,6 @@ func TestFullAndDeltaPullsAgree(t *testing.T) {
 				}
 				one, four, childLeaf := sharded(1), sharded(4), sharded(2)
 				child := coord.New(coord.NewLocalSite("leaf", childLeaf))
-				child.SetDeltaPulls(true)
 				leaves = append(leaves, plain, one, four, childLeaf)
 				children = append(children, child)
 				for _, src := range []struct {
@@ -427,8 +441,7 @@ func TestFullAndDeltaPullsAgree(t *testing.T) {
 					sites = append(sites, site)
 				}
 			}
-			full, delta := coord.New(sites...), coord.New(sites...)
-			delta.SetDeltaPulls(true)
+			delta := coord.New(sites...)
 
 			tick := uint64(0)
 			for round := 0; round < rounds; round++ {
@@ -446,17 +459,18 @@ func TestFullAndDeltaPullsAgree(t *testing.T) {
 						t.Fatalf("round %d: child refresh: %v", round, err)
 					}
 				}
-				for _, co := range []*coord.Coordinator{full, delta} {
+				fresh := coord.New(sites...)
+				for _, co := range []*coord.Coordinator{fresh, delta} {
 					if err := co.Refresh(); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
 				}
-				if !bytes.Equal(full.Marshal(), delta.Marshal()) {
-					t.Fatalf("round %d (tick %d): full-pull root differs from delta-pull root", round, tick)
+				if !bytes.Equal(fresh.Marshal(), delta.Marshal()) {
+					t.Fatalf("round %d (tick %d): fresh root differs from delta-pull root", round, tick)
 				}
-			}
-			if got, want := full.FullPulls(), uint64(rounds*len(sites)); got != want || full.DeltaPulls() != 0 {
-				t.Fatalf("full-pull coordinator: %d full, %d delta pulls; want %d full, 0 delta", got, full.DeltaPulls(), want)
+				if got, want := fresh.FullPulls(), uint64(len(sites)); got != want || fresh.DeltaPulls() != 0 {
+					t.Fatalf("round %d: fresh coordinator: %d full, %d delta pulls; want %d full, 0 delta", round, got, fresh.DeltaPulls(), want)
+				}
 			}
 			if delta.DeltaPulls() == 0 {
 				t.Fatal("delta-pull coordinator never pulled a delta")

@@ -11,6 +11,7 @@ import (
 	"ecmsketch"
 	"ecmsketch/ecmserver"
 	"ecmsketch/internal/coord"
+	"ecmsketch/internal/core"
 )
 
 // newSiteServers builds n ecmserver deployments sharing one sketch
@@ -55,8 +56,7 @@ func newSiteServers(t *testing.T, n int) []*httptest.Server {
 // same site engines aggregated through the in-process transport (arena-
 // clone snapshots) and through HTTP (GET /v1/snapshot pulls of the same
 // engines' frozen views) produce byte-identical merged summaries and
-// identical network accounting. Three sites exercise the odd-leaf
-// promotion of the aggregation tree.
+// identical network accounting.
 func TestCrossTransportBitIdentical(t *testing.T) {
 	servers := newSiteServers(t, 3)
 
@@ -71,19 +71,16 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 	}
 
 	lc := coord.New(local...)
-	lroot, lheight, err := lc.AggregateTree()
+	lroot, err := refreshView(lc)
 	if err != nil {
-		t.Fatalf("in-process AggregateTree: %v", err)
+		t.Fatalf("in-process Refresh: %v", err)
 	}
 	nc := coord.New(networked...)
-	nroot, nheight, err := nc.AggregateTree()
+	nroot, err := refreshView(nc)
 	if err != nil {
-		t.Fatalf("networked AggregateTree: %v", err)
+		t.Fatalf("networked Refresh: %v", err)
 	}
 
-	if lheight != nheight {
-		t.Errorf("tree heights differ: local %d, networked %d", lheight, nheight)
-	}
 	lenc, nenc := lroot.Marshal(), nroot.Marshal()
 	if !bytes.Equal(lenc, nenc) {
 		t.Fatalf("merged summaries differ across transports: %d vs %d bytes", len(lenc), len(nenc))
@@ -91,12 +88,27 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 	if lb, nb := lc.Network().Bytes(), nc.Network().Bytes(); lb != nb {
 		t.Errorf("network bytes differ: local %d, networked %d", lb, nb)
 	}
-	if lm, nm := lc.Network().Messages(), nc.Network().Messages(); lm != nm {
-		t.Errorf("network messages differ: local %d, networked %d", lm, nm)
+	if lm, nm := lc.Network().Messages(), nc.Network().Messages(); lm != nm || lm != int64(len(servers)) {
+		t.Errorf("network messages: local %d, networked %d; want %d, one per site", lm, nm, len(servers))
+	}
+	// One round of one coordinator: the Network charge is exactly the
+	// payload volume pulled.
+	for _, co := range []*coord.Coordinator{lc, nc} {
+		if co.PulledBytes() != co.Network().Bytes() {
+			t.Errorf("pulled %d bytes but charged %d", co.PulledBytes(), co.Network().Bytes())
+		}
 	}
 	if lroot.Count() == 0 {
 		t.Error("merged summary is empty; equivalence is vacuous")
 	}
+}
+
+// refreshView runs one Refresh round and returns the merged view.
+func refreshView(co *coord.Coordinator) (*core.Sketch, error) {
+	if err := co.Refresh(); err != nil {
+		return nil, err
+	}
+	return co.View()
 }
 
 // serverEngine recovers the engine behind a site's httptest server. The
@@ -183,12 +195,9 @@ func TestNetworkedCoordinatorPullLoop(t *testing.T) {
 	var lastNow uint64
 	deadline := time.Now().Add(30 * time.Second)
 	for p := 0; p < pulls && time.Now().Before(deadline); p++ {
-		root, height, err := co.AggregateTree()
+		root, err := refreshView(co)
 		if err != nil {
 			t.Fatalf("pull %d: %v", p, err)
-		}
-		if height != 1 {
-			t.Fatalf("pull %d: height = %d, want 1", p, height)
 		}
 		if root.Count() < lastCount {
 			t.Fatalf("pull %d: merged count regressed %d → %d", p, lastCount, root.Count())

@@ -1,8 +1,8 @@
 package coord
 
 // Self-organizing membership: sites join and leave a running coordinator
-// (AddSite / RemoveSite), and in resilient mode a health record per member
-// drives exclusion and re-admission — a flapping site backs off
+// (AddSite / RemoveSite), and a health record per member drives exclusion
+// and re-admission — a flapping site backs off
 // exponentially instead of stalling every round, and one successful probe
 // restores it. Membership changes take effect on the next pull round; the
 // incremental root detects the contributor-set change and rebuilds itself
@@ -11,13 +11,13 @@ package coord
 import "sync"
 
 // member is one site's coordinator-side state: the delta receiver plus the
-// health record driving resilient-mode exclusion and re-admission.
+// health record driving exclusion and re-admission.
 type member struct {
 	site Site
 	st   siteDeltaState
 
 	// Health, guarded by hmu: consecutive failures and the backoff horizon
-	// (the round number up to which resilient pulls skip this member).
+	// (the round number up to which pulls skip this member).
 	hmu       sync.Mutex
 	fails     int
 	skipUntil uint64

@@ -54,18 +54,20 @@ type RefreshStats struct {
 	Workers int
 }
 
-// Refresh runs one incremental re-merge round: pull every member, then
-// bring the persistent merged root up to date by re-deriving only the cells
-// the pulls changed. On any error — a site failure in strict mode, every
-// site excluded in resilient mode — the root is left as it was, still
-// serving the previous view.
+// Refresh runs one incremental re-merge round — the coordinator's only
+// aggregation round: pull every member, then bring the persistent merged
+// root up to date by re-deriving only the cells the pulls changed. Failing
+// members are served stale or excluded (see the package comment); when no
+// member contributes, or two contributors cannot be merged, the root is
+// left as it was, still serving the previous view, and Refresh errors.
 //
-// The Network accounting charges the leaf transfers only (the flat merge
-// has no internal edges); the tree-model equivalent is AggregateTree.
+// The Network is charged one message per member pulled this round, at the
+// payload size; a stale member costs nothing. A tree of coordinators
+// sharing one Network (Cluster.AggregateTree) is so charged once per edge.
 func (c *Coordinator) Refresh() error {
 	r := c.pullRound()
 	defer r.release()
-	parts, _, err := c.foldOutcomes(r)
+	parts, err := c.foldOutcomes(r)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
 package coord_test
 
 // Tests for the incremental re-merge (Refresh), upward delta serving,
-// self-organizing membership, and health-based exclusion of PR 8.
+// self-organizing membership, and health-based exclusion.
 
 import (
 	"bytes"
@@ -43,6 +43,45 @@ func flatOver(t *testing.T, engines []*ecmsketch.Sharded) *core.Sketch {
 	return flatMerge(t, parts...)
 }
 
+// TestOneMemberViewIsTheSite: ⊕ of one summary is that summary. A
+// coordinator over one site serves a view whose bytes are the site's own
+// settled bytes — at the bootstrap round and over twelve delta rounds whose
+// ticks run well past the window — for every synopsis, where a one-input
+// Theorem-4 replay would re-bucket the site.
+func TestOneMemberViewIsTheSite(t *testing.T) {
+	for _, algo := range []ecmsketch.Algorithm{ecmsketch.AlgoEH, ecmsketch.AlgoDW, ecmsketch.AlgoRW} {
+		t.Run(algo.String(), func(t *testing.T) {
+			site, err := core.New(core.Params{Epsilon: 0.1, Delta: 0.1, Algorithm: algo,
+				WindowLength: 1000, UpperBound: 1 << 14, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			co := coord.New(coord.NewLocalSite("only", site))
+			tick := core.Tick(1)
+			for round := 0; round <= 12; round++ {
+				for j := 0; j < 400; j++ {
+					tick += core.Tick(j % 2) // 200 ticks a round: 2,600 in all
+					site.Add(uint64(j*37%101), tick)
+				}
+				if err := co.Refresh(); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				want, err := site.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Advance(want.Now())
+				if !bytes.Equal(co.Marshal(), want.Marshal()) {
+					t.Fatalf("round %d: one-member view differs from the site's settled summary", round)
+				}
+			}
+			if co.DeltaPulls() != 12 {
+				t.Errorf("%d delta pulls, want 12", co.DeltaPulls())
+			}
+		})
+	}
+}
+
 // TestRefreshBitIdenticalToFlatMerge is the tentpole equivalence at the
 // coordinator level: across mutation intervals — including idle ones where
 // most sites have zero changed cells — the incrementally patched root is
@@ -56,7 +95,6 @@ func TestRefreshBitIdenticalToFlatMerge(t *testing.T) {
 		sites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
 	}
 	co := coord.New(sites...)
-	co.SetDeltaPulls(true)
 
 	if _, err := co.Snapshot(); err == nil {
 		t.Fatal("Snapshot before first Refresh should fail")
@@ -123,12 +161,10 @@ func TestStackedCoordinatorDeltaServing(t *testing.T) {
 		var childSites []coord.Site
 		for i := 0; i < leaves; i += 3 {
 			child := coord.New(leafSites[i : i+3]...)
-			child.SetDeltaPulls(true)
 			children = append(children, child)
 			childSites = append(childSites, coord.NewLocalSite(fmt.Sprintf("child-%d", i/3), child))
 		}
 		parent := coord.New(childSites...)
-		parent.SetDeltaPulls(true)
 
 		var fullSize, steadyDelta int64
 		for round := 0; round < 6; round++ {
@@ -261,8 +297,6 @@ func TestResilientFlappingSites(t *testing.T) {
 				coord.NewLocalSite("steady-1", engines[1]),
 				coord.NewLocalSite("steady-2", engines[2]),
 			)
-			co.SetDeltaPulls(true)
-			co.SetResilient(true)
 
 			downRounds := 0
 			for round := 0; round < 12; round++ {
@@ -327,8 +361,6 @@ func TestResilientNoBaselineExclusion(t *testing.T) {
 	dead := &faultSite{inner: coord.NewLocalSite("dead", engines[0])}
 	dead.setDown(true)
 	co := coord.New(dead, coord.NewLocalSite("alive", engines[1]))
-	co.SetDeltaPulls(true)
-	co.SetResilient(true)
 
 	if err := co.Refresh(); err != nil {
 		t.Fatalf("bootstrap with dead site: %v", err)
@@ -374,8 +406,6 @@ func TestAllSitesExcluded(t *testing.T) {
 	a := &faultSite{inner: coord.NewLocalSite("a", engines[0])}
 	b := &faultSite{inner: coord.NewLocalSite("b", engines[1])}
 	co := coord.New(a, b)
-	co.SetDeltaPulls(true)
-	co.SetResilient(true)
 	if err := co.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +424,6 @@ func TestAllSitesExcluded(t *testing.T) {
 
 	// A fresh coordinator with no baselines at all: Refresh errors, no view.
 	co2 := coord.New(a, b)
-	co2.SetDeltaPulls(true)
-	co2.SetResilient(true)
 	if err := co2.Refresh(); err == nil {
 		t.Fatal("want error when every site is excluded with no baseline")
 	}
@@ -413,7 +441,6 @@ func TestMembershipChangeRebuilds(t *testing.T) {
 		coord.NewLocalSite("site-0", engines[0]),
 		coord.NewLocalSite("site-1", engines[1]),
 	)
-	co.SetDeltaPulls(true)
 	if err := co.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -471,8 +498,6 @@ func TestMembershipChangeRebuilds(t *testing.T) {
 func TestDynamicMembershipConcurrent(t *testing.T) {
 	engines := deltaTestEngines(t, 4)
 	co := coord.New(coord.NewLocalSite("anchor", engines[0]))
-	co.SetDeltaPulls(true)
-	co.SetResilient(true)
 	if err := co.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -583,8 +608,6 @@ func TestRefreshSurvivesExpiry(t *testing.T) {
 				zipfs[i] = rand.NewZipf(rand.New(rand.NewSource(int64(100+i))), 1.1, 1, 1<<16)
 			}
 			co := coord.New(sites...)
-			co.SetDeltaPulls(true)
-			co.SetResilient(true)
 			for tick := uint64(1); tick <= ticks; tick++ {
 				for i, eng := range engines {
 					eng.Add(zipfs[i].Uint64(), tick)

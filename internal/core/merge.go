@@ -19,11 +19,24 @@ import (
 // unaffected, since the array dimensions are fixed). For randomized-wave
 // sketches the aggregation is lossless (Section 5.2). Count-based sketches
 // cannot be aggregated at all; Merge rejects them.
+//
+// ⊕ of one summary is that summary: Merge(x) is a clone of x settled to its
+// own clock, with x's salt, count and sequence and a fresh epoch, not a
+// one-input replay that would re-bucket x and add merge error.
 func Merge(inputs ...*Sketch) (*Sketch, error) {
 	if err := checkMergeable(inputs); err != nil {
 		return nil, err
 	}
 	first := inputs[0]
+	if len(inputs) == 1 {
+		out, err := first.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		out.epoch = newEpoch()
+		out.Advance(out.now)
+		return out, nil
+	}
 	out, err := New(first.params)
 	if err != nil {
 		return nil, err
@@ -65,12 +78,12 @@ func checkMergeable(inputs []*Sketch) error {
 		return errors.New("core: Merge requires at least one input")
 	}
 	first := inputs[0]
-	for i, in := range inputs[1:] {
+	for i, in := range inputs {
 		if in == nil {
-			return fmt.Errorf("core: Merge input %d is nil", i+1)
+			return fmt.Errorf("core: Merge input %d is nil", i)
 		}
 		if !first.Compatible(in) {
-			return fmt.Errorf("core: Merge input %d incompatible with input 0", i+1)
+			return fmt.Errorf("core: Merge input %d incompatible with input 0", i)
 		}
 	}
 	if first.params.Algorithm != window.AlgoRW && first.wcfg.Model != window.TimeBased {

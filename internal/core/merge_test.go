@@ -96,6 +96,13 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 	if _, err := Merge(c, d); err == nil {
 		t.Fatal("Merge of count-based sketches succeeded; paper proves impossibility")
 	}
+	// The one-input identity sits behind the same checks.
+	if _, err := Merge(c); err == nil {
+		t.Fatal("Merge of one count-based sketch succeeded")
+	}
+	if _, err := Merge(nil); err == nil {
+		t.Fatal("Merge of one nil input succeeded")
+	}
 }
 
 func TestHierarchicalMerge(t *testing.T) {

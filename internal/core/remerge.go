@@ -14,10 +14,11 @@ package core
 // from the old merged clock to the new one drops exactly the content a
 // from-scratch replay followed by a single advance would drop. So unchanged
 // cells need only the advance, and changed cells need only their own replay.
-// (This holds for the flat P-way Merge; the pairwise AggregateTree shape
+// (This holds for one flat P-way Merge; a pairwise fold over merge outputs
 // re-replays already-merged histograms, whose half/half splits are not
 // stable under patching — which is why the incremental path is defined
-// against Merge and the coordinator's Refresh merges flat.)
+// against Merge, and why an aggregation tree is a tree of coordinators,
+// each patching its own flat merge.)
 
 import (
 	"errors"
@@ -38,7 +39,13 @@ import (
 // deliberately does not bump versions (receivers replay expiry themselves)
 // but is reported to note, when non-nil, for the change feed.
 //
+// With one input the patch follows Merge's identity rule: the named cells
+// are copied from the input through the bare-cell encode→decode graft the
+// parallel merge uses, and dst takes the input's salt, count and sequence.
+//
 // On error dst is unmodified: validation happens before the first mutation.
+// (The one exception is a graft decode failure, a codec defect no valid
+// input reaches; callers rebuild with Merge on any error.)
 func PatchMerged(dst *Sketch, inputs []*Sketch, cells []int, all bool, note func(int)) error {
 	if dst == nil || len(inputs) == 0 {
 		return errors.New("core: PatchMerged requires a destination and at least one input")
@@ -65,14 +72,44 @@ func PatchMerged(dst *Sketch, inputs []*Sketch, cells []int, all bool, note func
 			}
 		}
 	}
-	// Re-derive the changed cells: reset and replay each one, fanned across
-	// a bounded worker pool when the patch is large enough to warrant it
-	// (byte-identical to the sequential replay either way; see parallel.go).
-	applyMergeCells(dst, inputs, cells, all, now, true)
-	dst.salt = salt
-	dst.count = count
-	dst.seq = 0
+	if len(inputs) == 1 {
+		x := inputs[0]
+		if err := copyCells(dst, x, cells, all); err != nil {
+			return err
+		}
+		dst.salt, dst.count, dst.seq = x.salt, x.count, x.seq
+	} else {
+		// Re-derive the changed cells: reset and replay each one, fanned
+		// across a bounded worker pool when the patch is large enough to
+		// warrant it (byte-identical to the sequential replay either way;
+		// see parallel.go).
+		applyMergeCells(dst, inputs, cells, all, now, true)
+		dst.salt, dst.count, dst.seq = salt, count, 0
+	}
 	dst.now = now
 	dst.AdvanceNoting(now, note)
+	return nil
+}
+
+// copyCells replaces dst's cells named by cells (every cell when all) with
+// src's through the bare-cell encode→decode graft, which round-trips a
+// cell's canonical structure exactly.
+func copyCells(dst, src *Sketch, cells []int, all bool) error {
+	n := len(cells)
+	if all {
+		n = dst.d * dst.w
+	}
+	var buf []byte
+	for j := 0; j < n; j++ {
+		idx := j
+		if !all {
+			idx = cells[j]
+		}
+		buf = src.bank.AppendMarshalCellBare(buf[:0], idx)
+		dst.bank.ResetCell(idx)
+		if err := dst.bank.UnmarshalCell(idx, buf); err != nil {
+			return fmt.Errorf("core: PatchMerged grafting cell %d: %w", idx, err)
+		}
+	}
 	return nil
 }

@@ -159,10 +159,81 @@ func TestPatchMergedValidation(t *testing.T) {
 	if err := PatchMerged(merged, []*Sketch{a, other}, nil, true, nil); err == nil {
 		t.Error("incompatible input accepted")
 	}
+	if err := PatchMerged(merged, []*Sketch{other}, nil, true, nil); err == nil {
+		t.Error("incompatible single input accepted")
+	}
+	if err := PatchMerged(merged, []*Sketch{a}, []int{-1}, false, nil); err == nil {
+		t.Error("out-of-range cell index accepted for a single input")
+	}
 	if err := PatchMerged(merged, []*Sketch{a, b}, []int{merged.d * merged.w}, false, nil); err == nil {
 		t.Error("out-of-range cell index accepted")
 	}
 	if !bytes.Equal(merged.Marshal(), before) {
 		t.Error("failed PatchMerged mutated the destination")
+	}
+}
+
+// TestMergeOfOneIsIdentity pins the one-input rule: Merge(x) is x settled
+// (same bytes, salt, count and sequence, fresh epoch), and PatchMerged over
+// [x] keeps equalling Merge(x) as x ingests past several windows.
+func TestMergeOfOneIsIdentity(t *testing.T) {
+	for _, algo := range []window.Algorithm{window.AlgoEH, window.AlgoDW, window.AlgoRW} {
+		t.Run(algo.String(), func(t *testing.T) {
+			x, err := New(sparseParams(algo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			settled := func() []byte {
+				c, err := x.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Advance(c.Now())
+				return c.Marshal()
+			}
+			tick := Tick(0)
+			for j := 0; j < 300; j++ {
+				tick += Tick(j % 3)
+				x.AddN(uint64(j*131%97), tick+1, uint64(j%4+1))
+			}
+			merged, err := Merge(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(merged.Marshal(), settled()) {
+				t.Fatal("Merge(x) differs from x settled")
+			}
+			if merged.salt != x.salt || merged.count != x.count || merged.seq != x.seq || merged.now != x.now {
+				t.Fatalf("Merge(x) scalars (salt %x count %d seq %d now %d) differ from x's (%x %d %d %d)",
+					merged.salt, merged.count, merged.seq, merged.now, x.salt, x.count, x.seq, x.now)
+			}
+			if merged.Epoch() == x.Epoch() {
+				t.Error("Merge(x) kept x's epoch")
+			}
+
+			inputs := []*Sketch{x}
+			feed := newPatchFeed(inputs)
+			for round := 0; round < 12; round++ {
+				for j := 0; j < 20*(round%3); j++ {
+					tick++
+					x.AddN(uint64(round*53+j%7), tick, 2)
+				}
+				tick += 300 // twelve rounds cross the 1000-tick window several times
+				x.AdvanceNoting(tick, feed.note)
+				if err := PatchMerged(merged, inputs, feed.take(inputs), round%5 == 4, nil); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				fresh, err := Merge(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(merged.Marshal(), fresh.Marshal()) {
+					t.Fatalf("round %d: PatchMerged over [x] differs from Merge(x)", round)
+				}
+				if merged.salt != x.salt || merged.count != x.count || merged.seq != x.seq {
+					t.Fatalf("round %d: patched scalars differ from x's", round)
+				}
+			}
+		})
 	}
 }

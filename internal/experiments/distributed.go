@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ecmsketch/internal/coord"
 	"ecmsketch/internal/core"
 	"ecmsketch/internal/window"
+	"ecmsketch/internal/workload"
 )
 
 // DistributedRow is one point of Figure 5: a variant at one ε aggregated
@@ -178,7 +180,11 @@ func RunScaling(ds Dataset, eps, delta float64, maxNodes int, maxKeys int) ([]Sc
 		maxNodes = 256
 	}
 	var rows []ScalingRow
+	events := slices.Clone(ds.Events)
 	for nodes := 1; nodes <= maxNodes; nodes *= 2 {
+		for i := range events {
+			events[i].Site = i % nodes // uniform division across the artificial network
+		}
 		for _, spec := range []struct {
 			algo window.Algorithm
 			q    core.QueryKind
@@ -187,7 +193,7 @@ func RunScaling(ds Dataset, eps, delta float64, maxNodes int, maxKeys int) ([]Sc
 			{window.AlgoEH, core.InnerProductQuery},
 			{window.AlgoRW, core.PointQuery},
 		} {
-			row, err := runScalingOnce(ds, spec.algo, eps, delta, nodes, spec.q, maxKeys)
+			row, err := runScalingOnce(ds, events, spec.algo, eps, delta, nodes, spec.q, maxKeys)
 			if err != nil {
 				return nil, err
 			}
@@ -197,7 +203,7 @@ func RunScaling(ds Dataset, eps, delta float64, maxNodes int, maxKeys int) ([]Sc
 	return rows, nil
 }
 
-func runScalingOnce(ds Dataset, algo window.Algorithm, eps, delta float64, nodes int, q core.QueryKind, maxKeys int) (ScalingRow, error) {
+func runScalingOnce(ds Dataset, events []workload.Event, algo window.Algorithm, eps, delta float64, nodes int, q core.QueryKind, maxKeys int) (ScalingRow, error) {
 	p := core.Params{
 		Epsilon:      eps,
 		Delta:        delta,
@@ -211,16 +217,7 @@ func runScalingOnce(ds Dataset, algo window.Algorithm, eps, delta float64, nodes
 	if err != nil {
 		return ScalingRow{}, err
 	}
-	cluster.Start()
-	var now Tick
-	for i, ev := range ds.Events {
-		ev.Site = i % nodes // uniform division across the artificial network
-		if ev.Time > now {
-			now = ev.Time
-		}
-		cluster.Feed(ev)
-	}
-	cluster.Wait(now)
+	cluster.IngestAll(events)
 	root, _, err := cluster.AggregateTree()
 	if err != nil {
 		return ScalingRow{}, err

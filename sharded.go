@@ -1076,16 +1076,7 @@ func (sh *Sharded) rebuildLocked() (*Sketch, error) {
 	for i := range sh.shards {
 		vsum += sh.rebuild.versions[i]
 	}
-	// One stripe is its own view: a one-input Theorem-4 replay would
-	// re-bucket it, adding merge error and parting from the stripe that
-	// DeltaSnapshot ships.
-	var view *Sketch
-	var err error
-	if len(sh.rebuild.parts) == 1 {
-		view, err = sh.rebuild.parts[0].Snapshot()
-	} else {
-		view, err = Merge(sh.rebuild.parts...)
-	}
+	view, err := Merge(sh.rebuild.parts...)
 	if err != nil {
 		return nil, fmt.Errorf("ecmsketch: merging shards: %w", err)
 	}

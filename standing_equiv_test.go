@@ -358,7 +358,7 @@ func TestStandingOracleEquivalenceIngest(t *testing.T) {
 }
 
 // TestStandingOracleEquivalenceCoordinator runs the same check on the other
-// evaluation surface: two engines behind a delta-pulling coordinator, the
+// evaluation surface: two engines behind a coordinator, the
 // registry refreshed with each merged root plus the pull's changed-cell
 // set, the oracle brute-forcing every predicate against the same root.
 func TestStandingOracleEquivalenceCoordinator(t *testing.T) {
@@ -375,7 +375,6 @@ func TestStandingOracleEquivalenceCoordinator(t *testing.T) {
 				sites = append(sites, NewLocalSite(fmt.Sprintf("site-%d", i), eng))
 			}
 			co := NewCoordinator(sites...)
-			co.SetDeltaPulls(true)
 
 			queries := equivQueries()
 			// Coordinator surface: explicit keys required, target bound per
@@ -410,7 +409,10 @@ func TestStandingOracleEquivalenceCoordinator(t *testing.T) {
 						engines[e].Advance(tick)
 					}
 				}
-				root, _, err := co.AggregateTree()
+				if err := co.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+				root, err := co.View()
 				if err != nil {
 					t.Fatal(err)
 				}
