@@ -120,17 +120,24 @@ type treeNode interface {
 // nodes of one tree level are independent, and the merges are CPU-bound.
 func refreshAll(nodes []*Coordinator) error {
 	errs := make([]error, len(nodes))
+	fanOut(len(nodes), runtime.GOMAXPROCS(0), func(i int) { errs[i] = nodes[i].Refresh() })
+	return errors.Join(errs...)
+}
+
+// fanOut calls fn(i) for every i in [0, n) on at most workers goroutines,
+// each claiming the next index off a shared counter, and returns when all
+// calls have.
+func fanOut(n, workers int, fn func(i int)) {
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	for w := min(runtime.GOMAXPROCS(0), len(nodes)); w > 0; w-- {
+	for w := min(workers, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(nodes); i = int(next.Add(1)) - 1 {
-				errs[i] = nodes[i].Refresh()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return errors.Join(errs...)
 }

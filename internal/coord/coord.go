@@ -268,10 +268,13 @@ func New(sites ...Site) *Coordinator {
 	return c
 }
 
-// Deprecated: every pull presents the member's held cursor; this is a no-op.
+// SetDeltaPulls is a no-op: every pull presents the member's held cursor.
+// It is kept only for bench/coord_refresh.go until that caller is dropped.
 func (c *Coordinator) SetDeltaPulls(on bool) {}
 
-// Deprecated: a failing site is always excluded or served stale; this is a no-op.
+// SetResilient is a no-op: a failing site is always excluded or served
+// stale. It is kept only for bench/coord_refresh.go until that caller is
+// dropped.
 func (c *Coordinator) SetResilient(on bool) {}
 
 // DeltaPulls and FullPulls report how many per-site pulls were answered
@@ -372,24 +375,11 @@ func (c *Coordinator) pullRound() roundResult {
 	// decodes overlap — claiming members off a shared counter, where one
 	// goroutine per site would be a thousand-way stampede of sockets and
 	// decode allocations at a thousand-site coordinator every interval.
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := min(max(4*runtime.GOMAXPROCS(0), 8), len(members)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(members) {
-					return
-				}
-				m := members[i]
-				m.st.mu.Lock()
-				outs[i] = c.pullMemberLocked(m, round)
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(len(members), max(4*runtime.GOMAXPROCS(0), 8), func(i int) {
+		m := members[i]
+		m.st.mu.Lock()
+		outs[i] = c.pullMemberLocked(m, round)
+	})
 	for i := range outs {
 		c.pulled.Add(int64(outs[i].size))
 	}

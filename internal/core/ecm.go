@@ -207,9 +207,10 @@ func (s *Sketch) SetIDSalt(salt uint64) { s.salt = salt }
 
 // NormalizeCellSalts re-derives every randomized-wave cell's auto-identifier
 // salt deterministically from the sketch identifier salt; a no-op for the
-// other algorithms. Cell salts default to process-unique values (so bank-level
-// auto-identifiers never collide across sites), but they are serialized, so
-// two identically configured sketches differ byte-wise until normalized.
+// other algorithms. Cell salts default to values derived from the seed and
+// cell index: they separate the cells of one bank but are shared by every
+// bank with the same seed, so cells whose auto-identifiers will be merged
+// across sketches need distinct salts, which normalizing gives them.
 // Engines that never draw cell-level auto-identifiers — the sharded engine
 // inserts through the sketch salt — normalize them to make identically
 // configured instances byte-deterministic, which durable recovery tests
