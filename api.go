@@ -10,8 +10,8 @@ import "ecmsketch/internal/core"
 type Event = core.Event
 
 // Ingestor is the write side of every sketch front end in this library:
-// the plain Sketch, the mutex-guarded SafeSketch, the lock-striped Sharded
-// engine, and the remote ecmclient.Client all satisfy it, so ingest
+// the plain Sketch, the lock-striped Sharded engine (one stripe or many),
+// and the remote ecmclient.Client all satisfy it, so ingest
 // pipelines can be written once against the interface and pointed at any
 // of them.
 //
@@ -26,15 +26,15 @@ type Event = core.Event
 //   - Single-event paths (Add, AddN, AddString) pass the tick through to
 //     the counters it lands in; a tick that regresses behind a counter's
 //     own clock is clamped forward to that clock, biasing the arrival
-//     slightly newer instead of dropping it. (Merged streams from loosely
-//     synchronized sites interleave slightly out of order; see Reorderer
-//     for bounded-buffer resequencing when that bias matters.)
+//     slightly newer instead of dropping it, so a stream from loosely
+//     synchronized sources that interleaves slightly out of order still
+//     counts every arrival.
 //   - AddBatch validates once per batch, not once per counter update: each
 //     event's tick is clamped to the running maximum of the batch and to
 //     the engine clock at batch entry, so the applied sequence is
 //     non-decreasing engine-wide. Every front end applies the same rule,
 //     which is why identical batch streams produce identical answers from
-//     Sketch, SafeSketch and Sharded.
+//     Sketch and Sharded.
 type Ingestor interface {
 	// Add registers one arrival of key at tick t.
 	Add(key uint64, t Tick)
@@ -108,7 +108,7 @@ type QueryResult = core.QueryResult
 
 // BatchQuerier is the batched read side: multi-key point queries plus
 // optional aggregates answered from one consistent snapshot. Implemented by
-// every sketch front end — Sketch, SafeSketch, Sharded, and the remote
+// every sketch front end — Sketch, Sharded, and the remote
 // ecmclient.Client (which answers via one POST /v1/query round trip).
 type BatchQuerier interface {
 	// QueryBatch answers a multi-key query from one consistent cut. The
@@ -130,8 +130,8 @@ type BatchQuerier interface {
 //   - point queries only: Total/SelfJoin aggregates need the merged view
 //     and are rejected.
 //
-// On single-sketch backends (Sketch, SafeSketch) direct and batched point
-// answers coincide. Implemented by every front end; the remote client
+// On single-sketch backends (Sketch, and Sharded with one stripe) direct and
+// batched point answers coincide. Implemented by every front end; the remote client
 // forwards to POST /v1/query?direct=1.
 type DirectQuerier interface {
 	QueryDirect(q QueryBatch) (QueryResult, error)
@@ -150,8 +150,8 @@ type Snapshotter interface {
 
 // Cursor names a producer state in the delta-snapshot protocol: the
 // producing engine instance (a process-random epoch) plus one
-// arrival-mutation version per part — a single version for Sketch and
-// SafeSketch, one per stripe for Sharded. Cursors are opaque to pullers:
+// arrival-mutation version per part — a single version for Sketch, one per
+// stripe for Sharded. Cursors are opaque to pullers:
 // obtained from one DeltaSnapshot, echoed on the next. String/ParseCursor
 // give the URL-safe wire form (?since= and X-Ecm-Cursor on the HTTP API).
 type Cursor = core.Cursor
@@ -182,7 +182,7 @@ type DeltaState = core.DeltaState
 //
 // The returned cursor names the state the payload brings the puller to and
 // is what the puller presents next time. Payloads are applied with
-// DeltaState. Implemented by Sketch, SafeSketch, Sharded, Coordinator and
+// DeltaState. Implemented by Sketch, Sharded, Coordinator and
 // the remote ecmclient.Client (which forwards to GET /v1/snapshot?since=).
 //
 // Every DeltaSnapshotter is also a valid in-process coordinator site: wrap
@@ -210,11 +210,9 @@ type Engine interface {
 // (ecmclient.Client asserts its own conformance in its package.)
 var (
 	_ Engine = (*Sketch)(nil)
-	_ Engine = (*SafeSketch)(nil)
 	_ Engine = (*Sharded)(nil)
 
 	_ DirectQuerier = (*Sketch)(nil)
-	_ DirectQuerier = (*SafeSketch)(nil)
 	_ DirectQuerier = (*Sharded)(nil)
 
 	// A coordinator is a read-side front end over its merged root.

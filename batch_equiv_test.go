@@ -9,8 +9,8 @@ import (
 )
 
 // TestEngineBatchEquivalence is the property test behind the batch clamping
-// contract (see Ingestor): the plain Sketch, the mutex-guarded SafeSketch
-// and the lock-striped Sharded engine must produce IDENTICAL
+// contract (see Ingestor): the plain Sketch, a one-stripe Sharded engine and
+// a P-stripe Sharded engine must produce IDENTICAL
 // Estimate/SelfJoin/EstimateTotal answers for the same randomized batch
 // stream — including regressed and zero ticks, which every front end clamps
 // the same way, once per batch.
@@ -38,7 +38,7 @@ func TestEngineBatchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			safe, err := ecmsketch.NewSafe(p)
+			oneStripe, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestEngineBatchEquivalence(t *testing.T) {
 			engines := []struct {
 				name string
 				e    ecmsketch.Engine
-			}{{"single", single}, {"safe", safe}, {"sharded", sharded}}
+			}{{"single", single}, {"sharded1", oneStripe}, {"sharded", sharded}}
 
 			check := func(stage string) {
 				t.Helper()

@@ -47,8 +47,8 @@ var ErrNotReady = coord.ErrNotReady
 // network accounting.
 func NewCoordinator(sites ...Site) *Coordinator { return coord.New(sites...) }
 
-// NewLocalSite adapts an in-process front end — Sketch, SafeSketch,
-// Sharded, a Coordinator, an ecmclient.Client — as a coordinator site named
+// NewLocalSite adapts an in-process front end — Sketch, Sharded, a
+// Coordinator, an ecmclient.Client — as a coordinator site named
 // name. Its transfers are the payloads src.DeltaSnapshot encodes, charged
 // at their length.
 func NewLocalSite(name string, src DeltaSnapshotter) Site { return coord.NewLocalSite(name, src) }

@@ -22,11 +22,12 @@
 // Engine:
 //
 //   - *Sketch: the plain single-goroutine ECM-sketch.
-//   - *SafeSketch: one sketch behind one mutex, for modest concurrency.
-//   - *Sharded: a lock-striped engine of P mergeable per-shard sketches,
-//     key-hash routed; point queries hit one stripe, global queries read an
-//     immutable snapshot-merged view lock-free (Theorem 4 applied inside
-//     one process for throughput, on both the write and the read path).
+//   - *Sharded: a lock-striped engine of P ≥ 1 mergeable per-shard
+//     sketches, key-hash routed; point queries hit one stripe, global
+//     queries read an immutable snapshot-merged view lock-free (Theorem 4
+//     applied inside one process for throughput, on both the write and the
+//     read path). With P = 1 it is one sketch behind one lock, and its view
+//     is that sketch with no merge error.
 //   - ecmclient.Client: a remote ecmserve instance behind the same
 //     interfaces, over the versioned /v1 HTTP API served by ecmserver.
 //

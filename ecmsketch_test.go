@@ -38,6 +38,32 @@ func TestPublicQuickstart(t *testing.T) {
 	}
 }
 
+func TestECMIntervalQueries(t *testing.T) {
+	sk, err := ecmsketch.New(ecmsketch.Params{Epsilon: 0.05, Delta: 0.05, WindowLength: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Key 1 arrives in (0,100], key 2 in (100,200].
+	for i := ecmsketch.Tick(1); i <= 100; i++ {
+		sk.Add(1, i)
+	}
+	for i := ecmsketch.Tick(101); i <= 200; i++ {
+		sk.Add(2, i)
+	}
+	if got := sk.EstimateInterval(1, 0, 100); math.Abs(got-100) > 20 {
+		t.Errorf("EstimateInterval(1, 0..100) = %v, want ≈100", got)
+	}
+	if got := sk.EstimateInterval(1, 100, 200); got > 20 {
+		t.Errorf("EstimateInterval(1, 100..200) = %v, want ≈0", got)
+	}
+	if got := sk.EstimateInterval(2, 100, 200); math.Abs(got-100) > 20 {
+		t.Errorf("EstimateInterval(2, 100..200) = %v, want ≈100", got)
+	}
+	if got := sk.EstimateInterval(2, 200, 100); got != 0 {
+		t.Errorf("inverted interval = %v", got)
+	}
+}
+
 func TestPublicMergeAndSerialize(t *testing.T) {
 	p := ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1000, Seed: 5}
 	a, err := ecmsketch.New(p)

@@ -55,25 +55,3 @@ func ExampleMerge() {
 	// item 42 globally ≈ 100
 	// item 7 globally ≈ 50
 }
-
-// ExampleNewWindowedSum demonstrates value-weighted windowed sums.
-func ExampleNewWindowedSum() {
-	ws, err := ecmsketch.NewWindowedSum(ecmsketch.SumConfig{
-		WindowLength: 100,
-		Epsilon:      0.01,
-		MaxValue:     1 << 20, // bytes per packet
-	})
-	if err != nil {
-		panic(err)
-	}
-	ws.Add(10, 1500)
-	ws.Add(20, 900)
-	ws.Add(30, 64)
-	fmt.Printf("bytes in window ≈ %.0f\n", ws.SumWindow())
-	// The packet at tick 10 expires once the window slides past it.
-	ws.Advance(115)
-	fmt.Printf("after sliding ≈ %.0f\n", ws.SumWindow())
-	// Output:
-	// bytes in window ≈ 2464
-	// after sliding ≈ 964
-}

@@ -203,8 +203,8 @@ type Notification struct {
 }
 
 // Target is what the evaluator needs from the engine it watches: point and
-// interval estimates plus the clock. Sharded, *core.Sketch (a coordinator's
-// merged root) and SafeSketch all satisfy it.
+// interval estimates plus the clock. Sharded and *core.Sketch (a
+// coordinator's merged root) satisfy it.
 type Target interface {
 	Estimate(key uint64, r core.Tick) float64
 	EstimateInterval(key uint64, from, to core.Tick) float64

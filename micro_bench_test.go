@@ -3,7 +3,6 @@ package ecmsketch_test
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"ecmsketch"
@@ -101,39 +100,6 @@ func BenchmarkSketchUnmarshal(b *testing.B) {
 	}
 }
 
-func BenchmarkWindowedSumAdd(b *testing.B) {
-	ws, err := ecmsketch.NewWindowedSum(ecmsketch.SumConfig{
-		WindowLength: 1 << 20, Epsilon: 0.05, MaxValue: 1 << 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := ws.Add(ecmsketch.Tick(i+1), uint64(i%1500)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReordererOffer(b *testing.B) {
-	sink := func(uint64, ecmsketch.Tick, uint64) {}
-	r, err := ecmsketch.NewReorderer(64, sink)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// Alternate between in-order and slightly regressed ticks.
-		t := ecmsketch.Tick(i + 1)
-		if i%3 == 0 && t > 10 {
-			t -= 10
-		}
-		r.Offer(uint64(i%256), t, 1)
-	}
-	r.Flush()
-}
-
 // benchConcurrentIngest measures wall-clock ingest throughput of an
 // Ingestor under a fixed number of writer goroutines, each feeding
 // single-event AddN calls (the worst case for lock traffic — batching is
@@ -169,37 +135,27 @@ func benchConcurrentIngest(b *testing.B, ing ecmsketch.Ingestor, goroutines int,
 	wg.Wait()
 }
 
-// BenchmarkIngestSafeVsSharded compares the single-mutex SafeSketch against
-// the lock-striped Sharded engine at 1, 4 and 16 writer goroutines — the
-// scaling argument behind the sharded engine (compare ns/op across the
-// /safe/ and /sharded/ variants at equal goroutine counts).
-func BenchmarkIngestSafeVsSharded(b *testing.B) {
+// BenchmarkIngestShards compares a one-stripe Sharded engine (every writer
+// contends for one lock) against 16 lock stripes at 1, 4 and 16 writer
+// goroutines — the scaling argument behind striping (compare ns/op across
+// the /shards=1/ and /shards=16/ variants at equal goroutine counts).
+func BenchmarkIngestShards(b *testing.B) {
 	params := ecmsketch.Params{Epsilon: 0.05, Delta: 0.05, WindowLength: 1 << 20}
-	for _, bench := range []struct {
-		name string
-		mk   func(b *testing.B) ecmsketch.Ingestor
-	}{
-		{"safe", func(b *testing.B) ecmsketch.Ingestor {
-			ss, err := ecmsketch.NewSafe(params)
+	for _, shards := range []int{1, 16} {
+		mk := func(b *testing.B) ecmsketch.Ingestor {
+			sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: params, Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}
-			return ss
-		}},
-		{"sharded", func(b *testing.B) ecmsketch.Ingestor {
-			sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: params, Shards: 16})
-			if err != nil {
-				b.Fatal(err)
-			}
+			b.Cleanup(func() { sh.Close() })
 			return sh
-		}},
-	} {
+		}
 		for _, goroutines := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", bench.name, goroutines), func(b *testing.B) {
-				benchConcurrentIngest(b, bench.mk(b), goroutines, 1)
+			b.Run(fmt.Sprintf("shards=%d/goroutines=%d", shards, goroutines), func(b *testing.B) {
+				benchConcurrentIngest(b, mk(b), goroutines, 1)
 			})
-			b.Run(fmt.Sprintf("%s-batch64/goroutines=%d", bench.name, goroutines), func(b *testing.B) {
-				benchConcurrentIngest(b, bench.mk(b), goroutines, 64)
+			b.Run(fmt.Sprintf("shards=%d-batch64/goroutines=%d", shards, goroutines), func(b *testing.B) {
+				benchConcurrentIngest(b, mk(b), goroutines, 64)
 			})
 		}
 	}
@@ -241,22 +197,6 @@ func BenchmarkQueryBatchVsSingles(b *testing.B) {
 			}
 			sh.EstimateTotal(r)
 			sh.SelfJoin(r)
-		}
-	})
-}
-
-func BenchmarkSafeSketchAddParallel(b *testing.B) {
-	ss, err := ecmsketch.NewSafe(ecmsketch.Params{Epsilon: 0.05, Delta: 0.05, WindowLength: 1 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tick atomic.Uint64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := uint64(0)
-		for pb.Next() {
-			i++
-			ss.Add(i%1024, tick.Add(1))
 		}
 	})
 }

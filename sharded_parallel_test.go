@@ -140,34 +140,59 @@ func TestShardedQueryDirectMatchesStripes(t *testing.T) {
 }
 
 // TestQueryDirectSingleSketchCoincides pins the DirectQuerier contract on
-// the single-sketch front ends: direct and batched point answers coincide
-// (a lone sketch has no stripes), and aggregates are rejected identically.
+// the single-sketch front ends, the bare Sketch and a one-stripe Sharded:
+// direct and batched point answers coincide (one sketch has no stripes to
+// merge), both equal the bare Sketch's answers, and QueryDirect rejects
+// aggregates.
 func TestQueryDirectSingleSketchCoincides(t *testing.T) {
-	sk, err := New(parallelShardedParams(AlgoEH))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for e := 0; e < 2000; e++ {
-		sk.Add(uint64(e%97), uint64(e/10+1))
-	}
-	ss := WrapSafe(sk)
 	keys := []uint64{1, 5, 42, 96, 1000}
-	q := QueryBatch{Keys: keys, Range: 150}
-	batch, err := ss.QueryBatch(q)
-	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
-	}
-	direct, err := ss.QueryDirect(q)
-	if err != nil {
-		t.Fatalf("QueryDirect: %v", err)
-	}
-	for i := range keys {
-		if batch.Estimates[i] != direct.Estimates[i] {
-			t.Fatalf("key %d: direct %v != batch %v", keys[i], direct.Estimates[i], batch.Estimates[i])
+	for _, algo := range []Algorithm{AlgoEH, AlgoDW, AlgoRW} {
+		p := parallelShardedParams(algo)
+		sk, err := New(p)
+		if err != nil {
+			t.Fatalf("algo %v: New: %v", algo, err)
 		}
-	}
-	if _, err := ss.QueryDirect(QueryBatch{Keys: keys, Total: true}); err == nil {
-		t.Fatal("SafeSketch.QueryDirect accepted a Total aggregate")
+		sh, err := NewSharded(ShardedConfig{Params: p, Shards: 1})
+		if err != nil {
+			t.Fatalf("algo %v: NewSharded: %v", algo, err)
+		}
+		t.Cleanup(func() { sh.Close() })
+		events := make([]Event, 2000)
+		for e := range events {
+			events[e] = Event{Key: uint64(e % 97), Tick: uint64(e/10 + 1)}
+		}
+		sk.AddBatch(events)
+		sh.AddBatch(events)
+
+		q := QueryBatch{Keys: keys, Range: 150}
+		want, err := sk.QueryBatch(q)
+		if err != nil {
+			t.Fatalf("algo %v: bare QueryBatch: %v", algo, err)
+		}
+		for _, eng := range []interface {
+			BatchQuerier
+			DirectQuerier
+		}{sk, sh} {
+			batch, err := eng.QueryBatch(q)
+			if err != nil {
+				t.Fatalf("algo %v %T: QueryBatch: %v", algo, eng, err)
+			}
+			direct, err := eng.QueryDirect(q)
+			if err != nil {
+				t.Fatalf("algo %v %T: QueryDirect: %v", algo, eng, err)
+			}
+			for i, key := range keys {
+				if direct.Estimates[i] != batch.Estimates[i] {
+					t.Fatalf("algo %v %T key %d: direct %v != batch %v", algo, eng, key, direct.Estimates[i], batch.Estimates[i])
+				}
+				if batch.Estimates[i] != want.Estimates[i] {
+					t.Fatalf("algo %v %T key %d: batch %v != bare Sketch %v", algo, eng, key, batch.Estimates[i], want.Estimates[i])
+				}
+			}
+			if _, err := eng.QueryDirect(QueryBatch{Keys: keys, Total: true}); err == nil {
+				t.Fatalf("algo %v %T: QueryDirect accepted a Total aggregate", algo, eng)
+			}
+		}
 	}
 }
 

@@ -347,7 +347,7 @@ func TestQueryBatchFrontEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := ecmsketch.NewSafe(p)
+	sh1, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestQueryBatchFrontEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []ecmsketch.Engine{sk, ss, sh} {
+	for _, eng := range []ecmsketch.Engine{sk, sh1, sh} {
 		stream(eng)
 		res, err := eng.QueryBatch(ecmsketch.QueryBatch{Keys: keys, Total: true, SelfJoin: true})
 		if err != nil {
@@ -407,11 +407,12 @@ func TestQueryBatchFrontEnds(t *testing.T) {
 	}
 }
 
-// TestSafeSketchConcurrentStress is the same certificate for the
-// mutex-guarded front end, exercising the new AddBatch path.
-func TestSafeSketchConcurrentStress(t *testing.T) {
+// TestShardedOneStripeConcurrentStress is TestShardedConcurrentStress's race
+// certificate for a one-stripe engine, where every writer and reader
+// contends for one lock.
+func TestShardedOneStripeConcurrentStress(t *testing.T) {
 	p := shardedParams()
-	ss, err := ecmsketch.NewSafe(p)
+	sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,32 +429,40 @@ func TestSafeSketchConcurrentStress(t *testing.T) {
 				key := uint64(rng.Intn(512))
 				batch = append(batch, ecmsketch.Event{Key: key, Tick: ecmsketch.Tick(i)})
 				if len(batch) == cap(batch) {
-					ss.AddBatch(batch)
+					sh.AddBatch(batch)
 					batch = batch[:0]
 				}
 				if i%97 == 0 {
-					ss.Estimate(key, p.WindowLength)
-					ss.SelfJoin(p.WindowLength)
+					sh.Estimate(key, p.WindowLength)
+					sh.SelfJoin(p.WindowLength)
+					sh.EstimateTotal(p.WindowLength)
 				}
 			}
-			ss.AddBatch(batch)
+			sh.AddBatch(batch)
 		}(g)
 	}
 	wg.Wait()
-	if got := ss.Count(); got != goroutines*perG {
+	if got := sh.Count(); got != goroutines*perG {
 		t.Errorf("Count = %d, want %d", got, goroutines*perG)
 	}
-	other, err := ss.Snapshot()
+	other, err := sh.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.InnerProduct(other, p.WindowLength); err != nil {
+	if _, err := sh.InnerProduct(other, p.WindowLength); err != nil {
 		t.Errorf("InnerProduct against own snapshot: %v", err)
+	}
+	if got := other.EstimateTotal(p.WindowLength); got < float64(goroutines*perG)*0.8 {
+		t.Errorf("snapshot EstimateTotal = %v, want ≈%d", got, goroutines*perG)
+	}
+	if sh.MemoryBytes() <= 0 || sh.Now() != perG {
+		t.Errorf("degenerate engine state: MemoryBytes %d, Now %d", sh.MemoryBytes(), sh.Now())
 	}
 }
 
 // TestEventBatchSemantics pins the Event contract shared by every
-// Ingestor: slice order, multiplicity, and N==0 counting as one arrival.
+// Ingestor: slice order, multiplicity, N==0 counting as one arrival, and
+// the single-event string and Advance paths.
 func TestEventBatchSemantics(t *testing.T) {
 	p := shardedParams()
 	mk := func() []ecmsketch.Ingestor {
@@ -461,7 +470,7 @@ func TestEventBatchSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := ecmsketch.NewSafe(p)
+		sh1, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,7 +478,7 @@ func TestEventBatchSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []ecmsketch.Ingestor{sk, ss, sh}
+		return []ecmsketch.Ingestor{sk, sh1, sh}
 	}
 	for _, ing := range mk() {
 		ing.AddBatch([]ecmsketch.Event{
@@ -487,6 +496,17 @@ func TestEventBatchSemantics(t *testing.T) {
 		}
 		if got := q.Now(); got != 13 {
 			t.Errorf("%T: Now = %d, want 13", ing, got)
+		}
+		// String keys digest through KeyString on both sides, and Advance
+		// moves the clock without an arrival.
+		ing.AddString("s", 14)
+		ing.AddN(ecmsketch.KeyString("s"), 15, 4)
+		ing.Advance(16)
+		if got := q.EstimateString("s", p.WindowLength); got < 5 {
+			t.Errorf("%T: EstimateString = %v, want ≥5", ing, got)
+		}
+		if got := q.Now(); got != 16 {
+			t.Errorf("%T: Now after Advance = %d, want 16", ing, got)
 		}
 	}
 }
