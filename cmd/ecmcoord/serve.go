@@ -100,12 +100,9 @@ func (cs *coordServer) refresh() error {
 	// Swap the standing-query evaluator onto the fresh view and re-check
 	// only the predicates whose cells the pulls replaced (delta pulls feed
 	// cell-granular change sets; full pulls mark everything changed). The
-	// window and advance policy come from the view itself, not flags.
-	reg := cs.srv.Standing()
-	reg.SetWindow(root.Params().WindowLength)
-	reg.SetStrictAdvance(root.Params().Algorithm == ecmsketch.AlgoRW)
+	// window and advance policy come from the view's own Params.
 	cells, all := cs.co.TakeChangedCells()
-	reg.RefreshTarget(root, cells, all)
+	cs.srv.Standing().RefreshTarget(root, cells, all)
 	cs.maybePersistRoot()
 	return nil
 }

@@ -1,17 +1,19 @@
-// Command ecmgen writes a synthetic event stream as CSV ("key,tick" or
-// "key,tick,site"), in the wc'98-like / snmp-like shapes of the experiment
-// harness or fully custom. The output feeds ecmserve's /v1/batch endpoint
-// or any offline analysis.
+// Command ecmgen writes a synthetic event stream as the JSON array
+// ecmserve's POST /v1/events reads, one element per line
+// ({"key":"k17","t":123}, plus "site":3 under -with-site, which the server
+// skips as an unknown member), in the wc'98-like / snmp-like shapes of the
+// experiment harness or fully custom.
 //
 // Usage:
 //
-//	ecmgen -preset wc98 -events 100000 > stream.csv
+//	ecmgen -preset wc98 -events 100000 > stream.json
 //	ecmgen -events 50000 -keys 4096 -skew 1.2 -sites 8 -duration 500000 -with-site
-//	curl --data-binary @stream.csv http://localhost:8080/v1/batch
+//	curl --data-binary @stream.json http://localhost:8080/v1/events
 package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +43,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.cfg.SiteSkew, "site-skew", 0, "Zipf exponent of site load (custom)")
 	fs.BoolVar(&o.cfg.Diurnal, "diurnal", false, "sinusoidal arrival-rate modulation (custom)")
 	fs.Int64Var(&o.cfg.Seed, "seed", 1, "random seed")
-	fs.BoolVar(&o.withSite, "with-site", false, "emit key,tick,site instead of key,tick")
+	fs.BoolVar(&o.withSite, "with-site", false, "add each event's \"site\" member")
 	fs.StringVar(&o.keyFmt, "key-format", "k%d", "printf format turning the key rank into the emitted key")
 	return o
 }
@@ -75,22 +77,34 @@ func build(preset string, c workload.Config) (*workload.Generator, error) {
 	}
 }
 
+// emit writes gen's stream as a /v1/events body. keyFmt is user input, so
+// each key goes through encoding/json's string encoding. A failed write
+// sticks to bw, so checking WriteByte and Flush catches every one.
 func emit(w io.Writer, gen *workload.Generator, withSite bool, keyFmt string) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
+	sep := "["
 	for {
 		ev, ok := gen.Next()
 		if !ok {
 			break
 		}
-		var err error
-		if withSite {
-			_, err = fmt.Fprintf(bw, keyFmt+",%d,%d\n", ev.Key, ev.Time, ev.Site)
-		} else {
-			_, err = fmt.Fprintf(bw, keyFmt+",%d\n", ev.Key, ev.Time)
-		}
+		key, err := json.Marshal(fmt.Sprintf(keyFmt, ev.Key))
 		if err != nil {
 			return err
 		}
+		fmt.Fprintf(bw, "%s\n{\"key\":%s,\"t\":%d", sep, key, ev.Time)
+		if withSite {
+			fmt.Fprintf(bw, ",\"site\":%d", ev.Site)
+		}
+		if err := bw.WriteByte('}'); err != nil {
+			return err
+		}
+		sep = ","
+	}
+	if sep == "[" {
+		bw.WriteString("[]\n")
+	} else {
+		bw.WriteString("\n]\n")
 	}
 	return bw.Flush()
 }

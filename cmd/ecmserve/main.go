@@ -8,10 +8,10 @@
 //
 //	ecmserve -addr :8080 -epsilon 0.02 -delta 0.01 -window 3600000 -shards 8
 //
-// Endpoints (see ecmserver handler docs): POST /v1/events, POST /v1/batch,
-// POST /v1/advance, GET and POST /v1/query, GET /v1/interval,
-// GET /v1/snapshot, GET /v1/stats, and the standing-query routes
-// (/v1/subscribe, /v1/watch).
+// Endpoints (see ecmserver handler docs): POST /v1/events, POST /v1/advance,
+// GET and POST /v1/query, GET /v1/interval, GET /v1/snapshot, GET /v1/stats,
+// and the standing-query routes (/v1/subscribe, /v1/watch). cmd/ecmgen
+// writes /v1/events bodies.
 // docs/operations.md has the deployment guide.
 package main
 

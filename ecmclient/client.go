@@ -5,16 +5,15 @@
 // interfaces — ingest pipelines, examples — can point at a remote ecmserve
 // deployment by swapping the constructor and nothing else.
 //
-// Two method families coexist:
-//
-//   - Explicit, error-returning calls (AddEvents, PointEstimate,
-//     SelfJoinEstimate, FetchSnapshotBytes, FetchStats, ...) for
-//     callers that handle transport failures per request.
-//   - The methods of the ecmsketch interfaces (Add, AddBatch, Estimate,
-//     SelfJoin, QueryBatch, Snapshot, ...), most of whose signatures carry
-//     no error; a transport failure there returns a zero value and parks
-//     the error on the client, readable (and clearable) via Err, in the
-//     bufio.Scanner sticky-error style.
+// The methods of the ecmsketch interfaces (Add, AddBatch, Estimate,
+// SelfJoin, QueryBatch, QueryDirect, Snapshot, ...) each run through one
+// call per request shape: writes through AddEvents, point reads through
+// QueryDirect, aggregates through QueryBatch. Most of their signatures carry
+// no error; a transport failure there returns a zero value and parks the
+// error on the client, readable (and clearable) via Err, in the
+// bufio.Scanner sticky-error style. The calls outside those interfaces —
+// AddEvents, AdvanceTo, IntervalEstimate, FetchSnapshotBytes, FetchStats
+// and the /v1/sites calls — return their error instead.
 //
 // Every call is one request on one route: writes are POST /v1/events, reads
 // are /v1/query, summaries are GET /v1/snapshot.
@@ -84,9 +83,9 @@ func New(baseURL string, opts ...Option) *Client {
 // method belonging to an ecmsketch interface — Ingestor, Querier,
 // BatchQuerier, DirectQuerier, Snapshotter, DeltaSnapshotter — whether or
 // not that method's signature also returns the error; nil means every such
-// call succeeded. The explicit calls (AddKey, AddEvents, PointEstimate,
-// FetchSnapshotBytes, FetchStats, Sites, ...) return their error and
-// record nothing.
+// call succeeded. The calls outside those interfaces (AddEvents, AdvanceTo,
+// IntervalEstimate, FetchSnapshotBytes, FetchStats, Sites, ...) return their
+// error and record nothing.
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -172,18 +171,6 @@ func (c *Client) do(req *http.Request, out any) error {
 
 // ---- explicit, error-returning API ----
 
-// AddKey registers n arrivals of a pre-digested key at tick t: a
-// one-element AddEvents.
-func (c *Client) AddKey(key uint64, t ecmsketch.Tick, n uint64) error {
-	return c.AddEvents([]ecmsketch.Event{{Key: key, Tick: t, N: n}})
-}
-
-// AddKeyString registers n arrivals of a string key, digested with
-// ecmsketch.KeyString like every local sketch's string keys.
-func (c *Client) AddKeyString(key string, t ecmsketch.Tick, n uint64) error {
-	return c.AddKey(ecmsketch.KeyString(key), t, n)
-}
-
 // AddEvents ships a batch of arrivals in one POST /v1/events request.
 func (c *Client) AddEvents(events []ecmsketch.Event) error {
 	if len(events) == 0 {
@@ -198,6 +185,7 @@ func (c *Client) AddEvents(events []ecmsketch.Event) error {
 // query is one POST /v1/query round trip (with ?direct=1 for the zero-merge
 // path). Keys are shipped as decimal digests; pre-digest string keys with
 // ecmsketch.KeyString (the digest the server applies to its own string keys).
+// A reply without one estimate per key is an error.
 func (c *Client) query(q ecmsketch.QueryBatch, direct bool) (ecmsketch.QueryResult, error) {
 	type wireKey struct {
 		IKey string `json:"ikey"`
@@ -232,6 +220,9 @@ func (c *Client) query(q ecmsketch.QueryBatch, direct bool) (ecmsketch.QueryResu
 	if err := c.request(http.MethodPost, "/v1/query", params, bytes.NewReader(body), "application/json", &out); err != nil {
 		return ecmsketch.QueryResult{}, err
 	}
+	if len(out.Estimates) != len(q.Keys) {
+		return ecmsketch.QueryResult{}, fmt.Errorf("ecmclient: POST /v1/query: %d estimates for %d keys", len(out.Estimates), len(q.Keys))
+	}
 	return ecmsketch.QueryResult{
 		Estimates: out.Estimates,
 		Total:     out.Total,
@@ -244,25 +235,6 @@ func (c *Client) query(q ecmsketch.QueryBatch, direct bool) (ecmsketch.QueryResu
 // AdvanceTo moves the server's window clock forward without an arrival.
 func (c *Client) AdvanceTo(t ecmsketch.Tick) error {
 	return c.request(http.MethodPost, "/v1/advance", url.Values{"t": {strconv.FormatUint(t, 10)}}, nil, "", nil)
-}
-
-// PointEstimate answers a point query over the last r ticks (zero means the
-// whole window) through the zero-merge path, POST /v1/query?direct=1: at a
-// site the key is read from the one stripe that owns it.
-func (c *Client) PointEstimate(key uint64, r ecmsketch.Tick) (float64, error) {
-	res, err := c.query(ecmsketch.QueryBatch{Keys: []uint64{key}, Range: r}, true)
-	if err != nil {
-		return 0, err
-	}
-	if len(res.Estimates) != 1 {
-		return 0, fmt.Errorf("ecmclient: POST /v1/query: %d estimates for one key", len(res.Estimates))
-	}
-	return res.Estimates[0], nil
-}
-
-// PointEstimateString answers a point query for a string key.
-func (c *Client) PointEstimateString(key string, r ecmsketch.Tick) (float64, error) {
-	return c.PointEstimate(ecmsketch.KeyString(key), r)
 }
 
 // IntervalEstimate answers a point query over the tick interval (from, to].
@@ -279,20 +251,6 @@ func (c *Client) IntervalEstimate(key uint64, from, to ecmsketch.Tick) (float64,
 		return 0, err
 	}
 	return out.Estimate, nil
-}
-
-// SelfJoinEstimate answers an F₂ query over the last r ticks: a key-less
-// POST /v1/query with selfJoin set.
-func (c *Client) SelfJoinEstimate(r ecmsketch.Tick) (float64, error) {
-	res, err := c.query(ecmsketch.QueryBatch{SelfJoin: true, Range: r}, false)
-	return res.SelfJoin, err
-}
-
-// TotalEstimate answers a ‖a_r‖₁ query over the last r ticks: a key-less
-// POST /v1/query with total set.
-func (c *Client) TotalEstimate(r ecmsketch.Tick) (float64, error) {
-	res, err := c.query(ecmsketch.QueryBatch{Total: true, Range: r}, false)
-	return res.Total, err
 }
 
 // FetchSnapshotBytes pulls the server's serialized merged sketch: GET
@@ -363,13 +321,16 @@ var (
 )
 
 // Add registers one arrival of key at tick t.
-func (c *Client) Add(key uint64, t ecmsketch.Tick) { c.record(c.AddKey(key, t, 1)) }
+func (c *Client) Add(key uint64, t ecmsketch.Tick) { c.AddN(key, t, 1) }
 
-// AddN registers n arrivals of key at tick t.
-func (c *Client) AddN(key uint64, t ecmsketch.Tick, n uint64) { c.record(c.AddKey(key, t, n)) }
+// AddN registers n arrivals of key at tick t: a one-element AddEvents.
+func (c *Client) AddN(key uint64, t ecmsketch.Tick, n uint64) {
+	c.AddBatch([]ecmsketch.Event{{Key: key, Tick: t, N: n}})
+}
 
-// AddString registers one arrival of a string-keyed item.
-func (c *Client) AddString(key string, t ecmsketch.Tick) { c.record(c.AddKeyString(key, t, 1)) }
+// AddString registers one arrival of a string-keyed item, digested with
+// ecmsketch.KeyString like every local sketch's string keys.
+func (c *Client) AddString(key string, t ecmsketch.Tick) { c.AddN(ecmsketch.KeyString(key), t, 1) }
 
 // AddBatch ships a batch of arrivals in one request.
 func (c *Client) AddBatch(events []ecmsketch.Event) { c.record(c.AddEvents(events)) }
@@ -377,18 +338,20 @@ func (c *Client) AddBatch(events []ecmsketch.Event) { c.record(c.AddEvents(event
 // Advance moves the server's window clock forward.
 func (c *Client) Advance(t ecmsketch.Tick) { c.record(c.AdvanceTo(t)) }
 
-// Estimate answers a point query over the last r ticks.
+// Estimate answers a point query over the last r ticks (zero means the
+// whole window) through QueryDirect's zero-merge path: at a site the key is
+// read from the one stripe that owns it.
 func (c *Client) Estimate(key uint64, r ecmsketch.Tick) float64 {
-	v, err := c.PointEstimate(key, r)
-	c.record(err)
-	return v
+	res, err := c.QueryDirect(ecmsketch.QueryBatch{Keys: []uint64{key}, Range: r})
+	if err != nil {
+		return 0 // recorded in Err
+	}
+	return res.Estimates[0]
 }
 
 // EstimateString answers a point query for a string key.
 func (c *Client) EstimateString(key string, r ecmsketch.Tick) float64 {
-	v, err := c.PointEstimateString(key, r)
-	c.record(err)
-	return v
+	return c.Estimate(ecmsketch.KeyString(key), r)
 }
 
 // InnerProduct estimates the inner product between the server's stream and
@@ -402,18 +365,17 @@ func (c *Client) InnerProduct(other *ecmsketch.Sketch, r ecmsketch.Tick) (float6
 	return sk.InnerProduct(other, r)
 }
 
-// SelfJoin estimates F₂ over the last r ticks.
+// SelfJoin estimates F₂ over the last r ticks: a key-less QueryBatch.
 func (c *Client) SelfJoin(r ecmsketch.Tick) float64 {
-	v, err := c.SelfJoinEstimate(r)
-	c.record(err)
-	return v
+	res, _ := c.QueryBatch(ecmsketch.QueryBatch{SelfJoin: true, Range: r}) // error recorded in Err
+	return res.SelfJoin
 }
 
-// EstimateTotal estimates ‖a_r‖₁ over the last r ticks.
+// EstimateTotal estimates ‖a_r‖₁ over the last r ticks: a key-less
+// QueryBatch.
 func (c *Client) EstimateTotal(r ecmsketch.Tick) float64 {
-	v, err := c.TotalEstimate(r)
-	c.record(err)
-	return v
+	res, _ := c.QueryBatch(ecmsketch.QueryBatch{Total: true, Range: r}) // error recorded in Err
+	return res.Total
 }
 
 // QueryBatch answers a multi-key query in one POST /v1/query round trip:

@@ -39,7 +39,7 @@ func startServer(t *testing.T) (*httptest.Server, *ecmclient.Client) {
 func TestClientRoundTrip(t *testing.T) {
 	_, c := startServer(t)
 	for i := ecmsketch.Tick(1); i <= 50; i++ {
-		if err := c.AddKeyString("/home", i, 1); err != nil {
+		if err := c.AddEvents([]ecmsketch.Event{{Key: ecmsketch.KeyString("/home"), Tick: i, N: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,22 +50,19 @@ func TestClientRoundTrip(t *testing.T) {
 	if err := c.AddEvents(batch); err != nil {
 		t.Fatal(err)
 	}
-	est, err := c.PointEstimateString("/home", 10000)
+	point, err := c.QueryDirect(ecmsketch.QueryBatch{Keys: []uint64{ecmsketch.KeyString("/home")}, Range: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est < 45 || est > 60 {
+	if est := point.Estimates[0]; est < 45 || est > 60 {
 		t.Errorf("estimate = %v, want ≈50", est)
 	}
-	total, err := c.TotalEstimate(10000)
+	agg, err := c.QueryBatch(ecmsketch.QueryBatch{Total: true, SelfJoin: true, Range: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total < 135 || total > 170 {
-		t.Errorf("total = %v, want ≈150", total)
-	}
-	if _, err := c.SelfJoinEstimate(10000); err != nil {
-		t.Fatal(err)
+	if agg.Total < 135 || agg.Total > 170 {
+		t.Errorf("total = %v, want ≈150", agg.Total)
 	}
 	st, err := c.FetchStats()
 	if err != nil {
@@ -77,11 +74,11 @@ func TestClientRoundTrip(t *testing.T) {
 	if err := c.AdvanceTo(60000); err != nil {
 		t.Fatal(err)
 	}
-	if est, _ := c.PointEstimateString("/home", 10000); est != 0 {
+	if est := c.EstimateString("/home", 10000); est != 0 {
 		t.Errorf("estimate after expiry = %v, want 0", est)
 	}
 	if c.Err() != nil {
-		t.Errorf("sticky error set by explicit calls: %v", c.Err())
+		t.Errorf("sticky error set without a failure: %v", c.Err())
 	}
 }
 
@@ -283,12 +280,8 @@ func TestClientStickyError(t *testing.T) {
 
 	c.Reset()
 	for name, call := range map[string]func() error{
-		"AddKey":             func() error { return c.AddKey(1, 1, 1) },
 		"AddEvents":          func() error { return c.AddEvents([]ecmsketch.Event{{Key: 1, Tick: 1}}) },
 		"AdvanceTo":          func() error { return c.AdvanceTo(5) },
-		"PointEstimate":      func() error { _, err := c.PointEstimate(1, 100); return err },
-		"SelfJoinEstimate":   func() error { _, err := c.SelfJoinEstimate(100); return err },
-		"TotalEstimate":      func() error { _, err := c.TotalEstimate(100); return err },
 		"IntervalEstimate":   func() error { _, err := c.IntervalEstimate(1, 1, 5); return err },
 		"FetchSnapshotBytes": func() error { _, err := c.FetchSnapshotBytes(); return err },
 		"FetchStats":         func() error { _, err := c.FetchStats(); return err },
@@ -377,7 +370,7 @@ func TestClientQueryBatchStickyError(t *testing.T) {
 func TestClientBadRequestSurfacesServerError(t *testing.T) {
 	_, c := startServer(t)
 	// Tick 0 is rejected server-side; the error body must surface.
-	if err := c.AddKey(1, 0, 1); err == nil {
+	if err := c.AddEvents([]ecmsketch.Event{{Key: 1, Tick: 0, N: 1}}); err == nil {
 		t.Fatal("server-side validation error not surfaced")
 	}
 }

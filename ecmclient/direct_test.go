@@ -13,7 +13,7 @@ import (
 func TestClientQueryDirect(t *testing.T) {
 	_, c := startServer(t)
 	for i := ecmsketch.Tick(1); i <= 60; i++ {
-		if err := c.AddKeyString("/home", i, 1); err != nil {
+		if err := c.AddEvents([]ecmsketch.Event{{Key: ecmsketch.KeyString("/home"), Tick: i, N: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -32,18 +32,18 @@ func TestDeltaCursorSurvivesServerRestart(t *testing.T) {
 			}
 			ts1 := httptest.NewServer(srv1)
 
-			ingest := func(ts *httptest.Server, lines string) {
+			ingest := func(ts *httptest.Server, events string) {
 				t.Helper()
-				resp, err := http.Post(ts.URL+"/v1/batch", "text/plain", strings.NewReader(lines))
+				resp, err := http.Post(ts.URL+"/v1/events", "application/json", strings.NewReader(events))
 				if err != nil {
 					t.Fatal(err)
 				}
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("batch status %d", resp.StatusCode)
+					t.Fatalf("events status %d", resp.StatusCode)
 				}
 			}
-			ingest(ts1, "alpha,100\nbeta,101\nalpha,102,3\ngamma,103\n")
+			ingest(ts1, `[{"key":"alpha","t":100},{"key":"beta","t":101},{"key":"alpha","t":102,"n":3},{"key":"gamma","t":103}]`)
 
 			// The coordinator-side puller: baseline once, then deltas.
 			var st ecmsketch.DeltaState
@@ -65,11 +65,11 @@ func TestDeltaCursorSurvivesServerRestart(t *testing.T) {
 				}
 			}
 			pull(ts1, "full")
-			ingest(ts1, "delta-key,200\nalpha,201\n")
+			ingest(ts1, `[{"key":"delta-key","t":200},{"key":"alpha","t":201}]`)
 			pull(ts1, "delta")
 
 			// More arrivals the held cursor has not seen, then the restart.
-			ingest(ts1, "post-cursor,300\nbeta,301,2\n")
+			ingest(ts1, `[{"key":"post-cursor","t":300},{"key":"beta","t":301,"n":2}]`)
 			epoch := srv1.Engine().DurabilityStats().Epoch
 			ts1.Close()
 			if clean {
@@ -121,7 +121,7 @@ func TestDeltaCursorSurvivesServerRestart(t *testing.T) {
 			}
 
 			// And the restarted server keeps ingesting + serving deltas.
-			ingest(ts2, "after-restart,400\n")
+			ingest(ts2, `[{"key":"after-restart","t":400}]`)
 			pull(ts2, "delta")
 		})
 	}

@@ -329,11 +329,11 @@ func BenchmarkHandleEvents(b *testing.B) {
 	}
 }
 
-// TestShardedAsyncHandlerWriters is the check behind pooling the handlers'
-// event buffers: neither route's buffer may be read after AddBatch returns,
-// or the next request — which gets the same buffer straight back — would
-// overwrite events an async stripe owner or the WAL had yet to take. One
-// handler-driven writer alternating /v1/events and /v1/batch must leave a
+// TestShardedAsyncHandlerWriters is the check behind pooling the handler's
+// event buffers: no buffer may be read after AddBatch returns, or the next
+// request — which gets the same buffer straight back — would overwrite
+// events an async stripe owner or the WAL had yet to take. One
+// handler-driven writer posting to /v1/events must leave a
 // sync, an async and an async durable engine byte-equal to an engine fed the
 // same events directly; four concurrent writers, with a learned top-k
 // subscribed so the standing registry reads every batch's keys and scores
@@ -344,17 +344,15 @@ func TestShardedAsyncHandlerWriters(t *testing.T) {
 	params := ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1 << 16, Seed: 9}
 	const requests, perRequest = 12, ingestFlushEvery + 700 // two chunks a request
 	rng := rand.New(rand.NewSource(11))
-	bodies := make([][2]string, requests) // the same events as JSON and as lines
+	bodies := make([]string, requests)
 	var all []ecmsketch.Event
 	for r := range bodies {
 		evs := make([]ecmsketch.Event, perRequest)
-		var lines strings.Builder
 		for i := range evs {
 			name := "k" + strconv.Itoa(rng.Intn(500))
 			evs[i] = ecmsketch.Event{Key: ecmsketch.KeyString(name), Tick: uint64(1 + r*8 + i/1024), N: uint64(1 + rng.Intn(3))}
-			fmt.Fprintf(&lines, "%s,%d,%d\n", name, evs[i].Tick, evs[i].N)
 		}
-		bodies[r] = [2]string{string(wire.EncodeEvents(evs)), lines.String()}
+		bodies[r] = string(wire.EncodeEvents(evs))
 		all = append(all, evs...)
 	}
 	ref, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: params, Shards: 4})
@@ -401,11 +399,7 @@ func TestShardedAsyncHandlerWriters(t *testing.T) {
 					go func(w int) {
 						defer wg.Done()
 						for r := w; r < requests; r += writers {
-							route, body := "/v1/events", bodies[r][0]
-							if r%2 == 1 {
-								route, body = "/v1/batch", bodies[r][1]
-							}
-							if code, out := doJSON(t, srv, "POST", route, body); code != http.StatusOK || out["accepted"].(float64) != perRequest {
+							if code, out := doJSON(t, srv, "POST", "/v1/events", bodies[r]); code != http.StatusOK || out["accepted"].(float64) != perRequest {
 								t.Errorf("request %d: %d %v", r, code, out)
 							}
 						}
@@ -426,87 +420,4 @@ func TestShardedAsyncHandlerWriters(t *testing.T) {
 			})
 		}
 	}
-}
-
-// batchReference counts what /v1/batch must accept of body, the plain way:
-// strings.Split on newlines, strings.Split on commas, strconv on the fields.
-// mass is the arrivals the accepted records add up to (a zero count is a unit
-// arrival), malformed reports whether any line was skipped, overCap whether
-// the count stopped at a record claiming more than wire.MaxEventCount.
-func batchReference(body string) (accepted int, mass uint64, malformed, overCap bool) {
-	for _, line := range strings.Split(body, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || line[0] == '#' {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		ok := len(fields) >= 2
-		if ok {
-			_, err := strconv.ParseUint(strings.TrimSpace(fields[1]), 10, 64)
-			ok = err == nil
-		}
-		count := uint64(1)
-		if ok && len(fields) >= 3 {
-			var err error
-			count, err = strconv.ParseUint(strings.TrimSpace(fields[2]), 10, 64)
-			ok = err == nil
-		}
-		if !ok {
-			malformed = true
-			continue
-		}
-		if count > wire.MaxEventCount {
-			return accepted, mass, malformed, true
-		}
-		accepted++
-		mass += max(count, 1)
-	}
-	return accepted, mass, malformed, false
-}
-
-// FuzzBatchBody holds the /v1/batch line grammar to batchReference: the
-// handler never panics, accepts exactly the lines the reference accepts,
-// answers 200 with a first error exactly when one was skipped, and answers
-// 400 exactly when a record claims more than wire.MaxEventCount arrivals
-// (ingest costs one insert per unit of count, so an uncapped
-// "k,1,18446744073709551615" would never return). Bodies stay under the
-// scanner's 1 MiB line bound, which TestBatchOversizedLine covers.
-func FuzzBatchBody(f *testing.F) {
-	f.Add("# comment\n/home,1\n/home,2\n/about,3,5\n\ngarbage-line\n/home,notanumber\n/home,4")
-	f.Add("a,1,2,3,4\r\n b , 7 , 9 \r\n,5\nc,\nd,1,\n")
-	f.Add("k,18446744073709551615,4096\nk,18446744073709551616\nk,-1\nk,+1\nk,0x10\nk,1,18446744073709551616\n")
-	f.Add("a,1,1048576\nb,2,18446744073709551615\nc,3\n")
-	f.Add(strings.Repeat("x,1\n", ingestFlushEvery+1))
-	f.Fuzz(func(t *testing.T, body string) {
-		want, mass, malformed, overCap := batchReference(body)
-		if len(body) >= 1<<20 || mass > wire.MaxEventCount {
-			// The mass bound is a time budget, no longer a hang guard: one
-			// record's worth of arrivals is ~30 ms of inserts, several times
-			// that under coverage instrumentation, and the mutator can stack
-			// records until an exec passes the ten seconds at which the go
-			// fuzzer declares a worker hung.
-			t.Skip()
-		}
-		srv, err := New(Config{Epsilon: 0.2, Delta: 0.2, WindowLength: 1000, Seed: 1, Shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		code, out := doJSON(t, srv, "POST", "/v1/batch", body)
-		if got := srv.Engine().Count(); out["accepted"] != float64(want) || got != mass {
-			t.Fatalf("body %q: accepted %v with %d arrivals applied, want %d with %d", body, out["accepted"], got, want, mass)
-		}
-		if overCap {
-			if _, reported := out["error"]; code != http.StatusBadRequest || !reported {
-				t.Fatalf("body %q: status %d %v, want 400 and an error for the over-cap record", body, code, out)
-			}
-			return
-		}
-		if code != http.StatusOK {
-			t.Fatalf("body %q: status %d, want 200", body, code)
-		}
-		if _, reported := out["firstError"]; reported != malformed {
-			t.Fatalf("body %q: firstError reported %v, reference skipped a line %v", body, reported, malformed)
-		}
-	})
 }

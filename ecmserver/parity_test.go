@@ -184,7 +184,6 @@ func TestSurfaceParity(t *testing.T) {
 	// A coordinator ingests nothing: no write route, and none of the routes
 	// that need a site engine.
 	for _, c := range []parityCall{
-		{"POST", "/v1/batch", "alpha,5\n", 0},
 		{"POST", "/v1/events", `[{"key":"alpha","t":5}]`, 0},
 		{"POST", "/v1/advance?t=99", "", 0},
 		{"GET", "/v1/interval?key=alpha&from=1&to=9", "", 0},

@@ -5,7 +5,7 @@
 //
 // A Server mounts the read routes (GET and POST /v1/query, GET /v1/snapshot,
 // /v1/stats, the standing-query routes) over any Source, and the write
-// routes (POST /v1/events, /v1/batch, /v1/advance) when the source also
+// routes (POST /v1/events, /v1/advance) when the source also
 // ingests: a site serves a lock-striped ecmsketch.Sharded, a coordinator its
 // ecmsketch.Coordinator, read-only. Every route lives under /v1/, each
 // capability under one spelling; testdata/surface.golden lists them all.
@@ -14,7 +14,6 @@
 package ecmserver
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -174,7 +173,6 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 	s.Handle("GET /v1/stats", s.handleStats)
 	s.Handle("GET /v1/snapshot", s.handleSnapshot)
 	if s.ingestor != nil {
-		s.Handle("POST /v1/batch", s.handleBatch)
 		s.Handle("POST /v1/events", s.handleEvents)
 		s.Handle("POST /v1/advance", s.handleAdvance)
 	}
@@ -182,16 +180,12 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 	// Standing queries: at a site the registry re-checks its predicates
 	// incrementally on the engine's change feed (synchronously after each
 	// mutation's locks release) and pushes fired notifications to /v1/watch
-	// streams. The rw engine's randomized expiry is not monotone under pure
-	// advances, so it runs with the strict re-check policy. Any other
-	// source only ever shows cell replacements, never raw keys to learn
-	// top-k candidates from, hence RequireKeys.
+	// streams; its window and advance policy are the engine's own Params.
+	// Any other source only ever shows cell replacements, never raw keys to
+	// learn top-k candidates from, hence RequireKeys.
 	if s.engine != nil {
 		s.Handle("GET /v1/interval", s.handleInterval)
-		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{
-			Window:        cfg.WindowLength,
-			StrictAdvance: strings.EqualFold(cfg.Algorithm, "rw"),
-		})
+		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{})
 		s.standing.Bind(s.engine)
 		s.engine.SetNotifier(s.standing)
 	} else {
@@ -275,12 +269,12 @@ func ParseAlgo(s string) (ecmsketch.Algorithm, error) {
 // route — Handle-mounted ones included — sits behind the bearer check.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// ingestFlushEvery bounds the memory of streaming batch uploads: parsed
+// ingestFlushEvery bounds the memory of streaming /v1/events uploads: parsed
 // events are flushed into the engine in chunks of this many, so arbitrarily
 // long request bodies never accumulate in full.
 const ingestFlushEvery = 4096
 
-// eventBufs pools the chunk buffers of the batch routes. A handler may put
+// eventBufs pools the chunk buffers of /v1/events. The handler may put
 // its buffer back as soon as AddBatch returns: Sharded.AddBatch only reads
 // the slice (sync ingest applies and WAL-encodes it under the stripe locks,
 // the async pipeline copies it into its own per-stripe chunks), and the
@@ -289,84 +283,6 @@ var eventBufs = sync.Pool{New: func() any {
 	buf := make([]ecmsketch.Event, 0, ingestFlushEvery)
 	return &buf
 }}
-
-// handleBatch ingests newline-separated "key,tick[,count]" records:
-// POST /v1/batch with a text body. Returns the number of accepted records
-// and the first error encountered, if any. Records are applied in chunks
-// as the body streams in, so a huge upload costs bounded memory (malformed
-// lines are skipped, as reported, not rolled back). A record that would buy
-// unbounded work — a line over 1 MiB, which the line scanner gives up on, or
-// a count over wire.MaxEventCount — ends the scan and is answered 400 with
-// /v1/events' reply, {"error", "accepted"}: accepted counts the records
-// before it, all applied.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	accepted, lineNo := 0, 0
-	var firstErr string
-	var stop error // what ended the scan early; answered 400
-	buf := eventBufs.Get().(*[]ecmsketch.Event)
-	defer eventBufs.Put(buf)
-	events := (*buf)[:0]
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, rest, ok := strings.Cut(line, ",")
-		if !ok {
-			if firstErr == "" {
-				firstErr = fmt.Sprintf("line %d: want key,tick[,count]", lineNo)
-			}
-			continue
-		}
-		tick, count, hasCount := strings.Cut(rest, ",")
-		t, err := strconv.ParseUint(strings.TrimSpace(tick), 10, 64)
-		if err != nil {
-			if firstErr == "" {
-				firstErr = fmt.Sprintf("line %d: bad tick: %v", lineNo, err)
-			}
-			continue
-		}
-		n := uint64(1)
-		if hasCount {
-			count, _, _ = strings.Cut(count, ",") // further fields are ignored
-			if n, err = strconv.ParseUint(strings.TrimSpace(count), 10, 64); err != nil {
-				if firstErr == "" {
-					firstErr = fmt.Sprintf("line %d: bad count: %v", lineNo, err)
-				}
-				continue
-			}
-			if n > wire.MaxEventCount {
-				stop = fmt.Errorf("line %d: count %d: at most %d arrivals per record", lineNo, n, wire.MaxEventCount)
-				break
-			}
-		}
-		key := ecmsketch.KeyString(strings.TrimSpace(name))
-		events = append(events, ecmsketch.Event{Key: key, Tick: t, N: n})
-		accepted++
-		if len(events) == ingestFlushEvery {
-			s.ingestor.AddBatch(events)
-			events = events[:0]
-		}
-	}
-	// Whatever stopped the scan, every record parsed before it is applied,
-	// like the chunks already flushed.
-	s.ingestor.AddBatch(events)
-	if stop == nil {
-		stop = sc.Err()
-	}
-	if stop != nil {
-		badIngest(w, stop, accepted)
-		return
-	}
-	resp := map[string]any{"accepted": accepted}
-	if firstErr != "" {
-		resp["firstError"] = firstErr
-	}
-	wire.Respond(w, resp)
-}
 
 // handleEvents ingests a JSON array of arrivals: POST /v1/events with body
 // [{"key":"/home","t":12345,"n":2}, {"ikey":"17446744073709551615","t":12346}]
@@ -383,7 +299,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		ev, ok, err := sc.NextEvent()
 		if err != nil {
-			badIngest(w, err, accepted)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
 			return
 		}
 		if !ok {
@@ -397,14 +315,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ingestor.AddBatch(events)
 	wire.Respond(w, map[string]any{"accepted": accepted + len(events)})
-}
-
-// badIngest is the 400 of both ingest routes, /v1/batch and /v1/events: the
-// error that stopped the request and the records applied before it.
-func badIngest(w http.ResponseWriter, err error, accepted int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "accepted": accepted})
 }
 
 // WireQueryResult is the JSON reply of POST /v1/query: one estimate per

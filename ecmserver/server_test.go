@@ -119,92 +119,33 @@ func TestIntegerKeys(t *testing.T) {
 	}
 }
 
-func TestBatchIngest(t *testing.T) {
-	srv := testServer(t)
-	body := strings.Join([]string{
-		"# comment line",
-		"/home,1",
-		"/home,2",
-		"/about,3,5",
-		"",
-		"garbage-line",
-		"/home,notanumber",
-		"/home,4",
-	}, "\n")
-	code, out := doJSON(t, srv, "POST", "/v1/batch", body)
-	if code != http.StatusOK {
-		t.Fatalf("batch returned %d", code)
-	}
-	if acc := out["accepted"].(float64); acc != 4 {
-		t.Errorf("accepted = %v, want 4", acc)
-	}
-	if _, hasErr := out["firstError"]; !hasErr {
-		t.Error("malformed lines not reported")
-	}
-	if v := estimate(t, srv, "key=/about"); v < 5 {
-		t.Errorf("/about estimate = %v, want ≥5", v)
-	}
-}
-
-// TestBatchOversizedLine forces the line scanner's error on /v1/batch: a
-// line over 1 MiB stops the scan, and the reply is /v1/events' — 400 with
-// the error and an accepted count — with every record before the bad line
-// applied, the ones parsed since the last 4096-record flush included.
-func TestBatchOversizedLine(t *testing.T) {
-	srv := testServer(t)
-	const before = ingestFlushEvery + 904
-	var body strings.Builder
+// TestEventCountCap: an element may claim wire.MaxEventCount arrivals and
+// not one more. Past it /v1/events answers 400 {"error","accepted"} with
+// every element before the bad one applied and nothing behind it read — one
+// well-formed element can no longer hold a stripe lock for 2^64 inserts.
+func TestEventCountCap(t *testing.T) {
+	const before = ingestFlushEvery
+	var elems strings.Builder
 	for i := 1; i <= before; i++ {
-		fmt.Fprintf(&body, "/home,%d\n", i)
+		fmt.Fprintf(&elems, `{"key":"/home","t":%d},`, i)
 	}
-	body.WriteString(strings.Repeat("x", 1<<20+1) + ",1\n/home,9000\n")
-	code, out := doJSON(t, srv, "POST", "/v1/batch", body.String())
-	if code != http.StatusBadRequest {
-		t.Fatalf("batch with a 1 MiB line returned %d, want 400", code)
-	}
-	if msg, _ := out["error"].(string); !strings.Contains(msg, "token too long") {
-		t.Errorf("error = %q, want the scanner's token-too-long", msg)
+	body := "[" + elems.String() + fmt.Sprintf(`{"key":"/big","t":9000,"n":%d},{"key":"/home","t":9001}]`, wire.MaxEventCount+1)
+	srv := testServer(t)
+	code, out := doJSON(t, srv, "POST", "/v1/events", body)
+	if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "at most 1048576 arrivals") {
+		t.Errorf("status %d error %q, want 400 naming the cap", code, msg)
 	}
 	if acc, ok := out["accepted"].(float64); !ok || acc != before {
 		t.Errorf("accepted = %v, want %d", out["accepted"], before)
 	}
-	if _, stats := doJSON(t, srv, "GET", "/v1/stats", ""); stats["count"].(float64) != before {
-		t.Errorf("engine count = %v, want %d: accepted must mean applied", stats["count"], before)
-	}
-}
-
-// TestEventCountCap: a record may claim wire.MaxEventCount arrivals and not
-// one more. Past it both ingest routes answer 400 {"error","accepted"} with
-// every record before the bad one applied and nothing behind it read — one
-// well-formed line can no longer hold a stripe lock for 2^64 inserts.
-func TestEventCountCap(t *testing.T) {
-	const before = ingestFlushEvery
-	var lines, elems strings.Builder
-	for i := 1; i <= before; i++ {
-		fmt.Fprintf(&lines, "/home,%d\n", i)
-		fmt.Fprintf(&elems, `{"key":"/home","t":%d},`, i)
-	}
-	for route, body := range map[string]string{
-		"/v1/batch":  lines.String() + fmt.Sprintf("/big,9000,%d\n/home,9001\n", wire.MaxEventCount+1),
-		"/v1/events": "[" + elems.String() + fmt.Sprintf(`{"key":"/big","t":9000,"n":%d},{"key":"/home","t":9001}]`, wire.MaxEventCount+1),
-	} {
-		srv := testServer(t)
-		code, out := doJSON(t, srv, "POST", route, body)
-		if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "at most 1048576 arrivals") {
-			t.Errorf("%s: status %d error %q, want 400 naming the cap", route, code, msg)
-		}
-		if acc, ok := out["accepted"].(float64); !ok || acc != before {
-			t.Errorf("%s: accepted = %v, want %d", route, out["accepted"], before)
-		}
-		if got := srv.Engine().Count(); got != before {
-			t.Errorf("%s: engine count = %d, want %d: accepted must mean applied, the rest untouched", route, got, before)
-		}
+	if got := srv.Engine().Count(); got != before {
+		t.Errorf("engine count = %d, want %d: accepted must mean applied, the rest untouched", got, before)
 	}
 
-	srv := testServer(t)
-	atCap := fmt.Sprintf("/big,1,%d\n", wire.MaxEventCount)
-	if code, out := doJSON(t, srv, "POST", "/v1/batch", atCap); code != http.StatusOK || out["accepted"] != float64(1) {
-		t.Errorf("a record at the cap: status %d %v, want 200 accepted 1", code, out)
+	srv = testServer(t)
+	atCap := fmt.Sprintf(`[{"key":"/big","t":1,"n":%d}]`, wire.MaxEventCount)
+	if code, out := doJSON(t, srv, "POST", "/v1/events", atCap); code != http.StatusOK || out["accepted"] != float64(1) {
+		t.Errorf("an element at the cap: status %d %v, want 200 accepted 1", code, out)
 	}
 	if got := srv.Engine().Count(); got != wire.MaxEventCount {
 		t.Errorf("engine count = %d, want %d", got, wire.MaxEventCount)
@@ -359,6 +300,8 @@ func TestVersionedRoutes(t *testing.T) {
 		// One spelling per capability: these second ones are not routes.
 		{"POST", "/v1/add?key=/home&t=21"}, {"GET", "/v1/estimate?key=/home"},
 		{"GET", "/v1/selfjoin"}, {"GET", "/v1/total"}, {"GET", "/v1/sketch"},
+		// One ingest grammar: the CSV route is gone.
+		{"POST", "/v1/batch"},
 		// Retired: hot keys are a learned top-k subscription.
 		{"GET", "/v1/topk"},
 	} {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ecmsketch/internal/core"
 	"ecmsketch/internal/workload"
@@ -120,24 +119,6 @@ type treeNode interface {
 // nodes of one tree level are independent, and the merges are CPU-bound.
 func refreshAll(nodes []*Coordinator) error {
 	errs := make([]error, len(nodes))
-	fanOut(len(nodes), runtime.GOMAXPROCS(0), func(i int) { errs[i] = nodes[i].Refresh() })
+	core.FanOut(len(nodes), runtime.GOMAXPROCS(0), func(i int) { errs[i] = nodes[i].Refresh() })
 	return errors.Join(errs...)
-}
-
-// fanOut calls fn(i) for every i in [0, n) on at most workers goroutines,
-// each claiming the next index off a shared counter, and returns when all
-// calls have.
-func fanOut(n, workers int, fn func(i int)) {
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := min(workers, n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -375,7 +375,7 @@ func (c *Coordinator) pullRound() roundResult {
 	// decodes overlap — claiming members off a shared counter, where one
 	// goroutine per site would be a thousand-way stampede of sockets and
 	// decode allocations at a thousand-site coordinator every interval.
-	fanOut(len(members), max(4*runtime.GOMAXPROCS(0), 8), func(i int) {
+	core.FanOut(len(members), max(4*runtime.GOMAXPROCS(0), 8), func(i int) {
 		m := members[i]
 		m.st.mu.Lock()
 		outs[i] = c.pullMemberLocked(m, round)

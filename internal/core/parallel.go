@@ -71,6 +71,24 @@ func MergeWorkersFor(ncells int) int {
 	return p
 }
 
+// FanOut calls fn(i) for every i in [0, n) on at most workers goroutines,
+// each claiming the next index off a shared counter, and returns when all
+// calls have.
+func FanOut(n, workers int, fn func(i int)) {
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := min(workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // applyMergeCells re-derives the destination cells named by cells (every
 // cell when all) from the inputs at merged clock now. reset empties each
 // cell first, as PatchMerged requires on a live destination; Merge passes

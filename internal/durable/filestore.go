@@ -27,9 +27,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir}, nil
 }
 
-// Dir reports the directory the store persists into.
-func (f *FileStore) Dir() string { return f.dir }
-
 func (f *FileStore) path(name string) string { return filepath.Join(f.dir, name) }
 
 func (f *FileStore) Load(name string) ([]byte, error) {

@@ -28,7 +28,6 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -138,21 +137,6 @@ func (m *MemStore) OpenLog(name string) (Log, error) {
 		m.logs[name] = d
 	}
 	return &memLog{data: d}, nil
-}
-
-// Names lists every stored blob and log, sorted; exposed for tests.
-func (m *MemStore) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for n := range m.blobs {
-		out = append(out, n)
-	}
-	for n := range m.logs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // memLogData is the shared backing of a named in-memory log; handles from

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ecmsketch/internal/core"
+	"ecmsketch/internal/window"
 )
 
 // ErrUnknownSubscription is returned by Attach for an ID that was never
@@ -36,6 +37,16 @@ type Registry struct {
 	// scratch buffers reused across evaluation passes (all under mu).
 	cellScratch []int
 	itemScratch []Item
+
+	// window and strict are the bound target's: the default Range of
+	// queries that leave it zero (its window length), and whether pure
+	// clock advances re-check disarmed thresholds too (the randomized-wave
+	// algorithm, whose level-switch resampling moves estimates of cells
+	// the change feed does not report as mutated; EH is monotone under
+	// expiry, and DW reports its expiry-driven rises cell by cell through
+	// window.AdvanceAll, so both skip them).
+	window core.Tick
+	strict bool
 }
 
 // subscription groups the queries registered by one Subscribe call, the
@@ -102,26 +113,6 @@ func (r *Registry) SetLimits(ring, queue int) {
 	}
 }
 
-// SetWindow sets the default evaluation range for queries registered without
-// an explicit Range. Serving coordinators call it once they learn the window
-// from the first merged root's parameters, rather than from configuration.
-func (r *Registry) SetWindow(w core.Tick) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w > 0 {
-		r.cfg.Window = w
-	}
-}
-
-// SetStrictAdvance toggles the conservative re-check policy for pure clock
-// advances (needed when the target's expiry is randomized, i.e. the rw
-// engine, whose untouched estimates are not monotone under advances).
-func (r *Registry) SetStrictAdvance(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cfg.StrictAdvance = on
-}
-
 // Bind points the evaluator at its target engine and runs an initial pass
 // over any queries registered while unbound. Rebinding (coordinators swap
 // in a fresh merged root every refresh) goes through RefreshTarget instead,
@@ -146,6 +137,8 @@ func (r *Registry) bindLocked(t Target) {
 	r.indexer = nil
 	if t != nil {
 		r.indexer, _ = t.(CellIndexer)
+		p := t.Params()
+		r.window, r.strict = p.WindowLength, p.Algorithm == window.AlgoRW
 	}
 	if r.indexer != nil {
 		for _, p := range r.preds {
@@ -401,17 +394,10 @@ func (r *Registry) NoteAdvance() {
 	r.notePassLocked(changeSet{}, nil)
 }
 
-// NoteCells notes externally-observed cell changes — the coordinator path
-// feeds the delta stream's changed-cell indices here (via RefreshTarget).
-// all marks "everything may have changed" (full baselines).
-func (r *Registry) NoteCells(cells []int, all bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noteCellsLocked(cells, all)
-}
-
 // RefreshTarget atomically swaps the evaluation target (a coordinator's
-// freshly merged root) and runs a pass over the accumulated changed cells.
+// freshly merged root) and runs a pass over the accumulated changed cells,
+// the coordinator's delta-stream changed-cell indices; all marks
+// "everything may have changed" (full baselines).
 // The old and new roots share sketch geometry, so predicate cell lists
 // carry over.
 func (r *Registry) RefreshTarget(t Target, cells []int, all bool) {
@@ -533,18 +519,18 @@ func (r *Registry) affectedLocked(p *pred, changed changeSet, advanced bool) boo
 	}
 	switch p.q.Kind {
 	case KindThreshold:
-		return advanced && (p.high || r.cfg.StrictAdvance)
+		return advanced && (p.high || r.strict)
 	default: // KindRate, KindTopK
 		return advanced
 	}
 }
 
 // rangeOf resolves a query's evaluation range: explicit Range, else the
-// configured window, else the whole stream seen so far.
+// bound target's window, else the whole stream seen so far.
 func (r *Registry) rangeOf(p *pred, now core.Tick) core.Tick {
 	rng := p.q.Range
 	if rng == 0 {
-		rng = r.cfg.Window
+		rng = r.window
 	}
 	if rng == 0 {
 		rng = now

@@ -32,8 +32,9 @@
 //     core.Sketch advances its banks with window.AdvanceAll — so such
 //     cells are "touched", never skipped, and the fast path stays safe.
 //     Randomized waves resample at level switches, which perturbs
-//     untouched cells' estimates without mutating them; Config's
-//     StrictAdvance disables the skip for those deployments.)
+//     untouched cells' estimates without mutating them; a registry bound
+//     to a target whose Params name the randomized-wave algorithm skips
+//     nothing.)
 //
 // Evaluation runs synchronously on the mutating goroutine — after the
 // engine's own locks are released — so the fired crossings are a
@@ -203,12 +204,14 @@ type Notification struct {
 }
 
 // Target is what the evaluator needs from the engine it watches: point and
-// interval estimates plus the clock. Sharded and *core.Sketch (a
-// coordinator's merged root) satisfy it.
+// interval estimates, the clock, and the parameters that fix the default
+// query range (WindowLength) and the advance re-check policy (Algorithm).
+// Sharded and *core.Sketch (a coordinator's merged root) satisfy it.
 type Target interface {
 	Estimate(key uint64, r core.Tick) float64
 	EstimateInterval(key uint64, from, to core.Tick) float64
 	Now() core.Tick
+	Params() core.Params
 }
 
 // CellIndexer is the optional half of the target contract that makes
@@ -221,9 +224,6 @@ type CellIndexer interface {
 
 // Config configures a Registry.
 type Config struct {
-	// Window is the default Range of queries that leave it zero — the
-	// engine's window length.
-	Window core.Tick
 	// RingSize is the per-subscription replay buffer (notifications
 	// retained for reconnect-with-resume). Default 1024.
 	RingSize int
@@ -235,15 +235,6 @@ type Config struct {
 	// RequireKeys makes top-k queries demand an explicit watchlist —
 	// set on coordinator surfaces, which never observe raw keys.
 	RequireKeys bool
-	// StrictAdvance re-checks every predicate on pure clock advances,
-	// for engines whose estimates can change on cells the change feed
-	// does not report as mutated. Only the randomized-wave algorithm
-	// needs it (sampling noise at level switches); EH is monotone under
-	// expiry, and DW's expiry-driven rises are reported cell-granularly
-	// through the change feed (window.AdvanceAll), so both run the
-	// fast path — below-threshold predicates skipped on advances — with
-	// StrictAdvance off.
-	StrictAdvance bool
 }
 
 func (c Config) withDefaults() Config {

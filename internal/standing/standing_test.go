@@ -8,17 +8,20 @@ import (
 	"testing"
 
 	"ecmsketch/internal/core"
+	"ecmsketch/internal/window"
 )
 
 // fakeTarget is a hand-steered evaluation target: tests set estimates and
 // the clock directly, so predicate semantics are pinned without sketch
 // error in the way. It deliberately does not implement CellIndexer — every
 // note conservatively re-checks everything, which is the documented
-// no-indexer degradation.
+// no-indexer degradation. Its window is 100 ticks; algo picks the advance
+// re-check policy (the zero value is EH).
 type fakeTarget struct {
 	now  core.Tick
 	est  map[uint64]float64
 	prev map[uint64]float64 // EstimateInterval answers, keyed by item
+	algo window.Algorithm
 }
 
 func (f *fakeTarget) Estimate(key uint64, r core.Tick) float64 { return f.est[key] }
@@ -26,10 +29,13 @@ func (f *fakeTarget) EstimateInterval(key uint64, from, to core.Tick) float64 {
 	return f.prev[key]
 }
 func (f *fakeTarget) Now() core.Tick { return f.now }
+func (f *fakeTarget) Params() core.Params {
+	return core.Params{WindowLength: 100, Algorithm: f.algo}
+}
 
 func newTestRegistry(t *testing.T, ft *fakeTarget) *Registry {
 	t.Helper()
-	r := NewRegistry(Config{Window: 100})
+	r := NewRegistry(Config{})
 	r.Bind(ft)
 	return r
 }
@@ -146,10 +152,11 @@ func TestDisarmedThresholdSkippedOnAdvance(t *testing.T) {
 	}
 }
 
+// TestStrictAdvanceRechecksDisarmed: bound to a randomized-wave target, the
+// registry re-checks disarmed thresholds on pure advances too.
 func TestStrictAdvanceRechecksDisarmed(t *testing.T) {
-	ft := &fakeTarget{now: 10, est: map[uint64]float64{1: 1}}
-	r := NewRegistry(Config{Window: 100, StrictAdvance: true})
-	r.Bind(ft)
+	ft := &fakeTarget{now: 10, est: map[uint64]float64{1: 1}, algo: window.AlgoRW}
+	r := newTestRegistry(t, ft)
 	_, w := mustSubscribe(t, r, Query{Kind: KindThreshold, Key: 1, Value: 5})
 	ft.est[1] = 100
 	ft.now = 20
@@ -257,7 +264,7 @@ func sketchTarget(t *testing.T, window core.Tick) (*core.Sketch, *Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRegistry(Config{Window: window})
+	r := NewRegistry(Config{})
 	r.Bind(sk)
 	return sk, r
 }
@@ -320,7 +327,7 @@ func TestLearnedTopKWindowDecay(t *testing.T) {
 }
 
 func TestRequireKeysRejectsLearnedTopK(t *testing.T) {
-	r := NewRegistry(Config{Window: 100, RequireKeys: true})
+	r := NewRegistry(Config{RequireKeys: true})
 	if _, err := r.Subscribe([]Query{{Kind: KindTopK, K: 3}}); err == nil {
 		t.Fatal("learned top-k accepted on a RequireKeys registry")
 	}
@@ -330,7 +337,7 @@ func TestRequireKeysRejectsLearnedTopK(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	r := NewRegistry(Config{Window: 100})
+	r := NewRegistry(Config{})
 	bad := []Query{
 		{Kind: KindThreshold, Key: 1},              // zero threshold
 		{Kind: KindRate, Key: 1},                   // zero factor
@@ -351,7 +358,7 @@ func TestValidation(t *testing.T) {
 
 func TestRingReplayAndGap(t *testing.T) {
 	ft := &fakeTarget{now: 10, est: map[uint64]float64{1: 0}}
-	r := NewRegistry(Config{Window: 100, RingSize: 4})
+	r := NewRegistry(Config{RingSize: 4})
 	r.Bind(ft)
 	info, err := r.Subscribe([]Query{{Kind: KindThreshold, Key: 1, Value: 5}})
 	if err != nil {
@@ -393,7 +400,7 @@ func TestRingReplayAndGap(t *testing.T) {
 
 func TestQueueOverflowDrops(t *testing.T) {
 	ft := &fakeTarget{now: 10, est: map[uint64]float64{1: 0}}
-	r := NewRegistry(Config{Window: 100, QueueSize: 1})
+	r := NewRegistry(Config{QueueSize: 1})
 	r.Bind(ft)
 	_, w := mustSubscribe(t, r, Query{Kind: KindThreshold, Key: 1, Value: 5})
 	for i := 0; i < 3; i++ {
@@ -459,12 +466,13 @@ func (f *flipTarget) Estimate(key uint64, r core.Tick) float64 {
 }
 func (f *flipTarget) EstimateInterval(key uint64, from, to core.Tick) float64 { return 0 }
 func (f *flipTarget) Now() core.Tick                                          { return 10 }
+func (f *flipTarget) Params() core.Params                                     { return core.Params{WindowLength: 100} }
 
 // TestLifecycleChurnRace exercises concurrent subscribe/attach/detach/
 // unsubscribe against a notification storm; run with -race.
 func TestLifecycleChurnRace(t *testing.T) {
 	ft := &flipTarget{}
-	r := NewRegistry(Config{Window: 100})
+	r := NewRegistry(Config{})
 	r.Bind(ft)
 	stop := make(chan struct{})
 	var storm, churn sync.WaitGroup

@@ -165,17 +165,16 @@ func RequireBearer(token string, next http.Handler) http.Handler {
 
 // MaxQueryKeys bounds the per-request key count of POST /v1/query. A batch
 // of point queries is answered (and its result buffered) in full, so unlike
-// the chunk-flushed ingest endpoints the request size itself must be
-// capped; oversized batches are rejected with 400 before their tail is even
-// parsed.
+// the chunk-flushed /v1/events the request size itself must be capped;
+// oversized batches are rejected with 400 before their tail is even parsed.
 const MaxQueryKeys = 4096
 
-// MaxEventCount bounds the arrival count one /v1/events element or
-// /v1/batch line may claim. Ingest costs one insert per unit of count under
-// the stripe lock, so an uncapped "n" lets a few well-formed bytes buy
-// unbounded work; a record claiming more is rejected with 400 like any other
-// bad record (clients with heavier keys split them across records). Library
-// callers are not capped.
+// MaxEventCount bounds the arrival count one /v1/events element may claim.
+// Ingest costs one insert per unit of count under the stripe lock, so an
+// uncapped "n" lets a few well-formed bytes buy unbounded work; an element
+// claiming more is rejected with 400 like any other bad element (clients
+// with heavier keys split them across elements). Library callers are not
+// capped.
 const MaxEventCount = 1 << 20
 
 // The two bounds a JSON request body is scanned under: no string token (a

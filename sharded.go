@@ -1,6 +1,7 @@
 package ecmsketch
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -1040,37 +1041,10 @@ func (sh *Sharded) rebuildLocked() (*Sketch, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > 1 {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(sh.shards) {
-						return
-					}
-					if err := sh.refreshPart(i, now); err != nil && errs[w] == nil {
-						errs[w] = err
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i := range sh.shards {
-			if err := sh.refreshPart(i, now); err != nil {
-				return nil, err
-			}
-		}
+	errs := make([]error, len(sh.shards))
+	core.FanOut(len(sh.shards), workers, func(i int) { errs[i] = sh.refreshPart(i, now) })
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	var vsum uint64
 	for i := range sh.shards {

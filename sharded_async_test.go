@@ -163,7 +163,7 @@ func TestShardedAsyncStress(t *testing.T) {
 	}
 	defer eng.Close()
 
-	reg := NewStandingRegistry(StandingConfig{Window: 1000})
+	reg := NewStandingRegistry(StandingConfig{})
 	reg.Bind(eng)
 	eng.SetNotifier(reg)
 	defer eng.SetNotifier(nil)

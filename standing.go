@@ -12,8 +12,8 @@ import "ecmsketch/internal/standing"
 //
 // Embedders hook a registry to an engine directly:
 //
-//	reg := ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{Window: p.WindowLength})
-//	reg.Bind(engine)          // evaluation target
+//	reg := ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{})
+//	reg.Bind(engine)          // evaluation target; its Params fix the window
 //	engine.SetNotifier(reg)   // change feed
 //
 // and consume notifications in-process via reg.Subscribe + reg.Attach.

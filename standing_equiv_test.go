@@ -310,7 +310,7 @@ func TestStandingOracleEquivalenceIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := equivQueries()
-			reg := NewStandingRegistry(StandingConfig{Window: 1000, RingSize: 16384, QueueSize: 16384})
+			reg := NewStandingRegistry(StandingConfig{RingSize: 16384, QueueSize: 16384})
 			reg.Bind(eng)
 			eng.SetNotifier(reg)
 			defer eng.SetNotifier(nil)
@@ -379,7 +379,7 @@ func TestStandingOracleEquivalenceCoordinator(t *testing.T) {
 			queries := equivQueries()
 			// Coordinator surface: explicit keys required, target bound per
 			// refresh rather than up front.
-			reg := NewStandingRegistry(StandingConfig{Window: 1000, RequireKeys: true, RingSize: 16384, QueueSize: 16384})
+			reg := NewStandingRegistry(StandingConfig{RequireKeys: true, RingSize: 16384, QueueSize: 16384})
 			oracle := newEquivOracle(1000, queries)
 			w, missed, queryIdx := collectRegistry(t, reg, queries)
 			if len(missed) != 0 {
@@ -448,7 +448,7 @@ func learnedTopK(t *testing.T, k int, events []Event) (*Sharded, []NotificationI
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewStandingRegistry(StandingConfig{Window: p.WindowLength})
+	reg := NewStandingRegistry(StandingConfig{})
 	reg.Bind(eng)
 	eng.SetNotifier(reg)
 	t.Cleanup(func() { eng.SetNotifier(nil) })
