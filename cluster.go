@@ -6,18 +6,7 @@ import (
 	"time"
 
 	"ecmsketch/internal/coord"
-	"ecmsketch/internal/workload"
 )
-
-// Cluster simulates a set of distributed sites, each summarizing its local
-// sub-stream in an ECM-sketch, plus the balanced-binary-tree aggregation of
-// the paper's distributed experiments. IngestAll applies each site's share
-// of a stream on its own goroutine; AggregateTree builds the tree out of
-// Coordinators, so every aggregation edge is a coordinator pull whose wire
-// size is charged to the cluster's Network() accounting, and the
-// simulation's merged result is bit-identical to deployed coordinators'
-// over the same event log.
-type Cluster = coord.Cluster
 
 // Site is one summary source behind a coordinator transport: Delta answers a
 // cursor with a protocol payload — a full baseline for the zero cursor,
@@ -75,25 +64,3 @@ func NewHTTPSiteWithAuth(baseURL string, hc *http.Client, token string) Site {
 func NewPullClient(timeout time.Duration, rootCAs *x509.CertPool) *http.Client {
 	return coord.NewPullClient(timeout, rootCAs)
 }
-
-// NewCluster builds n sites with identically configured, mergeable sketches.
-func NewCluster(p Params, n int) (*Cluster, error) { return coord.NewCluster(p, n) }
-
-// StreamConfig parameterizes a synthetic workload stream.
-type StreamConfig = workload.Config
-
-// StreamGenerator produces reproducible synthetic event streams, including
-// the wc'98-like and snmp-like stand-ins used by the experiment harness. Its
-// events (key, time, site) carry the site affinity Cluster.IngestAll routes by,
-// which the batch-ingest Event of the Ingestor interfaces does not have.
-type StreamGenerator = workload.Generator
-
-// NewStream builds a synthetic stream generator.
-func NewStream(cfg StreamConfig) (*StreamGenerator, error) { return workload.NewGenerator(cfg) }
-
-// Oracle tracks exact sliding-window statistics; useful for validating
-// sketch output in tests and demos.
-type Oracle = workload.Oracle
-
-// NewOracle builds an exact oracle over a window of the given length.
-func NewOracle(length Tick) *Oracle { return workload.NewOracle(length) }

@@ -53,23 +53,23 @@
 //	})
 //
 // Higher-level queries (heavy hitters, range counts, quantiles) live behind
-// NewHierarchy; continuous hot-key tracking is a learned top-k standing
-// query (NewStandingRegistry); continuous distributed threshold monitoring
-// behind NewMonitor; multi-site simulation and aggregation behind
-// NewCluster.
+// NewHierarchy; continuous queries, including a learned hot-key top-k, are
+// standing queries (NewStandingRegistry); multi-site aggregation is a
+// Coordinator over Sites (NewCoordinator with NewLocalSite or NewHTTPSite).
 //
 // The implementation packages sit under internal/: window (exponential
-// histograms, deterministic and randomized waves), cm (conventional
-// Count-Min), core (the ECM-sketch itself), dyadic, geom, coord, workload
-// and experiments (the reproduction of the paper's evaluation).
-// The HTTP layer lives in ecmserver (embeddable server) and ecmclient
+// histograms, deterministic and randomized waves), core (the ECM-sketch
+// itself), dyadic, coord, standing, durable, wire and hashing. The paper's
+// reproduction — conventional Count-Min (cm), geometric threshold
+// monitoring (geom), synthetic streams and exact oracles (workload) and the
+// experiments themselves — runs through cmd/ecmbench and is not exported
+// here. The HTTP layer lives in ecmserver (embeddable server) and ecmclient
 // (typed client); cmd/ecmserve wires the server behind flags.
 package ecmsketch
 
 import (
 	"ecmsketch/internal/core"
 	"ecmsketch/internal/dyadic"
-	"ecmsketch/internal/geom"
 	"ecmsketch/internal/hashing"
 	"ecmsketch/internal/window"
 )
@@ -156,44 +156,3 @@ func MergeHierarchies(hs ...*Hierarchy) (*Hierarchy, error) { return dyadic.Merg
 // UnmarshalHierarchy reconstructs a dyadic hierarchy from Hierarchy.Marshal
 // output (e.g. pulled from a remote site before MergeHierarchies).
 func UnmarshalHierarchy(b []byte) (*Hierarchy, error) { return dyadic.Unmarshal(b) }
-
-// Monitor runs the geometric method (Section 6.2) for continuous threshold
-// monitoring of a function of the global (averaged) sketch across sites.
-type Monitor = geom.Monitor
-
-// MonitorConfig configures a Monitor.
-type MonitorConfig = geom.Config
-
-// MonitoredFunction is the function whose threshold crossings a Monitor
-// tracks; SelfJoinMonitor and L2Monitor are ready-made instances.
-type MonitoredFunction = geom.Function
-
-// SelfJoinMonitor monitors the self-join (F₂) estimate.
-var SelfJoinMonitor MonitoredFunction = geom.SelfJoinFn{}
-
-// L2Monitor monitors the Euclidean norm of the global sketch vector.
-var L2Monitor MonitoredFunction = geom.L2Fn{}
-
-// NewMonitor builds a monitoring deployment of n sites.
-func NewMonitor(cfg MonitorConfig, n int) (*Monitor, error) { return geom.NewMonitor(cfg, n) }
-
-// PairMonitor monitors a function of TWO streams per site — by default the
-// inner-product (join size) between them, the function type the paper lists
-// as ongoing work in Section 6.2.
-type PairMonitor = geom.PairMonitor
-
-// The two monitored streams of a PairMonitor, which an update names to say
-// which one it feeds.
-const (
-	StreamA = geom.StreamA
-	StreamB = geom.StreamB
-)
-
-// InnerProductMonitor monitors the inner-product estimate between the two
-// streams of a PairMonitor.
-var InnerProductMonitor MonitoredFunction = geom.InnerProductFn{}
-
-// NewPairMonitor builds a two-stream monitoring deployment of n sites.
-func NewPairMonitor(cfg MonitorConfig, n int) (*PairMonitor, error) {
-	return geom.NewPairMonitor(cfg, n)
-}

@@ -157,64 +157,3 @@ func TestPublicHierarchy(t *testing.T) {
 		t.Errorf("median %d implausible", med)
 	}
 }
-
-func TestPublicMonitor(t *testing.T) {
-	m, err := ecmsketch.NewMonitor(ecmsketch.MonitorConfig{
-		Sketch: ecmsketch.Params{
-			Epsilon:      0.2,
-			Delta:        0.2,
-			WindowLength: 1000,
-		},
-		Function:  ecmsketch.SelfJoinMonitor,
-		Threshold: 5000,
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now ecmsketch.Tick
-	for i := 0; i < 400; i++ {
-		now++
-		if _, err := m.Update(i%2, 1, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !m.Stats().ThresholdAbove {
-		t.Errorf("hot key did not cross threshold: f=%v", m.Stats().FunctionValue)
-	}
-}
-
-func TestPublicCluster(t *testing.T) {
-	gen, err := ecmsketch.NewStream(ecmsketch.StreamConfig{
-		Events: 8000, Duration: 8000, KeyDomain: 500, Skew: 1.0, Sites: 4, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := gen.Drain()
-	cluster, err := ecmsketch.NewCluster(ecmsketch.Params{
-		Epsilon: 0.1, Delta: 0.1, WindowLength: 10000, Seed: 3,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster.IngestAll(events)
-	root, height, err := cluster.AggregateTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if height != 2 {
-		t.Errorf("height = %d, want 2", height)
-	}
-	oracle := ecmsketch.NewOracle(10000)
-	for _, ev := range events {
-		oracle.AddEvent(ev)
-	}
-	got := root.Estimate(0, 10000)
-	want := float64(oracle.Freq(0, 10000))
-	if math.Abs(got-want) > 0.3*float64(oracle.Total(10000))+1 {
-		t.Errorf("root Estimate(0) = %v, exact %v", got, want)
-	}
-	if cluster.Network().Bytes() == 0 {
-		t.Error("no network accounting")
-	}
-}

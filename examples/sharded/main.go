@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 	"net"
 	"net/http"
 	"time"
@@ -55,19 +56,16 @@ func report(name string, eng ecmsketch.Engine, hot uint64) {
 
 func main() {
 	// A skewed synthetic stream: 40k arrivals over the window, zipf keys.
-	gen, err := ecmsketch.NewStream(ecmsketch.StreamConfig{
-		Events: 40_000, Duration: window, KeyDomain: 10_000, Skew: 1.1, Sites: 1, Seed: 7,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var events []ecmsketch.Event
+	rng := rand.New(rand.NewSource(7))
+	zipf := rand.NewZipf(rng, 1.1, 1, 10_000-1)
+	events := make([]ecmsketch.Event, 40_000)
 	hotKey, hotCount := uint64(0), 0
 	counts := map[uint64]int{}
-	for _, sev := range gen.Drain() {
-		events = append(events, ecmsketch.Event{Key: sev.Key, Tick: sev.Time})
-		if counts[sev.Key]++; counts[sev.Key] > hotCount {
-			hotKey, hotCount = sev.Key, counts[sev.Key]
+	for i := range events {
+		key := zipf.Uint64()
+		events[i] = ecmsketch.Event{Key: key, Tick: ecmsketch.Tick(1 + i*window/len(events))}
+		if counts[key]++; counts[key] > hotCount {
+			hotKey, hotCount = key, counts[key]
 		}
 	}
 	fmt.Printf("stream: %d events, hottest key %d appears %d times\n\n", len(events), hotKey, hotCount)

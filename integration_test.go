@@ -5,14 +5,19 @@ import (
 	"testing"
 
 	"ecmsketch"
+	"ecmsketch/internal/coord"
+	"ecmsketch/internal/geom"
+	"ecmsketch/internal/workload"
 )
 
 // TestEndToEndNetworkMonitoring drives the paper's introduction scenario
-// through the whole public stack: 33 routers observe a skewed, diurnal
-// request stream; their sketches travel a binary aggregation tree; the root
-// answers global point and self-join queries; a dyadic hierarchy flags
-// overloaded targets; and a geometric monitor guards the global F₂ — all
-// cross-checked against the exact oracle.
+// through the public sketch API and the reproduction harness beside it: 33
+// routers observe a skewed, diurnal request stream (workload); their
+// sketches travel the binary aggregation tree of the distributed
+// experiments (coord.Cluster); the root answers global point and self-join
+// queries; a dyadic hierarchy flags overloaded targets; and a geometric
+// monitor (geom) guards the global F₂ — all cross-checked against the exact
+// oracle.
 func TestEndToEndNetworkMonitoring(t *testing.T) {
 	const (
 		window = 500_000
@@ -20,7 +25,7 @@ func TestEndToEndNetworkMonitoring(t *testing.T) {
 		sites  = 33
 		eps    = 0.1
 	)
-	gen, err := ecmsketch.NewStream(ecmsketch.StreamConfig{
+	gen, err := workload.NewGenerator(workload.Config{
 		Events:    events,
 		Duration:  2 * window,
 		KeyDomain: 1 << 14,
@@ -34,7 +39,7 @@ func TestEndToEndNetworkMonitoring(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := gen.Drain()
-	oracle := ecmsketch.NewOracle(window)
+	oracle := workload.NewOracle(window)
 	for _, ev := range stream {
 		oracle.AddEvent(ev)
 	}
@@ -46,7 +51,7 @@ func TestEndToEndNetworkMonitoring(t *testing.T) {
 		WindowLength: window,
 		Seed:         4,
 	}
-	cluster, err := ecmsketch.NewCluster(params, sites)
+	cluster, err := coord.NewCluster(params, sites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,7 @@ func TestEndToEndNetworkMonitoring(t *testing.T) {
 	}
 
 	// --- continuous threshold monitoring over the same stream ---
-	mon, err := ecmsketch.NewMonitor(ecmsketch.MonitorConfig{
+	mon, err := geom.NewMonitor(geom.Config{
 		Sketch: ecmsketch.Params{
 			Epsilon:      0.2,
 			Delta:        0.2,
@@ -118,7 +123,7 @@ func TestEndToEndNetworkMonitoring(t *testing.T) {
 			WindowLength: window,
 			Seed:         2,
 		},
-		Function:   ecmsketch.SelfJoinMonitor,
+		Function:   geom.SelfJoinFn{},
 		Threshold:  oracle.SelfJoin(window) / float64(4*4) * 1.4,
 		CheckEvery: 32,
 		Balancing:  true,

@@ -50,14 +50,15 @@ func TestExtractVectorMass(t *testing.T) {
 		s.Add(7, i)
 	}
 	v := s.ExtractVector(1000)
-	if v.D != s.Depth() || v.W != s.Width() {
-		t.Fatalf("vector shape %dx%d, sketch %dx%d", v.D, v.W, s.Depth(), s.Width())
+	d, w := s.Depth(), s.Width()
+	if len(v) != d*w {
+		t.Fatalf("vector has %d cells, sketch is %dx%d", len(v), d, w)
 	}
 	// Every row holds the full 50 arrivals (one loaded cell per row).
-	for j := 0; j < v.D; j++ {
+	for j := 0; j < d; j++ {
 		var row float64
-		for i := 0; i < v.W; i++ {
-			row += v.Cells[j*v.W+i]
+		for i := 0; i < w; i++ {
+			row += v[j*w+i]
 		}
 		if row != 50 {
 			t.Errorf("row %d mass = %v, want 50", j, row)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"ecmsketch/internal/cm"
 	"ecmsketch/internal/hashing"
 	"ecmsketch/internal/window"
 )
@@ -368,11 +367,6 @@ func (s *Sketch) EstimateInterval(key uint64, from, to Tick) float64 {
 	return est
 }
 
-// EstimateWindow answers the point query over the whole window.
-func (s *Sketch) EstimateWindow(key uint64) float64 {
-	return s.Estimate(key, s.wcfg.Length)
-}
-
 // InnerProduct estimates a_r ⊙ b_r = Σ_x f_a(x,r)·f_b(x,r) as
 // min_j Σ_i E_a(i,j,r)·E_b(i,j,r) (Section 4.1). Both sketches must share
 // configuration.
@@ -418,12 +412,12 @@ func (s *Sketch) Compatible(o *Sketch) bool {
 }
 
 // ExtractVector evaluates every counter over the last r ticks and returns
-// the result as a dense real vector — the representation the geometric
+// the d×w cell estimates, row-major — the dense real vector the geometric
 // monitoring method (Section 6.2) does linear algebra on.
-func (s *Sketch) ExtractVector(r Tick) *cm.Vector {
-	v := cm.NewVector(s.d, s.w)
-	for i := range v.Cells {
-		v.Cells[i] = s.cellEstimateRange(i, r)
+func (s *Sketch) ExtractVector(r Tick) []float64 {
+	v := make([]float64, s.d*s.w)
+	for i := range v {
+		v[i] = s.cellEstimateRange(i, r)
 	}
 	return v
 }

@@ -318,7 +318,7 @@ func TestECMReset(t *testing.T) {
 	s := mustECM(t, Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 100, Seed: 2})
 	s.Add(1, 10)
 	s.Reset()
-	if s.EstimateWindow(1) != 0 || s.Count() != 0 || s.Now() != 0 {
+	if s.Estimate(1, 100) != 0 || s.Count() != 0 || s.Now() != 0 {
 		t.Error("Reset left state behind")
 	}
 }

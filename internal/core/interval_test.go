@@ -79,11 +79,11 @@ func TestECMAdvanceOnlyStream(t *testing.T) {
 	if s.Now() != 1000 || s.Count() != 0 {
 		t.Errorf("Advance-only state: now=%d count=%d", s.Now(), s.Count())
 	}
-	if got := s.EstimateWindow(7); got != 0 {
+	if got := s.Estimate(7, 100); got != 0 {
 		t.Errorf("estimate on empty sketch = %v", got)
 	}
 	s.Add(7, 1500)
-	if got := s.EstimateWindow(7); got != 1 {
+	if got := s.Estimate(7, 100); got != 1 {
 		t.Errorf("estimate = %v, want 1", got)
 	}
 }

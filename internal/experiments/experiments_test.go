@@ -272,6 +272,24 @@ func TestRunGeometricExperiment(t *testing.T) {
 	}
 }
 
+// TestRunJoinMonitor pins the join-size scenario's shape: the disjoint phase
+// stays below the threshold and the campaign phase crosses it.
+func TestRunJoinMonitor(t *testing.T) {
+	rows, err := RunJoinMonitor(20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("got %d phases, want 2", len(rows))
+	}
+	if d := rows[0]; d.ThresholdAbove || d.Crossings != 0 || d.Updates != 40_000 {
+		t.Errorf("disjoint phase: %+v, want below the threshold after 40000 updates", d)
+	}
+	if c := rows[1]; !c.ThresholdAbove || c.Crossings == 0 || c.Syncs <= rows[0].Syncs {
+		t.Errorf("campaign phase: %+v, want a crossing", c)
+	}
+}
+
 func TestRunAblationSplit(t *testing.T) {
 	ds := SubsetEvents(smallWC(t), 15000)
 	rows, err := RunAblationSplit(ds, 0.1)

@@ -94,6 +94,16 @@ func PrintGeom(w io.Writer, r GeomRow) {
 		r.BytesSent, r.NaiveBytes, r.Savings)
 }
 
+// PrintJoinMonitor renders the per-phase rows of the join-size monitor.
+func PrintJoinMonitor(w io.Writer, rows []JoinPhaseRow) {
+	fmt.Fprintf(w, "%-9s %8s %12s %6s %6s %9s %7s %10s %10s\n",
+		"phase", "updates", "join-est", "above", "syncs", "crossings", "checks", "violations", "sent(B)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-9s %8d %12.0f %6v %6d %9d %7d %10d %10d\n",
+			r.Phase, r.Updates, r.FunctionValue, r.ThresholdAbove, r.Syncs, r.Crossings, r.LocalChecks, r.Violations, r.BytesSent)
+	}
+}
+
 // PrintAblationSplit renders the ε-split ablation rows.
 func PrintAblationSplit(w io.Writer, rows []AblationSplitRow) {
 	fmt.Fprintf(w, "%-6s %-5s %-12s %12s %10s\n", "data", "eps", "split", "memory(B)", "avg-err")

@@ -68,11 +68,16 @@ func (s *Site) Sketch() *core.Sketch { return s.sketches[0] }
 // vector extracts the site's local statistics vector over the last r ticks:
 // the sketch's own for one stream, the concatenation [va ‖ vb] for two.
 func (s *Site) vector(r Tick) *cm.Vector {
-	v := s.sketches[0].ExtractVector(r)
+	v := extract(s.sketches[0], r)
 	if len(s.sketches) == 2 {
-		v = ConcatVectors(v, s.sketches[1].ExtractVector(r))
+		v = ConcatVectors(v, extract(s.sketches[1], r))
 	}
 	return v
+}
+
+// extract is sk's d×w cell estimates over the last r ticks as a vector.
+func extract(sk *core.Sketch, r Tick) *cm.Vector {
+	return &cm.Vector{D: sk.Depth(), W: sk.Width(), Cells: sk.ExtractVector(r)}
 }
 
 // advance moves the window of every local sketch to tick t.

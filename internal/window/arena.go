@@ -613,9 +613,6 @@ func (b *EHBank) EstimateRange(i int, r Tick) float64 {
 	return b.EstimateSince(i, rangeToSince(b.cells[i].now, r))
 }
 
-// EstimateWindow estimates arrivals in cell i within the whole window.
-func (b *EHBank) EstimateWindow(i int) float64 { return b.EstimateRange(i, b.cfg.Length) }
-
 // NumBuckets reports the number of live buckets in cell i.
 func (b *EHBank) NumBuckets(i int) int {
 	c := &b.cells[i]

@@ -54,7 +54,7 @@ func checkCellEqualsEH(t *testing.T, b *EHBank, i int, h *EH) {
 			t.Fatalf("EstimateRange(%d): bank %v, EH %v", r, got, want)
 		}
 	}
-	if got, want := b.EstimateWindow(i), h.EstimateWindow(); got != want {
+	if got, want := b.EstimateRange(i, b.Config().Length), h.EstimateWindow(); got != want {
 		t.Fatalf("EstimateWindow: bank %v, EH %v", got, want)
 	}
 	if got, want := b.AppendMarshalCell(nil, i), h.Marshal(); !bytes.Equal(got, want) {
@@ -88,7 +88,7 @@ func TestBankMatchesEHRandomStreams(t *testing.T) {
 			}
 			checkCellEqualsEH(t, b, 1, h)
 			for _, i := range []int{0, 2} {
-				if b.Total(i) != 0 || b.NumBuckets(i) != 0 || b.EstimateWindow(i) != 0 {
+				if b.Total(i) != 0 || b.NumBuckets(i) != 0 || b.EstimateRange(i, b.Config().Length) != 0 {
 					t.Fatalf("cfg %+v: untouched cell %d not empty", cfg, i)
 				}
 			}
@@ -152,13 +152,13 @@ func TestBankAdvanceAllAndReset(t *testing.T) {
 			t.Fatalf("cell %d Now = %d after AdvanceAll", i, got)
 		}
 		// Ticks 1..20 fell out of the (20,120] window.
-		if got := b.EstimateWindow(i); got < 25 || got > 35 {
+		if got := b.EstimateRange(i, b.Config().Length); got < 25 || got > 35 {
 			t.Fatalf("cell %d estimate %v after expiry, want ≈30", i, got)
 		}
 	}
 	b.Reset()
 	for i := 0; i < 4; i++ {
-		if b.Total(i) != 0 || b.Now(i) != 0 || b.EstimateWindow(i) != 0 {
+		if b.Total(i) != 0 || b.Now(i) != 0 || b.EstimateRange(i, b.Config().Length) != 0 {
 			t.Fatalf("cell %d not reset", i)
 		}
 	}

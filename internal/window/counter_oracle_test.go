@@ -33,8 +33,6 @@ type Counter interface {
 	// EstimateRange estimates the arrivals within the last r ticks, i.e.
 	// ticks in (Now()-r, Now()]. r is clamped to the window length.
 	EstimateRange(r Tick) float64
-	// EstimateWindow estimates the arrivals in the whole window.
-	EstimateWindow() float64
 	// MemoryBytes reports the current heap footprint of the synopsis.
 	MemoryBytes() int
 	// Reset empties the synopsis, keeping its configuration.
@@ -131,7 +129,6 @@ func (c bankCell) Advance(t Tick)                   { c.Bank.Advance(0, t) }
 func (c bankCell) Now() Tick                        { return c.Bank.Now(0) }
 func (c bankCell) EstimateSince(since Tick) float64 { return c.Bank.EstimateSince(0, since) }
 func (c bankCell) EstimateRange(r Tick) float64     { return c.Bank.EstimateRange(0, r) }
-func (c bankCell) EstimateWindow() float64          { return c.EstimateRange(c.Config().Length) }
 
 func (c bankCell) EstimateInterval(from, to Tick) float64 { return EstimateInterval(c, from, to) }
 

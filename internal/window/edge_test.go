@@ -12,11 +12,11 @@ func TestCountersAdvanceBeforeFirstAdd(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoEH, AlgoDW, AlgoRW, AlgoExact} {
 		for _, c := range subjects(t, algo, cfg) {
 			c.Advance(500)
-			if got := c.EstimateWindow(); got != 0 {
+			if got := c.EstimateRange(cfg.Length); got != 0 {
 				t.Errorf("%v: estimate after bare Advance = %v", c.name, got)
 			}
 			c.Add(600)
-			if got := c.EstimateWindow(); got != 1 {
+			if got := c.EstimateRange(cfg.Length); got != 1 {
 				t.Errorf("%v: estimate = %v, want 1", c.name, got)
 			}
 		}
@@ -29,7 +29,7 @@ func TestCountersAddNZero(t *testing.T) {
 		for _, c := range subjects(t, algo, cfg) {
 			c.Add(10)
 			c.AddN(200, 0) // advances the clock, expires the first arrival
-			if got := c.EstimateWindow(); got != 0 {
+			if got := c.EstimateRange(cfg.Length); got != 0 {
 				t.Errorf("%v: estimate = %v after AddN(..,0) expiry", c.name, got)
 			}
 			if c.Now() != 200 {
@@ -46,11 +46,11 @@ func TestCountersTickZeroArrival(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoEH, AlgoDW, AlgoRW, AlgoExact} {
 		for _, c := range subjects(t, algo, cfg) {
 			c.Add(0)
-			if got := c.EstimateWindow(); got != 1 {
+			if got := c.EstimateRange(cfg.Length); got != 1 {
 				t.Errorf("%v: estimate = %v, want 1", c.name, got)
 			}
 			c.Advance(11)
-			if got := c.EstimateWindow(); got != 0 {
+			if got := c.EstimateRange(cfg.Length); got != 0 {
 				t.Errorf("%v: tick-0 arrival did not expire: %v", c.name, got)
 			}
 		}
@@ -68,7 +68,7 @@ func TestCountersLargeTickJumps(t *testing.T) {
 					c.Add(base + i)
 				}
 			}
-			got := c.EstimateWindow()
+			got := c.EstimateRange(cfg.Length)
 			if got < 80 || got > 130 {
 				t.Errorf("%v: estimate = %v, want ≈100 (only the last burst lives)", c.name, got)
 			}
@@ -107,8 +107,8 @@ func TestEHMassiveAddN(t *testing.T) {
 	for _, s := range subjects(t, AlgoEH, Config{Length: 1 << 30, Epsilon: 0.1}) {
 		h := s.Counter.(ehCounter)
 		h.AddN(100, 1_000_000)
-		if got := h.EstimateWindow(); got != 1_000_000 {
-			t.Errorf("%s: EstimateWindow = %v, want exactly 1e6 (single-tick mass)", s.name, got)
+		if got := h.EstimateRange(1 << 30); got != 1_000_000 {
+			t.Errorf("%s: EstimateRange(whole window) = %v, want exactly 1e6 (single-tick mass)", s.name, got)
 		}
 		if nb := h.NumBuckets(); nb > 200 {
 			t.Errorf("%s: 1e6 arrivals in %d buckets, want O(log n/ε)", s.name, nb)
@@ -124,7 +124,7 @@ func TestDWUpperBoundViolationDegradesGracefully(t *testing.T) {
 		for i := Tick(1); i <= 5000; i++ {
 			w.Add(i)
 		}
-		got := w.EstimateWindow()
+		got := w.EstimateRange(cfg.Length)
 		if got <= 0 || got > 10000 {
 			t.Errorf("%s: estimate %v implausible under bound violation", w.name, got)
 		}

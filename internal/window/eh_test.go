@@ -292,7 +292,7 @@ func TestEHCountBasedModel(t *testing.T) {
 				x.Advance(seq)
 			}
 		}
-		got := h.EstimateWindow()
+		got := h.EstimateRange(cfg.Length)
 		want := float64(x.CountRange(100))
 		if abs64(got-want) > 0.1*want+0.5 {
 			t.Errorf("%s: count-based EstimateWindow = %v, exact = %v", h.name, got, want)

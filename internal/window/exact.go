@@ -151,9 +151,6 @@ func (x *Exact) CountRange(r Tick) uint64 {
 	return x.CountSince(rangeToSince(x.now, r))
 }
 
-// EstimateWindow returns the exact count within the whole window.
-func (x *Exact) EstimateWindow() float64 { return x.EstimateRange(x.cfg.Length) }
-
 // MemoryBytes reports the heap footprint.
 func (x *Exact) MemoryBytes() int { return 64 + cap(x.entries)*24 }
 

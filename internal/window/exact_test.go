@@ -104,8 +104,8 @@ func TestNewDispatch(t *testing.T) {
 			t.Fatalf("New(%v): %v", algo, err)
 		}
 		c.Add(1)
-		if got := c.EstimateWindow(); got != 1 {
-			t.Errorf("%v: EstimateWindow = %v, want 1", algo, got)
+		if got := c.EstimateRange(cfg.Length); got != 1 {
+			t.Errorf("%v: EstimateRange(cfg.Length) = %v, want 1", algo, got)
 		}
 	}
 	if _, err := New(Algorithm(99), cfg); err == nil {
@@ -141,13 +141,13 @@ func TestCountersUnderUniformStream(t *testing.T) {
 	}
 	want := 1000.0
 	for name, c := range counters {
-		got := c.EstimateWindow()
+		got := c.EstimateRange(cfg.Length)
 		tol := 0.1*want + 1
 		if strings.HasPrefix(name, "RW") {
 			tol = 0.3*want + 1 // randomized: generous tolerance for a single draw
 		}
 		if abs64(got-want) > tol {
-			t.Errorf("%s EstimateWindow = %v, want %v ± %v", name, got, want, tol)
+			t.Errorf("%s EstimateRange(cfg.Length) = %v, want %v ± %v", name, got, want, tol)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func FuzzUnmarshalEH(f *testing.F) {
 		if err := bank2.UnmarshalCell(0, canon); err != nil {
 			t.Fatalf("bank rejected canonical encoding: %v", err)
 		}
-		if got := bank2.EstimateWindow(0); got != w {
+		if got := bank2.EstimateRange(0, bank2.Config().Length); got != w {
 			t.Fatalf("bank decoded EstimateWindow %v, EH %v", got, w)
 		}
 		if got := bank2.EstimateSince(0, dec.Now()/2); got != dec.EstimateSince(dec.Now()/2) {

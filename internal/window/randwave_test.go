@@ -100,13 +100,13 @@ func TestRWDuplicateInsensitive(t *testing.T) {
 		for i := Tick(1); i <= 50; i++ {
 			w.AddID(i, uint64(i)) // level assignment depends only on the id
 		}
-		before := w.EstimateWindow()
+		before := w.EstimateRange(cfg.Length)
 		// Re-adding the same identifiers must not change per-level membership
 		// beyond replacing entries with equal ones.
 		for i := Tick(1); i <= 50; i++ {
 			w.AddID(i, uint64(i))
 		}
-		after := w.EstimateWindow()
+		after := w.EstimateRange(cfg.Length)
 		// The count field doubles but the estimate derives from stored entries;
 		// duplicate ids map to identical levels so small windows stay exact-ish.
 		if after > 2*before+10 {

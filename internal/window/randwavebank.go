@@ -216,9 +216,6 @@ func (b *RWBank) EstimateRange(i int, r Tick) float64 {
 	return b.EstimateSince(i, rangeToSince(b.cells[i].now, r))
 }
 
-// EstimateWindow estimates arrivals in cell i within the whole window.
-func (b *RWBank) EstimateWindow(i int) float64 { return b.EstimateRange(i, b.cfg.Length) }
-
 // MergeCellFrom aggregates the inputs' cell src into (empty) cell i of b
 // (Section 5.2): level l of the output is the tick-sorted, id-deduplicated
 // concatenation of the inputs' level-l entries, truncated to the most recent

@@ -187,9 +187,6 @@ func (b *DWBank) EstimateRange(i int, r Tick) float64 {
 	return b.EstimateSince(i, rangeToSince(b.cells[i].now, r))
 }
 
-// EstimateWindow estimates arrivals in cell i within the whole window.
-func (b *DWBank) EstimateWindow(i int) float64 { return b.EstimateRange(i, b.cfg.Length) }
-
 // appendEntries appends cell i's stored entries to dst, collected level by
 // level front to back — a collection order the merge replay's bytes depend
 // on.

@@ -166,7 +166,7 @@ func TestDWBankGolden(t *testing.T) {
 	if got := b.Rank(2); got != 931 {
 		t.Errorf("Rank = %d, want 931", got)
 	}
-	if got := b.EstimateWindow(2); got != 339.5 {
+	if got := b.EstimateRange(2, b.Config().Length); got != 339.5 {
 		t.Errorf("EstimateWindow = %v, want 339.5", got)
 	}
 	if got := b.EstimateRange(2, 100); got != 53.5 {
@@ -238,7 +238,7 @@ func TestRWBankGolden(t *testing.T) {
 	if got := b.Count(1); got != 150 {
 		t.Errorf("Count = %d, want 150", got)
 	}
-	if got := b.EstimateWindow(1); got != 112 {
+	if got := b.EstimateRange(1, b.Config().Length); got != 112 {
 		t.Errorf("EstimateWindow = %v, want 112", got)
 	}
 	enc := b.AppendMarshalCell(nil, 1)
@@ -342,7 +342,7 @@ func TestDWBankMatchesDW(t *testing.T) {
 		if got, want := b.Now(i), refs[i].Now(); got != want {
 			t.Errorf("cell %d: Now = %d, per-object %d", i, got, want)
 		}
-		if got, want := b.EstimateWindow(i), refs[i].EstimateWindow(); got != want {
+		if got, want := b.EstimateRange(i, b.Config().Length), refs[i].EstimateWindow(); got != want {
 			t.Errorf("cell %d: EstimateWindow = %v, per-object %v", i, got, want)
 		}
 		if got, want := b.AppendMarshalCell(nil, i), refs[i].Marshal(); !bytes.Equal(got, want) {
@@ -399,7 +399,7 @@ func TestRWBankMatchesRW(t *testing.T) {
 		if got, want := b.Now(i), refs[i].Now(); got != want {
 			t.Errorf("cell %d: Now = %d, per-object %d", i, got, want)
 		}
-		if got, want := b.EstimateWindow(i), refs[i].EstimateWindow(); got != want {
+		if got, want := b.EstimateRange(i, b.Config().Length), refs[i].EstimateWindow(); got != want {
 			t.Errorf("cell %d: EstimateWindow = %v, per-object %v", i, got, want)
 		}
 		if got, want := b.AppendMarshalCell(nil, i), refs[i].Marshal(); !bytes.Equal(got, want) {
@@ -506,7 +506,7 @@ func TestRWBankMergeMatchesMergeRW(t *testing.T) {
 		if got, want := out.AppendMarshalCell(nil, i), ref.Marshal(); !bytes.Equal(got, want) {
 			t.Errorf("cell %d: bank merge encoding differs from MergeRW", i)
 		}
-		if got, want := out.EstimateWindow(i), ref.EstimateWindow(); got != want {
+		if got, want := out.EstimateRange(i, out.Config().Length), ref.EstimateWindow(); got != want {
 			t.Errorf("cell %d: merged EstimateWindow = %v, per-object %v", i, got, want)
 		}
 	}
@@ -530,7 +530,7 @@ func TestDWBankVersioning(t *testing.T) {
 	v1 := b.Version()
 	b.Advance(1, 500)
 	AdvanceAll(b, 600, nil)
-	_ = b.EstimateWindow(1)
+	_ = b.EstimateRange(1, b.Config().Length)
 	if b.Version() != v1 {
 		t.Error("advance or query bumped the version")
 	}
@@ -600,11 +600,11 @@ func TestWaveBankClone(t *testing.T) {
 	if !bytes.Equal(db.AppendMarshalCell(nil, 0), dc.AppendMarshalCell(nil, 0)) {
 		t.Error("DW clone encodes differently")
 	}
-	before := dc.EstimateWindow(0)
+	before := dc.EstimateRange(0, dc.Config().Length)
 	for k := 301; k <= 600; k++ {
 		db.Add(0, Tick(k))
 	}
-	if got := dc.EstimateWindow(0); got != before {
+	if got := dc.EstimateRange(0, dc.Config().Length); got != before {
 		t.Error("mutating the DW source changed the clone")
 	}
 
@@ -620,11 +620,11 @@ func TestWaveBankClone(t *testing.T) {
 	if !bytes.Equal(rb.AppendMarshalCell(nil, 1), rc.AppendMarshalCell(nil, 1)) {
 		t.Error("RW clone encodes differently")
 	}
-	rBefore := rc.EstimateWindow(1)
+	rBefore := rc.EstimateRange(1, rc.Config().Length)
 	for k := 301; k <= 600; k++ {
 		rb.Add(1, Tick(k))
 	}
-	if got := rc.EstimateWindow(1); got != rBefore {
+	if got := rc.EstimateRange(1, rc.Config().Length); got != rBefore {
 		t.Error("mutating the RW source changed the clone")
 	}
 }

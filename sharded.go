@@ -200,7 +200,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			return nil, fmt.Errorf("ecmsketch: shard %d: %w", i, err)
 		}
 		// Distinct identifier salts keep randomized-wave event identifiers
-		// globally unique across stripes (as NewCluster does across sites).
+		// globally unique across stripes (as coord.NewCluster does across sites).
 		// Cell-level salts are normalized too: stripes never draw cell
 		// auto-identifiers, and deterministic salts make identically
 		// configured engines byte-identical — the recovery contract durable
@@ -556,9 +556,9 @@ func (a *asyncPipeline) stop() {
 }
 
 // enter takes the lifecycle gate for one enqueue; the caller releases it
-// with a.mu.RUnlock. It reports false — gate not held — when the pipeline
-// is stopped (Close raced the call): the caller falls back to the
-// synchronous path.
+// with a.mu.RUnlock, or hands it to broadcast. It reports false — gate not
+// held — when the pipeline is stopped (Close raced the call): the caller
+// falls back to the synchronous path.
 func (a *asyncPipeline) enter() bool {
 	a.mu.RLock()
 	if a.on {
@@ -569,16 +569,13 @@ func (a *asyncPipeline) enter() bool {
 }
 
 // broadcast enqueues m on every stripe queue, ordered behind everything
-// enqueued before it. Reports false when the pipeline is stopped.
-func (a *asyncPipeline) broadcast(m stripeMsg) bool {
-	if !a.enter() {
-		return false
-	}
+// enqueued before it, and releases the gate the caller took with enter —
+// so a message is only built once the pipeline is known to be running.
+func (a *asyncPipeline) broadcast(m stripeMsg) {
 	for _, q := range a.qs {
 		q <- m
 	}
 	a.mu.RUnlock()
-	return true
 }
 
 // stripeOwner is stripe i's single mutator in async mode: it applies
@@ -647,12 +644,11 @@ func (sh *Sharded) addNAsync(key uint64, t Tick, n uint64) bool {
 // engines Flush additionally fsyncs the WAL, making everything it covers
 // durable regardless of SyncInterval.
 func (sh *Sharded) Flush() {
-	if a := sh.async; a != nil {
+	if a := sh.async; a != nil && a.enter() {
 		var applied sync.WaitGroup
 		applied.Add(len(a.qs))
-		if a.broadcast(stripeMsg{flush: &applied}) {
-			applied.Wait()
-		}
+		a.broadcast(stripeMsg{flush: &applied})
+		applied.Wait()
 	}
 	if sh.dur != nil {
 		sh.dur.syncNow()
@@ -664,12 +660,11 @@ func (sh *Sharded) Flush() {
 // ordered behind previously enqueued batches.
 func (sh *Sharded) Advance(t Tick) {
 	sh.observe(t)
-	if a := sh.async; a != nil {
+	if a := sh.async; a != nil && a.enter() {
 		adv := &advanceMsg{t: t}
 		adv.pending.Store(int32(len(a.qs)))
-		if a.broadcast(stripeMsg{adv: adv}) {
-			return
-		}
+		a.broadcast(stripeMsg{adv: adv})
+		return
 	}
 	for i := range sh.shards {
 		sh.advanceStripe(i, t)

@@ -112,6 +112,37 @@ func TestShardedAsyncCloseReverts(t *testing.T) {
 	}
 }
 
+// TestShardedAsyncClosedAdvanceAllocs: once Close has stopped the async
+// pipeline, Advance and Flush take the synchronous path and allocate no
+// more than they do on an engine that was never async — no message for a
+// queue that is gone.
+func TestShardedAsyncClosedAdvanceAllocs(t *testing.T) {
+	allocs := func(async bool) (adv, flush float64) {
+		eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 4, Async: async})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Add(1, 1)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		now := Tick(1)
+		adv = testing.AllocsPerRun(100, func() {
+			now++
+			eng.Advance(now)
+		})
+		return adv, testing.AllocsPerRun(100, eng.Flush)
+	}
+	syncAdv, syncFlush := allocs(false)
+	asyncAdv, asyncFlush := allocs(true)
+	if asyncAdv > syncAdv {
+		t.Errorf("Advance after Close: async engine %v allocs, sync engine %v", asyncAdv, syncAdv)
+	}
+	if asyncFlush > syncFlush {
+		t.Errorf("Flush after Close: async engine %v allocs, sync engine %v", asyncFlush, syncFlush)
+	}
+}
+
 // TestShardedCloseIdempotent pins Close semantics on the engine with the
 // most to tear down — async owners, both durable loops, a WAL: repeated
 // closes (of either kind, in either order) are no-ops, a closed engine keeps

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ecmsketch"
+	"ecmsketch/internal/workload"
 )
 
 func shardedParams() ecmsketch.Params {
@@ -62,7 +63,7 @@ func TestShardedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := ecmsketch.NewOracle(p.WindowLength)
+	oracle := workload.NewOracle(p.WindowLength)
 
 	rng := rand.New(rand.NewSource(7))
 	zipf := rand.NewZipf(rng, 1.2, 1, 4096)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ecmsketch/internal/standing"
+	"ecmsketch/internal/workload"
 )
 
 // The standing-query evaluator is incremental: it re-checks only the
@@ -492,7 +493,7 @@ func TestLearnedTopKBasicRanking(t *testing.T) {
 // TestLearnedTopKZipfAgainstOracle: over a Zipf(1.3) stream the learned
 // top-10 holds at least 4 of the exact top 5.
 func TestLearnedTopKZipfAgainstOracle(t *testing.T) {
-	oracle := NewOracle(10000)
+	oracle := workload.NewOracle(10000)
 	rng := rand.New(rand.NewSource(8))
 	zipf := rand.NewZipf(rng, 1.3, 1, 5000)
 	events := make([]Event, 30000)
