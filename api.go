@@ -6,7 +6,8 @@ import "ecmsketch/internal/core"
 // with an optional multiplicity (N == 0 counts as 1). Batches are the unit
 // of ingest amortization: one AddBatch call takes each internal lock once
 // for the whole slice instead of once per arrival, and is the natural unit
-// for future asynchronous pipelines.
+// for future asynchronous pipelines. Every ingest path admits an Event
+// under one write rule, stated on Ingestor.
 type Event = core.Event
 
 // Ingestor is the write side of every sketch front end in this library:
@@ -15,26 +16,27 @@ type Event = core.Event
 // pipelines can be written once against the interface and pointed at any
 // of them.
 //
-// # Tick clamping contract
+// # Write rule
 //
 // Ticks must be non-decreasing per Ingestor. Rather than rejecting bad
-// input, every ingest path validates and clamps it — this is the single
-// authoritative statement of how:
+// input, every ingest path — Add, AddN, AddString and AddBatch alike —
+// admits it under one rule:
 //
 //   - Ticks are 1-based. Tick 0 means "before the stream" and is clamped
 //     to 1.
-//   - Single-event paths (Add, AddN, AddString) pass the tick through to
-//     the counters it lands in; a tick that regresses behind a counter's
-//     own clock is clamped forward to that clock, biasing the arrival
-//     slightly newer instead of dropping it, so a stream from loosely
-//     synchronized sources that interleaves slightly out of order still
-//     counts every arrival.
-//   - AddBatch validates once per batch, not once per counter update: each
-//     event's tick is clamped to the running maximum of the batch and to
-//     the engine clock at batch entry, so the applied sequence is
-//     non-decreasing engine-wide. Every front end applies the same rule,
-//     which is why identical batch streams produce identical answers from
-//     Sketch and Sharded.
+//   - A tick behind the engine clock is clamped forward to it, biasing the
+//     arrival slightly newer instead of dropping it, so a stream from
+//     loosely synchronized sources that interleaves slightly out of order
+//     still counts every arrival. A batch is validated once, not once per
+//     counter update: each event clamps against the engine clock at batch
+//     entry and the running maximum of the batch, so the applied sequence
+//     is non-decreasing engine-wide. A single-event write is a one-event
+//     batch.
+//   - N == 0 counts as one arrival.
+//
+// Every front end applies it at the same clock, so one stream fed as single
+// events, one-event batches or batches leaves identical answers from
+// Sketch, Sharded (any stripes, Async, recovered) and ecmclient.Client.
 type Ingestor interface {
 	// Add registers one arrival of key at tick t.
 	Add(key uint64, t Tick)
@@ -44,7 +46,7 @@ type Ingestor interface {
 	// KeyString).
 	AddString(key string, t Tick)
 	// AddBatch registers a slice of arrivals in one call, applied in slice
-	// order under the batch clamping contract above.
+	// order under the write rule above.
 	AddBatch(events []Event)
 	// Advance moves the window clock forward without an arrival.
 	Advance(t Tick)
@@ -64,19 +66,19 @@ type Notifier interface {
 	NoteAdvance()
 }
 
-// Querier is the read side: sliding-window point, self-join, inner-product
-// and total-count queries over any suffix of the window (the last r ticks).
+// Querier is the read side: sliding-window point, self-join and
+// total-count queries over any suffix of the window (the last r ticks).
 // All local implementations answer within the paper's (ε, δ) guarantees;
 // the remote client forwards the server's answers unchanged.
+//
+// Inner products are not part of it: no front end but a plain Sketch holds
+// the summary the query reads, so a sharded or remote inner product is
+// Snapshot followed by Sketch.InnerProduct.
 type Querier interface {
 	// Estimate answers a point query for key over the last r ticks.
 	Estimate(key uint64, r Tick) float64
 	// EstimateString answers a point query for a string key.
 	EstimateString(key string, r Tick) float64
-	// InnerProduct estimates the inner product against another sketch's
-	// stream over the last r ticks. The other sketch must be compatible
-	// (same dimensions, seed and window configuration).
-	InnerProduct(other *Sketch, r Tick) (float64, error)
 	// SelfJoin estimates the second frequency moment F₂ over the last r
 	// ticks.
 	SelfJoin(r Tick) float64

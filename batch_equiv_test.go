@@ -3,17 +3,21 @@ package ecmsketch_test
 import (
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"testing"
 
 	"ecmsketch"
+	"ecmsketch/ecmclient"
+	"ecmsketch/ecmserver"
 )
 
-// TestEngineBatchEquivalence is the property test behind the batch clamping
-// contract (see Ingestor): the plain Sketch, a one-stripe Sharded engine and
-// a P-stripe Sharded engine must produce IDENTICAL
-// Estimate/SelfJoin/EstimateTotal answers for the same randomized batch
-// stream — including regressed and zero ticks, which every front end clamps
-// the same way, once per batch.
+// TestEngineBatchEquivalence is the property test behind the write rule
+// (see Event): the plain Sketch, a one-stripe Sharded engine, a P-stripe
+// Sharded engine, an Async engine and a server reached through ecmclient
+// must produce IDENTICAL Estimate/SelfJoin/EstimateTotal answers for the
+// same randomized stream, whether it is fed as batches or as single AddN
+// calls — including regressed and zero ticks and N == 0, which every front
+// end and every door admits the same way.
 //
 // Identity (not mere closeness) holds because ε is small relative to the
 // stream: no size-class ever exceeds its budget, so no bucket merges happen
@@ -34,25 +38,59 @@ func TestEngineBatchEquivalence(t *testing.T) {
 				WindowLength: window,
 				Seed:         uint64(7 + trial),
 			}
-			single, err := ecmsketch.New(p)
+			stripes := 1 << (trial % 3)
+			sketch := func() ecmsketch.Engine {
+				sk, err := ecmsketch.New(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sk
+			}
+			sharded := func(shards int, async bool) ecmsketch.Engine {
+				sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: shards, Async: async})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { sh.Close() })
+				return sh
+			}
+			srv, err := ecmserver.New(ecmserver.Config{
+				Epsilon: p.Epsilon, Delta: p.Delta, WindowLength: p.WindowLength, Seed: p.Seed, Shards: stripes,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			oneStripe, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 1 << (trial % 3)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+			client := ecmclient.New(ts.URL)
+
+			// single is the reference; each engine is fed through one door:
+			// AddBatch (batched) or one AddN per event.
 			engines := []struct {
-				name string
-				e    ecmsketch.Engine
-			}{{"single", single}, {"sharded1", oneStripe}, {"sharded", sharded}}
+				name    string
+				e       ecmsketch.Engine
+				batched bool
+			}{
+				{"single", sketch(), true},
+				{"sharded1", sharded(1, false), true},
+				{"sharded", sharded(stripes, false), true},
+				{"single/addn", sketch(), false},
+				{"sharded1/addn", sharded(1, false), false},
+				{"sharded/addn", sharded(stripes, false), false},
+				{"async/addn", sharded(stripes, true), false},
+				{"client/addn", client, false},
+			}
 
 			check := func(stage string) {
 				t.Helper()
+				for _, eng := range engines {
+					if f, ok := eng.e.(interface{ Flush() }); ok {
+						f.Flush() // the Async engine's read barrier
+					}
+				}
+				if err := client.Err(); err != nil {
+					t.Fatalf("%s: client: %v", stage, err)
+				}
 				for _, r := range []ecmsketch.Tick{window, window / 2, 1000, 1} {
 					for key := uint64(0); key < keys; key++ {
 						want := engines[0].e.Estimate(key, r)
@@ -98,7 +136,13 @@ func TestEngineBatchEquivalence(t *testing.T) {
 				}
 				events += len(batch)
 				for _, eng := range engines {
-					eng.e.AddBatch(batch)
+					if eng.batched {
+						eng.e.AddBatch(batch)
+						continue
+					}
+					for _, ev := range batch {
+						eng.e.AddN(ev.Key, ev.Tick, ev.N)
+					}
 				}
 				// Querying mid-stream advances counters lazily; doing so on
 				// every engine must not break the equivalence of later batches.

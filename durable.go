@@ -189,10 +189,10 @@ func (sh *Sharded) initDurable(dc *DurabilityConfig) error {
 // durableFingerprint hashes the engine configuration: every Params field,
 // the resolved Count-Min dimensions, and the stripe count. A persisted
 // state with a different fingerprint was written by a differently
-// configured engine and is discarded rather than reinterpreted. (Hashing a
-// fresh stripe's encoding would be simpler but is not deterministic across
-// process lifetimes: randomized-wave cells draw process-unique identifier
-// salts at construction.)
+// configured engine and is discarded rather than reinterpreted. (A fresh
+// stripe's encoding is deterministic too — randomized-wave cell salts
+// derive from the seed and cell index, and NewSharded normalizes them — but
+// the fingerprint is part of the persisted format, so it stays this hash.)
 func (sh *Sharded) durableFingerprint() uint64 {
 	sk := sh.shards[0].sk
 	p := sk.Params()

@@ -265,7 +265,8 @@ func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 }
 
 // DeltaSnapshot pulls the server's snapshot incrementally:
-// GET /v1/snapshot?since=<cursor>, offering gzip. Given the cursor from a
+// GET /v1/snapshot?since=<cursor>, offering gzip, through wire.FetchDelta —
+// the pull a coordinator's HTTP site makes. Given the cursor from a
 // previous pull it returns the delta payload (full == false) or, when the
 // server does not recognize the cursor — a restart, a reconfiguration, the
 // zero cursor — a full baseline (full == true). Payloads are applied with
@@ -276,18 +277,12 @@ func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 // Client plugs into any pull loop exactly like a local engine: wrapped in
 // NewLocalSite, it is a coordinator site.
 func (c *Client) DeltaSnapshot(since ecmsketch.Cursor) ([]byte, ecmsketch.Cursor, bool, error) {
-	rep, err := wire.FetchSnapshot(c.hc, c.base+"/v1/snapshot?since="+url.QueryEscape(since.String()), c.token)
+	payload, cur, full, err := wire.FetchDelta(c.hc, c.base, c.token, since)
 	if err != nil {
 		err = fmt.Errorf("ecmclient: GET /v1/snapshot: %w", err)
 		c.record(err)
-		return nil, ecmsketch.Cursor{}, false, err
 	}
-	cur, err := ecmsketch.ParseCursor(rep.Cursor)
-	if err != nil {
-		cur = ecmsketch.Cursor{}
-	}
-	full := rep.Kind != wire.KindDelta || cur.IsZero()
-	return rep.Payload, cur, full, nil
+	return payload, cur, full, err
 }
 
 // Stats is the server's engine accounting.
@@ -352,17 +347,6 @@ func (c *Client) Estimate(key uint64, r ecmsketch.Tick) float64 {
 // EstimateString answers a point query for a string key.
 func (c *Client) EstimateString(key string, r ecmsketch.Tick) float64 {
 	return c.Estimate(ecmsketch.KeyString(key), r)
-}
-
-// InnerProduct estimates the inner product between the server's stream and
-// another (compatible) sketch's stream over the last r ticks, by pulling
-// the server's merged sketch (see Snapshot) and running the query locally.
-func (c *Client) InnerProduct(other *ecmsketch.Sketch, r ecmsketch.Tick) (float64, error) {
-	sk, err := c.Snapshot()
-	if err != nil {
-		return 0, err
-	}
-	return sk.InnerProduct(other, r)
 }
 
 // SelfJoin estimates F₂ over the last r ticks: a key-less QueryBatch.

@@ -11,12 +11,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"ecmsketch"
 	"ecmsketch/ecmclient"
 	"ecmsketch/ecmserver"
+	"ecmsketch/internal/wire"
 )
 
 func startServer(t *testing.T) (*httptest.Server, *ecmclient.Client) {
@@ -182,8 +184,9 @@ func TestClientSketchPullAndMerge(t *testing.T) {
 	if est := m.Estimate(99, 10000); est < 50 || est > 70 {
 		t.Errorf("merged estimate = %v, want ≈60", est)
 	}
-	// InnerProduct pulls the remote sketch and runs locally.
-	ip, err := siteA.InnerProduct(b, 10000)
+	// A remote inner product is the pulled sketch's: Snapshot, then
+	// Sketch.InnerProduct.
+	ip, err := a.InnerProduct(b, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +235,6 @@ func TestClientLearnedTopK(t *testing.T) {
 // call does.
 func TestClientStickyError(t *testing.T) {
 	ts, c := startServer(t)
-	other, err := ecmsketch.New(ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 10000, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts.Close()
 	q := ecmsketch.QueryBatch{Keys: []uint64{1}}
 	for _, tc := range []struct {
@@ -254,7 +253,6 @@ func TestClientStickyError(t *testing.T) {
 		{"EstimateTotal", func() error { c.EstimateTotal(100); return nil }, false},
 		{"Now", func() error { c.Now(); return nil }, false},
 		{"Marshal", func() error { c.Marshal(); return nil }, false},
-		{"InnerProduct", func() error { _, err := c.InnerProduct(other, 100); return err }, true},
 		{"QueryBatch", func() error { _, err := c.QueryBatch(q); return err }, true},
 		{"QueryDirect", func() error { _, err := c.QueryDirect(q); return err }, true},
 		{"Snapshot", func() error { _, err := c.Snapshot(); return err }, true},
@@ -369,9 +367,12 @@ func TestClientQueryBatchStickyError(t *testing.T) {
 
 func TestClientBadRequestSurfacesServerError(t *testing.T) {
 	_, c := startServer(t)
-	// Tick 0 is rejected server-side; the error body must surface.
-	if err := c.AddEvents([]ecmsketch.Event{{Key: 1, Tick: 0, N: 1}}); err == nil {
-		t.Fatal("server-side validation error not surfaced")
+	// A count over the per-element cap is rejected server-side; the error
+	// body must surface. (Tick 0 no longer reaches the server: the client
+	// writes it as 1, which the write rule admits alike.)
+	err := c.AddEvents([]ecmsketch.Event{{Key: 1, Tick: 1, N: wire.MaxEventCount + 1}})
+	if err == nil || !strings.Contains(err.Error(), "event 0") {
+		t.Fatalf("server-side validation error not surfaced: %v", err)
 	}
 }
 

@@ -15,8 +15,8 @@
 // # Interface-first API
 //
 // Every sketch front end satisfies the same four small interfaces —
-// Ingestor (Add/AddN/AddBatch/Advance), Querier (Estimate/InnerProduct/
-// SelfJoin/EstimateTotal over window suffixes), BatchQuerier (QueryBatch:
+// Ingestor (Add/AddN/AddBatch/Advance), Querier (Estimate/SelfJoin/
+// EstimateTotal over window suffixes), BatchQuerier (QueryBatch:
 // multi-key point queries plus optional aggregates from one consistent
 // snapshot) and Snapshotter (Marshal/Snapshot, merge-ready) — collectively
 // Engine:

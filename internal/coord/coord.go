@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"runtime"
 	"slices"
 	"strings"
@@ -171,11 +170,8 @@ func (s *HTTPSite) SetName(name string) {
 // empty token sends no header. Configure before the first pull.
 func (s *HTTPSite) SetAuthToken(tok string) { s.token = tok }
 
-// Delta pulls GET /v1/snapshot?since=<cursor> (offering gzip). A
-// delta-speaking server answers with an incremental payload (or a full
-// baseline when it does not recognize the cursor) plus X-Ecm-Cursor/
-// X-Ecm-Delta headers; a reply without a cursor is taken as a full payload,
-// so the puller keeps asking for full.
+// Delta pulls GET /v1/snapshot?since=<cursor> (offering gzip) through
+// wire.FetchDelta, the one HTTP delta pull.
 //
 // The reported size is the protocol payload length: the figure the paper's
 // transfer accounting charges, identical to what the in-process transport
@@ -183,18 +179,8 @@ func (s *HTTPSite) SetAuthToken(tok string) { s.token = tok }
 // bytes below that figure but deliberately does not enter the accounting —
 // otherwise the two transports of the same event log would stop agreeing.
 func (s *HTTPSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, error) {
-	rep, err := wire.FetchSnapshot(s.hc, s.base+"/v1/snapshot?since="+url.QueryEscape(since.String()), s.token)
-	if err != nil {
-		return nil, core.Cursor{}, false, 0, err
-	}
-	cur, err := core.ParseCursor(rep.Cursor)
-	if err != nil {
-		// An unparsable cursor downgrades this reply to cursorless; a full
-		// payload still applies, a delta one fails Apply and re-baselines.
-		cur = core.Cursor{}
-	}
-	full := rep.Kind != wire.KindDelta || cur.IsZero()
-	return rep.Payload, cur, full, len(rep.Payload), nil
+	payload, cur, full, err := wire.FetchDelta(s.hc, s.base, s.token, since)
+	return payload, cur, full, len(payload), err
 }
 
 // Coordinator aggregates a dynamic set of sites' summaries into one sketch

@@ -7,11 +7,34 @@ import (
 // Event is one stream arrival in batched form: key, logical timestamp and
 // multiplicity. Batches amortize per-call overhead (and, for concurrent
 // front ends, lock traffic) across many arrivals; they are the unit every
-// ingest path of the public API accepts.
+// ingest path of the public API accepts. Every path, single-event or
+// batched, admits an Event under one write rule (stated on
+// ecmsketch.Ingestor), spelled only by ClampTick and Arrivals.
 type Event struct {
 	Key  uint64
 	Tick Tick
 	N    uint64 // arrival multiplicity; 0 is treated as 1
+}
+
+// ClampTick is the write rule's tick clause: t clamped forward to clock
+// (the engine's high-water tick, or inside a batch the running maximum),
+// and tick 0 to 1.
+func ClampTick(t, clock Tick) Tick {
+	if t < clock {
+		return clock
+	}
+	if t == 0 {
+		return 1
+	}
+	return t
+}
+
+// Arrivals is the write rule's multiplicity clause: N == 0 is one arrival.
+func Arrivals(n uint64) uint64 {
+	if n == 0 {
+		return 1
+	}
+	return n
 }
 
 // batchScratch is the reusable working memory of the batch ingest pipeline.
@@ -161,28 +184,20 @@ func (sc *batchScratch) groupRow(rowPos []int32, w int) []int32 {
 	return sc.order
 }
 
-// validate applies the batch clamping contract (see ecmsketch.Ingestor)
-// once for the whole slice: zero ticks become 1, and every tick is clamped
-// to the running maximum of the batch and to the sketch clock at entry, so
-// the applied sequence is non-decreasing. It fills sc.ticks/sc.ns and
-// returns the batch's high-water tick, total inserted value, and whether
-// every event is a unit arrival (the dominant case, which lets the bank
-// sweeps skip their multiplicity loops).
+// validate applies the write rule (see Event) once for the whole slice,
+// each tick clamped against the sketch clock at entry and the running
+// maximum of the batch. It fills sc.ticks/sc.ns and returns the batch's
+// high-water tick, total inserted value, and whether every event is a unit
+// arrival (the dominant case, which lets the bank sweeps skip their
+// multiplicity loops).
 func (sc *batchScratch) validate(events []Event, clock Tick) (maxTick Tick, total uint64, allUnit bool) {
 	lo := clock
-	if lo == 0 {
-		lo = 1 // ticks are 1-based
-	}
 	allUnit = true
 	for e, ev := range events {
-		if ev.Tick > lo {
-			lo = ev.Tick
-		}
+		lo = ClampTick(ev.Tick, lo)
 		sc.ticks[e] = lo
-		n := ev.N
-		if n == 0 {
-			n = 1
-		} else if n > 1 {
+		n := Arrivals(ev.N)
+		if n > 1 {
 			allUnit = false
 		}
 		sc.ns[e] = n
@@ -192,9 +207,8 @@ func (sc *batchScratch) validate(events []Event, clock Tick) (maxTick Tick, tota
 }
 
 // AddBatch registers a slice of arrivals in one call. Events are applied in
-// slice order under the batch clamping contract documented on
-// ecmsketch.Ingestor: tick validation happens once per batch, not once per
-// counter update.
+// slice order under the write rule (see Event): tick validation happens once
+// per batch, not once per counter update.
 //
 // For the flat exponential-histogram engine the batch is the unit of work
 // all the way down: each event's d cell positions are computed once (one

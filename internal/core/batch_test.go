@@ -16,7 +16,9 @@ import (
 // cross every branch of the pipeline — batches below and above the grouping
 // threshold (plain vs key-grouped sweeps), all-unit and mixed-multiplicity
 // batches (nil vs populated ns), repeated keys (the persistent key cache),
-// and a window short enough that cascades and expiry run throughout.
+// and a window short enough that cascades and expiry run throughout — and
+// every clause of the write rule (see Event): ticks regressed behind the
+// clock, tick 0 and N == 0 land identically through both doors.
 func TestAddBatchSequentialEquivalence(t *testing.T) {
 	for _, algo := range []window.Algorithm{window.AlgoEH, window.AlgoDW, window.AlgoRW} {
 		t.Run(fmt.Sprint(algo), func(t *testing.T) {
@@ -62,9 +64,16 @@ func TestAddBatchSequentialEquivalence(t *testing.T) {
 					}
 					n := uint64(1)
 					if round%4 == 2 {
-						n = uint64(1 + rng.Intn(3))
+						n = uint64(rng.Intn(4)) // N == 0 is one arrival
 					}
-					evs[i] = Event{Key: rng.Uint64() % 64, Tick: tick, N: n}
+					at := tick
+					switch rng.Intn(8) {
+					case 0:
+						at = 0 // clamped to the clock (1 at stream start)
+					case 1:
+						at -= min(at, Tick(rng.Intn(120))) // regressed, past a window at times
+					}
+					evs[i] = Event{Key: rng.Uint64() % 64, Tick: at, N: n}
 				}
 				batched.AddBatch(evs)
 				for _, ev := range evs {

@@ -229,13 +229,14 @@ func (s *Sketch) Add(key uint64, t Tick) { s.AddN(key, t, 1) }
 // AddString registers one arrival of a string-keyed item at tick t.
 func (s *Sketch) AddString(key string, t Tick) { s.AddN(hashing.KeyString(key), t, 1) }
 
-// AddN registers n simultaneous arrivals of item key at tick t. For
-// randomized-wave sketches each unit arrival receives a fresh unique event
-// identifier shared by the d counters it lands in.
+// AddN registers n simultaneous arrivals of item key at tick t under the
+// write rule (see Event): it lands exactly as the one-event batch
+// AddBatch([]Event{{key, t, n}}) would, without the batch pipeline's setup.
+// For randomized-wave sketches each unit arrival receives a fresh unique
+// event identifier shared by the d counters it lands in.
 func (s *Sketch) AddN(key uint64, t Tick, n uint64) {
-	if t > s.now {
-		s.now = t
-	}
+	t, n = ClampTick(t, s.now), Arrivals(n)
+	s.now = t
 	s.count += n
 	if s.rw != nil {
 		s.addRW(key, t, n)

@@ -88,14 +88,20 @@ func TestECMAdvanceOnlyStream(t *testing.T) {
 	}
 }
 
+// TestECMAddNZero pins the write rule's multiplicity clause on the
+// single-event path (see Event): N == 0 is one arrival, exactly as in a
+// batch, and it moves the clock.
 func TestECMAddNZero(t *testing.T) {
 	s := mustECM(t, Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 100, Seed: 1})
 	s.AddN(3, 10, 0)
-	if s.Count() != 0 {
-		t.Errorf("AddN(.,.,0) counted: %d", s.Count())
+	if s.Count() != 1 {
+		t.Errorf("AddN(.,.,0) counted %d arrivals, want 1", s.Count())
 	}
 	if s.Now() != 10 {
 		t.Errorf("AddN(.,.,0) did not advance clock: %d", s.Now())
+	}
+	if got := s.Estimate(3, 100); got != 1 {
+		t.Errorf("Estimate after AddN(.,.,0) = %v, want 1", got)
 	}
 }
 

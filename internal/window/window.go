@@ -10,7 +10,7 @@
 // interface: the caller supplies a monotonically non-decreasing Tick with
 // every arrival — a timestamp in the time-based model, the global arrival
 // sequence number in the count-based model. Regressions are clamped, per the
-// tick clamping contract documented on ecmsketch.Ingestor.
+// write rule documented on ecmsketch.Ingestor.
 //
 // Each synopsis has one implementation: a flat bank of n counters in one
 // arena (EHBank, DWBank, RWBank) behind the Bank contract. The textbook

@@ -337,7 +337,8 @@ func (s *Scanner) NextEvent() (core.Event, bool, error) {
 // EncodeEvents returns the POST /v1/events body for events in one exactly
 // presized allocation: a {"ikey":"<decimal>","t":<tick>[,"n":<count>]} per
 // event, n omitted when zero — byte for byte what encoding/json made of those
-// fields.
+// fields. The body cannot carry tick 0, so it is written as 1: the write rule
+// (see core.Event) admits both alike at any engine clock.
 func EncodeEvents(events []core.Event) []byte {
 	size := len("[") + max(1, len(events)*len(`{"ikey":"","t":},`)) // each event closes with ',' or ']'
 	for _, ev := range events {
@@ -352,7 +353,7 @@ func EncodeEvents(events []core.Event) []byte {
 			dst = append(dst, ',')
 		}
 		dst = strconv.AppendUint(append(dst, `{"ikey":"`...), ev.Key, 10)
-		dst = strconv.AppendUint(append(dst, `","t":`...), ev.Tick, 10)
+		dst = strconv.AppendUint(append(dst, `","t":`...), core.ClampTick(ev.Tick, 0), 10)
 		if ev.N != 0 {
 			dst = strconv.AppendUint(append(dst, `,"n":`...), ev.N, 10)
 		}
@@ -644,6 +645,24 @@ type SnapshotReply struct {
 	Count   uint64
 	Cursor  string
 	Kind    string
+}
+
+// FetchDelta is the one HTTP pull of the delta-snapshot protocol: GET
+// base/v1/snapshot?since=<since> through FetchSnapshot. A delta-speaking
+// server answers with an incremental payload (or a full baseline when it
+// does not recognize the cursor) plus X-Ecm-Cursor/X-Ecm-Delta headers. A
+// reply whose cursor is missing or unparsable is taken as full with a zero
+// cursor, so the puller keeps asking for full: a full payload still
+// applies, a delta one fails the receiver's Apply and re-baselines.
+func FetchDelta(hc *http.Client, base, token string, since core.Cursor) (payload []byte, cur core.Cursor, full bool, err error) {
+	rep, err := FetchSnapshot(hc, base+"/v1/snapshot?since="+url.QueryEscape(since.String()), token)
+	if err != nil {
+		return nil, core.Cursor{}, false, err
+	}
+	if cur, err = core.ParseCursor(rep.Cursor); err != nil {
+		cur = core.Cursor{}
+	}
+	return rep.Payload, cur, rep.Kind != KindDelta || cur.IsZero(), nil
 }
 
 // FetchSnapshot GETs a snapshot URL, explicitly offering gzip (which

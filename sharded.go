@@ -22,9 +22,8 @@ import (
 // shard: single-key point queries (Estimate, EstimateString,
 // EstimateInterval) touch a single stripe and pay no merge error at all.
 //
-// Global queries (SelfJoin, EstimateTotal, InnerProduct, QueryBatch,
-// Marshal, Snapshot) are served by a snapshot-based query engine layered
-// over the stripes:
+// Global queries (SelfJoin, EstimateTotal, QueryBatch, Marshal, Snapshot)
+// are served by a snapshot-based query engine layered over the stripes:
 //
 //   - Each stripe carries a version counter bumped on every mutation.
 //     Rebuilding the global view snapshots only the stripes whose version
@@ -292,13 +291,14 @@ func (s *shard) noteMutation() {
 
 // applyStripe is the write path's one critical section: every arrival that
 // ever reaches stripe si — a single AddN, a one-stripe or striped batch, an
-// async owner's sub-batch — lands here. Under the stripe lock it applies
-// events through the stripe sketch's batch pipeline (whose validation is the
-// clamp: ticks 1-based and never behind the stripe clock, N = 0 a unit
-// arrival), appends the WAL record while the lock is still held — that is
-// what makes per-stripe WAL order equal apply order, and the record carries
-// the pre-apply clock so replay clamps identically — and publishes the
-// stripe's new state. It returns the stripe clock after the apply.
+// async owner's sub-batch — lands here, its ticks already clamped against
+// the engine clock (on a one-stripe engine the stripe clock is the engine
+// clock, so the stripe's own validation does it). Under the stripe lock it
+// applies events through the stripe sketch's batch pipeline, appends the
+// WAL record while the lock is still held — that is what makes per-stripe
+// WAL order equal apply order, and the record carries the pre-apply clock
+// so replay clamps identically — and publishes the stripe's new state. It
+// returns the stripe clock after the apply.
 func (sh *Sharded) applyStripe(si int, events []Event) (now Tick) {
 	s := &sh.shards[si]
 	s.mu.Lock()
@@ -359,15 +359,15 @@ func (sh *Sharded) CellIndices(key uint64, dst []int) []int {
 // Add registers one arrival of key at tick t.
 func (sh *Sharded) Add(key uint64, t Tick) { sh.AddN(key, t, 1) }
 
-// AddN registers n arrivals of key at tick t; n = 0 counts as a unit
-// arrival, the engine-wide Event contract. It is a one-event batch on the
-// key's stripe, clamped against that stripe's clock (see Ingestor).
+// AddN registers n arrivals of key at tick t under the write rule (see
+// Event): the tick is clamped against the engine clock, as AddBatch clamps
+// a batch, and the arrival is a one-event batch on the key's stripe.
 func (sh *Sharded) AddN(key uint64, t Tick, n uint64) {
-	sh.observe(t)
-	if sh.async != nil && sh.addNAsync(key, t, n) {
+	one := [1]Event{{Key: key, Tick: core.ClampTick(t, sh.now.Load()), N: n}}
+	sh.observe(one[0].Tick)
+	if sh.async != nil && sh.addNAsync(one[0]) {
 		return
 	}
-	one := [1]Event{{Key: key, Tick: t, N: n}}
 	sh.applyStripe(sh.stripeOf(key), one[:])
 	if nt := sh.loadNotifier(); nt != nil {
 		nt.NoteEvents(one[:])
@@ -380,9 +380,8 @@ func (sh *Sharded) AddString(key string, t Tick) { sh.AddN(KeyString(key), t, 1)
 // AddBatch registers a slice of arrivals, grouping them per stripe so each
 // shard lock is taken at most once for the whole batch. Events are applied
 // in slice order within each stripe, with ticks validated once per batch
-// against the engine clock (see Ingestor for the clamping contract), so
-// every stripe applies the same non-decreasing tick sequence a single
-// sketch would. Grouping threads index chains through pooled scratch
+// against the engine clock (the write rule, see Event), so every stripe
+// applies the same non-decreasing tick sequence a single sketch would. Grouping threads index chains through pooled scratch
 // slices instead of materializing per-stripe buckets, so steady-state
 // batch ingest allocates nothing.
 func (sh *Sharded) AddBatch(events []Event) {
@@ -425,9 +424,9 @@ func (sh *Sharded) AddBatch(events []Event) {
 
 // groupByStripe threads per-stripe index chains through sc's pooled scratch
 // for events — no per-stripe sub-slices are materialized — while clamping
-// ticks once against the engine clock (see Ingestor), and raises the
-// engine's high-water tick. Both the synchronous apply loop and the async
-// enqueue path consume the chains.
+// ticks once against the engine clock (the write rule, see Event), and
+// raises the engine's high-water tick. Both the synchronous apply loop and
+// the async enqueue path consume the chains.
 func (sh *Sharded) groupByStripe(sc *shardedBatchScratch, events []Event) {
 	sc.resize(len(sh.shards), len(events))
 	heads, tails, next, ticks := sc.heads, sc.tails, sc.next, sc.ticks
@@ -435,9 +434,6 @@ func (sh *Sharded) groupByStripe(sc *shardedBatchScratch, events []Event) {
 		heads[i] = -1
 	}
 	lo := sh.now.Load()
-	if lo == 0 {
-		lo = 1 // ticks are 1-based
-	}
 	for i, ev := range events {
 		idx := hashing.Mix64(ev.Key) & sh.mask
 		if heads[idx] < 0 {
@@ -447,9 +443,7 @@ func (sh *Sharded) groupByStripe(sc *shardedBatchScratch, events []Event) {
 		}
 		tails[idx] = int32(i)
 		next[i] = -1
-		if ev.Tick > lo {
-			lo = ev.Tick
-		}
+		lo = core.ClampTick(ev.Tick, lo)
 		ticks[i] = lo
 	}
 	sh.observe(lo)
@@ -624,14 +618,14 @@ func (sh *Sharded) addBatchAsync(events []Event) bool {
 	return true
 }
 
-// addNAsync enqueues a single arrival to its stripe's queue. Reports false
-// when the pipeline is stopped.
-func (sh *Sharded) addNAsync(key uint64, t Tick, n uint64) bool {
+// addNAsync enqueues a single arrival, its tick already clamped, to its
+// stripe's queue. Reports false when the pipeline is stopped.
+func (sh *Sharded) addNAsync(ev Event) bool {
 	a := sh.async
 	if !a.enter() {
 		return false
 	}
-	a.qs[sh.stripeOf(key)] <- stripeMsg{events: append(a.getBuf(), Event{Key: key, Tick: t, N: n})}
+	a.qs[sh.stripeOf(ev.Key)] <- stripeMsg{events: append(a.getBuf(), ev)}
 	a.mu.RUnlock()
 	return true
 }
@@ -726,26 +720,6 @@ func (sh *Sharded) EstimateTotal(r Tick) float64 {
 		return 0
 	}
 	return view.EstimateTotal(r)
-}
-
-// InnerProduct estimates the inner product between this engine's combined
-// stream and another sketch's stream over the last r ticks. Sliding-window
-// queries expire lazily — evaluating a sketch mutates it — so the query
-// runs against a private snapshot of other: the caller's sketch is never
-// written, and concurrent InnerProduct calls sharing one reference sketch
-// stay race-free.
-func (sh *Sharded) InnerProduct(other *Sketch, r Tick) (float64, error) {
-	view, err := sh.queryView()
-	if err != nil {
-		return 0, err
-	}
-	o := other
-	if other != nil {
-		if o, err = other.Snapshot(); err != nil {
-			return 0, err
-		}
-	}
-	return view.InnerProduct(o, r)
 }
 
 // QueryBatch answers a multi-key query — point estimates for every key plus

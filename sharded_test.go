@@ -138,8 +138,9 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedInnerProduct checks the merged view answers inner-product
-// queries against a compatible external sketch.
+// TestShardedInnerProduct checks the engine's inner product against a
+// compatible external sketch, spelled as everywhere: Snapshot, then
+// Sketch.InnerProduct.
 func TestShardedInnerProduct(t *testing.T) {
 	p := shardedParams()
 	sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 4})
@@ -154,7 +155,11 @@ func TestShardedInnerProduct(t *testing.T) {
 		sh.Add(i%10, i)
 		other.Add(i%10, i)
 	}
-	ip, err := sh.InnerProduct(other, p.WindowLength)
+	view, err := sh.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip, err := view.InnerProduct(other, p.WindowLength)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,8 +455,12 @@ func TestShardedOneStripeConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.InnerProduct(other, p.WindowLength); err != nil {
-		t.Errorf("InnerProduct against own snapshot: %v", err)
+	view, err := sh.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ip, err := view.InnerProduct(other, p.WindowLength); err != nil || ip != sh.SelfJoin(p.WindowLength) {
+		t.Errorf("InnerProduct against own snapshot = %v, %v; want SelfJoin %v", ip, err, sh.SelfJoin(p.WindowLength))
 	}
 	if got := other.EstimateTotal(p.WindowLength); got < float64(goroutines*perG)*0.8 {
 		t.Errorf("snapshot EstimateTotal = %v, want ≈%d", got, goroutines*perG)

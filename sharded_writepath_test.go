@@ -13,15 +13,12 @@ type writeOp struct {
 	ev  Event
 }
 
-// writePathLog builds a deterministic log that exercises every clamp of the
-// Ingestor contract: tick 0 at stream start, N == 0, ticks behind the owning
-// stripe's clock, advances, and jumps that expire most of a window (W = 4096
-// in parallelShardedParams; the log spans more than two).
-//
-// Single-event ingest clamps against the owning stripe's clock and batches
-// against the engine clock (see Ingestor), so the log regresses only where
-// the two agree: on the key that just set the engine's high-water tick, and
-// right after an Advance has brought every stripe to it.
+// writePathLog builds a deterministic log that exercises every clause of
+// the write rule (see Event): tick 0 at stream start and mid-stream,
+// N == 0, ticks that regress on any key — behind the engine clock and, on
+// another stripe, behind its own stripe's clock or not, by up to more than
+// a window — advances, and jumps that expire most of a window (W = 4096 in
+// parallelShardedParams; the log spans more than two).
 func writePathLog() []writeOp {
 	ops := []writeOp{{ev: Event{Key: 5, Tick: 0, N: 2}}, {ev: Event{Key: 6, Tick: 0}}}
 	tick := uint64(1)
@@ -32,6 +29,11 @@ func writePathLog() []writeOp {
 		switch {
 		case i%16 == 15:
 			ops = append(ops, writeOp{ev: Event{Key: key, Tick: tick - 5, N: 1}})
+		case i%7 == 3:
+			back := min(tick, uint64(i*131%5000))
+			ops = append(ops, writeOp{ev: Event{Key: (key*13 + 7) % 97, Tick: tick - back, N: 0}})
+		case i%23 == 11:
+			ops = append(ops, writeOp{ev: Event{Key: key + 2, Tick: 0, N: 0}})
 		case i%50 == 49:
 			tick += 30
 			ops = append(ops,
