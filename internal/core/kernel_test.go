@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"ecmsketch/internal/hashing"
+	"ecmsketch/internal/window"
 	"ecmsketch/internal/workload"
 )
 
@@ -119,6 +122,23 @@ func TestMergeAllocsDoNotScale(t *testing.T) {
 	}
 }
 
+// requireBucketOrder fails unless every cell of an EH sketch keeps the order
+// the estimate and merge kernels read without checking: buckets, oldest →
+// newest, never go back in time, and their sizes are powers of two that
+// never grow.
+func requireBucketOrder(t *testing.T, s *Sketch) {
+	t.Helper()
+	for i := 0; i < s.d*s.w; i++ {
+		prev := window.Bucket{Size: math.MaxUint64}
+		for _, b := range s.eh.Buckets(i) {
+			if b.Start < prev.End || b.End < b.Start || bits.OnesCount64(b.Size) != 1 || b.Size > prev.Size {
+				t.Fatalf("cell %d: bucket %+v after %+v breaks bucket order", i, b, prev)
+			}
+			prev = b
+		}
+	}
+}
+
 // oracleMergeEH is Merge with every cell re-derived by the kernel the run
 // merger replaced: lower all inputs' bucket lists into one event slice, sort
 // it by tick (stably — the merger's tie-break is input order; see
@@ -217,6 +237,7 @@ func TestMergeKernelPastWindow(t *testing.T) {
 		if err := PatchMerged(root, mids, rootFeed.take(mids), false, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		requireBucketOrder(t, root)
 		patched := root.Marshal()
 
 		fresh := mustMerge(mustMerge(group(0)...), mustMerge(group(1)...)).Marshal()

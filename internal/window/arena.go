@@ -29,7 +29,14 @@ import (
 // histogram kept in eh_oracle_test.go — same insert cascade, same expiry,
 // same estimate arithmetic in the same order — so a bank cell and the oracle
 // fed the same stream return bit-identical answers and marshal to
-// byte-identical encodings. Tests assert both.
+// byte-identical encodings. Tests assert both. The one difference is how an
+// estimate finds the boundary: the oracle binary-searches every size class,
+// the bank only the class that holds it, relying on bucket order, which every
+// mutation keeps and UnmarshalCell enforces. The classes the oracle searches
+// beyond that one add nothing (those above lie before the boundary) or their
+// whole n·2^lv (those below), and the bank adds the same terms in the same
+// order; every term is a multiple of ½ far below 2^53, so each sum is exact
+// and the two answers are bit-identical.
 
 // Bucket is one exponential-histogram bucket: Size arrivals whose ticks fall
 // in [Start, End]. Buckets are exposed so that order-preserving aggregation
@@ -572,6 +579,11 @@ func (b *EHBank) Total(i int) uint64 { return b.cells[i].total }
 // EstimateSince estimates the number of arrivals in cell i with tick > since.
 // Buckets fully inside the range are counted exactly; the oldest bucket
 // overlapping the boundary contributes half its size.
+//
+// Every cell is tick-ordered along its level walk (see canonicalEHBucket),
+// so one binary search answers: the first class, from the top, whose newest
+// bucket ends after since holds the boundary; the classes above lie wholly
+// before it and every bucket below lies after it.
 func (b *EHBank) EstimateSince(i int, since Tick) float64 {
 	c := &b.cells[i]
 	if c.total == 0 {
@@ -583,26 +595,28 @@ func (b *EHBank) EstimateSince(i int, since Tick) float64 {
 			since = ws
 		}
 	}
+	lv := int(c.nLv) - 1
+	var d *ehLevel
+	for ; lv >= 0; lv-- {
+		d = b.level(i, lv)
+		if d.n > 0 && b.at(d, int(d.n)-1).end > since {
+			break
+		}
+	}
+	if lv < 0 {
+		return 0
+	}
+	idx := b.searchEndAfter(d, since)
+	cnt := int(d.n) - idx
+	size := float64(uint64(1) << uint(lv))
 	est := 0.0
-	straddleResolved := false
-	for lv := int(c.nLv) - 1; lv >= 0; lv-- {
-		d := b.level(i, lv)
-		idx := b.searchEndAfter(d, since)
-		cnt := int(d.n) - idx
-		if cnt == 0 {
-			continue
-		}
-		size := float64(uint64(1) << uint(lv))
-		if !straddleResolved {
-			// The globally oldest bucket with end > since lives in the
-			// highest level that has one; only it can straddle the boundary.
-			straddleResolved = true
-			if b.at(d, idx).start <= since {
-				est += size / 2
-				cnt--
-			}
-		}
-		est += float64(cnt) * size
+	if b.at(d, idx).start <= since {
+		est += size / 2
+		cnt--
+	}
+	est += float64(cnt) * size
+	for lv--; lv >= 0; lv-- {
+		est += float64(b.level(i, lv).n) * float64(uint64(1)<<uint(lv))
 	}
 	return est
 }

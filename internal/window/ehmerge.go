@@ -21,7 +21,7 @@ func byTick(a, b replayEvent) int { return cmp.Compare(a.t, b.t) }
 // are rank-ordered), so the stream is read straight off the input — a bank
 // cell's level rings are walked in place, highest size class first — and
 // never materialized or sorted. Inputs that are only available lowered (a
-// wave's segment log, a corrupt cell) stream from an event slice instead.
+// wave's segment log) stream from an event slice instead.
 type replayRun struct {
 	t Tick // head event, valid while the run is live
 	n uint64
@@ -106,12 +106,10 @@ func (m *runMerger) addEvents(events []replayEvent) {
 	m.push(replayRun{events: events})
 }
 
-// addCell admits cell i of bank in, walked in place.
+// addCell admits cell i of bank in, walked in place: every bank cell is
+// tick-ordered along its level walk (UnmarshalCell rejects any encoding that
+// is not), so the walk is already a run.
 func (m *runMerger) addCell(in *EHBank, i int) {
-	if !in.cellTickOrdered(i) {
-		m.addEvents(lowerBuckets(in.Buckets(i), splitHalfHalf))
-		return
-	}
 	c := &in.cells[i]
 	m.push(replayRun{bank: in, dirs: in.dirs[i*in.maxLv:][:c.nLv], lv: int(c.nLv) - 1})
 }
@@ -139,56 +137,6 @@ func (m *runMerger) next() (t Tick, n uint64, ok bool) {
 		m.runs = runs[:last]
 	}
 	return t, n, true
-}
-
-// cellTickOrdered reports whether cell i's buckets, read oldest → newest,
-// have non-decreasing boundary ticks — true of every cell built by arrivals
-// or merges. UnmarshalCell delta-decodes ticks but files each bucket under
-// the size class its encoding names, so sizes out of level order (or a tick
-// delta that wraps) leave a cell whose level walk jumps back in time.
-func (b *EHBank) cellTickOrdered(i int) bool {
-	var prev Tick
-	for lv := int(b.cells[i].nLv) - 1; lv >= 0; lv-- {
-		d := b.level(i, lv)
-		for j := 0; j < int(d.n); j++ {
-			bk := b.at(d, j)
-			if bk.start < prev || bk.end < bk.start {
-				return false
-			}
-			prev = bk.end
-		}
-	}
-	return true
-}
-
-// splitFunc distributes a bucket's size across its two boundary ticks.
-type splitFunc func(b Bucket) (atStart, atEnd uint64)
-
-func splitHalfHalf(b Bucket) (uint64, uint64) {
-	half := b.Size / 2
-	return b.Size - half, half
-}
-
-// lowerBuckets lowers one synopsis's bucket list (oldest → newest) into its
-// replay run.
-func lowerBuckets(bs []Bucket, split splitFunc) []replayEvent {
-	dst := make([]replayEvent, 0, 2*len(bs))
-	for _, b := range bs {
-		s, e := split(b)
-		if b.Start == b.End {
-			if b.Size > 0 {
-				dst = append(dst, replayEvent{t: b.Start, n: b.Size})
-			}
-			continue
-		}
-		if s > 0 {
-			dst = append(dst, replayEvent{t: b.Start, n: s})
-		}
-		if e > 0 {
-			dst = append(dst, replayEvent{t: b.End, n: e})
-		}
-	}
-	return dst
 }
 
 // MergedRelativeError returns the worst-case relative error of aggregating

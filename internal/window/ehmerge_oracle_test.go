@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -77,6 +79,67 @@ func maxNow(inputs []*EH) Tick {
 		now = max(now, in.now)
 	}
 	return now
+}
+
+// cellTickOrdered reports whether cell i's buckets, read oldest → newest,
+// have non-decreasing boundary ticks — true of every cell built by arrivals
+// or merges, and of every cell UnmarshalCell accepts. EstimateSince and the
+// run merger rely on it without checking.
+func (b *EHBank) cellTickOrdered(i int) bool {
+	var prev Tick
+	for lv := int(b.cells[i].nLv) - 1; lv >= 0; lv-- {
+		d := b.level(i, lv)
+		for j := 0; j < int(d.n); j++ {
+			bk := b.at(d, j)
+			if bk.start < prev || bk.end < bk.start {
+				return false
+			}
+			prev = bk.end
+		}
+	}
+	return true
+}
+
+// splitFunc distributes a bucket's size across its two boundary ticks.
+type splitFunc func(b Bucket) (atStart, atEnd uint64)
+
+func splitHalfHalf(b Bucket) (uint64, uint64) {
+	half := b.Size / 2
+	return b.Size - half, half
+}
+
+// lowerBuckets lowers one per-object histogram's bucket list (oldest →
+// newest) into its replay run.
+func lowerBuckets(bs []Bucket, split splitFunc) []replayEvent {
+	dst := make([]replayEvent, 0, 2*len(bs))
+	for _, b := range bs {
+		s, e := split(b)
+		if b.Start == b.End {
+			if b.Size > 0 {
+				dst = append(dst, replayEvent{t: b.Start, n: b.Size})
+			}
+			continue
+		}
+		if s > 0 {
+			dst = append(dst, replayEvent{t: b.Start, n: s})
+		}
+		if e > 0 {
+			dst = append(dst, replayEvent{t: b.End, n: e})
+		}
+	}
+	return dst
+}
+
+// requireBanksOrdered fails unless every cell of every bank is tick-ordered.
+func requireBanksOrdered(t testing.TB, banks ...*EHBank) {
+	t.Helper()
+	for _, b := range banks {
+		for i := range b.cells {
+			if !b.cellTickOrdered(i) {
+				t.Fatalf("cell %d is not tick-ordered: %v", i, b.Buckets(i))
+			}
+		}
+	}
 }
 
 // requireCellsIdentical compares everything observable about two bank cells:
@@ -199,12 +262,28 @@ func fuzzBucketLists(data []byte) [][]Bucket {
 	return lists
 }
 
+// bucketsOrdered reports whether a bucket list, oldest → newest, keeps the
+// order of a real cell: ticks never go back, and sizes are powers of two
+// that never grow.
+func bucketsOrdered(bs []Bucket) bool {
+	prev := Bucket{Size: math.MaxUint64}
+	for _, b := range bs {
+		if b.Start < prev.End || b.End < b.Start || bits.OnesCount64(b.Size) != 1 || b.Size > prev.Size {
+			return false
+		}
+		prev = b
+	}
+	return true
+}
+
 // FuzzMergeCellRuns checks the streaming run merger against the
-// lower-sort-replay oracle on k ∈ 1..9 arbitrary bucket lists: identical cell
-// bytes, cell header and version vector, and no panic, whatever the lists
-// hold. The per-object MergeEH rides the same merger from lowered event
-// slices and is held to its own oracle whenever the per-object restore
-// accepted the lists as the bank did.
+// lower-sort-replay oracle on k ∈ 1..9 arbitrary bucket lists. Each list
+// reaches its input bank the only way a bank cell can be filled from outside,
+// encoded and decoded through UnmarshalCell: the decoder must reject exactly
+// the lists that break bucket order, and the accepted ones must merge to
+// identical cell bytes, cell header and version vector, with every cell
+// tick-ordered. The per-object MergeEH rides the same merger from lowered
+// event slices of every list, ordered or not, and is held to its own oracle.
 func FuzzMergeCellRuns(f *testing.F) {
 	f.Add([]byte{3, 1, 0, 0, 1, 0, 0, 2, 1, 1, 0, 3, 2, 6, 4, 0x13})
 	f.Add([]byte{0, 1, 1, 0x30, 1, 1, 0x31, 1, 1, 0x32, 1, 1, 0x33})       // sizes out of level order
@@ -218,30 +297,36 @@ func FuzzMergeCellRuns(f *testing.F) {
 		}
 		cfg := Config{Length: 48, Epsilon: 0.25}
 		const src, cells = 1, 3
-		ins := make([]*EHBank, len(lists))
+		var ins []*EHBank
+		var held [][]Bucket // what each input bank actually holds
 		ehs := make([]*EH, len(lists))
-		held := make([][]Bucket, len(lists)) // what each input bank actually holds
-		sameRestore := true
 		var now Tick
 		for k, bs := range lists {
-			in, err := NewEHBank(cfg, cells)
-			if err != nil {
-				t.Fatal(err)
-			}
 			h, err := NewEH(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, bk := range bs {
-				in.RestoreBucket(src, bk)
 				h.restoreBucket(bucketRestore{start: bk.Start, end: bk.End, size: bk.Size})
 			}
-			in.NormalizeRestored(src)
 			h.normalizeRestored()
-			ins[k], ehs[k], held[k] = in, h, in.Buckets(src)
-			sameRestore = sameRestore && slices.Equal(held[k], h.Buckets())
+			ehs[k] = h
+
+			in, err := NewEHBank(cfg, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = in.UnmarshalCell(src, appendEHBuckets([]byte{wireEHBare, 0}, bs))
+			if ordered := bucketsOrdered(bs); (err == nil) != ordered {
+				t.Fatalf("list %d (ordered %v): decode error %v: %v", k, ordered, err, bs)
+			}
+			if err != nil {
+				continue
+			}
+			ins, held = append(ins, in), append(held, in.Buckets(src))
 			now = max(now, in.Now(src))
 		}
+		requireBanksOrdered(t, ins...)
 		now += Tick(len(data) % 5)
 
 		got, _ := NewEHBank(cfg, cells)
@@ -256,13 +341,11 @@ func FuzzMergeCellRuns(f *testing.F) {
 		oracleMergeCell(want, 2, now, held)
 		requireCellsIdentical(t, got, 2, want, 2)
 		requireVersionsIdentical(t, got, want)
+		requireBanksOrdered(t, got, want)
 		if len(got.merger.runs) != 0 || slices.ContainsFunc(got.merger.runs[:cap(got.merger.runs)], func(r replayRun) bool { return r.bank != nil || r.events != nil }) {
 			t.Fatal("merger still references its inputs after the merge")
 		}
 
-		if !sameRestore {
-			return
-		}
 		slices.Reverse(ehs)
 		for _, split := range []splitFunc{splitHalfHalf, splitEndpoint} {
 			m, err := replayIntoEH(cfg, ehs, split)

@@ -1,7 +1,7 @@
 package window
 
 import (
-	"math/rand"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,14 +176,27 @@ func BenchmarkRWAdd(b *testing.B) {
 	}
 }
 
+// estimateSink keeps BenchmarkEHQuery's estimates live.
+var estimateSink float64
+
+// BenchmarkEHQuery times the production estimate kernel on one deep cell:
+// the bench operating point's window and ε (W = 2^17, ε = 0.02), preloaded
+// with 1.125·W ticks of 8 arrivals each so expiry is active, queried over
+// the whole window and over its newer half.
 func BenchmarkEHQuery(b *testing.B) {
-	h, _ := NewEH(Config{Length: 1 << 20, Epsilon: 0.1})
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1<<18; i++ {
-		h.Add(Tick(i))
+	const length = 1 << 17
+	bank, err := NewEHBank(Config{Length: length, Epsilon: 0.02}, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.EstimateRange(Tick(rng.Intn(1 << 18)))
+	for t := Tick(1); t <= length+length/8; t++ {
+		bank.AddN(0, t, 8)
+	}
+	for _, r := range []Tick{length, length / 2} {
+		b.Run(fmt.Sprintf("range=%d", r), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				estimateSink = bank.EstimateRange(0, r)
+			}
+		})
 	}
 }

@@ -39,24 +39,43 @@ func FuzzUnmarshalEH(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := UnmarshalEH(data)
+		// The flat bank decodes the same body, in the config-elided form,
+		// into a bank of the encoding's own configuration whenever that
+		// configuration is valid, and must accept exactly what the
+		// per-object decoder accepts.
+		var bank *EHBank
+		if r := (wireReader{b: data, off: 1}); len(data) > 0 && data[0] == wireEH {
+			if cfg, cerr := r.config(); cerr == nil {
+				if bank, _ = NewEHBank(cfg, 1); bank != nil {
+					bare := append([]byte{wireEHBare}, data[r.off:]...)
+					if berr := bank.UnmarshalCell(0, bare); (berr == nil) != (err == nil) {
+						t.Fatalf("decoders disagree: bank %v, EH %v", berr, err)
+					}
+				}
+			}
+		}
 		if err != nil {
 			return
 		}
-		// Whatever decoded must answer queries without panicking and
-		// respect basic sanity.
+		if bank == nil {
+			t.Fatalf("no bank for decoded config %+v", dec.Config())
+		}
+		requireBanksOrdered(t, bank)
+		// Whatever decoded must answer queries without panicking, respect
+		// basic sanity, and answer alike from both decoders.
 		w := dec.EstimateWindow()
 		if w < 0 {
 			t.Fatalf("negative estimate %v", w)
 		}
-		// The flat bank must also survive the raw bytes without panicking.
-		// (Answers may legitimately differ on non-canonical encodings that
-		// overfill a size class: the bank repairs while restoring, the
-		// per-object decoder afterwards.)
-		bank, err := NewEHBank(dec.Config(), 1)
-		if err != nil {
-			t.Fatalf("bank for decoded config: %v", err)
+		if got, want := bank.AppendMarshalCell(nil, 0), dec.Marshal(); !bytes.Equal(got, want) {
+			t.Fatalf("decoded encodings differ:\n bank %x\n EH   %x", got, want)
 		}
-		_ = bank.UnmarshalCell(0, data)
+		if got := bank.EstimateRange(0, bank.Config().Length); got != w {
+			t.Fatalf("bank decoded EstimateWindow %v, EH %v", got, w)
+		}
+		if got := bank.EstimateSince(0, dec.Now()/2); got != dec.EstimateSince(dec.Now()/2) {
+			t.Fatalf("bank EstimateSince %v, EH %v", got, dec.EstimateSince(dec.Now()/2))
+		}
 		// On the decoded histogram's canonical re-encoding the two decoders
 		// must agree exactly.
 		canon := dec.Marshal()
@@ -67,11 +86,12 @@ func FuzzUnmarshalEH(f *testing.F) {
 		if err := bank2.UnmarshalCell(0, canon); err != nil {
 			t.Fatalf("bank rejected canonical encoding: %v", err)
 		}
+		requireBanksOrdered(t, bank2)
 		if got := bank2.EstimateRange(0, bank2.Config().Length); got != w {
-			t.Fatalf("bank decoded EstimateWindow %v, EH %v", got, w)
+			t.Fatalf("bank re-decoded EstimateWindow %v, EH %v", got, w)
 		}
 		if got := bank2.EstimateSince(0, dec.Now()/2); got != dec.EstimateSince(dec.Now()/2) {
-			t.Fatalf("bank EstimateSince %v, EH %v", got, dec.EstimateSince(dec.Now()/2))
+			t.Fatalf("bank re-decoded EstimateSince %v, EH %v", got, dec.EstimateSince(dec.Now()/2))
 		}
 		dec.Add(dec.Now() + 1)
 		_ = dec.EstimateSince(0)
@@ -120,6 +140,7 @@ func FuzzMarshal(f *testing.F) {
 		if err := bank2.UnmarshalCell(0, enc); err != nil {
 			t.Fatalf("bank round-trip decode failed: %v", err)
 		}
+		requireBanksOrdered(t, bank, bank2)
 		q := Tick(since)
 		want := h.EstimateSince(q)
 		if got := dec.EstimateSince(q); got != want {

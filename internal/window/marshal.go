@@ -155,8 +155,23 @@ func (b *EHBank) appendCellBody(dst []byte, i int) []byte {
 	return dst
 }
 
+var errCorruptEH = errors.New("window: corrupt EH encoding")
+
+// canonicalEHBucket reports whether a decoded bucket keeps the order every
+// histogram built by arrivals or merges has: read oldest → newest, ticks
+// never go back (neither delta wrapped past 2^64) and sizes are powers of two
+// that never grow. A cell whose buckets all pass files them level by level
+// in arrival order, so its level walk, highest class first, is tick-ordered —
+// the invariant EstimateSince and the merge kernel read instead of checking.
+func canonicalEHBucket(prevEnd, start, end Tick, prevSize, size uint64) bool {
+	return start >= prevEnd && end >= start &&
+		size != 0 && size&(size-1) == 0 && size <= prevSize
+}
+
 // UnmarshalCell decodes an EH cell encoding, full or bare, into cell i, which
-// must be empty.
+// must be empty. An encoding that breaks bucket order (canonicalEHBucket) is
+// rejected, so every cell of a bank is tick-ordered; cell i may then hold the
+// buckets decoded before the bad one and must be reset before reuse.
 func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 	r := wireReader{b: enc}
 	if err := b.readCellTag(&r, wireEH, wireEHBare, "EH"); err != nil {
@@ -171,9 +186,10 @@ func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 		return err
 	}
 	if n > uint64(len(enc)) { // cheap corruption guard: ≥1 byte per bucket
-		return errors.New("window: corrupt EH encoding")
+		return errCorruptEH
 	}
 	var prev Tick
+	prevSize := ^uint64(0)
 	for j := uint64(0); j < n; j++ {
 		ds, err := r.uvarint()
 		if err != nil {
@@ -189,7 +205,10 @@ func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 		}
 		start := prev + ds
 		end := start + de
-		prev = end
+		if !canonicalEHBucket(prev, start, end, prevSize, size) {
+			return errCorruptEH
+		}
+		prev, prevSize = end, size
 		b.RestoreBucket(i, Bucket{Start: start, End: end, Size: size})
 	}
 	b.NormalizeRestored(i)

@@ -59,7 +59,8 @@ func (h *EH) Marshal() []byte {
 // UnmarshalEH reconstructs a histogram from Marshal output. The
 // reconstruction replays the buckets directly (not via the half/half merge
 // split), so the decoded histogram answers queries identically to the
-// encoded one.
+// encoded one. It rejects what EHBank.UnmarshalCell rejects: a bucket that
+// breaks order (canonicalEHBucket).
 func UnmarshalEH(b []byte) (*EH, error) {
 	r := wireReader{b: b}
 	tag, err := r.byte1()
@@ -82,13 +83,14 @@ func UnmarshalEH(b []byte) (*EH, error) {
 		return nil, err
 	}
 	if n > uint64(len(b)) { // cheap corruption guard: ≥1 byte per bucket
-		return nil, errors.New("window: corrupt EH encoding")
+		return nil, errCorruptEH
 	}
 	h, err := NewEH(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var prev Tick
+	prevSize := ^uint64(0)
 	for i := uint64(0); i < n; i++ {
 		ds, err := r.uvarint()
 		if err != nil {
@@ -104,7 +106,10 @@ func UnmarshalEH(b []byte) (*EH, error) {
 		}
 		start := prev + ds
 		end := start + de
-		prev = end
+		if !canonicalEHBucket(prev, start, end, prevSize, size) {
+			return nil, errCorruptEH
+		}
+		prev, prevSize = end, size
 		h.restoreBucket(bucketRestore{start: start, end: end, size: size})
 	}
 	h.normalizeRestored()
