@@ -24,7 +24,7 @@ type Site = coord.Site
 // excluded, and backs off (SiteStatuses). After a
 // Refresh it is also a read-side front end — BatchQuerier, DirectQuerier,
 // Snapshotter, DeltaSnapshotter over a frozen clone of its merged root —
-// which is how ecmserver serves one; see cmd/ecmcoord for the deployable
+// which is how ecmserver serves one; `ecmserve -sites` is the deployable
 // coordinator built that way.
 type Coordinator = coord.Coordinator
 

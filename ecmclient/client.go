@@ -60,9 +60,9 @@ func WithAuthToken(token string) Option {
 }
 
 // WithRootCAs verifies https:// servers against the given trust pool
-// instead of the system roots — for deployments running ecmserve/ecmcoord
-// behind a private CA (-tls-cert/-tls-key). It replaces the transport with
-// the shared keep-alive pull client (30-second overall timeout); compose
+// instead of the system roots — for deployments running ecmserve sites or
+// coordinators behind a private CA (-tls-cert/-tls-key). It replaces the
+// transport with the shared keep-alive pull client (30-second overall timeout); compose
 // custom timeouts via WithHTTPClient(ecmsketch.NewPullClient(...)) instead
 // of stacking both options.
 func WithRootCAs(roots *x509.CertPool) Option {
@@ -411,7 +411,7 @@ func (c *Client) Snapshot() (*ecmsketch.Sketch, error) {
 }
 
 // SiteInfo is one coordinator member's health, as reported by a running
-// ecmcoord's GET /v1/sites.
+// coordinator's GET /v1/sites.
 type SiteInfo struct {
 	Name          string `json:"name"`
 	Healthy       bool   `json:"healthy"`
@@ -422,8 +422,8 @@ type SiteInfo struct {
 }
 
 // Sites lists a coordinator's membership with per-site health. Only
-// coordinators (ecmcoord) expose the route; against a plain ecmserve
-// the call fails with a 404.
+// coordinators (ecmserve -sites) expose the route; against a site the
+// call fails with a 404.
 func (c *Client) Sites() ([]SiteInfo, error) {
 	var out struct {
 		Sites []SiteInfo `json:"sites"`

@@ -1,16 +1,19 @@
-package main
+package ecmserver
 
-// Restart tests for coordinator durability (persist.go): the merged root
-// resumes serving upward deltas from the same epoch, and dynamic site
+// Restart tests for coordinator durability (coordinator.go): the merged
+// root resumes serving upward deltas from the same epoch, and dynamic site
 // registrations survive.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,11 +21,9 @@ import (
 )
 
 // newDurableCoordServer is newTestCoordServer plus a store.
-func newDurableCoordServer(t *testing.T, siteURLs []string, store ecmsketch.DurableStore) *coordServer {
+func newDurableCoordServer(t *testing.T, siteURLs []string, store ecmsketch.DurableStore) *Server {
 	t.Helper()
-	cs := newTestCoordServer(t, http.DefaultClient, siteURLs)
-	cs.enableDurability(store, time.Minute)
-	return cs
+	return coordServerOver(t, Config{PullClient: http.DefaultClient, DurableStore: store, SnapshotInterval: time.Minute}, siteURLs)
 }
 
 // TestCoordRootSurvivesRestart: a parent holding a cursor from before the
@@ -35,7 +36,7 @@ func TestCoordRootSurvivesRestart(t *testing.T) {
 	store := ecmsketch.NewMemStore()
 
 	cs1 := newDurableCoordServer(t, urls, store)
-	if err := cs1.refresh(); err != nil {
+	if err := cs1.coord.refresh(); err != nil {
 		t.Fatal(err)
 	}
 	front1 := httptest.NewServer(cs1)
@@ -66,12 +67,13 @@ func TestCoordRootSurvivesRestart(t *testing.T) {
 
 	// More site traffic merged into the root, then a shutdown-style persist.
 	mutateSites(sites, 1)
-	if err := cs1.refresh(); err != nil {
+	if err := cs1.coord.refresh(); err != nil {
 		t.Fatal(err)
 	}
-	cs1.persistRootNow()
 	front1.Close()
-	cs1.Close()
+	if err := cs1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// The restarted coordinator restores the root before any pull round...
 	cs2 := newDurableCoordServer(t, urls, store)
@@ -98,7 +100,7 @@ func TestCoordRootSurvivesRestart(t *testing.T) {
 	// And after the restarted coordinator's own refresh rounds, the cursor
 	// keeps yielding deltas (the in-place patch preserved the epoch).
 	mutateSites(sites, 2)
-	if err := cs2.refresh(); err != nil {
+	if err := cs2.coord.refresh(); err != nil {
 		t.Fatal(err)
 	}
 	pull(front2, "delta")
@@ -128,7 +130,7 @@ func TestCoordSitesSurviveRestart(t *testing.T) {
 	// The restart sees only the static flag site, then restores the rest.
 	cs2 := newDurableCoordServer(t, []string{sites[0].URL}, store)
 	names := map[string]bool{}
-	for _, s := range cs2.co.Sites() {
+	for _, s := range cs2.coord.co.Sites() {
 		names[s.Name()] = true
 	}
 	if !names["dyn-site"] {
@@ -139,15 +141,118 @@ func TestCoordSitesSurviveRestart(t *testing.T) {
 	}
 
 	// A removal persists too: drop the dynamic site, restart, still gone.
-	if !cs2.co.RemoveSite("dyn-site") {
+	if !cs2.coord.co.RemoveSite("dyn-site") {
 		t.Fatal("remove failed")
 	}
-	cs2.persistSites()
+	cs2.coord.persistSites()
 	cs3 := newDurableCoordServer(t, []string{sites[0].URL}, store)
-	for _, s := range cs3.co.Sites() {
+	for _, s := range cs3.coord.co.Sites() {
 		if s.Name() == "dyn-site" {
 			t.Fatal("removed site resurrected across restart")
 		}
+	}
+}
+
+// TestCoordStatsDoesNotWaitForPullRound: GET /v1/stats on a durable
+// coordinator answers while a pull round is stuck on a slow site — readers
+// wait out a patch, never a network round.
+func TestCoordStatsDoesNotWaitForPullRound(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		http.Error(w, "slow", http.StatusServiceUnavailable)
+	}))
+	defer slow.Close()
+	cs := newDurableCoordServer(t, []string{slow.URL}, ecmsketch.NewMemStore())
+	front := httptest.NewServer(cs)
+	defer front.Close()
+	// Deferred after both servers so it runs before they close: a stuck
+	// handler would hold either Close forever.
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	done := make(chan error, 1)
+	go func() { done <- cs.coord.refresh() }()
+	<-entered
+
+	resp, err := (&http.Client{Timeout: time.Second}).Get(front.URL + "/v1/stats")
+	if err != nil {
+		t.Fatalf("GET /v1/stats during a blocked pull round: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats during a blocked pull round: %s", resp.Status)
+	}
+	unblock()
+	if err := <-done; err == nil {
+		t.Fatal("refresh against a failing site succeeded")
+	}
+}
+
+// slowSitesStore holds the first save of the sites blob until secondDone
+// closes, or a second has passed: long enough for a second registration to
+// read and save its membership first, if nothing orders the two.
+type slowSitesStore struct {
+	ecmsketch.DurableStore
+	saves      atomic.Int32
+	entered    chan struct{}
+	secondDone chan struct{}
+}
+
+func (s *slowSitesStore) Save(name string, data []byte) error {
+	if name == coordSitesBlob && s.saves.Add(1) == 1 {
+		close(s.entered)
+		select {
+		case <-s.secondDone:
+		case <-time.After(time.Second):
+		}
+	}
+	return s.DurableStore.Save(name, data)
+}
+
+// TestCoordConcurrentRegistrationsPersistBoth: two registrations racing
+// each other's membership saves both survive a restart — the older
+// membership never lands after the newer one.
+func TestCoordConcurrentRegistrationsPersistBoth(t *testing.T) {
+	store := &slowSitesStore{DurableStore: ecmsketch.NewMemStore(), entered: make(chan struct{}), secondDone: make(chan struct{})}
+	cs := newDurableCoordServer(t, nil, store)
+	front := httptest.NewServer(cs)
+	defer front.Close()
+	register := func(name string) error {
+		resp, err := http.Post(front.URL+"/v1/sites", "application/json",
+			strings.NewReader(`{"url":"http://127.0.0.1:1","name":"`+name+`"}`))
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("registering %s: %s", name, resp.Status)
+		}
+		return nil
+	}
+	first := make(chan error, 1)
+	go func() { first <- register("site-a") }()
+	<-store.entered
+	if err := register("site-b"); err != nil {
+		t.Fatal(err)
+	}
+	close(store.secondDone)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := newDurableCoordServer(t, nil, store)
+	names := map[string]bool{}
+	for _, s := range restarted.coord.co.Sites() {
+		names[s.Name()] = true
+	}
+	if len(names) != 2 || !names["site-a"] || !names["site-b"] {
+		t.Fatalf("restored membership %v, want site-a and site-b", names)
 	}
 }
 
@@ -163,7 +268,7 @@ func TestRestoreSitesSkipsRejectedEntries(t *testing.T) {
 	}
 	cs := newDurableCoordServer(t, nil, store)
 	names := map[string]bool{}
-	for _, s := range cs.co.Sites() {
+	for _, s := range cs.coord.co.Sites() {
 		names[s.Name()] = true
 	}
 	if len(names) != 2 || !names["good"] || !names["http://127.0.0.1:2"] {

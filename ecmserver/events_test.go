@@ -383,7 +383,7 @@ func TestShardedAsyncHandlerWriters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv, err := NewOver(Config{WindowLength: params.WindowLength}, eng, nil)
+				srv, err := NewOver(Config{WindowLength: params.WindowLength}, eng)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -48,7 +48,7 @@ func TestSurfaceParity(t *testing.T) {
 	}
 	defer site.Close()
 	co := ecmsketch.NewCoordinator(ecmsketch.NewLocalSite("site", site.Engine()))
-	coord, err := NewOver(Config{AuthToken: "tok"}, co, nil)
+	coord, err := NewOver(Config{AuthToken: "tok"}, co)
 	if err != nil {
 		t.Fatal(err)
 	}

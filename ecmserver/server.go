@@ -7,17 +7,18 @@
 // /v1/stats, the standing-query routes) over any Source, and the write
 // routes (POST /v1/events, /v1/advance) when the source also
 // ingests: a site serves a lock-striped ecmsketch.Sharded, a coordinator its
-// ecmsketch.Coordinator, read-only. Every route lives under /v1/, each
-// capability under one spelling; testdata/surface.golden lists them all.
-// cmd/ecmserve and cmd/ecmcoord wire this package behind flags; ecmclient
-// speaks the API as a typed Go client.
+// ecmsketch.Coordinator, read-only, plus the coordinator's own refresh and
+// membership routes (POST /v1/refresh, GET/POST/DELETE /v1/sites) and its
+// re-pull loop. Every route lives under /v1/, each capability under one
+// spelling; testdata/surface.golden lists them all. cmd/ecmserve wires this
+// package behind flags, as a site or, with -sites, as a coordinator;
+// ecmclient speaks the API as a typed Go client.
 package ecmserver
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -60,12 +61,17 @@ type Config struct {
 	// under this directory, and a restarted server replays to exactly its
 	// pre-crash state — same epoch, same cell versions — so coordinators
 	// holding delta cursors keep pulling increments instead of
-	// re-baselining. Empty (the default) keeps the engine memory-only.
+	// re-baselining. At a coordinator the merged root (with its
+	// delta-serving epoch) and the site membership persist instead, with
+	// the same effect for its parents. Empty (the default) keeps the server
+	// memory-only.
 	DataDir string
 	// SnapshotInterval is the durable checkpoint cadence (see
 	// ecmsketch.DurabilityConfig.SnapshotInterval); meaningful only with
 	// DataDir or DurableStore set. 0 checkpoints only at startup and
-	// shutdown, letting the WAL grow between them.
+	// shutdown, letting the WAL grow between them. At a coordinator it is
+	// the minimum period between merged-root saves after pull rounds; 0
+	// saves only on Close.
 	SnapshotInterval time.Duration
 	// WALSyncInterval is the WAL fsync cadence (see
 	// ecmsketch.DurabilityConfig.SyncInterval): 0 fsyncs every append;
@@ -75,6 +81,25 @@ type Config struct {
 	// (e.g. ecmsketch.NewMemStore in tests) and takes precedence over
 	// DataDir.
 	DurableStore ecmsketch.DurableStore
+	// RefreshInterval is a coordinator's re-pull period: NewOver over an
+	// *ecmsketch.Coordinator pulls once, then again every interval until
+	// Close. 0 starts no loop; rounds then run on POST /v1/refresh only.
+	RefreshInterval time.Duration
+	// PullClient pulls the sites a coordinator gains at runtime (POST
+	// /v1/sites) or restores from DataDir; nil uses the shared default pull
+	// client (see ecmsketch.NewPullClient).
+	PullClient *http.Client
+	// SiteToken is the bearer token those pulls carry, for sites started
+	// with an AuthToken.
+	SiteToken string
+}
+
+// store is the persistence backend cfg names, nil for a memory-only server.
+func (cfg Config) store() (ecmsketch.DurableStore, error) {
+	if cfg.DurableStore != nil || cfg.DataDir == "" {
+		return cfg.DurableStore, nil
+	}
+	return ecmsketch.NewFileStore(cfg.DataDir)
 }
 
 // Source is the read side a Server serves. *ecmsketch.Sharded (a site) and
@@ -95,14 +120,15 @@ type Server struct {
 	// ingestor is src when it also ingests (the write routes exist only
 	// then); engine is src when it is a Sharded, which adds /v1/interval,
 	// the engine block of /v1/stats and the standing-query change feed.
-	// Both are nil at a coordinator.
-	ingestor  ecmsketch.Ingestor
-	engine    *ecmsketch.Sharded
-	tierStats func(asStrings bool) map[string]any
-	cfg       Config
-	mux       *http.ServeMux
-	patterns  []string     // every pattern mounted on mux; testdata/surface.golden pins the list
-	handler   http.Handler // mux, wrapped with bearer auth when configured
+	// Both are nil at a coordinator. coord is set when src is a
+	// Coordinator: the refresh loop, membership and persistence.
+	ingestor ecmsketch.Ingestor
+	engine   *ecmsketch.Sharded
+	coord    *coordinator
+	cfg      Config
+	mux      *http.ServeMux
+	patterns []string     // every pattern mounted on mux; testdata/surface.golden pins the list
+	handler  http.Handler // mux, wrapped with bearer auth when configured
 
 	// standing evaluates continuous queries incrementally off the source's
 	// change feed and fans fired notifications out over /v1/watch (SSE).
@@ -128,12 +154,9 @@ func New(cfg Config) (*Server, error) {
 		Shards:   cfg.Shards,
 		MergeTTL: cfg.MergeTTL,
 	}
-	store := cfg.DurableStore
-	if store == nil && cfg.DataDir != "" {
-		store, err = ecmsketch.NewFileStore(cfg.DataDir)
-		if err != nil {
-			return nil, err
-		}
+	store, err := cfg.store()
+	if err != nil {
+		return nil, err
 	}
 	if store != nil {
 		shCfg.Durability = &ecmsketch.DurabilityConfig{
@@ -146,35 +169,39 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewOver(cfg, engine, nil)
+	return NewOver(cfg, engine)
 }
 
 // NewOver builds the routes over a source the caller already owns (and
 // keeps using: the server adds no locking of its own beyond the source's).
 // Write routes mount only when src is also an ecmsketch.Ingestor; a
 // *ecmsketch.Sharded additionally gets /v1/interval, its block of /v1/stats,
-// and its change notes wired into the standing-query registry. Over any
-// other source the registry evaluates what the owner feeds it through
-// Standing().RefreshTarget, and subscriptions must name their keys.
+// and its change notes wired into the standing-query registry. A
+// *ecmsketch.Coordinator gets its refresh and membership routes, its block
+// of /v1/stats, the persistence DataDir/DurableStore asks for (restored
+// here, before the first pull), and — with a positive RefreshInterval — a
+// first pull and the re-pull loop; each round feeds the standing-query
+// registry. Over any other source the registry evaluates what the owner
+// feeds it through Standing().RefreshTarget. Everywhere but at a Sharded,
+// subscriptions must name their keys.
 //
 // cfg's engine fields only label /v1/stats at a site and should match the
 // engine's construction; the source is not rebuilt or validated against
-// them. tierStats, when non-nil, adds the owner's fields to /v1/stats.
-func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]any) (*Server, error) {
+// them.
+func NewOver(cfg Config, src Source) (*Server, error) {
 	if src == nil {
 		return nil, fmt.Errorf("ecmserver: NewOver requires a source")
 	}
-	s := &Server{src: src, tierStats: tierStats, cfg: cfg, mux: http.NewServeMux()}
+	s := &Server{src: src, cfg: cfg, mux: http.NewServeMux()}
 	s.ingestor, _ = src.(ecmsketch.Ingestor)
-	s.engine, _ = src.(*ecmsketch.Sharded)
 
-	s.Handle("POST /v1/query", s.handleQuery)
-	s.Handle("GET /v1/query", s.handleQueryGet)
-	s.Handle("GET /v1/stats", s.handleStats)
-	s.Handle("GET /v1/snapshot", s.handleSnapshot)
+	s.handle("POST /v1/query", s.handleQuery)
+	s.handle("GET /v1/query", s.handleQueryGet)
+	s.handle("GET /v1/stats", s.handleStats)
+	s.handle("GET /v1/snapshot", s.handleSnapshot)
 	if s.ingestor != nil {
-		s.Handle("POST /v1/events", s.handleEvents)
-		s.Handle("POST /v1/advance", s.handleAdvance)
+		s.handle("POST /v1/events", s.handleEvents)
+		s.handle("POST /v1/advance", s.handleAdvance)
 	}
 
 	// Standing queries: at a site the registry re-checks its predicates
@@ -183,38 +210,50 @@ func NewOver(cfg Config, src Source, tierStats func(asStrings bool) map[string]a
 	// streams; its window and advance policy are the engine's own Params.
 	// Any other source only ever shows cell replacements, never raw keys to
 	// learn top-k candidates from, hence RequireKeys.
-	if s.engine != nil {
-		s.Handle("GET /v1/interval", s.handleInterval)
+	switch src := src.(type) {
+	case *ecmsketch.Sharded:
+		s.engine = src
+		s.handle("GET /v1/interval", s.handleInterval)
 		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{})
-		s.standing.Bind(s.engine)
-		s.engine.SetNotifier(s.standing)
-	} else {
+		s.standing.Bind(src)
+		src.SetNotifier(s.standing)
+	case *ecmsketch.Coordinator:
+		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{RequireKeys: true})
+		c, err := newCoordinator(cfg, src, s.standing)
+		if err != nil {
+			return nil, err
+		}
+		s.coord = c
+		s.handle("POST /v1/refresh", c.handleRefresh)
+		s.handle("GET /v1/sites", c.handleSitesGet)
+		s.handle("POST /v1/sites", c.handleSitesAdd)
+		s.handle("DELETE /v1/sites", c.handleSitesRemove)
+	default:
 		s.standing = ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{RequireKeys: true})
 	}
 	svc := &standing.Service{Reg: s.standing}
-	s.Handle("POST /v1/subscribe", svc.HandleSubscribe)
-	s.Handle("DELETE /v1/subscribe", svc.HandleUnsubscribe)
-	s.Handle("GET /v1/watch", svc.HandleWatch)
+	s.handle("POST /v1/subscribe", svc.HandleSubscribe)
+	s.handle("DELETE /v1/subscribe", svc.HandleUnsubscribe)
+	s.handle("GET /v1/watch", svc.HandleWatch)
 
 	if cfg.EnableProfiling {
 		// Registered inside the mux the bearer wrapper guards — see
 		// Config.EnableProfiling. The default-mux side effects of importing
 		// net/http/pprof are irrelevant here; these are explicit routes.
-		s.Handle("GET /debug/pprof/", pprof.Index)
-		s.Handle("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.Handle("GET /debug/pprof/profile", pprof.Profile)
-		s.Handle("GET /debug/pprof/symbol", pprof.Symbol)
-		s.Handle("GET /debug/pprof/trace", pprof.Trace)
+		s.handle("GET /debug/pprof/", pprof.Index)
+		s.handle("GET /debug/pprof/cmdline", pprof.Cmdline)
+		s.handle("GET /debug/pprof/profile", pprof.Profile)
+		s.handle("GET /debug/pprof/symbol", pprof.Symbol)
+		s.handle("GET /debug/pprof/trace", pprof.Trace)
 	}
 
 	s.handler = wire.RequireBearer(cfg.AuthToken, s.mux)
 	return s, nil
 }
 
-// Handle mounts a route of the source's owner — a coordinator's membership
-// and refresh routes — on the server's mux, behind the same bearer check.
-// pattern is a net/http ServeMux pattern ("POST /v1/refresh").
-func (s *Server) Handle(pattern string, h http.HandlerFunc) {
+// handle mounts a route on the server's mux, behind the bearer check, and
+// records its pattern ("POST /v1/refresh") for the surface golden.
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	s.patterns = append(s.patterns, pattern)
 	s.mux.HandleFunc(pattern, h)
 }
@@ -233,14 +272,19 @@ func (s *Server) ListenAndServe(addr, certFile, keyFile string) error {
 
 // Close releases server-held background resources: at a site the
 // standing-query hook is detached from the engine before the engine is
-// closed (final checkpoint, WAL shut down); any other source is its owner's
-// to close. Idempotent.
+// closed (final checkpoint, WAL shut down); at a coordinator the re-pull
+// loop is stopped and waited for, then the merged root saved a last time
+// when persistence is on. Any other source is its owner's to close.
+// Idempotent.
 func (s *Server) Close() error {
-	if s.engine == nil {
-		return nil
+	switch {
+	case s.engine != nil:
+		s.engine.SetNotifier(nil)
+		return s.engine.Close()
+	case s.coord != nil:
+		return s.coord.close()
 	}
-	s.engine.SetNotifier(nil)
-	return s.engine.Close()
+	return nil
 }
 
 // Engine exposes the sketch engine backing a site server (e.g. to share it
@@ -266,7 +310,7 @@ func ParseAlgo(s string) (ecmsketch.Algorithm, error) {
 }
 
 // ServeHTTP implements http.Handler. When Config.AuthToken is set, every
-// route — Handle-mounted ones included — sits behind the bearer check.
+// route sits behind the bearer check.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // ingestFlushEvery bounds the memory of streaming /v1/events uploads: parsed
@@ -445,8 +489,8 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats reports the standing-query load plus the tier's own block: a
-// site's engine dimensions, clock and footprint, or what the source's owner
-// supplied to NewOver. With ?strings=1, the 64-bit tick/count fields (now,
+// site's engine dimensions, clock and footprint, or a coordinator's pull
+// accounting and last round (see coordinator.addStats). With ?strings=1, the 64-bit tick/count fields (now,
 // count, window, viewRebuilds, ...) are encoded as decimal strings.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	asStrings := wire.WantStrings(r)
@@ -475,8 +519,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out["algorithm"] = s.cfg.Algorithm
 		out["durability"] = durabilityStatsField(asStrings, s.engine)
 	}
-	if s.tierStats != nil {
-		maps.Copy(out, s.tierStats(asStrings))
+	if s.coord != nil {
+		s.coord.addStats(out, asStrings)
 	}
 	wire.Respond(w, out)
 }

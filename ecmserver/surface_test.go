@@ -21,7 +21,7 @@ import (
 
 // The surface golden lists, one per line, everything a user or operator can
 // name: every exported identifier of the three library packages, every route
-// NewOver mounts at a site and at a coordinator, every flag of the four
+// NewOver mounts at a site and at a coordinator, every flag of the three
 // binaries. A change that widens or narrows the surface has to touch it.
 //
 // The test lives here rather than at the module root because only an
@@ -63,7 +63,7 @@ func TestSurfaceDiffNamesTheLine(t *testing.T) {
 	golden := surfaceHeader +
 		"id ecmclient func (c *Client) QueryBatch(q ecmsketch.QueryBatch) (ecmsketch.QueryResult, error)\n" +
 		"route site GET /v1/query\n" +
-		"flag ecmcoord -sites string \"\"\n"
+		"flag ecmserve -sites string \"\"\n"
 	for _, tc := range []struct {
 		name, got string
 		want      []string
@@ -73,8 +73,8 @@ func TestSurfaceDiffNamesTheLine(t *testing.T) {
 			[]string{"not in surface.golden: id ecmclient func (c *Client) Query2()"}},
 		{"route added", golden + "route site GET /v1/estimate\n",
 			[]string{"not in surface.golden: route site GET /v1/estimate"}},
-		{"flag removed", strings.Replace(golden, "flag ecmcoord -sites string \"\"\n", "", 1),
-			[]string{"surface.golden:7: gone from the tree: flag ecmcoord -sites string \"\""}},
+		{"flag removed", strings.Replace(golden, "flag ecmserve -sites string \"\"\n", "", 1),
+			[]string{"surface.golden:7: gone from the tree: flag ecmserve -sites string \"\""}},
 		{"signature changed", strings.Replace(golden, "(ecmsketch.QueryResult, error)", "ecmsketch.QueryResult", 1),
 			[]string{
 				"surface.golden:5: gone from the tree: id ecmclient func (c *Client) QueryBatch(q ecmsketch.QueryBatch) (ecmsketch.QueryResult, error)",
@@ -123,7 +123,7 @@ func renderSurface(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	defer site.Close()
-	coordinator, err := NewOver(Config{}, ecmsketch.NewCoordinator(), nil)
+	coordinator, err := NewOver(Config{}, ecmsketch.NewCoordinator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func renderSurface(t *testing.T) []string {
 		}
 	}
 
-	for _, bin := range []string{"ecmserve", "ecmcoord", "ecmgen", "ecmbench"} {
+	for _, bin := range []string{"ecmserve", "ecmgen", "ecmbench"} {
 		out = append(out, renderFlags(t, bin)...)
 	}
 	return out

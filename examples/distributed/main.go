@@ -3,10 +3,10 @@
 // ECM-sketch; a Coordinator pulls every site's summary and merges them into
 // one sketch of the union stream, and its view answers sliding-window
 // queries about global page popularity. Here the sites are in-process
-// (NewLocalSite); cmd/ecmcoord runs the same Coordinator over NewHTTPSite
-// pulls from ecmserve deployments. The run compares the merged view with one
-// centralized sketch fed the whole stream, and reports the bytes each
-// Refresh round pulled: a full baseline per site first, deltas after.
+// (NewLocalSite); `ecmserve -sites` runs the same Coordinator over
+// NewHTTPSite pulls from ecmserve sites. The run compares the merged view
+// with one centralized sketch fed the whole stream, and reports the bytes
+// each Refresh round pulled: a full baseline per site first, deltas after.
 //
 // The paper's Figure 5 (binary-tree aggregation) is reproduced by
 // go run ./cmd/ecmbench -exp fig5.

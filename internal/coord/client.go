@@ -16,7 +16,7 @@ import (
 // and overall timeouts so one unresponsive site cannot wedge a pull
 // goroutine forever. A non-nil rootCAs replaces the system trust pool, for
 // deployments running their sites behind a private CA (the server side is
-// the -tls-cert/-tls-key flags on ecmserve and ecmcoord).
+// the -tls-cert/-tls-key flags of ecmserve, at either tier).
 func NewPullClient(timeout time.Duration, rootCAs *x509.CertPool) *http.Client {
 	tr := &http.Transport{
 		Proxy: http.ProxyFromEnvironment,

@@ -118,7 +118,7 @@ func TestDeltaCoordinatorBitIdentical(t *testing.T) {
 // in-process sites wrap. Only the routes the coordinator transport speaks
 // are needed.
 func serveEngineOver(eng *ecmsketch.Sharded) http.Handler {
-	srv, err := ecmserver.NewOver(ecmserver.Config{Epsilon: 0.1, Delta: 0.1, WindowLength: 50000, Seed: 99, Shards: 4}, eng, nil)
+	srv, err := ecmserver.NewOver(ecmserver.Config{Epsilon: 0.1, Delta: 0.1, WindowLength: 50000, Seed: 99, Shards: 4}, eng)
 	if err != nil {
 		panic(err)
 	}
@@ -430,7 +430,7 @@ func TestFullAndDeltaPullsAgree(t *testing.T) {
 						sites = append(sites, coord.NewLocalSite(name, src.src))
 						continue
 					}
-					srv, err := ecmserver.NewOver(ecmserver.Config{WindowLength: window}, src.src, nil)
+					srv, err := ecmserver.NewOver(ecmserver.Config{WindowLength: window}, src.src)
 					if err != nil {
 						t.Fatal(err)
 					}

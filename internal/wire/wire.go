@@ -1,8 +1,8 @@
 // Package wire is the shared /v1 HTTP codec of this repository: the
 // request-parsing, reply-encoding and snapshot-transfer conventions that
 // every tier serving (or consuming) the versioned API must agree on.
-// ecmserver (at a site and under cmd/ecmcoord) and the coordinator's own
-// routes both build on it, so the two cannot drift; ecmclient and the
+// ecmserver's shared read routes and the coordinator's own routes both
+// build on it, so the two cannot drift; ecmclient and the
 // coordinator's HTTP transport consume snapshots through it, so gzip
 // negotiation and transfer accounting live in exactly one place.
 //
@@ -54,7 +54,7 @@ const (
 )
 
 // MaxSnapshotBytes bounds any snapshot body read through this package
-// (1 GiB, the historical ecmcoord limit), so a misbehaving peer cannot
+// (1 GiB, the historical coordinator limit), so a misbehaving peer cannot
 // exhaust puller memory. The same cap applies after gzip expansion.
 const MaxSnapshotBytes = 1 << 30
 
@@ -447,8 +447,8 @@ func canonicalUint(b []byte, i int, v *uint64, zeros bool) int {
 // token by token with the keys array consumed element-wise, so request
 // memory stays bounded — batches beyond MaxQueryKeys are rejected
 // mid-stream, and duplicate or unknown fields are rejected rather than
-// buffered. Every tier serving the route (ecmserver, the ecmcoord
-// coordinator surface) validates through this one parser.
+// buffered. Every tier serving the route (ecmserver at a site and at a
+// coordinator) validates through this one parser.
 func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 	var q core.QueryBatch
 	s := NewScanner(body)

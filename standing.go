@@ -6,8 +6,8 @@ import "ecmsketch/internal/standing"
 // threshold crossings, top-k membership changes, windowed rate-of-change —
 // evaluated incrementally as mutations land and pushed to subscribers,
 // instead of being polled for. See the internal/standing package
-// documentation for the evaluation and delivery contract; ecmserver and
-// ecmcoord expose the registry over POST /v1/subscribe + GET /v1/watch
+// documentation for the evaluation and delivery contract; ecmserver
+// exposes the registry at both tiers over POST /v1/subscribe + GET /v1/watch
 // (SSE), and ecmclient.Subscribe consumes it as a typed channel.
 //
 // Embedders hook a registry to an engine directly:
