@@ -114,14 +114,21 @@ type durableState struct {
 	fp        uint64
 	syncEvery bool // fsync on every append (SyncInterval == 0)
 
-	// mu guards the active segment (wal, gen, closed) and the encoding
-	// scratch. Appends take it while holding a stripe lock; nothing under
-	// mu ever takes a stripe lock, so the order is acyclic.
+	// mu guards the active segment (log, gen, closed), its counters and the
+	// frame scratch: every append, fsync, rotation and close of the segment
+	// runs under it, so the log's own lock is never contended. Appends take
+	// mu while holding a stripe lock; nothing under mu ever takes a stripe
+	// lock, so the order is acyclic.
 	mu     sync.Mutex
-	wal    *durable.WAL
+	log    DurableLog
 	gen    uint64
 	closed bool
 	buf    []byte
+	// The active segment's records and framed bytes after its header, whether
+	// any are not yet fsynced, and the latency of the last fsync.
+	records, bytes uint64
+	dirty          bool
+	syncNs         int64
 
 	// ckptMu serializes checkpoints (interval loop, Close, explicit calls).
 	ckptMu sync.Mutex
@@ -163,12 +170,9 @@ func (sh *Sharded) initDurable(dc *DurabilityConfig) error {
 	// previous life), then persist the current state under it: from here
 	// the blob covers everything before the segment, the segment covers
 	// everything after.
-	wal, err := d.openSegment(sh.epoch, activeGen)
-	if err != nil {
+	if err := d.openSegment(sh.epoch, activeGen); err != nil {
 		return err
 	}
-	d.wal = wal
-	d.gen = activeGen
 	if err := sh.writeCheckpointBlob(activeGen); err != nil {
 		return err
 	}
@@ -317,27 +321,36 @@ func (sh *Sharded) replayWAL(snap *durable.Snapshot, sks []*Sketch) bool {
 	return true
 }
 
-// openSegment opens WAL segment gen empty and writes its header record,
-// synced: a segment is identifiable before anything rides on it.
-func (d *durableState) openSegment(epoch, gen uint64) (*durable.WAL, error) {
+// openSegment opens WAL segment gen empty, writes its header record,
+// synced — a segment is identifiable before anything rides on it — and
+// makes it the active segment with zeroed counters (the header is framing,
+// not logged work). The caller holds mu or owns d exclusively; on error the
+// active segment is unchanged.
+func (d *durableState) openSegment(epoch, gen uint64) error {
 	log, err := d.store.OpenLog(durWALName(gen))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := log.Truncate(0); err != nil {
-		log.Close()
-		return nil, err
-	}
-	w := durable.NewWAL(log)
-	hdr := durable.AppendRecord(nil, &durable.Record{
+	d.buf = durable.AppendFrame(d.buf[:0], &durable.Record{
 		Kind: durable.RecordHeader, Epoch: epoch, Gen: gen, Fingerprint: d.fp,
 	})
-	if err := w.Append(hdr, true); err != nil {
-		w.Close()
-		return nil, err
+	var start time.Time
+	err = log.Truncate(0)
+	if err == nil {
+		err = log.Append(d.buf)
 	}
-	w.ResetStats() // the header is framing, not logged work
-	return w, nil
+	if err == nil {
+		start = time.Now()
+		err = log.Sync()
+	}
+	if err != nil {
+		log.Close()
+		return err
+	}
+	d.log, d.gen = log, gen
+	d.records, d.bytes, d.dirty = 0, 0, false
+	d.syncNs = time.Since(start).Nanoseconds()
+	return nil
 }
 
 // writeCheckpointBlob captures every stripe (an arena clone under the stripe
@@ -386,21 +399,17 @@ func (sh *Sharded) Checkpoint() error {
 		d.mu.Unlock()
 		return errors.New("ecmsketch: engine is closed")
 	}
-	if err := d.wal.Sync(); err != nil {
+	if err := d.syncLocked(); err != nil {
 		d.mu.Unlock()
 		d.errs.Add(1)
 		return err
 	}
-	oldGen := d.gen
-	newWal, err := d.openSegment(sh.epoch, oldGen+1)
-	if err != nil {
+	oldLog, oldGen := d.log, d.gen
+	if err := d.openSegment(sh.epoch, oldGen+1); err != nil {
 		d.mu.Unlock()
 		d.errs.Add(1)
 		return err
 	}
-	oldWal := d.wal
-	d.wal = newWal
-	d.gen = oldGen + 1
 	d.mu.Unlock()
 
 	// Appends now go to the new segment; every record in the sealed one
@@ -409,7 +418,7 @@ func (sh *Sharded) Checkpoint() error {
 		d.errs.Add(1)
 		return err
 	}
-	if err := oldWal.Close(); err != nil {
+	if err := oldLog.Close(); err != nil {
 		d.errs.Add(1)
 	}
 	return d.store.Delete(durWALName(oldGen))
@@ -423,8 +432,7 @@ func (sh *Sharded) DurabilityStats() DurabilityStats {
 		return DurabilityStats{}
 	}
 	d.mu.Lock()
-	gen := d.gen
-	recs, bytes, syncNs := d.wal.Stats()
+	gen, recs, bytes, syncNs := d.gen, d.records, d.bytes, d.syncNs
 	d.mu.Unlock()
 	return DurabilityStats{
 		Enabled:            true,
@@ -477,14 +485,24 @@ func (sh *Sharded) logAdvance(part int, t Tick) {
 	})
 }
 
+// appendRecord frames rec into the scratch buffer and appends it to the
+// active segment, fsynced before returning when every append syncs.
 func (d *durableState) appendRecord(rec *durable.Record) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return
 	}
-	d.buf = durable.AppendRecord(d.buf[:0], rec)
-	err := d.wal.Append(d.buf, d.syncEvery)
+	d.buf = durable.AppendFrame(d.buf[:0], rec)
+	err := d.log.Append(d.buf)
+	if err == nil {
+		d.records++
+		d.bytes += uint64(len(d.buf))
+		d.dirty = true
+		if d.syncEvery {
+			err = d.syncLocked()
+		}
+	}
 	d.mu.Unlock()
 	if err != nil {
 		// Ingest cannot return errors; the engine keeps applying in memory
@@ -493,17 +511,30 @@ func (d *durableState) appendRecord(rec *durable.Record) {
 	}
 }
 
+// syncLocked fsyncs the active segment, a no-op when nothing was appended
+// since the last fsync. The caller holds mu.
+func (d *durableState) syncLocked() error {
+	if !d.dirty {
+		return nil
+	}
+	start := time.Now()
+	if err := d.log.Sync(); err != nil {
+		return err
+	}
+	d.syncNs = time.Since(start).Nanoseconds()
+	d.dirty = false
+	return nil
+}
+
 // syncNow makes every appended WAL record durable; the Flush barrier and
 // the background sync loop both land here.
 func (d *durableState) syncNow() {
 	d.mu.Lock()
-	w := d.wal
-	closed := d.closed
-	d.mu.Unlock()
-	if closed {
+	defer d.mu.Unlock()
+	if d.closed {
 		return
 	}
-	if err := w.Sync(); err != nil {
+	if err := d.syncLocked(); err != nil {
 		d.errs.Add(1)
 	}
 }
@@ -533,22 +564,23 @@ func every(interval time.Duration, fn func()) (stop func()) {
 }
 
 // seal marks the durable state closed — appends and syncs become no-ops —
-// and hands back the active segment for the caller to finish with.
-func (d *durableState) seal() *durable.WAL {
+// and closes the active segment, fsyncing it first when sync is set.
+func (d *durableState) seal(sync bool) error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.closed = true
-	w := d.wal
-	d.mu.Unlock()
-	return w
+	var err error
+	if sync {
+		err = d.syncLocked()
+	}
+	return errors.Join(err, d.log.Close())
 }
 
 // closeDurable finishes Close on a durable engine, after stopBackground: a
 // final checkpoint (a clean restart then replays nothing) and a synced
 // shutdown of the WAL.
 func (sh *Sharded) closeDurable() error {
-	err := sh.Checkpoint()
-	w := sh.dur.seal()
-	return errors.Join(err, w.Sync(), w.Close())
+	return errors.Join(sh.Checkpoint(), sh.dur.seal(true))
 }
 
 // CloseAbrupt tears the engine down the way a crash would: background
@@ -561,7 +593,7 @@ func (sh *Sharded) CloseAbrupt() error {
 	sh.closeOnce.Do(func() {
 		sh.stopBackground()
 		if sh.dur != nil {
-			sh.dur.seal().Close()
+			sh.dur.seal(false)
 		}
 	})
 	return nil

@@ -79,7 +79,7 @@ func (c *Client) Subscribe(ctx context.Context, queries []ecmsketch.StandingQuer
 	if buffer <= 0 {
 		buffer = 64
 	}
-	body, err := marshalSubscribe(queries)
+	body, err := standing.MarshalSubscribeJSON(queries)
 	if err != nil {
 		return nil, err
 	}
@@ -108,47 +108,6 @@ func (c *Client) Subscribe(ctx context.Context, queries []ecmsketch.StandingQuer
 // its watch streams end with a bye event.
 func (c *Client) Unsubscribe(id string) error {
 	return c.request(http.MethodDelete, "/v1/subscribe", url.Values{"sub": {id}}, nil, "", nil)
-}
-
-// marshalSubscribe encodes queries in the subscribe wire shape (pre-digested
-// keys travel as ikey decimal strings, like every other endpoint).
-func marshalSubscribe(queries []ecmsketch.StandingQuery) ([]byte, error) {
-	type wireKeyRef struct {
-		IKey string `json:"ikey"`
-	}
-	type wireQuery struct {
-		Kind        string       `json:"kind"`
-		IKey        string       `json:"ikey,omitempty"`
-		Keys        []wireKeyRef `json:"keys,omitempty"`
-		K           int          `json:"k,omitempty"`
-		Range       uint64       `json:"range,omitempty"`
-		Value       float64      `json:"value,omitempty"`
-		Below       bool         `json:"below,omitempty"`
-		Factor      float64      `json:"factor,omitempty"`
-		RankChanges bool         `json:"rankChanges,omitempty"`
-	}
-	out := struct {
-		Queries []wireQuery `json:"queries"`
-	}{Queries: make([]wireQuery, 0, len(queries))}
-	for _, q := range queries {
-		wq := wireQuery{
-			Kind:        q.Kind.String(),
-			K:           q.K,
-			Range:       q.Range,
-			Value:       q.Value,
-			Below:       q.Below,
-			Factor:      q.Factor,
-			RankChanges: q.RankChanges,
-		}
-		if q.Kind != ecmsketch.StandingTopK {
-			wq.IKey = strconv.FormatUint(q.Key, 10)
-		}
-		for _, k := range q.Keys {
-			wq.Keys = append(wq.Keys, wireKeyRef{IKey: strconv.FormatUint(k, 10)})
-		}
-		out.Queries = append(out.Queries, wq)
-	}
-	return json.Marshal(out)
 }
 
 // watchLoop runs the connect → stream → backoff-and-resume cycle until the

@@ -422,5 +422,6 @@ func (c *coordinator) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		wire.Error(w, http.StatusBadGateway, err)
 		return
 	}
-	wire.Respond(w, map[string]any{"ok": true, "count": c.co.Count(), "now": c.co.Now()})
+	asStrings := wire.WantStrings(r)
+	wire.Respond(w, map[string]any{"ok": true, "count": wire.U64Field(asStrings, c.co.Count()), "now": wire.U64Field(asStrings, c.co.Now())})
 }

@@ -731,3 +731,19 @@ func TestTLSRoundTrip(t *testing.T) {
 		t.Fatalf("stacked TLS count = %d, want 600", got)
 	}
 }
+
+// TestRefreshHonorsStrings pins that POST /v1/refresh renders its 64-bit
+// count and now like every other route: numbers by default, exact decimal
+// strings under ?strings=1.
+func TestRefreshHonorsStrings(t *testing.T) {
+	sites := newEcmserverSites(t, 2)
+	cs := newTestCoordServer(t, http.DefaultClient, []string{sites[0].URL, sites[1].URL})
+	code, out := doJSON(t, cs, "POST", "/v1/refresh", "")
+	if code != http.StatusOK || out["count"] != 6000.0 || out["now"] != 2000.0 {
+		t.Fatalf("POST /v1/refresh = %d %v, want count 6000 and now 2000 as numbers", code, out)
+	}
+	code, out = doJSON(t, cs, "POST", "/v1/refresh?strings=1", "")
+	if code != http.StatusOK || out["count"] != "6000" || out["now"] != "2000" {
+		t.Fatalf("POST /v1/refresh?strings=1 = %d %v, want count \"6000\" and now \"2000\"", code, out)
+	}
+}

@@ -184,10 +184,6 @@ func New(cfg Config) (*Server, error) {
 // registry. Over any other source the registry evaluates what the owner
 // feeds it through Standing().RefreshTarget. Everywhere but at a Sharded,
 // subscriptions must name their keys.
-//
-// cfg's engine fields only label /v1/stats at a site and should match the
-// engine's construction; the source is not rebuilt or validated against
-// them.
 func NewOver(cfg Config, src Source) (*Server, error) {
 	if src == nil {
 		return nil, fmt.Errorf("ecmserver: NewOver requires a source")
@@ -513,10 +509,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out["memoryBytes"] = s.engine.MemoryBytes()
 		out["viewRebuilds"] = wire.U64Field(asStrings, s.engine.ViewRebuilds())
 		out["rebuild"] = rebuildStatsField(asStrings, s.engine)
-		out["epsilon"] = s.cfg.Epsilon
-		out["delta"] = s.cfg.Delta
-		out["window"] = wire.U64Field(asStrings, s.cfg.WindowLength)
-		out["algorithm"] = s.cfg.Algorithm
+		p := s.engine.Params()
+		out["epsilon"] = p.Epsilon
+		out["delta"] = p.Delta
+		out["window"] = wire.U64Field(asStrings, p.WindowLength)
+		out["algorithm"] = strings.ToLower(p.Algorithm.String())
 		out["durability"] = durabilityStatsField(asStrings, s.engine)
 	}
 	if s.coord != nil {

@@ -571,3 +571,35 @@ func TestQueryStringsOptIn(t *testing.T) {
 		t.Errorf("default query now = %T, want JSON number", out["now"])
 	}
 }
+
+// TestStatsReportsEngineParams pins that a site's /v1/stats describes the
+// engine it serves, not the Config it was handed: NewOver with a zero Config
+// over an engine built elsewhere still reports that engine's ε, δ, window and
+// algorithm (as its lower-case ParseAlgo name).
+func TestStatsReportsEngineParams(t *testing.T) {
+	eng, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: ecmsketch.Params{
+		Epsilon: 0.05, Delta: 0.02, WindowLength: 5000, Seed: 3, Algorithm: ecmsketch.AlgoDW,
+	}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := NewOver(Config{}, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := doJSON(t, srv, "GET", "/v1/stats", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
+	}
+	if out["epsilon"] != 0.05 || out["delta"] != 0.02 || out["window"] != 5000.0 || out["algorithm"] != "dw" {
+		t.Fatalf("stats report epsilon %v delta %v window %v algorithm %v, want 0.05 0.02 5000 dw",
+			out["epsilon"], out["delta"], out["window"], out["algorithm"])
+	}
+	if algo, err := ParseAlgo(out["algorithm"].(string)); err != nil || algo != ecmsketch.AlgoDW {
+		t.Fatalf("reported algorithm does not parse back: %v, %v", algo, err)
+	}
+	if _, out := doJSON(t, srv, "GET", "/v1/stats?strings=1", ""); out["window"] != "5000" {
+		t.Fatalf("stats?strings=1 window = %v, want \"5000\"", out["window"])
+	}
+}

@@ -90,8 +90,8 @@ func TestLogPersistsAcrossReopen(t *testing.T) {
 			if err := log.Sync(); err != nil {
 				t.Fatalf("Sync: %v", err)
 			}
-			if n, err := log.Size(); err != nil || n != int64(len("onetwothree")) {
-				t.Fatalf("Size: %d, %v", n, err)
+			if data, err := log.ReadAll(); err != nil || len(data) != len("onetwothree") {
+				t.Fatalf("ReadAll: %d bytes, %v", len(data), err)
 			}
 			if err := log.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
@@ -130,21 +130,33 @@ func TestWALReplayRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := NewWAL(log)
-			payloads := [][]byte{[]byte("a"), []byte("bb"), {}, []byte("dddd")}
-			for i, p := range payloads {
-				if err := w.Append(p, i%2 == 0); err != nil {
+			records := []Record{
+				{Kind: RecordHeader, Epoch: 9, Gen: 2, Fingerprint: 1 << 60},
+				{Kind: RecordBatch, Part: 1, Tick: 40, Ver: 3, Events: []core.Event{{Key: 7, Tick: 41, N: 2}}},
+				{Kind: RecordBatch, Part: 0, Tick: 41, Ver: 4},
+				{Kind: RecordAdvance, Part: 1, Tick: 1 << 40},
+			}
+			var payloads [][]byte
+			var all []byte // every frame, appended into one buffer
+			for i := range records {
+				payloads = append(payloads, AppendRecord(nil, &records[i]))
+				all = AppendFrame(all, &records[i])
+				if err := log.Append(AppendFrame(nil, &records[i])); err != nil {
 					t.Fatalf("Append %d: %v", i, err)
 				}
+				if i%2 == 0 {
+					if err := log.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			recs, bytesN, _ := w.Stats()
-			if recs != uint64(len(payloads)) || bytesN == 0 {
-				t.Fatalf("Stats: %d records %d bytes", recs, bytesN)
+			if data, err := log.ReadAll(); err != nil || !bytes.Equal(data, all) {
+				t.Fatalf("log holds %d bytes (%v), want the %d framed", len(data), err, len(all))
 			}
-			if err := w.Sync(); err != nil {
+			if err := log.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Close(); err != nil {
+			if err := log.Close(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -180,9 +192,19 @@ func TestWALTornTail(t *testing.T) {
 		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, castagnoli))
 		return append(b, p...)
 	}
-	good := [][]byte{[]byte("alpha"), []byte("beta")}
+	goodRecs := []Record{
+		{Kind: RecordHeader, Epoch: 1, Gen: 1, Fingerprint: 5},
+		{Kind: RecordBatch, Part: 2, Tick: 10, Ver: 1, Events: []core.Event{{Key: 3, Tick: 11, N: 1}}},
+	}
+	var good [][]byte
 	var prefix []byte
-	for _, p := range good {
+	for i := range goodRecs {
+		p := AppendRecord(nil, &goodRecs[i])
+		good = append(good, p)
+		// The independent frame helper pins AppendFrame's layout.
+		if f := AppendFrame(nil, &goodRecs[i]); !bytes.Equal(f, frame(p)) {
+			t.Fatalf("AppendFrame(record %d) = %x, want %x", i, f, frame(p))
+		}
 		prefix = append(prefix, frame(p)...)
 	}
 	cases := map[string][]byte{
@@ -219,16 +241,19 @@ func TestWALTornTail(t *testing.T) {
 					t.Fatalf("record %d: %q", i, recs[i])
 				}
 			}
-			if n, _ := log.Size(); n != int64(len(prefix)) {
-				t.Fatalf("log not truncated: size %d want %d", n, len(prefix))
+			if data, _ := log.ReadAll(); len(data) != len(prefix) {
+				t.Fatalf("log not truncated: size %d want %d", len(data), len(prefix))
 			}
 			// The WAL continues from the truncation point.
-			w := NewWAL(log)
-			if err := w.Append([]byte("resumed"), true); err != nil {
+			resumed := Record{Kind: RecordAdvance, Part: 1, Tick: 99}
+			if err := log.Append(AppendFrame(nil, &resumed)); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			recs, err = Replay(log)
-			if err != nil || len(recs) != len(good)+1 || string(recs[len(good)]) != "resumed" {
+			if err != nil || len(recs) != len(good)+1 || !bytes.Equal(recs[len(good)], AppendRecord(nil, &resumed)) {
 				t.Fatalf("replay after resume: %d recs, %v", len(recs), err)
 			}
 			log.Close()

@@ -126,16 +126,6 @@ func (l *fileLog) Sync() error {
 	return l.f.Sync()
 }
 
-func (l *fileLog) Size() (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st, err := l.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 func (l *fileLog) ReadAll() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

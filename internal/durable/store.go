@@ -60,7 +60,6 @@ type Store interface {
 type Log interface {
 	Append(p []byte) error
 	Sync() error
-	Size() (int64, error)
 	// ReadAll returns the log's full contents from the beginning.
 	ReadAll() ([]byte, error)
 	// Truncate discards everything past offset size.
@@ -156,12 +155,6 @@ func (l *memLog) Append(p []byte) error {
 }
 
 func (l *memLog) Sync() error { return nil }
-
-func (l *memLog) Size() (int64, error) {
-	l.data.mu.Lock()
-	defer l.data.mu.Unlock()
-	return int64(len(l.data.buf)), nil
-}
 
 func (l *memLog) ReadAll() ([]byte, error) {
 	l.data.mu.Lock()

@@ -3,8 +3,6 @@ package durable
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"sync"
-	"time"
 )
 
 // WAL frame layout: [u32 payload length][u32 CRC-32C of payload][payload],
@@ -20,87 +18,17 @@ const maxFrame = 1 << 28
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WAL frames records onto one log segment and tracks the observability
-// counters /v1/stats reports: records and bytes appended to this segment,
-// and the latency of the last fsync. Appends go to the OS immediately
-// (page cache); Sync makes them durable. Safe for concurrent use.
-type WAL struct {
-	mu      sync.Mutex
-	log     Log
-	buf     []byte
-	records uint64
-	bytes   uint64
-	dirty   bool
-	syncNs  int64
-}
-
-// NewWAL wraps an open log segment.
-func NewWAL(log Log) *WAL { return &WAL{log: log} }
-
-// Append frames and writes one record; with sync set it is fsynced before
-// returning (the fsync-every-append durability policy).
-func (w *WAL) Append(payload []byte, sync bool) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(payload, castagnoli))
-	w.buf = append(w.buf, payload...)
-	if err := w.log.Append(w.buf); err != nil {
-		return err
-	}
-	w.records++
-	w.bytes += uint64(len(w.buf))
-	w.dirty = true
-	if sync {
-		return w.syncLocked()
-	}
-	return nil
-}
-
-// Sync makes every appended record durable; a no-op when nothing was
-// appended since the last call.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.dirty {
-		return nil
-	}
-	return w.syncLocked()
-}
-
-func (w *WAL) syncLocked() error {
-	start := time.Now()
-	if err := w.log.Sync(); err != nil {
-		return err
-	}
-	w.syncNs = time.Since(start).Nanoseconds()
-	w.dirty = false
-	return nil
-}
-
-// ResetStats zeroes the records/bytes counters (the segment header is
-// framing, not logged work, so openers reset after writing it).
-func (w *WAL) ResetStats() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.records, w.bytes = 0, 0
-}
-
-// Stats reports records/bytes appended to this segment and the last fsync
-// latency in nanoseconds (0 until the first sync).
-func (w *WAL) Stats() (records, bytes uint64, lastSyncNs int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records, w.bytes, w.syncNs
-}
-
-// Close closes the underlying segment without syncing (Checkpoint syncs
-// explicitly before rotating a segment out).
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.Close()
+// AppendFrame appends rec's WAL frame to dst: it reserves the header,
+// encodes the record in place behind it (see AppendRecord), then fills in
+// the payload length and CRC. One Log.Append of the result logs the record.
+func AppendFrame(dst []byte, rec *Record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = AppendRecord(dst, rec)
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // Replay decodes every intact frame of a log segment in append order. A

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -18,10 +19,11 @@ import (
 // wire contract cannot drift between surfaces.
 type Service struct {
 	Reg *Registry
-	// KeepAlive is the SSE comment-ping interval holding idle connections
-	// open through proxies. Default 15s.
-	KeepAlive time.Duration
 }
+
+// keepAlive is the SSE comment-ping interval holding idle watch connections
+// open through proxies.
+const keepAlive = 15 * time.Second
 
 // --- subscribe wire format ---
 
@@ -103,24 +105,58 @@ func (wq wireQuery) toQuery() (Query, error) {
 	return q, nil
 }
 
-// HandleSubscribe is POST /v1/subscribe: register a batch of standing
-// queries, reply with the subscription ID and per-query IDs.
-func (sv *Service) HandleSubscribe(w http.ResponseWriter, r *http.Request) {
+// MarshalSubscribeJSON encodes queries as a POST /v1/subscribe body — the
+// client half of parseSubscribe, exported so ecmclient shares one codec.
+// Keys travel pre-digested, as ikey decimal strings.
+func MarshalSubscribeJSON(queries []Query) ([]byte, error) {
+	req := wireSubscribeRequest{Queries: make([]wireQuery, 0, len(queries))}
+	for _, q := range queries {
+		wq := wireQuery{
+			Kind:        q.Kind.String(),
+			K:           q.K,
+			Range:       uint64(q.Range),
+			Value:       q.Value,
+			Below:       q.Below,
+			Factor:      q.Factor,
+			RankChanges: q.RankChanges,
+		}
+		if q.Kind != KindTopK {
+			wq.IKey = u64s(q.Key)
+		}
+		for _, k := range q.Keys {
+			wq.Keys = append(wq.Keys, wireKeyRef{IKey: u64s(k)})
+		}
+		req.Queries = append(req.Queries, wq)
+	}
+	return json.Marshal(req)
+}
+
+// parseSubscribe decodes a POST /v1/subscribe body into its queries.
+func parseSubscribe(body io.Reader) ([]Query, error) {
 	var req wireSubscribeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		wire.Error(w, http.StatusBadRequest, fmt.Errorf("bad subscribe body: %w", err))
-		return
+		return nil, fmt.Errorf("bad subscribe body: %w", err)
 	}
 	queries := make([]Query, 0, len(req.Queries))
 	for i, wq := range req.Queries {
 		q, err := wq.toQuery()
 		if err != nil {
-			wire.Error(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
+			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
 		queries = append(queries, q)
+	}
+	return queries, nil
+}
+
+// HandleSubscribe is POST /v1/subscribe: register a batch of standing
+// queries, reply with the subscription ID and per-query IDs.
+func (sv *Service) HandleSubscribe(w http.ResponseWriter, r *http.Request) {
+	queries, err := parseSubscribe(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		wire.Error(w, http.StatusBadRequest, err)
+		return
 	}
 	info, err := sv.Reg.Subscribe(queries)
 	if err != nil {
@@ -215,11 +251,7 @@ func (sv *Service) HandleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
-	ka := sv.KeepAlive
-	if ka <= 0 {
-		ka = 15 * time.Second
-	}
-	ticker := time.NewTicker(ka)
+	ticker := time.NewTicker(keepAlive)
 	defer ticker.Stop()
 	ctx := r.Context()
 	for {

@@ -29,6 +29,9 @@ type Registry struct {
 	indexer CellIndexer
 	subs    map[string]*subscription
 	preds   []*pred
+	// ringSize and queueSize size the replay rings and watcher queues
+	// created next (see SetLimits).
+	ringSize, queueSize int
 	// lastNow is the target clock at the previous evaluation pass — the
 	// advance detector.
 	lastNow core.Tick
@@ -95,21 +98,24 @@ type pred struct {
 // evaluating at bind time.
 func NewRegistry(cfg Config) *Registry {
 	return &Registry{
-		cfg:  cfg.withDefaults(),
-		subs: make(map[string]*subscription),
+		cfg:       cfg,
+		ringSize:  defaultRingSize,
+		queueSize: defaultQueueSize,
+		subs:      make(map[string]*subscription),
 	}
 }
 
-// SetLimits overrides the ring and queue capacities for subscriptions and
-// watchers created after the call (testing hook for drop/resume paths).
+// SetLimits overrides the replay-ring and watcher-queue capacities
+// (defaultRingSize, defaultQueueSize) for subscriptions and watchers created
+// after the call; a non-positive value keeps the current capacity.
 func (r *Registry) SetLimits(ring, queue int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ring > 0 {
-		r.cfg.RingSize = ring
+		r.ringSize = ring
 	}
 	if queue > 0 {
-		r.cfg.QueueSize = queue
+		r.queueSize = queue
 	}
 }
 
@@ -194,12 +200,12 @@ func (r *Registry) Subscribe(queries []Query) (SubscriptionInfo, error) {
 			return SubscriptionInfo{}, fmt.Errorf("standing: query %d: %w", i, err)
 		}
 	}
-	if len(r.subs) >= r.cfg.MaxSubscriptions {
-		return SubscriptionInfo{}, fmt.Errorf("standing: subscription limit reached (%d)", r.cfg.MaxSubscriptions)
+	if len(r.subs) >= maxSubscriptions {
+		return SubscriptionInfo{}, fmt.Errorf("standing: subscription limit reached (%d)", maxSubscriptions)
 	}
 	s := &subscription{
 		id:       r.newIDLocked(),
-		ring:     make([]Notification, r.cfg.RingSize),
+		ring:     make([]Notification, r.ringSize),
 		watchers: make(map[*Watcher]struct{}),
 	}
 	info := SubscriptionInfo{ID: s.id, Queries: make([]uint64, 0, len(queries))}
@@ -319,7 +325,7 @@ func (r *Registry) Attach(id string, resume uint64, replay bool) (w *Watcher, mi
 	if !ok {
 		return nil, nil, 0, ErrUnknownSubscription
 	}
-	w = &Watcher{ch: make(chan Notification, r.cfg.QueueSize), sub: s}
+	w = &Watcher{ch: make(chan Notification, r.queueSize), sub: s}
 	w.C = w.ch
 	s.watchers[w] = struct{}{}
 	start = s.seq

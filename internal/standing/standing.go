@@ -224,28 +224,19 @@ type CellIndexer interface {
 
 // Config configures a Registry.
 type Config struct {
-	// RingSize is the per-subscription replay buffer (notifications
-	// retained for reconnect-with-resume). Default 1024.
-	RingSize int
-	// QueueSize is the per-watcher buffered delivery queue; a watcher
-	// whose queue is full drops (and later sees a gap marker). Default 256.
-	QueueSize int
-	// MaxSubscriptions bounds registry memory. Default 16384.
-	MaxSubscriptions int
 	// RequireKeys makes top-k queries demand an explicit watchlist —
 	// set on coordinator surfaces, which never observe raw keys.
 	RequireKeys bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 1024
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 256
-	}
-	if c.MaxSubscriptions <= 0 {
-		c.MaxSubscriptions = 16384
-	}
-	return c
-}
+const (
+	// defaultRingSize is the per-subscription replay buffer: notifications
+	// retained for reconnect-with-resume. Registry.SetLimits overrides it.
+	defaultRingSize = 1024
+	// defaultQueueSize is the per-watcher buffered delivery queue; a watcher
+	// whose queue is full drops (and later sees a gap marker).
+	// Registry.SetLimits overrides it.
+	defaultQueueSize = 256
+	// maxSubscriptions bounds registry memory: Subscribe refuses past it.
+	maxSubscriptions = 16384
+)

@@ -1,8 +1,11 @@
 package standing
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -358,7 +361,8 @@ func TestValidation(t *testing.T) {
 
 func TestRingReplayAndGap(t *testing.T) {
 	ft := &fakeTarget{now: 10, est: map[uint64]float64{1: 0}}
-	r := NewRegistry(Config{RingSize: 4})
+	r := NewRegistry(Config{})
+	r.SetLimits(4, 0)
 	r.Bind(ft)
 	info, err := r.Subscribe([]Query{{Kind: KindThreshold, Key: 1, Value: 5}})
 	if err != nil {
@@ -400,7 +404,8 @@ func TestRingReplayAndGap(t *testing.T) {
 
 func TestQueueOverflowDrops(t *testing.T) {
 	ft := &fakeTarget{now: 10, est: map[uint64]float64{1: 0}}
-	r := NewRegistry(Config{QueueSize: 1})
+	r := NewRegistry(Config{})
+	r.SetLimits(0, 1)
 	r.Bind(ft)
 	_, w := mustSubscribe(t, r, Query{Kind: KindThreshold, Key: 1, Value: 5})
 	for i := 0; i < 3; i++ {
@@ -539,5 +544,44 @@ func TestNotificationJSONRoundTrip(t *testing.T) {
 		if fmt.Sprintf("%+v", dec) != fmt.Sprintf("%+v", n) {
 			t.Fatalf("round trip mismatch:\n in  %+v\n out %+v\n enc %s", n, dec, enc)
 		}
+	}
+}
+
+// TestSubscribeCodecRoundTrip pins the one subscribe-request codec: every
+// query shape MarshalSubscribeJSON encodes comes back unchanged through the
+// server's own parser, and the body is byte-for-byte the one ecmclient has
+// always sent.
+func TestSubscribeCodecRoundTrip(t *testing.T) {
+	queries := []Query{
+		{Kind: KindThreshold, Key: 42, Range: 600, Value: 12.5},
+		{Kind: KindThreshold, Key: math.MaxUint64, Value: 3, Below: true},
+		{Kind: KindRate, Key: 7, Range: 100, Value: 2, Factor: 1.5},
+		{Kind: KindTopK, K: 2, Keys: []uint64{1, 2, 3}, RankChanges: true, Range: 50},
+		{Kind: KindTopK, K: 5}, // learned: no watchlist
+	}
+	for i, q := range queries {
+		body, err := MarshalSubscribeJSON([]Query{q})
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		got, err := parseSubscribe(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("query %d: %s does not parse: %v", i, body, err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], q) {
+			t.Fatalf("query %d: %s parsed to %+v, want %+v", i, body, got, q)
+		}
+	}
+	body, err := MarshalSubscribeJSON(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"queries":[{"kind":"threshold","ikey":"42","range":600,"value":12.5},` +
+		`{"kind":"threshold","ikey":"18446744073709551615","value":3,"below":true},` +
+		`{"kind":"rate","ikey":"7","range":100,"value":2,"factor":1.5},` +
+		`{"kind":"topk","keys":[{"ikey":"1"},{"ikey":"2"},{"ikey":"3"}],"k":2,"range":50,"rankChanges":true},` +
+		`{"kind":"topk","k":5}]}`
+	if string(body) != want {
+		t.Fatalf("subscribe body\n got %s\nwant %s", body, want)
 	}
 }

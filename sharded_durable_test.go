@@ -2,10 +2,13 @@ package ecmsketch
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"ecmsketch/internal/durable"
 )
@@ -375,10 +378,13 @@ func TestDurableWALGapDiscardsWholeRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := durable.AppendRecord(nil, &durable.Record{
+	forged := durable.AppendFrame(nil, &durable.Record{
 		Kind: durable.RecordBatch, Part: 0, Tick: a.Now(), Ver: ver + 1000, Events: []Event{{Key: 1, Tick: a.Now()}},
 	})
-	if err := durable.NewWAL(log).Append(forged, true); err != nil {
+	if err := log.Append(forged); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	log.Close()
@@ -540,4 +546,153 @@ func TestDurableStatsBlock(t *testing.T) {
 	if st.LastSnapshotTick == 0 || st.LastSnapshotUnixMs == 0 {
 		t.Fatalf("checkpoint left snapshot stamps zero: %+v", st)
 	}
+}
+
+// fsyncStore wraps a DurableStore so every log it opens records, at each
+// Sync, how many bytes had been appended to it — and fails that Sync while
+// failSync is set.
+type fsyncStore struct {
+	DurableStore
+	mu       sync.Mutex
+	logs     []*fsyncLog
+	failSync bool
+}
+
+type fsyncLog struct {
+	DurableLog
+	st       *fsyncStore
+	appended int
+	syncs    []int // appended at each successful Sync
+}
+
+func (s *fsyncStore) OpenLog(name string) (DurableLog, error) {
+	l, err := s.DurableStore.OpenLog(name)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fl := &fsyncLog{DurableLog: l, st: s}
+	s.logs = append(s.logs, fl)
+	return fl, nil
+}
+
+func (l *fsyncLog) Append(p []byte) error {
+	l.st.mu.Lock()
+	l.appended += len(p)
+	l.st.mu.Unlock()
+	return l.DurableLog.Append(p)
+}
+
+func (l *fsyncLog) Sync() error {
+	l.st.mu.Lock()
+	defer l.st.mu.Unlock()
+	if l.st.failSync {
+		return errors.New("injected fsync failure")
+	}
+	l.syncs = append(l.syncs, l.appended)
+	return l.DurableLog.Sync()
+}
+
+// active reports the newest log's appended bytes and the bytes its last
+// successful Sync covered.
+func (s *fsyncStore) active() (appended, synced int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := s.logs[len(s.logs)-1]
+	if n := len(l.syncs); n > 0 {
+		synced = l.syncs[n-1]
+	}
+	return l.appended, synced
+}
+
+func (s *fsyncStore) setFailSync(fail bool) {
+	s.mu.Lock()
+	s.failSync = fail
+	s.mu.Unlock()
+}
+
+// TestDurableFsyncContract pins what DurabilityConfig.SyncInterval promises
+// against the Log calls the engine actually makes: at 0 every AddBatch's
+// records are fsynced before it returns; at a long interval Flush returns
+// only after a Sync covering every byte appended before the call; and a
+// failing Sync is counted in DurabilityStats().Errors while ingest and
+// answers carry on.
+func TestDurableFsyncContract(t *testing.T) {
+	batch := func(tick uint64) []Event {
+		evs := make([]Event, 32)
+		for i := range evs {
+			evs[i] = Event{Key: uint64(i % 5), Tick: tick + uint64(i), N: 1}
+		}
+		return evs
+	}
+	open := func(t *testing.T, syncEvery time.Duration) (*Sharded, *fsyncStore) {
+		t.Helper()
+		st := &fsyncStore{DurableStore: NewMemStore()}
+		sh, err := NewSharded(ShardedConfig{Params: parallelShardedParams(AlgoEH), Shards: 2,
+			Durability: &DurabilityConfig{Store: st, SyncInterval: syncEvery}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sh.Close() })
+		return sh, st
+	}
+
+	t.Run("every append", func(t *testing.T) {
+		sh, st := open(t, 0)
+		for r := uint64(0); r < 8; r++ {
+			before, _ := st.active()
+			sh.AddBatch(batch(100 + 64*r))
+			appended, synced := st.active()
+			if appended == before {
+				t.Fatalf("batch %d logged nothing", r)
+			}
+			if synced != appended {
+				t.Fatalf("batch %d returned with %d of %d appended bytes synced", r, synced, appended)
+			}
+		}
+	})
+
+	t.Run("flush covers every prior append", func(t *testing.T) {
+		sh, st := open(t, time.Hour)
+		for r := uint64(0); r < 8; r++ {
+			sh.AddBatch(batch(100 + 64*r))
+		}
+		appended, synced := st.active()
+		if synced >= appended {
+			t.Fatalf("an hour-long interval synced %d of %d bytes before Flush", synced, appended)
+		}
+		sh.Flush()
+		if _, synced := st.active(); synced < appended {
+			t.Fatalf("Flush returned with %d of %d appended bytes synced", synced, appended)
+		}
+	})
+
+	t.Run("failing sync is counted, ingest carries on", func(t *testing.T) {
+		sh, st := open(t, 0)
+		sh.AddBatch(batch(100))
+		if errs := sh.DurabilityStats().Errors; errs != 0 {
+			t.Fatalf("healthy store reported %d errors", errs)
+		}
+		st.setFailSync(true)
+		sh.AddBatch(batch(200))
+		sh.Flush()
+		if errs := sh.DurabilityStats().Errors; errs == 0 {
+			t.Fatal("a failing Sync was not counted in DurabilityStats().Errors")
+		}
+		if got := sh.Count(); got != 64 {
+			t.Fatalf("count %d after a failing Sync, want 64", got)
+		}
+		if est := sh.Estimate(0, 1<<20); est < 13 {
+			t.Fatalf("estimate of key 0 is %v, want at least its 13 arrivals", est)
+		}
+		st.setFailSync(false)
+		sh.AddBatch(batch(300))
+		if appended, synced := st.active(); synced != appended {
+			t.Fatalf("after recovery %d of %d appended bytes synced", synced, appended)
+		}
+		if got := sh.Count(); got != 96 {
+			t.Fatalf("count %d, want 96", got)
+		}
+	})
 }

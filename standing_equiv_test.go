@@ -311,7 +311,8 @@ func TestStandingOracleEquivalenceIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := equivQueries()
-			reg := NewStandingRegistry(StandingConfig{RingSize: 16384, QueueSize: 16384})
+			reg := NewStandingRegistry(StandingConfig{})
+			reg.SetLimits(16384, 16384)
 			reg.Bind(eng)
 			eng.SetNotifier(reg)
 			defer eng.SetNotifier(nil)
@@ -380,7 +381,8 @@ func TestStandingOracleEquivalenceCoordinator(t *testing.T) {
 			queries := equivQueries()
 			// Coordinator surface: explicit keys required, target bound per
 			// refresh rather than up front.
-			reg := NewStandingRegistry(StandingConfig{RequireKeys: true, RingSize: 16384, QueueSize: 16384})
+			reg := NewStandingRegistry(StandingConfig{RequireKeys: true})
+			reg.SetLimits(16384, 16384)
 			oracle := newEquivOracle(1000, queries)
 			w, missed, queryIdx := collectRegistry(t, reg, queries)
 			if len(missed) != 0 {
