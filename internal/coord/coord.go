@@ -221,14 +221,15 @@ type Coordinator struct {
 	changedAll   bool
 
 	// rootMu guards the incrementally maintained merged view (Refresh,
-	// DeltaSnapshot, ExportState) and its provenance. frozen is the clone
-	// of root that reads are answered from: stored and cleared only under
-	// rootMu, cleared by whatever moves root, so non-nil means current.
+	// DeltaSnapshot, ExportState) and its provenance. frozen is the view
+	// over a clone of root that reads are answered from: stored and cleared
+	// only under rootMu, cleared by whatever moves root, so non-nil means
+	// current.
 	rootMu    sync.Mutex
 	root      *core.Sketch
 	contrib   []*member
 	lastStats RefreshStats
-	frozen    atomic.Pointer[core.Sketch]
+	frozen    atomic.Pointer[core.View]
 }
 
 // maxChangedCells bounds the accumulated changed-cell set; past it the

@@ -164,6 +164,17 @@ var ErrNotReady = errors.New("coord: no merged view yet (Refresh has not succeed
 // shared — callers must not mutate it. Refresh only invalidates the clone;
 // the first View after a round republishes it.
 func (c *Coordinator) View() (*core.Sketch, error) {
+	v, err := c.view()
+	if err != nil {
+		return nil, err
+	}
+	return v.Sketch(), nil
+}
+
+// view returns the published frozen view, publishing it first if the last
+// round invalidated it. Its aggregates are memoised per range, so root
+// readers polling the same totals between rounds share one sweep.
+func (c *Coordinator) view() (*core.View, error) {
 	if v := c.frozen.Load(); v != nil {
 		return v, nil
 	}
@@ -175,11 +186,12 @@ func (c *Coordinator) View() (*core.Sketch, error) {
 	if c.root == nil {
 		return nil, ErrNotReady
 	}
-	v, err := c.root.Snapshot()
+	sk, err := c.root.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	v.Advance(v.Now())
+	sk.Advance(sk.Now())
+	v := core.NewView(sk)
 	c.frozen.Store(v)
 	return v, nil
 }
@@ -187,7 +199,7 @@ func (c *Coordinator) View() (*core.Sketch, error) {
 // QueryBatch answers a multi-key query from the frozen view: one consistent
 // cut of the merged stream as of the last round.
 func (c *Coordinator) QueryBatch(q core.QueryBatch) (core.QueryResult, error) {
-	v, err := c.View()
+	v, err := c.view()
 	if err != nil {
 		return core.QueryResult{}, err
 	}

@@ -370,7 +370,7 @@ func (s *Sketch) EstimateInterval(key uint64, from, to Tick) float64 {
 
 // InnerProduct estimates a_r ⊙ b_r = Σ_x f_a(x,r)·f_b(x,r) as
 // min_j Σ_i E_a(i,j,r)·E_b(i,j,r) (Section 4.1). Both sketches must share
-// configuration.
+// configuration. When o is s each counter is read once and squared.
 func (s *Sketch) InnerProduct(o *Sketch, r Tick) (float64, error) {
 	if !s.Compatible(o) {
 		return 0, errors.New("core: inner product requires identically configured sketches")
@@ -384,7 +384,11 @@ func (s *Sketch) InnerProduct(o *Sketch, r Tick) (float64, error) {
 			if ea == 0 {
 				continue
 			}
-			sum += ea * o.cellEstimateRange(idx, r)
+			eb := ea
+			if o != s {
+				eb = o.cellEstimateRange(idx, r)
+			}
+			sum += ea * eb
 		}
 		if sum < best {
 			best = sum

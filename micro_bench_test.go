@@ -200,3 +200,43 @@ func BenchmarkQueryBatchVsSingles(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkQueryAgg measures one aggregate read (Total and SelfJoin) from a
+// published merged view at bench/'s serve-read shape: 4 stripes, EH,
+// ε = 0.02, δ = 0.01, W = 2^17, 8 events per tick over 2^16 keys preloaded
+// for 1.125·W ticks. "miss" cycles through more ranges than a view remembers, so every
+// read sweeps all d×w counters; "hit" repeats W/2, which the view answers
+// from its per-range memo.
+func BenchmarkQueryAgg(b *testing.B) {
+	const window, perTick = 1 << 17, 8
+	params := ecmsketch.Params{Epsilon: 0.02, Delta: 0.01, WindowLength: window}
+	sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: params, Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]ecmsketch.Event, 0, 1024)
+	for tick := ecmsketch.Tick(1); tick <= window+window/8; tick++ {
+		for j := 0; j < perTick; j++ {
+			batch = append(batch, ecmsketch.Event{Key: (uint64(tick)*perTick + uint64(j)) * 0x9e3779b97f4a7c15 % (1 << 16), Tick: tick})
+		}
+		if len(batch) == cap(batch) {
+			sh.AddBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	sh.AddBatch(batch)
+	for _, c := range []struct {
+		name   string
+		ranges ecmsketch.Tick
+	}{{"miss", 64}, {"hit", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := window/2 - ecmsketch.Tick(i)%c.ranges
+				if _, err := sh.QueryBatch(ecmsketch.QueryBatch{Range: r, Total: true, SelfJoin: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

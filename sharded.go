@@ -38,6 +38,10 @@ import (
 //   - Rebuilds are single-flight: when the view expires (MergeTTL) under a
 //     reader stampede, exactly one reader pays the merge; the others are
 //     served the previous view lock-free until the new one is published.
+//   - Aggregates are answered once per view: the first Total or SelfJoin
+//     for a range sweeps every counter and the view remembers the result
+//     (a handful of ranges, bit-identical), so readers polling the same
+//     aggregates between rebuilds read a memo instead of the counters.
 //
 // All methods are safe for concurrent use.
 type Sharded struct {
@@ -95,12 +99,12 @@ type Sharded struct {
 }
 
 // shardedView is one immutable published state of the merged query engine.
-// sk is frozen: it was advanced to its own clock when built and its clock
-// never moves again, which makes every query on it — even the lazily
-// expiring sliding-window reads — a pure read. The -race stress tests
-// assert this.
+// view's sketch is frozen: it was advanced to its own clock when built and
+// its clock never moves again, which makes every query on it — even the
+// lazily expiring sliding-window reads — a pure read, and lets the view
+// answer each aggregate range once. The -race stress tests assert this.
 type shardedView struct {
-	sk      *Sketch
+	view    *core.View
 	version uint64 // sum of per-stripe versions the parts were snapshotted at
 	builtAt time.Time
 }
@@ -838,7 +842,7 @@ func (sh *Sharded) Marshal() []byte {
 	if err != nil {
 		return nil
 	}
-	return view.Marshal()
+	return view.Sketch().Marshal()
 }
 
 // Snapshot returns an independent single-sketch copy of the combined
@@ -849,7 +853,7 @@ func (sh *Sharded) Snapshot() (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return view.Snapshot()
+	return view.Sketch().Snapshot()
 }
 
 // DeltaSnapshot answers a cursor-based incremental pull over the stripes
@@ -952,21 +956,21 @@ func (sh *Sharded) viewFresh(v *shardedView) bool {
 	return sh.ttl > 0 && time.Since(v.builtAt) < sh.ttl
 }
 
-// queryView returns the sketch global queries are answered from. The fast
+// queryView returns the view global queries are answered from. The fast
 // path is entirely lock-free: load the published view, check freshness
 // (atomic version sum or TTL), query it. When a rebuild is needed it is
 // single-flight; with a MergeTTL configured, readers that lose the race are
 // served the previous view instead of blocking behind the merge.
-func (sh *Sharded) queryView() (*Sketch, error) {
+func (sh *Sharded) queryView() (*core.View, error) {
 	v := sh.view.Load()
 	if v != nil && sh.viewFresh(v) {
-		return v.sk, nil
+		return v.view, nil
 	}
 	if v != nil && sh.ttl > 0 {
 		// Stale view, staleness tolerated: exactly one reader rebuilds,
 		// everyone else keeps reading the previous view lock-free.
 		if !sh.rebuild.TryLock() {
-			return v.sk, nil
+			return v.view, nil
 		}
 	} else {
 		// First global query (nothing to serve yet) or strict-freshness
@@ -977,7 +981,7 @@ func (sh *Sharded) queryView() (*Sketch, error) {
 	// Re-check under the lock: the rebuild we queued behind may have
 	// published exactly the view we need.
 	if v := sh.view.Load(); v != nil && sh.viewFresh(v) {
-		return v.sk, nil
+		return v.view, nil
 	}
 	return sh.rebuildLocked()
 }
@@ -988,7 +992,7 @@ func (sh *Sharded) queryView() (*Sketch, error) {
 // the stripe lock); unchanged stripes contribute their cached snapshot
 // without touching their lock at all. The merge itself runs on the
 // snapshots, never blocking ingest.
-func (sh *Sharded) rebuildLocked() (*Sketch, error) {
+func (sh *Sharded) rebuildLocked() (*core.View, error) {
 	now := sh.now.Load()
 	if sh.rebuild.parts == nil {
 		sh.rebuild.parts = make([]*Sketch, len(sh.shards))
@@ -1019,13 +1023,14 @@ func (sh *Sharded) rebuildLocked() (*Sketch, error) {
 	for i := range sh.shards {
 		vsum += sh.rebuild.versions[i]
 	}
-	view, err := Merge(sh.rebuild.parts...)
+	merged, err := Merge(sh.rebuild.parts...)
 	if err != nil {
 		return nil, fmt.Errorf("ecmsketch: merging shards: %w", err)
 	}
 	// The view sits at the engine clock the parts were settled to; from here
 	// on its clock never moves, so concurrent queries on it are pure reads.
-	sh.view.Store(&shardedView{sk: view, version: vsum, builtAt: time.Now()})
+	view := core.NewView(merged)
+	sh.view.Store(&shardedView{view: view, version: vsum, builtAt: time.Now()})
 	sh.rebuilds.Add(1)
 	sh.rebuildNs.Store(time.Since(start).Nanoseconds())
 	sh.rebuildWorkers.Store(int64(workers))

@@ -8,6 +8,8 @@ package ecmsketch
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -95,7 +97,7 @@ func TestShardedViewBitIdentical(t *testing.T) {
 			t.Fatalf("%s: queryView: %v", stage, err)
 		}
 		baseline := fullMergeBaseline(t, sh)
-		if got, want := marshalNormalized(t, view), marshalNormalized(t, baseline); !bytes.Equal(got, want) {
+		if got, want := marshalNormalized(t, view.Sketch()), marshalNormalized(t, baseline); !bytes.Equal(got, want) {
 			t.Fatalf("%s: view encoding differs from full merge (%d vs %d bytes)", stage, len(got), len(want))
 		}
 		for _, r := range []Tick{p.WindowLength, p.WindowLength / 3, 100} {
@@ -149,10 +151,13 @@ func TestShardedViewFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := feedShardedView(t, sh, 3, 5000, 0)
-	view, err := sh.queryView()
+	v, err := sh.queryView()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read the bare sketch, not the view's aggregate memo, so a moved clock
+	// or a leaked write would show in the counters themselves.
+	view := v.Sketch()
 	if view.Now() != now {
 		t.Fatalf("view clock = %d, want engine clock %d", view.Now(), now)
 	}
@@ -233,4 +238,120 @@ func TestShardedStrictFreshness(t *testing.T) {
 			t.Fatalf("after %d writes: total %v lags the stream (strict freshness broken)", i, got)
 		}
 	}
+}
+
+// viewFront is the read surface both tiers publish frozen views through.
+type viewFront interface {
+	QueryBatch(QueryBatch) (QueryResult, error)
+	Snapshot() (*Sketch, error)
+}
+
+// checkViewAggregates compares every aggregate shape front answers from its
+// memoised view against a fresh Snapshot of the same view, bit for bit, at
+// ranges 0, 1, W/2, W and 2W, asking each twice so both the miss and the
+// hit are checked. It returns the whole-window total.
+func checkViewAggregates(t *testing.T, stage string, front viewFront) float64 {
+	t.Helper()
+	snap, err := front.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: Snapshot: %v", stage, err)
+	}
+	W := snap.Params().WindowLength
+	shapes := []QueryBatch{{Total: true}, {SelfJoin: true}, {Total: true, SelfJoin: true}}
+	for _, r := range []Tick{0, 1, W / 2, W, 2 * W} {
+		for _, shape := range shapes {
+			q := shape
+			q.Range = r
+			want, _ := snap.QueryBatch(q)
+			for pass := 0; pass < 2; pass++ {
+				got, err := front.QueryBatch(q)
+				if err != nil {
+					t.Fatalf("%s: QueryBatch: %v", stage, err)
+				}
+				if math.Float64bits(got.Total) != math.Float64bits(want.Total) ||
+					math.Float64bits(got.SelfJoin) != math.Float64bits(want.SelfJoin) ||
+					got.Range != want.Range || got.Now != want.Now {
+					t.Errorf("%s: %+v pass %d = %+v, want %+v", stage, q, pass, got, want)
+				}
+			}
+		}
+	}
+	if sh, ok := front.(*Sharded); ok {
+		for _, r := range []Tick{0, 1, W / 2, W, 2 * W} {
+			if got, want := sh.EstimateTotal(r), snap.EstimateTotal(r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: EstimateTotal(%d) = %v, want %v", stage, r, got, want)
+			}
+			if got, want := sh.SelfJoin(r), snap.SelfJoin(r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: SelfJoin(%d) = %v, want %v", stage, r, got, want)
+			}
+		}
+		if got := sh.EstimateTotal(0); got != 0 {
+			t.Errorf("%s: EstimateTotal(0) = %v, want 0", stage, got)
+		}
+	}
+	return snap.EstimateTotal(W)
+}
+
+// TestViewAggregatesBitIdentical pins the per-view aggregate memo at both
+// tiers: on Sharded engines of one and four stripes, with a MergeTTL and in
+// strict mode, and on a coordinator over two sites, every memoised Total and
+// SelfJoin equals a fresh Snapshot's QueryBatch of the same view, and a
+// write followed by a rebuild or Refresh is answered anew.
+func TestViewAggregatesBitIdentical(t *testing.T) {
+	p := viewTestParams()
+	for _, shards := range []int{1, 4} {
+		for _, ttl := range []time.Duration{0, 5 * time.Millisecond} {
+			t.Run(fmt.Sprintf("sharded-%d-ttl-%v", shards, ttl), func(t *testing.T) {
+				sh, err := NewSharded(ShardedConfig{Params: p, Shards: shards, MergeTTL: ttl})
+				if err != nil {
+					t.Fatal(err)
+				}
+				now := feedShardedView(t, sh, 21, 12000, 0)
+				before := checkViewAggregates(t, "first view", sh)
+				rebuilds := sh.ViewRebuilds()
+				sh.AddN(77, now, 500)
+				// Strict mode rebuilds on the next read; with a TTL the first
+				// read after it lapses does.
+				deadline := time.Now().Add(10 * time.Second)
+				for {
+					sh.EstimateTotal(p.WindowLength)
+					if sh.ViewRebuilds() != rebuilds {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("no rebuild after a write")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if after := checkViewAggregates(t, "after a write", sh); after == before {
+					t.Errorf("total %v unchanged by 500 arrivals: the memo outlived its view", after)
+				}
+			})
+		}
+	}
+	t.Run("coordinator-2-sites", func(t *testing.T) {
+		var sites []Site
+		var engines []*Sharded
+		for i := 0; i < 2; i++ {
+			sh, err := NewSharded(ShardedConfig{Params: p, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedShardedView(t, sh, int64(30+i), 9000, 0)
+			engines = append(engines, sh)
+			sites = append(sites, NewLocalSite(fmt.Sprint("site", i), sh))
+		}
+		co := NewCoordinator(sites...)
+		if err := co.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		before := checkViewAggregates(t, "first round", co)
+		engines[1].AddN(77, engines[1].Now(), 500)
+		if err := co.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if after := checkViewAggregates(t, "after a write", co); after == before {
+			t.Errorf("total %v unchanged by 500 arrivals: the memo outlived its view", after)
+		}
+	})
 }
