@@ -370,7 +370,7 @@ func (s *Sketch) EstimateInterval(key uint64, from, to Tick) float64 {
 
 // InnerProduct estimates a_r ⊙ b_r = Σ_x f_a(x,r)·f_b(x,r) as
 // min_j Σ_i E_a(i,j,r)·E_b(i,j,r) (Section 4.1). Both sketches must share
-// configuration. When o is s each counter is read once and squared.
+// configuration.
 func (s *Sketch) InnerProduct(o *Sketch, r Tick) (float64, error) {
 	if !s.Compatible(o) {
 		return 0, errors.New("core: inner product requires identically configured sketches")
@@ -384,11 +384,7 @@ func (s *Sketch) InnerProduct(o *Sketch, r Tick) (float64, error) {
 			if ea == 0 {
 				continue
 			}
-			eb := ea
-			if o != s {
-				eb = o.cellEstimateRange(idx, r)
-			}
-			sum += ea * eb
+			sum += ea * o.cellEstimateRange(idx, r)
 		}
 		if sum < best {
 			best = sum
@@ -398,10 +394,11 @@ func (s *Sketch) InnerProduct(o *Sketch, r Tick) (float64, error) {
 }
 
 // SelfJoin estimates the second frequency moment F₂ of the stream within the
-// last r ticks.
+// last r ticks: the self inner product, read in the one sweep that also
+// yields ‖a_r‖₁, so each counter is evaluated once.
 func (s *Sketch) SelfJoin(r Tick) float64 {
-	v, _ := s.InnerProduct(s, r)
-	return v
+	_, f2 := s.totalAndSelfJoin(r)
+	return f2
 }
 
 // Compatible reports whether two sketches share dimensions, window

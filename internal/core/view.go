@@ -1,16 +1,15 @@
 package core
 
-import "sync"
-
-// viewMemoSize bounds how many ranges one View remembers aggregates for;
-// past it each new range replaces the oldest entry.
-const viewMemoSize = 8
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // View is a frozen sketch published for reads: settled at its own clock and
 // never mutated again, so every answer it gives is a pure function of the
 // query. Point estimates read the sketch directly. The aggregates ‖a_r‖₁
-// and F₂, each a sweep over all d×w counters, are computed once per range
-// and remembered, so the many readers polling one view pay for one sweep
+// and F₂, each a sweep over all d×w counters, are remembered for the last
+// range asked, so the many readers polling one view pay for one sweep
 // between them. The memo lives here and not on Sketch because a Sketch
 // mutates.
 //
@@ -18,18 +17,19 @@ const viewMemoSize = 8
 type View struct {
 	sk *Sketch
 
-	// mu serializes memo lookups and fills; a miss runs its sweep under it,
-	// so a stampede on a new view waits for one sweep instead of running N.
+	// mu guards last, the memo entry of the most recent range asked for.
+	// A sweep runs outside mu: readers of the same range wait on the
+	// entry's once, readers of other ranges never wait on it.
 	mu   sync.Mutex
-	memo [viewMemoSize]viewAgg
-	// sweeps counts totalAndSelfJoin passes run; entry sweeps%viewMemoSize
-	// is the next one replaced.
-	sweeps int
+	last *viewAgg
+	// sweeps counts totalAndSelfJoin passes run.
+	sweeps atomic.Int64
 }
 
-// viewAgg is one memo entry: the aggregates of range r.
+// viewAgg is one memo entry: the aggregates of range r, filled once.
 type viewAgg struct {
 	r               Tick
+	once            sync.Once
 	total, selfJoin float64
 }
 
@@ -46,16 +46,17 @@ func (v *View) Sketch() *Sketch { return v.sk }
 func (v *View) aggregates(r Tick) (total, selfJoin float64) {
 	r = min(r, v.sk.wcfg.Length)
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, e := range v.memo[:min(v.sweeps, viewMemoSize)] {
-		if e.r == r {
-			return e.total, e.selfJoin
-		}
+	e := v.last
+	if e == nil || e.r != r {
+		e = &viewAgg{r: r}
+		v.last = e
 	}
-	total, selfJoin = v.sk.totalAndSelfJoin(r)
-	v.memo[v.sweeps%viewMemoSize] = viewAgg{r: r, total: total, selfJoin: selfJoin}
-	v.sweeps++
-	return total, selfJoin
+	v.mu.Unlock()
+	e.once.Do(func() {
+		e.total, e.selfJoin = v.sk.totalAndSelfJoin(r)
+		v.sweeps.Add(1)
+	})
+	return e.total, e.selfJoin
 }
 
 // EstimateTotal estimates ‖a_r‖₁ over the last r ticks (see

@@ -39,8 +39,8 @@ func viewTestSketch(t *testing.T, algo window.Algorithm) *Sketch {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestSelfJoinMatchesQueryBatch pins SelfJoin's one-read-per-counter sweep
-// to the joint Total+SelfJoin sweep, bit for bit, and InnerProduct of two
+// TestSelfJoinMatchesQueryBatch pins SelfJoin to QueryBatch's SelfJoin-only
+// and joint Total+SelfJoin answers, bit for bit, and InnerProduct of two
 // distinct sketches to the two-sided formula over their counter vectors.
 func TestSelfJoinMatchesQueryBatch(t *testing.T) {
 	for _, algo := range []window.Algorithm{window.AlgoEH, window.AlgoDW, window.AlgoRW} {
@@ -83,8 +83,8 @@ func TestSelfJoinMatchesQueryBatch(t *testing.T) {
 
 // TestViewAggregatesOnce is the stampede test of the aggregate memo: eight
 // readers asking a freshly published view for the same range read the same
-// bits — the sketch's own — and the sweep runs once. The memo then stays at
-// its bound however many distinct ranges it is asked for.
+// bits — the sketch's own — and the sweep runs once. However many distinct
+// ranges it is then asked for, the memo keeps only the newest.
 func TestViewAggregatesOnce(t *testing.T) {
 	s := viewTestSketch(t, window.AlgoEH)
 	W := s.wcfg.Length
@@ -117,43 +117,57 @@ func TestViewAggregatesOnce(t *testing.T) {
 			t.Errorf("reader %d read (%v, %v), want (%v, %v)", g, totals[g], f2s[g], wantTotal, wantF2)
 		}
 	}
-	if v.sweeps != 1 {
-		t.Fatalf("%d readers of one range ran %d sweeps, want 1", readers, v.sweeps)
+	if got := v.sweeps.Load(); got != 1 {
+		t.Fatalf("%d readers of one range ran %d sweeps, want 1", readers, got)
 	}
 
 	// Past the window a range is keyed as the window; 0 is its own range.
 	if got, want := v.EstimateTotal(2*W), s.EstimateTotal(W); !sameBits(got, want) {
 		t.Errorf("EstimateTotal(2W) = %v, want %v", got, want)
 	}
-	if got := v.SelfJoin(W); v.sweeps != 2 || !sameBits(got, s.SelfJoin(W)) {
-		t.Errorf("SelfJoin(W) after EstimateTotal(2W): %v after %d sweeps, want a hit", got, v.sweeps)
+	if got := v.SelfJoin(W); v.sweeps.Load() != 2 || !sameBits(got, s.SelfJoin(W)) {
+		t.Errorf("SelfJoin(W) after EstimateTotal(2W): %v after %d sweeps, want a hit", got, v.sweeps.Load())
 	}
 	if got := v.EstimateTotal(0); got != 0 {
 		t.Errorf("EstimateTotal(0) = %v, want 0", got)
 	}
 
-	before := v.sweeps
+	// The memo holds one range: each new range sweeps, a repeat of the
+	// newest hits, and any older range sweeps again.
+	before := v.sweeps.Load()
 	for i := Tick(1); i <= 1000; i++ {
 		v.SelfJoin(i)
 	}
-	if got := v.sweeps - before; got != 1000 {
+	if got := v.sweeps.Load() - before; got != 1000 {
 		t.Fatalf("1000 distinct ranges ran %d sweeps", got)
 	}
-	if len(v.memo) != viewMemoSize {
-		t.Fatalf("memo holds %d entries, want the bound %d", len(v.memo), viewMemoSize)
+	before = v.sweeps.Load()
+	if got := v.SelfJoin(1000); !sameBits(got, s.SelfJoin(1000)) || v.sweeps.Load() != before {
+		t.Fatalf("newest range: SelfJoin = %v after %d sweeps, want %v from the memo", got, v.sweeps.Load()-before, s.SelfJoin(1000))
 	}
-	// The newest viewMemoSize ranges hit; the one before them was replaced.
-	before = v.sweeps
-	for i := Tick(1000); i > 1000-viewMemoSize; i-- {
-		if got := v.SelfJoin(i); !sameBits(got, s.SelfJoin(i)) {
-			t.Fatalf("memoised SelfJoin(%d) = %v, want %v", i, got, s.SelfJoin(i))
-		}
+	if got := v.SelfJoin(999); !sameBits(got, s.SelfJoin(999)) || v.sweeps.Load() != before+1 {
+		t.Fatalf("replaced range: SelfJoin = %v after %d sweeps, want %v from one sweep", got, v.sweeps.Load()-before, s.SelfJoin(999))
 	}
-	if v.sweeps != before {
-		t.Fatalf("the %d newest ranges ran %d sweeps, want all hits", viewMemoSize, v.sweeps-before)
+
+	// Readers of different ranges replace each other's entry, sweeps in
+	// flight included; each still reads its own range's bits.
+	ranges := []Tick{W / 4, W / 2, W}
+	want := make([]float64, len(ranges))
+	for i, r := range ranges {
+		want[i] = s.SelfJoin(r)
 	}
-	v.SelfJoin(1000 - viewMemoSize)
-	if v.sweeps != before+1 {
-		t.Fatalf("a replaced range did not sweep again")
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(ranges)
+				if got := v.SelfJoin(ranges[i]); !sameBits(got, want[i]) {
+					t.Errorf("reader %d: SelfJoin(%d) = %v, want %v", g, ranges[i], got, want[i])
+					return
+				}
+			}
+		}(g)
 	}
+	wg.Wait()
 }

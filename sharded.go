@@ -40,7 +40,7 @@ import (
 //     served the previous view lock-free until the new one is published.
 //   - Aggregates are answered once per view: the first Total or SelfJoin
 //     for a range sweeps every counter and the view remembers the result
-//     (a handful of ranges, bit-identical), so readers polling the same
+//     for the last range asked (bit-identical), so readers polling the same
 //     aggregates between rebuilds read a memo instead of the counters.
 //
 // All methods are safe for concurrent use.
