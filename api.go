@@ -97,11 +97,11 @@ type Querier interface {
 // Consistency is the point. On a concurrent engine, a sequence of single-key
 // Estimate calls interleaves with writers and each call may observe a
 // different stream state; a QueryBatch is evaluated against one snapshot.
-// On the Sharded engine every answer in the batch — including the point
-// estimates — comes from the Theorem-4 merged view, so point answers carry
-// the view's (slightly inflated) merge error in exchange for the consistent
-// cut; latency-insensitive single-key lookups that prefer the zero-merge-
-// error path should keep using Estimate, which routes to the key's stripe.
+// On the Sharded engine every answer in the batch comes from one published
+// view of per-stripe snapshots: each point estimate from its key's stripe
+// snapshot, the aggregates summed over all of them, so batched answers
+// carry no merge error, like Estimate's. The price of the consistent cut is
+// staleness (up to MergeTTL) instead.
 type QueryBatch = core.QueryBatch
 
 // QueryResult answers a QueryBatch: per-key estimates in request order, the
@@ -115,22 +115,23 @@ type QueryResult = core.QueryResult
 type BatchQuerier interface {
 	// QueryBatch answers a multi-key query from one consistent cut. The
 	// error is always nil on local single-sketch backends; the sharded
-	// engine reports merged-view build failures and the remote client
+	// engine reports view build failures and the remote client
 	// reports transport failures.
 	QueryBatch(q QueryBatch) (QueryResult, error)
 }
 
-// DirectQuerier is the zero-merge read side: multi-key point queries where
-// each key is answered from the single stripe that owns it, with no merged
-// view built or consulted. The trade against QueryBatch is explicit:
+// DirectQuerier is the live read side: multi-key point queries where each
+// key is answered from the single stripe that owns it, with no view built
+// or consulted. The trade against QueryBatch is explicit:
 //
 //   - zero merge error (each key's cells are read where its arrivals
-//     landed) and no rebuild cost on the read path, but
+//     landed, as QueryBatch's are), no rebuild cost on the read path and no
+//     staleness, but
 //   - no consistency across the batch — on a concurrent engine the
 //     per-stripe answers form an inconsistent cut that writers may
 //     interleave with, and
-//   - point queries only: Total/SelfJoin aggregates need the merged view
-//     and are rejected.
+//   - point queries only: Total/SelfJoin aggregates need the view and are
+//     rejected.
 //
 // On single-sketch backends (Sketch, and Sharded with one stripe) direct and
 // batched point answers coincide. Implemented by every front end; the remote client

@@ -372,10 +372,10 @@ func (c *Client) QueryBatch(q ecmsketch.QueryBatch) (ecmsketch.QueryResult, erro
 	return res, err
 }
 
-// QueryDirect answers a point-only batch through the server's zero-merge
-// path (POST /v1/query?direct=1): each key is read from the single stripe
-// that owns it, with no merged view built or consulted. Zero merge error
-// and no rebuild cost, but no consistency across the batch, and aggregate
+// QueryDirect answers a point-only batch through the server's direct path
+// (POST /v1/query?direct=1): each key is read from the live stripe that
+// owns it, with no view built or consulted. Zero merge error, no rebuild
+// cost and no staleness, but no consistency across the batch, and aggregate
 // requests (Total/SelfJoin) are rejected by the server with 400 — the
 // ecmsketch.DirectQuerier contract, forwarded.
 func (c *Client) QueryDirect(q ecmsketch.QueryBatch) (ecmsketch.QueryResult, error) {

@@ -42,8 +42,8 @@ type Config struct {
 	// Shards is the lock-stripe count of the engine; 0 means GOMAXPROCS.
 	Shards int
 	// MergeTTL bounds the staleness of global queries (selfjoin, total,
-	// sketch pulls) served from the engine's cached merged view; 0 means
-	// always fresh.
+	// sketch pulls) served from the engine's cached view; 0 means always
+	// fresh.
 	MergeTTL time.Duration
 	// AuthToken, when non-empty, requires "Authorization: Bearer <AuthToken>"
 	// on every route (constant-time compared); unauthenticated requests get
@@ -381,7 +381,7 @@ type wireQueryResultStrings struct {
 }
 
 // handleQuery answers a batched multi-key query from one consistent cut of
-// the source's merged view: POST /v1/query with body
+// the source's published view: POST /v1/query with body
 //
 //	{"keys":[{"key":"/home"},{"ikey":"17446744073709551615"}],
 //	 "range":60000,"total":true,"selfJoin":true}
@@ -418,11 +418,12 @@ func sourceError(w http.ResponseWriter, code int, err error) {
 	wire.Error(w, code, err)
 }
 
-// answerQuery evaluates a parsed QueryBatch and writes the /v1 reply.
-// ?direct=1 routes through the zero-merge path: at a site each key is
-// answered from its owning stripe, no merged view built or consulted — an
-// inconsistent cut traded for zero merge error and zero rebuild cost.
-// Aggregates need the merged view and are rejected there with 400.
+// answerQuery evaluates a parsed QueryBatch and writes the /v1 reply. At a
+// site both routes read each key from its owning stripe with zero merge
+// error: the batch from that stripe's snapshot in the published view, and
+// ?direct=1 from the live stripe, no view built or consulted — an
+// inconsistent cut traded for zero rebuild cost and no staleness.
+// Aggregates need the view and are rejected there with 400.
 func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, q ecmsketch.QueryBatch) {
 	var res ecmsketch.QueryResult
 	var err error
@@ -547,10 +548,10 @@ func durabilityStatsField(asStrings bool, engine *ecmsketch.Sharded) map[string]
 	}
 }
 
-// rebuildStatsField renders the merged-view rebuild timing block of
-// /v1/stats: the wall time of the most recent rebuild's stripe clone+merge
-// and the worker-pool size the per-stripe refresh fanned across (1 =
-// sequential) — together, the effective parallelism of the merge path.
+// rebuildStatsField renders the view rebuild timing block of /v1/stats: the
+// wall time of the most recent rebuild's stripe clone + settle (a site view
+// merges nothing) and the worker-pool size the per-stripe work fanned
+// across (1 = sequential).
 // merge_ns is a 64-bit field and honors ?strings=1 like every other.
 func rebuildStatsField(asStrings bool, engine *ecmsketch.Sharded) map[string]any {
 	mergeNs, workers := engine.RebuildStats()
@@ -560,11 +561,12 @@ func rebuildStatsField(asStrings bool, engine *ecmsketch.Sharded) map[string]any
 	}
 }
 
-// writeSnapshot ships the source's frozen merged-view bytes plus X-Ecm-Now
-// and X-Ecm-Count headers so pullers can gauge staleness and stream volume
-// without decoding the body. Headers and payload come from one Snapshot of
-// the merged view (not separate reads of the source), so they describe
-// exactly the bytes shipped even under concurrent ingest.
+// writeSnapshot ships the source as one merged sketch — at a site the
+// Theorem-4 merge of the view's stripe snapshots, built once per view — plus
+// X-Ecm-Now and X-Ecm-Count headers so pullers can gauge staleness and
+// stream volume without decoding the body. Headers and payload come from one
+// Snapshot (not separate reads of the source), so they describe exactly the
+// bytes shipped even under concurrent ingest.
 func (s *Server) writeSnapshot(w http.ResponseWriter, r *http.Request) {
 	sk, err := s.src.Snapshot()
 	if err != nil {
@@ -576,7 +578,7 @@ func (s *Server) writeSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot is the coordinator pull route, in two modes:
 //
-// Without ?since=, GET /v1/snapshot ships the full merged view (see
+// Without ?since=, GET /v1/snapshot ships the full merged sketch (see
 // writeSnapshot), the payload ecmclient.Snapshot decodes.
 //
 // With ?since=<cursor>, the reply follows the delta protocol: an
@@ -585,7 +587,7 @@ func (s *Server) writeSnapshot(w http.ResponseWriter, r *http.Request) {
 // is absent-valued ("0"), unparsable, or unrecognized — a restarted or
 // reconfigured source — re-baselining the puller (X-Ecm-Delta: full).
 // X-Ecm-Cursor carries the cursor the payload brings the puller to. At a
-// site, delta pulls never build the merged view, so a steady-state pull
+// site, delta pulls never build a view or merge, so a steady-state pull
 // loop costs the server a few stripe clones instead of a P-way merge; a
 // coordinator answers from its patched root, so stacked coordinators pull
 // cell-granular deltas through the same receiver path they use on leaves.
@@ -612,7 +614,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		meta.Kind = wire.KindFull
 	}
 	// The advisory headers come from the source's own clock and counter,
-	// which both tiers report without building or cloning a merged view.
+	// which both tiers report without building or cloning a view.
 	if c, ok := s.src.(interface {
 		Now() ecmsketch.Tick
 		Count() uint64

@@ -34,6 +34,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"ecmsketch/internal/core"
 	"ecmsketch/internal/hashing"
@@ -622,9 +623,12 @@ func WriteSnapshot(w http.ResponseWriter, r *http.Request, payload []byte, m Sna
 	}
 	if len(payload) >= gzipMinSize && acceptsGzip(r) {
 		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
+		zw := gzipWriters.Get().(*gzip.Writer)
+		zw.Reset(&buf)
 		zw.Write(payload) //nolint:errcheck // bytes.Buffer writes cannot fail
 		zw.Close()        //nolint:errcheck
+		zw.Reset(nil)     // drop buf, so the pool does not pin the body
+		gzipWriters.Put(zw)
 		h.Set("Content-Encoding", "gzip")
 		h.Set("Vary", "Accept-Encoding")
 		h.Set("Content-Length", strconv.Itoa(buf.Len()))
@@ -633,6 +637,35 @@ func WriteSnapshot(w http.ResponseWriter, r *http.Request, payload []byte, m Sna
 	}
 	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	w.Write(payload)
+}
+
+// gzipWriters and gzipReaders pool the (de)compressor state of snapshot
+// bodies across pulls: a fresh gzip.Writer allocates and zeroes ~700 KB of
+// deflate tables, and Reset reuses them with output byte-identical to a
+// fresh writer's at the same (default) level.
+var (
+	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
+
+// gunzip decompresses one gzip body of at most MaxSnapshotBytes through a
+// pooled reader. A pooled reader still points at raw until its next Reset;
+// the pool drops idle readers at garbage collection, so that pins no body
+// for long.
+func gunzip(raw []byte) ([]byte, error) {
+	zr := gzipReaders.Get().(*gzip.Reader)
+	defer gzipReaders.Put(zr)
+	if err := zr.Reset(bytes.NewReader(raw)); err != nil {
+		return nil, fmt.Errorf("bad gzip snapshot body: %w", err)
+	}
+	payload, err := io.ReadAll(io.LimitReader(zr, MaxSnapshotBytes))
+	if err != nil {
+		return nil, fmt.Errorf("decompressing snapshot body: %w", err)
+	}
+	if err := zr.Close(); err != nil {
+		return nil, fmt.Errorf("bad gzip snapshot body: %w", err)
+	}
+	return payload, nil
 }
 
 // SnapshotReply is one fetched snapshot: the decoded payload, the bytes
@@ -695,16 +728,8 @@ func FetchSnapshot(hc *http.Client, url, token string) (SnapshotReply, error) {
 	}
 	rep.Wire = len(raw)
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return rep, fmt.Errorf("bad gzip snapshot body: %w", err)
-		}
-		rep.Payload, err = io.ReadAll(io.LimitReader(zr, MaxSnapshotBytes))
-		if err != nil {
-			return rep, fmt.Errorf("decompressing snapshot body: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			return rep, fmt.Errorf("bad gzip snapshot body: %w", err)
+		if rep.Payload, err = gunzip(raw); err != nil {
+			return rep, err
 		}
 	} else {
 		rep.Payload = raw

@@ -2,9 +2,14 @@ package wire_test
 
 import (
 	"bytes"
+	"compress/gzip"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ecmsketch/internal/core"
@@ -139,4 +144,79 @@ func TestFetchDelta(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPooledGzipMatchesFreshWriter: snapshot bodies compressed through the
+// pooled writers are byte-identical to a fresh gzip.Writer's output for the
+// same payload, and decompress through the pooled readers back to it —
+// also after readers failed on a corrupt body — with many pulls of
+// different payloads in flight at once (run it under -race).
+func TestPooledGzipMatchesFreshWriter(t *testing.T) {
+	payloads := make([][]byte, 8)
+	for i := range payloads {
+		// Distinct sizes and contents, so a writer or reader that kept state
+		// from an earlier body would show.
+		payloads[i] = bytes.Repeat([]byte(fmt.Sprintf("cell %d: %x ", i, i*7919)), 100+300*i)
+	}
+	fresh := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write(p)
+		zw.Close()
+		fresh[i] = buf.Bytes()
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Has("corrupt") {
+			w.Header().Set("Content-Encoding", "gzip")
+			w.Write(fresh[0][:len(fresh[0])/2]) // a truncated stream
+			return
+		}
+		i, _ := strconv.Atoi(r.URL.Query().Get("i"))
+		wire.WriteSnapshot(w, r, payloads[i], wire.SnapshotMeta{Now: uint64(i)})
+	}))
+	defer ts.Close()
+	// Readers that failed go back to the pool; the pulls below must still
+	// decode through them.
+	for n := 0; n < 4; n++ {
+		if _, err := wire.FetchSnapshot(http.DefaultClient, ts.URL+"/?corrupt", ""); err == nil {
+			t.Fatal("a truncated gzip body decoded")
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 25; n++ {
+				i := (g + n) % len(payloads)
+				url := fmt.Sprintf("%s/?i=%d", ts.URL, i)
+				req, _ := http.NewRequest(http.MethodGet, url, nil)
+				req.Header.Set("Accept-Encoding", "gzip")
+				resp, err := http.DefaultTransport.RoundTrip(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(body, fresh[i]) {
+					t.Errorf("payload %d: pooled gzip body (%d B) differs from a fresh writer's (%d B)", i, len(body), len(fresh[i]))
+				}
+				rep, err := wire.FetchSnapshot(http.DefaultClient, url, "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(rep.Payload, payloads[i]) || rep.Wire != len(fresh[i]) {
+					t.Errorf("payload %d: pooled gunzip gave %d B over %d wire B, want %d B over %d", i, len(rep.Payload), rep.Wire, len(payloads[i]), len(fresh[i]))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -201,30 +201,47 @@ func BenchmarkQueryBatchVsSingles(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryAgg measures one aggregate read (Total and SelfJoin) from a
-// published merged view at bench/'s serve-read shape: 4 stripes, EH,
+// serveReadEngine builds bench/'s serve-read engine shape: 4 stripes, EH,
 // ε = 0.02, δ = 0.01, W = 2^17, 8 events per tick over 2^16 keys preloaded
-// for 1.125·W ticks. "miss" cycles through more ranges than a view remembers, so every
-// read sweeps all d×w counters; "hit" repeats W/2, which the view answers
-// from its per-range memo.
-func BenchmarkQueryAgg(b *testing.B) {
-	const window, perTick = 1 << 17, 8
+// for 1.125·W ticks. It returns the engine and the last preloaded tick.
+func serveReadEngine(b *testing.B) (*ecmsketch.Sharded, ecmsketch.Tick) {
+	b.Helper()
+	const window = 1 << 17
 	params := ecmsketch.Params{Epsilon: 0.02, Delta: 0.01, WindowLength: window}
 	sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: params, Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
+	last := ecmsketch.Tick(window + window/8)
 	batch := make([]ecmsketch.Event, 0, 1024)
-	for tick := ecmsketch.Tick(1); tick <= window+window/8; tick++ {
-		for j := 0; j < perTick; j++ {
-			batch = append(batch, ecmsketch.Event{Key: (uint64(tick)*perTick + uint64(j)) * 0x9e3779b97f4a7c15 % (1 << 16), Tick: tick})
-		}
+	for tick := ecmsketch.Tick(1); tick <= last; tick++ {
+		batch = appendServeReadTick(batch, tick)
 		if len(batch) == cap(batch) {
 			sh.AddBatch(batch)
 			batch = batch[:0]
 		}
 	}
 	sh.AddBatch(batch)
+	return sh, last
+}
+
+// appendServeReadTick appends tick's 8 arrivals of serveReadEngine's stream.
+func appendServeReadTick(batch []ecmsketch.Event, tick ecmsketch.Tick) []ecmsketch.Event {
+	const perTick = 8
+	for j := 0; j < perTick; j++ {
+		batch = append(batch, ecmsketch.Event{Key: (uint64(tick)*perTick + uint64(j)) * 0x9e3779b97f4a7c15 % (1 << 16), Tick: tick})
+	}
+	return batch
+}
+
+// BenchmarkQueryAgg measures one aggregate read (Total and SelfJoin) from a
+// published view at bench/'s serve-read shape (serveReadEngine). "miss"
+// cycles through more ranges than a view remembers, so every read sweeps
+// all d×w counters of every stripe; "hit" repeats W/2, which the view
+// answers from its per-range memos.
+func BenchmarkQueryAgg(b *testing.B) {
+	sh, _ := serveReadEngine(b)
+	window := sh.Params().WindowLength
 	for _, c := range []struct {
 		name   string
 		ranges ecmsketch.Tick
@@ -239,4 +256,34 @@ func BenchmarkQueryAgg(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkViewRebuild measures one strict-fresh view rebuild (MergeTTL 0)
+// at bench/'s serve-read shape (serveReadEngine): every iteration writes
+// one 256-event batch (32 ticks, every stripe touched) and then asks one
+// point query, which must rebuild the view first. The write is a small
+// share of the time; the rest is cloning the four stripes and settling them
+// at the new clock.
+func BenchmarkViewRebuild(b *testing.B) {
+	sh, tick := serveReadEngine(b)
+	batch := make([]ecmsketch.Event, 0, 256)
+	q := ecmsketch.QueryBatch{Keys: []uint64{1}}
+	if _, err := sh.QueryBatch(q); err != nil {
+		b.Fatal(err)
+	}
+	rebuilds := sh.ViewRebuilds()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch = batch[:0]
+		for len(batch) < cap(batch) {
+			tick++
+			batch = appendServeReadTick(batch, tick)
+		}
+		sh.AddBatch(batch)
+		if _, err := sh.QueryBatch(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sh.ViewRebuilds()-rebuilds)/float64(b.N), "rebuilds/op")
 }

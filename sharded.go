@@ -30,18 +30,23 @@ import (
 //     changed since the last build — an arena clone taken under the stripe
 //     lock (three slab memcpys, see Sketch.Snapshot) — and reuses the
 //     cached snapshot of every unchanged stripe without touching its lock.
-//   - The snapshots are merged (the order-preserving ⊕ of Section 5.3,
-//     with its bounded error inflation) into an immutable *view* published
-//     by atomic pointer swap. A view is frozen at build time — advanced to
-//     the engine clock, expiry caches settled — so any number of readers
-//     can query it concurrently without locks.
+//   - The snapshots, settled at one engine clock, are published together as
+//     an immutable *view* by atomic pointer swap. They are not merged: the
+//     stripes split the key space, so a point query reads the key's own
+//     stripe snapshot and ‖a_r‖₁ and F₂ are sums over the stripes, all with
+//     a single sketch's error. A view is frozen at build time, so any
+//     number of readers can query it concurrently without locks.
 //   - Rebuilds are single-flight: when the view expires (MergeTTL) under a
-//     reader stampede, exactly one reader pays the merge; the others are
+//     reader stampede, exactly one reader pays the rebuild; the others are
 //     served the previous view lock-free until the new one is published.
 //   - Aggregates are answered once per view: the first Total or SelfJoin
-//     for a range sweeps every counter and the view remembers the result
-//     for the last range asked (bit-identical), so readers polling the same
-//     aggregates between rebuilds read a memo instead of the counters.
+//     for a range sweeps every counter of every stripe snapshot and each
+//     remembers its result for the last range asked (bit-identical), so
+//     readers polling the same aggregates between rebuilds read memos
+//     instead of the counters.
+//   - Only Marshal and Snapshot need one sketch of the combined stream; they
+//     merge the view's stripe snapshots (the order-preserving ⊕ of Section
+//     5.3, with its bounded error inflation) on first use, once per view.
 //
 // All methods are safe for concurrent use.
 type Sharded struct {
@@ -59,8 +64,8 @@ type Sharded struct {
 	// the touched shard to it so expiry is aligned engine-wide.
 	now atomic.Uint64
 
-	// view is the current immutable merged view, swapped whole on rebuild;
-	// nil until the first global query. Readers Load and query it with no
+	// view is the current immutable view, swapped whole on rebuild; nil
+	// until the first global query. Readers Load and query it with no
 	// locking at all.
 	view atomic.Pointer[shardedView]
 
@@ -69,11 +74,11 @@ type Sharded struct {
 	// goroutine holding the mutex touches parts/versions.
 	rebuild struct {
 		sync.Mutex
-		parts    []*Sketch // cached per-stripe snapshots, advanced to the view clock
+		parts    []*Sketch // per-stripe snapshots of the last view; never mutated once published
 		versions []uint64  // stripe version each cached part reflects
 	}
 
-	// rebuilds counts completed merged-view builds (see ViewRebuilds);
+	// rebuilds counts completed view builds (see ViewRebuilds);
 	// rebuildNs and rebuildWorkers record the last build's wall time and
 	// snapshot-pool width for RebuildStats.
 	rebuilds       atomic.Uint64
@@ -98,15 +103,50 @@ type Sharded struct {
 	dur *durableState
 }
 
-// shardedView is one immutable published state of the merged query engine.
-// view's sketch is frozen: it was advanced to its own clock when built and
-// its clock never moves again, which makes every query on it — even the
-// lazily expiring sliding-window reads — a pure read, and lets the view
-// answer each aggregate range once. The -race stress tests assert this.
+// shardedView is one immutable published state of the query engine: one
+// frozen snapshot per stripe, all settled at the view clock now. A part is
+// never advanced once published — the next view clones it first — which
+// makes every query on the view, even the lazily expiring sliding-window
+// reads, a pure read, and lets each part answer each aggregate range once.
+// The -race stress tests assert this.
 type shardedView struct {
-	view    *core.View
+	parts   []*core.View // indexed by stripe
+	now     Tick
 	version uint64 // sum of per-stripe versions the parts were snapshotted at
 	builtAt time.Time
+	// merged is the Theorem-4 merge of the parts, built on first use.
+	merged func() (*Sketch, error)
+}
+
+func newShardedView(parts []*Sketch, now Tick, version uint64) *shardedView {
+	v := &shardedView{parts: make([]*core.View, len(parts)), now: now, version: version, builtAt: time.Now()}
+	for i, p := range parts {
+		v.parts[i] = core.NewView(p)
+	}
+	v.merged = sync.OnceValues(func() (*Sketch, error) {
+		// Read the parts back from v: the caller's slice is the rebuild's
+		// cache, which the next rebuild overwrites.
+		sks := make([]*Sketch, len(v.parts))
+		for i, p := range v.parts {
+			sks[i] = p.Sketch()
+		}
+		merged, err := Merge(sks...)
+		if err != nil {
+			return nil, fmt.Errorf("ecmsketch: merging shards: %w", err)
+		}
+		return merged, nil
+	})
+	return v
+}
+
+// aggregates sums (‖a_r‖₁, F₂) over the parts in stripe order. A key's
+// arrivals all live in one stripe, so both decompose over the stripes.
+func (v *shardedView) aggregates(r Tick) (total, selfJoin float64) {
+	for _, p := range v.parts {
+		total += p.EstimateTotal(r)
+		selfJoin += p.SelfJoin(r)
+	}
+	return total, selfJoin
 }
 
 // shard pads each stripe to its own cache lines so neighboring locks don't
@@ -136,17 +176,19 @@ type ShardedConfig struct {
 	// last N arrivals, not the stream's).
 	Params Params
 	// Shards is the stripe count P, rounded up to a power of two; 0 means
-	// GOMAXPROCS. More stripes mean less write contention but a costlier
-	// merged view for global queries.
+	// GOMAXPROCS. More stripes mean less write contention but more stripe
+	// snapshots per view: a view rebuild clones every changed stripe, an
+	// aggregate sweeps all P of them, and Marshal and Snapshot merge them.
+	// Point answers read one stripe whatever P is.
 	Shards int
-	// MergeTTL bounds the staleness of the cached merged view serving
-	// global queries. 0 means strict freshness: a global query never
-	// returns answers older than the stripes at call time, re-merging (and
-	// briefly serializing readers) after every write burst. A positive TTL
-	// lets readers run lock-free against the published view; while a
-	// TTL-expired view is being rebuilt, concurrent readers are served the
-	// previous view, so the worst-case staleness is MergeTTL plus one
-	// rebuild duration.
+	// MergeTTL bounds the staleness of the cached view serving global
+	// queries. 0 means strict freshness: a global query never returns
+	// answers older than the stripes at call time, rebuilding the view —
+	// cloning the changed stripes, no merge — (and briefly serializing
+	// readers) after every write burst. A positive TTL lets readers run
+	// lock-free against the published view; while a TTL-expired view is
+	// being rebuilt, concurrent readers are served the previous view, so the
+	// worst-case staleness is MergeTTL plus one rebuild duration.
 	MergeTTL time.Duration
 	// Async moves ingest onto a per-stripe pipeline: every stripe gets an
 	// owner goroutine consuming a bounded queue of pre-grouped sub-batches
@@ -708,46 +750,72 @@ func (sh *Sharded) EstimateInterval(key uint64, from, to Tick) float64 {
 	return s.sk.EstimateInterval(key, from, to)
 }
 
-// SelfJoin estimates F₂ over the last r ticks from the merged view.
+// SelfJoin estimates F₂ over the last r ticks from the view: the sum of the
+// stripes' self-joins.
 func (sh *Sharded) SelfJoin(r Tick) float64 {
 	view, err := sh.queryView()
 	if err != nil {
 		return 0
 	}
-	return view.SelfJoin(r)
+	_, selfJoin := view.aggregates(r)
+	return selfJoin
 }
 
-// EstimateTotal estimates ‖a_r‖₁ over the last r ticks from the merged view.
+// EstimateTotal estimates ‖a_r‖₁ over the last r ticks from the view: the
+// sum of the stripes' totals.
 func (sh *Sharded) EstimateTotal(r Tick) float64 {
 	view, err := sh.queryView()
 	if err != nil {
 		return 0
 	}
-	return view.EstimateTotal(r)
+	total, _ := view.aggregates(r)
+	return total
 }
 
 // QueryBatch answers a multi-key query — point estimates for every key plus
-// the optional total and self-join aggregates — from one frozen merged
-// view, so all answers in the batch describe the same consistent cut of the
-// combined stream. Unlike single-key Estimate calls (which route to the
-// key's stripe and pay no merge error), batched point answers carry the
-// merged view's bounded error inflation; that is the price of consistency.
+// the optional total and self-join aggregates — from one frozen view, so
+// all answers in the batch describe the same consistent cut of the combined
+// stream. The view holds every stripe's snapshot, not their merge: each key
+// is read from its own stripe's snapshot and the aggregates are sums over
+// the stripes, so batched answers carry a single sketch's error, like
+// Estimate's, and no merge error at all.
 func (sh *Sharded) QueryBatch(q QueryBatch) (QueryResult, error) {
 	view, err := sh.queryView()
 	if err != nil {
 		return QueryResult{}, err
 	}
-	return view.QueryBatch(q)
+	r := q.Range
+	if r == 0 {
+		r = sh.params.WindowLength
+	}
+	res := QueryResult{Now: view.now, Range: r}
+	if len(q.Keys) > 0 {
+		res.Estimates = make([]float64, len(q.Keys))
+		for i, key := range q.Keys {
+			res.Estimates[i] = view.parts[sh.stripeOf(key)].Sketch().Estimate(key, r)
+		}
+	}
+	if q.Total || q.SelfJoin {
+		total, selfJoin := view.aggregates(r)
+		if q.Total {
+			res.Total = total
+		}
+		if q.SelfJoin {
+			res.SelfJoin = selfJoin
+		}
+	}
+	return res, nil
 }
 
 // QueryDirect answers a multi-key point query by routing each key to its
-// owning stripe — the batched form of Estimate. Because every arrival of a
-// key lands in exactly one stripe, each answer carries zero merge error,
-// and no merged view is built or touched (ViewRebuilds does not move). The
-// trade against QueryBatch is consistency: answers come from per-stripe
-// states that concurrent writers may interleave with, so the batch is an
-// inconsistent cut. Aggregates need the merged view and are rejected here;
-// request them through QueryBatch.
+// owning stripe — the batched form of Estimate. Each answer carries zero
+// merge error, as QueryBatch's do, but it is read from the live stripe
+// rather than a view: no view is built or touched (ViewRebuilds does not
+// move), so the answers are as fresh as Estimate's. The trade against
+// QueryBatch is consistency: answers come from per-stripe states that
+// concurrent writers may interleave with, so the batch is an inconsistent
+// cut. Aggregates need the view and are rejected here; request them
+// through QueryBatch.
 func (sh *Sharded) QueryDirect(q QueryBatch) (QueryResult, error) {
 	if q.Total || q.SelfJoin {
 		return QueryResult{}, core.ErrDirectAggregates
@@ -782,9 +850,10 @@ func (sh *Sharded) QueryDirect(q QueryBatch) (QueryResult, error) {
 	return res, nil
 }
 
-// RebuildStats reports the last merged-view rebuild: wall time in
-// nanoseconds and the worker-pool width its per-stripe snapshot stage ran
-// at (1 = sequential). Zeros until the first rebuild. Exposed through
+// RebuildStats reports the last view rebuild: wall time in nanoseconds —
+// cloning the changed stripes and settling every part at the view clock;
+// a rebuild merges nothing — and the worker-pool width those stages ran at
+// (1 = sequential). Zeros until the first rebuild. Exposed through
 // /v1/stats next to ViewRebuilds.
 func (sh *Sharded) RebuildStats() (mergeNs int64, workers int) {
 	return sh.rebuildNs.Load(), int(sh.rebuildWorkers.Load())
@@ -805,11 +874,12 @@ func (sh *Sharded) Count() uint64 {
 	return total
 }
 
-// ViewRebuilds reports how many merged-view builds the engine has performed
-// since construction. Each build snapshots the stripes that changed since
-// the previous build and re-merges; a well-tuned MergeTTL shows rebuild
-// counts far below global-query counts. Exposed for observability (the
-// ecmserver /v1/stats endpoint reports it) and for the single-flight tests.
+// ViewRebuilds reports how many view builds the engine has performed since
+// construction. Each build snapshots the stripes that changed since the
+// previous build and settles every snapshot at the engine clock; a
+// well-tuned MergeTTL shows rebuild counts far below global-query counts.
+// Exposed for observability (the ecmserver /v1/stats endpoint reports it)
+// and for the single-flight tests.
 func (sh *Sharded) ViewRebuilds() uint64 { return sh.rebuilds.Load() }
 
 // Width reports the Count-Min width shared by every stripe.
@@ -818,9 +888,10 @@ func (sh *Sharded) Width() int { return sh.shards[0].sk.Width() }
 // Depth reports the Count-Min depth shared by every stripe.
 func (sh *Sharded) Depth() int { return sh.shards[0].sk.Depth() }
 
-// MemoryBytes reports the summed footprint of all stripes. The snapshot
-// cache and published view of the query engine add up to roughly one extra
-// stripe-set on top of this while global queries are in use.
+// MemoryBytes reports the summed footprint of all stripes. The published
+// view, whose stripe snapshots are also the rebuild's cache, adds roughly
+// one extra stripe-set on top of this while global queries are in use, and
+// one merged sketch once Marshal or Snapshot has read it.
 func (sh *Sharded) MemoryBytes() int {
 	var total int
 	for i := range sh.shards {
@@ -832,28 +903,38 @@ func (sh *Sharded) MemoryBytes() int {
 	return total
 }
 
-// Marshal serializes the merged view of the combined stream — the same wire
-// format as Sketch.Marshal, so coordinators can pull and Merge it with other
-// sites' summaries. Serialization is a pure read of the frozen view (scratch
-// is call-local), so concurrent pulls need no coordination. Returns nil if
-// the merge fails (only possible with corrupted state).
+// Marshal serializes the combined stream as one sketch — the Theorem-4
+// merge of the current view's stripe snapshots, in the same wire format as
+// Sketch.Marshal, so coordinators can pull and Merge it with other sites'
+// summaries. The merge runs once per view, on the first Marshal or
+// Snapshot; serialization is a pure read of it (scratch is call-local), so
+// concurrent pulls need no coordination. Returns nil if the merge fails
+// (only possible with corrupted state).
 func (sh *Sharded) Marshal() []byte {
 	view, err := sh.queryView()
 	if err != nil {
 		return nil
 	}
-	return view.Sketch().Marshal()
+	merged, err := view.merged()
+	if err != nil {
+		return nil
+	}
+	return merged.Marshal()
 }
 
 // Snapshot returns an independent single-sketch copy of the combined
-// stream: the current merged view, cloned (an arena copy for the default
+// stream: the merge Marshal encodes, cloned (an arena copy for the default
 // exponential-histogram engine — see Sketch.Snapshot).
 func (sh *Sharded) Snapshot() (*Sketch, error) {
 	view, err := sh.queryView()
 	if err != nil {
 		return nil, err
 	}
-	return view.Sketch().Snapshot()
+	merged, err := view.merged()
+	if err != nil {
+		return nil, err
+	}
+	return merged.Snapshot()
 }
 
 // DeltaSnapshot answers a cursor-based incremental pull over the stripes
@@ -862,9 +943,9 @@ func (sh *Sharded) Snapshot() (*Sketch, error) {
 // is unchanged contributes zero bytes, and within a changed stripe only the
 // cells whose version moved ship — for all three algorithms, now that the
 // wave engines share the flat arena's change tracking. Unlike full
-// snapshots, delta pulls never build or touch the merged view: the puller
+// snapshots, delta pulls never build or touch the view: the puller
 // holds the stripes and merges on its side, so a steady-state pull loop
-// costs the site a few stripe clones instead of a P-way merge.
+// costs the site a few stripe clones and never a P-way merge.
 //
 // An unrecognized cursor — zero, another epoch, versions from the future —
 // yields a full baseline instead: every stripe's complete encoding under
@@ -960,17 +1041,17 @@ func (sh *Sharded) viewFresh(v *shardedView) bool {
 // path is entirely lock-free: load the published view, check freshness
 // (atomic version sum or TTL), query it. When a rebuild is needed it is
 // single-flight; with a MergeTTL configured, readers that lose the race are
-// served the previous view instead of blocking behind the merge.
-func (sh *Sharded) queryView() (*core.View, error) {
+// served the previous view instead of blocking behind the rebuild.
+func (sh *Sharded) queryView() (*shardedView, error) {
 	v := sh.view.Load()
 	if v != nil && sh.viewFresh(v) {
-		return v.view, nil
+		return v, nil
 	}
 	if v != nil && sh.ttl > 0 {
 		// Stale view, staleness tolerated: exactly one reader rebuilds,
 		// everyone else keeps reading the previous view lock-free.
 		if !sh.rebuild.TryLock() {
-			return v.view, nil
+			return v, nil
 		}
 	} else {
 		// First global query (nothing to serve yet) or strict-freshness
@@ -981,83 +1062,92 @@ func (sh *Sharded) queryView() (*core.View, error) {
 	// Re-check under the lock: the rebuild we queued behind may have
 	// published exactly the view we need.
 	if v := sh.view.Load(); v != nil && sh.viewFresh(v) {
-		return v.view, nil
+		return v, nil
 	}
 	return sh.rebuildLocked()
 }
 
-// rebuildLocked builds and publishes a fresh merged view; sh.rebuild must
-// be held. The build is incremental: only stripes whose version moved since
-// their cached snapshot was taken are re-snapshotted (an arena clone under
-// the stripe lock); unchanged stripes contribute their cached snapshot
-// without touching their lock at all. The merge itself runs on the
-// snapshots, never blocking ingest.
-func (sh *Sharded) rebuildLocked() (*core.View, error) {
+// rebuildLocked builds and publishes a fresh view; sh.rebuild must be held.
+// The build is incremental: only stripes whose version moved since their
+// cached snapshot was taken are re-snapshotted (an arena clone under the
+// stripe lock); unchanged stripes contribute their cached snapshot without
+// touching their lock at all. Every part is then settled at the view clock
+// — the engine clock, or a later stripe clock a racing write brought in —
+// so all answers describe one cut, as a single sketch's would.
+func (sh *Sharded) rebuildLocked() (*shardedView, error) {
 	now := sh.now.Load()
 	if sh.rebuild.parts == nil {
 		sh.rebuild.parts = make([]*Sketch, len(sh.shards))
 		sh.rebuild.versions = make([]uint64, len(sh.shards))
 	}
 	start := time.Now()
-	// Per-stripe clone+advance is independent work (each stripe's lock and
-	// its cache slots are its own), so fan it across a worker pool; the
-	// parts land in the same cache slots in the same state as a sequential
-	// sweep, so the merge below — itself parallel on large arrays, see
-	// core.SetMergeParallelism — stays byte-identical either way.
+	// Per-stripe clone and settle are independent work (each stripe's lock
+	// and its cache slots are its own), so fan them across a worker pool;
+	// the parts land in the same cache slots in the same state as a
+	// sequential sweep.
 	workers := runtime.GOMAXPROCS(0)
 	if p := core.MergeParallelism(); p > 0 && p < workers {
 		workers = p
 	}
-	if workers > len(sh.shards) {
-		workers = len(sh.shards)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(sh.shards)))
+	cloned := make([]bool, len(sh.shards))
 	errs := make([]error, len(sh.shards))
-	core.FanOut(len(sh.shards), workers, func(i int) { errs[i] = sh.refreshPart(i, now) })
+	core.FanOut(len(sh.shards), workers, func(i int) { cloned[i], errs[i] = sh.snapshotPart(i) })
 	if err := errors.Join(errs...); err != nil {
+		sh.rebuild.parts = nil // unsettled clones must not pass for settled parts
 		return nil, err
 	}
 	var vsum uint64
-	for i := range sh.shards {
+	for i, part := range sh.rebuild.parts {
 		vsum += sh.rebuild.versions[i]
+		now = max(now, part.Now())
 	}
-	merged, err := Merge(sh.rebuild.parts...)
-	if err != nil {
-		return nil, fmt.Errorf("ecmsketch: merging shards: %w", err)
-	}
-	// The view sits at the engine clock the parts were settled to; from here
-	// on its clock never moves, so concurrent queries on it are pure reads.
-	view := core.NewView(merged)
-	sh.view.Store(&shardedView{view: view, version: vsum, builtAt: time.Now()})
+	core.FanOut(len(sh.shards), workers, func(i int) { sh.settlePart(i, now, cloned[i]) })
+	// From here on no part's clock moves, so concurrent queries on the view
+	// are pure reads.
+	view := newShardedView(sh.rebuild.parts, now, vsum)
+	sh.view.Store(view)
 	sh.rebuilds.Add(1)
 	sh.rebuildNs.Store(time.Since(start).Nanoseconds())
 	sh.rebuildWorkers.Store(int64(workers))
 	return view, nil
 }
 
-// refreshPart brings stripe i's cached snapshot up to date (an arena clone
-// under the stripe lock when its version moved, a no-op otherwise) and
-// settles it at the engine clock, so the merge sees the same expiry
-// frontier a single sketch would. The settle is unconditional: a stripe
-// whose clock already equals the engine clock still holds cells that last
-// expired at their own arrivals. Only the rebuild holder runs it; distinct
-// stripes may refresh concurrently.
-func (sh *Sharded) refreshPart(i int, now Tick) error {
+// snapshotPart re-snapshots stripe i into the part cache when its version
+// moved since the cached part was taken (an arena clone under the stripe
+// lock), reporting whether it did; an unchanged stripe keeps its part. Only
+// the rebuild holder runs it; distinct stripes may refresh concurrently.
+func (sh *Sharded) snapshotPart(i int) (cloned bool, err error) {
 	s := &sh.shards[i]
-	ver := s.version.Load()
-	if sh.rebuild.parts[i] == nil || sh.rebuild.versions[i] != ver {
-		s.mu.Lock()
-		ver = s.version.Load() // stable while mu is held
-		part, err := s.sk.Snapshot()
-		s.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("ecmsketch: snapshotting shard %d: %w", i, err)
-		}
-		sh.rebuild.parts[i] = part
-		sh.rebuild.versions[i] = ver
+	if sh.rebuild.parts[i] != nil && sh.rebuild.versions[i] == s.version.Load() {
+		return false, nil
 	}
-	sh.rebuild.parts[i].Advance(now)
-	return nil
+	s.mu.Lock()
+	ver := s.version.Load() // stable while mu is held
+	part, err := s.sk.Snapshot()
+	s.mu.Unlock()
+	if err != nil {
+		return false, fmt.Errorf("ecmsketch: snapshotting shard %d: %w", i, err)
+	}
+	sh.rebuild.parts[i] = part
+	sh.rebuild.versions[i] = ver
+	return true, nil
+}
+
+// settlePart advances part i to the view clock now, so every part sees the
+// expiry frontier a single sketch would. A fresh clone is always settled: a
+// stripe whose clock already equals now still holds cells that last expired
+// at their own arrivals. A cached part belongs to the published view and is
+// never advanced in place: it is reused as is when that view settled it at
+// now, and cloned before it is advanced otherwise.
+func (sh *Sharded) settlePart(i int, now Tick, cloned bool) {
+	part := sh.rebuild.parts[i]
+	if !cloned {
+		if part.Now() == now {
+			return
+		}
+		part, _ = part.Snapshot() // an arena clone; it cannot fail
+		sh.rebuild.parts[i] = part
+	}
+	part.Advance(now)
 }

@@ -377,7 +377,7 @@ func TestQueryBatchFrontEnds(t *testing.T) {
 			t.Errorf("%T: Now = %d, want 20000", eng, res.Now)
 		}
 		// The batch aggregates must match the engine's own single-query
-		// answers bit for bit (for Sharded both come from the merged view).
+		// answers bit for bit (for Sharded both come from the same view).
 		if want := eng.EstimateTotal(p.WindowLength); res.Total != want {
 			t.Errorf("%T: batch Total %v != EstimateTotal %v", eng, res.Total, want)
 		}
@@ -396,19 +396,36 @@ func TestQueryBatchFrontEnds(t *testing.T) {
 			t.Errorf("key %d: batch estimate %v != Estimate %v", k, res.Estimates[i], want)
 		}
 	}
-	// Sharded batch point answers come from the merged view — the price of
-	// the consistent cut — and must match querying its Snapshot directly.
-	snap, err := sh.Snapshot()
+	// Sharded batch point answers come from the key's own stripe snapshot in
+	// the view, with no merge error: on a quiesced engine they must match
+	// the live stripes' direct reads bit for bit — and, with one stripe,
+	// querying the engine's Snapshot directly.
+	for _, eng := range []*ecmsketch.Sharded{sh1, sh} {
+		shRes, err := eng.QueryBatch(ecmsketch.QueryBatch{Keys: keys, Range: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := eng.QueryDirect(ecmsketch.QueryBatch{Keys: keys, Range: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if want := direct.Estimates[i]; shRes.Estimates[i] != want {
+				t.Errorf("%d stripes, key %d: sharded batch estimate %v != stripe estimate %v", eng.Shards(), k, shRes.Estimates[i], want)
+			}
+		}
+	}
+	snap, err := sh1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shRes, err := sh.QueryBatch(ecmsketch.QueryBatch{Keys: keys, Range: 5000})
+	shRes, err := sh1.QueryBatch(ecmsketch.QueryBatch{Keys: keys, Range: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
 		if want := snap.Estimate(k, 5000); shRes.Estimates[i] != want {
-			t.Errorf("key %d: sharded batch estimate %v != merged-view estimate %v", k, shRes.Estimates[i], want)
+			t.Errorf("key %d: one-stripe batch estimate %v != snapshot estimate %v", k, shRes.Estimates[i], want)
 		}
 	}
 }
