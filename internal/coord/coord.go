@@ -14,12 +14,14 @@
 //   - HTTPSite pulls GET /v1/snapshot?since= from an ecmserver deployment;
 //     the size it reports is the payload length actually transferred.
 //
-// Every pull lands in the member's receiver state (core.DeltaState): Apply,
-// then MaterializeShared. Refresh, the coordinator's one aggregation round,
-// merges from there, so a simulation and a networked deployment of the same
-// event log produce bit-identical merged summaries and identical Network
-// accounting: sizes are measured at the transport boundary, and every
-// member pull is charged as one message. The paper's balanced binary tree
+// Every pull lands in the member's receiver state (core.DeltaState), which
+// holds the site's stripe parts. Refresh, the coordinator's one aggregation
+// round, merges every site's parts in one flat ⊕ — a coordinator over
+// leaves is one merge level deep however the leaves are striped — so a
+// simulation and a networked deployment of the same event log produce
+// bit-identical merged summaries and identical Network accounting: sizes
+// are measured at the transport boundary, and every member pull is charged
+// as one message. The paper's balanced binary tree
 // is a tree of coordinators (Cluster.AggregateTree), each pulling its
 // children through NewLocalSite.
 //
@@ -237,9 +239,9 @@ type Coordinator struct {
 // re-check instead of unbounded memory.
 const maxChangedCells = 8192
 
-// siteDeltaState serializes one site's pull→apply→materialize sequence:
-// a pull round holds it across the merge, and SiteStatuses takes it to
-// read the baseline state.
+// siteDeltaState serializes one site's pull→apply→merge sequence: a pull
+// round holds it across the merge, and SiteStatuses takes it to read the
+// baseline state.
 type siteDeltaState struct {
 	mu sync.Mutex
 	ds core.DeltaState
@@ -322,12 +324,12 @@ func (c *Coordinator) TakeChangedCells() (cells []int, all bool) {
 
 // pullOutcome is one member's contribution to a pull round.
 type pullOutcome struct {
-	part  *core.Sketch // nil when the member is excluded this round
-	size  int          // payload bytes fetched this round
-	stale bool         // served from the retained baseline without contact
-	cells []int        // merged-view cells this pull replaced
-	all   bool         // the whole summary may have moved
-	err   error        // why the member's pull failed this round
+	parts []*core.Sketch // the member's stripe parts; nil when excluded this round
+	size  int            // payload bytes fetched this round
+	stale bool           // served from the retained baseline without contact
+	cells []int          // merged-view cells this pull replaced
+	all   bool           // the whole summary may have moved
+	err   error          // why the member's pull failed this round
 }
 
 // roundResult is one pull round's members, outcomes, and the release that
@@ -399,17 +401,15 @@ func (c *Coordinator) pullMemberLocked(m *member, round uint64) pullOutcome {
 // staleOutcome serves a member from its retained baseline — the previous
 // view, unchanged, at zero transfer — or excludes it when there is none.
 func staleOutcome(m *member, err error) pullOutcome {
-	if m.st.ds.HasBaseline() {
-		if sk, merr := m.st.ds.MaterializeShared(); merr == nil {
-			return pullOutcome{part: sk, stale: true}
-		}
+	if parts := m.st.ds.Parts(); parts != nil {
+		return pullOutcome{parts: parts, stale: true}
 	}
 	return pullOutcome{err: err}
 }
 
 // pullDeltaLocked performs one pull of a member: present the held cursor
-// (zero without a baseline), apply what comes back, and materialize the
-// site's summary from the retained baseline. When a
+// (zero without a baseline), apply what comes back, and hand on the site's
+// retained parts for Refresh to merge. When a
 // delta fails to apply — the site restarted, the cursor went stale, the
 // payload arrived torn — the receiver state has already dropped its
 // baseline, and the coordinator transparently re-pulls a full baseline in
@@ -445,44 +445,45 @@ func (c *Coordinator) pullDeltaLocked(m *member) pullOutcome {
 		c.deltaPulls.Add(1)
 	}
 	cells, all := ds.TakeChangedCells()
-	sk, err := ds.MaterializeShared()
-	if err != nil {
-		return pullOutcome{err: err}
-	}
-	return pullOutcome{part: sk, size: total, cells: cells, all: all}
+	return pullOutcome{parts: ds.Parts(), size: total, cells: cells, all: all}
 }
 
-// foldOutcomes turns a round's outcomes into mergeable parts, dropping
-// excluded members. It fails when no member contributes, naming the first
-// pull error, or when two contributors cannot be merged.
+// foldOutcomes flattens a round's outcomes into the root's merge inputs —
+// every contributing member's stripe parts, in membership order and then
+// stripe order — dropping excluded members. It fails when no member
+// contributes, naming the first pull error, or when a part cannot be merged
+// with the first.
 func (c *Coordinator) foldOutcomes(r roundResult) ([]*core.Sketch, error) {
 	if len(r.members) == 0 {
 		return nil, errors.New("coord: no sites to aggregate")
 	}
-	parts := make([]*core.Sketch, 0, len(r.outs))
-	names := make([]string, 0, len(r.outs))
+	var parts []*core.Sketch
+	first := ""
 	var firstErr error
 	for i, o := range r.outs {
-		if o.part == nil {
+		name := r.members[i].site.Name()
+		if o.parts == nil {
 			if firstErr == nil && o.err != nil {
-				firstErr = fmt.Errorf("site %s: %w", r.members[i].site.Name(), o.err)
+				firstErr = fmt.Errorf("site %s: %w", name, o.err)
 			}
 			continue
 		}
-		parts = append(parts, o.part)
-		names = append(names, r.members[i].site.Name())
+		if parts == nil {
+			first = name
+		}
+		for _, p := range o.parts {
+			if parts != nil && !parts[0].Compatible(p) {
+				return nil, fmt.Errorf("coord: site %s: sketch parameters incompatible with site %s",
+					name, first)
+			}
+			parts = append(parts, p)
+		}
 	}
 	if len(parts) == 0 {
 		if firstErr != nil {
 			return nil, fmt.Errorf("coord: no site contributed: %w", firstErr)
 		}
 		return nil, errors.New("coord: no sites available (every site excluded by health backoff)")
-	}
-	for i := 1; i < len(parts); i++ {
-		if !parts[0].Compatible(parts[i]) {
-			return nil, fmt.Errorf("coord: site %s: sketch parameters incompatible with site %s",
-				names[i], names[0])
-		}
 	}
 	return parts, nil
 }

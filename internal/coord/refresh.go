@@ -6,8 +6,11 @@ package coord
 // collects the union of merged-view cells the deltas replaced, and patches
 // exactly those cells of the root with core.PatchMerged — whose output is
 // pinned byte-identical to a from-scratch flat merge (core.Merge) over the
-// same parts. Sites with zero changed cells contribute nothing but their
-// retained baseline to the replay, and cost nothing beyond it.
+// same parts. The parts are the sites' stripe parts themselves, in
+// membership order and then stripe order, so the root is one ⊕ level above
+// the leaves and pays Theorem 4's window-error inflation once. Sites with
+// zero changed cells contribute nothing but their retained baseline to the
+// replay, and cost nothing beyond it.
 //
 // Because the root is a long-lived sketch patched through ordinary arrival
 // mutations, its cell versions move exactly like a leaf engine's — so the
@@ -76,16 +79,17 @@ func (c *Coordinator) Refresh() error {
 	c.rootMu.Lock()
 	defer c.rootMu.Unlock()
 
-	stats := RefreshStats{Round: r.round, Contributors: len(parts)}
+	stats := RefreshStats{Round: r.round}
 	var contrib []*member
 	var union []int
 	anyAll := false
 	for i, o := range r.outs {
-		if o.part == nil {
+		if o.parts == nil {
 			stats.Excluded++
 			continue
 		}
 		contrib = append(contrib, r.members[i])
+		stats.Contributors++
 		if o.stale {
 			stats.Stale++
 			continue
@@ -110,6 +114,8 @@ func (c *Coordinator) Refresh() error {
 		c.root = root
 		stats.RebuiltAll = true
 	default:
+		// A site whose stripe count changed has restarted: its pull was a
+		// full baseline, so anyAll already covers the reshaped inputs.
 		all := anyAll || !same
 		cells := union
 		if all {

@@ -29,16 +29,29 @@ func flatMerge(t *testing.T, parts ...*core.Sketch) *core.Sketch {
 	return root
 }
 
-// flatOver is flatMerge over the engines' current snapshots.
+// stripeParts returns the stripe parts a coordinator holds for src after a
+// full pull: src's baseline payload applied to a fresh receiver.
+func stripeParts(t *testing.T, src coord.DeltaSnapshotSource) []*core.Sketch {
+	t.Helper()
+	payload, cur, full, err := src.DeltaSnapshot(core.Cursor{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ds core.DeltaState
+	if err := ds.Apply(payload, cur, full); err != nil {
+		t.Fatal(err)
+	}
+	return ds.Parts()
+}
+
+// flatOver is flatMerge over every engine's current stripe parts, in engine
+// order and then stripe order: the one ⊕ level a coordinator over the
+// engines holds.
 func flatOver(t *testing.T, engines []*ecmsketch.Sharded) *core.Sketch {
 	t.Helper()
-	parts := make([]*core.Sketch, len(engines))
-	for i, eng := range engines {
-		snap, err := eng.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = snap
+	var parts []*core.Sketch
+	for _, eng := range engines {
+		parts = append(parts, stripeParts(t, eng)...)
 	}
 	return flatMerge(t, parts...)
 }

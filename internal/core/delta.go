@@ -22,10 +22,11 @@ package core
 //     to the delta's clock, and a cell fully emptied by expiry after new
 //     arrivals ships as an (empty) cell encoding like any other change.
 //   - A receiver (DeltaState) holds the parts as decoded sketches, applies
-//     deltas in place, and materializes the full summary on demand. The
-//     reconstruction is byte-identical (Marshal) to a full snapshot taken
-//     at the same versions — the equivalence tests pin this across both
-//     the in-process and HTTP transports.
+//     deltas in place, and hands the parts to whoever merges them: Merge of
+//     the parts (Materialize) or, at a coordinator, one flat merge over
+//     every site's parts. The reconstruction is byte-identical (Marshal) to
+//     a full snapshot taken at the same versions — the equivalence tests
+//     pin this across both the in-process and HTTP transports.
 //   - Anything off-protocol — unknown epoch (site restart, parameter
 //     change), versions from the future, torn or corrupt payloads — fails
 //     the Apply, which resets the receiver state so the caller falls back
@@ -85,8 +86,6 @@ func NewEpoch() uint64 {
 	}
 	return e
 }
-
-func newEpoch() uint64 { return NewEpoch() }
 
 // Cursor names a producer state in the delta-snapshot protocol: the
 // producing engine instance (Epoch) and one arrival-mutation version per
@@ -362,24 +361,16 @@ func EncodeMultiDelta(epoch uint64, now Tick, nparts int, changed []PartDelta) [
 
 // DeltaState is the receiving half of the protocol: it holds one producer's
 // parts as decoded sketches, applies full and incremental payloads, and
-// materializes the combined summary on demand. A coordinator keeps one per
-// site.
+// exposes the parts (Parts) or their merge (Materialize). A coordinator
+// keeps one per site and merges every site's parts in one flat ⊕.
 //
 // DeltaState is not safe for concurrent use; callers serialize access (the
-// coordinator holds a per-site mutex across pull→apply→materialize).
+// coordinator holds a per-site mutex across pull→apply→merge).
 type DeltaState struct {
 	epoch uint64
 	vers  []uint64
 	parts []*Sketch
 	now   Tick
-	// merged caches the cross-part Merge of Materialize. Instead of being
-	// invalidated wholesale, it is patched in place (PatchMerged) from the
-	// cells deltas actually changed — mergedDirty/mergedDirtyAll mirror the
-	// external change feed for that purpose — so a steady-state pull costs
-	// re-deriving a handful of cells, not a P-way merge.
-	merged         *Sketch
-	mergedDirty    []int
-	mergedDirtyAll bool
 
 	// changed accumulates the cell indices replaced by applied deltas
 	// since the last TakeChangedCells — the change feed coordinators hand
@@ -398,22 +389,17 @@ type DeltaState struct {
 // degrades to "everything changed" rather than growing without bound.
 const maxTrackedCells = 4096
 
-// noteCell records one changed cell into both accumulations: the external
-// change feed (TakeChangedCells) and the merged-cache dirty set.
+// noteCell records one changed cell into the change feed
+// (TakeChangedCells).
 func (st *DeltaState) noteCell(idx int) {
-	noteInto(&st.changed, &st.changedAll, idx)
-	noteInto(&st.mergedDirty, &st.mergedDirtyAll, idx)
-}
-
-func noteInto(cells *[]int, all *bool, idx int) {
-	if *all {
+	if st.changedAll {
 		return
 	}
-	if len(*cells) >= maxTrackedCells {
-		*cells, *all = nil, true
+	if len(st.changed) >= maxTrackedCells {
+		st.changed, st.changedAll = nil, true
 		return
 	}
-	*cells = append(*cells, idx)
+	st.changed = append(st.changed, idx)
 }
 
 // TakeChangedCells returns and clears the cell indices changed by applies
@@ -529,10 +515,9 @@ func (st *DeltaState) applyFull(payload []byte, cur Cursor) error {
 	default:
 		return fmt.Errorf("core: unknown snapshot tag 0x%02x", payload[0])
 	}
-	// A fresh baseline invalidates any cell-granular accumulation and the
-	// merged cache (the old parts are gone; patching has nothing to patch).
+	// A fresh baseline invalidates any cell-granular accumulation: the old
+	// parts are gone, so a merge patched from them has nothing to patch.
 	st.changed, st.changedAll = nil, true
-	st.merged, st.mergedDirty, st.mergedDirtyAll = nil, nil, false
 	if cur.IsZero() {
 		// Producer does not speak cursors (a plain snapshot source): keep
 		// pulling full.
@@ -597,8 +582,8 @@ func (st *DeltaState) applyMultiDelta(payload []byte, cur Cursor) error {
 	// noting. Sub-deltas only advance their own part to its stripe clock,
 	// and an unchanged part ships zero bytes yet still expires under the
 	// moving engine clock: both gaps would otherwise leak expired content
-	// past the change feed (and past the merged-cache patch, which trusts
-	// the feed to name every divergent cell).
+	// past the change feed (and past a coordinator's patch of its merged
+	// root, which trusts the feed to name every divergent cell).
 	for _, p := range st.parts {
 		if p.Now() < st.now {
 			p.AdvanceNoting(st.now, st.noteCell)
@@ -631,8 +616,9 @@ func decodeMultiFull(payload []byte) (epoch uint64, now Tick, parts []*Sketch, e
 	if r.off != len(payload) {
 		return 0, 0, nil, errors.New("core: trailing bytes in multipart baseline")
 	}
-	// The parts exist to be merged (Materialize); a baseline whose parts
-	// cannot be is corrupt, and is refused here rather than at first use.
+	// The parts exist to be merged (Materialize, or a coordinator's flat
+	// merge over every site's parts); a baseline whose parts cannot be is
+	// corrupt, and is refused here rather than at first use.
 	if len(parts) > 1 {
 		if err := checkMergeable(parts); err != nil {
 			return 0, 0, nil, fmt.Errorf("core: multipart baseline: %w", err)
@@ -641,62 +627,21 @@ func decodeMultiFull(payload []byte) (epoch uint64, now Tick, parts []*Sketch, e
 	return epoch, now, parts, nil
 }
 
-// Materialize returns an independent sketch of the producer's combined
-// state at the held cursor: the single part cloned, or the parts merged
-// (with the same order-preserving ⊕, over parts advanced to the engine
-// clock, that the producer's own full snapshot path uses — which is what
-// makes delta reconstruction byte-identical to full pulls). The result is
-// freshly owned on every call.
-func (st *DeltaState) Materialize() (*Sketch, error) {
-	m, err := st.MaterializeShared()
-	if err != nil {
-		return nil, err
-	}
-	return m.Snapshot()
-}
+// Parts returns the held parts, in part (stripe) order, each settled to the
+// producer clock: applies settle every part, so these are exactly the inputs
+// the producer's own full snapshot merges. The slice and the sketches are
+// the state's own: callers must treat them as read-only and must not retain
+// them across a later Apply or Reset. Nil without a baseline.
+func (st *DeltaState) Parts() []*Sketch { return st.parts }
 
-// MaterializeShared is Materialize without the defensive clone: it returns
-// the combined summary the state holds internally — the single part itself,
-// or the cached cross-part merge, patched in place (PatchMerged) from the
-// cells the applied deltas actually changed rather than re-merged P-ways.
-// The caller must treat the result as read-only and must not retain it
-// across a later Apply, which mutates it; a coordinator serving many sites
-// uses this to feed its own merge without one arena clone per site per
-// interval. The patched cache is byte-identical (Marshal) to a from-scratch
-// Merge of the parts — the identity the delta equivalence tests pin.
-func (st *DeltaState) MaterializeShared() (*Sketch, error) {
+// Materialize returns an independent sketch of the producer's combined
+// state at the held cursor: Merge of the parts, the same order-preserving ⊕
+// the producer's own full snapshot path uses (the single part cloned, since
+// Merge(x) = x), which is what makes delta reconstruction byte-identical to
+// full pulls.
+func (st *DeltaState) Materialize() (*Sketch, error) {
 	if !st.HasBaseline() {
 		return nil, errors.New("core: no baseline to materialize")
 	}
-	// Applies settle parts to the engine clock already; this catches states
-	// populated before that invariant held (and costs nothing when settled).
-	for _, p := range st.parts {
-		if p.Now() < st.now {
-			p.AdvanceNoting(st.now, st.noteCell)
-		}
-	}
-	if len(st.parts) == 1 {
-		st.mergedDirty, st.mergedDirtyAll = nil, false
-		return st.parts[0], nil
-	}
-	switch {
-	case st.merged == nil:
-		m, err := Merge(st.parts...)
-		if err != nil {
-			return nil, err
-		}
-		st.merged = m
-	case st.mergedDirtyAll || len(st.mergedDirty) > 0 || st.merged.Now() < st.now:
-		if err := PatchMerged(st.merged, st.parts, st.mergedDirty, st.mergedDirtyAll, nil); err != nil {
-			// Patching validates before mutating, so the cache is intact but
-			// stale; rebuild it from scratch.
-			m, merr := Merge(st.parts...)
-			if merr != nil {
-				return nil, merr
-			}
-			st.merged = m
-		}
-	}
-	st.mergedDirty, st.mergedDirtyAll = nil, false
-	return st.merged, nil
+	return Merge(st.parts...)
 }

@@ -131,7 +131,7 @@ func New(p Params) (*Sketch, error) {
 		d:      d,
 		wcfg:   wcfg,
 		salt:   hashing.Mix64(atomic.AddUint64(&ecmSaltCounter, 1) * 0x94d049bb133111eb),
-		epoch:  newEpoch(),
+		epoch:  NewEpoch(),
 	}
 	bank, err := window.NewBank(p.Algorithm, wcfg, d*w)
 	if err != nil {

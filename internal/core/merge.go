@@ -33,7 +33,7 @@ func Merge(inputs ...*Sketch) (*Sketch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.epoch = newEpoch()
+		out.epoch = NewEpoch()
 		out.Advance(out.now)
 		return out, nil
 	}

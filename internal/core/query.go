@@ -73,7 +73,7 @@ func (s *Sketch) QueryBatch(q QueryBatch) (QueryResult, error) {
 
 // ErrDirectAggregates rejects Total/SelfJoin on the direct read path, in one
 // wording for every front end.
-var ErrDirectAggregates = errors.New("ecmsketch: direct reads answer point queries only (aggregates need the merged view; use QueryBatch)")
+var ErrDirectAggregates = errors.New("ecmsketch: direct reads answer point queries only (request total/selfJoin without direct, i.e. through QueryBatch)")
 
 // QueryDirect answers the point-only form of QueryBatch. A single sketch
 // has no stripes: every key already reads its own cells with zero merge

@@ -4,8 +4,8 @@ package core
 // of re-merging P-ways every interval. PatchMerged re-derives exactly the
 // cells named by the change feed and re-advances the rest, and the result is
 // byte-identical (Marshal) to a from-scratch Merge over the same inputs —
-// the equivalence the coordinator's incremental refresh and the DeltaState
-// materialize cache are pinned against.
+// the equivalence the coordinator's incremental refresh is pinned against.
+// A coordinator patches one flat merge over every site's stripe parts.
 //
 // Why patching is exact: Merge's per-cell output is a deterministic function
 // of (that cell's input lists, the merged clock). A cell whose input lists
