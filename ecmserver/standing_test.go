@@ -106,7 +106,7 @@ func TestSubscribeValidationAndWatch404(t *testing.T) {
 		`{"queries":[{"kind":"threshold","ikey":"1"}]}`,                     // zero threshold
 		`{"kind":"threshold"}`,                                              // unknown top-level field
 		`{"queries":[{"kind":"nope","ikey":"1","value":5}]}`,                // unknown kind
-		`{"queries":[{"kind":"rate","ikey":"1","factor":0}]}`,               // zero factor
+		`{"queries":[{"kind":"rate","ikey":"1","value":2}]}`,                // retired kind
 		`{"queries":[{"kind":"threshold","value":5}]}`,                      // missing key
 		`{"queries":[{"kind":"threshold","key":"a","ikey":"1","value":5}]}`, // both key forms
 	} {

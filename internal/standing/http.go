@@ -59,7 +59,6 @@ type wireQuery struct {
 	Range       uint64       `json:"range,omitempty"`
 	Value       float64      `json:"value,omitempty"`
 	Below       bool         `json:"below,omitempty"`
-	Factor      float64      `json:"factor,omitempty"`
 	RankChanges bool         `json:"rankChanges,omitempty"`
 }
 
@@ -82,7 +81,6 @@ func (wq wireQuery) toQuery() (Query, error) {
 		Range:       core.Tick(wq.Range),
 		Value:       wq.Value,
 		Below:       wq.Below,
-		Factor:      wq.Factor,
 		K:           wq.K,
 		RankChanges: wq.RankChanges,
 	}
@@ -117,7 +115,6 @@ func MarshalSubscribeJSON(queries []Query) ([]byte, error) {
 			Range:       uint64(q.Range),
 			Value:       q.Value,
 			Below:       q.Below,
-			Factor:      q.Factor,
 			RankChanges: q.RankChanges,
 		}
 		if q.Kind != KindTopK {

@@ -162,7 +162,7 @@ func (r *Registry) indexLocked(p *pred) {
 		return
 	}
 	switch p.q.Kind {
-	case KindThreshold, KindRate:
+	case KindThreshold:
 		p.cells = r.indexer.CellIndices(p.q.Key, make([]int, 0, 8))
 	case KindTopK:
 		cells := make([]int, 0, 8*len(p.q.Keys))
@@ -526,7 +526,7 @@ func (r *Registry) affectedLocked(p *pred, changed changeSet, advanced bool) boo
 	switch p.q.Kind {
 	case KindThreshold:
 		return advanced && (p.high || r.strict)
-	default: // KindRate, KindTopK
+	default: // KindTopK
 		return advanced
 	}
 }
@@ -548,8 +548,6 @@ func (r *Registry) evalLocked(p *pred, t Target, now core.Tick) {
 	switch p.q.Kind {
 	case KindThreshold:
 		r.evalThresholdLocked(p, t, now)
-	case KindRate:
-		r.evalRateLocked(p, t, now)
 	case KindTopK:
 		r.evalTopKLocked(p, t, now)
 	}
@@ -573,34 +571,6 @@ func (r *Registry) evalThresholdLocked(p *pred, t Target, now core.Tick) {
 				Now:    now,
 			})
 		}
-	}
-	p.high, p.prevVal = high, cur
-}
-
-func (r *Registry) evalRateLocked(p *pred, t Target, now core.Tick) {
-	rng := r.rangeOf(p, now)
-	cur := t.Estimate(p.q.Key, rng)
-	var from, to core.Tick
-	if now > rng {
-		to = now - rng
-	}
-	if now > 2*rng {
-		from = now - 2*rng
-	}
-	var prev float64
-	if to > from {
-		prev = t.EstimateInterval(p.q.Key, from, to)
-	}
-	high := cur > 0 && cur >= p.q.Factor*prev && cur >= p.q.Value
-	if high && !p.high {
-		r.fireLocked(p, Notification{
-			Kind:   KindRate,
-			Key:    p.q.Key,
-			Value:  cur,
-			Prev:   prev,
-			Rising: true,
-			Now:    now,
-		})
 	}
 	p.high, p.prevVal = high, cur
 }

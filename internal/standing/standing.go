@@ -1,9 +1,9 @@
 // Package standing is the continuous-query subsystem of the repository:
 // a registry of standing queries over a sliding-window sketch engine —
-// threshold crossings on window counts, top-k membership/rank changes, and
-// windowed rate-of-change — evaluated incrementally as mutations land, and
-// a bounded fan-out hub pushing the resulting notifications to any number
-// of subscribers over Server-Sent Events.
+// threshold crossings on window counts and top-k membership/rank changes —
+// evaluated incrementally as mutations land, and a bounded fan-out hub
+// pushing the resulting notifications to any number of subscribers over
+// Server-Sent Events.
 //
 // # Incremental evaluation
 //
@@ -24,11 +24,11 @@
 //   - A pure clock advance (expiry, no arrivals) re-checks only the
 //     predicates it can affect: estimates of untouched keys are
 //     non-increasing under expiry, so a below-threshold predicate cannot
-//     rise and is skipped; armed (above-threshold) predicates, rate
-//     predicates and top-k predicates are re-checked. (For EH the
-//     monotonicity argument holds cell by cell. DW estimates can *rise*
-//     when expiry pops a wave position, but the engines report every
-//     expiry-mutated cell through the same change feed as arrivals —
+//     rise and is skipped; armed (above-threshold) predicates and top-k
+//     predicates are re-checked. (For EH the monotonicity argument holds
+//     cell by cell. DW estimates can *rise* when expiry pops a wave
+//     position, but the engines report every expiry-mutated cell through
+//     the same change feed as arrivals —
 //     core.Sketch advances its banks with window.AdvanceAll — so such
 //     cells are "touched", never skipped, and the fast path stays safe.
 //     Randomized waves resample at level switches, which perturbs
@@ -71,25 +71,19 @@ const (
 	// KindTopK fires when the top-K membership over the candidate set
 	// changes (or, with RankChanges, when the rank order changes).
 	KindTopK
-	// KindRate fires on the rising edge of window-over-window growth: the
-	// current window's estimate is at least Factor times the preceding
-	// (equal-length) window's, and at least Value (the noise floor).
-	KindRate
 
 	// KindDropped is never stored by the registry; it is the client-side
 	// representation of a delivery gap marker (see Notification.Missed).
 	KindDropped Kind = 0xFF
 )
 
-// String names the kind on the wire ("threshold", "topk", "rate").
+// String names the kind on the wire ("threshold", "topk").
 func (k Kind) String() string {
 	switch k {
 	case KindThreshold:
 		return "threshold"
 	case KindTopK:
 		return "topk"
-	case KindRate:
-		return "rate"
 	case KindDropped:
 		return "dropped"
 	}
@@ -103,28 +97,22 @@ func parseKind(s string) (Kind, error) {
 		return KindThreshold, nil
 	case "topk":
 		return KindTopK, nil
-	case "rate":
-		return KindRate, nil
 	}
-	return 0, fmt.Errorf("unknown query kind %q (want threshold, topk or rate)", s)
+	return 0, fmt.Errorf("unknown query kind %q (want threshold or topk)", s)
 }
 
 // Query is one standing query. Zero Range means the registry's default
 // window (the engine's whole window).
 type Query struct {
 	Kind Kind
-	// Key is the watched item for threshold and rate queries.
+	// Key is the watched item of a threshold query.
 	Key uint64
 	// Range is the window suffix (in ticks) the predicate evaluates over.
 	Range core.Tick
-	// Value is the threshold level (KindThreshold, required positive) or
-	// the minimum current-window count for a rate alert (KindRate,
-	// optional noise floor).
+	// Value is the threshold level (KindThreshold, required positive).
 	Value float64
 	// Below makes a threshold query fire on the falling edge instead.
 	Below bool
-	// Factor is the window-over-window growth ratio of a rate query.
-	Factor float64
 	// K is the membership size of a top-k query.
 	K int
 	// Keys is the explicit candidate watchlist of a top-k query. Optional
@@ -147,13 +135,6 @@ func (q Query) validate(requireKeys bool) error {
 	case KindThreshold:
 		if !(q.Value > 0) {
 			return fmt.Errorf("threshold query needs a positive value, got %v", q.Value)
-		}
-	case KindRate:
-		if !(q.Factor > 0) {
-			return fmt.Errorf("rate query needs a positive factor, got %v", q.Factor)
-		}
-		if q.Value < 0 {
-			return fmt.Errorf("rate query floor must be non-negative, got %v", q.Value)
 		}
 	case KindTopK:
 		if q.K <= 0 || q.K > maxTopKCandidates {
@@ -203,13 +184,12 @@ type Notification struct {
 	Missed uint64
 }
 
-// Target is what the evaluator needs from the engine it watches: point and
-// interval estimates, the clock, and the parameters that fix the default
-// query range (WindowLength) and the advance re-check policy (Algorithm).
+// Target is what the evaluator needs from the engine it watches: point
+// estimates, the clock, and the parameters that fix the default query
+// range (WindowLength) and the advance re-check policy (Algorithm).
 // Sharded and *core.Sketch (a coordinator's merged root) satisfy it.
 type Target interface {
 	Estimate(key uint64, r core.Tick) float64
-	EstimateInterval(key uint64, from, to core.Tick) float64
 	Now() core.Tick
 	Params() core.Params
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,15 +24,11 @@ import (
 type fakeTarget struct {
 	now  core.Tick
 	est  map[uint64]float64
-	prev map[uint64]float64 // EstimateInterval answers, keyed by item
 	algo window.Algorithm
 }
 
 func (f *fakeTarget) Estimate(key uint64, r core.Tick) float64 { return f.est[key] }
-func (f *fakeTarget) EstimateInterval(key uint64, from, to core.Tick) float64 {
-	return f.prev[key]
-}
-func (f *fakeTarget) Now() core.Tick { return f.now }
+func (f *fakeTarget) Now() core.Tick                           { return f.now }
 func (f *fakeTarget) Params() core.Params {
 	return core.Params{WindowLength: 100, Algorithm: f.algo}
 }
@@ -166,35 +163,6 @@ func TestStrictAdvanceRechecksDisarmed(t *testing.T) {
 	r.NoteAdvance()
 	if got := drain(w); len(got) != 1 {
 		t.Fatalf("strict advance did not re-check disarmed threshold: %+v", got)
-	}
-}
-
-func TestRateFires(t *testing.T) {
-	ft := &fakeTarget{now: 300, est: map[uint64]float64{1: 4}, prev: map[uint64]float64{1: 10}}
-	r := newTestRegistry(t, ft)
-	_, w := mustSubscribe(t, r, Query{Kind: KindRate, Key: 1, Range: 100, Factor: 2, Value: 5})
-	if got := drain(w); len(got) != 0 {
-		t.Fatalf("fired below factor: %+v", got)
-	}
-	// cur 25 >= 2*prev(10) and >= Value(5): fires once, rising only.
-	ft.est[1] = 25
-	noteKey(r, 1)
-	got := drain(w)
-	if len(got) != 1 || got[0].Value != 25 || got[0].Prev != 10 {
-		t.Fatalf("want rate fire cur=25 prev=10, got %+v", got)
-	}
-	// Still high: no re-fire until it drops and spikes again.
-	ft.est[1] = 30
-	noteKey(r, 1)
-	if got := drain(w); len(got) != 0 {
-		t.Fatalf("re-fired while high: %+v", got)
-	}
-	ft.est[1] = 6 // below factor*prev: disarms
-	noteKey(r, 1)
-	ft.est[1] = 40
-	noteKey(r, 1)
-	if got := drain(w); len(got) != 1 {
-		t.Fatalf("second spike did not fire: %+v", got)
 	}
 }
 
@@ -343,7 +311,6 @@ func TestValidation(t *testing.T) {
 	r := NewRegistry(Config{})
 	bad := []Query{
 		{Kind: KindThreshold, Key: 1},              // zero threshold
-		{Kind: KindRate, Key: 1},                   // zero factor
 		{Kind: KindTopK},                           // zero K
 		{Kind: KindTopK, K: maxTopKCandidates + 1}, // oversize K
 		{Kind: Kind(99), Key: 1, Value: 1},         // unknown kind
@@ -534,7 +501,6 @@ func TestNotificationJSONRoundTrip(t *testing.T) {
 	for _, n := range []Notification{
 		{Seq: 3, Query: 7, Kind: KindThreshold, Key: 1<<63 + 5, Value: 12.5, Prev: 1, Rising: true, Now: 1 << 62, At: 1234567890123456789},
 		{Seq: 9, Query: 2, Kind: KindTopK, Now: 44, Top: []Item{{Key: 18446744073709551615, Estimate: 2.5}, {Key: 3, Estimate: 1}}, Entered: []uint64{3}, Left: []uint64{9}},
-		{Seq: 1, Query: 1, Kind: KindRate, Key: 8, Value: 30, Prev: 10, Rising: true, Now: 100},
 	} {
 		enc := AppendNotificationJSON(nil, n)
 		dec, err := ParseNotificationJSON(enc)
@@ -555,7 +521,6 @@ func TestSubscribeCodecRoundTrip(t *testing.T) {
 	queries := []Query{
 		{Kind: KindThreshold, Key: 42, Range: 600, Value: 12.5},
 		{Kind: KindThreshold, Key: math.MaxUint64, Value: 3, Below: true},
-		{Kind: KindRate, Key: 7, Range: 100, Value: 2, Factor: 1.5},
 		{Kind: KindTopK, K: 2, Keys: []uint64{1, 2, 3}, RankChanges: true, Range: 50},
 		{Kind: KindTopK, K: 5}, // learned: no watchlist
 	}
@@ -578,10 +543,14 @@ func TestSubscribeCodecRoundTrip(t *testing.T) {
 	}
 	const want = `{"queries":[{"kind":"threshold","ikey":"42","range":600,"value":12.5},` +
 		`{"kind":"threshold","ikey":"18446744073709551615","value":3,"below":true},` +
-		`{"kind":"rate","ikey":"7","range":100,"value":2,"factor":1.5},` +
 		`{"kind":"topk","keys":[{"ikey":"1"},{"ikey":"2"},{"ikey":"3"}],"k":2,"range":50,"rankChanges":true},` +
 		`{"kind":"topk","k":5}]}`
 	if string(body) != want {
 		t.Fatalf("subscribe body\n got %s\nwant %s", body, want)
+	}
+	// The retired window-over-window "rate" kind parses as any unknown kind.
+	rate := `{"queries":[{"kind":"rate","ikey":"7","range":100,"value":2}]}`
+	if _, err := parseSubscribe(strings.NewReader(rate)); err == nil || !strings.Contains(err.Error(), `unknown query kind "rate"`) {
+		t.Fatalf("rate subscribe: err %v, want unknown query kind", err)
 	}
 }

@@ -335,8 +335,11 @@ func (a *waveArena) readRings(r *wireReader, i int, deltaID bool, name string) (
 // wave into replay events and appends them to dst: the oldest stored entry
 // stands for itself only (arrivals before it have either expired or were
 // evicted beyond reconstruction), and each segment between consecutive ranks
-// r1 < r2 holds r2−r1 arrivals, replayed half at each boundary tick like an
-// exponential-histogram bucket.
+// r1 < r2 holds the r2−r1 arrivals after r1 up to and including r2, replayed
+// like an exponential-histogram bucket: ⌊(r2−r1)/2⌋ at the older boundary
+// tick and the rest at the newer one. The arrival ranked r2 is the segment's
+// newest and was stored at cur's tick, so a one-arrival segment lands at its
+// own tick rather than one boundary early.
 func waveReplayEvents(dst []replayEvent, entries []waveEntry) []replayEvent {
 	if len(entries) == 0 {
 		return dst
@@ -348,13 +351,10 @@ func waveReplayEvents(dst []replayEvent, entries []waveEntry) []replayEvent {
 		if n == 0 {
 			continue
 		}
-		half := n / 2
-		if n-half > 0 {
-			dst = append(dst, replayEvent{t: prev.t, n: n - half})
+		if half := n / 2; half > 0 {
+			dst = append(dst, replayEvent{t: prev.t, n: half})
 		}
-		if half > 0 {
-			dst = append(dst, replayEvent{t: cur.t, n: half})
-		}
+		dst = append(dst, replayEvent{t: cur.t, n: n - n/2})
 	}
 	return dst
 }

@@ -25,11 +25,11 @@ import (
 // Global queries (SelfJoin, EstimateTotal, QueryBatch, Marshal, Snapshot)
 // are served by a snapshot-based query engine layered over the stripes:
 //
-//   - Each stripe carries a version counter bumped on every mutation.
-//     Rebuilding the global view snapshots only the stripes whose version
-//     changed since the last build — an arena clone taken under the stripe
-//     lock (three slab memcpys, see Sketch.Snapshot) — and reuses the
-//     cached snapshot of every unchanged stripe without touching its lock.
+//   - Rebuilding the global view snapshots every stripe — an arena clone
+//     taken under the stripe lock (three slab memcpys, see Sketch.Snapshot).
+//     A view stays fresh while no stripe's arrival-mutation version has
+//     moved and the engine clock has not passed the view's, so a view is
+//     rebuilt exactly when an answer could change.
 //   - The snapshots, settled at one engine clock, are published together as
 //     an immutable *view* by atomic pointer swap. They are not merged: the
 //     stripes split the key space, so a point query reads the key's own
@@ -69,14 +69,8 @@ type Sharded struct {
 	// locking at all.
 	view atomic.Pointer[shardedView]
 
-	// rebuild is the single-flight guard of view rebuilds and owns the
-	// per-stripe snapshot cache that makes rebuilds incremental. Only the
-	// goroutine holding the mutex touches parts/versions.
-	rebuild struct {
-		sync.Mutex
-		parts    []*Sketch // per-stripe snapshots of the last view; never mutated once published
-		versions []uint64  // stripe version each cached part reflects
-	}
+	// rebuild is the single-flight guard of view rebuilds.
+	rebuild sync.Mutex
 
 	// rebuilds counts completed view builds (see ViewRebuilds);
 	// rebuildNs and rebuildWorkers record the last build's wall time and
@@ -112,25 +106,19 @@ type Sharded struct {
 type shardedView struct {
 	parts   []*core.View // indexed by stripe
 	now     Tick
-	version uint64 // sum of per-stripe versions the parts were snapshotted at
+	vers    uint64 // sum of the arrival-mutation versions the parts were snapshotted at
 	builtAt time.Time
 	// merged is the Theorem-4 merge of the parts, built on first use.
 	merged func() (*Sketch, error)
 }
 
-func newShardedView(parts []*Sketch, now Tick, version uint64) *shardedView {
-	v := &shardedView{parts: make([]*core.View, len(parts)), now: now, version: version, builtAt: time.Now()}
+func newShardedView(parts []*Sketch, now Tick, vers uint64) *shardedView {
+	v := &shardedView{parts: make([]*core.View, len(parts)), now: now, vers: vers, builtAt: time.Now()}
 	for i, p := range parts {
 		v.parts[i] = core.NewView(p)
 	}
 	v.merged = sync.OnceValues(func() (*Sketch, error) {
-		// Read the parts back from v: the caller's slice is the rebuild's
-		// cache, which the next rebuild overwrites.
-		sks := make([]*Sketch, len(v.parts))
-		for i, p := range v.parts {
-			sks[i] = p.Sketch()
-		}
-		merged, err := Merge(sks...)
+		merged, err := Merge(parts...)
 		if err != nil {
 			return nil, fmt.Errorf("ecmsketch: merging shards: %w", err)
 		}
@@ -150,21 +138,20 @@ func (v *shardedView) aggregates(r Tick) (total, selfJoin float64) {
 }
 
 // shard pads each stripe to its own cache lines so neighboring locks don't
-// false-share under heavy concurrent ingest. version counts the stripe's
-// mutations, count caches sk.Count(), and deltaVer mirrors the sketch's
-// arrival-mutation version (the stripe's delta-cursor component, which —
-// unlike version — does not move on Advance-only mutations) — all written
-// while holding mu (so the update is uncontended), read lock-free by the
-// view cache check, Sharded.Count and DeltaSnapshot respectively.
+// false-share under heavy concurrent ingest. count caches sk.Count() and
+// deltaVer mirrors the sketch's arrival-mutation version (the stripe's
+// delta-cursor component, which does not move on Advance-only mutations) —
+// both written while holding mu (so the update is uncontended), read
+// lock-free by Sharded.Count, and by DeltaSnapshot and the view freshness
+// check respectively.
 type shard struct {
 	mu       sync.Mutex
 	sk       *Sketch
-	version  atomic.Uint64
 	count    atomic.Uint64
 	deltaVer atomic.Uint64
-	// Fields above total 40 bytes; pad the stride to two cache lines so no
+	// Fields above total 32 bytes; pad the stride to two cache lines so no
 	// two stripes ever share one.
-	_ [128 - 40]byte
+	_ [128 - 32]byte
 }
 
 // ShardedConfig configures a Sharded engine.
@@ -177,14 +164,14 @@ type ShardedConfig struct {
 	Params Params
 	// Shards is the stripe count P, rounded up to a power of two; 0 means
 	// GOMAXPROCS. More stripes mean less write contention but more stripe
-	// snapshots per view: a view rebuild clones every changed stripe, an
+	// snapshots per view: a view rebuild clones every stripe, an
 	// aggregate sweeps all P of them, and Marshal and Snapshot merge them.
 	// Point answers read one stripe whatever P is.
 	Shards int
 	// MergeTTL bounds the staleness of the cached view serving global
 	// queries. 0 means strict freshness: a global query never returns
 	// answers older than the stripes at call time, rebuilding the view —
-	// cloning the changed stripes, no merge — (and briefly serializing
+	// cloning every stripe, no merge — (and briefly serializing
 	// readers) after every write burst. A positive TTL lets readers run
 	// lock-free against the published view; while a TTL-expired view is
 	// being rebuilt, concurrent readers are served the previous view, so the
@@ -326,13 +313,12 @@ func (sh *Sharded) observe(t Tick) {
 	}
 }
 
-// noteMutation publishes a stripe's post-mutation state: the version bump
-// invalidates its cached snapshot, the count cache feeds lock-free
-// Sharded.Count reads. Callers must hold s.mu.
+// noteMutation publishes a stripe's post-mutation state: the count cache
+// feeds lock-free Sharded.Count reads, the arrival-mutation version delta
+// cursors and the view freshness check. Callers must hold s.mu.
 func (s *shard) noteMutation() {
 	s.count.Store(s.sk.Count())
 	s.deltaVer.Store(s.sk.DeltaVersion())
-	s.version.Add(1)
 }
 
 // applyStripe is the write path's one critical section: every arrival that
@@ -851,7 +837,7 @@ func (sh *Sharded) QueryDirect(q QueryBatch) (QueryResult, error) {
 }
 
 // RebuildStats reports the last view rebuild: wall time in nanoseconds —
-// cloning the changed stripes and settling every part at the view clock;
+// cloning every stripe and settling every part at the view clock;
 // a rebuild merges nothing — and the worker-pool width those stages ran at
 // (1 = sequential). Zeros until the first rebuild. Exposed through
 // /v1/stats next to ViewRebuilds.
@@ -875,9 +861,9 @@ func (sh *Sharded) Count() uint64 {
 }
 
 // ViewRebuilds reports how many view builds the engine has performed since
-// construction. Each build snapshots the stripes that changed since the
-// previous build and settles every snapshot at the engine clock; a
-// well-tuned MergeTTL shows rebuild counts far below global-query counts.
+// construction. Each build snapshots every stripe and settles every
+// snapshot at the engine clock; a well-tuned MergeTTL shows rebuild counts
+// far below global-query counts.
 // Exposed for observability (the ecmserver /v1/stats endpoint reports it)
 // and for the single-flight tests.
 func (sh *Sharded) ViewRebuilds() uint64 { return sh.rebuilds.Load() }
@@ -889,9 +875,9 @@ func (sh *Sharded) Width() int { return sh.shards[0].sk.Width() }
 func (sh *Sharded) Depth() int { return sh.shards[0].sk.Depth() }
 
 // MemoryBytes reports the summed footprint of all stripes. The published
-// view, whose stripe snapshots are also the rebuild's cache, adds roughly
-// one extra stripe-set on top of this while global queries are in use, and
-// one merged sketch once Marshal or Snapshot has read it.
+// view, one snapshot per stripe, adds roughly one extra stripe-set on top
+// of this while global queries are in use, and one merged sketch once
+// Marshal or Snapshot has read it.
 func (sh *Sharded) MemoryBytes() int {
 	var total int
 	for i := range sh.shards {
@@ -1016,22 +1002,25 @@ func (sh *Sharded) stripeSnapshot(i int) (*Sketch, uint64, error) {
 	return snap, ver, nil
 }
 
-// versionSum folds the per-stripe version counters into the freshness token
-// the view cache compares against. Versions only grow, so two equal sums
-// imply every stripe is unchanged.
-func (sh *Sharded) versionSum() uint64 {
+// deltaVerSum folds the stripes' arrival-mutation versions into the view
+// freshness token. Each version only grows and a view's parts were
+// snapshotted at versions no later than the current ones, so two equal sums
+// imply every stripe's content is unchanged.
+func (sh *Sharded) deltaVerSum() uint64 {
 	var v uint64
 	for i := range sh.shards {
-		v += sh.shards[i].version.Load()
+		v += sh.shards[i].deltaVer.Load()
 	}
 	return v
 }
 
 // viewFresh reports whether a published view may serve global queries
-// without a rebuild: either no stripe has mutated since it was built, or a
-// MergeTTL is configured and has not lapsed.
+// without a rebuild: either no stripe's content has changed since it was
+// built and the engine clock has not passed its clock — a view's answers
+// are a function of exactly those two — or a MergeTTL is configured and
+// has not lapsed.
 func (sh *Sharded) viewFresh(v *shardedView) bool {
-	if v.version == sh.versionSum() {
+	if v.vers == sh.deltaVerSum() && sh.now.Load() <= v.now {
 		return true
 	}
 	return sh.ttl > 0 && time.Since(v.builtAt) < sh.ttl
@@ -1039,9 +1028,10 @@ func (sh *Sharded) viewFresh(v *shardedView) bool {
 
 // queryView returns the view global queries are answered from. The fast
 // path is entirely lock-free: load the published view, check freshness
-// (atomic version sum or TTL), query it. When a rebuild is needed it is
-// single-flight; with a MergeTTL configured, readers that lose the race are
-// served the previous view instead of blocking behind the rebuild.
+// (atomic version sum and clock, or TTL), query it. When a rebuild is
+// needed it is single-flight; with a MergeTTL configured, readers that lose
+// the race are served the previous view instead of blocking behind the
+// rebuild.
 func (sh *Sharded) queryView() (*shardedView, error) {
 	v := sh.view.Load()
 	if v != nil && sh.viewFresh(v) {
@@ -1068,86 +1058,42 @@ func (sh *Sharded) queryView() (*shardedView, error) {
 }
 
 // rebuildLocked builds and publishes a fresh view; sh.rebuild must be held.
-// The build is incremental: only stripes whose version moved since their
-// cached snapshot was taken are re-snapshotted (an arena clone under the
-// stripe lock); unchanged stripes contribute their cached snapshot without
-// touching their lock at all. Every part is then settled at the view clock
-// — the engine clock, or a later stripe clock a racing write brought in —
-// so all answers describe one cut, as a single sketch's would.
+// Every stripe is snapshotted (an arena clone under the stripe lock) and
+// every snapshot settled at the view clock — the engine clock, or a later
+// stripe clock a racing write brought in — so all answers describe one cut,
+// as a single sketch's would. A clone is settled even when its stripe clock
+// already equals the view clock: its cells last expired at their own
+// arrivals.
 func (sh *Sharded) rebuildLocked() (*shardedView, error) {
 	now := sh.now.Load()
-	if sh.rebuild.parts == nil {
-		sh.rebuild.parts = make([]*Sketch, len(sh.shards))
-		sh.rebuild.versions = make([]uint64, len(sh.shards))
-	}
 	start := time.Now()
 	// Per-stripe clone and settle are independent work (each stripe's lock
-	// and its cache slots are its own), so fan them across a worker pool;
-	// the parts land in the same cache slots in the same state as a
-	// sequential sweep.
+	// and its slot are its own), so fan them across a worker pool; the parts
+	// land in the same slots in the same state as a sequential sweep.
 	workers := runtime.GOMAXPROCS(0)
 	if p := core.MergeParallelism(); p > 0 && p < workers {
 		workers = p
 	}
 	workers = max(1, min(workers, len(sh.shards)))
-	cloned := make([]bool, len(sh.shards))
+	parts := make([]*Sketch, len(sh.shards))
+	vers := make([]uint64, len(sh.shards))
 	errs := make([]error, len(sh.shards))
-	core.FanOut(len(sh.shards), workers, func(i int) { cloned[i], errs[i] = sh.snapshotPart(i) })
+	core.FanOut(len(sh.shards), workers, func(i int) { parts[i], vers[i], errs[i] = sh.stripeSnapshot(i) })
 	if err := errors.Join(errs...); err != nil {
-		sh.rebuild.parts = nil // unsettled clones must not pass for settled parts
 		return nil, err
 	}
 	var vsum uint64
-	for i, part := range sh.rebuild.parts {
-		vsum += sh.rebuild.versions[i]
+	for i, part := range parts {
+		vsum += vers[i]
 		now = max(now, part.Now())
 	}
-	core.FanOut(len(sh.shards), workers, func(i int) { sh.settlePart(i, now, cloned[i]) })
+	core.FanOut(len(sh.shards), workers, func(i int) { parts[i].Advance(now) })
 	// From here on no part's clock moves, so concurrent queries on the view
 	// are pure reads.
-	view := newShardedView(sh.rebuild.parts, now, vsum)
+	view := newShardedView(parts, now, vsum)
 	sh.view.Store(view)
 	sh.rebuilds.Add(1)
 	sh.rebuildNs.Store(time.Since(start).Nanoseconds())
 	sh.rebuildWorkers.Store(int64(workers))
 	return view, nil
-}
-
-// snapshotPart re-snapshots stripe i into the part cache when its version
-// moved since the cached part was taken (an arena clone under the stripe
-// lock), reporting whether it did; an unchanged stripe keeps its part. Only
-// the rebuild holder runs it; distinct stripes may refresh concurrently.
-func (sh *Sharded) snapshotPart(i int) (cloned bool, err error) {
-	s := &sh.shards[i]
-	if sh.rebuild.parts[i] != nil && sh.rebuild.versions[i] == s.version.Load() {
-		return false, nil
-	}
-	s.mu.Lock()
-	ver := s.version.Load() // stable while mu is held
-	part, err := s.sk.Snapshot()
-	s.mu.Unlock()
-	if err != nil {
-		return false, fmt.Errorf("ecmsketch: snapshotting shard %d: %w", i, err)
-	}
-	sh.rebuild.parts[i] = part
-	sh.rebuild.versions[i] = ver
-	return true, nil
-}
-
-// settlePart advances part i to the view clock now, so every part sees the
-// expiry frontier a single sketch would. A fresh clone is always settled: a
-// stripe whose clock already equals now still holds cells that last expired
-// at their own arrivals. A cached part belongs to the published view and is
-// never advanced in place: it is reused as is when that view settled it at
-// now, and cloned before it is advanced otherwise.
-func (sh *Sharded) settlePart(i int, now Tick, cloned bool) {
-	part := sh.rebuild.parts[i]
-	if !cloned {
-		if part.Now() == now {
-			return
-		}
-		part, _ = part.Snapshot() // an arena clone; it cannot fail
-		sh.rebuild.parts[i] = part
-	}
-	part.Advance(now)
 }

@@ -40,14 +40,11 @@ func feedParallelSharded(sh *Sharded, rounds int) {
 	}
 }
 
-// dropViewCache discards the published view and the per-stripe snapshot
-// cache, forcing the next global query to rebuild every stripe from
-// scratch — the hook that lets one engine state be rebuilt under both the
-// sequential and the parallel path.
+// dropViewCache discards the published view, forcing the next global query
+// to rebuild — the hook that lets one engine state be rebuilt under both
+// the sequential and the parallel path.
 func dropViewCache(sh *Sharded) {
 	sh.rebuild.Lock()
-	sh.rebuild.parts = nil
-	sh.rebuild.versions = nil
 	sh.view.Store(nil)
 	sh.rebuild.Unlock()
 }

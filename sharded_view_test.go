@@ -5,8 +5,8 @@ package ecmsketch
 // from-scratch snapshots of every stripe at the same version — point
 // queries from the key's stripe, aggregates summed over the stripes — and
 // its merged encoding to a from-scratch Merge of them, including after
-// incremental rebuilds that reuse cached stripe snapshots, and (b) a reader
-// stampede onto an expired view pays exactly one rebuild.
+// rebuilds that follow writes, and (b) a reader stampede onto an expired
+// view pays exactly one rebuild.
 
 import (
 	"bytes"
@@ -103,9 +103,9 @@ func feedShardedView(t *testing.T, sh *Sharded, seed int64, events int, startTic
 // serving global queries is indistinguishable from from-scratch snapshots
 // of all stripes at the same version — point answers from the key's own
 // stripe, aggregates the stripe-order sums, the merged wire bytes a full
-// Merge of those snapshots — both on the first build and on an incremental
-// rebuild that re-snapshots only the one stripe that changed. With one
-// stripe the view is its stripe, and every answer equals its Snapshot's.
+// Merge of those snapshots — both on the first build and on a rebuild
+// after a write to only one stripe. With one stripe the view is its
+// stripe, and every answer equals its Snapshot's.
 func TestShardedViewBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) { testShardedViewBitIdentical(t, shards) })
@@ -190,10 +190,10 @@ func testShardedViewBitIdentical(t *testing.T, shards int) {
 	check("first build")
 	before := sh.ViewRebuilds()
 
-	// Mutate exactly one stripe, so the next rebuild must combine one fresh
-	// snapshot with the cached others — the incremental path.
+	// Mutate exactly one stripe: the next rebuild settles the unchanged
+	// others at the new clock along with it.
 	sh.Add(424242, now+1)
-	check(fmt.Sprintf("incremental rebuild (1 of %d stripes changed)", shards))
+	check(fmt.Sprintf("rebuild after a one-stripe write (1 of %d stripes changed)", shards))
 	if got := sh.ViewRebuilds(); got != before+1 {
 		t.Errorf("rebuilds after one write burst = %d, want %d", got, before+1)
 	}
@@ -531,9 +531,9 @@ func TestShardedViewAccuracy(t *testing.T) {
 // never advanced in place: a reader holding a view keeps reading the same
 // bytes while writers move the engine clock through one stripe and strict
 // freshness rebuilds the view after every write. The other stripes do not
-// change, so each rebuild reuses their parts; settling one at the new clock
-// without cloning it first would rewrite the held view under its reader
-// (and race with it under -race).
+// change, yet each rebuild settles them at the new clock; settling a
+// published part instead of a fresh clone would rewrite the held view under
+// its reader (and race with it under -race).
 func TestShardedViewFrozenUnderRebuild(t *testing.T) {
 	p := viewTestParams()
 	sh, err := NewSharded(ShardedConfig{Params: p, Shards: 4})
@@ -596,5 +596,75 @@ func TestShardedViewFrozenUnderRebuild(t *testing.T) {
 		if !bytes.Equal(enc, before[i]) {
 			t.Errorf("part %d of a held view changed under later rebuilds", i)
 		}
+	}
+}
+
+// TestShardedViewFreshness pins when a view is rebuilt: exactly when an
+// answer could change. Reads, and an Advance that does not pass the engine
+// clock, leave the published view serving; an Advance past the clock, or a
+// write, costs exactly one rebuild; and every rebuilt view is the stripe
+// baseline, bit for bit. Async engines are flushed before each check.
+func TestShardedViewFreshness(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async-%v", async), func(t *testing.T) {
+			p := viewTestParams()
+			sh, err := NewSharded(ShardedConfig{Params: p, Shards: 4, Async: async})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sh.Close() })
+			feedShardedView(t, sh, 3, 6000, 0)
+			keys := []uint64{1, 2, 3, 99, 7777}
+
+			check := func(stage string, wantRebuilds uint64) {
+				t.Helper()
+				sh.Flush()
+				before := sh.ViewRebuilds()
+				var res QueryResult
+				for i := 0; i < 3; i++ {
+					if res, err = sh.QueryBatch(QueryBatch{Keys: keys, Total: true, SelfJoin: true}); err != nil {
+						t.Fatalf("%s: QueryBatch: %v", stage, err)
+					}
+					sh.EstimateTotal(p.WindowLength / 2)
+					sh.SelfJoin(p.WindowLength / 2)
+					for _, key := range keys {
+						sh.Estimate(key, p.WindowLength)
+					}
+				}
+				if got := sh.ViewRebuilds() - before; got != wantRebuilds {
+					t.Errorf("%s: %d rebuilds, want %d", stage, got, wantRebuilds)
+				}
+				v := sh.view.Load()
+				parts := stripeBaseline(t, sh)
+				if v.now != sh.Now() {
+					t.Errorf("%s: view clock %d, engine clock %d", stage, v.now, sh.Now())
+				}
+				for i, part := range parts {
+					if got, want := marshalNormalized(t, v.parts[i].Sketch()), marshalNormalized(t, part); !bytes.Equal(got, want) {
+						t.Errorf("%s: view part %d differs from its stripe baseline (%d vs %d bytes)", stage, i, len(got), len(want))
+					}
+				}
+				for i, key := range keys {
+					if want := parts[sh.stripeOf(key)].Estimate(key, p.WindowLength); res.Estimates[i] != want {
+						t.Errorf("%s: estimate key %d = %v, want %v (bit-identical)", stage, key, res.Estimates[i], want)
+					}
+				}
+				total, selfJoin := stripeSums(parts, p.WindowLength)
+				if res.Total != total || res.SelfJoin != selfJoin {
+					t.Errorf("%s: aggregates (%v, %v), want (%v, %v)", stage, res.Total, res.SelfJoin, total, selfJoin)
+				}
+			}
+
+			check("first global query", 1)
+			check("read burst", 0)
+			sh.Advance(sh.Now())
+			check("advance to the engine clock", 0)
+			sh.Advance(sh.Now() - 100)
+			check("advance behind the engine clock", 0)
+			sh.Advance(sh.Now() + 50)
+			check("advance past the engine clock", 1)
+			sh.Add(424242, sh.Now())
+			check("one-key write at the current tick", 1)
+		})
 	}
 }

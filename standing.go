@@ -29,7 +29,6 @@ type StandingKind = standing.Kind
 const (
 	StandingThreshold = standing.KindThreshold
 	StandingTopK      = standing.KindTopK
-	StandingRate      = standing.KindRate
 	// StandingDropped marks client-side delivery-gap markers.
 	StandingDropped = standing.KindDropped
 )

@@ -31,15 +31,14 @@ type equivFiring struct {
 	key    uint64
 	rising bool
 	value  float64
-	prev   float64 // compared for rate only (always freshly computed there)
 	now    Tick
 	top    string
 	inOut  string
 }
 
 func (f equivFiring) String() string {
-	return fmt.Sprintf("q%d %v key=%d rising=%v value=%g prev=%g now=%d top=%s inout=%s",
-		f.q, f.kind, f.key, f.rising, f.value, f.prev, f.now, f.top, f.inOut)
+	return fmt.Sprintf("q%d %v key=%d rising=%v value=%g now=%d top=%s inout=%s",
+		f.q, f.kind, f.key, f.rising, f.value, f.now, f.top, f.inOut)
 }
 
 // equivOracle brute-force re-evaluates every query at every boundary,
@@ -74,7 +73,6 @@ func (o *equivOracle) rangeOf(q StandingQuery, now Tick) Tick {
 
 func (o *equivOracle) eval(t interface {
 	Estimate(key uint64, r Tick) float64
-	EstimateInterval(key uint64, from, to Tick) float64
 	Now() Tick
 }) []equivFiring {
 	now := t.Now()
@@ -88,26 +86,6 @@ func (o *equivOracle) eval(t interface {
 			if high != o.high[i] && high != q.Below {
 				fired = append(fired, equivFiring{
 					q: i, kind: q.Kind, key: q.Key, rising: high, value: cur, now: now,
-				})
-			}
-			o.high[i] = high
-		case StandingRate:
-			cur := t.Estimate(q.Key, rng)
-			var from, to Tick
-			if now > rng {
-				to = now - rng
-			}
-			if now > 2*rng {
-				from = now - 2*rng
-			}
-			var prev float64
-			if to > from {
-				prev = t.EstimateInterval(q.Key, from, to)
-			}
-			high := cur > 0 && cur >= q.Factor*prev && cur >= q.Value
-			if high && !o.high[i] {
-				fired = append(fired, equivFiring{
-					q: i, kind: q.Kind, key: q.Key, rising: true, value: cur, prev: prev, now: now,
 				})
 			}
 			o.high[i] = high
@@ -211,10 +189,7 @@ func toEquivFiring(n Notification, queryIdx map[uint64]int) equivFiring {
 		value:  n.Value,
 		now:    n.Now,
 	}
-	switch n.Kind {
-	case StandingRate:
-		f.prev = n.Prev
-	case StandingTopK:
+	if n.Kind == StandingTopK {
 		f.top = topString(n.Top)
 		f.inOut = fmt.Sprintf("+%v -%v", n.Entered, n.Left)
 	}
@@ -242,8 +217,8 @@ func compareFirings(t *testing.T, label string, want, got []equivFiring) {
 	}
 }
 
-// equivQueries is the predicate mix under test: thresholds both ways, a
-// rate query, and top-k with and without rank sensitivity, all over a tiny
+// equivQueries is the predicate mix under test: thresholds both ways and
+// top-k with and without rank sensitivity, all over a tiny
 // key domain on a deliberately coarse sketch so Count-Min collisions are
 // common — collision-induced crossings are exactly what cell-granular
 // (rather than key-granular) invalidation must catch.
@@ -252,7 +227,6 @@ func equivQueries() []StandingQuery {
 		{Kind: StandingThreshold, Key: 3, Value: 40},
 		{Kind: StandingThreshold, Key: 5, Value: 15},
 		{Kind: StandingThreshold, Key: 9, Value: 25, Below: true},
-		{Kind: StandingRate, Key: 7, Range: 400, Factor: 2, Value: 10},
 		{Kind: StandingTopK, K: 3, Keys: []uint64{1, 2, 3, 4, 5, 6}},
 		{Kind: StandingTopK, K: 2, Keys: []uint64{7, 8, 9}, RankChanges: true},
 	}
