@@ -28,6 +28,10 @@ package ecmsketch
 //     segment is entirely covered by the blob and can be deleted; the new
 //     segment may overlap the blob, which replay tolerates by skipping
 //     records whose post-apply version the restored stripe already has.
+//     A checkpoint whose blob fails to save keeps the sealed segment, and
+//     the next one retries the blob at the active generation instead of
+//     rotating again: replay reads only a blob's generation and the one
+//     after it, so a second rotation would strand acknowledged writes.
 //
 // Anything that fails validation on the way back in — snapshot CRC or
 // fingerprint, WAL segment header, a replay version cross-check — discards
@@ -123,6 +127,9 @@ type durableState struct {
 	log    DurableLog
 	gen    uint64
 	closed bool
+	// sealed is the segment before the active one while no saved blob
+	// covers it yet (a checkpoint's blob failed to save); nil otherwise.
+	sealed DurableLog
 	buf    []byte
 	// The active segment's records and framed bytes after its header, whether
 	// any are not yet fsynced, and the latency of the last fsync.
@@ -174,6 +181,7 @@ func (sh *Sharded) initDurable(dc *DurabilityConfig) error {
 		return err
 	}
 	if err := sh.writeCheckpointBlob(activeGen); err != nil {
+		d.log.Close()
 		return err
 	}
 	for _, g := range replayedGens {
@@ -384,8 +392,10 @@ func (sh *Sharded) writeCheckpointBlob(gen uint64) error {
 // Checkpoint writes a durable snapshot of the engine and rotates the WAL:
 // the sealed segment is synced first (so nothing acknowledged is lost),
 // captured entirely by the blob, and then deleted. Recovery after a
-// checkpoint replays only what arrived since. Returns an error on engines
-// built without a DurabilityConfig.
+// checkpoint replays only what arrived since. When the blob fails to save,
+// the sealed segment stays on the store and the next Checkpoint retries
+// the blob without rotating, so no acknowledged write is lost. Returns an
+// error on engines built without a DurabilityConfig.
 func (sh *Sharded) Checkpoint() error {
 	d := sh.dur
 	if d == nil {
@@ -404,24 +414,36 @@ func (sh *Sharded) Checkpoint() error {
 		d.errs.Add(1)
 		return err
 	}
-	oldLog, oldGen := d.log, d.gen
-	if err := d.openSegment(sh.epoch, oldGen+1); err != nil {
-		d.mu.Unlock()
-		d.errs.Add(1)
-		return err
+	if d.sealed == nil {
+		// Rotate only when the last blob was saved: a pending sealed
+		// segment is still the one the saved blob's successor must cover.
+		sealed := d.log
+		if err := d.openSegment(sh.epoch, d.gen+1); err != nil {
+			d.mu.Unlock()
+			d.errs.Add(1)
+			return err
+		}
+		d.sealed = sealed
 	}
+	gen := d.gen
 	d.mu.Unlock()
 
-	// Appends now go to the new segment; every record in the sealed one
+	// Appends now go to the active segment; every record in the sealed one
 	// happened before its stripe's capture below, so the blob covers it.
-	if err := sh.writeCheckpointBlob(oldGen + 1); err != nil {
+	if err := sh.writeCheckpointBlob(gen); err != nil {
 		d.errs.Add(1)
 		return err
 	}
-	if err := oldLog.Close(); err != nil {
-		d.errs.Add(1)
+	d.mu.Lock()
+	sealed := d.sealed
+	d.sealed = nil
+	d.mu.Unlock()
+	if sealed != nil { // nil when a concurrent close already closed it
+		if err := sealed.Close(); err != nil {
+			d.errs.Add(1)
+		}
 	}
-	return d.store.Delete(durWALName(oldGen))
+	return d.store.Delete(durWALName(gen - 1))
 }
 
 // DurabilityStats reports the durability observability block; Enabled is
@@ -572,6 +594,10 @@ func (d *durableState) seal(sync bool) error {
 	var err error
 	if sync {
 		err = d.syncLocked()
+	}
+	if d.sealed != nil {
+		err = errors.Join(err, d.sealed.Close())
+		d.sealed = nil
 	}
 	return errors.Join(err, d.log.Close())
 }

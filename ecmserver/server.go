@@ -633,5 +633,11 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ingestor.Advance(t)
-	wire.Respond(w, map[string]any{"ok": true, "now": wire.U64Field(wire.WantStrings(r), t)})
+	// A t behind the clock moves nothing: the reply names the clock the
+	// source now holds, not the t asked for.
+	now := t
+	if c, ok := s.src.(interface{ Now() ecmsketch.Tick }); ok {
+		now = c.Now()
+	}
+	wire.Respond(w, map[string]any{"ok": true, "now": wire.U64Field(wire.WantStrings(r), now)})
 }

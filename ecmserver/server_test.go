@@ -224,6 +224,10 @@ func TestAdvanceExpiresWindow(t *testing.T) {
 	if est := estimate(t, srv, "key=old"); est != 0 {
 		t.Errorf("estimate after expiry = %v, want 0", est)
 	}
+	// Behind the clock nothing moves, and the reply says so.
+	if code, out := doJSON(t, srv, "POST", "/v1/advance?t=100", ""); code != http.StatusOK || out["now"] != float64(50000) {
+		t.Errorf("advance behind the clock answered %d %v, want 200 with now=50000", code, out)
+	}
 	code, _ := doJSON(t, srv, "POST", "/v1/advance", "")
 	if code != http.StatusBadRequest {
 		t.Errorf("advance without t returned %d", code)

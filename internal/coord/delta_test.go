@@ -14,10 +14,11 @@ import (
 	"ecmsketch/ecmserver"
 	"ecmsketch/internal/coord"
 	"ecmsketch/internal/core"
+	"ecmsketch/internal/difftest"
 )
 
-// deltaTestEngines builds n sharded engines with strict view freshness and
-// distinct preloaded streams, advanced to a common clock.
+// deltaTestEngines builds n 4-stripe engines with strict view freshness,
+// each fed its own log and advanced to tick 1000.
 func deltaTestEngines(t *testing.T, n int) []*ecmsketch.Sharded {
 	t.Helper()
 	engines := make([]*ecmsketch.Sharded, n)
@@ -29,87 +30,19 @@ func deltaTestEngines(t *testing.T, n int) []*ecmsketch.Sharded {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var evs []ecmsketch.Event
-		for e := 0; e < 2000; e++ {
-			evs = append(evs, ecmsketch.Event{Key: uint64(e%83) + uint64(i)*500, Tick: uint64(e/4 + 1)})
-		}
-		eng.AddBatch(evs)
+		difftest.Feed(eng, difftest.Gen(int64(i), difftest.Shape{Window: 50000, Events: 2000, Ticks: 500, Keys: 83, Batch: 2000}))
 		eng.Advance(1000)
 		engines[i] = eng
 	}
 	return engines
 }
 
-// mutateSlow moves a small key set on every engine — the slow-moving-stream
-// regime deltas exist for.
+// mutateSlow moves a few keys on every engine and then its clock — the
+// slow-moving-stream regime deltas exist for.
 func mutateSlow(engines []*ecmsketch.Sharded, round int) {
-	tick := uint64(1000 + round*100)
 	for i, eng := range engines {
-		var evs []ecmsketch.Event
-		for k := 0; k < 4; k++ {
-			evs = append(evs, ecmsketch.Event{Key: uint64(round*13 + k + i*500), Tick: tick})
-		}
-		eng.AddBatch(evs)
-		eng.Advance(tick + 50)
-	}
-}
-
-// TestDeltaCoordinatorBitIdentical is the tentpole equivalence: across
-// mutation intervals, a coordinator that baselines once and then only ever
-// applies deltas produces merged summaries byte-identical to a fresh
-// coordinator pulling every site in full at the same versions — over the
-// in-process transport, over HTTP, and across the two (all four roots equal
-// every interval) — while pulling far fewer bytes.
-func TestDeltaCoordinatorBitIdentical(t *testing.T) {
-	engines := deltaTestEngines(t, 3)
-	localSites := make([]coord.Site, len(engines))
-	httpSites := make([]coord.Site, len(engines))
-	for i, eng := range engines {
-		// Serve the same engine the local sites wrap, so all transports
-		// observe one state.
-		ts := httptest.NewServer(serveEngineOver(eng))
-		t.Cleanup(ts.Close)
-		localSites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
-		httpSites[i] = coord.NewHTTPSite(ts.URL, nil)
-	}
-	localDelta := coord.New(localSites...)
-	httpDelta := coord.New(httpSites...)
-
-	var deltaBytesPrev, steadyFull, steadyDelta int64
-	for round := 0; round < 6; round++ {
-		if round > 0 {
-			mutateSlow(engines, round)
-		}
-		localFull, httpFull := coord.New(localSites...), coord.New(httpSites...)
-		roots := make([][]byte, 4)
-		for ci, co := range []*coord.Coordinator{localFull, localDelta, httpFull, httpDelta} {
-			root, err := refreshView(co)
-			if err != nil {
-				t.Fatalf("round %d coordinator %d: %v", round, ci, err)
-			}
-			roots[ci] = root.Marshal()
-		}
-		for ci := 1; ci < 4; ci++ {
-			if !bytes.Equal(roots[0], roots[ci]) {
-				t.Fatalf("round %d: coordinator %d root differs from the fresh coordinator's", round, ci)
-			}
-		}
-		if round >= 2 {
-			// Steady state: count bytes per interval once the delta
-			// coordinators are warm.
-			steadyFull += localFull.PulledBytes()
-			steadyDelta += localDelta.PulledBytes() - deltaBytesPrev
-		}
-		deltaBytesPrev = localDelta.PulledBytes()
-	}
-	if got := localDelta.DeltaPulls(); got < 15 {
-		t.Fatalf("local delta coordinator answered %d delta pulls, want ≥15", got)
-	}
-	if got := httpDelta.DeltaPulls(); got < 15 {
-		t.Fatalf("http delta coordinator answered %d delta pulls, want ≥15", got)
-	}
-	if steadyDelta*5 > steadyFull {
-		t.Fatalf("steady-state delta bytes %d not ≥5× below full %d", steadyDelta, steadyFull)
+		difftest.Feed(eng, difftest.Gen(int64(round*len(engines)+i), difftest.Shape{Window: 50000, Events: 4, Ticks: 1, Keys: 400, Batch: 4}))
+		eng.Advance(uint64(1000 + round*100 + 50))
 	}
 }
 
@@ -387,94 +320,4 @@ func TestDeltaFailureModes(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestFullAndDeltaPullsAgree pins the one pull path: a coordinator that
-// only ever applied deltas and a fresh coordinator built each round over
-// the same sites — a plain sketch, a one- and a four-stripe engine and a
-// child coordinator, each in process and over HTTP — hold byte-identical
-// roots after every Refresh, for every synopsis, while the stream slides
-// more than three windows past. Each fresh coordinator presents the zero
-// cursor: exactly one full pull per site, and no deltas.
-func TestFullAndDeltaPullsAgree(t *testing.T) {
-	const window, ticksPerRound, rounds = 256, 32, 28 // 3.5 windows
-	for _, algo := range []ecmsketch.Algorithm{ecmsketch.AlgoEH, ecmsketch.AlgoDW, ecmsketch.AlgoRW} {
-		t.Run(algo.String(), func(t *testing.T) {
-			p := ecmsketch.Params{Epsilon: 0.25, Delta: 0.25, Algorithm: algo,
-				WindowLength: window, UpperBound: 1 << 12, Seed: 17}
-			sharded := func(stripes int) *ecmsketch.Sharded {
-				eng, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: stripes})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng
-			}
-			var leaves []ecmsketch.Ingestor
-			var children []*coord.Coordinator
-			var sites []coord.Site
-			for _, transport := range []string{"local", "http"} {
-				plain, err := core.New(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				one, four, childLeaf := sharded(1), sharded(4), sharded(2)
-				child := coord.New(coord.NewLocalSite("leaf", childLeaf))
-				leaves = append(leaves, plain, one, four, childLeaf)
-				children = append(children, child)
-				for _, src := range []struct {
-					name string
-					src  ecmserver.Source
-				}{{"sketch", plain}, {"stripes-1", one}, {"stripes-4", four}, {"child", child}} {
-					name := transport + "-" + src.name
-					if transport == "local" {
-						sites = append(sites, coord.NewLocalSite(name, src.src))
-						continue
-					}
-					srv, err := ecmserver.NewOver(ecmserver.Config{WindowLength: window}, src.src)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ts := httptest.NewServer(srv)
-					t.Cleanup(ts.Close)
-					site := coord.NewHTTPSite(ts.URL, nil)
-					site.SetName(name)
-					sites = append(sites, site)
-				}
-			}
-			delta := coord.New(sites...)
-
-			tick := uint64(0)
-			for round := 0; round < rounds; round++ {
-				for range ticksPerRound {
-					tick++
-					for i, leaf := range leaves {
-						leaf.AddBatch([]ecmsketch.Event{
-							{Key: (tick*7 + uint64(i)) % 61, Tick: tick},
-							{Key: uint64(100 + i), Tick: tick},
-						})
-					}
-				}
-				for _, child := range children {
-					if err := child.Refresh(); err != nil {
-						t.Fatalf("round %d: child refresh: %v", round, err)
-					}
-				}
-				fresh := coord.New(sites...)
-				for _, co := range []*coord.Coordinator{fresh, delta} {
-					if err := co.Refresh(); err != nil {
-						t.Fatalf("round %d: %v", round, err)
-					}
-				}
-				if !bytes.Equal(fresh.Marshal(), delta.Marshal()) {
-					t.Fatalf("round %d (tick %d): fresh root differs from delta-pull root", round, tick)
-				}
-				if got, want := fresh.FullPulls(), uint64(len(sites)); got != want || fresh.DeltaPulls() != 0 {
-					t.Fatalf("round %d: fresh coordinator: %d full, %d delta pulls; want %d full, 0 delta", round, got, fresh.DeltaPulls(), want)
-				}
-			}
-			if delta.DeltaPulls() == 0 {
-				t.Fatal("delta-pull coordinator never pulled a delta")
-			}
-		})
-	}
 }

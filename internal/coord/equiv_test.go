@@ -1,8 +1,6 @@
 package coord_test
 
 import (
-	"bytes"
-	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -13,95 +11,6 @@ import (
 	"ecmsketch/internal/coord"
 	"ecmsketch/internal/core"
 )
-
-// newSiteServers builds n ecmserver deployments sharing one sketch
-// configuration and feeds each a deterministic, distinct event log,
-// returning the running httptest servers. The engines are advanced to a
-// common clock so site summaries are alignment-identical regardless of how
-// their streams end.
-func newSiteServers(t *testing.T, n int) []*httptest.Server {
-	t.Helper()
-	servers := make([]*httptest.Server, n)
-	const now = 5000
-	for i := 0; i < n; i++ {
-		srv, err := ecmserver.New(ecmserver.Config{
-			Epsilon: 0.15, Delta: 0.1, WindowLength: 20000, Seed: 42,
-			Shards: 2, // MergeTTL 0: strict freshness, deterministic views
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := make([]ecmsketch.Event, 0, 512)
-		for e := 0; e < 4000; e++ {
-			batch = append(batch, ecmsketch.Event{
-				Key:  uint64(e%97) + uint64(i)*1000, // per-site key bias
-				Tick: uint64(e/2 + 1),
-				N:    uint64(i%3 + 1),
-			})
-			if len(batch) == cap(batch) {
-				srv.Engine().AddBatch(batch)
-				batch = batch[:0]
-			}
-		}
-		srv.Engine().AddBatch(batch)
-		srv.Engine().Advance(now)
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
-		servers[i] = ts
-	}
-	return servers
-}
-
-// TestCrossTransportBitIdentical is the transport-abstraction contract: the
-// same site engines aggregated through the in-process transport (arena-
-// clone snapshots) and through HTTP (GET /v1/snapshot pulls of the same
-// engines' frozen views) produce byte-identical merged summaries and
-// identical network accounting.
-func TestCrossTransportBitIdentical(t *testing.T) {
-	servers := newSiteServers(t, 3)
-
-	local := make([]coord.Site, len(servers))
-	networked := make([]coord.Site, len(servers))
-	for i, ts := range servers {
-		// The same engine behind both transports: what reaches the merge
-		// path is an arena clone in one case, shipped-and-decoded view
-		// bytes in the other.
-		local[i] = ecmsketch.NewLocalSite(fmt.Sprintf("site-%d", i), serverEngine(t, ts))
-		networked[i] = coord.NewHTTPSite(ts.URL, nil)
-	}
-
-	lc := coord.New(local...)
-	lroot, err := refreshView(lc)
-	if err != nil {
-		t.Fatalf("in-process Refresh: %v", err)
-	}
-	nc := coord.New(networked...)
-	nroot, err := refreshView(nc)
-	if err != nil {
-		t.Fatalf("networked Refresh: %v", err)
-	}
-
-	lenc, nenc := lroot.Marshal(), nroot.Marshal()
-	if !bytes.Equal(lenc, nenc) {
-		t.Fatalf("merged summaries differ across transports: %d vs %d bytes", len(lenc), len(nenc))
-	}
-	if lb, nb := lc.Network().Bytes(), nc.Network().Bytes(); lb != nb {
-		t.Errorf("network bytes differ: local %d, networked %d", lb, nb)
-	}
-	if lm, nm := lc.Network().Messages(), nc.Network().Messages(); lm != nm || lm != int64(len(servers)) {
-		t.Errorf("network messages: local %d, networked %d; want %d, one per site", lm, nm, len(servers))
-	}
-	// One round of one coordinator: the Network charge is exactly the
-	// payload volume pulled.
-	for _, co := range []*coord.Coordinator{lc, nc} {
-		if co.PulledBytes() != co.Network().Bytes() {
-			t.Errorf("pulled %d bytes but charged %d", co.PulledBytes(), co.Network().Bytes())
-		}
-	}
-	if lroot.Count() == 0 {
-		t.Error("merged summary is empty; equivalence is vacuous")
-	}
-}
 
 // refreshView runs one Refresh round and returns the merged view.
 func refreshView(co *coord.Coordinator) (*core.Sketch, error) {

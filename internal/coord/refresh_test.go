@@ -6,223 +6,23 @@ package coord_test
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"ecmsketch"
 	"ecmsketch/internal/coord"
 	"ecmsketch/internal/core"
+	"ecmsketch/internal/difftest"
 )
 
-// flatMerge is the reference an incremental root must stay byte-identical
-// to: one from-scratch flat ⊕ over the settled parts.
-func flatMerge(t *testing.T, parts ...*core.Sketch) *core.Sketch {
-	t.Helper()
-	for _, p := range parts {
-		p.Advance(p.Now())
-	}
-	root, err := core.Merge(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root
-}
-
-// stripeParts returns the stripe parts a coordinator holds for src after a
-// full pull: src's baseline payload applied to a fresh receiver.
-func stripeParts(t *testing.T, src coord.DeltaSnapshotSource) []*core.Sketch {
-	t.Helper()
-	payload, cur, full, err := src.DeltaSnapshot(core.Cursor{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ds core.DeltaState
-	if err := ds.Apply(payload, cur, full); err != nil {
-		t.Fatal(err)
-	}
-	return ds.Parts()
-}
-
-// flatOver is flatMerge over every engine's current stripe parts, in engine
-// order and then stripe order: the one ⊕ level a coordinator over the
-// engines holds.
+// flatOver is the one ⊕ level a coordinator over engines holds: one Merge
+// over every engine's stripe parts, in engine order and then stripe order.
 func flatOver(t *testing.T, engines []*ecmsketch.Sharded) *core.Sketch {
-	t.Helper()
-	var parts []*core.Sketch
-	for _, eng := range engines {
-		parts = append(parts, stripeParts(t, eng)...)
-	}
-	return flatMerge(t, parts...)
-}
-
-// TestOneMemberViewIsTheSite: ⊕ of one summary is that summary. A
-// coordinator over one site serves a view whose bytes are the site's own
-// settled bytes — at the bootstrap round and over twelve delta rounds whose
-// ticks run well past the window — for every synopsis, where a one-input
-// Theorem-4 replay would re-bucket the site.
-func TestOneMemberViewIsTheSite(t *testing.T) {
-	for _, algo := range []ecmsketch.Algorithm{ecmsketch.AlgoEH, ecmsketch.AlgoDW, ecmsketch.AlgoRW} {
-		t.Run(algo.String(), func(t *testing.T) {
-			site, err := core.New(core.Params{Epsilon: 0.1, Delta: 0.1, Algorithm: algo,
-				WindowLength: 1000, UpperBound: 1 << 14, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			co := coord.New(coord.NewLocalSite("only", site))
-			tick := core.Tick(1)
-			for round := 0; round <= 12; round++ {
-				for j := 0; j < 400; j++ {
-					tick += core.Tick(j % 2) // 200 ticks a round: 2,600 in all
-					site.Add(uint64(j*37%101), tick)
-				}
-				if err := co.Refresh(); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				want, err := site.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want.Advance(want.Now())
-				if !bytes.Equal(co.Marshal(), want.Marshal()) {
-					t.Fatalf("round %d: one-member view differs from the site's settled summary", round)
-				}
-			}
-			if co.DeltaPulls() != 12 {
-				t.Errorf("%d delta pulls, want 12", co.DeltaPulls())
-			}
-		})
-	}
-}
-
-// TestRefreshBitIdenticalToFlatMerge is the tentpole equivalence at the
-// coordinator level: across mutation intervals — including idle ones where
-// most sites have zero changed cells — the incrementally patched root is
-// byte-identical to a from-scratch flat merge over the same engines, while
-// the steady-state rounds patch only a small cell subset instead of
-// rebuilding everything.
-func TestRefreshBitIdenticalToFlatMerge(t *testing.T) {
-	engines := deltaTestEngines(t, 4)
-	sites := make([]coord.Site, len(engines))
+	srcs := make([]ecmsketch.DeltaSnapshotter, len(engines))
 	for i, eng := range engines {
-		sites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
+		srcs[i] = eng
 	}
-	co := coord.New(sites...)
-
-	if _, err := co.Snapshot(); err == nil {
-		t.Fatal("Snapshot before first Refresh should fail")
-	}
-	patchedRounds := 0
-	for round := 0; round < 8; round++ {
-		switch {
-		case round == 0: // bootstrap
-		case round == 5: // idle interval: clocks advance, no arrivals
-			for _, eng := range engines {
-				eng.Advance(uint64(1000 + round*100 + 50))
-			}
-		case round == 6: // single-site interval: only one engine moves
-			engines[2].Add(424242, uint64(1000+round*100))
-			engines[2].Advance(uint64(1000 + round*100 + 50))
-		default:
-			mutateSlow(engines, round)
-		}
-		if err := co.Refresh(); err != nil {
-			t.Fatalf("round %d: Refresh: %v", round, err)
-		}
-		st := co.LastRefresh()
-		if round == 0 && !st.RebuiltAll {
-			t.Fatal("bootstrap round should rebuild all")
-		}
-		if round > 0 {
-			if st.RebuiltAll {
-				t.Fatalf("round %d: steady-state refresh rebuilt from scratch", round)
-			}
-			patchedRounds++
-		}
-		got, err := co.Snapshot()
-		if err != nil {
-			t.Fatalf("round %d: Snapshot: %v", round, err)
-		}
-		want := flatOver(t, engines)
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatalf("round %d: incremental root differs from from-scratch flat merge", round)
-		}
-		if st.Contributors != len(engines) || st.Stale != 0 || st.Excluded != 0 {
-			t.Fatalf("round %d: stats %+v, want %d clean contributors", round, st, len(engines))
-		}
-	}
-	if patchedRounds != 7 {
-		t.Fatalf("patched %d rounds, want 7", patchedRounds)
-	}
-}
-
-// TestStackedCoordinatorDeltaServing pins the upward half of the tentpole: a
-// parent coordinator pulling child coordinators receives cursor-based
-// deltas from each child's patched root — in steady state a small fraction of
-// the full view — and its merged result matches theirs exactly. Two shapes:
-// one child over 3 leaves, and the fan-in-3 tree of 9 leaves → 3 mids → root.
-func TestStackedCoordinatorDeltaServing(t *testing.T) {
-	for _, leaves := range []int{3, 9} {
-		engines := deltaTestEngines(t, leaves)
-		leafSites := make([]coord.Site, len(engines))
-		for i, eng := range engines {
-			leafSites[i] = coord.NewLocalSite(fmt.Sprintf("leaf-%d", i), eng)
-		}
-		// Each child satisfies DeltaSnapshotSource, so it nests under a
-		// parent like any engine.
-		var children []*coord.Coordinator
-		var childSites []coord.Site
-		for i := 0; i < leaves; i += 3 {
-			child := coord.New(leafSites[i : i+3]...)
-			children = append(children, child)
-			childSites = append(childSites, coord.NewLocalSite(fmt.Sprintf("child-%d", i/3), child))
-		}
-		parent := coord.New(childSites...)
-
-		var fullSize, steadyDelta int64
-		for round := 0; round < 6; round++ {
-			if round > 0 {
-				mutateSlow(engines, round)
-			}
-			for i, child := range children {
-				if err := child.Refresh(); err != nil {
-					t.Fatalf("%d leaves round %d: child %d refresh: %v", leaves, round, i, err)
-				}
-			}
-			before := parent.PulledBytes()
-			if err := parent.Refresh(); err != nil {
-				t.Fatalf("%d leaves round %d: parent refresh: %v", leaves, round, err)
-			}
-			pulled := parent.PulledBytes() - before
-			if round == 0 {
-				fullSize = pulled
-			} else if round >= 2 {
-				steadyDelta += pulled
-			}
-			// The parent's incrementally patched root must equal the root of
-			// a fresh full-pull tree of the same shape over the same leaves:
-			// every level's patched root is held to its from-scratch merge,
-			// the invariant the leaf-level test pins, stacked.
-			parentRoot, err := parent.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mids := make([]*core.Sketch, len(children))
-			for i := range children {
-				mids[i] = flatOver(t, engines[3*i:3*i+3])
-			}
-			want := flatMerge(t, mids...)
-			if !bytes.Equal(parentRoot.Marshal(), want.Marshal()) {
-				t.Fatalf("%d leaves round %d: parent root differs from a fresh full-pull tree", leaves, round)
-			}
-		}
-		if parent.DeltaPulls() < uint64(5*len(children)) {
-			t.Fatalf("%d leaves: parent answered %d delta pulls, want ≥%d", leaves, parent.DeltaPulls(), 5*len(children))
-		}
-		if avg := steadyDelta / 4; avg*5 > fullSize {
-			t.Fatalf("%d leaves: steady-state parent delta bytes/round %d not ≥5× below full %d", leaves, avg, fullSize)
-		}
-	}
+	return difftest.FlatMerge(t, srcs...)
 }
 
 // faultSite wraps a Site with switchable failure injection: complete outages
@@ -578,71 +378,5 @@ func TestDynamicMembershipConcurrent(t *testing.T) {
 	}
 	if want := flatOver(t, members); !bytes.Equal(got.Marshal(), want.Marshal()) {
 		t.Fatal("post-churn view diverged from flat merge over surviving membership")
-	}
-}
-
-// TestRefreshSurvivesExpiry is the regression test for the nil-note crash:
-// a delta-pulling coordinator patches its retained baselines and its root
-// with PatchMerged(…, nil), which advances every unpatched cell — and once
-// the windows are full such a cell can drop an expired bucket, where the
-// unguarded note(i) call used to die on a nil func inside a pull goroutine.
-// The EH case is the configuration that crashed (eight 2-stripe sites, one
-// Zipf event per site per tick, a refresh every W/16 ticks: a nil-func
-// SIGSEGV in round 44); the wave engines run smaller ones. All stream for
-// more than three windows, and every round's root must also stay
-// byte-identical to a from-scratch flat merge while buckets expire under it.
-func TestRefreshSurvivesExpiry(t *testing.T) {
-	for _, tc := range []struct {
-		algo   ecmsketch.Algorithm
-		sites  int
-		eps    float64
-		window uint64
-	}{
-		{ecmsketch.AlgoEH, 8, 0.05, 4096},
-		{ecmsketch.AlgoDW, 4, 0.1, 1024},
-		{ecmsketch.AlgoRW, 4, 0.25, 512}, // randomized waves cost 1/ε² per cell
-	} {
-		t.Run(tc.algo.String(), func(t *testing.T) {
-			every, ticks := tc.window/16, 3*tc.window+tc.window/8
-			engines := make([]*ecmsketch.Sharded, tc.sites)
-			sites := make([]coord.Site, tc.sites)
-			zipfs := make([]*rand.Zipf, tc.sites)
-			for i := range engines {
-				eng, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{
-					Params: ecmsketch.Params{Epsilon: tc.eps, Delta: tc.eps, Algorithm: tc.algo,
-						WindowLength: tc.window, UpperBound: 2 * tc.window, Seed: 41},
-					Shards: 2,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines[i] = eng
-				sites[i] = coord.NewLocalSite(fmt.Sprintf("site-%d", i), eng)
-				zipfs[i] = rand.NewZipf(rand.New(rand.NewSource(int64(100+i))), 1.1, 1, 1<<16)
-			}
-			co := coord.New(sites...)
-			for tick := uint64(1); tick <= ticks; tick++ {
-				for i, eng := range engines {
-					eng.Add(zipfs[i].Uint64(), tick)
-				}
-				if tick%every != 0 {
-					continue
-				}
-				if err := co.Refresh(); err != nil {
-					t.Fatalf("tick %d: Refresh: %v", tick, err)
-				}
-				if st := co.LastRefresh(); st.Stale != 0 || st.Excluded != 0 {
-					t.Fatalf("tick %d: in-process sites went stale: %+v", tick, st)
-				}
-				got, err := co.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := flatOver(t, engines)
-				if !bytes.Equal(got.Marshal(), want.Marshal()) {
-					t.Fatalf("tick %d: patched root differs from from-scratch flat merge", tick)
-				}
-			}
-		})
 	}
 }

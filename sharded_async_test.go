@@ -1,83 +1,40 @@
-package ecmsketch
+package ecmsketch_test
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"ecmsketch"
+	"ecmsketch/internal/difftest"
 )
 
-func asyncTestParams() Params {
-	return Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1000, Seed: 9}
-}
+var asyncParams = ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1000, Seed: 9}
 
 // TestShardedAsyncEquivalence: an async engine after Flush holds exactly
 // the state a synchronous engine holds after the same single-writer call
-// sequence — per-stripe application order is the call order, so the stripe
-// sketches (and therefore the merged view) are byte-identical.
+// sequence — per-stripe application order is the call order, so stripes,
+// merged view and answers are byte-identical.
 func TestShardedAsyncEquivalence(t *testing.T) {
-	syncEng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	asyncEng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 4, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer asyncEng.Close()
-
-	rng := rand.New(rand.NewSource(7))
-	tick := Tick(1)
-	for round := 0; round < 60; round++ {
-		switch round % 5 {
-		case 3:
-			tick += Tick(rng.Intn(300))
-			syncEng.Advance(tick)
-			asyncEng.Advance(tick)
-		case 4:
-			k := rng.Uint64() % 64
-			syncEng.AddN(k, tick, 3)
-			asyncEng.AddN(k, tick, 3)
-		default:
-			evs := make([]Event, 1+rng.Intn(100))
-			for i := range evs {
-				if rng.Intn(3) == 0 {
-					tick++
-				}
-				evs[i] = Event{Key: rng.Uint64() % 64, Tick: tick, N: uint64(1 + rng.Intn(4))}
-			}
-			syncEng.AddBatch(evs)
-			asyncEng.AddBatch(evs)
-		}
-	}
-	asyncEng.Flush()
-	if sc, ac := syncEng.Count(), asyncEng.Count(); sc != ac {
-		t.Fatalf("counts diverged: sync %d async %d", sc, ac)
-	}
-	if !bytes.Equal(syncEng.Marshal(), asyncEng.Marshal()) {
-		t.Fatal("merged views diverged between sync and flushed async ingest")
-	}
-	for k := uint64(0); k < 64; k++ {
-		if se, ae := syncEng.Estimate(k, 1000), asyncEng.Estimate(k, 1000); se != ae {
-			t.Fatalf("key %d: sync estimate %g, async %g", k, se, ae)
-		}
-	}
+	h := difftest.New(t, asyncParams)
+	h.Same(h.Sharded(0, ShardedConfig{Shards: 4}, difftest.Mixed), h.Sharded(0, ShardedConfig{Shards: 4, Async: true}, difftest.Mixed))
+	h.Run(rulesLog(7, asyncParams.WindowLength))
 }
 
 // TestShardedAsyncFlushBarrier: everything enqueued before Flush is
 // visible to reads after it.
 func TestShardedAsyncFlushBarrier(t *testing.T) {
-	eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 2, Async: true})
+	eng, err := NewSharded(ShardedConfig{Params: asyncParams, Shards: 2, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	var total uint64
 	for round := 0; round < 50; round++ {
-		evs := make([]Event, 40)
+		evs := make([]ecmsketch.Event, 40)
 		for i := range evs {
-			evs[i] = Event{Key: uint64(i), Tick: Tick(round + 1), N: 1}
+			evs[i] = ecmsketch.Event{Key: uint64(i), Tick: ecmsketch.Tick(round + 1), N: 1}
 		}
 		eng.AddBatch(evs)
 		total += uint64(len(evs))
@@ -91,7 +48,7 @@ func TestShardedAsyncFlushBarrier(t *testing.T) {
 // TestShardedAsyncCloseReverts: Close drains the queues and subsequent
 // writes apply synchronously — the engine stays usable.
 func TestShardedAsyncCloseReverts(t *testing.T) {
-	eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 2, Async: true})
+	eng, err := NewSharded(ShardedConfig{Params: asyncParams, Shards: 2, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +75,7 @@ func TestShardedAsyncCloseReverts(t *testing.T) {
 // queue that is gone.
 func TestShardedAsyncClosedAdvanceAllocs(t *testing.T) {
 	allocs := func(async bool) (adv, flush float64) {
-		eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 4, Async: async})
+		eng, err := NewSharded(ShardedConfig{Params: asyncParams, Shards: 4, Async: async})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +83,7 @@ func TestShardedAsyncClosedAdvanceAllocs(t *testing.T) {
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		now := Tick(1)
+		now := ecmsketch.Tick(1)
 		adv = testing.AllocsPerRun(100, func() {
 			now++
 			eng.Advance(now)
@@ -151,7 +108,7 @@ func TestShardedAsyncClosedAdvanceAllocs(t *testing.T) {
 func TestShardedCloseIdempotent(t *testing.T) {
 	for _, abruptFirst := range []bool{false, true} {
 		sh, err := NewSharded(ShardedConfig{
-			Params: asyncTestParams(), Shards: 2, Async: true,
+			Params: asyncParams, Shards: 2, Async: true,
 			Durability: &DurabilityConfig{Store: NewMemStore(), SnapshotInterval: time.Millisecond, SyncInterval: time.Millisecond},
 		})
 		if err != nil {
@@ -173,7 +130,7 @@ func TestShardedCloseIdempotent(t *testing.T) {
 		}
 	}
 
-	plain, err := NewSharded(ShardedConfig{Params: asyncTestParams()})
+	plain, err := NewSharded(ShardedConfig{Params: asyncParams})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,19 +145,19 @@ func TestShardedCloseIdempotent(t *testing.T) {
 // and then checks final consistency after the last Flush. CI runs this
 // under -race; the assertions here are the non-timing ones.
 func TestShardedAsyncStress(t *testing.T) {
-	eng, err := NewSharded(ShardedConfig{Params: asyncTestParams(), Shards: 4, Async: true})
+	eng, err := NewSharded(ShardedConfig{Params: asyncParams, Shards: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 
-	reg := NewStandingRegistry(StandingConfig{})
+	reg := ecmsketch.NewStandingRegistry(ecmsketch.StandingConfig{})
 	reg.Bind(eng)
 	eng.SetNotifier(reg)
 	defer eng.SetNotifier(nil)
-	if _, err := reg.Subscribe([]StandingQuery{
-		{Kind: StandingThreshold, Key: 3, Value: 50},
-		{Kind: StandingTopK, K: 3, Keys: []uint64{1, 2, 3, 4, 5}},
+	if _, err := reg.Subscribe([]ecmsketch.StandingQuery{
+		{Kind: ecmsketch.StandingThreshold, Key: 3, Value: 50},
+		{Kind: ecmsketch.StandingTopK, K: 3, Keys: []uint64{1, 2, 3, 4, 5}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +171,14 @@ func TestShardedAsyncStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for r := 0; r < rounds; r++ {
-				evs := make([]Event, batch)
+				evs := make([]ecmsketch.Event, batch)
 				for i := range evs {
-					evs[i] = Event{Key: rng.Uint64() % 128, Tick: Tick(r + 1), N: 1}
+					evs[i] = ecmsketch.Event{Key: rng.Uint64() % 128, Tick: ecmsketch.Tick(r + 1), N: 1}
 				}
 				eng.AddBatch(evs)
 				wrote[w] += batch
 				if r%16 == 9 {
-					eng.Advance(Tick(r + 1))
+					eng.Advance(ecmsketch.Tick(r + 1))
 				}
 			}
 		}(w)
@@ -232,7 +189,7 @@ func TestShardedAsyncStress(t *testing.T) {
 		readers.Add(1)
 		go func(g int) {
 			defer readers.Done()
-			var st DeltaState
+			var st ecmsketch.DeltaState
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -253,7 +210,7 @@ func TestShardedAsyncStress(t *testing.T) {
 				case i%2 == 0:
 					eng.Estimate(uint64(i%128), 1000)
 				default:
-					if _, err := eng.QueryBatch(QueryBatch{Keys: []uint64{1, 2, 3}, Range: 1000}); err != nil {
+					if _, err := eng.QueryBatch(ecmsketch.QueryBatch{Keys: []uint64{1, 2, 3}, Range: 1000}); err != nil {
 						t.Errorf("query batch: %v", err)
 						return
 					}
@@ -274,7 +231,7 @@ func TestShardedAsyncStress(t *testing.T) {
 		t.Fatalf("final count %d, want %d", got, total)
 	}
 	// A final pull must reconstruct the settled engine byte-identically.
-	var st DeltaState
+	var st ecmsketch.DeltaState
 	payload, cur, full, err := eng.DeltaSnapshot(st.Cursor())
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +243,7 @@ func TestShardedAsyncStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Marshal(), eng.Marshal()) {
+	if string(got.Marshal()) != string(eng.Marshal()) {
 		t.Fatal("delta reconstruction diverged from async engine")
 	}
 }

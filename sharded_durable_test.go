@@ -1,7 +1,6 @@
-package ecmsketch
+package ecmsketch_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -10,132 +9,44 @@ import (
 	"testing"
 	"time"
 
+	"ecmsketch"
+	"ecmsketch/internal/difftest"
 	"ecmsketch/internal/durable"
 )
 
-// feedDurableWorkload drives one deterministic mixed workload — batches with
-// multiplicities (including the 0-means-1 case), sync/async single arrivals
-// (including below-clock ticks, exercising the clamping contract), and
-// explicit clock advances — so recovery is tested against every logged
-// record shape.
-func feedDurableWorkload(sh *Sharded, rounds int) {
-	tick := uint64(100)
-	var evs []Event
-	for r := 0; r < rounds; r++ {
-		evs = evs[:0]
-		for e := 0; e < 200; e++ {
-			tick += uint64(e % 3)
-			evs = append(evs, Event{Key: uint64((r*131 + e*17) % 512), Tick: tick, N: uint64(e % 4)})
-		}
-		sh.AddBatch(evs)
-		sh.AddN(uint64(r*7+3), tick+1, uint64(r%3))
-		sh.AddN(uint64(r), tick-50, 1) // below the engine clock: must clamp
-		if r%3 == 2 {
-			tick += 40
-			sh.Advance(tick)
-		}
-	}
-}
+type (
+	Event            = ecmsketch.Event
+	DurableStore     = ecmsketch.DurableStore
+	DurableLog       = ecmsketch.DurableLog
+	DurabilityConfig = ecmsketch.DurabilityConfig
+	ShardedConfig    = ecmsketch.ShardedConfig
+)
 
-// settleAndCompare settles both engines to a common clock and requires every
-// stripe to be byte-identical, version vectors included — the recovery
-// contract: a restart reproduces exactly the state a never-crashed engine
-// holds after the same applied prefix.
-func settleAndCompare(t *testing.T, got, want *Sharded) {
-	t.Helper()
-	if len(got.shards) != len(want.shards) {
-		t.Fatalf("stripe count: %d vs %d", len(got.shards), len(want.shards))
-	}
-	settle := got.Now()
-	if n := want.Now(); n > settle {
-		settle = n
-	}
-	got.Advance(settle)
-	want.Advance(settle)
-	got.Flush()
-	want.Flush()
-	for i := range got.shards {
-		g, w := &got.shards[i], &want.shards[i]
-		g.mu.Lock()
-		gEnc := g.sk.Marshal()
-		gVer, gVers := g.sk.VersionVector()
-		g.mu.Unlock()
-		w.mu.Lock()
-		wEnc := w.sk.Marshal()
-		wVer, wVers := w.sk.VersionVector()
-		w.mu.Unlock()
-		if !bytes.Equal(gEnc, wEnc) {
-			t.Fatalf("stripe %d: recovered arena differs (%d vs %d bytes)", i, len(gEnc), len(wEnc))
-		}
-		if gVer != wVer {
-			t.Fatalf("stripe %d: version %d want %d", i, gVer, wVer)
-		}
-		if len(gVers) != len(wVers) {
-			t.Fatalf("stripe %d: version vector length %d want %d", i, len(gVers), len(wVers))
-		}
-		for j := range gVers {
-			if gVers[j] != wVers[j] {
-				t.Fatalf("stripe %d cell %d: version %d want %d", i, j, gVers[j], wVers[j])
-			}
-		}
-	}
-	if gc, wc := got.Count(), want.Count(); gc != wc {
-		t.Fatalf("count: %d want %d", gc, wc)
-	}
-}
+var (
+	AlgoEH, AlgoDW, AlgoRW = ecmsketch.AlgoEH, ecmsketch.AlgoDW, ecmsketch.AlgoRW
+	NewSharded             = ecmsketch.NewSharded
+	NewMemStore            = ecmsketch.NewMemStore
+	NewFileStore           = ecmsketch.NewFileStore
+)
+
+// durableLog is a write-rule log at parallelShardedParams' window.
+func durableLog(seed int64) difftest.Log { return rulesLog(seed, 4096) }
 
 // TestDurableRecoverByteIdentical is the crash matrix: for every counter
 // algorithm, sync and async ingest, and one- and multi-stripe layouts, an
-// engine killed abruptly (after a durability barrier) recovers from
-// snapshot + WAL replay to state byte-identical to a reference engine fed
-// the same prefix — same epoch, same arenas, same version vectors.
+// engine that checkpoints at the log's Flush ops and crashes abruptly (after
+// a durability barrier) at its crash points recovers from snapshot + WAL
+// replay to the state of an engine that never crashed — same epoch, same
+// stripes, same versions, same answers.
 func TestDurableRecoverByteIdentical(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoEH, AlgoDW, AlgoRW} {
+	for _, algo := range []ecmsketch.Algorithm{AlgoEH, AlgoDW, AlgoRW} {
 		for _, async := range []bool{false, true} {
 			for _, shards := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%v_async=%v_shards=%d", algo, async, shards), func(t *testing.T) {
-					p := parallelShardedParams(algo)
-					store := NewMemStore()
-					mk := func(dc *DurabilityConfig) *Sharded {
-						sh, err := NewSharded(ShardedConfig{Params: p, Shards: shards, Async: async, Durability: dc})
-						if err != nil {
-							t.Fatalf("NewSharded: %v", err)
-						}
-						return sh
-					}
-					a := mk(&DurabilityConfig{Store: store})
-					ref := mk(nil)
-					defer ref.Close()
-
-					feedDurableWorkload(a, 4)
-					feedDurableWorkload(ref, 4)
-					// A mid-stream checkpoint rotates the WAL, so recovery
-					// spans snapshot + the successor segment.
-					if err := a.Checkpoint(); err != nil {
-						t.Fatalf("Checkpoint: %v", err)
-					}
-					feedDurableWorkload(a, 3)
-					feedDurableWorkload(ref, 3)
-					a.Flush() // durability barrier: everything above is applied and fsynced
-
-					epoch := a.epoch
-					if err := a.CloseAbrupt(); err != nil {
-						t.Fatalf("CloseAbrupt: %v", err)
-					}
-
-					b := mk(&DurabilityConfig{Store: store})
-					defer b.Close()
-					st := b.DurabilityStats()
-					if !st.Recovered {
-						t.Fatal("recovery did not restore prior state")
-					}
-					if st.ReplayedRecords == 0 {
-						t.Fatal("expected WAL records to replay after abrupt close")
-					}
-					if b.epoch != epoch {
-						t.Fatalf("epoch changed across restart: %x want %x", b.epoch, epoch)
-					}
-					settleAndCompare(t, b, ref)
+					h := difftest.New(t, parallelShardedParams(algo))
+					cfg := ShardedConfig{Shards: shards, Async: async}
+					h.Same(h.Sharded(0, cfg, difftest.Batches), h.Durable(0, cfg, difftest.Batches, difftest.Abrupt))
+					h.Run(durableLog(int64(shards)))
 				})
 			}
 		}
@@ -143,75 +54,16 @@ func TestDurableRecoverByteIdentical(t *testing.T) {
 }
 
 // TestDurableCursorSurvivesRestart pins the point of the whole subsystem: a
-// puller's delta cursor taken before a restart is still recognized after
-// it — the engine serves an incremental delta, not a re-baselining full
-// snapshot, and the delta reconstructs the exact merged state.
+// puller's delta cursor taken before a restart, clean or abrupt, is still
+// recognized after it — the engine serves deltas, not a re-baselining full
+// snapshot, and the deltas reconstruct the engine's merged state.
 func TestDurableCursorSurvivesRestart(t *testing.T) {
-	for _, clean := range []bool{true, false} {
-		t.Run(fmt.Sprintf("clean=%v", clean), func(t *testing.T) {
-			p := parallelShardedParams(AlgoEH)
-			store := NewMemStore()
-			a, err := NewSharded(ShardedConfig{Params: p, Shards: 4,
-				Durability: &DurabilityConfig{Store: store}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedDurableWorkload(a, 3)
-
-			var puller DeltaState
-			payload, cur, full, err := a.DeltaSnapshot(puller.Cursor())
-			if err != nil || !full {
-				t.Fatalf("bootstrap pull: full=%v err=%v", full, err)
-			}
-			if err := puller.Apply(payload, cur, full); err != nil {
-				t.Fatalf("apply baseline: %v", err)
-			}
-
-			feedDurableWorkload(a, 2)
-			if clean {
-				if err := a.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-			} else {
-				a.Flush()
-				a.CloseAbrupt()
-			}
-
-			b, err := NewSharded(ShardedConfig{Params: p, Shards: 4,
-				Durability: &DurabilityConfig{Store: store}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
-			st := b.DurabilityStats()
-			if !st.Recovered {
-				t.Fatal("restart did not recover")
-			}
-			if clean && st.ReplayedRecords != 0 {
-				t.Fatalf("clean shutdown replayed %d records; the final checkpoint should cover everything", st.ReplayedRecords)
-			}
-
-			payload, cur, full, err = b.DeltaSnapshot(puller.Cursor())
-			if err != nil {
-				t.Fatalf("post-restart pull: %v", err)
-			}
-			if full {
-				t.Fatal("post-restart pull re-baselined: the pre-restart cursor was not honored")
-			}
-			if err := puller.Apply(payload, cur, full); err != nil {
-				t.Fatalf("apply post-restart delta: %v", err)
-			}
-			got, err := puller.Materialize()
-			if err != nil {
-				t.Fatalf("materialize: %v", err)
-			}
-			want, err := b.Snapshot()
-			if err != nil {
-				t.Fatalf("snapshot: %v", err)
-			}
-			if !bytes.Equal(got.Marshal(), want.Marshal()) {
-				t.Fatal("delta applied across restart diverged from the engine's merged state")
-			}
+	for _, stop := range []difftest.Stop{difftest.Abrupt, difftest.Clean} {
+		t.Run(fmt.Sprintf("clean=%v", stop == difftest.Clean), func(t *testing.T) {
+			h := difftest.New(t, parallelShardedParams(AlgoEH))
+			dur := h.Durable(0, ShardedConfig{Shards: 4}, difftest.Batches, stop)
+			h.Same(h.Merged(dur), h.Puller(dur))
+			h.Run(durableLog(2))
 		})
 	}
 }
@@ -228,7 +80,7 @@ func TestDurableMidStreamCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var puller DeltaState
+	var puller ecmsketch.DeltaState
 	payload, cur, full, err := a.DeltaSnapshot(puller.Cursor())
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +99,7 @@ func TestDurableMidStreamCrash(t *testing.T) {
 		}
 		a.AddBatch(evs)
 	}
-	epoch := a.epoch
+	epoch := a.DurabilityStats().Epoch
 	a.CloseAbrupt() // no flush: pending pipeline work is allowed to vanish
 
 	b, err := NewSharded(ShardedConfig{Params: p, Shards: 4, Async: true,
@@ -256,24 +108,20 @@ func TestDurableMidStreamCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.epoch != epoch {
-		t.Fatalf("epoch changed: %x want %x", b.epoch, epoch)
+	if got := b.DurabilityStats().Epoch; got != epoch {
+		t.Fatalf("epoch changed: %x want %x", got, epoch)
 	}
 	if got := b.Count(); got > fed {
 		t.Fatalf("recovered count %d exceeds fed %d", got, fed)
 	}
 	// Stripe count caches must agree with the recovered sketches.
 	var sum uint64
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		if c := s.sk.Count(); c != s.count.Load() {
-			s.mu.Unlock()
-			t.Fatalf("stripe %d count cache %d, sketch %d", i, s.count.Load(), c)
-		} else {
-			sum += c
+	cached, actual := ecmsketch.StripeCounts(b)
+	for i := range cached {
+		if cached[i] != actual[i] {
+			t.Fatalf("stripe %d count cache %d, sketch %d", i, cached[i], actual[i])
 		}
-		s.mu.Unlock()
+		sum += actual[i]
 	}
 	if sum != b.Count() {
 		t.Fatalf("count sum %d vs Count() %d", sum, b.Count())
@@ -293,13 +141,24 @@ func TestDurableMidStreamCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := b.Snapshot()
+	if string(got.Marshal()) != string(b.Marshal()) {
+		t.Fatal("post-crash delta diverged from merged state")
+	}
+}
+
+// newDurable builds a two-stripe engine over parallelShardedParams(algo),
+// durable over store when store is not nil.
+func newDurable(t *testing.T, algo ecmsketch.Algorithm, store DurableStore) *ecmsketch.Sharded {
+	t.Helper()
+	cfg := ShardedConfig{Params: parallelShardedParams(algo), Shards: 2}
+	if store != nil {
+		cfg.Durability = &DurabilityConfig{Store: store}
+	}
+	sh, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Marshal(), want.Marshal()) {
-		t.Fatal("post-crash delta diverged from merged state")
-	}
+	return sh
 }
 
 // TestDurableTornWALTail garbages the tail of the active on-disk segment —
@@ -307,25 +166,16 @@ func TestDurableMidStreamCrash(t *testing.T) {
 // and match a reference engine fed the intact prefix.
 func TestDurableTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	p := parallelShardedParams(AlgoDW)
 	store, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewSharded(ShardedConfig{Params: p, Shards: 2,
-		Durability: &DurabilityConfig{Store: store}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewSharded(ShardedConfig{Params: p, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, ref := newDurable(t, AlgoDW, store), newDurable(t, AlgoDW, nil)
 	defer ref.Close()
-	feedDurableWorkload(a, 3)
-	feedDurableWorkload(ref, 3)
+	difftest.Feed(a, durableLog(3))
+	difftest.Feed(ref, durableLog(3))
 	a.Flush()
-	epoch := a.epoch
+	epoch := a.DurabilityStats().Epoch
 	a.CloseAbrupt()
 
 	// Tear the tail: half a frame header, then garbage.
@@ -338,19 +188,12 @@ func TestDurableTornWALTail(t *testing.T) {
 	}
 	f.Close()
 
-	b, err := NewSharded(ShardedConfig{Params: p, Shards: 2,
-		Durability: &DurabilityConfig{Store: store}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newDurable(t, AlgoDW, store)
 	defer b.Close()
-	if !b.DurabilityStats().Recovered {
-		t.Fatal("torn tail must not discard the intact prefix")
+	if st := b.DurabilityStats(); !st.Recovered || st.Epoch != epoch {
+		t.Fatalf("torn tail must not discard the intact prefix: %+v, epoch %x", st, epoch)
 	}
-	if b.epoch != epoch {
-		t.Fatalf("epoch changed: %x want %x", b.epoch, epoch)
-	}
-	settleAndCompare(t, b, ref)
+	difftest.SameState(t, "recovered", b, ref)
 }
 
 // TestDurableWALGapDiscardsWholeRestore forces the failure that arrives
@@ -359,27 +202,23 @@ func TestDurableTornWALTail(t *testing.T) {
 // the half-replayed restore may survive — the engine starts a fresh epoch
 // over stripes byte-identical to a brand-new engine's.
 func TestDurableWALGapDiscardsWholeRestore(t *testing.T) {
-	p := parallelShardedParams(AlgoRW)
 	store := NewMemStore()
-	mk := func(dc *DurabilityConfig) *Sharded {
-		sh, err := NewSharded(ShardedConfig{Params: p, Shards: 2, Durability: dc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sh
-	}
-	a := mk(&DurabilityConfig{Store: store})
-	feedDurableWorkload(a, 3)
+	a := newDurable(t, AlgoRW, store)
+	difftest.Feed(a, durableLog(3))
 	a.Flush()
-	epoch, ver := a.epoch, a.shards[0].sk.DeltaVersion()
+	_, cur, _, err := a.DeltaSnapshot(ecmsketch.Cursor{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := a.DurabilityStats().Epoch
 	a.CloseAbrupt()
 
-	log, err := store.OpenLog(durWALName(1))
+	log, err := store.OpenLog("wal-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	forged := durable.AppendFrame(nil, &durable.Record{
-		Kind: durable.RecordBatch, Part: 0, Tick: a.Now(), Ver: ver + 1000, Events: []Event{{Key: 1, Tick: a.Now()}},
+		Kind: durable.RecordBatch, Part: 0, Tick: a.Now(), Ver: cur.Vers[0] + 1000, Events: []Event{{Key: 1, Tick: a.Now()}},
 	})
 	if err := log.Append(forged); err != nil {
 		t.Fatal(err)
@@ -389,17 +228,17 @@ func TestDurableWALGapDiscardsWholeRestore(t *testing.T) {
 	}
 	log.Close()
 
-	b := mk(&DurabilityConfig{Store: store})
+	b := newDurable(t, AlgoRW, store)
 	defer b.Close()
 	if st := b.DurabilityStats(); st.Recovered || st.ReplayedRecords == 0 {
 		t.Fatalf("want a restore abandoned after replaying records, got %+v", st)
 	}
-	if b.epoch == epoch {
+	if b.DurabilityStats().Epoch == epoch {
 		t.Fatal("abandoned restore must mint a fresh epoch")
 	}
-	fresh := mk(nil)
+	fresh := newDurable(t, AlgoRW, nil)
 	defer fresh.Close()
-	requireSameStripes(t, "abandoned restore", b, fresh)
+	difftest.SameState(t, "abandoned restore", b, fresh)
 }
 
 // TestDurableCorruptSnapshotDiscardsToFreshEpoch flips one byte of the
@@ -408,18 +247,13 @@ func TestDurableWALGapDiscardsWholeRestore(t *testing.T) {
 // against state that cannot be trusted.
 func TestDurableCorruptSnapshotDiscardsToFreshEpoch(t *testing.T) {
 	dir := t.TempDir()
-	p := parallelShardedParams(AlgoEH)
 	store, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewSharded(ShardedConfig{Params: p, Shards: 2,
-		Durability: &DurabilityConfig{Store: store}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedDurableWorkload(a, 2)
-	var puller DeltaState
+	a := newDurable(t, AlgoEH, store)
+	difftest.Feed(a, durableLog(2))
+	var puller ecmsketch.DeltaState
 	payload, cur, full, err := a.DeltaSnapshot(puller.Cursor())
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +261,7 @@ func TestDurableCorruptSnapshotDiscardsToFreshEpoch(t *testing.T) {
 	if err := puller.Apply(payload, cur, full); err != nil {
 		t.Fatal(err)
 	}
-	epoch := a.epoch
+	epoch := a.DurabilityStats().Epoch
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -442,17 +276,13 @@ func TestDurableCorruptSnapshotDiscardsToFreshEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := NewSharded(ShardedConfig{Params: p, Shards: 2,
-		Durability: &DurabilityConfig{Store: store}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newDurable(t, AlgoEH, store)
 	defer b.Close()
 	st := b.DurabilityStats()
 	if st.Recovered {
 		t.Fatal("corrupt snapshot must not recover")
 	}
-	if b.epoch == epoch {
+	if st.Epoch == epoch {
 		t.Fatal("corrupt snapshot must mint a fresh epoch")
 	}
 	if b.Count() != 0 {
@@ -472,18 +302,13 @@ func TestDurableCorruptSnapshotDiscardsToFreshEpoch(t *testing.T) {
 // empty state) rather than reinterpret arenas of the wrong shape.
 func TestDurableForeignStateDiscarded(t *testing.T) {
 	store := NewMemStore()
-	p := parallelShardedParams(AlgoEH)
-	a, err := NewSharded(ShardedConfig{Params: p, Shards: 2,
-		Durability: &DurabilityConfig{Store: store}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedDurableWorkload(a, 2)
+	a := newDurable(t, AlgoEH, store)
+	difftest.Feed(a, durableLog(2))
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	p2 := p
+	p2 := parallelShardedParams(AlgoEH)
 	p2.Width = 512 // different arena shape, different fingerprint
 	b, err := NewSharded(ShardedConfig{Params: p2, Shards: 2,
 		Durability: &DurabilityConfig{Store: store}})
@@ -503,10 +328,7 @@ func TestDurableForeignStateDiscarded(t *testing.T) {
 // exposes: disabled engines report zero-values, durable engines report the
 // checkpoint and WAL counters monitoring depends on.
 func TestDurableStatsBlock(t *testing.T) {
-	plain, err := NewSharded(ShardedConfig{Params: parallelShardedParams(AlgoEH), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := newDurable(t, AlgoEH, nil)
 	defer plain.Close()
 	if st := plain.DurabilityStats(); st.Enabled || st.WALRecords != 0 {
 		t.Fatalf("plain engine reports durability: %+v", st)
@@ -515,13 +337,9 @@ func TestDurableStatsBlock(t *testing.T) {
 		t.Fatal("Checkpoint on a plain engine must error")
 	}
 
-	sh, err := NewSharded(ShardedConfig{Params: parallelShardedParams(AlgoEH), Shards: 2,
-		Durability: &DurabilityConfig{Store: NewMemStore()}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newDurable(t, AlgoEH, NewMemStore())
 	defer sh.Close()
-	feedDurableWorkload(sh, 1)
+	difftest.Feed(sh, difftest.Gen(1, difftest.Shape{Window: 4096, Events: 200, Ticks: 200, Keys: 512, Batch: 50}))
 	sh.Flush()
 	st := sh.DurabilityStats()
 	if !st.Enabled || st.Epoch == 0 || st.Generation != 1 {
@@ -626,7 +444,7 @@ func TestDurableFsyncContract(t *testing.T) {
 		}
 		return evs
 	}
-	open := func(t *testing.T, syncEvery time.Duration) (*Sharded, *fsyncStore) {
+	open := func(t *testing.T, syncEvery time.Duration) (*ecmsketch.Sharded, *fsyncStore) {
 		t.Helper()
 		st := &fsyncStore{DurableStore: NewMemStore()}
 		sh, err := NewSharded(ShardedConfig{Params: parallelShardedParams(AlgoEH), Shards: 2,
@@ -695,4 +513,116 @@ func TestDurableFsyncContract(t *testing.T) {
 			t.Fatalf("count %d, want 96", got)
 		}
 	})
+}
+
+// failStore fails every blob Save while failSave is set and counts the
+// closes of every log it opened.
+type failStore struct {
+	DurableStore
+	mu       sync.Mutex
+	failSave bool
+	closes   int
+}
+
+type closeLog struct {
+	DurableLog
+	st *failStore
+}
+
+func (s *failStore) Save(name string, blob []byte) error {
+	s.mu.Lock()
+	fail := s.failSave
+	s.mu.Unlock()
+	if fail {
+		return errors.New("injected save failure")
+	}
+	return s.DurableStore.Save(name, blob)
+}
+
+func (s *failStore) OpenLog(name string) (DurableLog, error) {
+	l, err := s.DurableStore.OpenLog(name)
+	if err != nil {
+		return nil, err
+	}
+	return &closeLog{DurableLog: l, st: s}, nil
+}
+
+func (l *closeLog) Close() error {
+	l.st.mu.Lock()
+	l.st.closes++
+	l.st.mu.Unlock()
+	return l.DurableLog.Close()
+}
+
+func (s *failStore) set(fail bool) (closes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.failSave = fail
+	return s.closes
+}
+
+// TestDurableFailedCheckpointsKeepAcknowledgedWrites pins what a checkpoint
+// whose blob fails to save does: it keeps the WAL, a second failure does
+// not rotate past what recovery replays, no acknowledged write is lost,
+// and the next successful checkpoint closes and deletes the sealed
+// segment. A failed startup checkpoint closes the segment it opened.
+func TestDurableFailedCheckpointsKeepAcknowledgedWrites(t *testing.T) {
+	cfg := func(st DurableStore) ShardedConfig {
+		return ShardedConfig{Params: parallelShardedParams(AlgoEH), Shards: 2, Durability: &DurabilityConfig{Store: st}}
+	}
+	st := &failStore{DurableStore: NewMemStore(), failSave: true}
+	if _, err := NewSharded(cfg(st)); err == nil {
+		t.Fatal("a failing startup checkpoint built an engine")
+	}
+	if closes := st.set(false); closes != 1 {
+		t.Fatalf("failed startup closed its segment %d times, want 1", closes)
+	}
+
+	for _, retry := range []bool{false, true} {
+		st := &failStore{DurableStore: NewMemStore()}
+		sh, err := NewSharded(cfg(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(1); i <= 3; i++ {
+			sh.Add(i, i)
+		}
+		st.set(true)
+		for i := 0; i < 2; i++ {
+			if err := sh.Checkpoint(); err == nil {
+				t.Fatal("Checkpoint over a failing store reported success")
+			}
+		}
+		for i := uint64(4); i <= 6; i++ {
+			sh.Add(i, i)
+		}
+		if retry {
+			closes := st.set(false)
+			if err := sh.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.set(false); got != closes+1 {
+				t.Fatalf("the successful retry closed %d segments, want the sealed one", got-closes)
+			}
+			log, err := st.OpenLog("wal-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recs, err := durable.Replay(log); err != nil || len(recs) != 0 {
+				t.Fatalf("sealed segment not deleted: %d records, %v", len(recs), err)
+			}
+			log.Close()
+		}
+		sh.Flush()
+		sh.CloseAbrupt()
+		st.set(false)
+		b, err := NewSharded(cfg(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := b.DurabilityStats(); !s.Recovered || b.Count() != 6 {
+			t.Errorf("retry=%v: recovered=%v with count %d, want all 6 acknowledged arrivals", retry, s.Recovered, b.Count())
+		}
+		b.Close()
+	}
 }

@@ -1,195 +1,70 @@
-package ecmsketch
+package ecmsketch_test
 
 import (
-	"bytes"
 	"testing"
 
+	"ecmsketch"
 	"ecmsketch/internal/core"
+	"ecmsketch/internal/difftest"
 )
 
-// parallelShardedParams sizes the array so the merge worker pool engages
-// (512 cells clears the per-worker floor for several workers).
-func parallelShardedParams(algo Algorithm) Params {
-	return Params{
-		Epsilon: 0.1, Delta: 0.1, Width: 256, Depth: 2,
-		WindowLength: 4096, Seed: 7, Algorithm: algo, UpperBound: 1 << 16,
-	}
-}
-
-func newParallelSharded(t *testing.T, algo Algorithm) *Sharded {
-	t.Helper()
-	sh, err := NewSharded(ShardedConfig{Params: parallelShardedParams(algo), Shards: 8})
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	return sh
-}
-
-func feedParallelSharded(sh *Sharded, rounds int) {
-	var events []Event
-	for r := 0; r < rounds; r++ {
-		events = events[:0]
-		for e := 0; e < 500; e++ {
-			events = append(events, Event{
-				Key:  uint64(r*131+e*17) % 4096,
-				Tick: uint64(r*50 + e/10 + 1),
-			})
-		}
-		sh.AddBatch(events)
-	}
-}
-
-// dropViewCache discards the published view, forcing the next global query
-// to rebuild — the hook that lets one engine state be rebuilt under both
-// the sequential and the parallel path.
-func dropViewCache(sh *Sharded) {
-	sh.rebuild.Lock()
-	sh.view.Store(nil)
-	sh.rebuild.Unlock()
+// parallelLog is a steady log over parallelShardedParams' window.
+func parallelLog(events int) difftest.Log {
+	return difftest.Gen(7, difftest.Shape{Window: 4096, Events: events, Ticks: ecmsketch.Tick(events / 10),
+		Keys: 4096, Batch: 500, Checks: 1})
 }
 
 // TestShardedParallelRebuildByteIdentical pins the parallel view rebuild to
-// the sequential one: rebuilding the very same engine state under a 1-worker
-// and an 8-worker pool must publish byte-identical merged views, for every
-// counter algorithm, across successive churn rounds.
+// the sequential one: an engine whose view is rebuilt under a 1-worker pool
+// before every read and one rebuilt under an 8-worker pool answer alike
+// and publish byte-identical merged views, for every counter algorithm.
 func TestShardedParallelRebuildByteIdentical(t *testing.T) {
 	defer core.SetMergeParallelism(0)
-	for _, algo := range []Algorithm{AlgoEH, AlgoDW, AlgoRW} {
-		sh := newParallelSharded(t, algo)
-		for round := 1; round <= 3; round++ {
-			feedParallelSharded(sh, 2*round)
-
-			core.SetMergeParallelism(1)
-			dropViewCache(sh)
-			seq := sh.Marshal()
-			if seq == nil {
-				t.Fatalf("algo %v round %d: sequential Marshal failed", algo, round)
-			}
-
-			core.SetMergeParallelism(8)
-			dropViewCache(sh)
-			par := sh.Marshal()
-			if par == nil {
-				t.Fatalf("algo %v round %d: parallel Marshal failed", algo, round)
-			}
-			if !bytes.Equal(seq, par) {
-				t.Fatalf("algo %v round %d: parallel rebuild differs from sequential (%d vs %d bytes)",
-					algo, round, len(par), len(seq))
-			}
+	for _, algo := range []ecmsketch.Algorithm{AlgoEH, AlgoDW, AlgoRW} {
+		h := difftest.New(t, parallelShardedParams(algo))
+		var doors []*difftest.Door
+		for _, workers := range []int{1, 8} {
+			d := h.Sharded(0, ShardedConfig{Shards: 8}, difftest.Batches)
+			d.Before(func() {
+				core.SetMergeParallelism(workers)
+				ecmsketch.DropViewCache(d.Engine())
+				d.Engine().Marshal()
+			})
+			doors = append(doors, d)
 		}
+		h.Same(doors...)
+		h.Run(parallelLog(6000))
 	}
 }
 
-// TestShardedQueryDirectMatchesStripes pins the zero-merge read path: every
-// direct answer must equal the engine's stripe-routed Estimate for the same
-// key and range (the existing single-key zero-merge read), with no view
-// rebuild triggered, Range 0 resolved to the window length, and aggregate
-// requests rejected.
+// TestShardedQueryDirectMatchesStripes pins the zero-merge read path on an
+// 8-stripe engine against the stripe snapshots it reads: direct, batched and
+// single answers coincide (the judge asks all three), Range 0 resolves to
+// the window, aggregates are refused, and direct reads rebuild no view.
 func TestShardedQueryDirectMatchesStripes(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoEH, AlgoDW, AlgoRW} {
-		sh := newParallelSharded(t, algo)
-		feedParallelSharded(sh, 4)
-
-		keys := make([]uint64, 64)
-		for i := range keys {
-			keys[i] = uint64(i * 53)
+	for _, algo := range []ecmsketch.Algorithm{AlgoEH, AlgoDW, AlgoRW} {
+		h := difftest.New(t, parallelShardedParams(algo))
+		sh := h.Sharded(0, ShardedConfig{Shards: 8}, difftest.Batches)
+		h.Same(sh, h.Stripes(sh, func(k uint64) int { return ecmsketch.StripeOf(sh.Engine(), k) }))
+		h.Run(parallelLog(2000))
+		rebuilds := sh.Engine().ViewRebuilds()
+		if _, err := sh.Engine().QueryDirect(ecmsketch.QueryBatch{Keys: []uint64{1, 2, 3}, Range: 1000}); err != nil {
+			t.Fatal(err)
 		}
-		rebuilds := sh.ViewRebuilds()
-
-		res, err := sh.QueryDirect(QueryBatch{Keys: keys, Range: 1000})
-		if err != nil {
-			t.Fatalf("algo %v: QueryDirect: %v", algo, err)
-		}
-		if res.Range != 1000 {
-			t.Fatalf("algo %v: resolved range %d, want 1000", algo, res.Range)
-		}
-		for i, key := range keys {
-			if want := sh.Estimate(key, 1000); res.Estimates[i] != want {
-				t.Fatalf("algo %v key %d: direct %v != stripe Estimate %v", algo, key, res.Estimates[i], want)
-			}
-		}
-
-		// Range 0 resolves to the window length, like QueryBatch.
-		res0, err := sh.QueryDirect(QueryBatch{Keys: keys[:4]})
-		if err != nil {
-			t.Fatalf("algo %v: QueryDirect(range 0): %v", algo, err)
-		}
-		if res0.Range != sh.Params().WindowLength {
-			t.Fatalf("algo %v: range 0 resolved to %d, want window %d", algo, res0.Range, sh.Params().WindowLength)
-		}
-		for i, key := range keys[:4] {
-			if want := sh.Estimate(key, sh.Params().WindowLength); res0.Estimates[i] != want {
-				t.Fatalf("algo %v key %d: whole-window direct %v != Estimate %v", algo, key, res0.Estimates[i], want)
-			}
-		}
-
-		if got := sh.ViewRebuilds(); got != rebuilds {
+		if got := sh.Engine().ViewRebuilds(); got != rebuilds {
 			t.Fatalf("algo %v: direct reads triggered %d view rebuilds", algo, got-rebuilds)
-		}
-		if _, err := sh.QueryDirect(QueryBatch{Keys: keys[:1], Total: true}); err == nil {
-			t.Fatalf("algo %v: QueryDirect accepted a Total aggregate", algo)
-		}
-		if _, err := sh.QueryDirect(QueryBatch{Keys: keys[:1], SelfJoin: true}); err == nil {
-			t.Fatalf("algo %v: QueryDirect accepted a SelfJoin aggregate", algo)
 		}
 	}
 }
 
 // TestQueryDirectSingleSketchCoincides pins the DirectQuerier contract on
-// the single-sketch front ends, the bare Sketch and a one-stripe Sharded:
-// direct and batched point answers coincide (one sketch has no stripes to
-// merge), both equal the bare Sketch's answers, and QueryDirect rejects
-// aggregates.
+// the single-sketch front ends: a bare Sketch and a one-stripe Sharded
+// answer every query kind alike, direct reads included.
 func TestQueryDirectSingleSketchCoincides(t *testing.T) {
-	keys := []uint64{1, 5, 42, 96, 1000}
-	for _, algo := range []Algorithm{AlgoEH, AlgoDW, AlgoRW} {
-		p := parallelShardedParams(algo)
-		sk, err := New(p)
-		if err != nil {
-			t.Fatalf("algo %v: New: %v", algo, err)
-		}
-		sh, err := NewSharded(ShardedConfig{Params: p, Shards: 1})
-		if err != nil {
-			t.Fatalf("algo %v: NewSharded: %v", algo, err)
-		}
-		t.Cleanup(func() { sh.Close() })
-		events := make([]Event, 2000)
-		for e := range events {
-			events[e] = Event{Key: uint64(e % 97), Tick: uint64(e/10 + 1)}
-		}
-		sk.AddBatch(events)
-		sh.AddBatch(events)
-
-		q := QueryBatch{Keys: keys, Range: 150}
-		want, err := sk.QueryBatch(q)
-		if err != nil {
-			t.Fatalf("algo %v: bare QueryBatch: %v", algo, err)
-		}
-		for _, eng := range []interface {
-			BatchQuerier
-			DirectQuerier
-		}{sk, sh} {
-			batch, err := eng.QueryBatch(q)
-			if err != nil {
-				t.Fatalf("algo %v %T: QueryBatch: %v", algo, eng, err)
-			}
-			direct, err := eng.QueryDirect(q)
-			if err != nil {
-				t.Fatalf("algo %v %T: QueryDirect: %v", algo, eng, err)
-			}
-			for i, key := range keys {
-				if direct.Estimates[i] != batch.Estimates[i] {
-					t.Fatalf("algo %v %T key %d: direct %v != batch %v", algo, eng, key, direct.Estimates[i], batch.Estimates[i])
-				}
-				if batch.Estimates[i] != want.Estimates[i] {
-					t.Fatalf("algo %v %T key %d: batch %v != bare Sketch %v", algo, eng, key, batch.Estimates[i], want.Estimates[i])
-				}
-			}
-			if _, err := eng.QueryDirect(QueryBatch{Keys: keys, Total: true}); err == nil {
-				t.Fatalf("algo %v %T: QueryDirect accepted a Total aggregate", algo, eng)
-			}
-		}
+	for _, algo := range []ecmsketch.Algorithm{AlgoEH, AlgoDW, AlgoRW} {
+		h := difftest.New(t, parallelShardedParams(algo))
+		h.Same(h.Sketch(0, difftest.Batches), h.Sharded(0, ShardedConfig{Shards: 1}, difftest.Batches))
+		h.Run(parallelLog(2000))
 	}
 }
 
@@ -198,11 +73,15 @@ func TestQueryDirectSingleSketchCoincides(t *testing.T) {
 // reflects the configured cap.
 func TestShardedRebuildStats(t *testing.T) {
 	defer core.SetMergeParallelism(0)
-	sh := newParallelSharded(t, AlgoEH)
-	feedParallelSharded(sh, 4)
+	sh, err := NewSharded(ShardedConfig{Params: parallelShardedParams(AlgoEH), Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	difftest.Feed(sh, parallelLog(2000))
 
 	core.SetMergeParallelism(1)
-	dropViewCache(sh)
+	ecmsketch.DropViewCache(sh)
 	if sh.Marshal() == nil {
 		t.Fatal("Marshal failed")
 	}
@@ -215,7 +94,7 @@ func TestShardedRebuildStats(t *testing.T) {
 	}
 
 	core.SetMergeParallelism(4)
-	dropViewCache(sh)
+	ecmsketch.DropViewCache(sh)
 	if sh.Marshal() == nil {
 		t.Fatal("Marshal failed")
 	}

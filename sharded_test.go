@@ -1,14 +1,13 @@
 package ecmsketch_test
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"ecmsketch"
-	"ecmsketch/internal/workload"
+	"ecmsketch/internal/difftest"
 )
 
 func shardedParams() ecmsketch.Params {
@@ -46,96 +45,18 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalence feeds the identical stream to a Sharded engine and
-// a single sketch, and checks that both answer point, total and self-join
-// queries within the paper's bounds — point queries within the ε·‖a_r‖₁
-// guarantee of Theorem 1 (sharded point queries touch one stripe, so they
-// pay no merge error), global queries within the inflated window error of
-// the Theorem 4 merge (ε_sw” = 2ε_sw + ε_sw² per counter, which the total
-// ε budget of the test's tolerance comfortably covers).
+// TestShardedEquivalence feeds the identical Zipf stream to an 8-stripe
+// Sharded engine and a single sketch, and holds both to a single sketch's
+// bound (Theorem 1) against the exact oracle for point queries, ‖a_r‖₁ and
+// F₂: a striped engine's point queries touch one stripe and its aggregates
+// are stripe sums, so it pays no merge error.
 func TestShardedEquivalence(t *testing.T) {
-	p := shardedParams()
-	sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := ecmsketch.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := workload.NewOracle(p.WindowLength)
-
-	rng := rand.New(rand.NewSource(7))
-	zipf := rand.NewZipf(rng, 1.2, 1, 4096)
-	const events = 50000
-	var now ecmsketch.Tick
-	batch := make([]ecmsketch.Event, 0, 256)
-	for i := 0; i < events; i++ {
-		now++
-		k := zipf.Uint64()
-		batch = append(batch, ecmsketch.Event{Key: k, Tick: now})
-		single.Add(k, now)
-		oracle.Add(k, now)
-		if len(batch) == cap(batch) {
-			sh.AddBatch(batch)
-			batch = batch[:0]
-		}
-	}
-	sh.AddBatch(batch)
-
-	if sh.Count() != single.Count() {
-		t.Fatalf("Count: sharded %d, single %d", sh.Count(), single.Count())
-	}
-	if sh.Now() != single.Now() {
-		t.Fatalf("Now: sharded %d, single %d", sh.Now(), single.Now())
-	}
-
-	for _, r := range []ecmsketch.Tick{p.WindowLength, p.WindowLength / 4} {
-		total := float64(oracle.Total(r))
-		bound := p.Epsilon * total
-		for key := uint64(0); key < 50; key++ {
-			exact := float64(oracle.Freq(key, r))
-			got := sh.Estimate(key, r)
-			// Unlike a plain Count-Min, the window counters carry two-sided
-			// ε_sw relative error, so small underestimates are legitimate;
-			// overestimates are bounded by ε·‖a_r‖₁ plus the window error.
-			if got < exact*(1-p.Epsilon)-1e-9 {
-				t.Errorf("r=%d key=%d: sharded estimate %v undershoots exact %v beyond ε", r, key, got, exact)
-			}
-			if got-exact > bound+p.Epsilon*exact {
-				t.Errorf("r=%d key=%d: sharded estimate %v exceeds exact %v by more than ε·total (%v)", r, key, got, exact, bound)
-			}
-		}
-		// Global queries answer from the Theorem 4 merged view: compare
-		// against the single sketch over the same stream, allowing the
-		// merge's window-error inflation on top of the base budget.
-		tol := 3 * p.Epsilon
-		st, tt := sh.EstimateTotal(r), single.EstimateTotal(r)
-		if tt > 0 && math.Abs(st-tt)/tt > tol {
-			t.Errorf("r=%d: EstimateTotal sharded %v vs single %v (rel diff > %v)", r, st, tt, tol)
-		}
-		ssj, tsj := sh.SelfJoin(r), single.SelfJoin(r)
-		// Self-join estimates square the per-counter values, so the merge
-		// inflation doubles: (1+2ε)² - 1 ≈ 4ε slack plus the base budget.
-		sjTol := 7 * p.Epsilon
-		if tsj > 0 && math.Abs(ssj-tsj)/tsj > sjTol {
-			t.Errorf("r=%d: SelfJoin sharded %v vs single %v (rel diff > %v)", r, ssj, tsj, sjTol)
-		}
-	}
-
-	// The merged snapshot is a plain, compatible sketch: it can be merged
-	// again with the single sketch (two "sites") and queried.
-	snap, err := sh.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	both, err := ecmsketch.Merge(snap, single)
-	if err != nil {
-		t.Fatalf("merging sharded snapshot with single sketch: %v", err)
-	}
-	if both.Count() != sh.Count()+single.Count() {
-		t.Errorf("merged count %d, want %d", both.Count(), sh.Count()+single.Count())
-	}
+	h := difftest.New(t, shardedParams())
+	sh, single := h.Sharded(0, ecmsketch.ShardedConfig{Shards: 8}, difftest.Batches), h.Sketch(0, difftest.Singles)
+	h.Bounded(sh, single)
+	h.Run(difftest.Gen(7, difftest.Shape{Window: 10000, Events: 50000, Ticks: 50000, Keys: 4096, Zipf: 1.2,
+		Batch: 256}))
+	h.Totals(t, sh, single)
 }
 
 // TestShardedInnerProduct checks the engine's inner product against a
@@ -330,104 +251,18 @@ func TestShardedCountStress(t *testing.T) {
 	}
 }
 
-// TestQueryBatchFrontEnds pins the QueryBatch contract on every local front
-// end: answers align with the request's key order, a zero Range resolves to
-// the whole window, and the combined total+self-join sweep is bit-identical
-// to the separate single-query calls.
+// TestQueryBatchFrontEnds pins QueryBatch on every engine front end: the
+// judge asks each the batch twice, the single-value calls and the direct
+// read, all bit-identical, with Range 0 resolved to the window; a bare
+// Sketch, a one-stripe engine and that engine's merged snapshot answer
+// alike, and a four-stripe engine answers as its stripe snapshots.
 func TestQueryBatchFrontEnds(t *testing.T) {
-	p := shardedParams()
-	keys := []uint64{1, 2, 3, 500, 9999}
-	stream := func(ing ecmsketch.Ingestor) {
-		batch := make([]ecmsketch.Event, 0, 128)
-		for i := 1; i <= 20000; i++ {
-			batch = append(batch, ecmsketch.Event{Key: uint64(i % 700), Tick: ecmsketch.Tick(i)})
-			if len(batch) == cap(batch) {
-				ing.AddBatch(batch)
-				batch = batch[:0]
-			}
-		}
-		ing.AddBatch(batch)
-	}
-
-	sk, err := ecmsketch.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh1, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []ecmsketch.Engine{sk, sh1, sh} {
-		stream(eng)
-		res, err := eng.QueryBatch(ecmsketch.QueryBatch{Keys: keys, Total: true, SelfJoin: true})
-		if err != nil {
-			t.Fatalf("%T: QueryBatch: %v", eng, err)
-		}
-		if len(res.Estimates) != len(keys) {
-			t.Fatalf("%T: %d estimates for %d keys", eng, len(res.Estimates), len(keys))
-		}
-		if res.Range != p.WindowLength {
-			t.Errorf("%T: zero Range resolved to %d, want window %d", eng, res.Range, p.WindowLength)
-		}
-		if res.Now != 20000 {
-			t.Errorf("%T: Now = %d, want 20000", eng, res.Now)
-		}
-		// The batch aggregates must match the engine's own single-query
-		// answers bit for bit (for Sharded both come from the same view).
-		if want := eng.EstimateTotal(p.WindowLength); res.Total != want {
-			t.Errorf("%T: batch Total %v != EstimateTotal %v", eng, res.Total, want)
-		}
-		if want := eng.SelfJoin(p.WindowLength); res.SelfJoin != want {
-			t.Errorf("%T: batch SelfJoin %v != SelfJoin %v", eng, res.SelfJoin, want)
-		}
-	}
-
-	// Single-sketch batch point answers are exactly the Estimate answers.
-	res, err := sk.QueryBatch(ecmsketch.QueryBatch{Keys: keys, Range: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if want := sk.Estimate(k, 5000); res.Estimates[i] != want {
-			t.Errorf("key %d: batch estimate %v != Estimate %v", k, res.Estimates[i], want)
-		}
-	}
-	// Sharded batch point answers come from the key's own stripe snapshot in
-	// the view, with no merge error: on a quiesced engine they must match
-	// the live stripes' direct reads bit for bit — and, with one stripe,
-	// querying the engine's Snapshot directly.
-	for _, eng := range []*ecmsketch.Sharded{sh1, sh} {
-		shRes, err := eng.QueryBatch(ecmsketch.QueryBatch{Keys: keys, Range: 5000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := eng.QueryDirect(ecmsketch.QueryBatch{Keys: keys, Range: 5000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range keys {
-			if want := direct.Estimates[i]; shRes.Estimates[i] != want {
-				t.Errorf("%d stripes, key %d: sharded batch estimate %v != stripe estimate %v", eng.Shards(), k, shRes.Estimates[i], want)
-			}
-		}
-	}
-	snap, err := sh1.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shRes, err := sh1.QueryBatch(ecmsketch.QueryBatch{Keys: keys, Range: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if want := snap.Estimate(k, 5000); shRes.Estimates[i] != want {
-			t.Errorf("key %d: one-stripe batch estimate %v != snapshot estimate %v", k, shRes.Estimates[i], want)
-		}
-	}
+	h := difftest.New(t, shardedParams())
+	one := h.Sharded(0, ecmsketch.ShardedConfig{Shards: 1}, difftest.Batches)
+	four := h.Sharded(0, ecmsketch.ShardedConfig{Shards: 4}, difftest.Batches)
+	h.Same(h.Sketch(0, difftest.Batches), one, h.Merged(one))
+	h.Same(four, h.Stripes(four, func(k uint64) int { return ecmsketch.StripeOf(four.Engine(), k) }))
+	h.Run(difftest.Gen(1, difftest.Shape{Window: 10000, Events: 20000, Ticks: 20000, Keys: 700, Batch: 128}))
 }
 
 // TestShardedOneStripeConcurrentStress is TestShardedConcurrentStress's race
