@@ -21,16 +21,34 @@ func shardedSites(h *difftest.H, n, stripes int) []*difftest.Door {
 
 // slowLog preloads sites sites with 2,000 arrivals each, then runs rounds
 // slow-moving rounds of a few keys a site — the regime deltas exist for.
+// Before the last round come an idle round, where every site's clock
+// advances with no arrivals, and a round that writes one site only.
 func slowLog(sites, rounds int) difftest.Log {
 	l := difftest.Gen(1, difftest.Shape{Window: 50000, Events: 2000 * sites, Ticks: 500, Sites: sites, Keys: 83, Batch: 500})
-	slow := difftest.Gen(2, difftest.Shape{Window: 50000, Events: 4 * sites * rounds, Ticks: 100 * ecmsketch.Tick(rounds),
-		Sites: sites, Keys: 400, Batch: 4, Pulls: rounds, Checks: rounds})
-	for _, op := range slow.Ops {
-		for i := range op.Events {
-			op.Events[i].Tick += 1000
+	from := ecmsketch.Tick(1000)
+	slow := func(seed int64, rounds int) {
+		g := difftest.Gen(seed, difftest.Shape{Window: 50000, Events: 4 * sites * rounds, Ticks: 100 * ecmsketch.Tick(rounds),
+			Sites: sites, Keys: 400, Batch: 4, Pulls: rounds, Checks: rounds})
+		for _, op := range g.Ops {
+			for i := range op.Events {
+				op.Events[i].Tick += from
+			}
 		}
+		l.Ops = append(l.Ops, g.Ops...)
+		from += 100 * ecmsketch.Tick(rounds)
 	}
-	l.Ops = append(l.Ops, slow.Ops...)
+	round := []difftest.Op{{Kind: difftest.OpPull}, {Kind: difftest.OpCheck}}
+	slow(2, rounds-1)
+	for i := 0; i < sites; i++ {
+		l.Ops = append(l.Ops, difftest.Op{Kind: difftest.OpAdvance, Site: i, Tick: from + 50})
+	}
+	l.Ops = append(l.Ops, round...)
+	one := sites / 2
+	l.Ops = append(l.Ops, difftest.Op{Kind: difftest.OpBatch, Site: one, Events: []ecmsketch.Event{{Key: 424242, Tick: from + 100}}},
+		difftest.Op{Kind: difftest.OpAdvance, Site: one, Tick: from + 150})
+	l.Ops = append(l.Ops, round...)
+	from += 200
+	slow(3, 1)
 	return l
 }
 
@@ -77,9 +95,10 @@ func TestOneMemberViewIsTheSite(t *testing.T) {
 }
 
 // TestRefreshBitIdenticalToFlatMerge is the tentpole equivalence at the
-// coordinator level: across slow mutation rounds the incrementally patched
-// root is byte-identical to a from-scratch flat merge over the same
-// engines, and only the bootstrap round rebuilds everything.
+// coordinator level: across slow mutation rounds — an idle one where no
+// site has a changed cell and a one-site one among them — the
+// incrementally patched root is byte-identical to a from-scratch flat merge
+// over the same engines, and only the bootstrap round rebuilds everything.
 func TestRefreshBitIdenticalToFlatMerge(t *testing.T) {
 	h := difftest.New(t, ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 50000, Seed: 99})
 	sites := shardedSites(h, 4, 4)

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"bytes"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -370,6 +369,14 @@ func (h *H) coord(via Via, fresh bool, of []*Door) *Door {
 // coordinator.
 func Parts(t testing.TB, src ecmsketch.DeltaSnapshotter) []*ecmsketch.Sketch {
 	t.Helper()
+	parts, _ := pull(t, src)
+	return parts
+}
+
+// pull is a full pull of src applied to a fresh DeltaState: its parts and
+// the cursor it shipped.
+func pull(t testing.TB, src ecmsketch.DeltaSnapshotter) ([]*ecmsketch.Sketch, ecmsketch.Cursor) {
+	t.Helper()
 	payload, cur, full, err := src.DeltaSnapshot(ecmsketch.Cursor{})
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +385,7 @@ func Parts(t testing.TB, src ecmsketch.DeltaSnapshotter) []*ecmsketch.Sketch {
 	if err := ds.Apply(payload, cur, full); err != nil {
 		t.Fatal(err)
 	}
-	return ds.Parts()
+	return ds.Parts(), cur
 }
 
 // FlatMerge is one Merge over every source's parts, in source order and
@@ -511,26 +518,17 @@ func Feed(in ecmsketch.Ingestor, l Log) {
 	}
 }
 
-// SameState requires got to hold want's state: the parts a full pull ships,
-// byte for byte, their versions and the arrival count.
+// SameState requires got to hold want's state: the parts a full pull
+// ships, byte for byte, their versions and the arrival count.
 func SameState(t testing.TB, name string, got, want interface {
 	ecmsketch.DeltaSnapshotter
 	Count() uint64
 }) {
 	t.Helper()
-	g, w := Parts(t, got), Parts(t, want)
-	if len(g) != len(w) {
-		t.Fatalf("%s: %d parts, want %d", name, len(g), len(w))
-	}
-	for i := range w {
-		if !bytes.Equal(g[i].Marshal(), w[i].Marshal()) {
-			t.Fatalf("%s: part %d differs", name, i)
-		}
-	}
-	_, gc, _, gerr := got.DeltaSnapshot(ecmsketch.Cursor{})
-	_, wc, _, werr := want.DeltaSnapshot(ecmsketch.Cursor{})
-	if gerr != nil || werr != nil || fmt.Sprint(gc.Vers) != fmt.Sprint(wc.Vers) {
-		t.Fatalf("%s: part versions %v, want %v (%v, %v)", name, gc.Vers, wc.Vers, gerr, werr)
+	g, gv := pulled(t, got)
+	w, wv := pulled(t, want)
+	if diff := stateDiff(g, w, gv, wv, true); diff != "" {
+		t.Fatalf("%s: %s", name, diff)
 	}
 	if gc, wc := got.Count(), want.Count(); gc != wc {
 		t.Fatalf("%s: count %d, want %d", name, gc, wc)

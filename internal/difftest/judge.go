@@ -183,19 +183,40 @@ func (h *H) ask(d *Door, state bool) *answer {
 		a.bytes = d.bytes()
 	}
 	if d.src != nil && state {
-		payload, cur, full, err := d.src().DeltaSnapshot(ecmsketch.Cursor{})
-		h.must(err)
-		var ds ecmsketch.DeltaState
-		h.must(ds.Apply(payload, cur, full))
-		for _, p := range ds.Parts() {
-			a.parts = append(a.parts, p.Marshal())
-		}
-		a.vers = cur.Vers
+		a.parts, a.vers = pulled(h.t, d.src())
 	}
 	if d.self != nil {
 		d.self()
 	}
 	return a
+}
+
+// pulled is the state a full pull of src ships: every part's bytes and
+// the parts' versions.
+func pulled(t testing.TB, src ecmsketch.DeltaSnapshotter) (parts [][]byte, vers []uint64) {
+	t.Helper()
+	ps, cur := pull(t, src)
+	for _, p := range ps {
+		parts = append(parts, p.Marshal())
+	}
+	return parts, cur.Vers
+}
+
+// stateDiff says how the pulled parts got differ from want, and with
+// vers how their versions do; "" when they are alike.
+func stateDiff(got, want [][]byte, gotVers, wantVers []uint64, vers bool) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d parts, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			return fmt.Sprintf("part %d differs (%d vs %d bytes)", i, len(got[i]), len(want[i]))
+		}
+	}
+	if vers && fmt.Sprint(gotVers) != fmt.Sprint(wantVers) {
+		return fmt.Sprintf("part versions %v, want %v", gotVers, wantVers)
+	}
+	return ""
 }
 
 // equal requires two answers to one range to be bit-identical.
@@ -256,16 +277,8 @@ func (h *H) judge() {
 			if ref.parts == nil || a.parts == nil {
 				continue
 			}
-			if len(a.parts) != len(ref.parts) {
-				h.fail("%s: %d parts, want %d", what, len(a.parts), len(ref.parts))
-			}
-			for i := range ref.parts {
-				if !bytes.Equal(a.parts[i], ref.parts[i]) {
-					h.fail("%s: part %d differs (%d vs %d bytes)", what, i, len(a.parts[i]), len(ref.parts[i]))
-				}
-			}
-			if a.ingest && ref.ingest && fmt.Sprint(a.vers) != fmt.Sprint(ref.vers) {
-				h.fail("%s: part versions %v, want %v", what, a.vers, ref.vers)
+			if diff := stateDiff(a.parts, ref.parts, a.vers, ref.vers, a.ingest && ref.ingest); diff != "" {
+				h.fail("%s: %s", what, diff)
 			}
 		}
 	}

@@ -59,6 +59,10 @@ type Shape struct {
 	// string keys, advances ahead of the arrivals that follow, a jump past
 	// two windows, Flush ops and two crash points.
 	Rules bool
+	// Deep, when set, makes every other write op of a site Deep arrivals
+	// long; the string and advance ops that fall inside it follow it rather
+	// than cut it short. A Pull or Check point still closes it.
+	Deep int
 }
 
 // Log is a replayable op sequence.
@@ -90,11 +94,19 @@ func Gen(seed int64, s Shape) Log {
 	l.Keys = append(l.Keys, ecmsketch.KeyString("k1"), ecmsketch.KeyString("never-seen"))
 	batch := max(s.Batch, 1)
 	pending := make([][]Event, sites)
+	held := make([][]Op, sites) // ops that follow a deep batch
 	size := make([]int, sites)
+	deep := make([]bool, sites)
 	resize := func(i int) {
 		size[i] = batch
 		if s.Rules {
 			size[i] = 1 + rng.Intn(batch)
+		}
+		if s.Deep > 0 {
+			deep[i] = !deep[i]
+			if deep[i] {
+				size[i] = s.Deep
+			}
 		}
 	}
 	emit := func(i int) {
@@ -102,7 +114,19 @@ func Gen(seed int64, s Shape) Log {
 			l.Ops = append(l.Ops, Op{Kind: OpBatch, Site: i, Events: pending[i]})
 			pending[i] = nil
 		}
+		l.Ops = append(l.Ops, held[i]...)
+		held[i] = nil
 		resize(i)
+	}
+	// follow appends op after site's pending batch: at once, closing the
+	// batch, unless the batch is deep.
+	follow := func(site int, op Op) {
+		if deep[site] {
+			held[site] = append(held[site], op)
+			return
+		}
+		emit(site)
+		l.Ops = append(l.Ops, op)
 	}
 	for i := range size {
 		resize(i)
@@ -124,14 +148,12 @@ func Gen(seed int64, s Shape) Log {
 			case 1:
 				ev.Tick -= min(ev.Tick, Tick(rng.Int63n(int64(s.Window+s.Window/2)+1)))
 			case 2:
-				emit(site)
 				str := fmt.Sprintf("k%d", ev.Key%4)
-				l.Ops = append(l.Ops, Op{Kind: OpString, Site: site, Str: str,
+				follow(site, Op{Kind: OpString, Site: site, Str: str,
 					Events: []Event{{Key: ecmsketch.KeyString(str), Tick: ev.Tick, N: 1}}})
 				continue
 			case 3:
-				emit(site)
-				l.Ops = append(l.Ops, Op{Kind: OpAdvance, Site: site, Tick: tick + 30})
+				follow(site, Op{Kind: OpAdvance, Site: site, Tick: tick + 30})
 			}
 			switch i {
 			case s.Events * 2 / 5:
