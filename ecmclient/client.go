@@ -333,10 +333,14 @@ func (c *Client) AddBatch(events []ecmsketch.Event) { c.record(c.AddEvents(event
 // Advance moves the server's window clock forward.
 func (c *Client) Advance(t ecmsketch.Tick) { c.record(c.AdvanceTo(t)) }
 
-// Estimate answers a point query over the last r ticks (zero means the
-// whole window) through QueryDirect's zero-merge path: at a site the key is
-// read from the one stripe that owns it.
+// Estimate answers a point query over the last r ticks through
+// QueryDirect's zero-merge path: at a site the key is read from the one
+// stripe that owns it. As on every local engine, r = 0 is an empty range and
+// answers 0 without a round trip; QueryBatch's Range 0 is the whole window.
 func (c *Client) Estimate(key uint64, r ecmsketch.Tick) float64 {
+	if r == 0 {
+		return 0
+	}
 	res, err := c.QueryDirect(ecmsketch.QueryBatch{Keys: []uint64{key}, Range: r})
 	if err != nil {
 		return 0 // recorded in Err
@@ -349,15 +353,22 @@ func (c *Client) EstimateString(key string, r ecmsketch.Tick) float64 {
 	return c.Estimate(ecmsketch.KeyString(key), r)
 }
 
-// SelfJoin estimates F₂ over the last r ticks: a key-less QueryBatch.
+// SelfJoin estimates F₂ over the last r ticks: a key-less QueryBatch. An
+// empty range, r = 0, answers 0 without a round trip.
 func (c *Client) SelfJoin(r ecmsketch.Tick) float64 {
+	if r == 0 {
+		return 0
+	}
 	res, _ := c.QueryBatch(ecmsketch.QueryBatch{SelfJoin: true, Range: r}) // error recorded in Err
 	return res.SelfJoin
 }
 
 // EstimateTotal estimates ‖a_r‖₁ over the last r ticks: a key-less
-// QueryBatch.
+// QueryBatch. An empty range, r = 0, answers 0 without a round trip.
 func (c *Client) EstimateTotal(r ecmsketch.Tick) float64 {
+	if r == 0 {
+		return 0
+	}
 	res, _ := c.QueryBatch(ecmsketch.QueryBatch{Total: true, Range: r}) // error recorded in Err
 	return res.Total
 }

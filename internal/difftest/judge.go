@@ -169,13 +169,19 @@ func (h *H) ask(d *Door, state bool) *answer {
 				c.Reset() // the client keeps the refusal as its sticky error
 			}
 		}
-		if s, ok := r.(single); ok && (rg == 1 || rg == h.p.WindowLength) {
-			one := ecmsketch.QueryResult{Now: s.Now(), Range: res.Range, Total: s.EstimateTotal(rg), SelfJoin: s.SelfJoin(rg),
-				Estimates: append([]float64(nil), res.Estimates...)}
+		if s, ok := r.(single); ok && (rg == 0 || rg == 1 || rg == h.p.WindowLength) {
+			want := res
+			if rg == 0 {
+				// A batch's Range 0 is the whole window; a single call's
+				// r = 0 is an empty range and answers 0 on every door.
+				want = ecmsketch.QueryResult{Now: res.Now, Range: res.Range, Estimates: make([]float64, len(res.Estimates))}
+			}
+			one := ecmsketch.QueryResult{Now: s.Now(), Range: want.Range, Total: s.EstimateTotal(rg), SelfJoin: s.SelfJoin(rg),
+				Estimates: append([]float64(nil), want.Estimates...)}
 			for i, k := range h.log.Keys[:min(8, len(h.log.Keys))] {
 				one.Estimates[i] = s.Estimate(k, rg)
 			}
-			h.equal(d.Name+" single calls", rg, res, one)
+			h.equal(d.Name+" single calls", rg, want, one)
 		}
 		a.res = append(a.res, res)
 	}

@@ -14,7 +14,8 @@ import (
 // objects, and every Add chases counter pointer → level slice → ring buffer
 // before touching a bucket. The bank replaces all of that with three slabs:
 //
-//	cells []ehCell  — one fixed-size record per counter (clock, total, #levels)
+//	cells []ehCell  — one 32-byte record per counter (clock, total, #levels,
+//	                  and the oldest bucket's level, end and span)
 //	dirs  []ehLevel — the level directories: cell i's levels are the
 //	                  fixed-stride run dirs[i*maxLv : i*maxLv+nLv]
 //	slab  []bucket  — ring storage, carved into fixed-size chunks of
@@ -32,11 +33,12 @@ import (
 // byte-identical encodings. Tests assert both. The one difference is how an
 // estimate finds the boundary: the oracle binary-searches every size class,
 // the bank only the class that holds it, relying on bucket order, which every
-// mutation keeps and UnmarshalCell enforces. The classes the oracle searches
-// beyond that one add nothing (those above lie before the boundary) or their
-// whole n·2^lv (those below), and the bank adds the same terms in the same
-// order; every term is a multiple of ½ far below 2^53, so each sum is exact
-// and the two answers are bit-identical.
+// mutation keeps and UnmarshalCell enforces — and none at all when the
+// boundary precedes the oldest bucket's end, which the cell header caches.
+// The classes the oracle searches beyond that one add nothing (those above
+// lie before the boundary) or their whole n·2^lv (those below), and the bank
+// adds the same terms; every term is a multiple of ½ far below 2^53, so each
+// sum is exact and the two answers are bit-identical.
 
 // Bucket is one exponential-histogram bucket: Size arrivals whose ticks fall
 // in [Start, End]. Buckets are exposed so that order-preserving aggregation
@@ -58,20 +60,35 @@ type bucket struct {
 	end   Tick
 }
 
-// ehCell is the per-counter header of a bank.
+// ehCell is the per-counter header of a bank, one 32-byte record. While the
+// cell holds buckets, (oldLv, oldEnd, oldSpan) name its globally oldest
+// bucket — the front of the highest non-empty level — which is all that
+// expiry and a whole-window estimate need to read.
 type ehCell struct {
 	total   uint64 // sum of live bucket sizes
 	now     Tick   // latest tick observed by this cell
 	oldEnd  Tick   // cached end of the globally oldest bucket; emptyOldEnd when none
+	oldSpan uint32 // that bucket's end − start, or spanUnknown when it does not fit
 	oldLv   int16  // cached level holding that bucket (highest non-empty)
 	nLv     int16  // live size classes; levels [0, nLv) of the directory
-	started bool
 }
 
 // emptyOldEnd marks an empty cell's oldEnd cache: no bucket can ever expire
 // against it, so the expiry fast path short-circuits. The zero value (a
 // fresh or Reset cell) conservatively forces a recompute instead.
 const emptyOldEnd = ^Tick(0)
+
+// spanUnknown marks an oldest bucket spanning 2^32−1 ticks or more, whose
+// start the header cannot hold; estimates over such a cell take the walk.
+const spanUnknown = ^uint32(0)
+
+// spanOf is the oldSpan cache value of a bucket [start, end].
+func spanOf(start, end Tick) uint32 {
+	if d := end - start; d < Tick(spanUnknown) {
+		return uint32(d)
+	}
+	return spanUnknown
+}
 
 // ehLevel locates one size class's ring inside the slab.
 type ehLevel struct {
@@ -227,11 +244,9 @@ func (b *EHBank) AddN(i int, t Tick, n uint64) {
 		t = c.now // clamp slight out-of-order arrivals
 	}
 	c.now = t
-	if !c.started || c.total == 0 {
-		c.started = true
+	if c.total == 0 {
 		// The unit about to be inserted becomes the globally oldest bucket.
-		c.oldEnd = t
-		c.oldLv = 0
+		c.oldEnd, c.oldSpan, c.oldLv = t, 0, 0
 	}
 	if c.nLv == 0 {
 		b.addLevel(i)
@@ -281,10 +296,8 @@ func (b *EHBank) AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64) {
 			t = c.now // clamp slight out-of-order arrivals, as AddN does
 		}
 		c.now = t
-		if !c.started || c.total == 0 {
-			c.started = true
-			c.oldEnd = t
-			c.oldLv = 0
+		if c.total == 0 {
+			c.oldEnd, c.oldSpan, c.oldLv = t, 0, 0
 		}
 		if c.nLv == 0 {
 			b.addLevel(i)
@@ -312,10 +325,9 @@ func (b *EHBank) AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64) {
 					nx = &dirs[i*maxLv+1]
 				}
 				if nx != nil && int(nx.n) < capLv {
-					end := mergeOldest(d, nx, slab, stride)
+					start, end := mergeOldest(d, nx, slab, stride)
 					if c.oldLv == 0 {
-						c.oldLv = 1
-						c.oldEnd = end
+						c.oldEnd, c.oldSpan, c.oldLv = end, spanOf(start, end), 1
 					}
 				} else {
 					b.cascade(i, c, 0)
@@ -374,10 +386,8 @@ func (b *EHBank) AddBatchRowOrdered(base int, pos []int32, ticks []Tick, ns []ui
 				t = c.now // clamp slight out-of-order arrivals, as AddN does
 			}
 			c.now = t
-			if !c.started || c.total == 0 {
-				c.started = true
-				c.oldEnd = t
-				c.oldLv = 0
+			if c.total == 0 {
+				c.oldEnd, c.oldSpan, c.oldLv = t, 0, 0
 			}
 			n := uint64(1)
 			if ns != nil {
@@ -398,10 +408,9 @@ func (b *EHBank) AddBatchRowOrdered(base int, pos []int32, ticks []Tick, ns []ui
 						nx = &dirs[i*maxLv+1]
 					}
 					if nx != nil && int(nx.n) < capLv {
-						end := mergeOldest(d, nx, slab, stride)
+						start, end := mergeOldest(d, nx, slab, stride)
 						if c.oldLv == 0 {
-							c.oldLv = 1
-							c.oldEnd = end
+							c.oldEnd, c.oldSpan, c.oldLv = end, spanOf(start, end), 1
 						}
 					} else {
 						b.cascade(i, c, 0)
@@ -430,9 +439,9 @@ func (b *EHBank) AddBatchRowOrdered(base int, pos []int32, ticks []Tick, ns []ui
 }
 
 // mergeOldest pops the two oldest buckets of ring d and pushes their union
-// onto ring nx, returning the union's end. Small enough to inline into the
-// batch sweeps' single-level fast path.
-func mergeOldest(d, nx *ehLevel, slab []bucket, stride int) Tick {
+// onto ring nx, returning the union's start and end. Small enough to inline
+// into the batch sweeps' single-level fast path.
+func mergeOldest(d, nx *ehLevel, slab []bucket, stride int) (start, end Tick) {
 	p0 := int(d.head)
 	p1 := p0 + 1
 	if p1 >= stride {
@@ -453,7 +462,7 @@ func mergeOldest(d, nx *ehLevel, slab []bucket, stride int) Tick {
 	}
 	slab[int(nx.off)+pp] = bucket{start: older.start, end: newer.end}
 	nx.n++
-	return newer.end
+	return older.start, newer.end
 }
 
 // cascade merges the two oldest buckets of any size class exceeding its
@@ -484,13 +493,12 @@ func (b *EHBank) cascade(i int, c *ehCell, from int) {
 			d = &b.dirs[db+lv]
 			nx = &b.dirs[db+lv+1]
 		}
-		end := mergeOldest(d, nx, b.slab, stride)
+		start, end := mergeOldest(d, nx, b.slab, stride)
 		if lv+1 > int(c.oldLv) {
 			// The merge consumed the two globally oldest buckets (lv was the
 			// oldest level) and their union, just pushed into the previously
 			// empty level above, is the new globally oldest bucket.
-			c.oldLv = int16(lv + 1)
-			c.oldEnd = end
+			c.oldEnd, c.oldSpan, c.oldLv = end, spanOf(start, end), int16(lv+1)
 		}
 	}
 }
@@ -514,9 +522,9 @@ func (b *EHBank) ensureRoom(i int, c *ehCell, lv int) {
 }
 
 // expire drops buckets of cell i whose newest arrival left the window,
-// reporting whether any bucket was actually dropped. The cached
-// (oldLv, oldEnd) pair short-circuits the common case — nothing to
-// expire — without touching the level directory or the slab.
+// reporting whether any bucket was actually dropped. The cached oldEnd
+// short-circuits the common case — nothing to expire — without touching
+// the level directory or the slab.
 func (b *EHBank) expire(c *ehCell, i int) bool {
 	if c.now < b.cfg.Length {
 		return false
@@ -537,7 +545,7 @@ func (b *EHBank) expire(c *ehCell, i int) bool {
 		d := b.level(i, lv)
 		f := b.front(d)
 		if f.end > cut {
-			c.oldEnd = f.end
+			c.oldEnd, c.oldSpan = f.end, spanOf(f.start, f.end)
 			return popped
 		}
 		b.popFront(d)
@@ -580,10 +588,15 @@ func (b *EHBank) Total(i int) uint64 { return b.cells[i].total }
 // Buckets fully inside the range are counted exactly; the oldest bucket
 // overlapping the boundary contributes half its size.
 //
-// Every cell is tick-ordered along its level walk (see canonicalEHBucket),
-// so one binary search answers: the first class, from the top, whose newest
-// bucket ends after since holds the boundary; the classes above lie wholly
-// before it and every bucket below lies after it.
+// When since lies before the end of the globally oldest bucket — every
+// whole-window read — every bucket ends after since, so the header answers
+// alone: total, less half the oldest bucket if it starts at or before since
+// (the textbook TOTAL − LAST/2). Otherwise every cell is tick-ordered along
+// its level walk (see canonicalEHBucket), so one binary search answers: the
+// first class, from the top, whose newest bucket ends after since holds the
+// boundary; the classes above lie wholly before it and every bucket below
+// lies after it. Both paths add the same terms, each a multiple of ½ far
+// below 2^53, so they return bit-identical answers.
 func (b *EHBank) EstimateSince(i int, since Tick) float64 {
 	c := &b.cells[i]
 	if c.total == 0 {
@@ -594,6 +607,13 @@ func (b *EHBank) EstimateSince(i int, since Tick) float64 {
 		if ws := c.now - b.cfg.Length; since < ws {
 			since = ws
 		}
+	}
+	if since < c.oldEnd && c.oldSpan != spanUnknown {
+		est := float64(c.total)
+		if c.oldEnd-Tick(c.oldSpan) <= since {
+			est -= float64(uint64(1)<<uint(c.oldLv)) / 2
+		}
+		return est
 	}
 	lv := int(c.nLv) - 1
 	var d *ehLevel
@@ -674,7 +694,6 @@ func (b *EHBank) RestoreBucket(i int, bk Bucket) {
 	if bk.End > c.now {
 		c.now = bk.End
 	}
-	c.started = true
 	b.noteCellMutation(i)
 }
 
@@ -694,8 +713,8 @@ func (b *EHBank) NormalizeRestored(i int) {
 		c.oldLv = 0
 	}
 	if lv := b.oldestLevel(i, c); lv >= 0 {
-		c.oldLv = int16(lv)
-		c.oldEnd = b.front(b.level(i, lv)).end
+		f := b.front(b.level(i, lv))
+		c.oldEnd, c.oldSpan, c.oldLv = f.end, spanOf(f.start, f.end), int16(lv)
 	} else {
 		c.oldLv = 0
 		c.oldEnd = emptyOldEnd
@@ -771,7 +790,7 @@ func (b *EHBank) Clone() Bank {
 // plus a small fixed header.
 func (b *EHBank) MemoryBytes() int {
 	const (
-		cellBytes   = 32 // ehCell: 3×8-byte words + packed level indices/flag
+		cellBytes   = 32 // ehCell: total, now, oldEnd (8 B each), oldSpan (4 B), oldLv, nLv (2 B each)
 		levelBytes  = 8  // ehLevel: off + head + n
 		bucketBytes = 16 // two 8-byte ticks; size implied by the level
 		verBytes    = 8  // per-cell last-modified version

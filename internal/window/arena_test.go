@@ -2,8 +2,10 @@ package window
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The flat bank is a layout change, not an algorithm change: every test here
@@ -43,9 +45,18 @@ func checkCellEqualsEH(t *testing.T, b *EHBank, i int, h *EH) {
 			t.Fatalf("bucket %d: bank %+v, EH %+v", j, bb[j], hb[j])
 		}
 	}
+	checkOldestCached(t, b, i)
 	now := h.Now()
-	for _, since := range []Tick{0, 1, now / 3, now / 2, now - 1, now} {
-		if got, want := b.EstimateSince(i, since), h.EstimateSince(since); got != want {
+	sinces := []Tick{0, 1, now / 3, now / 2, now - 1, now}
+	if len(hb) > 0 {
+		// The header answers a boundary before the oldest bucket's end and
+		// the walk one at or after it: ask on both sides of both edges.
+		o := hb[0]
+		sinces = append(sinces, o.Start-1, o.Start, o.End-1, o.End)
+	}
+	for _, since := range sinces {
+		got, want := b.EstimateSince(i, since), h.EstimateSince(since)
+		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("EstimateSince(%d): bank %v, EH %v", since, got, want)
 		}
 	}
@@ -59,6 +70,40 @@ func checkCellEqualsEH(t *testing.T, b *EHBank, i int, h *EH) {
 	}
 	if got, want := b.AppendMarshalCell(nil, i), h.Marshal(); !bytes.Equal(got, want) {
 		t.Fatalf("encodings differ: bank %d bytes, EH %d bytes", len(got), len(want))
+	}
+}
+
+// checkOldestCached asserts the header invariant of a non-empty cell i:
+// (oldLv, oldEnd, oldSpan) name the front bucket of its highest non-empty
+// level, with oldSpan at spanUnknown when that bucket spans 2^32−1 ticks or
+// more.
+func checkOldestCached(t *testing.T, b *EHBank, i int) {
+	t.Helper()
+	c := &b.cells[i]
+	if c.total == 0 {
+		return
+	}
+	lv := int(c.nLv) - 1
+	for lv >= 0 && b.level(i, lv).n == 0 {
+		lv--
+	}
+	if lv < 0 {
+		t.Fatalf("cell %d: total %d with no buckets", i, c.total)
+	}
+	f := b.front(b.level(i, lv))
+	span := uint32(math.MaxUint32)
+	if f.end-f.start < math.MaxUint32 {
+		span = uint32(f.end - f.start)
+	}
+	if int(c.oldLv) != lv || c.oldEnd != f.end || c.oldSpan != span {
+		t.Fatalf("cell %d header (lv %d, end %d, span %d), oldest bucket (lv %d, %+v, span %d)",
+			i, c.oldLv, c.oldEnd, c.oldSpan, lv, f, span)
+	}
+}
+
+func TestEHCellIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(ehCell{}); got != 32 {
+		t.Fatalf("ehCell is %d bytes, want 32: one header per half cache line", got)
 	}
 }
 
@@ -92,6 +137,126 @@ func TestBankMatchesEHRandomStreams(t *testing.T) {
 					t.Fatalf("cfg %+v: untouched cell %d not empty", cfg, i)
 				}
 			}
+		}
+	}
+}
+
+// TestBankHeaderTracksEveryMutation drives every EH mutation — AddN (n = 0
+// too), both batch sweeps, Advance, MergeCellFrom, ResetCell with
+// UnmarshalCell, and Clone — over cells fed random streams, some with tick
+// gaps past 2^32 so the oldest bucket's span overflows the header, and
+// checks after each that every cell's header names its oldest bucket and the
+// cell answers bit-identically to the per-object oracle.
+func TestBankHeaderTracksEveryMutation(t *testing.T) {
+	for _, cfg := range []Config{
+		{Length: 200, Epsilon: 0.5}, // tiny rings, heavy cascading and expiry
+		{Length: 1 << 12, Epsilon: 0.1},
+		{Length: 1 << 40, Epsilon: 0.25}, // 2^32-tick spans stay in the window
+	} {
+		const cells = 4
+		rng := rand.New(rand.NewSource(int64(cfg.Length)))
+		b, err := NewEHBank(cfg, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := make([]*EH, cells)
+		for i := range hs {
+			if hs[i], err = NewEH(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := Tick(1)
+		step := func() Tick {
+			switch rng.Intn(24) {
+			case 0:
+				now += 1<<32 + Tick(rng.Intn(1<<10))
+			case 1:
+				now += cfg.Length / 2
+			default:
+				now += Tick(rng.Intn(3))
+			}
+			return now
+		}
+		unknownSpans := 0
+		check := func() {
+			t.Helper()
+			for i := range hs {
+				checkCellEqualsEH(t, b, i, hs[i])
+				if b.cells[i].total > 0 && b.cells[i].oldSpan == spanUnknown {
+					unknownSpans++
+				}
+			}
+		}
+		for op := 0; op < 500; op++ {
+			i := rng.Intn(cells)
+			switch rng.Intn(8) {
+			case 0, 1:
+				tk, n := step(), uint64(rng.Intn(4))
+				b.AddN(i, tk, n)
+				hs[i].AddN(tk, n)
+			case 2, 3:
+				m := 1 + rng.Intn(40)
+				pos, ticks, ns := make([]int32, m), make([]Tick, m), make([]uint64, m)
+				for e := range pos {
+					pos[e], ticks[e], ns[e] = int32(rng.Intn(cells)), step(), uint64(1+rng.Intn(3))
+				}
+				if rng.Intn(2) == 0 {
+					ns = nil // every event is one arrival
+				}
+				if rng.Intn(2) == 0 {
+					b.AddBatchRow(0, pos, ticks, ns)
+				} else {
+					var order []int32 // grouped by cell, batch order within
+					for c := int32(0); c < cells; c++ {
+						for e := range pos {
+							if pos[e] == c {
+								order = append(order, int32(e))
+							}
+						}
+					}
+					b.AddBatchRowOrdered(0, pos, ticks, ns, order)
+				}
+				for e := range pos {
+					n := uint64(1)
+					if ns != nil {
+						n = ns[e]
+					}
+					hs[pos[e]].AddN(ticks[e], n)
+				}
+			case 4:
+				tk := step()
+				b.Advance(i, tk)
+				hs[i].Advance(tk)
+			case 5:
+				enc := b.AppendMarshalCell(nil, i)
+				b.ResetCell(i)
+				if b.Total(i) != 0 || b.NumBuckets(i) != 0 {
+					t.Fatalf("cell %d not empty after ResetCell", i)
+				}
+				if err := b.UnmarshalCell(i, enc); err != nil {
+					t.Fatal(err)
+				}
+			case 6:
+				b = b.Clone().(*EHBank)
+			case 7:
+				j := rng.Intn(cells)
+				x := b.Clone().(*EHBank)
+				y, _ := NewEHBank(cfg, cells)
+				if err := y.UnmarshalCell(i, hs[j].Marshal()); err != nil {
+					t.Fatal(err)
+				}
+				want, err := MergeEH(cfg, hs[i], hs[j])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.ResetCell(i)
+				b.MergeCellFrom(i, i, max(hs[i].Now(), hs[j].Now()), []*EHBank{x, y})
+				hs[i] = want
+			}
+			check()
+		}
+		if cfg.Length > 1<<32 && unknownSpans == 0 {
+			t.Fatalf("cfg %+v: no oldest bucket spanned 2^32 ticks; the walk fallback never ran", cfg)
 		}
 	}
 }

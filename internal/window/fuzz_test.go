@@ -3,6 +3,7 @@ package window
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"testing"
 )
 
@@ -199,7 +200,9 @@ func FuzzUnmarshalRW(f *testing.F) {
 
 // FuzzEHStream drives the histogram with arbitrary gap/count sequences and
 // checks the accuracy invariant against the exact counter — the core
-// correctness property under adversarial arrival patterns.
+// correctness property under adversarial arrival patterns. An EHBank cell fed
+// the same arrivals must keep its header naming the oldest bucket after every
+// one and answer bit-identically to the histogram.
 func FuzzEHStream(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 5}, uint16(50))
 	f.Add([]byte{0, 0, 0, 0}, uint16(0))
@@ -209,14 +212,21 @@ func FuzzEHStream(f *testing.F) {
 		cfg := Config{Length: 400, Epsilon: eps}
 		h, _ := NewEH(cfg)
 		x, _ := NewExact(cfg)
+		b, _ := NewEHBank(cfg, 1)
 		var now Tick
 		for _, g := range gaps {
 			now += Tick(g % 9)
 			n := uint64(g%3 + 1)
 			h.AddN(now, n)
 			x.AddN(now, n)
+			b.AddN(0, now, n)
+			checkOldestCached(t, b, 0)
 		}
+		checkCellEqualsEH(t, b, 0, h)
 		got := h.EstimateSince(Tick(since))
+		if bank := b.EstimateSince(0, Tick(since)); math.Float64bits(bank) != math.Float64bits(got) {
+			t.Fatalf("EstimateSince(%d): bank %v, EH %v", since, bank, got)
+		}
 		want := float64(x.CountSince(Tick(since)))
 		if diff := got - want; diff > eps*want+0.5 || diff < -eps*want-0.5 {
 			t.Fatalf("estimate %v vs exact %v exceeds ε=%v", got, want, eps)
