@@ -111,7 +111,8 @@ func (c *Client) record(err error) {
 }
 
 // request issues one request on path with query q and decodes the JSON reply
-// into out (ignored if nil); contentType labels a non-nil body.
+// into out (ignored if nil; a *[]byte takes the raw body, a
+// func(io.Reader) error reads it itself); contentType labels a non-nil body.
 func (c *Client) request(method, path string, q url.Values, body io.Reader, contentType string, out any) error {
 	u := c.base + path
 	if len(q) > 0 {
@@ -163,7 +164,12 @@ func (c *Client) do(req *http.Request, out any) error {
 		*raw = b
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if read, ok := out.(func(io.Reader) error); ok {
+		err = read(resp.Body)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("ecmclient: decoding %s reply: %w", req.URL.Path, err)
 	}
 	return nil
@@ -187,49 +193,23 @@ func (c *Client) AddEvents(events []ecmsketch.Event) error {
 // ecmsketch.KeyString (the digest the server applies to its own string keys).
 // A reply without one estimate per key is an error.
 func (c *Client) query(q ecmsketch.QueryBatch, direct bool) (ecmsketch.QueryResult, error) {
-	type wireKey struct {
-		IKey string `json:"ikey"`
-	}
-	req := struct {
-		Keys     []wireKey `json:"keys,omitempty"`
-		Range    uint64    `json:"range,omitempty"`
-		Total    bool      `json:"total,omitempty"`
-		SelfJoin bool      `json:"selfJoin,omitempty"`
-	}{Range: q.Range, Total: q.Total, SelfJoin: q.SelfJoin}
-	if len(q.Keys) > 0 {
-		req.Keys = make([]wireKey, len(q.Keys))
-		for i, k := range q.Keys {
-			req.Keys[i] = wireKey{IKey: strconv.FormatUint(k, 10)}
-		}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return ecmsketch.QueryResult{}, err
-	}
-	var out struct {
-		Estimates []float64 `json:"estimates"`
-		Total     float64   `json:"total"`
-		SelfJoin  float64   `json:"selfJoin"`
-		Now       uint64    `json:"now"`
-		Range     uint64    `json:"range"`
-	}
 	var params url.Values
 	if direct {
 		params = url.Values{"direct": {"1"}}
 	}
-	if err := c.request(http.MethodPost, "/v1/query", params, bytes.NewReader(body), "application/json", &out); err != nil {
+	var res ecmsketch.QueryResult
+	read := func(body io.Reader) (err error) {
+		res, err = wire.ReadQueryReply(body, len(q.Keys))
+		return err
+	}
+	// A fresh body per call, as in AddEvents.
+	if err := c.request(http.MethodPost, "/v1/query", params, bytes.NewReader(wire.EncodeQuery(q)), "application/json", read); err != nil {
 		return ecmsketch.QueryResult{}, err
 	}
-	if len(out.Estimates) != len(q.Keys) {
-		return ecmsketch.QueryResult{}, fmt.Errorf("ecmclient: POST /v1/query: %d estimates for %d keys", len(out.Estimates), len(q.Keys))
+	if len(res.Estimates) != len(q.Keys) {
+		return ecmsketch.QueryResult{}, fmt.Errorf("ecmclient: POST /v1/query: %d estimates for %d keys", len(res.Estimates), len(q.Keys))
 	}
-	return ecmsketch.QueryResult{
-		Estimates: out.Estimates,
-		Total:     out.Total,
-		SelfJoin:  out.SelfJoin,
-		Now:       out.Now,
-		Range:     out.Range,
-	}, nil
+	return res, nil
 }
 
 // AdvanceTo moves the server's window clock forward without an arrival.

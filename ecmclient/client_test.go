@@ -523,3 +523,68 @@ func TestAddEventsBodyMatchesJSONMarshal(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryBodyMatchesJSONMarshal: the hand-appended /v1/query body is byte
+// for byte what json.Marshal made of the wire struct it replaced — random
+// and edge keys, no keys, range 0, each aggregate flag — and it reaches
+// net/http as a replayable, length-framed body.
+func TestQueryBodyMatchesJSONMarshal(t *testing.T) {
+	type wireKey struct {
+		IKey string `json:"ikey"`
+	}
+	type wireQuery struct {
+		Keys     []wireKey `json:"keys,omitempty"`
+		Range    uint64    `json:"range,omitempty"`
+		Total    bool      `json:"total,omitempty"`
+		SelfJoin bool      `json:"selfJoin,omitempty"`
+	}
+	var sent, replay []byte
+	var length int64
+	var keys int
+	c := ecmclient.New("http://site.invalid", ecmclient.WithHTTPClient(&http.Client{
+		Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			length = r.ContentLength
+			sent, _ = io.ReadAll(r.Body)
+			if r.GetBody != nil {
+				again, _ := r.GetBody()
+				replay, _ = io.ReadAll(again)
+			}
+			reply := `{"estimates":[` + strings.TrimSuffix(strings.Repeat("0,", keys), ",") + `],"now":1,"range":1}`
+			return &http.Response{StatusCode: 200, Body: io.NopCloser(strings.NewReader(reply))}, nil
+		}),
+	}))
+	rng := rand.New(rand.NewSource(6))
+	edge := []uint64{0, 1, 1 << 53, 1<<53 + 1, math.MaxUint64}
+	for round := 0; round < 64; round++ {
+		q := ecmsketch.QueryBatch{Total: round&1 != 0, SelfJoin: round&2 != 0}
+		if round&4 != 0 {
+			q.Range = rng.Uint64() >> uint(rng.Intn(64))
+		}
+		if round&8 != 0 {
+			q.Keys = make([]uint64, 1+rng.Intn(40))
+			for i := range q.Keys {
+				if q.Keys[i] = rng.Uint64(); rng.Intn(3) == 0 {
+					q.Keys[i] = edge[rng.Intn(len(edge))]
+				}
+			}
+		}
+		old := wireQuery{Range: q.Range, Total: q.Total, SelfJoin: q.SelfJoin}
+		for _, k := range q.Keys {
+			old.Keys = append(old.Keys, wireKey{IKey: strconv.FormatUint(k, 10)})
+		}
+		want, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = len(q.Keys)
+		if _, err := c.QueryBatch(q); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sent, want) {
+			t.Fatalf("round %d: body\n%s\nwant json.Marshal's\n%s", round, sent, want)
+		}
+		if length != int64(len(want)) || !bytes.Equal(replay, want) {
+			t.Fatalf("round %d: Content-Length %d, GetBody replayed %d bytes; want %d and the same body", round, length, len(replay), len(want))
+		}
+	}
+}

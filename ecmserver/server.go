@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -360,24 +359,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // WireQueryResult is the JSON reply of POST /v1/query: one estimate per
 // requested key in request order, the aggregates if requested, and the
 // engine clock the consistent cut was taken at. Now and Range are 64-bit
-// ticks; requests carrying ?strings=1 receive them as decimal strings
-// (see wire.WantStrings) via wireQueryResultStrings instead.
+// ticks; requests carrying ?strings=1 receive them as decimal strings (see
+// wire.WantStrings). wire.EncodeQueryReply writes this shape byte for byte as
+// encoding/json does.
 type WireQueryResult struct {
 	Estimates []float64 `json:"estimates"`
 	Total     *float64  `json:"total,omitempty"`
 	SelfJoin  *float64  `json:"selfJoin,omitempty"`
 	Now       uint64    `json:"now"`
 	Range     uint64    `json:"range"`
-}
-
-// wireQueryResultStrings is WireQueryResult with the 64-bit tick fields
-// encoded as decimal strings, the ?strings=1 reply shape.
-type wireQueryResultStrings struct {
-	Estimates []float64 `json:"estimates"`
-	Total     *float64  `json:"total,omitempty"`
-	SelfJoin  *float64  `json:"selfJoin,omitempty"`
-	Now       string    `json:"now"`
-	Range     string    `json:"range"`
 }
 
 // handleQuery answers a batched multi-key query from one consistent cut of
@@ -437,25 +427,19 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, q ecmsketch
 		sourceError(w, http.StatusInternalServerError, err)
 		return
 	}
-	out := WireQueryResult{Estimates: res.Estimates, Now: res.Now, Range: res.Range}
-	if out.Estimates == nil {
-		out.Estimates = []float64{} // aggregate-only queries still reply with an array
+	if body, ok := wire.EncodeQueryReply(res, q.Total, q.SelfJoin, wire.WantStrings(r)); ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+		return
 	}
+	// A NaN or an infinity: encoding/json refuses the reply, and Respond
+	// answers 500.
+	out := WireQueryResult{Estimates: res.Estimates, Now: res.Now, Range: res.Range}
 	if q.Total {
 		out.Total = &res.Total
 	}
 	if q.SelfJoin {
 		out.SelfJoin = &res.SelfJoin
-	}
-	if wire.WantStrings(r) {
-		wire.Respond(w, wireQueryResultStrings{
-			Estimates: out.Estimates,
-			Total:     out.Total,
-			SelfJoin:  out.SelfJoin,
-			Now:       strconv.FormatUint(out.Now, 10),
-			Range:     strconv.FormatUint(out.Range, 10),
-		})
-		return
 	}
 	wire.Respond(w, out)
 }

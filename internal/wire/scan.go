@@ -26,8 +26,10 @@ var (
 //
 // NextEvent first tries an element as the one spelling EncodeEvents writes
 // (canonicalEvent, one pass over the buffered bytes) and reads it byte-wise
-// only when that declines; which path runs is decided by the bytes alone, and
-// the fast one accepts nothing the byte-wise one would read differently.
+// only when that declines, as ParseQueryBody does with a keys element and
+// EncodeQuery's spelling (canonicalKey); which path runs is decided by the
+// bytes alone, and the fast one accepts nothing the byte-wise one would read
+// differently.
 type Scanner struct {
 	r        io.Reader
 	buf      [MaxStringToken + 2]byte // the longest legal string, quotes included

@@ -108,6 +108,9 @@ var queryCorpus = []string{
 	`{"keys":[{"ikey":"1"},]}`, `{"keys":[,{"ikey":"1"}]}`, `{"keys":[{"ikey":"1"} {"ikey":"2"}]}`, `{"keys":[{"ikey":"1"}],}`,
 	`{,"total":true}`, `{"total":true "range":1}`, `{"total" true}`, `{total:true}`, `{"total":true}trailing`, `{"total":true}}`,
 	"\n{ \"keys\" : [ { \"ikey\" : \"5\" } , { \"key\" : \"x\" } ] ,\t\"range\" : 7 }\r\n", `{"":1}`, `{"keys":[{"":1,"key":"a"}]}`,
+	`{"keys":[{"ikey":"0"},{"ikey":"007"},{"ikey":"18446744073709551615"}],"range":5,"total":true,"selfJoin":true}`,
+	`{"keys":[{"ikey":""}]}`, `{"keys":[{"ikey":"1"}`, `{"keys":[{"ikey":"1"},{"ikey":"2" }]}`, `{"keys":[{"ikey":"1","ikey":"2"}]}`,
+	`{"keys":[{"ikey":"99999999999999999999"}]}`, `{"keys":[{"ikey":"-1"}]}`, `{"keys":[{"ikey":"1"}}]}`,
 }
 
 // sameQuery checks the scanner-based parser against the oracle on one body,
@@ -288,6 +291,54 @@ func TestCanonicalEventAgreesWithItem(t *testing.T) {
 		elem := body[1 : len(body)-1]
 		if got, m := canonicalEvent(body[1:]); (m == 0) != (ev.N > MaxEventCount) || (m > 0 && got != ev) {
 			t.Fatalf("%q: canonical %+v in %d bytes, want %+v", elem, got, m, ev)
+		}
+		for cut := 0; cut <= len(elem); cut++ {
+			check(elem[:cut])
+			check(append(append([]byte{}, elem[:cut]...), ']'))
+		}
+		for at := range elem {
+			del := append(append([]byte{}, elem[:at]...), elem[at+1:]...)
+			check(del)
+			check(append(del, ']'))
+			sub := append(append([]byte{}, elem...), ']')
+			for c := 0; c < 256; c++ {
+				sub[at] = byte(c)
+				check(sub)
+			}
+		}
+	}
+	if accepted == 0 || declined == 0 {
+		t.Fatalf("accepted %d, declined %d: want both paths taken", accepted, declined)
+	}
+}
+
+// TestCanonicalKeyAgreesWithItem is TestCanonicalEventAgreesWithItem for the
+// keys elements EncodeQuery writes: on them and on every one-byte
+// truncation, deletion and substitution, canonicalKey either declines or
+// decodes exactly the key and length item does.
+func TestCanonicalKeyAgreesWithItem(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var accepted, declined int
+	check := func(b []byte) {
+		key, m := canonicalKey(b)
+		if m == 0 {
+			declined++
+			return
+		}
+		accepted++
+		s := NewScanner(bytes.NewReader(b))
+		defer s.Release()
+		want, _, _, err := s.item(fieldIKey)
+		if err != nil || key != want || m != s.pos {
+			t.Fatalf("%q: canonical %d in %d bytes, item %d in %d bytes, err %v", b, key, m, want, s.pos, err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		k := rng.Uint64() >> uint(rng.Intn(64))
+		body := EncodeQuery(core.QueryBatch{Keys: []uint64{k}})
+		elem := body[len(`{"keys":[`) : len(body)-2]
+		if got, m := canonicalKey(body[len(`{"keys":[`):]); m != len(elem) || got != k {
+			t.Fatalf("%q: canonical %d in %d bytes, want %d", elem, got, m, k)
 		}
 		for cut := 0; cut <= len(elem); cut++ {
 			check(elem[:cut])

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"net/http"
 	"net/url"
@@ -65,15 +66,25 @@ const gzipMinSize = 512
 
 // Error writes the /v1 JSON error shape with the given status code.
 func Error(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// Respond writes a 200 JSON reply.
-func Respond(w http.ResponseWriter, v any) {
+// Respond writes a 200 JSON reply, or a 500 in the error shape when
+// encoding/json refuses v (a NaN or an infinity, say).
+func Respond(w http.ResponseWriter, v any) { writeJSON(w, http.StatusOK, v) }
+
+// writeJSON encodes v in full before the status line goes out, so a value
+// that cannot be encoded is answered 500 rather than 200 with an empty body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(map[string]string{"error": err.Error()}) //nolint:errcheck // a string map always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.WriteHeader(code)
+	w.Write(buf.Bytes())
 }
 
 // ParseKey resolves the queried item key from either ?key= (string,
@@ -443,13 +454,284 @@ func canonicalUint(b []byte, i int, v *uint64, zeros bool) int {
 	return j
 }
 
+// EncodeQuery returns the POST /v1/query body for q in one presized
+// allocation, {"keys":[{"ikey":"<decimal>"},…],"range":…,"total":true,
+// "selfJoin":true} with each member left out when empty, zero or false — byte
+// for byte what encoding/json made of that shape.
+func EncodeQuery(q core.QueryBatch) []byte {
+	size := len(`{"keys":[],"range":,"total":true,"selfJoin":true}`) + decLen(q.Range) + len(q.Keys)*len(`{"ikey":""},`)
+	for _, k := range q.Keys {
+		size += decLen(k)
+	}
+	dst := append(make([]byte, 0, size), '{')
+	if len(q.Keys) > 0 {
+		dst = append(dst, `"keys":[`...)
+		for i, k := range q.Keys {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(strconv.AppendUint(append(dst, `{"ikey":"`...), k, 10), `"}`...)
+		}
+		dst = append(dst, ']')
+	}
+	if q.Range != 0 {
+		dst = strconv.AppendUint(append(comma(dst), `"range":`...), q.Range, 10)
+	}
+	if q.Total {
+		dst = append(comma(dst), `"total":true`...)
+	}
+	if q.SelfJoin {
+		dst = append(comma(dst), `"selfJoin":true`...)
+	}
+	return append(dst, '}')
+}
+
+// comma appends the ',' before an object member unless the object has just
+// opened.
+func comma(dst []byte) []byte {
+	if dst[len(dst)-1] == '{' {
+		return dst
+	}
+	return append(dst, ',')
+}
+
+// maxCanonicalKey is the longest keys element EncodeQuery writes.
+const maxCanonicalKey = len(`{"ikey":"18446744073709551615"}`)
+
+// canonicalKey is EncodeQuery's inverse on one keys element: it decodes
+// {"ikey":"<digits>"}, spelled byte for byte so, from the front of b and
+// returns the key and the bytes it took, or declines — 0 — on anything else,
+// leaving the element to item like canonicalEvent does.
+func canonicalKey(b []byte) (uint64, int) {
+	var key uint64
+	i := canonicalUint(b, canonicalLit(b, 0, `{"ikey":"`), &key, true)
+	if i = canonicalLit(b, i, `"}`); i < 0 {
+		return 0, 0
+	}
+	return key, i
+}
+
+// maxFloat is the longest float64 appendFloat writes: a sign and 17
+// significant digits behind either "0.00000" (just above 1e-6) or a point and
+// an exponent ("e-308").
+const maxFloat = len("-0.0000012345678901234567")
+
+// maxQueryReply bounds the reply EncodeQueryReply writes for keys estimates.
+func maxQueryReply(keys int) int {
+	return len(`{"estimates":[],"total":,"selfJoin":,"now":"","range":""}`+"\n") +
+		keys*(maxFloat+1) + 2*maxFloat + 2*len("18446744073709551615")
+}
+
+// EncodeQueryReply returns the POST /v1/query reply for res in one sized
+// buffer: {"estimates":[…],"total":…,"selfJoin":…,"now":…,"range":…} and a
+// newline, total and selfJoin present only when asked for, now and range
+// quoted under ?strings=1 — byte for byte what json.Encoder wrote of that
+// shape. It reports false on a NaN or an infinity, which encoding/json
+// refuses to encode.
+func EncodeQueryReply(res core.QueryResult, total, selfJoin, asStrings bool) ([]byte, bool) {
+	dst := append(make([]byte, 0, maxQueryReply(len(res.Estimates))), `{"estimates":[`...)
+	ok := true
+	for i, v := range res.Estimates {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst, ok = appendFloat(dst, v, ok)
+	}
+	dst = append(dst, ']')
+	if total {
+		dst, ok = appendFloat(append(dst, `,"total":`...), res.Total, ok)
+	}
+	if selfJoin {
+		dst, ok = appendFloat(append(dst, `,"selfJoin":`...), res.SelfJoin, ok)
+	}
+	dst = appendTick(append(dst, `,"now":`...), res.Now, asStrings)
+	dst = appendTick(append(dst, `,"range":`...), res.Range, asStrings)
+	return append(dst, "}\n"...), ok
+}
+
+// appendFloat appends v as encoding/json spells a float64 — the shortest
+// decimal that reads back as v, in 'e' form below 1e-6 and from 1e21 on (a
+// negative exponent's leading zero dropped, e-07 → e-7), in 'f' form
+// otherwise — and
+// passes ok on, false once v is not finite.
+func appendFloat(dst []byte, v float64, ok bool) ([]byte, bool) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return dst, false
+	}
+	f := byte('f')
+	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
+		f = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, f, -1, 64)
+	if n := len(dst); f == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, ok
+}
+
+// appendTick appends a 64-bit tick reply field, quoted under ?strings=1
+// (see U64Field).
+func appendTick(dst []byte, v uint64, asStrings bool) []byte {
+	if !asStrings {
+		return strconv.AppendUint(dst, v, 10)
+	}
+	return append(strconv.AppendUint(append(dst, '"'), v, 10), '"')
+}
+
+// queryReply is the /v1/query reply as encoding/json reads it, for the
+// replies decodeQueryReply declines.
+type queryReply struct {
+	Estimates []float64 `json:"estimates"`
+	Total     float64   `json:"total"`
+	SelfJoin  float64   `json:"selfJoin"`
+	Now       uint64    `json:"now"`
+	Range     uint64    `json:"range"`
+}
+
+// replyBufs pools the buffers ReadQueryReply reads replies into; it decodes
+// out of them, so nothing it returns points into one.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// ReadQueryReply reads the POST /v1/query reply to a batch of keys keys from
+// body. It reads up to the longest reply MaxQueryKeys keys can have and
+// decodes it in one pass when it is spelled as EncodeQueryReply writes
+// numbers; anything else, or a body past that bound, goes to a json.Decoder
+// over the same bytes, which reads it as it always has: names fold case,
+// unknown fields are skipped, null leaves a field alone, bytes behind the
+// object are ignored.
+func ReadQueryReply(body io.Reader, keys int) (core.QueryResult, error) {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		replyBufs.Put(buf)
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(body, int64(maxQueryReply(MaxQueryKeys)))); err != nil {
+		return core.QueryResult{}, err
+	}
+	if res, ok := decodeQueryReply(buf.Bytes(), keys); ok {
+		return res, nil
+	}
+	var out queryReply
+	if err := json.NewDecoder(io.MultiReader(buf, body)).Decode(&out); err != nil {
+		return core.QueryResult{}, err
+	}
+	return core.QueryResult{Estimates: out.Estimates, Total: out.Total, SelfJoin: out.SelfJoin, Now: out.Now, Range: out.Range}, nil
+}
+
+// decodeQueryReply is EncodeQueryReply's inverse on the numeric spelling: it
+// reads b as exactly that object and an optional newline, with room for keys
+// estimates presized. It declines — false — on anything else: whitespace,
+// another field, order or case, null, a quoted tick, a number outside JSON's
+// grammar or float64's range, a tick with a leading zero or past 2^64−1,
+// bytes behind the object. What it accepts, json.Unmarshal reads to the same
+// bits.
+func decodeQueryReply(b []byte, keys int) (core.QueryResult, bool) {
+	res := core.QueryResult{Estimates: make([]float64, 0, keys)}
+	i := canonicalLit(b, 0, `{"estimates":[`)
+	if i > 0 && i < len(b) && b[i] != ']' {
+		for {
+			var v float64
+			i = canonicalFloat(b, i, &v)
+			res.Estimates = append(res.Estimates, v)
+			if i < 0 || b[i] != ',' {
+				break
+			}
+			i++
+		}
+	}
+	i = canonicalLit(b, i, "]")
+	if j := canonicalLit(b, i, `,"total":`); j > 0 {
+		i = canonicalFloat(b, j, &res.Total)
+	}
+	if j := canonicalLit(b, i, `,"selfJoin":`); j > 0 {
+		i = canonicalFloat(b, j, &res.SelfJoin)
+	}
+	i = canonicalTick(b, canonicalLit(b, i, `,"now":`), &res.Now)
+	i = canonicalTick(b, canonicalLit(b, i, `,"range":`), &res.Range)
+	if i = canonicalLit(b, i, "}"); i < 0 || (i < len(b) && string(b[i:]) != "\n") {
+		return core.QueryResult{}, false
+	}
+	return res, true
+}
+
+// canonicalTick is canonicalUint under JSON's number grammar: 0 alone, or
+// digits without a leading zero.
+func canonicalTick(b []byte, i int, v *uint64) int {
+	j := canonicalUint(b, i, v, true)
+	if j > i+1 && b[i] == '0' {
+		return -1
+	}
+	return j
+}
+
+// canonicalFloat reads the JSON number at b[i:] into *v, through the
+// strconv.ParseFloat encoding/json calls, and returns the index behind it, or
+// -1 on a number outside JSON's grammar, one that runs to the end of b or one
+// past float64's range.
+func canonicalFloat(b []byte, i int, v *float64) int {
+	if i < 0 {
+		return -1
+	}
+	j := i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(b) && b[j] == '0':
+		j++
+	case j < len(b) && b[j] >= '1' && b[j] <= '9':
+		j = skipDigits(b, j)
+	default:
+		return -1
+	}
+	if j < len(b) && b[j] == '.' {
+		if k := skipDigits(b, j+1); k > j+1 {
+			j = k
+		} else {
+			return -1
+		}
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		j++
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if k := skipDigits(b, j); k > j {
+			j = k
+		} else {
+			return -1
+		}
+	}
+	if j == len(b) {
+		return -1
+	}
+	f, err := strconv.ParseFloat(string(b[i:j]), 64)
+	if err != nil {
+		return -1
+	}
+	*v = f
+	return j
+}
+
+// skipDigits returns the index of the first byte at or behind i of b that is
+// not a decimal digit.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
 // ParseQueryBody decodes a POST /v1/query request body into a QueryBatch
 // under the strict wire semantics of the versioned API: the body is scanned
 // token by token with the keys array consumed element-wise, so request
 // memory stays bounded — batches beyond MaxQueryKeys are rejected
 // mid-stream, and duplicate or unknown fields are rejected rather than
 // buffered. Every tier serving the route (ecmserver at a site and at a
-// coordinator) validates through this one parser.
+// coordinator) validates through this one parser. A keys element spelled as
+// EncodeQuery writes it is read in one pass (canonicalKey); any other goes
+// through the scanner's item, so every rejection keeps its error text.
 func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 	var q core.QueryBatch
 	s := NewScanner(body)
@@ -457,7 +739,13 @@ func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 	if s.want('{') != nil {
 		return q, fmt.Errorf("bad query body: want a JSON object")
 	}
-	seen := map[string]bool{}
+	const (
+		fKeys = 1 << iota
+		fRange
+		fTotal
+		fSelfJoin
+	)
+	var seen int
 	for first := true; ; first = false {
 		name, ok, err := s.member(first)
 		if err != nil {
@@ -466,19 +754,32 @@ func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 		if !ok {
 			return q, nil
 		}
-		field := string(name)
-		if seen[field] {
+		var f int
+		var unknown string // the name, copied out before the scanner reads on
+		switch string(name) {
+		case "keys":
+			f = fKeys
+		case "range":
+			f = fRange
+		case "total":
+			f = fTotal
+		case "selfJoin":
+			f = fSelfJoin
+		default:
+			unknown = string(name)
+		}
+		if seen&f != 0 {
 			// Rejecting duplicates keeps the parse strict (last-wins would
 			// mask client bugs) and stops repeated keys arrays from evading
 			// the per-query cap.
-			return q, fmt.Errorf("duplicate query field %q", field)
+			return q, fmt.Errorf("duplicate query field %q", name)
 		}
-		seen[field] = true
+		seen |= f
 		if err := s.want(':'); err != nil {
 			return q, fmt.Errorf("bad query body: %v", err)
 		}
-		switch field {
-		case "keys":
+		switch f {
+		case fKeys:
 			if s.want('[') != nil {
 				return q, fmt.Errorf("bad query body: keys must be an array")
 			}
@@ -491,26 +792,33 @@ func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 				if len(q.Keys) == MaxQueryKeys {
 					return q, fmt.Errorf("too many keys: at most %d per query", MaxQueryKeys)
 				}
-				key, _, _, err := s.item(fieldIKey)
-				if err != nil {
+				// As in NextEvent: the one spelling EncodeQuery writes in one
+				// pass, any other through item.
+				if s.end-s.pos < maxCanonicalKey {
+					s.refill(s.pos)
+				}
+				key, m := canonicalKey(s.buf[s.pos:s.end])
+				if m > 0 {
+					s.pos += m
+				} else if key, _, _, err = s.item(fieldIKey); err != nil {
 					return q, fmt.Errorf("key %d: %v", len(q.Keys), err)
 				}
 				q.Keys = append(q.Keys, key)
 			}
-		case "range":
+		case fRange:
 			if err := s.uint(&q.Range); err != nil {
 				return q, fmt.Errorf("bad range: %v", err)
 			}
-		case "total":
+		case fTotal:
 			if err := s.boolean(&q.Total); err != nil {
 				return q, fmt.Errorf("bad total: %v", err)
 			}
-		case "selfJoin":
+		case fSelfJoin:
 			if err := s.boolean(&q.SelfJoin); err != nil {
 				return q, fmt.Errorf("bad selfJoin: %v", err)
 			}
 		default:
-			return q, fmt.Errorf("unknown query field %q", field)
+			return q, fmt.Errorf("unknown query field %q", unknown)
 		}
 	}
 }
