@@ -116,7 +116,8 @@ type EHBank struct {
 	dirs     []ehLevel
 	slab     []bucket
 
-	merger runMerger // MergeCellFrom's scratch; never cloned
+	merger runMerger     // MergeCellFrom's scratch; never cloned
+	replay []replayPoint // MergeCellFrom's drained replay; never cloned
 }
 
 // NewEHBank constructs a bank of n empty exponential histograms, each with
@@ -738,16 +739,148 @@ func (b *EHBank) NormalizeRestored(i int) {
 // global indices; the replay is identical to one where the indices coincide.
 // The inputs' rings are streamed in place through the bank's run merger —
 // nothing is allocated per cell.
+//
+// The result is the cell that AddN would leave after the replayed events,
+// one call per event, but it is not built that way. Until expiry first pops
+// a bucket, a cell's shape depends only on its arrival count (layOutReplay),
+// so the replay is drained into b.replay, the prefix up to the first expiry
+// (firstExpiry) is laid out in one pass at the cost of its buckets, and only
+// the events after it go through AddN.
 func (b *EHBank) MergeCellFrom(i, src int, now Tick, inputs []*EHBank) {
 	m := &b.merger
 	m.begin(len(inputs))
+	most := 0 // events the replay can hold: two per input bucket
 	for _, in := range inputs {
 		m.addCell(in, src)
+		most += 2 * in.NumBuckets(src)
 	}
-	for t, n, ok := m.next(); ok; t, n, ok = m.next() {
-		b.AddN(i, t, n)
+	if cap(b.replay) < most {
+		b.replay = make([]replayPoint, 0, 2*most)
+	}
+	ev := b.replay[:0]
+	t, cum := max(b.cells[i].now, 1), uint64(0)
+	for et, n, ok := m.next(); ok; et, n, ok = m.next() {
+		t = max(t, et) // AddN's clamps: ticks are ≥ 1 and never regress
+		cum += n
+		ev = append(ev, replayPoint{t: t, cum: cum})
+	}
+	b.replay = ev
+	if len(ev) > 0 {
+		k := b.firstExpiry(ev)
+		b.layOutReplay(i, ev[:k+1])
+		b.expire(&b.cells[i], i)
+		for k++; k < len(ev); k++ {
+			b.AddN(i, ev[k].t, ev[k].cum-ev[k-1].cum)
+		}
 	}
 	b.Advance(i, now)
+}
+
+// replayPoint is one drained replay event: its clamped tick and the arrival
+// count of the replay up to and including it.
+type replayPoint struct {
+	t   Tick
+	cum uint64
+}
+
+// minTotalAtLevel returns the fewest arrivals after which a cell that has
+// expired nothing holds a bucket of size class lv: (2^lv − 1)·capPerLv + 1,
+// saturating.
+func (b *EHBank) minTotalAtLevel(lv int) uint64 {
+	hi, lo := bits.Mul64(uint64(1)<<uint(lv)-1, uint64(b.capPerLv))
+	if hi != 0 || lo == math.MaxUint64 {
+		return math.MaxUint64
+	}
+	return lo + 1
+}
+
+// firstExpiry returns the index of the first replay event after which AddN's
+// expiry would pop a bucket, or the last index when none would. Until then
+// the oldest bucket is the front of the top size class L, which covers the
+// replay's first 2^L arrivals (layOutReplay), so it ends at the tick of
+// arrival 2^L − 1; L grows with the arrival count alone.
+func (b *EHBank) firstExpiry(ev []replayPoint) int {
+	w := b.cfg.Length
+	last := len(ev) - 1
+	if ev[last].t < w || ev[last].t-w < ev[0].t {
+		return last // no event's cut reaches the replay's first tick
+	}
+	lv, grow := 0, b.minTotalAtLevel(1)
+	u := 0 // the event that holds arrival 2^lv − 1
+	for k, e := range ev {
+		for e.cum >= grow {
+			lv++
+			grow = b.minTotalAtLevel(lv + 1)
+		}
+		for ev[u].cum < uint64(1)<<uint(lv) {
+			u++
+		}
+		if e.t >= w && ev[u].t <= e.t-w {
+			return k
+		}
+	}
+	return last
+}
+
+// layOutReplay writes into empty cell i what replaying ev through AddN would
+// leave there, given that no expiry pops a bucket along the way. Such a
+// cell's shape depends only on its arrival count M: size class ℓ receives
+// p_ℓ pushes (p_0 = M), merges its two oldest buckets m_ℓ = ⌊(p_ℓ − capPerLv
+// + 1)/2⌋ times once p_ℓ exceeds capPerLv (else never), keeps the newest
+// n_ℓ = p_ℓ − 2m_ℓ and pushes p_ℓ₊₁ = m_ℓ into the class above. Read from
+// the top class down, the buckets tile arrivals [0, M) in replay order, and
+// the one covering [a, a+2^ℓ) runs from the tick of arrival a to that of
+// arrival a+2^ℓ−1. Rings are written from slot 0; the header and the version
+// stamps come out as the per-event path leaves them.
+func (b *EHBank) layOutReplay(i int, ev []replayPoint) {
+	var keep [64]int
+	top := 0
+	for p := ev[len(ev)-1].cum; ; top++ {
+		var merges uint64
+		if p > uint64(b.capPerLv) {
+			merges = (p - uint64(b.capPerLv) + 1) / 2
+		}
+		keep[top] = int(p - 2*merges)
+		if merges == 0 {
+			break
+		}
+		p = merges
+	}
+	c := &b.cells[i]
+	for int(c.nLv) <= top {
+		b.addLevel(i)
+	}
+	slab := b.slab
+	dirs := b.dirs[i*b.maxLv:]
+	a, k := uint64(0), 0 // next arrival to cover; the event that holds it
+	for lv := top; lv >= 0; lv-- {
+		d := &dirs[lv]
+		d.head, d.n = 0, uint16(keep[lv])
+		size := uint64(1) << uint(lv)
+		ring := slab[d.off:][:keep[lv]]
+		for j := range ring {
+			for ev[k].cum <= a {
+				k++
+			}
+			start := ev[k].t
+			a += size
+			for ev[k].cum < a {
+				k++
+			}
+			ring[j] = bucket{start: start, end: ev[k].t}
+		}
+	}
+	old := slab[dirs[top].off]
+	*c = ehCell{
+		total:   ev[len(ev)-1].cum,
+		now:     ev[len(ev)-1].t,
+		oldEnd:  old.end,
+		oldSpan: spanOf(old.start, old.end),
+		oldLv:   int16(top),
+		nLv:     c.nLv,
+	}
+	b.version += uint64(len(ev))
+	b.vers[i] = b.version
 }
 
 // ReserveMerge presizes the arena for n MergeCellFrom calls, the j-th from the
@@ -782,7 +915,7 @@ func (b *EHBank) Clone() Bank {
 	c.cells = cloneExact(b.cells)
 	c.dirs = cloneExact(b.dirs)
 	c.slab = cloneExact(b.slab)
-	c.merger = runMerger{}
+	c.merger, c.replay = runMerger{}, nil
 	return &c
 }
 

@@ -1,0 +1,191 @@
+package window
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestMergeLayoutMatchesUnitReplay pins MergeCellFrom, which lays the replay
+// prefix before the first expiry out from its arrival count, to the unit
+// replay of the lower-sort-replay oracle: cell bytes, cell header and version
+// vector, for ε ∈ {0.25, 0.05, 0.02}, k ∈ {1, 2, 8} inputs of up to ~10^5
+// arrivals per merged cell, into a fresh destination cell and into one that
+// held content and was ResetCell'd. Each regime checks that it is what it
+// says: nothing expires; the first expiry fires strictly inside the replay;
+// the oldest merged bucket spans 2^32 ticks or more. The inputs keep a 2^20
+// window or longer, so under a shorter merged window the replay runs past
+// its own expiry.
+func TestMergeLayoutMatchesUnitReplay(t *testing.T) {
+	dense := func(rng *rand.Rand, _ int) Tick { return Tick(rng.Intn(3)) }
+	// A regime is the merged cell's window length, the input stream's tick
+	// step before each event, and a check that the merge has that shape.
+	regimes := []struct {
+		name   string
+		length Tick
+		step   func(rng *rand.Rand, event int) Tick
+		check  func(t *testing.T, got *EHBank, fired int, sum uint64)
+	}{
+		{"no-expiry", 1 << 20, dense, func(t *testing.T, got *EHBank, fired int, sum uint64) {
+			if got.Total(0) != sum {
+				t.Fatalf("merged total %d, inputs hold %d: something expired", got.Total(0), sum)
+			}
+		}},
+		{"mid-replay-expiry", 1 << 12, dense, func(t *testing.T, got *EHBank, fired int, sum uint64) {
+			if fired == 0 || fired >= len(got.replay)-1 {
+				t.Fatalf("first expiry after event %d of %d: not inside the replay", fired, len(got.replay))
+			}
+		}},
+		{"span-unknown", 1 << 40, func(rng *rand.Rand, event int) Tick {
+			if event == 32 {
+				return 1<<32 + Tick(rng.Intn(1<<10))
+			}
+			return dense(rng, event)
+		}, func(t *testing.T, got *EHBank, fired int, sum uint64) {
+			if got.cells[0].oldSpan != spanUnknown {
+				t.Fatalf("oldest bucket span %d: the 2^32 gap is not inside it", got.cells[0].oldSpan)
+			}
+		}},
+	}
+	for _, rg := range regimes {
+		for _, eps := range []float64{0.25, 0.05, 0.02} {
+			for _, k := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("%s/eps=%v/k=%d", rg.name, eps, k), func(t *testing.T) {
+					cfg := Config{Length: rg.length, Epsilon: eps}
+					inCfg := Config{Length: max(rg.length, 1<<20), Epsilon: eps}
+					rng := rand.New(rand.NewSource(int64(k)*1000 + int64(eps*100)))
+					ins := make([]*EHBank, k)
+					for j := range ins {
+						in, err := NewEHBank(inCfg, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ins[j] = in
+					}
+					var now Tick = 1
+					for a, e := 0, 0; a < 100_000; e++ {
+						now += rg.step(rng, e)
+						n := 1 + rng.Intn(4)
+						ins[rng.Intn(k)].AddN(0, now, uint64(n))
+						a += n
+					}
+					held := make([][]Bucket, k)
+					var sum uint64
+					for j, in := range ins {
+						in.Advance(0, now)
+						held[j] = in.Buckets(0)
+						sum += in.Total(0)
+					}
+
+					got, _ := NewEHBank(cfg, 2)
+					want, _ := NewEHBank(cfg, 2)
+					// Cell 1 held content deeper than the replay needs.
+					for _, b := range []*EHBank{got, want} {
+						b.RestoreBucket(1, Bucket{Start: 1, End: 2, Size: 1 << 30})
+						b.NormalizeRestored(1)
+						b.ResetCell(1)
+					}
+					for i := 0; i < 2; i++ {
+						got.MergeCellFrom(i, 0, now, ins)
+						oracleMergeCell(want, i, now, held)
+						requireCellsIdentical(t, got, i, want, i)
+					}
+					requireVersionsIdentical(t, got, want)
+					rg.check(t, got, got.firstExpiry(got.replay), sum)
+				})
+			}
+		}
+	}
+}
+
+// FuzzMergeBound checks the multi-level bound of Section 5.1 on the bank
+// merge coordinators run. Fuzz bytes become one stream split across k ∈
+// [1, 12] input cells — arbitrary tick gaps and multiplicities, dense runs at
+// one tick, sparse steps and jumps past the window — merged through
+// MergeCellFrom in a tree of depth h ∈ {1, 2, 3}, each merge at its inputs'
+// high-water clock. At every bucket edge of every input, the root's estimate
+// must be within MultiLevelRelativeError(ε, h)·exact + 1 of an exact count
+// (the +1 is the fixed-stream merge tests' slack). The window-counter bound
+// is deterministic, so any failure is a defect, never bad luck.
+func FuzzMergeBound(f *testing.F) {
+	f.Add(uint16(0), []byte{0, 0, 1, 1, 0x61, 2, 0, 0x10, 3})
+	f.Add(uint16(12*2+11), bytes.Repeat([]byte{3, 0x62, 0x41, 7, 0x21, 0xf0, 1, 0x85, 0x10}, 30))
+	f.Add(uint16(36+12+5), bytes.Repeat([]byte{0, 0x01, 0xff, 1, 0x21, 0x80, 2, 0xc3, 0x01}, 40))
+	f.Add(uint16(108*3+36*2+24+7), bytes.Repeat([]byte{5, 0x60, 0x11, 2, 0xe0, 0x02, 9, 0x01, 0x9f}, 50))
+	// Found by the fuzzer against a replay that drops a quarter of every
+	// bucket's end half: k=8, h=3, ε=0.05, W=512.
+	f.Add(uint16(427), []byte("2021022a10020011a00091a70020091a2002009"))
+	f.Fuzz(func(t *testing.T, shape uint16, data []byte) {
+		k := 1 + int(shape%12)
+		h := 1 + int(shape/12%3)
+		eps := []float64{0.25, 0.1, 0.05}[shape/36%3]
+		w := Tick(64) << (shape / 108 % 8)
+		cfg := Config{Length: w, Epsilon: eps}
+		leaves := make([]*EHBank, k)
+		for j := range leaves {
+			leaves[j], _ = NewEHBank(cfg, 1)
+		}
+		x, _ := NewExact(cfg)
+		now := Tick(1)
+		// Three bytes an event: the input, the tick step, the multiplicity.
+		for ; len(data) >= 3; data = data[3:] {
+			step, cnt := data[1], data[2]
+			switch step >> 5 {
+			case 3, 4: // sparse
+				now += Tick(step & 7)
+			case 5: // gaps inside the window
+				now += Tick(step&31) * w / 32
+			case 6, 7: // past the window
+				now += w + Tick(step&63)
+			} // else a dense run at one tick
+			n := uint64(1 + cnt&15)
+			if cnt&0x80 != 0 {
+				n = uint64(cnt) // a burst
+			}
+			leaves[int(data[0])%k].AddN(0, now, n)
+			x.AddN(now, n)
+		}
+		x.Advance(now)
+
+		level := leaves
+		for d := h; d > 0; d-- {
+			fan := 1 // the smallest fan-in that reaches one root in d merges
+			for math.Pow(float64(fan), float64(d)) < float64(len(level)) {
+				fan++
+			}
+			var next []*EHBank
+			for lo := 0; lo < len(level); lo += fan {
+				group := level[lo:min(lo+fan, len(level))]
+				var gnow Tick
+				for _, in := range group {
+					gnow = max(gnow, in.Now(0))
+				}
+				m, _ := NewEHBank(cfg, 1)
+				m.MergeCellFrom(0, 0, gnow, group)
+				next = append(next, m)
+			}
+			level = next
+		}
+		root := level[0]
+		root.Advance(0, now)
+
+		bound := MultiLevelRelativeError(eps, h)
+		check := func(since Tick) {
+			got, want := root.EstimateSince(0, since), float64(x.CountSince(since))
+			if math.Abs(got-want) > bound*want+1 {
+				t.Fatalf("k=%d h=%d ε=%v W=%d: EstimateSince(%d) = %v, exact %v, bound %v",
+					k, h, eps, w, since, got, want, bound*want)
+			}
+		}
+		for _, in := range leaves {
+			for _, bk := range in.Buckets(0) {
+				check(bk.Start - min(bk.Start, 1))
+				check(bk.Start)
+				check(bk.End - min(bk.End, 1))
+				check(bk.End)
+			}
+		}
+	})
+}

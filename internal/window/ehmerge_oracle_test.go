@@ -282,7 +282,9 @@ func bucketsOrdered(bs []Bucket) bool {
 // encoded and decoded through UnmarshalCell: the decoder must reject exactly
 // the lists that break bucket order, and the accepted ones must merge to
 // identical cell bytes, cell header and version vector, with every cell
-// tick-ordered. The per-object MergeEH rides the same merger from lowered
+// tick-ordered. The same merge also lands in destination cells that held
+// content and were ResetCell'd, as a live root's are when PatchMerged
+// re-derives them. The per-object MergeEH rides the same merger from lowered
 // event slices of every list, ordered or not, and is held to its own oracle.
 func FuzzMergeCellRuns(f *testing.F) {
 	f.Add([]byte{3, 1, 0, 0, 1, 0, 0, 2, 1, 1, 0, 3, 2, 6, 4, 0x13})
@@ -296,7 +298,7 @@ func FuzzMergeCellRuns(f *testing.F) {
 			return
 		}
 		cfg := Config{Length: 48, Epsilon: 0.25}
-		const src, cells = 1, 3
+		const src, cells = 1, 5
 		var ins []*EHBank
 		var held [][]Bucket // what each input bank actually holds
 		ehs := make([]*EH, len(lists))
@@ -340,6 +342,21 @@ func FuzzMergeCellRuns(f *testing.F) {
 		got.MergeCellFrom(2, src, now, ins)
 		oracleMergeCell(want, 2, now, held)
 		requireCellsIdentical(t, got, 2, want, 2)
+		// The live-root PatchMerged case: cells that held content and were
+		// ResetCell'd keep their size classes, more of them (cell 3) or
+		// fewer (cell 4) than the replay needs.
+		for _, b := range []*EHBank{got, want} {
+			b.RestoreBucket(3, Bucket{Start: 1, End: 2, Size: 1 << 20})
+			b.NormalizeRestored(3)
+			b.AddN(4, 1, 1)
+			b.ResetCell(3)
+			b.ResetCell(4)
+		}
+		for i := 3; i < cells; i++ {
+			got.MergeCellFrom(i, src, now, ins)
+			oracleMergeCell(want, i, now, held)
+			requireCellsIdentical(t, got, i, want, i)
+		}
 		requireVersionsIdentical(t, got, want)
 		requireBanksOrdered(t, got, want)
 		if len(got.merger.runs) != 0 || slices.ContainsFunc(got.merger.runs[:cap(got.merger.runs)], func(r replayRun) bool { return r.bank != nil || r.events != nil }) {

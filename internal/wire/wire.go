@@ -800,6 +800,13 @@ func ParseQueryBody(body io.Reader) (core.QueryBatch, error) {
 				key, m := canonicalKey(s.buf[s.pos:s.end])
 				if m > 0 {
 					s.pos += m
+					if q.Keys == nil {
+						// Size the batch once, from the bytes already
+						// buffered, taking the keys still to come to be
+						// spelled like this one; append grows past a short
+						// guess. No key, no slice: "keys":[] stays nil.
+						q.Keys = make([]uint64, 0, min(MaxQueryKeys, 1+(s.end-s.pos)/(m+1)))
+					}
 				} else if key, _, _, err = s.item(fieldIKey); err != nil {
 					return q, fmt.Errorf("key %d: %v", len(q.Keys), err)
 				}
