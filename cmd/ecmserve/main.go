@@ -51,7 +51,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.cfg.Epsilon, "epsilon", 0.02, "total error budget")
 	fs.Float64Var(&o.cfg.Delta, "delta", 0.01, "failure probability")
 	fs.Uint64Var(&o.cfg.WindowLength, "window", 3_600_000, "window length in ticks")
-	fs.StringVar(&o.cfg.Algorithm, "algo", "eh", "counter algorithm: eh|dw|rw")
+	fs.StringVar(&o.cfg.Algorithm, "algo", "eh", "counter algorithm: eh|dw")
 	fs.Uint64Var(&o.cfg.UpperBound, "ubound", 0, "u(N,S) arrival bound (waves; 0 = window length)")
 	fs.Uint64Var(&o.cfg.Seed, "seed", 1, "hash seed (sites to be merged must share it)")
 	fs.IntVar(&o.cfg.Shards, "shards", 0, "ingest lock stripes (0 = GOMAXPROCS)")

@@ -83,6 +83,23 @@ func TestParseOptionsModes(t *testing.T) {
 	}
 }
 
+// TestNewServerRefusesRW: -algo rw parses, and startup fails with the
+// engine's reason.
+func TestNewServerRefusesRW(t *testing.T) {
+	o, err := parse("-algo", "rw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := o.newServer()
+	if err == nil {
+		srv.Close()
+		t.Fatal("-algo rw started a server")
+	}
+	if !strings.Contains(err.Error(), "randomized waves") {
+		t.Fatalf("-algo rw: %v, want the engine's refusal", err)
+	}
+}
+
 // TestParseOptionsSiteCA: an unreadable -site-ca, or one holding no
 // certificate, is refused before anything starts.
 func TestParseOptionsSiteCA(t *testing.T) {

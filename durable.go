@@ -202,9 +202,9 @@ func (sh *Sharded) initDurable(dc *DurabilityConfig) error {
 // the resolved Count-Min dimensions, and the stripe count. A persisted
 // state with a different fingerprint was written by a differently
 // configured engine and is discarded rather than reinterpreted. (A fresh
-// stripe's encoding is deterministic too — randomized-wave cell salts
-// derive from the seed and cell index, and NewSharded normalizes them — but
-// the fingerprint is part of the persisted format, so it stays this hash.)
+// stripe's encoding is deterministic too — NewSharded fixes each stripe's
+// salt — but the fingerprint is part of the persisted format, so it stays
+// this hash.)
 func (sh *Sharded) durableFingerprint() uint64 {
 	sk := sh.shards[0].sk
 	p := sk.Params()

@@ -35,7 +35,7 @@ type Config struct {
 	Epsilon      float64
 	Delta        float64
 	WindowLength uint64
-	Algorithm    string // "eh", "dw" or "rw"
+	Algorithm    string // "eh" or "dw"; "rw" parses, but New refuses it
 	UpperBound   uint64
 	Seed         uint64
 	// Shards is the lock-stripe count of the engine; 0 means GOMAXPROCS.

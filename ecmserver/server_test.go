@@ -269,6 +269,15 @@ func TestParseAlgo(t *testing.T) {
 	}
 }
 
+// TestNewRefusesRW: "rw" names an algorithm, but no server engine runs it.
+func TestNewRefusesRW(t *testing.T) {
+	srv, err := New(Config{Epsilon: 0.1, Delta: 0.1, WindowLength: 1000, Algorithm: "rw"})
+	if err == nil {
+		srv.Close()
+		t.Fatal("New built an rw server")
+	}
+}
+
 func TestIntervalEndpoint(t *testing.T) {
 	srv := testServer(t)
 	for i := 1; i <= 100; i++ {

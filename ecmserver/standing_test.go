@@ -285,44 +285,37 @@ func watchStreamDelivers(t *testing.T, subscribers int) {
 // TestStandingPolicyFromEngine: NewOver takes the registry's advance policy
 // from the engine it serves, not from cfg's labels. Arrivals slipped in
 // with the change feed detached leave a threshold disarmed over an
-// estimate now above it; a pure advance then re-checks it only under the
-// strict policy, which an rw engine gets with an empty cfg and an eh
-// engine does not.
+// estimate now above it; a pure advance re-checks it only under the strict
+// policy, which an eh engine does not get. (The Params-to-policy rule is
+// TestStrictAdvanceRechecksDisarmed's; no Sharded engine is rw.)
 func TestStandingPolicyFromEngine(t *testing.T) {
-	for algo, wantFire := range map[ecmsketch.Algorithm]bool{ecmsketch.AlgoRW: true, ecmsketch.AlgoEH: false} {
-		eng, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{
-			Params: ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1 << 16, Seed: 5, Algorithm: algo},
-			Shards: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewOver(Config{}, eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := srv.Standing()
-		info, err := reg.Subscribe([]ecmsketch.StandingQuery{{Kind: ecmsketch.StandingThreshold, Key: 7, Value: 10}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, _, _, err := reg.Attach(info.ID, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetNotifier(nil)
-		eng.AddBatch([]ecmsketch.Event{{Key: 7, Tick: 100, N: 50}})
-		eng.SetNotifier(reg)
-		eng.Advance(200)
-		fired := 0
-		for len(w.C) > 0 {
-			<-w.C
-			fired++
-		}
-		if (fired > 0) != wantFire {
-			t.Errorf("%v engine: %d notifications on a pure advance, want strict re-check %v", algo, fired, wantFire)
-		}
-		srv.Close()
+	eng, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{
+		Params: ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1 << 16, Seed: 5},
+		Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewOver(Config{}, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := srv.Standing()
+	info, err := reg.Subscribe([]ecmsketch.StandingQuery{{Kind: ecmsketch.StandingThreshold, Key: 7, Value: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, _, err := reg.Attach(info.ID, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetNotifier(nil)
+	eng.AddBatch([]ecmsketch.Event{{Key: 7, Tick: 100, N: 50}})
+	eng.SetNotifier(reg)
+	eng.Advance(200)
+	if n := len(w.C); n > 0 {
+		t.Errorf("eh engine: %d notifications on a pure advance, want no strict re-check", n)
 	}
 }
 

@@ -111,7 +111,9 @@ type Algorithm = window.Algorithm
 // Counter algorithms. AlgoEH (exponential histograms) is the paper's default
 // and the best choice in nearly every regime; AlgoDW trades nothing in space
 // but needs the per-window arrival bound up front; AlgoRW is lossless under
-// aggregation at a quadratically higher space cost.
+// aggregation at a quadratically higher space cost. AlgoRW is library-only:
+// Sketch, Cluster and the experiments run it; NewSharded refuses it, so no
+// ecmserve site does.
 const (
 	AlgoEH = window.AlgoEH
 	AlgoDW = window.AlgoDW

@@ -9,12 +9,12 @@ import (
 
 var algos = []ecmsketch.Algorithm{ecmsketch.AlgoEH, ecmsketch.AlgoDW, ecmsketch.AlgoRW}
 
-// shardedSites is n doors over Sharded engines of the given stripes, one
-// per site.
+// shardedSites is n doors over Sharded engines of the given stripes (bare
+// sketches for RW), one per site.
 func shardedSites(h *difftest.H, n, stripes int) []*difftest.Door {
 	doors := make([]*difftest.Door, n)
 	for i := range doors {
-		doors[i] = h.Sharded(i, ecmsketch.ShardedConfig{Shards: stripes}, difftest.Batches)
+		doors[i] = h.Site(i, stripes)
 	}
 	return doors
 }
@@ -145,9 +145,10 @@ func TestStackedCoordinatorDeltaServing(t *testing.T) {
 // PatchMerged(…, nil), which advances every unpatched cell — and once the
 // windows are full such a cell can drop an expired bucket. The EH case is
 // the configuration that crashed (eight 2-stripe sites, Zipf arrivals, a
-// refresh every W/16 ticks); the wave engines run smaller ones. All stream
-// for more than three windows, and every round's root stays byte-identical
-// to a from-scratch flat merge while buckets expire under it.
+// refresh every W/16 ticks); the wave engines run smaller ones, RW over bare
+// sketches. All stream for more than three windows, and every round's root
+// stays byte-identical to a from-scratch flat merge while buckets expire
+// under it.
 func TestRefreshSurvivesExpiry(t *testing.T) {
 	for _, tc := range []struct {
 		algo   ecmsketch.Algorithm
@@ -199,19 +200,19 @@ func TestDeltaCoordinatorBitIdentical(t *testing.T) {
 
 // TestFullAndDeltaPullsAgree pins the one pull path: coordinators that only
 // ever applied deltas and fresh coordinators built each round over the same
-// sites — a plain sketch, a one- and a four-stripe engine and a child
-// coordinator — in process and over HTTP hold byte-identical roots after
-// every Refresh, for every synopsis, while the stream slides more than
-// three windows past. Each fresh coordinator pulls each site in full once.
+// sites — a plain sketch, a one- and a four-stripe engine (plain sketches
+// for RW) and a child coordinator — in process and over HTTP hold
+// byte-identical roots after every Refresh, for every synopsis, while the
+// stream slides more than three windows past. Each fresh coordinator pulls
+// each site in full once.
 func TestFullAndDeltaPullsAgree(t *testing.T) {
 	const window = 256
 	for _, algo := range algos {
 		t.Run(algo.String(), func(t *testing.T) {
 			h := difftest.New(t, ecmsketch.Params{Epsilon: 0.25, Delta: 0.25, Algorithm: algo,
 				WindowLength: window, UpperBound: 1 << 12, Seed: 17})
-			child := h.Coord(difftest.Local, h.Sharded(3, ecmsketch.ShardedConfig{Shards: 2}, difftest.Batches))
-			sites := []*difftest.Door{h.Sketch(0, difftest.Batches), h.Sharded(1, ecmsketch.ShardedConfig{Shards: 1}, difftest.Batches),
-				h.Sharded(2, ecmsketch.ShardedConfig{Shards: 4}, difftest.Batches), child}
+			child := h.Coord(difftest.Local, h.Site(3, 2))
+			sites := []*difftest.Door{h.Sketch(0, difftest.Batches), h.Site(1, 1), h.Site(2, 4), child}
 			h.Same(h.Coord(difftest.Local, sites...), h.Coord(difftest.HTTP, sites...),
 				h.Fresh(difftest.Local, sites...), h.Fresh(difftest.HTTP, sites...))
 			h.Run(difftest.Gen(17, difftest.Shape{Window: window, Events: 8 * 896, Ticks: 896, Sites: 4, Keys: 120,
@@ -228,7 +229,7 @@ func TestFullAndDeltaPullsAgree(t *testing.T) {
 // serves the same flat merge of its stripes.
 func TestRootIsOneFlatMergeOverStripeParts(t *testing.T) {
 	const W = 512
-	for _, algo := range algos {
+	for _, algo := range []ecmsketch.Algorithm{ecmsketch.AlgoEH, ecmsketch.AlgoDW} {
 		t.Run(algo.String(), func(t *testing.T) {
 			h := difftest.New(t, ecmsketch.Params{Epsilon: 0.2, Delta: 0.2, Algorithm: algo,
 				WindowLength: W, UpperBound: 1 << 12, Seed: 17})
@@ -250,16 +251,11 @@ func TestRootIsOneFlatMergeOverStripeParts(t *testing.T) {
 }
 
 // TestCoordinatorOverStripedSitesAccuracy pins what the single ⊕ level buys
-// in answers: a coordinator over three 4-stripe sites, refreshed by delta
-// rounds while the window slides 3W, answers every point query, F₂ and
-// ‖a_r‖₁ within one merge level's bound (core.MergedPointErrorBound) of the
-// exact oracle over the union stream.
-//
-// The RW ‖a_r‖₁ check is skipped, not loosened (ROADMAP item 19): every
-// Sharded engine salts stripe i's RW identifiers with the same constant,
-// so same-seed sites draw colliding identifiers and the RW union drops
-// distinct arrivals as duplicates. The skip reports the error measured; it
-// goes when that is mended.
+// in answers: a coordinator over three 4-stripe sites (bare sketches with
+// per-site identifier salts for RW), refreshed by delta rounds while the
+// window slides 3W, answers every point query, F₂ and ‖a_r‖₁ within one
+// merge level's bound (core.MergedPointErrorBound) of the exact oracle over
+// the union stream.
 func TestCoordinatorOverStripedSitesAccuracy(t *testing.T) {
 	const W = 2048
 	for _, algo := range algos {
@@ -273,12 +269,7 @@ func TestCoordinatorOverStripedSitesAccuracy(t *testing.T) {
 			if n := co.Coordinator().FullPulls(); n != 3 {
 				t.Errorf("%d full pulls, want one per site", n)
 			}
-			t.Run("total", func(t *testing.T) {
-				if algo == ecmsketch.AlgoRW {
-					t.Skipf("%v ‖a_r‖₁ off by up to %.3f·‖a_r‖₁ (bound %.3f); ROADMAP item 19", algo, co.WorstTotal(), co.Bound())
-				}
-				h.Totals(t, co)
-			})
+			t.Run("total", func(t *testing.T) { h.Totals(t, co) })
 		})
 	}
 }

@@ -36,7 +36,6 @@ func newDeltaFuzzProducer(tb testing.TB, algo window.Algorithm, nparts int) *del
 		}
 		s.SetEpoch(deltaFuzzEpoch)
 		s.SetIDSalt(uint64(i) + 1)
-		s.NormalizeCellSalts()
 		p.parts = append(p.parts, s)
 	}
 	// A fixed prefix, so the baseline is never empty.
@@ -160,6 +159,10 @@ func FuzzDeltaApply(f *testing.F) {
 		f.Add([]byte{}, uint8(sel))
 		f.Add(bytes.Repeat([]byte{0x07, 0x21, 0xF3, 0x10}, 40), uint8(sel))
 	}
+	// A multipart baseline of sparse RW parts, which no producer writes.
+	rw := newDeltaFuzzProducer(f, window.AlgoRW, 2)
+	f.Add(EncodeMultiFull(deltaFuzzEpoch, rw.now, [][]byte{rwSparse(rw.parts[0]), rwSparse(rw.parts[1])})[1:],
+		uint8(slices.Index(deltaFuzzAlgos, window.AlgoRW)))
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
 		algo := deltaFuzzAlgos[int(sel)%len(deltaFuzzAlgos)]
 		for _, tag := range []byte{wireDelta, wireMultiFull, wireMultiDelta} {

@@ -197,31 +197,14 @@ func (s *Sketch) Count() uint64 { return s.count }
 // Now reports the latest tick observed.
 func (s *Sketch) Now() Tick { return s.now }
 
-// SetIDSalt overrides the salt used for auto-generated randomized-wave event
-// identifiers. Sketches merged together must have been fed events with
-// globally unique identifiers; within one process the default per-sketch salt
-// guarantees that, while multi-process deployments should set an explicit
-// site salt (see window.RWBank.SetCellIDSalt for the per-cell equivalent).
+// SetIDSalt overrides the sketch's identifier salt. It is in every encoding,
+// so sketches that must encode byte-identically (a Sharded engine's stripes
+// across restarts) need equal salts. For randomized waves it also seeds the
+// event identifiers: RW sketches merged together must have been fed events
+// with globally unique identifiers, which the default per-sketch salt
+// guarantees within one process and an explicit per-site salt across
+// processes (coord.NewCluster's).
 func (s *Sketch) SetIDSalt(salt uint64) { s.salt = salt }
-
-// NormalizeCellSalts re-derives every randomized-wave cell's auto-identifier
-// salt deterministically from the sketch identifier salt; a no-op for the
-// other algorithms. Cell salts default to values derived from the seed and
-// cell index: they separate the cells of one bank but are shared by every
-// bank with the same seed, so cells whose auto-identifiers will be merged
-// across sketches need distinct salts, which normalizing gives them.
-// Engines that never draw cell-level auto-identifiers — the sharded engine
-// inserts through the sketch salt — normalize them to make identically
-// configured instances byte-deterministic, which durable recovery tests
-// compare against.
-func (s *Sketch) NormalizeCellSalts() {
-	if s.rw == nil {
-		return
-	}
-	for i := 0; i < s.d*s.w; i++ {
-		s.rw.SetCellIDSalt(i, hashing.Mix64(s.salt^(uint64(i)+1)*0xD1B54A32D192ED03))
-	}
-}
 
 // Add registers one arrival of item key at tick t.
 func (s *Sketch) Add(key uint64, t Tick) { s.AddN(key, t, 1) }

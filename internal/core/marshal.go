@@ -15,7 +15,7 @@ const (
 	// same header as wireECM, then the indices of cells whose encoding a
 	// fresh sketch advanced to the header clock reproduces exactly, then the
 	// remaining cells in config-elided bare form. Multipart baselines use it
-	// per stripe, where most cells are untouched.
+	// per stripe, where most cells are untouched. EH and DW sketches only.
 	wireSparse byte = 0xF0
 )
 
@@ -196,9 +196,11 @@ func unmarshal(b []byte) (*Sketch, error) {
 	}
 	n := s.d * s.w
 	var elided []int
-	var salts []uint64
 	var skip []bool
 	if b[0] == wireSparse {
+		if s.rw != nil {
+			return nil, errors.New("core: sparse encoding of a randomized-wave sketch")
+		}
 		nElided := r.uvarint()
 		if r.err != nil {
 			return nil, r.err
@@ -216,12 +218,6 @@ func unmarshal(b []byte) (*Sketch, error) {
 			}
 			elided[k] = prev
 			skip[prev] = true
-		}
-		if s.rw != nil {
-			salts = make([]uint64, nElided)
-			for k := range salts {
-				salts[k] = r.uvarint()
-			}
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -242,13 +238,9 @@ func unmarshal(b []byte) (*Sketch, error) {
 	if b[0] == wireSparse && r.off != len(b) {
 		return nil, errors.New("core: trailing bytes in sparse encoding")
 	}
-	// Elided cells are fresh cells moved to the header clock (with their
-	// identifier salt restored for randomized waves); shipped cells carry
-	// their own clocks, so only the elided ones are advanced here.
-	for k, idx := range elided {
-		if s.rw != nil {
-			s.rw.SetCellIDSalt(idx, salts[k])
-		}
+	// Elided cells are fresh cells moved to the header clock; shipped cells
+	// carry their own clocks, so only the elided ones are advanced here.
+	for _, idx := range elided {
 		s.bank.Advance(idx, h.now)
 	}
 	s.now = h.now

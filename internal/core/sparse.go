@@ -12,10 +12,8 @@ package core
 // validity — is untouched; only the baseline transfer shrinks, from ~2× the
 // merged-view encoding to roughly the occupied cells alone.
 //
-// Randomized-wave cells carry one process-random field even when untouched
-// (the auto-identifier salt), which the sparse form ships as a compact
-// per-elided-cell list — still an order of magnitude below the cell's dense
-// encoding, whose per-copy level directories dominate.
+// Randomized-wave sketches always take the dense form: an untouched RW cell
+// still carries its own identifier salt, and no served engine is RW.
 
 import (
 	"encoding/binary"
@@ -26,9 +24,12 @@ import (
 // encoding the decoder can reproduce without bytes: untouched cells sitting
 // at the sketch clock. UnmarshalAny inverts it; the reconstruction is
 // byte-identical (Marshal) to the dense encoding. Falls back to the dense
-// form when nothing can be elided, so the result is never meaningfully larger
-// than Marshal.
+// form for randomized waves and when nothing can be elided, so the result is
+// never meaningfully larger than Marshal.
 func (s *Sketch) MarshalSparse() []byte {
+	if s.rw != nil {
+		return s.Marshal()
+	}
 	n := s.d * s.w
 	var elided []int
 	for i := 0; i < n; i++ {
@@ -46,11 +47,6 @@ func (s *Sketch) MarshalSparse() []byte {
 	for _, idx := range elided {
 		dst = binary.AppendUvarint(dst, uint64(idx-prev))
 		prev = idx
-	}
-	if s.rw != nil {
-		for _, idx := range elided {
-			dst = binary.AppendUvarint(dst, s.rw.CellIDSalt(idx))
-		}
 	}
 	var cell []byte
 	k := 0

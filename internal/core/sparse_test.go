@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"ecmsketch/internal/window"
@@ -11,10 +12,11 @@ func sparseParams(algo window.Algorithm) Params {
 	return Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1000, Seed: 42, Algorithm: algo, UpperBound: 1 << 16}
 }
 
-// TestSparseRoundTripBitIdentical pins the sparse encoding contract for all
-// three algorithms: the decoded sketch marshals byte-identically to the
-// dense original, across fresh, sparsely occupied, settled and fully
-// expired states — and actually elides, shrinking sparse baselines.
+// TestSparseRoundTripBitIdentical pins the sparse encoding contract for EH
+// and DW: the decoded sketch marshals byte-identically to the dense
+// original, across fresh, sparsely occupied, settled and fully expired
+// states — and actually elides, shrinking sparse baselines. RW takes the
+// dense form at every stage.
 func TestSparseRoundTripBitIdentical(t *testing.T) {
 	for _, algo := range []window.Algorithm{window.AlgoEH, window.AlgoDW, window.AlgoRW} {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -26,6 +28,12 @@ func TestSparseRoundTripBitIdentical(t *testing.T) {
 				t.Helper()
 				dense := s.Marshal()
 				sparse := s.MarshalSparse()
+				if algo == window.AlgoRW {
+					if !bytes.Equal(sparse, dense) {
+						t.Fatalf("%s: RW MarshalSparse is not Marshal", stage)
+					}
+					return
+				}
 				back, err := UnmarshalAny(sparse)
 				if err != nil {
 					t.Fatalf("%s: decode sparse: %v", stage, err)
@@ -64,7 +72,8 @@ func TestSparseRoundTripBitIdentical(t *testing.T) {
 }
 
 // TestSparseRejectsCorrupt exercises the sparse decoder's validation: out
-// of range and duplicate elided indices, truncation, and trailing bytes.
+// of range and duplicate elided indices, truncation, trailing bytes, and a
+// randomized-wave sketch, which no producer encodes sparse.
 func TestSparseRejectsCorrupt(t *testing.T) {
 	s, err := New(sparseParams(window.AlgoEH))
 	if err != nil {
@@ -85,4 +94,25 @@ func TestSparseRejectsCorrupt(t *testing.T) {
 	if _, err := UnmarshalAny([]byte{wireSparse}); err == nil {
 		t.Error("empty sparse body accepted")
 	}
+	rw, err := New(sparseParams(window.AlgoRW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw.AddN(7, 5, 3)
+	if _, err := UnmarshalAny(rwSparse(rw)); err == nil {
+		t.Error("sparse RW encoding accepted")
+	}
+}
+
+// rwSparse hand-builds a wireSparse encoding of a randomized-wave sketch
+// that elides no cell.
+func rwSparse(s *Sketch) []byte {
+	dst := append(s.appendMarshalHeader([]byte{wireSparse}), 0)
+	var cell []byte
+	for i := 0; i < s.d*s.w; i++ {
+		cell = s.bank.AppendMarshalCellBare(cell[:0], i)
+		dst = binary.AppendUvarint(dst, uint64(len(cell)))
+		dst = append(dst, cell...)
+	}
+	return dst
 }

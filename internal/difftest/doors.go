@@ -148,14 +148,18 @@ func (d *Door) write(op *Op) {
 	}
 }
 
-// Sketch is a bare Sketch taking site's writes. Its identifier salts are
-// stripe 0's of a Sharded engine, so it is comparable with Sharded{1} byte
-// for byte.
+// Sketch is a bare Sketch taking site's writes. An EH or DW sketch has
+// stripe 0's salt of a Sharded engine, so it is comparable with Sharded{1}
+// byte for byte. An RW sketch has its site's salt, as coord.NewCluster
+// gives one, so sites draw distinct event identifiers.
 func (h *H) Sketch(site int, m Mode) *Door {
 	sk, err := ecmsketch.New(h.p)
 	h.must(err)
-	sk.SetIDSalt(0x9e37_79b9_7f4a_7c15)
-	sk.NormalizeCellSalts()
+	if h.p.Algorithm == ecmsketch.AlgoRW {
+		sk.SetIDSalt(0x5151_0000_0000_0001 * uint64(site+1))
+	} else {
+		sk.SetIDSalt(0x9e37_79b9_7f4a_7c15)
+	}
 	d := &Door{Name: "sketch/" + m.String(), site: site, sites: 1 << site, mode: m, in: sk}
 	d.read = func() ecmsketch.BatchQuerier { return sk }
 	d.src = func() ecmsketch.DeltaSnapshotter { return sk }
@@ -194,6 +198,16 @@ func (h *H) Sharded(site int, cfg ecmsketch.ShardedConfig, m Mode) *Door {
 		}
 	}
 	return d
+}
+
+// Site is a site's engine taking site's writes in batches: a Sharded
+// engine of the given stripes, or a bare Sketch for RW, which Sharded does
+// not serve.
+func (h *H) Site(site, stripes int) *Door {
+	if h.p.Algorithm == ecmsketch.AlgoRW {
+		return h.Sketch(site, Batches)
+	}
+	return h.Sharded(site, ecmsketch.ShardedConfig{Shards: stripes}, Batches)
 }
 
 // over wires a door over the Sharded engine eng returns.

@@ -142,7 +142,7 @@ func TestRWSaltsDifferAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s0, s1 := bank.CellIDSalt(0), bank.CellIDSalt(1); s0 == s1 || s0 == a.salt || s0 == b.salt {
+	if s0, s1 := bank.cells[0].salt, bank.cells[1].salt; s0 == s1 || s0 == a.salt || s0 == b.salt {
 		t.Error("RW bank cells share an identifier salt with each other or with an RW instance")
 	}
 }

@@ -110,11 +110,6 @@ func rwRepetitions(delta float64) int {
 // through AddID).
 func (b *RWBank) SetCellIDSalt(i int, salt uint64) { b.cells[i].salt = salt }
 
-// CellIDSalt reports cell i's auto-identifier salt (the inverse of
-// SetCellIDSalt): sparse baselines ship it for elided cells, since it is the
-// one per-cell, per-site field in an otherwise untouched cell's encoding.
-func (b *RWBank) CellIDSalt(i int) uint64 { return b.cells[i].salt }
-
 // AddID registers one arrival at tick t in cell i with an explicit unique
 // event identifier. Feeding the same identifier twice leaves the estimate
 // unchanged in expectation (duplicate insensitivity).
@@ -299,9 +294,7 @@ func (b *RWBank) MemoryBytes() int {
 
 // CellUntouched reports whether cell i is in its never-touched state: zero
 // count and sequence, no stored entries, no eviction marks. The cell's
-// identifier salt is excluded — it differs by cell and site even for
-// untouched cells, so sparse-baseline elision ships it separately
-// (CellIDSalt).
+// identifier salt is excluded: it differs by cell even for untouched cells.
 func (b *RWBank) CellUntouched(i int) bool {
 	c := &b.cells[i]
 	return c.count == 0 && c.seq == 0 && b.ringsUntouched(i)

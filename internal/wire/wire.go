@@ -516,20 +516,25 @@ func canonicalKey(b []byte) (uint64, int) {
 // an exponent ("e-308").
 const maxFloat = len("-0.0000012345678901234567")
 
+// typicalFloat is a typical estimate's width: EH estimates are whole or
+// half counts ("12345.5").
+const typicalFloat = len("12345.5")
+
 // maxQueryReply bounds the reply EncodeQueryReply writes for keys estimates.
 func maxQueryReply(keys int) int {
 	return len(`{"estimates":[],"total":,"selfJoin":,"now":"","range":""}`+"\n") +
 		keys*(maxFloat+1) + 2*maxFloat + 2*len("18446744073709551615")
 }
 
-// EncodeQueryReply returns the POST /v1/query reply for res in one sized
-// buffer: {"estimates":[…],"total":…,"selfJoin":…,"now":…,"range":…} and a
+// EncodeQueryReply returns the POST /v1/query reply for res, in a buffer
+// sized for typical estimates and grown past them:
+// {"estimates":[…],"total":…,"selfJoin":…,"now":…,"range":…} and a
 // newline, total and selfJoin present only when asked for, now and range
 // quoted under ?strings=1 — byte for byte what json.Encoder wrote of that
 // shape. It reports false on a NaN or an infinity, which encoding/json
 // refuses to encode.
 func EncodeQueryReply(res core.QueryResult, total, selfJoin, asStrings bool) ([]byte, bool) {
-	dst := append(make([]byte, 0, maxQueryReply(len(res.Estimates))), `{"estimates":[`...)
+	dst := append(make([]byte, 0, maxQueryReply(0)+len(res.Estimates)*(typicalFloat+1)), `{"estimates":[`...)
 	ok := true
 	for i, v := range res.Estimates {
 		if i > 0 {

@@ -207,10 +207,13 @@ type ShardedConfig struct {
 const asyncQueueDepth = 256
 
 // NewSharded builds a lock-striped engine of identically configured,
-// mergeable per-shard sketches.
+// mergeable per-shard sketches. It refuses count-based windows and AlgoRW.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	if cfg.Params.Model == CountBased {
 		return nil, fmt.Errorf("ecmsketch: Sharded requires time-based windows (count-based semantics do not survive key partitioning)")
+	}
+	if cfg.Params.Algorithm == AlgoRW {
+		return nil, fmt.Errorf("ecmsketch: Sharded does not serve randomized waves (AlgoRW is library-only: its cells cost 1/ε² space, and its lossless union needs arrival identifiers no ingest route carries)")
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("ecmsketch: Shards must be non-negative, got %d", cfg.Shards)
@@ -231,14 +234,10 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ecmsketch: shard %d: %w", i, err)
 		}
-		// Distinct identifier salts keep randomized-wave event identifiers
-		// globally unique across stripes (as coord.NewCluster does across sites).
-		// Cell-level salts are normalized too: stripes never draw cell
-		// auto-identifiers, and deterministic salts make identically
-		// configured engines byte-identical — the recovery contract durable
-		// crash tests pin.
+		// The sketch salt is in every stripe encoding, so a fixed one per
+		// stripe makes identically configured engines byte-identical: the
+		// recovery contract the durable crash tests pin.
 		s.SetIDSalt(0x9e37_79b9_7f4a_7c15 * uint64(i+1))
-		s.NormalizeCellSalts()
 		sh.shards[i].sk = s
 	}
 	if cfg.Durability != nil {

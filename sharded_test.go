@@ -29,6 +29,11 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: cb}); err == nil {
 		t.Error("count-based windows accepted (semantics do not survive partitioning)")
 	}
+	rw := p
+	rw.Algorithm = ecmsketch.AlgoRW
+	if _, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: rw}); err == nil {
+		t.Error("randomized waves accepted (library-only)")
+	}
 	sh, err := ecmsketch.NewSharded(ecmsketch.ShardedConfig{Params: p, Shards: 5})
 	if err != nil {
 		t.Fatal(err)

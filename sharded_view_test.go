@@ -93,10 +93,10 @@ func TestViewAggregatesBitIdentical(t *testing.T) {
 // TestShardedViewAccuracy pins what a view of stripe snapshots buys: every
 // answer QueryBatch gives — point estimates, ‖a_r‖₁ and F₂ — falls within
 // a single sketch's error bound against the exact oracle, not the inflated
-// bound of the Theorem 4 merge, on every stripe count and algorithm.
+// bound of the Theorem 4 merge, on every stripe count and served algorithm.
 func TestShardedViewAccuracy(t *testing.T) {
 	const W = 4096
-	for _, algo := range []ecmsketch.Algorithm{AlgoEH, AlgoDW, AlgoRW} {
+	for _, algo := range []ecmsketch.Algorithm{AlgoEH, AlgoDW} {
 		for _, shards := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%v-shards-%d", algo, shards), func(t *testing.T) {
 				h := difftest.New(t, ecmsketch.Params{Epsilon: 0.05, Delta: 0.1, WindowLength: W, Seed: 5,
