@@ -19,10 +19,13 @@ type Cluster struct {
 	net   Network
 }
 
+// SiteIDSalt is the identifier salt of a cluster's site i. Randomized
+// waves union by identifier, so merged sites need distinct salts.
+func SiteIDSalt(i int) uint64 { return 0x5151_0000_0000_0001 * uint64(i+1) }
+
 // NewCluster builds n sites with identically configured (and hence
-// mergeable) ECM-sketches. Randomized-wave sketches receive distinct
-// identifier salts so their auto-generated event identifiers stay globally
-// unique.
+// mergeable) ECM-sketches. Each gets its SiteIDSalt, so randomized-wave
+// sketches' auto-generated event identifiers stay globally unique.
 func NewCluster(p core.Params, n int) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("coord: a cluster needs at least one site, got %d", n)
@@ -33,7 +36,7 @@ func NewCluster(p core.Params, n int) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("coord: cluster site %d: %w", i, err)
 		}
-		s.SetIDSalt(0x5151_0000_0000_0001 * uint64(i+1))
+		s.SetIDSalt(SiteIDSalt(i))
 		c.sites = append(c.sites, s)
 	}
 	return c, nil

@@ -188,8 +188,8 @@ func (sc *batchScratch) groupRow(rowPos []int32, w int) []int32 {
 // each tick clamped against the sketch clock at entry and the running
 // maximum of the batch. It fills sc.ticks/sc.ns and returns the batch's
 // high-water tick, total inserted value, and whether every event is a unit
-// arrival (the dominant case, which lets the bank sweeps skip their
-// multiplicity loops).
+// arrival (the dominant case, which lets the bank's row loop skip its
+// multiplicity loop).
 func (sc *batchScratch) validate(events []Event, clock Tick) (maxTick Tick, total uint64, allUnit bool) {
 	lo := clock
 	allUnit = true
@@ -228,7 +228,7 @@ func (s *Sketch) AddBatch(events []Event) {
 	s.count += total
 	ns := sc.ns
 	if allUnit {
-		ns = nil // all-unit batch: the bank sweeps skip the multiplicity loop
+		ns = nil // all-unit batch: the row loop skips the multiplicity loop
 	}
 
 	// Hash every event once — repeated keys once per stream of batches, via
@@ -257,34 +257,27 @@ func (s *Sketch) AddBatch(events []Event) {
 		return
 	}
 
-	// ...then sweep the arena row-major: row j's updates touch only cells
-	// [j*w, (j+1)*w), so consecutive updates stay within one row-sized
-	// region of the slabs instead of striding across the whole sketch for
-	// every event.
+	// ...then sweep the arena row-major, one bank call per row: row j's
+	// updates touch only cells [j*w, (j+1)*w), so consecutive updates stay
+	// within one row-sized region of the slabs instead of striding across
+	// the whole sketch for every event.
 	//
 	// Key grouping is adaptive. When the batch is much wider than the row —
-	// several events per column on average — a grouped order coalesces every
-	// cell's arrivals into one pass over its hot header, directory and slab
-	// lines, and the win grows with the collision count. Below that point the
-	// grouped walk costs more than it saves (the order indirection defeats
-	// the sequential streaming of the position/tick arrays), so small batches
-	// apply in batch order.
-	group := deep
+	// several events per column on average — groupRow's order visits each
+	// cell's arrivals one after another over its hot header, directory and
+	// slab lines. Below that point the order indirection defeats the
+	// sequential streaming of the position/tick arrays and costs more than
+	// it saves, so small batches pass a nil order: batch order.
 	for j := 0; j < d; j++ {
 		rowPos := sc.pos[j*m : (j+1)*m]
-		if !group {
-			if s.eh != nil {
-				s.eh.AddBatchRow(j*s.w, rowPos, sc.ticks, ns)
-			} else {
-				s.dw.AddBatchRow(j*s.w, rowPos, sc.ticks, ns)
-			}
-			continue
+		var order []int32 // nil: batch order
+		if deep {
+			order = sc.groupRow(rowPos, s.w)
 		}
-		order := sc.groupRow(rowPos, s.w)
 		if s.eh != nil {
-			s.eh.AddBatchRowOrdered(j*s.w, rowPos, sc.ticks, ns, order)
+			s.eh.AddBatchRow(j*s.w, rowPos, sc.ticks, ns, order)
 		} else {
-			s.dw.AddBatchRowOrdered(j*s.w, rowPos, sc.ticks, ns, order)
+			s.dw.AddBatchRow(j*s.w, rowPos, sc.ticks, ns, order)
 		}
 	}
 }

@@ -150,13 +150,13 @@ func (d *Door) write(op *Op) {
 
 // Sketch is a bare Sketch taking site's writes. An EH or DW sketch has
 // stripe 0's salt of a Sharded engine, so it is comparable with Sharded{1}
-// byte for byte. An RW sketch has its site's salt, as coord.NewCluster
-// gives one, so sites draw distinct event identifiers.
+// byte for byte. An RW sketch has its site's coord.SiteIDSalt, as
+// coord.NewCluster gives one, so sites draw distinct event identifiers.
 func (h *H) Sketch(site int, m Mode) *Door {
 	sk, err := ecmsketch.New(h.p)
 	h.must(err)
 	if h.p.Algorithm == ecmsketch.AlgoRW {
-		sk.SetIDSalt(0x5151_0000_0000_0001 * uint64(site+1))
+		sk.SetIDSalt(coord.SiteIDSalt(site))
 	} else {
 		sk.SetIDSalt(0x9e37_79b9_7f4a_7c15)
 	}

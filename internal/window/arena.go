@@ -275,13 +275,13 @@ func (b *EHBank) AddN(i int, t Tick, n uint64) {
 // arrivals at ticks[e] into cell base+pos[e]. A nil ns means every event is
 // a unit arrival, letting the sweep skip the multiplicity loop entirely.
 // Ticks must already be non-decreasing and ≥ 1, and multiplicities ≥ 1 (the
-// engine-level batch validation guarantees this). The body is AddN inlined —
-// the position, tick and multiplicity arrays stream sequentially, the bank's
-// slices live in registers across events, and no per-event call crosses the
-// package boundary. Expiry and version stamping run once per event, exactly
-// where AddN runs them, so bucket structure and delta-cursor versions stay
-// byte-identical to the sequential path.
-func (b *EHBank) AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64) {
+// engine-level batch validation guarantees this). Events are visited in
+// batch order, or in order's (a permutation grouping each cell's events, in
+// batch order, so one cell's touches reuse its hot lines). The body is AddN
+// inlined, one event per iteration; expiry and version stamping run once per
+// event, exactly where AddN runs them, so bucket structure and delta-cursor
+// versions stay byte-identical to the sequential path.
+func (b *EHBank) AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64, order []int32) {
 	stride := b.stride
 	capLv := b.capPerLv
 	winLen := b.cfg.Length
@@ -289,8 +289,12 @@ func (b *EHBank) AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64) {
 	maxLv := b.maxLv
 	dirs := b.dirs
 	slab := b.slab
-	for e, p := range pos {
-		i := base + int(p)
+	for k := range pos {
+		e := k
+		if order != nil {
+			e = int(order[k])
+		}
+		i := base + int(pos[e])
 		c := &cells[i]
 		t := ticks[e]
 		if t < c.now {
@@ -349,99 +353,9 @@ func (b *EHBank) AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64) {
 	}
 }
 
-// AddBatchRowOrdered applies one row of a validated batch in the grouped
-// order named by order (indices into pos/ticks/ns, grouped by cell
-// position): consecutive touches of the same cell reuse its hot header,
-// directory and slab lines instead of random-walking the arena once per
-// event. Grouping is semantics-preserving because cells are independent and
-// the grouping keeps each cell's arrivals in batch order.
-//
-// The insert loop is AddN's body inlined the same way AddBatchRow's is (nil
-// ns again means all-unit arrivals), with the cell header, directory pointer
-// and level-0 existence check hoisted across each run of same-cell events.
-// Version stamping and expiry run once per event, exactly where AddN runs
-// them: bank versions ride inside delta cursors, so even their cadence is
-// pinned by the golden wire vectors.
-func (b *EHBank) AddBatchRowOrdered(base int, pos []int32, ticks []Tick, ns []uint64, order []int32) {
-	stride := b.stride
-	capLv := b.capPerLv
-	winLen := b.cfg.Length
-	cells := b.cells
-	maxLv := b.maxLv
-	dirs := b.dirs
-	slab := b.slab
-	kmax := len(order)
-	for k := 0; k < kmax; {
-		e := int(order[k])
-		p := pos[e]
-		i := base + int(p)
-		c := &cells[i]
-		if c.nLv == 0 {
-			b.addLevel(i)
-			maxLv, dirs, slab = b.maxLv, b.dirs, b.slab
-		}
-		d := &dirs[i*maxLv]
-		for {
-			t := ticks[e]
-			if t < c.now {
-				t = c.now // clamp slight out-of-order arrivals, as AddN does
-			}
-			c.now = t
-			if c.total == 0 {
-				c.oldEnd, c.oldSpan, c.oldLv = t, 0, 0
-			}
-			n := uint64(1)
-			if ns != nil {
-				n = ns[e]
-			}
-			for {
-				pp := int(d.head) + int(d.n)
-				if pp >= stride {
-					pp -= stride
-				}
-				slab[int(d.off)+pp] = bucket{start: t, end: t}
-				d.n++
-				c.total++
-				if int(d.n) > capLv {
-					// Single-level fast path; see AddBatchRow.
-					nx := (*ehLevel)(nil)
-					if int(c.nLv) >= 2 {
-						nx = &dirs[i*maxLv+1]
-					}
-					if nx != nil && int(nx.n) < capLv {
-						start, end := mergeOldest(d, nx, slab, stride)
-						if c.oldLv == 0 {
-							c.oldEnd, c.oldSpan, c.oldLv = end, spanOf(start, end), 1
-						}
-					} else {
-						b.cascade(i, c, 0)
-						maxLv, dirs, slab = b.maxLv, b.dirs, b.slab
-						d = &dirs[i*maxLv]
-					}
-				}
-				if n--; n == 0 {
-					break
-				}
-			}
-			b.noteCellMutation(i)
-			if t >= winLen && c.oldEnd <= t-winLen {
-				b.expire(c, i)
-			}
-			k++
-			if k == kmax {
-				break
-			}
-			e = int(order[k])
-			if pos[e] != p {
-				break
-			}
-		}
-	}
-}
-
 // mergeOldest pops the two oldest buckets of ring d and pushes their union
 // onto ring nx, returning the union's start and end. Small enough to inline
-// into the batch sweeps' single-level fast path.
+// into AddBatchRow's single-level fast path.
 func mergeOldest(d, nx *ehLevel, slab []bucket, stride int) (start, end Tick) {
 	p0 := int(d.head)
 	p1 := p0 + 1

@@ -203,19 +203,17 @@ func TestBankHeaderTracksEveryMutation(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					ns = nil // every event is one arrival
 				}
+				var order []int32 // nil: batch order
 				if rng.Intn(2) == 0 {
-					b.AddBatchRow(0, pos, ticks, ns)
-				} else {
-					var order []int32 // grouped by cell, batch order within
-					for c := int32(0); c < cells; c++ {
+					for c := int32(0); c < cells; c++ { // grouped by cell, batch order within
 						for e := range pos {
 							if pos[e] == c {
 								order = append(order, int32(e))
 							}
 						}
 					}
-					b.AddBatchRowOrdered(0, pos, ticks, ns, order)
 				}
+				b.AddBatchRow(0, pos, ticks, ns, order)
 				for e := range pos {
 					n := uint64(1)
 					if ns != nil {

@@ -176,13 +176,15 @@ func (w *DW) EstimateSince(since Tick) float64 {
 			since = ws
 		}
 	}
-	// Pick the finest level whose stored range covers the boundary: either
-	// its oldest entry is at or before `since`, or the level has never
-	// evicted (and hence covers the entire stream so far).
+	// Pick the finest level whose stored range covers the boundary: its
+	// oldest entry is at or before `since`, or the level has never evicted
+	// (and hence covers the entire stream so far), or it holds fewer entries
+	// than its capacity (it expired an entry newer than every evicted one,
+	// so all it lost is at or before the window start).
 	j := len(w.levels) - 1
 	for cand := 0; cand < len(w.levels); cand++ {
 		d := &w.levels[cand]
-		if !d.evicted || (d.n > 0 && d.front().t <= since) {
+		if !d.evicted || d.n < len(d.buf) || d.front().t <= since {
 			j = cand
 			break
 		}
@@ -281,7 +283,7 @@ func MergeDW(out Config, inputs ...*DW) (*DW, error) {
 // between ranks r1 < r2 holds r2−r1 arrivals, replayed half at each boundary
 // tick like an exponential-histogram bucket.
 func (w *DW) replayLog() []replayEvent {
-	return waveReplayEvents(nil, w.distinctEntries())
+	return waveReplayEvents(nil, w.distinctEntries(), w.EstimateWindow())
 }
 
 // distinctEntries returns all stored entries across levels, sorted by rank

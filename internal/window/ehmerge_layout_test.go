@@ -101,14 +101,17 @@ func TestMergeLayoutMatchesUnitReplay(t *testing.T) {
 }
 
 // FuzzMergeBound checks the multi-level bound of Section 5.1 on the bank
-// merge coordinators run. Fuzz bytes become one stream split across k ∈
-// [1, 12] input cells — arbitrary tick gaps and multiplicities, dense runs at
-// one tick, sparse steps and jumps past the window — merged through
-// MergeCellFrom in a tree of depth h ∈ {1, 2, 3}, each merge at its inputs'
-// high-water clock. At every bucket edge of every input, the root's estimate
-// must be within MultiLevelRelativeError(ε, h)·exact + 1 of an exact count
-// (the +1 is the fixed-stream merge tests' slack). The window-counter bound
-// is deterministic, so any failure is a defect, never bad luck.
+// merges coordinators run, for exponential histograms and deterministic
+// waves alike. Fuzz bytes become one stream split across k ∈ [1, 12] input
+// cells — arbitrary tick gaps and multiplicities, dense runs at one tick,
+// sparse steps and jumps past the window — merged through MergeCellFrom in a
+// tree of depth h ∈ {1, 2, 3}, each merge at its inputs' high-water clock.
+// At every edge of every input — each EH bucket's start and end, each stored
+// DW position — the root's estimate must be within
+// MultiLevelRelativeError(ε, h)·exact + 1 of an exact count (the +1 is the
+// fixed-stream merge tests' slack, EH and DW). The DW banks' upper bound is
+// the stream's whole mass, so u(N,S) holds at every tier. The window-counter
+// bound is deterministic, so any failure is a defect, never bad luck.
 func FuzzMergeBound(f *testing.F) {
 	f.Add(uint16(0), []byte{0, 0, 1, 1, 0x61, 2, 0, 0x10, 3})
 	f.Add(uint16(12*2+11), bytes.Repeat([]byte{3, 0x62, 0x41, 7, 0x21, 0xf0, 1, 0x85, 0x10}, 30))
@@ -117,17 +120,35 @@ func FuzzMergeBound(f *testing.F) {
 	// Found by the fuzzer against a replay that drops a quarter of every
 	// bucket's end half: k=8, h=3, ε=0.05, W=512.
 	f.Add(uint16(427), []byte("2021022a10020011a00091a70020091a2002009"))
+	// Found by the fuzzer in DW, k=11, h=3, W=64: a burst of 240 at tick 1,
+	// then 2 arrivals past the window, which the waves read as 0 once the
+	// burst expired (ε=0.1); and 975 arrivals at one tick, read as 754.5
+	// once every merge's replay dropped its input's unseen head (ε=0.05).
+	f.Add(uint16(70), []byte("20\xf00\xf01"))
+	f.Add(uint16(106), bytes.Repeat([]byte("20\xc3"), 5))
+	// Twelve sparse inputs, one unit arrival each at every tick, merged at
+	// depth 1 (ε=0.25, W=64): the regime where a replay that puts a
+	// one-arrival segment at its older tick loses one arrival per input at
+	// every boundary.
+	sparse12 := []byte{0, 0x61, 0}
+	for in := byte(1); in < 12; in++ {
+		sparse12 = append(sparse12, in, 0, 0)
+	}
+	f.Add(uint16(11), bytes.Repeat(sparse12, 5))
 	f.Fuzz(func(t *testing.T, shape uint16, data []byte) {
 		k := 1 + int(shape%12)
 		h := 1 + int(shape/12%3)
 		eps := []float64{0.25, 0.1, 0.05}[shape/36%3]
 		w := Tick(64) << (shape / 108 % 8)
 		cfg := Config{Length: w, Epsilon: eps}
-		leaves := make([]*EHBank, k)
-		for j := range leaves {
-			leaves[j], _ = NewEHBank(cfg, 1)
-		}
 		x, _ := NewExact(cfg)
+		type arrival struct {
+			in int
+			t  Tick
+			n  uint64
+		}
+		var stream []arrival
+		var mass uint64
 		now := Tick(1)
 		// Three bytes an event: the input, the tick step, the multiplicity.
 		for ; len(data) >= 3; data = data[3:] {
@@ -144,48 +165,86 @@ func FuzzMergeBound(f *testing.F) {
 			if cnt&0x80 != 0 {
 				n = uint64(cnt) // a burst
 			}
-			leaves[int(data[0])%k].AddN(0, now, n)
+			stream = append(stream, arrival{int(data[0]) % k, now, n})
 			x.AddN(now, n)
+			mass += n
 		}
 		x.Advance(now)
 
-		level := leaves
-		for d := h; d > 0; d-- {
-			fan := 1 // the smallest fan-in that reaches one root in d merges
-			for math.Pow(float64(fan), float64(d)) < float64(len(level)) {
-				fan++
-			}
-			var next []*EHBank
-			for lo := 0; lo < len(level); lo += fan {
-				group := level[lo:min(lo+fan, len(level))]
-				var gnow Tick
-				for _, in := range group {
-					gnow = max(gnow, in.Now(0))
-				}
-				m, _ := NewEHBank(cfg, 1)
-				m.MergeCellFrom(0, 0, gnow, group)
-				next = append(next, m)
-			}
-			level = next
-		}
-		root := level[0]
-		root.Advance(0, now)
-
 		bound := MultiLevelRelativeError(eps, h)
-		check := func(since Tick) {
+		check := func(algo string, root interface{ EstimateSince(int, Tick) float64 }, since Tick) {
 			got, want := root.EstimateSince(0, since), float64(x.CountSince(since))
 			if math.Abs(got-want) > bound*want+1 {
-				t.Fatalf("k=%d h=%d ε=%v W=%d: EstimateSince(%d) = %v, exact %v, bound %v",
-					k, h, eps, w, since, got, want, bound*want)
+				t.Fatalf("%s k=%d h=%d ε=%v W=%d: EstimateSince(%d) = %v, exact %v, bound %v",
+					algo, k, h, eps, w, since, got, want, bound*want)
 			}
 		}
-		for _, in := range leaves {
+		edge := func(algo string, root interface{ EstimateSince(int, Tick) float64 }, e Tick) {
+			check(algo, root, e-min(e, 1))
+			check(algo, root, e)
+		}
+
+		eh := make([]*EHBank, k)
+		for j := range eh {
+			eh[j], _ = NewEHBank(cfg, 1)
+		}
+		for _, a := range stream {
+			eh[a.in].AddN(0, a.t, a.n)
+		}
+		ehRoot := mergeTree(eh, h, func() *EHBank { b, _ := NewEHBank(cfg, 1); return b })
+		ehRoot.Advance(0, now)
+		for _, in := range eh {
 			for _, bk := range in.Buckets(0) {
-				check(bk.Start - min(bk.Start, 1))
-				check(bk.Start)
-				check(bk.End - min(bk.End, 1))
-				check(bk.End)
+				edge("EH", ehRoot, bk.Start)
+				edge("EH", ehRoot, bk.End)
+			}
+		}
+
+		dcfg := cfg
+		dcfg.UpperBound = max(mass, 1)
+		dw := make([]*DWBank, k)
+		for j := range dw {
+			dw[j], _ = NewDWBank(dcfg, 1)
+		}
+		for _, a := range stream {
+			dw[a.in].AddN(0, a.t, a.n)
+		}
+		dwRoot := mergeTree(dw, h, func() *DWBank { b, _ := NewDWBank(dcfg, 1); return b })
+		dwRoot.Advance(0, now)
+		for _, in := range dw {
+			for _, e := range in.appendEntries(nil, 0) {
+				edge("DW", dwRoot, e.t)
 			}
 		}
 	})
+}
+
+// mergeTree merges the leaves' cell 0 into one root cell through
+// MergeCellFrom in d levels, each level with the smallest fan-in that
+// reaches one root in the levels left, each merge at its inputs' high-water
+// clock.
+func mergeTree[B interface {
+	Now(i int) Tick
+	MergeCellFrom(i, src int, now Tick, inputs []B)
+}](leaves []B, d int, fresh func() B) B {
+	level := leaves
+	for ; d > 0; d-- {
+		fan := 1
+		for math.Pow(float64(fan), float64(d)) < float64(len(level)) {
+			fan++
+		}
+		var next []B
+		for lo := 0; lo < len(level); lo += fan {
+			group := level[lo:min(lo+fan, len(level))]
+			var gnow Tick
+			for _, in := range group {
+				gnow = max(gnow, in.Now(0))
+			}
+			m := fresh()
+			m.MergeCellFrom(0, 0, gnow, group)
+			next = append(next, m)
+		}
+		level = next
+	}
+	return level[0]
 }

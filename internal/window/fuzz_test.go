@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -202,17 +203,24 @@ func FuzzUnmarshalRW(f *testing.F) {
 // checks the accuracy invariant against the exact counter — the core
 // correctness property under adversarial arrival patterns. An EHBank cell fed
 // the same arrivals must keep its header naming the oldest bucket after every
-// one and answer bit-identically to the histogram.
+// one and answer bit-identically to the histogram. The same stream, spread
+// over rowCols columns and cut into rows of 1 + since>>10 events, must leave
+// AddBatchRow's banks equal to AddN's (requireRowLoopIsAddN).
 func FuzzEHStream(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 5}, uint16(50))
 	f.Add([]byte{0, 0, 0, 0}, uint16(0))
 	f.Add([]byte{255, 1, 255, 1}, uint16(1000))
+	// Rows of 64 events spanning more than the window (about 7.5 ticks an
+	// event), and rows of 9 over a few columns.
+	f.Add(bytes.Repeat([]byte{8, 17, 26, 7, 16, 34, 44, 25, 62}, 30), uint16(63<<10|120))
+	f.Add(bytes.Repeat([]byte{3, 9, 27, 81, 0, 2, 8, 200}, 20), uint16(8<<10|7))
 	f.Fuzz(func(t *testing.T, gaps []byte, since uint16) {
 		const eps = 0.2
 		cfg := Config{Length: 400, Epsilon: eps}
 		h, _ := NewEH(cfg)
 		x, _ := NewExact(cfg)
 		b, _ := NewEHBank(cfg, 1)
+		rows := rowCutter{n: 1 + int(since>>10)}
 		var now Tick
 		for _, g := range gaps {
 			now += Tick(g % 9)
@@ -221,7 +229,15 @@ func FuzzEHStream(f *testing.F) {
 			x.AddN(now, n)
 			b.AddN(0, now, n)
 			checkOldestCached(t, b, 0)
+			rows.add(int32(g/9)%rowCols, max(now, 1), n)
 		}
+		requireRowLoopIsAddN(t, func() rowBank {
+			rb, err := NewEHBank(cfg, 2*rowCols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rb
+		}, rows.rows, Tick(since))
 		checkCellEqualsEH(t, b, 0, h)
 		got := h.EstimateSince(Tick(since))
 		if bank := b.EstimateSince(0, Tick(since)); math.Float64bits(bank) != math.Float64bits(got) {
@@ -235,4 +251,126 @@ func FuzzEHStream(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// rowBank is the part of EHBank and DWBank the row-loop fuzzers drive.
+type rowBank interface {
+	AddN(i int, t Tick, n uint64)
+	AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64, order []int32)
+	AppendMarshalCell(dst []byte, i int) []byte
+	EstimateSince(i int, since Tick) float64
+	VersionVector() (uint64, []uint64)
+}
+
+// rowCols is the row width of the row-loop fuzzers' banks, which hold two
+// rows.
+const rowCols = 3
+
+// fuzzRow is one row of a fuzzed batch: event e inserts ns[e] arrivals at
+// ticks[e] into column pos[e]. Before the row, every cell advances to adv
+// (0: none).
+type fuzzRow struct {
+	adv   Tick
+	pos   []int32
+	ticks []Tick
+	ns    []uint64
+}
+
+// rowCutter cuts a fuzzed event stream into rows of at most n events, and
+// starts a new row at every advance. Ticks must be non-decreasing and ≥ 1,
+// multiplicities ≥ 1: the engine's batch validation guarantees both before
+// any row reaches a bank.
+type rowCutter struct {
+	n    int
+	rows []fuzzRow
+}
+
+func (c *rowCutter) add(col int32, t Tick, n uint64) {
+	if len(c.rows) == 0 || len(c.rows[len(c.rows)-1].pos) == c.n {
+		c.rows = append(c.rows, fuzzRow{})
+	}
+	r := &c.rows[len(c.rows)-1]
+	r.pos, r.ticks, r.ns = append(r.pos, col), append(r.ticks, t), append(r.ns, n)
+}
+
+func (c *rowCutter) advance(t Tick) { c.rows = append(c.rows, fuzzRow{adv: t}) }
+
+// groupRowOrder is the order core's groupRow builds for a row: columns by
+// their last event, latest first, each column's events in batch order.
+func groupRowOrder(pos []int32) []int32 {
+	var order []int32
+	seen := map[int32]bool{}
+	for e := len(pos) - 1; e >= 0; e-- {
+		if seen[pos[e]] {
+			continue
+		}
+		seen[pos[e]] = true
+		for f, p := range pos {
+			if p == pos[e] {
+				order = append(order, int32(f))
+			}
+		}
+	}
+	return order
+}
+
+// requireRowLoopIsAddN applies rows to fresh banks of two rows of rowCols
+// columns — row r at base (r mod 2)·rowCols — through AddBatchRow, once in
+// batch order (nil order) and once in groupRowOrder, and alongside to a
+// reference bank through AddN, visiting the events in the same order. Every
+// cell's encoding and estimate since since, and the version vector, must
+// equal the reference's, and the two orders must leave every cell's
+// encoding alike. A row whose events are all unit arrivals passes a nil ns,
+// as the engine does.
+func requireRowLoopIsAddN(t *testing.T, fresh func() rowBank, rows []fuzzRow, since Tick) {
+	t.Helper()
+	var cells [2][][]byte
+	for g, grouped := range []bool{false, true} {
+		row, ref := fresh(), fresh()
+		for r, fr := range rows {
+			base := r % 2 * rowCols
+			if fr.adv > 0 {
+				for i := 0; i < 2*rowCols; i++ {
+					row.AddN(i, fr.adv, 0)
+					ref.AddN(i, fr.adv, 0)
+				}
+			}
+			ns := fr.ns
+			if !slices.ContainsFunc(ns, func(n uint64) bool { return n != 1 }) {
+				ns = nil
+			}
+			var order []int32
+			if grouped {
+				order = groupRowOrder(fr.pos)
+			}
+			row.AddBatchRow(base, fr.pos, fr.ticks, ns, order)
+			for k := range fr.pos {
+				e := k
+				if order != nil {
+					e = int(order[k])
+				}
+				ref.AddN(base+int(fr.pos[e]), fr.ticks[e], fr.ns[e])
+			}
+		}
+		for i := 0; i < 2*rowCols; i++ {
+			got, want := row.AppendMarshalCell(nil, i), ref.AppendMarshalCell(nil, i)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("grouped=%v cell %d: AddBatchRow encodes\n %x\nAddN\n %x", grouped, i, got, want)
+			}
+			if got, want := row.EstimateSince(i, since), ref.EstimateSince(i, since); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("grouped=%v cell %d: EstimateSince(%d) = %v after AddBatchRow, %v after AddN", grouped, i, since, got, want)
+			}
+			cells[g] = append(cells[g], got)
+		}
+		gv, gvers := row.VersionVector()
+		wv, wvers := ref.VersionVector()
+		if gv != wv || !slices.Equal(gvers, wvers) {
+			t.Fatalf("grouped=%v: AddBatchRow versions %d %v, AddN %d %v", grouped, gv, gvers, wv, wvers)
+		}
+	}
+	for i := range cells[0] {
+		if !bytes.Equal(cells[0][i], cells[1][i]) {
+			t.Fatalf("cell %d: groupRowOrder leaves other bytes than batch order", i)
+		}
+	}
 }

@@ -253,7 +253,7 @@ func (cp *rwCopy) estimate(since Tick) float64 {
 	j := len(cp.levels) - 1
 	for cand := 0; cand < len(cp.levels); cand++ {
 		d := &cp.levels[cand]
-		if !d.evicted || (d.n > 0 && d.front().t <= since) {
+		if !d.evicted || d.n < d.capLimit || d.front().t <= since { // as finestCovering
 			j = cand
 			break
 		}

@@ -107,27 +107,14 @@ func (b *DWBank) AddN(i int, t Tick, n uint64) {
 	b.noteCellMutation(i)
 }
 
-// AddBatchRow applies one row of a validated batch: event e inserts ns[e]
-// arrivals at ticks[e] into cell base+pos[e]. A nil ns means every event is
-// a unit arrival. See EHBank.AddBatchRow.
-func (b *DWBank) AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64) {
-	for e, p := range pos {
-		n := uint64(1)
-		if ns != nil {
-			n = ns[e]
+// AddBatchRow applies one row of a validated batch through AddN; the
+// arguments are EHBank.AddBatchRow's.
+func (b *DWBank) AddBatchRow(base int, pos []int32, ticks []Tick, ns []uint64, order []int32) {
+	for k := range pos {
+		e := k
+		if order != nil {
+			e = int(order[k])
 		}
-		b.AddN(base+int(p), ticks[e], n)
-	}
-}
-
-// AddBatchRowOrdered applies one row of a validated batch in the grouped
-// order named by order (indices into pos/ticks/ns, sorted by cell position):
-// consecutive touches of the same cell reuse the hot cache lines. A nil ns
-// means every event is a unit arrival. Grouping is semantics-preserving
-// because cells are independent and the stable sort keeps each cell's
-// arrivals in batch order.
-func (b *DWBank) AddBatchRowOrdered(base int, pos []int32, ticks []Tick, ns []uint64, order []int32) {
-	for _, e := range order {
 		n := uint64(1)
 		if ns != nil {
 			n = ns[e]
@@ -204,9 +191,9 @@ func (b *DWBank) appendEntries(dst []waveEntry, i int) []waveEntry {
 // ("Deterministic Waves") from the inputs' cell src into cell i of b, which
 // must be empty. Each input cell is first converted to a bucket log
 // equivalent to an exponential histogram's — consecutive stored ranks r1 <
-// r2 delimit a bucket of r2−r1 arrivals between their ticks — and the
-// buckets are replayed half at the start tick and half at the end tick, in
-// global tick order: ranks grow with ticks, so each log is already a
+// r2 delimit a bucket of r2−r1 arrivals between their ticks (waveReplayEvents)
+// — and the buckets are replayed half at the start tick and half at the end
+// tick, in global tick order: ranks grow with ticks, so each log is already a
 // tick-ordered run for the k-way merge EH aggregation uses. now then
 // advances the cell's clock to the inputs' high-water tick. The resulting
 // error bound matches Theorem 4: ε + ε′ + εε′. See EHBank.MergeCellFrom for
@@ -216,7 +203,7 @@ func (b *DWBank) MergeCellFrom(i, src int, now Tick, inputs []*DWBank) {
 	m := &b.merger
 	m.begin(len(inputs))
 	for _, in := range inputs {
-		m.addEvents(waveReplayEvents(nil, sortDedupEntriesByRank(in.appendEntries(nil, src))))
+		m.addEvents(waveReplayEvents(nil, sortDedupEntriesByRank(in.appendEntries(nil, src)), in.EstimateRange(src, in.cfg.Length)))
 	}
 	for t, n, ok := m.next(); ok; t, n, ok = m.next() {
 		b.AddN(i, t, n)

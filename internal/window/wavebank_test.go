@@ -632,9 +632,13 @@ func TestWaveBankClone(t *testing.T) {
 // FuzzWaveBank feeds byte-driven op sequences to a DW bank cell and a RW bank
 // cell alongside their per-object twins and requires identical estimates and
 // identical encodings, then round-trips the encodings through fresh banks.
+// The arrivals, spread over rowCols columns and cut into rows of
+// 1 + since>>10 events (and at every advance), must leave DW banks fed
+// through AddBatchRow equal to one fed through AddN (requireRowLoopIsAddN).
 func FuzzWaveBank(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 0, 255, 7}, uint16(50))
 	f.Add([]byte{0, 0, 0, 0, 200, 200, 9, 9, 9, 1}, uint16(0))
+	f.Add(bytes.Repeat([]byte{1, 9, 16, 30, 40, 55, 22, 5, 121}, 12), uint16(20<<10|30))
 	f.Fuzz(func(t *testing.T, ops []byte, since uint16) {
 		dcfg := Config{Length: 64, Epsilon: 0.3, UpperBound: 512, Seed: 1}
 		rcfg := Config{Length: 64, Epsilon: 0.7, Delta: 0.4, UpperBound: 512, Seed: 1}
@@ -656,6 +660,8 @@ func FuzzWaveBank(f *testing.F) {
 		}
 		rw.SetIDSalt(99)
 		rb.SetCellIDSalt(1, 99)
+		rows := rowCutter{n: 1 + int(since>>10)}
+		col := func(op byte) int32 { return int32(op/7) % rowCols }
 		var now Tick
 		for _, op := range ops {
 			now += Tick(op % 7)
@@ -666,19 +672,29 @@ func FuzzWaveBank(f *testing.F) {
 				dw.Advance(adv)
 				rb.Advance(1, adv)
 				rw.Advance(adv)
+				rows.advance(max(adv, 1))
 			case op%5 == 0:
 				cnt := uint64(op % 19)
 				db.AddN(1, now, cnt)
 				dw.AddN(now, cnt)
 				rb.AddID(1, now, uint64(op))
 				rw.AddID(now, uint64(op))
+				rows.add(col(op), max(now, 1), max(cnt, 1))
 			default:
 				db.Add(1, now)
 				dw.Add(now)
 				rb.Add(1, now)
 				rw.Add(now)
+				rows.add(col(op), max(now, 1), 1)
 			}
 		}
+		requireRowLoopIsAddN(t, func() rowBank {
+			b, err := NewDWBank(dcfg, 2*rowCols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}, rows.rows, Tick(since))
 		s := Tick(since)
 		if got, want := db.EstimateSince(1, s), dw.EstimateSince(s); got != want {
 			t.Fatalf("DW EstimateSince(%d) = %v, per-object %v", s, got, want)

@@ -157,12 +157,14 @@ func (a *waveArena) searchTickAfter(d *waveRing, s Tick) int {
 
 // finestCovering picks, among the n rings starting at dirs[base] (one wave's
 // levels, finest first), the finest whose stored range covers the boundary
-// since: either its oldest entry is at or before since, or the level has
-// never evicted and hence covers the entire stream so far.
+// since: its oldest entry is at or before since, or it never evicted, or it
+// holds fewer entries than its budget — an evicting push leaves a ring full,
+// so it has since expired an entry newer than all it evicted, and callers
+// clamp since to the window start.
 func (a *waveArena) finestCovering(base, n int, since Tick) int {
 	for j := 0; j < n; j++ {
 		d := &a.dirs[base+j]
-		if !d.evicted || (d.n > 0 && a.front(d).t <= since) {
+		if !d.evicted || int(d.n) < a.ringCap || a.front(d).t <= since {
 			return j
 		}
 	}
@@ -332,19 +334,26 @@ func (a *waveArena) readRings(r *wireReader, i int, deltaID bool, name string) (
 }
 
 // waveReplayEvents converts rank-sorted distinct entries of a deterministic
-// wave into replay events and appends them to dst: the oldest stored entry
-// stands for itself only (arrivals before it have either expired or were
-// evicted beyond reconstruction), and each segment between consecutive ranks
-// r1 < r2 holds the r2−r1 arrivals after r1 up to and including r2, replayed
-// like an exponential-histogram bucket: ⌊(r2−r1)/2⌋ at the older boundary
-// tick and the rest at the newer one. The arrival ranked r2 is the segment's
-// newest and was stored at cur's tick, so a one-arrival segment lands at its
-// own tick rather than one boundary early.
-func waveReplayEvents(dst []replayEvent, entries []waveEntry) []replayEvent {
+// wave into replay events and appends them to dst. Each segment between
+// consecutive ranks r1 < r2 holds the r2−r1 arrivals after r1 up to and
+// including r2, replayed like an exponential-histogram bucket: ⌊(r2−r1)/2⌋
+// at the older boundary tick and the rest at the newer one. The arrival
+// ranked r2 is the segment's newest and was stored at cur's tick, so a
+// one-arrival segment lands at its own tick rather than one boundary early.
+//
+// The oldest stored entry stands for itself and for the unseen arrivals
+// before it that est, the wave's estimate of its whole window, still counts
+// (half a level's spacing); a replay that dropped them would lose up to 2ε
+// of the window at every merge.
+func waveReplayEvents(dst []replayEvent, entries []waveEntry, est float64) []replayEvent {
 	if len(entries) == 0 {
 		return dst
 	}
-	dst = append(dst, replayEvent{t: entries[0].t, n: 1})
+	head := uint64(1)
+	if tail, n := entries[len(entries)-1].id-entries[0].id, uint64(est); n > tail+1 {
+		head = n - tail
+	}
+	dst = append(dst, replayEvent{t: entries[0].t, n: head})
 	for i := 1; i < len(entries); i++ {
 		prev, cur := entries[i-1], entries[i]
 		n := cur.id - prev.id
