@@ -245,7 +245,7 @@ func (c *Client) FetchSnapshotBytes() ([]byte, error) {
 }
 
 // DeltaSnapshot pulls the server's snapshot incrementally:
-// GET /v1/snapshot?since=<cursor>, offering gzip, through wire.FetchDelta —
+// GET /v1/snapshot?since=<cursor> through wire.FetchDelta —
 // the pull a coordinator's HTTP site makes. Given the cursor from a
 // previous pull it returns the delta payload (full == false) or, when the
 // server does not recognize the cursor — a restart, a reconfiguration, the

@@ -2,11 +2,11 @@ package ecmserver_test
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"ecmsketch"
@@ -84,60 +84,57 @@ func TestSnapshotSinceFlow(t *testing.T) {
 	pull("delta")
 }
 
-// TestSnapshotGzip: the snapshot routes compress when (and only when) the
-// request offers gzip and the payload is worth it.
-func TestSnapshotGzip(t *testing.T) {
-	srv, ts := newDeltaServer(t)
+// TestSnapshotIgnoresGzipOffer: at both tiers, a site and a coordinator
+// over it, a snapshot request that offers gzip gets identity bytes whose
+// Content-Length is the payload length — full, delta and plain replies
+// alike. The payload is what an identity request gets.
+func TestSnapshotIgnoresGzipOffer(t *testing.T) {
+	srv, site := newDeltaServer(t)
 	eng := srv.Engine()
 	for e := 0; e < 2000; e++ {
 		eng.Add(uint64(e%211), uint64(e+1))
 	}
-	_, plain := getRaw(t, ts.URL+"/v1/snapshot")
+	co := ecmsketch.NewCoordinator(ecmsketch.NewLocalSite("site", eng))
+	if err := co.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := ecmserver.NewOver(ecmserver.Config{}, co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(cs)
+	t.Cleanup(coord.Close)
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/snapshot", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := http.DefaultTransport.RoundTrip(req) // no transparent decompression
-	if err != nil {
-		t.Fatal(err)
+	get := func(url, accept string) (*http.Response, []byte) {
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		req.Header.Set("Accept-Encoding", accept)
+		resp, err := http.DefaultTransport.RoundTrip(req) // no transparent decompression
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, err %v", url, resp.StatusCode, err)
+		}
+		return resp, body
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Content-Encoding") != "gzip" {
-		t.Fatalf("offered gzip, got Content-Encoding %q", resp.Header.Get("Content-Encoding"))
-	}
-	if len(raw) >= len(plain) {
-		t.Fatalf("gzip body %dB not smaller than identity %dB", len(raw), len(plain))
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inflated, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(inflated, plain) {
-		t.Fatal("gzip payload does not inflate to the identity payload")
-	}
-
-	// A near-empty delta reply stays identity-coded: compressing a few
-	// dozen bytes would grow them.
-	resp2, body := getRaw(t, ts.URL+"/v1/snapshot?since=0")
-	_ = body
-	cur := resp2.Header.Get("X-Ecm-Cursor")
-	req3, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/snapshot?since="+cur, nil)
-	req3.Header.Set("Accept-Encoding", "gzip")
-	resp3, err := http.DefaultTransport.RoundTrip(req3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, _ := io.ReadAll(resp3.Body)
-	resp3.Body.Close()
-	if resp3.Header.Get("Content-Encoding") == "gzip" {
-		t.Fatal("tiny delta reply was gzipped")
-	}
-	if len(small) > 128 {
-		t.Fatalf("idle delta reply is %dB", len(small))
+	for _, tier := range []struct{ name, base string }{{"site", site.URL}, {"coordinator", coord.URL}} {
+		resp, _ := get(tier.base+"/v1/snapshot?since=0", "identity")
+		cursor := resp.Header.Get("X-Ecm-Cursor")
+		for _, url := range []string{"/v1/snapshot", "/v1/snapshot?since=0", "/v1/snapshot?since=" + cursor} {
+			_, plain := get(tier.base+url, "identity")
+			resp, body := get(tier.base+url, "gzip")
+			if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+				t.Errorf("%s %s: offered gzip, got Content-Encoding %q", tier.name, url, ce)
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+				t.Errorf("%s %s: Content-Length %q for a %d B body", tier.name, url, cl, len(body))
+			}
+			if !bytes.Equal(body, plain) {
+				t.Errorf("%s %s: %d B body under the gzip offer, %d B without it", tier.name, url, len(body), len(plain))
+			}
+		}
 	}
 }
 

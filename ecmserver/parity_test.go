@@ -137,7 +137,7 @@ func TestSurfaceParity(t *testing.T) {
 	}
 
 	// Snapshot routes: payloads are each tier's own summary, so parity is in
-	// the protocol — status, payload kind, cursor presence, gzip negotiation.
+	// the protocol — status, payload kind, cursor presence, identity coding.
 	for _, tier := range []struct {
 		name string
 		h    http.Handler
@@ -164,12 +164,6 @@ func TestSurfaceParity(t *testing.T) {
 		if rec := snap("/v1/snapshot?since="+cursor, "gzip"); rec.Header().Get("X-Ecm-Delta") != "delta" ||
 			rec.Header().Get("Content-Encoding") != "" || rec.Header().Get("X-Ecm-Count") != "15" {
 			t.Errorf("%s: valid cursor: headers %v, want an identity-encoded delta", tier.name, rec.Header())
-		}
-		if rec := snap("/v1/snapshot", "gzip"); rec.Header().Get("Content-Encoding") != "gzip" {
-			t.Errorf("%s: full snapshot ignored Accept-Encoding: gzip", tier.name)
-		}
-		if rec := snap("/v1/snapshot", "gzip;q=0"); rec.Header().Get("Content-Encoding") != "" {
-			t.Errorf("%s: full snapshot gzipped against q=0", tier.name)
 		}
 	}
 

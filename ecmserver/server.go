@@ -551,13 +551,13 @@ func rebuildStatsField(asStrings bool, engine *ecmsketch.Sharded) map[string]any
 // stream volume without decoding the body. Headers and payload come from one
 // Snapshot (not separate reads of the source), so they describe exactly the
 // bytes shipped even under concurrent ingest.
-func (s *Server) writeSnapshot(w http.ResponseWriter, r *http.Request) {
+func (s *Server) writeSnapshot(w http.ResponseWriter) {
 	sk, err := s.src.Snapshot()
 	if err != nil {
 		sourceError(w, http.StatusInternalServerError, err)
 		return
 	}
-	wire.WriteSnapshot(w, r, sk.Marshal(), wire.SnapshotMeta{Now: sk.Now(), Count: sk.Count()})
+	wire.WriteSnapshot(w, sk.Marshal(), wire.SnapshotMeta{Now: sk.Now(), Count: sk.Count()})
 }
 
 // handleSnapshot is the coordinator pull route, in two modes:
@@ -576,11 +576,12 @@ func (s *Server) writeSnapshot(w http.ResponseWriter, r *http.Request) {
 // coordinator answers from its patched root, so stacked coordinators pull
 // cell-granular deltas through the same receiver path they use on leaves.
 //
-// Both modes honor Accept-Encoding: gzip.
+// Both modes answer identity bytes with an exact Content-Length, whatever
+// Accept-Encoding offers.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	sinceRaw, ok := r.URL.Query()["since"]
 	if !ok {
-		s.writeSnapshot(w, r)
+		s.writeSnapshot(w)
 		return
 	}
 	var since ecmsketch.Cursor
@@ -605,7 +606,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}); ok {
 		meta.Now, meta.Count = c.Now(), c.Count()
 	}
-	wire.WriteSnapshot(w, r, payload, meta)
+	wire.WriteSnapshot(w, payload, meta)
 }
 
 // handleAdvance moves the window clock forward without an arrival:

@@ -172,14 +172,12 @@ func (s *HTTPSite) SetName(name string) {
 // empty token sends no header. Configure before the first pull.
 func (s *HTTPSite) SetAuthToken(tok string) { s.token = tok }
 
-// Delta pulls GET /v1/snapshot?since=<cursor> (offering gzip) through
-// wire.FetchDelta, the one HTTP delta pull.
+// Delta pulls GET /v1/snapshot?since=<cursor> through wire.FetchDelta, the
+// one HTTP delta pull.
 //
 // The reported size is the protocol payload length: the figure the paper's
 // transfer accounting charges, identical to what the in-process transport
-// reports for the same summary. Negotiated compression shrinks the link
-// bytes below that figure but deliberately does not enter the accounting —
-// otherwise the two transports of the same event log would stop agreeing.
+// reports for the same summary, and the body's length on the link.
 func (s *HTTPSite) Delta(since core.Cursor) ([]byte, core.Cursor, bool, int, error) {
 	payload, cur, full, err := wire.FetchDelta(s.hc, s.base, s.token, since)
 	return payload, cur, full, len(payload), err
@@ -289,8 +287,10 @@ func (c *Coordinator) Sites() []Site {
 func (c *Coordinator) Network() *Network { return c.net }
 
 // PulledBytes reports the total snapshot payload volume fetched from sites
-// across all pulls — the actual transfer bill of a networked deployment
-// (for in-process sites, the exact volume shipping would have cost).
+// across all pulls — the actual transfer bill of a networked deployment,
+// literally: snapshot bodies are never compressed, so the payload is the
+// body that crossed the link (for in-process sites, the exact volume
+// shipping would have cost).
 func (c *Coordinator) PulledBytes() int64 { return c.pulled.Load() }
 
 // noteChanged records moved cells from one site pull. all marks the whole

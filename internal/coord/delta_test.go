@@ -97,13 +97,11 @@ func (s *tearingSrc) DeltaSnapshot(c core.Cursor) ([]byte, core.Cursor, bool, er
 	return payload, cur, full, err
 }
 
-// tearingMiddleware is the HTTP analog: it strips the gzip offer (so the
-// body is identity-coded), then truncates one delta reply's payload while
-// keeping the HTTP framing valid.
+// tearingMiddleware is the HTTP analog: it truncates one delta reply's
+// payload while keeping the HTTP framing valid.
 func tearingMiddleware(inner http.Handler, arm *bool) http.Handler {
 	tore := false
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept-Encoding")
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, r)
 		body := rec.Body.Bytes()

@@ -36,9 +36,8 @@ package core
 // (window.Bank.AppendMarshalCellBare): a delta only ever applies against a
 // baseline whose Config was already validated, so repeating the shared
 // per-cell Config (~30 bytes) per changed cell would roughly double a
-// sparse delta pre-gzip. The cell decoder accepts both forms, so payloads
-// from producers still shipping full-form cells keep applying; full
-// snapshots are byte-identical to what they always were.
+// sparse delta. The cell decoder accepts both forms, so payloads from
+// producers still shipping full-form cells keep applying.
 
 import (
 	"crypto/rand"

@@ -587,32 +587,7 @@ func (b *EHBank) Buckets(i int) []Bucket {
 	return dst
 }
 
-// RestoreBucket appends a decoded bucket into cell i's size class directly,
-// bypassing the cascade; callers feed buckets oldest to newest and finish
-// with NormalizeRestored. Replaying the buckets directly (not via the
-// half/half merge split) is what makes a decoded cell answer queries
-// identically to the encoded one. Inputs decoded from valid encodings never
-// overflow a ring; a corrupt overfull class is repaired by cascading before
-// the insert.
-func (b *EHBank) RestoreBucket(i int, bk Bucket) {
-	c := &b.cells[i]
-	lv := 0
-	for s := bk.Size; s > 1; s >>= 1 {
-		lv++
-	}
-	for int(c.nLv) <= lv {
-		b.addLevel(i)
-	}
-	b.ensureRoom(i, c, lv)
-	b.pushBack(b.level(i, lv), bucket{start: bk.Start, end: bk.End})
-	c.total += uint64(1) << uint(lv)
-	if bk.End > c.now {
-		c.now = bk.End
-	}
-	b.noteCellMutation(i)
-}
-
-// NormalizeRestored re-checks cell i's class budgets after a restore;
+// NormalizeRestored re-checks cell i's class budgets after UnmarshalCell;
 // decoded histograms are already canonical, so for valid inputs this is a
 // no-op walk that repairs corrupt inputs instead of violating invariants.
 // It also rebuilds the expiry cache, which restores leave stale.

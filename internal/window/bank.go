@@ -75,8 +75,8 @@ type Bank interface {
 	AppendMarshalCell(dst []byte, i int) []byte
 	// AppendMarshalCellBare appends cell i's config-elided encoding to dst.
 	// Delta payloads carry one cell per changed index, so repeating the
-	// shared Config per cell would roughly double a sparse delta pre-gzip;
-	// the receiver validated config identity when it accepted the baseline.
+	// shared Config per cell would roughly double a sparse delta; the
+	// receiver validated config identity when it accepted the baseline.
 	AppendMarshalCellBare(dst []byte, i int) []byte
 	// UnmarshalCell decodes either encoding into cell i, which must be empty.
 	// A full-form encoding embeds its Config, which must match the bank's; a

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -262,20 +261,6 @@ func fuzzBucketLists(data []byte) [][]Bucket {
 	return lists
 }
 
-// bucketsOrdered reports whether a bucket list, oldest → newest, keeps the
-// order of a real cell: ticks never go back, and sizes are powers of two
-// that never grow.
-func bucketsOrdered(bs []Bucket) bool {
-	prev := Bucket{Size: math.MaxUint64}
-	for _, b := range bs {
-		if b.Start < prev.End || b.End < b.Start || bits.OnesCount64(b.Size) != 1 || b.Size > prev.Size {
-			return false
-		}
-		prev = b
-	}
-	return true
-}
-
 // FuzzMergeCellRuns checks the streaming run merger against the
 // lower-sort-replay oracle on k ∈ 1..9 arbitrary bucket lists. Each list
 // reaches its input bank the only way a bank cell can be filled from outside,
@@ -286,6 +271,20 @@ func bucketsOrdered(bs []Bucket) bool {
 // content and were ResetCell'd, as a live root's are when PatchMerged
 // re-derives them. The per-object MergeEH rides the same merger from lowered
 // event slices of every list, ordered or not, and is held to its own oracle.
+// sizeFreeSpellable reports whether the size-free EH form can spell bs:
+// sizes are powers of two that never grow, and every size-1 bucket covers
+// one tick.
+func sizeFreeSpellable(bs []Bucket) bool {
+	prev := ^uint64(0)
+	for _, b := range bs {
+		if bits.OnesCount64(b.Size) != 1 || b.Size > prev || (b.Size == 1 && b.End != b.Start) {
+			return false
+		}
+		prev = b.Size
+	}
+	return true
+}
+
 func FuzzMergeCellRuns(f *testing.F) {
 	f.Add([]byte{3, 1, 0, 0, 1, 0, 0, 2, 1, 1, 0, 3, 2, 6, 4, 0x13})
 	f.Add([]byte{0, 1, 1, 0x30, 1, 1, 0x31, 1, 1, 0x32, 1, 1, 0x33})       // sizes out of level order
@@ -318,8 +317,14 @@ func FuzzMergeCellRuns(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = in.UnmarshalCell(src, appendEHBuckets([]byte{wireEHBare, 0}, bs))
-			if ordered := bucketsOrdered(bs); (err == nil) != ordered {
+			// Odd lists whose sizes and class-0 spans the size-free form can
+			// spell go through it; the rest through the sized form.
+			enc := appendEHBuckets([]byte{wireEHSizedBare, 0}, bs)
+			if k%2 == 1 && sizeFreeSpellable(bs) {
+				enc = appendEHClasses([]byte{wireEHBare, 0}, bs)
+			}
+			err = in.UnmarshalCell(src, enc)
+			if ordered := ehListOrdered(bs); (err == nil) != ordered {
 				t.Fatalf("list %d (ordered %v): decode error %v: %v", k, ordered, err, bs)
 			}
 			if err != nil {
@@ -443,4 +448,27 @@ func replayIntoEH(out Config, inputs []*EH, split splitFunc) (*EH, error) {
 	}
 	merged.Advance(now)
 	return merged, nil
+}
+
+// RestoreBucket appends a bucket into cell i's size class directly,
+// bypassing the cascade, as UnmarshalCell files decoded ones; callers feed
+// buckets oldest to newest and finish with NormalizeRestored. It lets a test
+// build a cell no encoding can spell. An overfull class is repaired by
+// cascading before the insert.
+func (b *EHBank) RestoreBucket(i int, bk Bucket) {
+	c := &b.cells[i]
+	lv := 0
+	for s := bk.Size; s > 1; s >>= 1 {
+		lv++
+	}
+	for int(c.nLv) <= lv {
+		b.addLevel(i)
+	}
+	b.ensureRoom(i, c, lv)
+	b.pushBack(b.level(i, lv), bucket{start: bk.Start, end: bk.End})
+	c.total += uint64(1) << uint(lv)
+	if bk.End > c.now {
+		c.now = bk.End
+	}
+	b.noteCellMutation(i)
 }

@@ -2,6 +2,7 @@ package window
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"slices"
@@ -27,8 +28,14 @@ func fuzzSeeds(f *testing.F, enc []byte) {
 	}
 }
 
+// FuzzUnmarshalEH holds both EH forms to the oracle decoder. Whatever the
+// oracle accepts, the bank accepts in the config-elided form of the same
+// tag, and the two decode to the same answers and bytes; whatever decodes
+// under the sized tag, transcoded to the size-free one, decodes to the same
+// cell bytes, answers and version vector.
 func FuzzUnmarshalEH(f *testing.F) {
-	h, err := NewEH(Config{Length: 1000, Epsilon: 0.1})
+	cfg := Config{Length: 1000, Epsilon: 0.1}
+	h, err := NewEH(cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -37,19 +44,47 @@ func FuzzUnmarshalEH(f *testing.F) {
 	}
 	fuzzSeeds(f, h.Marshal())
 	if golden, err := hex.DecodeString(ehGoldenHex); err == nil {
-		f.Add(golden) // pre-refactor encoder output (see golden_test.go)
+		f.Add(golden) // sized-form golden vector (see golden_test.go)
 	}
+	sized := func(now Tick, bs ...Bucket) []byte {
+		return appendEHBuckets(binary.AppendUvarint(appendConfig([]byte{wireEHSized}, cfg), now), bs)
+	}
+	sizeFree := func(now Tick, levels uint64, body ...uint64) []byte {
+		dst := binary.AppendUvarint(appendConfig([]byte{wireEH}, cfg), now)
+		dst = binary.AppendUvarint(dst, levels)
+		for _, v := range body {
+			dst = binary.AppendUvarint(dst, v)
+		}
+		return dst
+	}
+	f.Add(sized(h.Now(), h.Buckets()...)) // #8: the seed histogram, sized
+	if golden, err := hex.DecodeString(ehGoldenSizeFreeHex); err == nil {
+		f.Add(golden) // #9
+	}
+	// #10: the class-0 bucket's start delta wraps past 2^64 right at the
+	// class boundary: [5, 6] of size 2, then a unit at tick 4.
+	f.Add(sizeFree(10, 2, 1, 1, 5, 1, ^uint64(0)-1))
+	// #11: a sized class-0 bucket spanning two ticks.
+	f.Add(sized(10, Bucket{Start: 5, End: 6, Size: 2}, Bucket{Start: 7, End: 8, Size: 1}))
+	// #12: empty classes between and above the buckets decode.
+	f.Add(sizeFree(40, 4, 0, 1, 0, 2, 3, 2, 9, 10))
+	f.Add([]byte{wireEH}) // #13
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := UnmarshalEH(data)
-		// The flat bank decodes the same body, in the config-elided form,
-		// into a bank of the encoding's own configuration whenever that
-		// configuration is valid, and must accept exactly what the
-		// per-object decoder accepts.
+		// The flat bank decodes the same body, in the config-elided form of
+		// the same tag, into a bank of the encoding's own configuration
+		// whenever that configuration is valid, and must accept exactly what
+		// the per-object decoder accepts.
 		var bank *EHBank
-		if r := (wireReader{b: data, off: 1}); len(data) > 0 && data[0] == wireEH {
+		isSized := len(data) > 0 && data[0] == wireEHSized
+		if r := (wireReader{b: data, off: 1}); len(data) > 0 && (data[0] == wireEH || isSized) {
 			if cfg, cerr := r.config(); cerr == nil {
 				if bank, _ = NewEHBank(cfg, 1); bank != nil {
-					bare := append([]byte{wireEHBare}, data[r.off:]...)
+					bareTag := wireEHBare
+					if isSized {
+						bareTag = wireEHSizedBare
+					}
+					bare := append([]byte{bareTag}, data[r.off:]...)
 					if berr := bank.UnmarshalCell(0, bare); (berr == nil) != (err == nil) {
 						t.Fatalf("decoders disagree: bank %v, EH %v", berr, err)
 					}
@@ -77,6 +112,35 @@ func FuzzUnmarshalEH(f *testing.F) {
 		}
 		if got := bank.EstimateSince(0, dec.Now()/2); got != dec.EstimateSince(dec.Now()/2) {
 			t.Fatalf("bank EstimateSince %v, EH %v", got, dec.EstimateSince(dec.Now()/2))
+		}
+		if isSized {
+			// The same bucket list, before any repair, in the size-free form.
+			_, now, bs, err := readEH(data)
+			if err != nil {
+				t.Fatalf("oracle decoded what it cannot read: %v", err)
+			}
+			enc := appendEHClasses(binary.AppendUvarint([]byte{wireEHBare}, now), bs)
+			tb, err := NewEHBank(bank.Config(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.UnmarshalCell(0, enc); err != nil {
+				t.Fatalf("size-free transcoding rejected: %v", err)
+			}
+			if got, want := tb.AppendMarshalCell(nil, 0), bank.AppendMarshalCell(nil, 0); !bytes.Equal(got, want) {
+				t.Fatalf("transcoded cell differs:\n size-free %x\n sized     %x", got, want)
+			}
+			if got := tb.EstimateSince(0, dec.Now()/2); got != bank.EstimateSince(0, dec.Now()/2) {
+				t.Fatalf("transcoded EstimateSince %v, sized %v", got, bank.EstimateSince(0, dec.Now()/2))
+			}
+			if got := tb.EstimateRange(0, bank.Config().Length); got != w {
+				t.Fatalf("transcoded EstimateWindow %v, sized %v", got, w)
+			}
+			gv, gvs := tb.VersionVector()
+			wv, wvs := bank.VersionVector()
+			if gv != wv || !slices.Equal(gvs, wvs) {
+				t.Fatalf("transcoded version vector %d %v, sized %d %v", gv, gvs, wv, wvs)
+			}
 		}
 		// On the decoded histogram's canonical re-encoding the two decoders
 		// must agree exactly.

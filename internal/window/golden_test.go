@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// Golden-vector tests: the hex blobs below were produced by the per-object
-// bucket-deque encoder that predates the flat arena engine. They pin the wire
-// format across the layout refactor — serialized histograms from earlier
-// commits must keep decoding, answering queries identically, and merging.
+// Golden-vector tests. The sized-form blobs (tag 0xE1) were produced by the
+// per-object bucket-deque encoder that predates the flat arena engine; no
+// encoder writes that form any more, so they are decode-only: serialized
+// histograms from earlier commits must keep decoding, answering queries
+// identically, and merging. The size-free blobs (tag 0xE7) are the same
+// histograms as every encoder writes them now, and pin re-encoding.
 
 const (
 	// ehGoldenHex encodes an ε=0.05, N=2^14 histogram fed 5000 bursty AddN
@@ -18,6 +20,11 @@ const (
 	// ehSmallGoldenHex encodes an ε=0.1, N=1000 histogram holding 20 unit
 	// buckets — small enough that no size-class merges have happened.
 	ehSmallGoldenHex = "e100e8079a9999999999b93f0000000000000000e807003c0d030302030302030302030302030302030302030302030001030001030001030001030001030001"
+
+	// ehGoldenSizeFreeHex and ehSmallGoldenSizeFreeHex are the two
+	// histograms above in the size-free form.
+	ehGoldenSizeFreeHex      = "e7008080019a9999999999a93f0000000000000000808001009b9c010a050c0b0b0b0c0c0b0c0b8118fd0700860800f60704830800fe0700850400f90302ff0300830400ff0301fd0300810400fe0307fb0300ff0300fd0306800400fc0102ff0100800200fc0105820200830200fc0101fe0100ff0100fc01048102007e028201007d007f077a0083010079058001008201007a0386010039023f0043003f013d0041003e073b003f003d0640001c021f0020001c05220023001c011e001f001c04210022000d000f070a0013000905100012000a0316000a0012010e0006070300070005060800050004050d00030003040b0000070100020000030400050000060700010000020300040000050600070000010200"
+	ehSmallGoldenSizeFreeHex = "e700e8079a9999999999b93f0000000000000000e807003c0207060303030303030303030303030303030303030303"
 )
 
 func mustGolden(t *testing.T, h string) []byte {
@@ -30,29 +37,44 @@ func mustGolden(t *testing.T, h string) []byte {
 }
 
 func TestGoldenEHDecode(t *testing.T) {
-	h, err := UnmarshalEH(mustGolden(t, ehGoldenHex))
-	if err != nil {
-		t.Fatalf("decoding golden EH: %v", err)
-	}
-	if got := h.Now(); got != 19995 {
-		t.Errorf("Now = %d, want 19995", got)
-	}
-	if got := h.Total(); got != 8463 {
-		t.Errorf("Total = %d, want 8463", got)
-	}
-	if got := h.NumBuckets(); got != 108 {
-		t.Errorf("NumBuckets = %d, want 108", got)
-	}
-	if got := h.EstimateWindow(); math.Abs(got-8207) > 1e-9 {
-		t.Errorf("EstimateWindow = %v, want 8207", got)
-	}
-	if got := h.EstimateSince(1000); math.Abs(got-8207) > 1e-9 {
-		t.Errorf("EstimateSince(1000) = %v, want 8207", got)
-	}
-	// Re-encoding a decoded histogram must reproduce the golden bytes: the
-	// flat engine writes the same wire format the deque engine wrote.
-	if got := hex.EncodeToString(h.Marshal()); got != ehGoldenHex {
-		t.Error("re-encoded golden EH differs from original bytes")
+	for _, g := range []struct{ name, hex string }{{"sized", ehGoldenHex}, {"size-free", ehGoldenSizeFreeHex}} {
+		h, err := UnmarshalEH(mustGolden(t, g.hex))
+		if err != nil {
+			t.Fatalf("decoding %s golden EH: %v", g.name, err)
+		}
+		if got := h.Now(); got != 19995 {
+			t.Errorf("%s: Now = %d, want 19995", g.name, got)
+		}
+		if got := h.Total(); got != 8463 {
+			t.Errorf("%s: Total = %d, want 8463", g.name, got)
+		}
+		if got := h.NumBuckets(); got != 108 {
+			t.Errorf("%s: NumBuckets = %d, want 108", g.name, got)
+		}
+		if got := h.EstimateWindow(); math.Abs(got-8207) > 1e-9 {
+			t.Errorf("%s: EstimateWindow = %v, want 8207", g.name, got)
+		}
+		if got := h.EstimateSince(1000); math.Abs(got-8207) > 1e-9 {
+			t.Errorf("%s: EstimateSince(1000) = %v, want 8207", g.name, got)
+		}
+		// Re-encoding either decoded histogram writes the size-free bytes,
+		// and so does a bank cell decoded from either.
+		if got := hex.EncodeToString(h.Marshal()); got != ehGoldenSizeFreeHex {
+			t.Errorf("%s: re-encoded golden EH differs from the size-free bytes", g.name)
+		}
+		b, err := NewEHBank(h.Config(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.UnmarshalCell(0, mustGolden(t, g.hex)); err != nil {
+			t.Fatalf("bank decoding %s golden EH: %v", g.name, err)
+		}
+		if got := hex.EncodeToString(b.AppendMarshalCell(nil, 0)); got != ehGoldenSizeFreeHex {
+			t.Errorf("%s: bank re-encoding differs from the size-free bytes", g.name)
+		}
+		if got := b.EstimateSince(0, 1000); math.Abs(got-8207) > 1e-9 {
+			t.Errorf("%s: bank EstimateSince(1000) = %v, want 8207", g.name, got)
+		}
 	}
 }
 
@@ -63,6 +85,9 @@ func TestGoldenEHSmallDecodeAndMerge(t *testing.T) {
 	}
 	if got := h.EstimateWindow(); got != 20 {
 		t.Errorf("EstimateWindow = %v, want 20", got)
+	}
+	if got := hex.EncodeToString(h.Marshal()); got != ehSmallGoldenSizeFreeHex {
+		t.Errorf("re-encoded small golden EH differs from the size-free bytes")
 	}
 	// Golden histograms must keep participating in Theorem 4 merges.
 	other, err := NewEH(Config{Length: 1000, Epsilon: 0.1})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Serialization formats. Synopses are serialized when sites ship them to
@@ -13,15 +14,20 @@ import (
 // varint-packed payloads.
 
 const (
-	wireEH byte = 0xE1
-	wireDW byte = 0xE2
-	wireRW byte = 0xE3
-	// wireEHBare is the config-elided EH cell form used inside delta
-	// payloads, where the receiving bank's own Config is authoritative:
-	// tag, now, buckets — no embedded Config (~30 B saved per cell).
-	// Standalone encodings (Marshal, AppendMarshalCell) keep the
-	// self-describing wireEH form byte-for-byte.
-	wireEHBare byte = 0xE4
+	// wireEH is the self-describing EH cell form; wireEHBare is the
+	// config-elided one used inside delta payloads, where the receiving
+	// bank's own Config is authoritative (~30 B saved per cell). Both carry
+	// the size-free body described at appendCellBody.
+	wireEH     byte = 0xE7
+	wireEHBare byte = 0xE8
+	// wireEHSized and wireEHSizedBare are the earlier EH cell forms, whose
+	// body spells out every bucket's size. Nothing writes them any more;
+	// UnmarshalCell still reads them, so state persisted before the size-free
+	// form recovers.
+	wireEHSized     byte = 0xE1
+	wireEHSizedBare byte = 0xE4
+	wireDW          byte = 0xE2
+	wireRW          byte = 0xE3
 	// wireDWBare / wireRWBare are the config-elided wave cell forms used
 	// inside delta payloads, mirroring wireEHBare: the full wireDW/wireRW
 	// body minus the embedded Config. Level/copy counts stay (one byte
@@ -115,12 +121,18 @@ func appendConfig(dst []byte, c Config) []byte {
 	return dst
 }
 
-// The EH cell encoding: tag, (Config,) now, bucket count, then the buckets
-// oldest → newest with boundaries delta-encoded in arrival order and the
-// size spelled out, so a typical bucket costs a handful of bytes. The encoder
-// walks the level rings in place: the bank is only read, so concurrent
-// marshals of a frozen bank (the sharded engine's published views) need no
-// coordination and no scratch.
+// The EH cell encoding: tag, (Config,) then the body: now, the level count
+// L, one bucket count per size class from L−1 down to 0, then the buckets
+// oldest → newest, each as its start delta from the previous bucket's end
+// plus, above class 0, its span end − start. A bucket's size is 2^class, so
+// the per-class counts carry every size; a class-0 bucket is one arrival, so
+// its span is 0. A typical bucket costs two bytes. The encoder walks the
+// level rings in place: the bank is only read, so concurrent marshals of a
+// frozen bank (the sharded engine's published views) need no coordination
+// and no scratch.
+
+// maxEHLevels bounds L: a class-64 bucket would hold 2^64 arrivals.
+const maxEHLevels = 64
 
 // AppendMarshalCell appends cell i's self-describing encoding to dst.
 func (b *EHBank) AppendMarshalCell(dst []byte, i int) []byte {
@@ -139,16 +151,23 @@ func (b *EHBank) AppendMarshalCellBare(dst []byte, i int) []byte {
 func (b *EHBank) appendCellBody(dst []byte, i int) []byte {
 	c := &b.cells[i]
 	dst = binary.AppendUvarint(dst, c.now)
-	dst = binary.AppendUvarint(dst, uint64(b.NumBuckets(i)))
+	top := int(c.nLv) // empty classes above the oldest bucket are not written
+	for top > 0 && b.level(i, top-1).n == 0 {
+		top--
+	}
+	dst = binary.AppendUvarint(dst, uint64(top))
+	for lv := top - 1; lv >= 0; lv-- {
+		dst = binary.AppendUvarint(dst, uint64(b.level(i, lv).n))
+	}
 	var prev Tick
-	for lv := int(c.nLv) - 1; lv >= 0; lv-- {
+	for lv := top - 1; lv >= 0; lv-- {
 		d := b.level(i, lv)
-		size := uint64(1) << uint(lv)
 		for j := 0; j < int(d.n); j++ {
 			bk := b.at(d, j)
 			dst = binary.AppendUvarint(dst, bk.start-prev)
-			dst = binary.AppendUvarint(dst, bk.end-bk.start)
-			dst = binary.AppendUvarint(dst, size)
+			if lv > 0 {
+				dst = binary.AppendUvarint(dst, bk.end-bk.start)
+			}
 			prev = bk.end
 		}
 	}
@@ -157,59 +176,130 @@ func (b *EHBank) appendCellBody(dst []byte, i int) []byte {
 
 var errCorruptEH = errors.New("window: corrupt EH encoding")
 
-// canonicalEHBucket reports whether a decoded bucket keeps the order every
-// histogram built by arrivals or merges has: read oldest → newest, ticks
-// never go back (neither delta wrapped past 2^64) and sizes are powers of two
-// that never grow. A cell whose buckets all pass files them level by level
-// in arrival order, so its level walk, highest class first, is tick-ordered —
-// the invariant EstimateSince and the merge kernel read instead of checking.
-func canonicalEHBucket(prevEnd, start, end Tick, prevSize, size uint64) bool {
-	return start >= prevEnd && end >= start &&
-		size != 0 && size&(size-1) == 0 && size <= prevSize
+// canonicalEHBucket reports whether a decoded bucket of size class lv keeps
+// the order every histogram built by arrivals or merges has: read oldest →
+// newest, ticks never go back (neither delta wrapped past 2^64), and a
+// class-0 bucket, one arrival, spans a single tick. Classes never grow along
+// that read — the size-free body lists them from the top down, and the
+// sized one is checked as it is read — so a cell whose buckets all pass
+// files them level by level in arrival order, and its level walk, highest
+// class first, is tick-ordered: the invariant EstimateSince and the merge
+// kernel read instead of checking.
+func canonicalEHBucket(prevEnd, start, end Tick, lv int) bool {
+	return start >= prevEnd && end >= start && (lv > 0 || end == start)
 }
 
 // UnmarshalCell decodes an EH cell encoding, full or bare, into cell i, which
-// must be empty. An encoding that breaks bucket order (canonicalEHBucket) is
-// rejected, so every cell of a bank is tick-ordered; cell i may then hold the
-// buckets decoded before the bad one and must be reset before reuse.
+// must be empty. The size-free forms give each class's bucket count up
+// front; the sized forms (wireEHSized, wireEHSizedBare) give each bucket's
+// size, which must be a power of two no larger than its predecessor's. Either
+// way the buckets are read by one loop and filed a class at a time. An
+// encoding that breaks bucket order (canonicalEHBucket) is rejected, so every
+// cell of a bank is tick-ordered; cell i may then hold the buckets decoded
+// before the bad one and must be reset before reuse.
 func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 	r := wireReader{b: enc}
-	if err := b.readCellTag(&r, wireEH, wireEHBare, "EH"); err != nil {
+	sized := len(enc) > 0 && (enc[0] == wireEHSized || enc[0] == wireEHSizedBare)
+	full, bare := wireEH, wireEHBare
+	if sized {
+		full, bare = wireEHSized, wireEHSizedBare
+	}
+	if err := b.readCellTag(&r, full, bare, "EH"); err != nil {
 		return err
 	}
 	now, err := r.uvarint()
 	if err != nil {
 		return err
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return err
+	// n buckets in all; counts[lv] per class in the size-free form. Both pass
+	// the cheap corruption guard — at least one byte per bucket — before any
+	// room is reserved.
+	var counts [maxEHLevels]uint64
+	var n uint64
+	lv := maxEHLevels // the class being filed; none yet
+	if sized {
+		if n, err = r.uvarint(); err != nil {
+			return err
+		}
+		if n > uint64(len(enc)) {
+			return errCorruptEH
+		}
+	} else {
+		levels, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if levels > maxEHLevels {
+			return errCorruptEH
+		}
+		for l := int(levels) - 1; l >= 0; l-- {
+			if counts[l], err = r.uvarint(); err != nil {
+				return err
+			}
+			if n += counts[l]; counts[l] > uint64(len(enc)) || n > uint64(len(enc)) {
+				return errCorruptEH
+			}
+		}
+		lv = int(levels)
 	}
-	if n > uint64(len(enc)) { // cheap corruption guard: ≥1 byte per bucket
-		return errCorruptEH
-	}
+	c := &b.cells[i]
+	var d *ehLevel
 	var prev Tick
-	prevSize := ^uint64(0)
+	left := uint64(0) // buckets still to read in class lv (size-free form)
 	for j := uint64(0); j < n; j++ {
+		next := lv
+		if !sized {
+			for left == 0 {
+				next--
+				left = counts[next]
+			}
+		}
 		ds, err := r.uvarint()
 		if err != nil {
 			return err
 		}
-		de, err := r.uvarint()
-		if err != nil {
-			return err
+		var de uint64
+		if sized || next > 0 {
+			if de, err = r.uvarint(); err != nil {
+				return err
+			}
 		}
-		size, err := r.uvarint()
-		if err != nil {
-			return err
+		if sized {
+			size, err := r.uvarint()
+			if err != nil {
+				return err
+			}
+			if size == 0 || size&(size-1) != 0 {
+				return errCorruptEH
+			}
+			if next = bits.TrailingZeros64(size); next > lv {
+				return errCorruptEH
+			}
 		}
+		left--
 		start := prev + ds
 		end := start + de
-		if !canonicalEHBucket(prev, start, end, prevSize, size) {
+		if !canonicalEHBucket(prev, start, end, next) {
 			return errCorruptEH
 		}
-		prev, prevSize = end, size
-		b.RestoreBucket(i, Bucket{Start: start, End: end, Size: size})
+		prev = end
+		if next != lv || int(d.n) == b.stride {
+			// A new class: carve it. A full ring, which only a corrupt
+			// encoding reaches, merges its two oldest buckets upward first.
+			lv = next
+			for int(c.nLv) <= lv {
+				b.addLevel(i)
+			}
+			b.ensureRoom(i, c, lv)
+			d = b.level(i, lv)
+		}
+		b.pushBack(d, bucket{start: start, end: end})
+		c.total += uint64(1) << uint(lv)
+		c.now = max(c.now, end)
+	}
+	if n > 0 {
+		b.version += n // one stamp per bucket, as RestoreBucket leaves them
+		b.vers[i] = b.version
 	}
 	b.NormalizeRestored(i)
 	b.Advance(i, now)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The per-object synopses' own codecs, kept beside them as the reference the
@@ -33,9 +34,42 @@ func (w *wireWriter) config(c Config) {
 	w.buf.Write(appendConfig(nil, c))
 }
 
-// appendEHBuckets appends the delta-encoded bucket payload shared by the
-// per-object and flat-bank EH encoders: boundaries are delta-encoded in
-// arrival order, so a typical bucket costs a handful of bytes.
+// The EH oracle codec is written from the bucket list (Buckets), not from
+// any bank or ring walk, and checks order with its own rule (ehListOrdered),
+// so the bank codec is compared against an independent reading of the
+// format rather than against itself.
+
+// appendEHClasses appends the size-free EH body after now: the class count
+// L, one bucket count per class from L−1 down to 0, then each bucket oldest
+// → newest as its start delta plus, above class 0, its span. bs must be a
+// cell's list: sizes powers of two that never grow.
+func appendEHClasses(dst []byte, bs []Bucket) []byte {
+	var counts [64]uint64
+	levels := 0
+	for _, b := range bs {
+		lv := bits.TrailingZeros64(b.Size)
+		counts[lv]++
+		levels = max(levels, lv+1)
+	}
+	dst = binary.AppendUvarint(dst, uint64(levels))
+	for lv := levels - 1; lv >= 0; lv-- {
+		dst = binary.AppendUvarint(dst, counts[lv])
+	}
+	var prev Tick
+	for _, b := range bs {
+		dst = binary.AppendUvarint(dst, b.Start-prev)
+		if b.Size > 1 {
+			dst = binary.AppendUvarint(dst, b.End-b.Start)
+		}
+		prev = b.End
+	}
+	return dst
+}
+
+// appendEHBuckets appends the sized EH body after now (tags wireEHSized and
+// wireEHSizedBare): the bucket count, then each bucket's start delta, span
+// and size. Nothing in production writes it; tests use it to build the
+// encodings a store written before the size-free form holds.
 func appendEHBuckets(dst []byte, bs []Bucket) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(bs)))
 	var prev Tick
@@ -48,69 +82,141 @@ func appendEHBuckets(dst []byte, bs []Bucket) []byte {
 	return dst
 }
 
-// Marshal encodes the histogram.
+// readEHList reads an EH body after now, in the sized form or the
+// size-free one, into its bucket list, unchecked. Like the bank it refuses,
+// before allocating, a bucket count above limit (one byte per bucket) and
+// more than 64 classes.
+func readEHList(r *wireReader, sized bool, limit uint64) ([]Bucket, error) {
+	var bs []Bucket
+	var prev Tick
+	if sized {
+		n, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if n > limit {
+			return nil, errCorruptEH
+		}
+		for ; n > 0; n-- {
+			var v [3]uint64
+			for k := range v {
+				if v[k], err = r.uvarint(); err != nil {
+					return nil, err
+				}
+			}
+			start := prev + v[0]
+			bs = append(bs, Bucket{Start: start, End: start + v[1], Size: v[2]})
+			prev = start + v[1]
+		}
+		return bs, nil
+	}
+	levels, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if levels > 64 {
+		return nil, errCorruptEH
+	}
+	counts := make([]uint64, levels)
+	var total uint64
+	for lv := int(levels) - 1; lv >= 0; lv-- {
+		if counts[lv], err = r.uvarint(); err != nil {
+			return nil, err
+		}
+		if counts[lv] > limit {
+			return nil, errCorruptEH
+		}
+		total += counts[lv]
+	}
+	if total > limit {
+		return nil, errCorruptEH
+	}
+	for lv := int(levels) - 1; lv >= 0; lv-- {
+		for k := uint64(0); k < counts[lv]; k++ {
+			ds, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			var span uint64
+			if lv > 0 {
+				if span, err = r.uvarint(); err != nil {
+					return nil, err
+				}
+			}
+			start := prev + ds
+			bs = append(bs, Bucket{Start: start, End: start + span, Size: 1 << uint(lv)})
+			prev = start + span
+		}
+	}
+	return bs, nil
+}
+
+// ehListOrdered reports whether a decoded bucket list keeps the order of a
+// real cell: no tick delta wrapped, sizes are powers of two that never grow,
+// and a size-1 bucket covers one tick.
+func ehListOrdered(bs []Bucket) bool {
+	var prevEnd Tick
+	prevSize := ^uint64(0)
+	for _, b := range bs {
+		if b.Start < prevEnd || b.End < b.Start || bits.OnesCount64(b.Size) != 1 ||
+			b.Size > prevSize || (b.Size == 1 && b.End != b.Start) {
+			return false
+		}
+		prevEnd, prevSize = b.End, b.Size
+	}
+	return true
+}
+
+// Marshal encodes the histogram in the size-free form (wireEH).
 func (h *EH) Marshal() []byte {
 	dst := []byte{wireEH}
 	dst = appendConfig(dst, h.cfg)
 	dst = binary.AppendUvarint(dst, h.now)
-	return appendEHBuckets(dst, h.Buckets()) // oldest → newest, ticks non-decreasing
+	return appendEHClasses(dst, h.Buckets()) // oldest → newest, ticks non-decreasing
 }
 
-// UnmarshalEH reconstructs a histogram from Marshal output. The
-// reconstruction replays the buckets directly (not via the half/half merge
-// split), so the decoded histogram answers queries identically to the
-// encoded one. It rejects what EHBank.UnmarshalCell rejects: a bucket that
-// breaks order (canonicalEHBucket).
-func UnmarshalEH(b []byte) (*EH, error) {
+// readEH reads a self-describing EH encoding of either form into its
+// Config, clock and unchecked bucket list.
+func readEH(b []byte) (Config, Tick, []Bucket, error) {
 	r := wireReader{b: b}
 	tag, err := r.byte1()
 	if err != nil {
-		return nil, err
+		return Config{}, 0, nil, err
 	}
-	if tag != wireEH {
-		return nil, fmt.Errorf("window: expected EH encoding, got tag 0x%02x", tag)
+	if tag != wireEH && tag != wireEHSized {
+		return Config{}, 0, nil, fmt.Errorf("window: expected EH encoding, got tag 0x%02x", tag)
 	}
 	cfg, err := r.config()
 	if err != nil {
-		return nil, err
+		return cfg, 0, nil, err
 	}
 	now, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return cfg, 0, nil, err
 	}
-	n, err := r.uvarint()
+	bs, err := readEHList(&r, tag == wireEHSized, uint64(len(b)))
+	return cfg, now, bs, err
+}
+
+// UnmarshalEH reconstructs a histogram from an EH encoding of either form.
+// The reconstruction replays the buckets directly (not via the half/half
+// merge split), so the decoded histogram answers queries identically to the
+// encoded one. It rejects what EHBank.UnmarshalCell rejects: a bucket that
+// breaks order.
+func UnmarshalEH(b []byte) (*EH, error) {
+	cfg, now, bs, err := readEH(b)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(b)) { // cheap corruption guard: ≥1 byte per bucket
+	if !ehListOrdered(bs) {
 		return nil, errCorruptEH
 	}
 	h, err := NewEH(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var prev Tick
-	prevSize := ^uint64(0)
-	for i := uint64(0); i < n; i++ {
-		ds, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		de, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		size, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		start := prev + ds
-		end := start + de
-		if !canonicalEHBucket(prev, start, end, prevSize, size) {
-			return nil, errCorruptEH
-		}
-		prev, prevSize = end, size
-		h.restoreBucket(bucketRestore{start: start, end: end, size: size})
+	for _, bk := range bs {
+		h.restoreBucket(bucketRestore{start: bk.Start, end: bk.End, size: bk.Size})
 	}
 	h.normalizeRestored()
 	h.Advance(now)

@@ -3,8 +3,8 @@
 // every tier serving (or consuming) the versioned API must agree on.
 // ecmserver's shared read routes and the coordinator's own routes both
 // build on it, so the two cannot drift; ecmclient and the
-// coordinator's HTTP transport consume snapshots through it, so gzip
-// negotiation and transfer accounting live in exactly one place.
+// coordinator's HTTP transport consume snapshots through it, so snapshot
+// transfer lives in exactly one place.
 //
 // Conventions encoded here:
 //
@@ -17,13 +17,13 @@
 //   - Snapshot payloads (full or delta) are application/octet-stream with
 //     X-Ecm-Now/X-Ecm-Count advisory headers, X-Ecm-Cursor carrying the
 //     delta-protocol cursor and X-Ecm-Delta naming the payload kind
-//     ("full" or "delta"). Bodies gzip when the request offers
-//     Accept-Encoding: gzip and the payload is big enough to care.
+//     ("full" or "delta"). Bodies are never compressed: the EH cell
+//     encoding carries no redundancy a compressor would find, so the
+//     payload is the transfer, whatever Accept-Encoding offers.
 package wire
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -57,12 +57,8 @@ const (
 
 // MaxSnapshotBytes bounds any snapshot body read through this package
 // (1 GiB, the historical coordinator limit), so a misbehaving peer cannot
-// exhaust puller memory. The same cap applies after gzip expansion.
+// exhaust puller memory.
 const MaxSnapshotBytes = 1 << 30
-
-// gzipMinSize is the smallest payload worth compressing: delta payloads of
-// a few dozen bytes would grow under the gzip header.
-const gzipMinSize = 512
 
 // Error writes the /v1 JSON error shape with the given status code.
 func Error(w http.ResponseWriter, code int, err error) {
@@ -903,34 +899,10 @@ type SnapshotMeta struct {
 	Kind   string // "", KindFull or KindDelta
 }
 
-// acceptsGzip reports whether the request offers gzip. Coding tokens are
-// matched per comma-separated entry, with the qvalue parsed numerically so
-// every RFC 9110 spelling of an explicit refusal ("q=0", "q=0.0",
-// "q=0.000") is honored, not mistaken for an offer.
-func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
-		if !strings.EqualFold(strings.TrimSpace(enc), "gzip") {
-			continue
-		}
-		if hasQ {
-			qv := strings.TrimSpace(q)
-			if cut, ok := strings.CutPrefix(qv, "q="); ok {
-				if w, err := strconv.ParseFloat(strings.TrimSpace(cut), 64); err == nil && w == 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // WriteSnapshot ships one snapshot payload (full or delta) with the
-// protocol headers, honoring Accept-Encoding: gzip for payloads worth
-// compressing. Content-Length is always exact — pullers that count
-// transferred bytes see the compressed size.
-func WriteSnapshot(w http.ResponseWriter, r *http.Request, payload []byte, m SnapshotMeta) {
+// protocol headers and an exact Content-Length, as identity bytes whatever
+// the request's Accept-Encoding offers.
+func WriteSnapshot(w http.ResponseWriter, payload []byte, m SnapshotMeta) {
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(HeaderNow, strconv.FormatUint(m.Now, 10))
@@ -941,59 +913,14 @@ func WriteSnapshot(w http.ResponseWriter, r *http.Request, payload []byte, m Sna
 	if m.Kind != "" {
 		h.Set(HeaderKind, m.Kind)
 	}
-	if len(payload) >= gzipMinSize && acceptsGzip(r) {
-		var buf bytes.Buffer
-		zw := gzipWriters.Get().(*gzip.Writer)
-		zw.Reset(&buf)
-		zw.Write(payload) //nolint:errcheck // bytes.Buffer writes cannot fail
-		zw.Close()        //nolint:errcheck
-		zw.Reset(nil)     // drop buf, so the pool does not pin the body
-		gzipWriters.Put(zw)
-		h.Set("Content-Encoding", "gzip")
-		h.Set("Vary", "Accept-Encoding")
-		h.Set("Content-Length", strconv.Itoa(buf.Len()))
-		w.Write(buf.Bytes())
-		return
-	}
 	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	w.Write(payload)
 }
 
-// gzipWriters and gzipReaders pool the (de)compressor state of snapshot
-// bodies across pulls: a fresh gzip.Writer allocates and zeroes ~700 KB of
-// deflate tables, and Reset reuses them with output byte-identical to a
-// fresh writer's at the same (default) level.
-var (
-	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
-	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
-)
-
-// gunzip decompresses one gzip body of at most MaxSnapshotBytes through a
-// pooled reader. A pooled reader still points at raw until its next Reset;
-// the pool drops idle readers at garbage collection, so that pins no body
-// for long.
-func gunzip(raw []byte) ([]byte, error) {
-	zr := gzipReaders.Get().(*gzip.Reader)
-	defer gzipReaders.Put(zr)
-	if err := zr.Reset(bytes.NewReader(raw)); err != nil {
-		return nil, fmt.Errorf("bad gzip snapshot body: %w", err)
-	}
-	payload, err := io.ReadAll(io.LimitReader(zr, MaxSnapshotBytes))
-	if err != nil {
-		return nil, fmt.Errorf("decompressing snapshot body: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("bad gzip snapshot body: %w", err)
-	}
-	return payload, nil
-}
-
-// SnapshotReply is one fetched snapshot: the decoded payload, the bytes
-// that actually crossed the wire (compressed when the server gzipped), and
-// the protocol headers.
+// SnapshotReply is one fetched snapshot: the payload and the protocol
+// headers.
 type SnapshotReply struct {
 	Payload []byte
-	Wire    int
 	Now     uint64
 	Count   uint64
 	Cursor  string
@@ -1018,18 +945,14 @@ func FetchDelta(hc *http.Client, base, token string, since core.Cursor) (payload
 	return rep.Payload, cur, rep.Kind != KindDelta || cur.IsZero(), nil
 }
 
-// FetchSnapshot GETs a snapshot URL, explicitly offering gzip (which
-// disables Go's transparent decompression precisely so the raw transfer
-// size can be measured) and decompressing the body when the server took the
-// offer. A non-empty token is sent as a bearer credential. Any reply but
-// 200 is an error naming the status.
+// FetchSnapshot GETs a snapshot URL. A non-empty token is sent as a bearer
+// credential. Any reply but 200 is an error naming the status.
 func FetchSnapshot(hc *http.Client, url, token string) (SnapshotReply, error) {
 	var rep SnapshotReply
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		return rep, err
 	}
-	req.Header.Set("Accept-Encoding", "gzip")
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)
 	}
@@ -1042,17 +965,8 @@ func FetchSnapshot(hc *http.Client, url, token string) (SnapshotReply, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
 		return rep, fmt.Errorf("snapshot pull returned status %d", resp.StatusCode)
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxSnapshotBytes))
-	if err != nil {
+	if rep.Payload, err = io.ReadAll(io.LimitReader(resp.Body, MaxSnapshotBytes)); err != nil {
 		return rep, fmt.Errorf("reading snapshot body: %w", err)
-	}
-	rep.Wire = len(raw)
-	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		if rep.Payload, err = gunzip(raw); err != nil {
-			return rep, err
-		}
-	} else {
-		rep.Payload = raw
 	}
 	if len(rep.Payload) == 0 {
 		return rep, errors.New("empty snapshot body")

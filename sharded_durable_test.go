@@ -626,3 +626,64 @@ func TestDurableFailedCheckpointsKeepAcknowledgedWrites(t *testing.T) {
 		b.Close()
 	}
 }
+
+// TestDurableRecoversSizedCheckpoint recovers a data directory written by a
+// build whose encoders still wrote the sized EH cell form (tag 0xE1): a
+// checkpoint of 3,000 arrivals over two stripes plus a WAL segment of 200
+// more, left by an abrupt close. The state must recover — same epoch, WAL
+// replayed — rather than be discarded as a fresh epoch, and answer as an
+// engine fed the same stream does, byte for byte once re-encoded.
+func TestDurableRecoversSizedCheckpoint(t *testing.T) {
+	const epoch = 0xa866cbf4332e9663 // the writer's
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot", "wal-2"} {
+		blob, err := os.ReadFile(filepath.Join("testdata", "durable-sized", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ecmsketch.Params{Epsilon: 0.1, Delta: 0.1, Width: 32, Depth: 2, WindowLength: 4096, Seed: 7, UpperBound: 1 << 16}
+	open := func(store DurableStore) *ecmsketch.Sharded {
+		cfg := ShardedConfig{Params: p, Shards: 2}
+		if store != nil {
+			cfg.Durability = &DurabilityConfig{Store: store}
+		}
+		sh, err := NewSharded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sh.Close() })
+		return sh
+	}
+	got, want := open(store), open(nil)
+	// The writer's stream: 3,200 arrivals in batches of 50, checkpointed
+	// after the first 3,000.
+	var evs []Event
+	for i := 0; i < 3200; i++ {
+		evs = append(evs, Event{Key: uint64(i*7919) % 61, Tick: uint64(1 + i/2), N: uint64(1 + i%3)})
+		if len(evs) == 50 {
+			want.AddBatch(evs)
+			evs = evs[:0]
+		}
+	}
+	st := got.DurabilityStats()
+	if !st.Recovered || st.Epoch != epoch || st.ReplayedRecords == 0 {
+		t.Fatalf("recovered %v, epoch %x (want %x), replayed %d records", st.Recovered, st.Epoch, uint64(epoch), st.ReplayedRecords)
+	}
+	if got.Count() != want.Count() || got.Count() != 6399 {
+		t.Fatalf("count %d, an engine fed the stream %d, the writer 6399", got.Count(), want.Count())
+	}
+	if e := got.Estimate(5, 1<<20); e != 207 || e != want.Estimate(5, 1<<20) {
+		t.Fatalf("Estimate(5) %v, an engine fed the stream %v, the writer 207", e, want.Estimate(5, 1<<20))
+	}
+	if string(got.Marshal()) != string(want.Marshal()) {
+		t.Fatal("recovered engine re-encodes differently from an engine fed the same stream")
+	}
+}
