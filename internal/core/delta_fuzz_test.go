@@ -165,7 +165,13 @@ func FuzzDeltaApply(f *testing.F) {
 			p.add(3, 2)
 			p.add(4, deltaFuzzWindow) // expires the prefix
 			delta, _, _ := p.pull(f, st.Cursor())
-			for _, seed := range [][]byte{full, delta, delta[:len(delta)/2], full[:len(full)/3]} {
+			seeds := [][]byte{full, delta, delta[:len(delta)/2], full[:len(full)/3]}
+			if algo == window.AlgoEH && nparts == 1 {
+				// The same delta with its cells in the sized form, as a
+				// producer built before the size-free form ships it.
+				seeds = append(seeds, appendDeltaSized(p.parts[0], deltaFuzzEpoch, st.Cursor().Vers[0]))
+			}
+			for _, seed := range seeds {
 				f.Add(seed[min(1, len(seed)):], uint8(sel))
 				mut := append([]byte(nil), seed...)
 				mut[len(mut)/2] ^= 0x41

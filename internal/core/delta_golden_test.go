@@ -27,12 +27,19 @@ const (
 	// deltaGoldenBaseHex is the producer's full snapshot (standard Marshal
 	// bytes) at the baseline version; deltaGoldenDeltaHex is the wireDelta
 	// payload for the mutations between baseline and final state, cells in
-	// bare form.
+	// bare form. These three carry cells in the sized EH form (tags 0xE1,
+	// 0xE4), which no encoder writes any more: they are decode-only, and
+	// the *SizeFreeHex vectors below pin what the producer emits now.
 	deltaGoldenBaseHex  = "ec000000000000d03f000000000000d03f000000e80700091802804a7fb97937be3f804a7fb97937be3f140888ef99abc5e88c9111002be100e807804a7fb97937be3f000000000000c03fe8070914060a000100000100000100000100000105000119e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe8070914001fe100e807804a7fb97937be3f000000000000c03fe8070914020c000100000119e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe8070914001fe100e807804a7fb97937be3f000000000000c03fe8070914020c000100000119e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe8070914002be100e807804a7fb97937be3f000000000000c03fe8070914060a000100000100000100000100000105000119e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe80709140019e100e807804a7fb97937be3f000000000000c03fe807091400"
 	deltaGoldenDeltaHex = "edcea3b780efdff2f65e060ab0091488ef99abc5e88c91110004001de4b00908bc050002000001000001000001000001000001000001000001050ee4b00903c1050001000001000001221de4b00908bc050002000001000001000001000001000001000001000001060ee4b00903c1050001000001000001"
 	// deltaGoldenFinalHex is the producer's Marshal after the delta — what a
 	// receiver that applies either payload form over the baseline must hold.
 	deltaGoldenFinalHex = "ec000000000000d03f000000000000d03f000000e80700091802804a7fb97937be3f804a7fb97937be3fb0091488ef99abc5e88c91110033e100e807804a7fb97937be3f000000000000c03fe80709b00908bc0500020000010000010000010000010000010000010000011ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b0090024e100e807804a7fb97937be3f000000000000c03fe80709b00903c10500010000010000011ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b0090033e100e807804a7fb97937be3f000000000000c03fe80709b00908bc0500020000010000010000010000010000010000010000011ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b0090024e100e807804a7fb97937be3f000000000000c03fe80709b00903c10500010000010000011ae100e807804a7fb97937be3f000000000000c03fe80709b009001ae100e807804a7fb97937be3f000000000000c03fe80709b00900"
+
+	// The same three in the size-free EH form (tags 0xE7, 0xE8).
+	deltaGoldenBaseSizeFreeHex  = "ec000000000000d03f000000000000d03f000000e80700091802804a7fb97937be3f804a7fb97937be3f140888ef99abc5e88c91110020e700e807804a7fb97937be3f000000000000c03fe807091401060a000000000519e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe8070914001ce700e807804a7fb97937be3f000000000000c03fe807091401020c0019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe8070914001ce700e807804a7fb97937be3f000000000000c03fe807091401020c0019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140020e700e807804a7fb97937be3f000000000000c03fe807091401060a000000000519e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe80709140019e700e807804a7fb97937be3f000000000000c03fe807091400"
+	deltaGoldenDeltaSizeFreeHex = "edcea3b780efdff2f65e060ab0091488ef99abc5e88c911100040010e8b009020107bc0500000000000000000509e8b0090103c10500002210e8b009020107bc0500000000000000000609e8b0090103c1050000"
+	deltaGoldenFinalSizeFreeHex = "ec000000000000d03f000000000000d03f000000e80700091802804a7fb97937be3f804a7fb97937be3fb0091488ef99abc5e88c91110026e700e807804a7fb97937be3f000000000000c03fe80709b009020107bc0500000000000000001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001fe700e807804a7fb97937be3f000000000000c03fe80709b0090103c10500001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b0090026e700e807804a7fb97937be3f000000000000c03fe80709b009020107bc0500000000000000001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b009001fe700e807804a7fb97937be3f000000000000c03fe80709b0090103c10500001ae700e807804a7fb97937be3f000000000000c03fe80709b009001ae700e807804a7fb97937be3f000000000000c03fe80709b00900"
 )
 
 // deltaGoldenProducer replays the fixed history: a baseline batch, then a
@@ -70,49 +77,56 @@ func deltaGoldenProducer(t *testing.T, phase int) *Sketch {
 // snapshots at both ends must match their pinned forms.
 func TestGoldenDeltaEncode(t *testing.T) {
 	base := deltaGoldenProducer(t, 0)
-	if got := hex.EncodeToString(base.Marshal()); got != deltaGoldenBaseHex {
-		t.Fatalf("baseline snapshot drifted from golden:\n got %s\nwant %s", got, deltaGoldenBaseHex)
+	if got := hex.EncodeToString(base.Marshal()); got != deltaGoldenBaseSizeFreeHex {
+		t.Fatalf("baseline snapshot drifted from golden:\n got %s\nwant %s", got, deltaGoldenBaseSizeFreeHex)
 	}
 	baseVer := base.DeltaVersion()
 
 	final := deltaGoldenProducer(t, 1)
 	payload := final.AppendDeltaSince(nil, deltaGoldenEpoch, baseVer)
-	if got := hex.EncodeToString(payload); got != deltaGoldenDeltaHex {
-		t.Fatalf("delta payload drifted from golden:\n got %s\nwant %s", got, deltaGoldenDeltaHex)
+	if got := hex.EncodeToString(payload); got != deltaGoldenDeltaSizeFreeHex {
+		t.Fatalf("delta payload drifted from golden:\n got %s\nwant %s", got, deltaGoldenDeltaSizeFreeHex)
 	}
-	if got := hex.EncodeToString(final.Marshal()); got != deltaGoldenFinalHex {
-		t.Fatalf("final snapshot drifted from golden:\n got %s\nwant %s", got, deltaGoldenFinalHex)
+	if got := hex.EncodeToString(final.Marshal()); got != deltaGoldenFinalSizeFreeHex {
+		t.Fatalf("final snapshot drifted from golden:\n got %s\nwant %s", got, deltaGoldenFinalSizeFreeHex)
 	}
 }
 
-// TestGoldenDeltaDecode applies the pinned payload over the pinned baseline
-// and requires byte-identical reconstruction — the decoder contract frozen
-// against the golden bytes rather than against whatever the current encoder
-// happens to emit.
+// TestGoldenDeltaDecode applies each pinned payload over its pinned
+// baseline, sized and size-free, and requires byte-identical reconstruction
+// — the decoder contract frozen against the golden bytes rather than against
+// whatever the current encoder happens to emit. Both re-encode to the
+// size-free final snapshot.
 func TestGoldenDeltaDecode(t *testing.T) {
-	receiver := mustGoldenSketch(t, deltaGoldenBaseHex)
-	payload, err := hex.DecodeString(deltaGoldenDeltaHex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The held base version is cursor state, tracked by DeltaState rather
-	// than the decoded sketch; here it is the producer's baseline version.
-	baseVer := deltaGoldenProducer(t, 0).DeltaVersion()
-	var replaced []int
-	newVer, err := receiver.applyDelta(payload, deltaGoldenEpoch, baseVer, func(idx int) {
-		replaced = append(replaced, idx)
-	})
-	if err != nil {
-		t.Fatalf("applying golden delta: %v", err)
-	}
-	if got := hex.EncodeToString(receiver.Marshal()); got != deltaGoldenFinalHex {
-		t.Fatalf("golden delta reconstruction diverged:\n got %s\nwant %s", got, deltaGoldenFinalHex)
-	}
-	if newVer != deltaGoldenProducer(t, 1).DeltaVersion() {
-		t.Fatalf("golden delta advanced to version %d, want the producer's", newVer)
-	}
-	if len(replaced) == 0 {
-		t.Fatal("golden delta replaced no cells; the vector should carry changes")
+	for _, g := range []struct{ name, base, delta string }{
+		{"sized", deltaGoldenBaseHex, deltaGoldenDeltaHex},
+		{"size-free", deltaGoldenBaseSizeFreeHex, deltaGoldenDeltaSizeFreeHex},
+	} {
+		receiver := mustGoldenSketch(t, g.base)
+		payload, err := hex.DecodeString(g.delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The held base version is cursor state, tracked by DeltaState
+		// rather than the decoded sketch; here it is the producer's
+		// baseline version.
+		baseVer := deltaGoldenProducer(t, 0).DeltaVersion()
+		var replaced []int
+		newVer, err := receiver.applyDelta(payload, deltaGoldenEpoch, baseVer, func(idx int) {
+			replaced = append(replaced, idx)
+		})
+		if err != nil {
+			t.Fatalf("%s: applying golden delta: %v", g.name, err)
+		}
+		if got := hex.EncodeToString(receiver.Marshal()); got != deltaGoldenFinalSizeFreeHex {
+			t.Fatalf("%s: golden delta reconstruction diverged:\n got %s\nwant %s", g.name, got, deltaGoldenFinalSizeFreeHex)
+		}
+		if newVer != deltaGoldenProducer(t, 1).DeltaVersion() {
+			t.Fatalf("%s: golden delta advanced to version %d, want the producer's", g.name, newVer)
+		}
+		if len(replaced) == 0 {
+			t.Fatalf("%s: golden delta replaced no cells; the vector should carry changes", g.name)
+		}
 	}
 }
 
@@ -121,6 +135,32 @@ func TestGoldenDeltaDecode(t *testing.T) {
 // form. Header and per-cell index/length framing are identical; only the
 // cell encodings differ.
 func appendDeltaFullForm(s *Sketch, epoch, base uint64) []byte {
+	return appendDeltaCells(s, epoch, base, s.eh.AppendMarshalCell)
+}
+
+// appendDeltaSized frames a sketch's delta with its EH cells in the sized
+// bare form (tag 0xE4: now, the bucket count, then each bucket's start
+// delta, span and size), as producers wrote them before the size-free form.
+func appendDeltaSized(s *Sketch, epoch, base uint64) []byte {
+	return appendDeltaCells(s, epoch, base, func(dst []byte, i int) []byte {
+		dst = append(dst, 0xE4)
+		dst = binary.AppendUvarint(dst, uint64(s.eh.Now(i)))
+		bs := s.eh.Buckets(i)
+		dst = binary.AppendUvarint(dst, uint64(len(bs)))
+		var prev Tick
+		for _, b := range bs {
+			dst = binary.AppendUvarint(dst, uint64(b.Start-prev))
+			dst = binary.AppendUvarint(dst, uint64(b.End-b.Start))
+			dst = binary.AppendUvarint(dst, b.Size)
+			prev = b.End
+		}
+		return dst
+	})
+}
+
+// appendDeltaCells frames a sketch's wireDelta payload with each changed
+// cell spelled by cell.
+func appendDeltaCells(s *Sketch, epoch, base uint64, cell func(dst []byte, i int) []byte) []byte {
 	dst := []byte{wireDelta}
 	dst = binary.AppendUvarint(dst, epoch)
 	dst = binary.AppendUvarint(dst, base)
@@ -137,16 +177,16 @@ func appendDeltaFullForm(s *Sketch, epoch, base uint64) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(changed))
 	prev := 0
-	var cell []byte
+	var enc []byte
 	for i := 0; i < s.d*s.w; i++ {
 		if !s.eh.CellChangedSince(i, base) {
 			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(i-prev))
 		prev = i
-		cell = s.eh.AppendMarshalCell(cell[:0], i)
-		dst = binary.AppendUvarint(dst, uint64(len(cell)))
-		dst = append(dst, cell...)
+		enc = cell(enc[:0], i)
+		dst = binary.AppendUvarint(dst, uint64(len(enc)))
+		dst = append(dst, enc...)
 	}
 	return dst
 }
@@ -160,7 +200,7 @@ func TestGoldenDeltaFullFormFallback(t *testing.T) {
 	baseVer := deltaGoldenProducer(t, 0).DeltaVersion()
 	oldForm := appendDeltaFullForm(final, deltaGoldenEpoch, baseVer)
 
-	bare, err := hex.DecodeString(deltaGoldenDeltaHex)
+	bare, err := hex.DecodeString(deltaGoldenDeltaSizeFreeHex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +215,8 @@ func TestGoldenDeltaFullFormFallback(t *testing.T) {
 	if _, err := receiver.applyDelta(oldForm, deltaGoldenEpoch, baseVer, nil); err != nil {
 		t.Fatalf("applying full-form delta: %v", err)
 	}
-	if got := hex.EncodeToString(receiver.Marshal()); got != deltaGoldenFinalHex {
-		t.Fatalf("full-form reconstruction diverged:\n got %s\nwant %s", got, deltaGoldenFinalHex)
+	if got := hex.EncodeToString(receiver.Marshal()); got != deltaGoldenFinalSizeFreeHex {
+		t.Fatalf("full-form reconstruction diverged:\n got %s\nwant %s", got, deltaGoldenFinalSizeFreeHex)
 	}
 
 	// A full-form cell whose embedded config does not match the receiver's

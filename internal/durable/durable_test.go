@@ -6,6 +6,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -413,6 +415,25 @@ func FuzzSnapshotCodec(f *testing.F) {
 	blob := codecSnapshot.Encode()
 	f.Add(blob[:len(blob)-4])
 	f.Add((&Snapshot{}).Encode())
+	// A checkpoint of a live sketch, its EH cells in the size-free form
+	// (tag 0xE7), and one written by an earlier build, in the sized form
+	// (tag 0xE1).
+	sk, err := core.New(core.Params{Epsilon: 0.1, Delta: 0.1, WindowLength: 1000, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := uint64(1); i <= 200; i++ {
+		sk.AddN(i%13, i, 1+i%3)
+	}
+	ver, vers := sk.VersionVector()
+	live := (&Snapshot{Epoch: 9, Gen: 1, Now: 200, Fingerprint: 5,
+		Parts: []SnapshotPart{{Enc: sk.Marshal(), Ver: ver, Vers: vers}}}).Encode()
+	f.Add(live[:len(live)-4])
+	if old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "durable-sized", "snapshot")); err == nil {
+		f.Add(old[:len(old)-4])
+	} else {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		sealed := binary.LittleEndian.AppendUint32(append([]byte{}, body...), crc32.Checksum(body, castagnoli))
 		for _, b := range [][]byte{body, sealed} {

@@ -191,7 +191,49 @@ func FuzzMergeBound(f *testing.F) {
 		for _, a := range stream {
 			eh[a.in].AddN(0, a.t, a.n)
 		}
-		ehRoot := mergeTree(eh, h, func() *EHBank { b, _ := NewEHBank(cfg, 1); return b })
+		// Every merge, at every edge of every input bucket: the merged cell
+		// is an EH over the half-split replay, which holds, after any
+		// boundary the inputs' buckets straddle, exactly what the inputs
+		// estimate there (a straddled bucket spans two ticks, so it has
+		// size 2^ℓ ≥ 2 and its end half is the half its estimate counts).
+		// An EH answers a stream exactly where none of its buckets
+		// straddles the boundary, and otherwise misses by at most half the
+		// straddler less one arrival, since the straddler holds an arrival
+		// on each side. That is the replay's own error, far tighter than
+		// ε·exact, and it is what catches a replay that moves arrivals to
+		// the wrong side of an edge.
+		replayExact := func(inputs []*EHBank, m *EHBank) {
+			floor := Tick(0) // the merged window's start: inputs' clocks trail it
+			if n := m.Now(0); n >= w {
+				floor = n - w
+			}
+			at := func(since Tick) {
+				since = max(since, floor)
+				var want float64
+				for _, in := range inputs {
+					want += in.EstimateSince(0, since)
+				}
+				slack := 0.0
+				for _, bk := range m.Buckets(0) {
+					if bk.Start <= since && since < bk.End {
+						slack = float64(bk.Size)/2 - 1
+					}
+				}
+				if got := m.EstimateSince(0, since); math.Abs(got-want) > slack {
+					t.Fatalf("EH k=%d h=%d ε=%v W=%d: a %d-way merge reads EstimateSince(%d) = %v, its inputs %v, slack %v",
+						k, h, eps, w, len(inputs), since, got, want, slack)
+				}
+			}
+			for _, in := range inputs {
+				for _, bk := range in.Buckets(0) {
+					at(bk.Start - min(bk.Start, 1))
+					at(bk.Start)
+					at(bk.End - min(bk.End, 1))
+					at(bk.End)
+				}
+			}
+		}
+		ehRoot := mergeTree(eh, h, func() *EHBank { b, _ := NewEHBank(cfg, 1); return b }, replayExact)
 		ehRoot.Advance(0, now)
 		for _, in := range eh {
 			for _, bk := range in.Buckets(0) {
@@ -209,7 +251,7 @@ func FuzzMergeBound(f *testing.F) {
 		for _, a := range stream {
 			dw[a.in].AddN(0, a.t, a.n)
 		}
-		dwRoot := mergeTree(dw, h, func() *DWBank { b, _ := NewDWBank(dcfg, 1); return b })
+		dwRoot := mergeTree(dw, h, func() *DWBank { b, _ := NewDWBank(dcfg, 1); return b }, nil)
 		dwRoot.Advance(0, now)
 		for _, in := range dw {
 			for _, e := range in.appendEntries(nil, 0) {
@@ -222,11 +264,11 @@ func FuzzMergeBound(f *testing.F) {
 // mergeTree merges the leaves' cell 0 into one root cell through
 // MergeCellFrom in d levels, each level with the smallest fan-in that
 // reaches one root in the levels left, each merge at its inputs' high-water
-// clock.
+// clock. onMerge, when not nil, sees every merge's inputs and result.
 func mergeTree[B interface {
 	Now(i int) Tick
 	MergeCellFrom(i, src int, now Tick, inputs []B)
-}](leaves []B, d int, fresh func() B) B {
+}](leaves []B, d int, fresh func() B, onMerge func(inputs []B, merged B)) B {
 	level := leaves
 	for ; d > 0; d-- {
 		fan := 1
@@ -242,6 +284,9 @@ func mergeTree[B interface {
 			}
 			m := fresh()
 			m.MergeCellFrom(0, 0, gnow, group)
+			if onMerge != nil {
+				onMerge(group, m)
+			}
 			next = append(next, m)
 		}
 		level = next

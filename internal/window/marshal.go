@@ -253,6 +253,7 @@ func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 				next--
 				left = counts[next]
 			}
+			left--
 		}
 		ds, err := r.uvarint()
 		if err != nil {
@@ -276,7 +277,6 @@ func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 				return errCorruptEH
 			}
 		}
-		left--
 		start := prev + ds
 		end := start + de
 		if !canonicalEHBucket(prev, start, end, next) {
@@ -296,10 +296,7 @@ func (b *EHBank) UnmarshalCell(i int, enc []byte) error {
 		b.pushBack(d, bucket{start: start, end: end})
 		c.total += uint64(1) << uint(lv)
 		c.now = max(c.now, end)
-	}
-	if n > 0 {
-		b.version += n // one stamp per bucket, as RestoreBucket leaves them
-		b.vers[i] = b.version
+		b.noteCellMutation(i)
 	}
 	b.NormalizeRestored(i)
 	b.Advance(i, now)
