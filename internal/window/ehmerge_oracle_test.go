@@ -319,7 +319,7 @@ func FuzzMergeCellRuns(f *testing.F) {
 			}
 			// Odd lists whose sizes and class-0 spans the size-free form can
 			// spell go through it; the rest through the sized form.
-			enc := appendEHBuckets([]byte{wireEHSizedBare, 0}, bs)
+			enc := appendEHSized([]byte{wireEHSizedBare, 0}, bs)
 			if k%2 == 1 && sizeFreeSpellable(bs) {
 				enc = appendEHClasses([]byte{wireEHBare, 0}, bs)
 			}

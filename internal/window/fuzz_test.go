@@ -47,7 +47,7 @@ func FuzzUnmarshalEH(f *testing.F) {
 		f.Add(golden) // sized-form golden vector (see golden_test.go)
 	}
 	sized := func(now Tick, bs ...Bucket) []byte {
-		return appendEHBuckets(binary.AppendUvarint(appendConfig([]byte{wireEHSized}, cfg), now), bs)
+		return appendEHSized(binary.AppendUvarint(appendConfig([]byte{wireEHSized}, cfg), now), bs)
 	}
 	sizeFree := func(now Tick, levels uint64, body ...uint64) []byte {
 		dst := binary.AppendUvarint(appendConfig([]byte{wireEH}, cfg), now)

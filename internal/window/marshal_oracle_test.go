@@ -11,8 +11,9 @@ import (
 
 // The per-object synopses' own codecs, kept beside them as the reference the
 // bank encoders are compared against byte for byte (golden vectors,
-// FuzzMarshal, FuzzWaveBank). They share the wire tags, the Config codec and
-// the reader with production and nothing else.
+// FuzzMarshal, FuzzWaveBank, FuzzUnmarshalEH). They share the wire tags, the
+// Config codec, the reader and its error values with production and nothing
+// else.
 
 type wireWriter struct{ buf bytes.Buffer }
 
@@ -66,11 +67,11 @@ func appendEHClasses(dst []byte, bs []Bucket) []byte {
 	return dst
 }
 
-// appendEHBuckets appends the sized EH body after now (tags wireEHSized and
+// appendEHSized appends the sized EH body after now (tags wireEHSized and
 // wireEHSizedBare): the bucket count, then each bucket's start delta, span
 // and size. Nothing in production writes it; tests use it to build the
 // encodings a store written before the size-free form holds.
-func appendEHBuckets(dst []byte, bs []Bucket) []byte {
+func appendEHSized(dst []byte, bs []Bucket) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(bs)))
 	var prev Tick
 	for _, b := range bs {
