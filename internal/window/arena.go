@@ -590,7 +590,7 @@ func (b *EHBank) Buckets(i int) []Bucket {
 // NormalizeRestored re-checks cell i's class budgets after UnmarshalCell;
 // decoded histograms are already canonical, so for valid inputs this is a
 // no-op walk that repairs corrupt inputs instead of violating invariants.
-// It also rebuilds the expiry cache, which restores leave stale.
+// It also rebuilds the expiry cache, which decoding leaves stale.
 func (b *EHBank) NormalizeRestored(i int) {
 	c := &b.cells[i]
 	for lv := 0; lv < int(c.nLv); lv++ {
